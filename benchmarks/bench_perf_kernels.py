@@ -335,50 +335,30 @@ def test_mitigation_round_loop_sampling(benchmark, mitigation_floorplan, monkeyp
     )
 
 
-# -- low-rank Woodbury candidate solves (Sec. 6.2 speculative scoring) ------------
+# -- mitigation candidate scoring (Sec. 6.2 speculative scoring) ------------------
 #
 # One speculative dummy-TSV candidate at the paper-scale verification
-# grid (64x64): the Woodbury path assembles the perturbed network and
-# scores it through the round's base LU (a rank-r batched
-# back-substitution plus dense corrections); the refactorize variant
-# pays the full sparse LU every candidate used to cost.  The committed
-# baseline gates their ratio at >= 3x (see check_bench_regression.py).
+# grid (64x64): assemble the perturbed network, factorize it, and solve
+# the nominal maps — what the mitigation loop pays per candidate.
 
 
 @pytest.fixture(scope="module")
-def woodbury_candidate_setup(n100_state):
-    from repro.thermal.steady_state import SteadyStateSolver as _SSS
-
+def mitigation_candidate_setup(n100_state):
     _, stack_cfg, _ = n100_state
     grid = GridSpec(stack_cfg.outline, 64, 64)
-    base = _SSS(build_stack(stack_cfg, grid))
     # one insertion round's candidate group: tsvs_per_round=8 clustered
     # bins, the shape stability-guided selection produces on smooth maps
     density = np.zeros(grid.shape)
     density[30:32, 28:32] = 0.6
     cells = grid.nx * grid.ny
     pm = [np.full(grid.shape, 4.0 / cells) for _ in range(2)]
-    return base, stack_cfg, grid, density, pm
+    return stack_cfg, grid, density, pm
 
 
-def test_mitigation_candidate_woodbury_64(benchmark, woodbury_candidate_setup):
-    from repro.thermal.steady_state import WoodburySolver
-
-    base, stack_cfg, grid, density, pm = woodbury_candidate_setup
-
-    def score_candidate():
-        stack = build_stack(stack_cfg, grid, tsv_density=density)
-        solver = WoodburySolver(base, stack, crossover_rank=10_000)
-        assert solver.is_low_rank
-        return solver.solve(pm)
-
-    benchmark.pedantic(score_candidate, rounds=3, iterations=1)
-
-
-def test_mitigation_candidate_refactorize_64(benchmark, woodbury_candidate_setup):
+def test_mitigation_candidate_refactorize_64(benchmark, mitigation_candidate_setup):
     from repro.thermal.steady_state import SteadyStateSolver as _SSS
 
-    base, stack_cfg, grid, density, pm = woodbury_candidate_setup
+    stack_cfg, grid, density, pm = mitigation_candidate_setup
 
     def score_candidate():
         stack = build_stack(stack_cfg, grid, tsv_density=density)
@@ -389,12 +369,10 @@ def test_mitigation_candidate_refactorize_64(benchmark, woodbury_candidate_setup
 
 # -- factorization-backend kernels ------------------------------------------------
 #
-# The backend layer's performance claims, pinned by ratio gates in
-# check_bench_regression.py: (a) the compiled batched-substitution
-# kernels beat the historical spsolve_triangular persisted path by a
-# wide margin per RHS over the *same* stored factors; (b) a Woodbury
-# candidate scored through a non-SuperLU base backend keeps its >= 3x
-# advantage over refactorization.
+# The backend layer's performance claim, pinned by a ratio gate in
+# check_bench_regression.py: the compiled batched-substitution kernels
+# beat the historical spsolve_triangular persisted path by a wide margin
+# per RHS over the *same* stored factors.
 
 
 @pytest.fixture(scope="module")
@@ -425,41 +403,6 @@ def test_persisted_rhs_scipy_64(benchmark, persisted_factors_setup):
 def test_persisted_rhs_compiled_64(benchmark, persisted_factors_setup):
     _, compiled_fact, rhs = persisted_factors_setup
     benchmark.pedantic(compiled_fact.solve_many, args=(rhs,), rounds=3, iterations=1)
-
-
-def test_mitigation_candidate_woodbury_compiled_64(benchmark, woodbury_candidate_setup):
-    from repro.thermal.steady_state import SteadyStateSolver as _SSS
-    from repro.thermal.steady_state import WoodburySolver
-
-    _, stack_cfg, grid, density, pm = woodbury_candidate_setup
-    base = _SSS(build_stack(stack_cfg, grid), backend="compiled_triangular")
-
-    def score_candidate():
-        stack = build_stack(stack_cfg, grid, tsv_density=density)
-        solver = WoodburySolver(base, stack, crossover_rank=10_000)
-        assert solver.is_low_rank
-        return solver.solve(pm)
-
-    benchmark.pedantic(score_candidate, rounds=3, iterations=1)
-
-
-def test_mitigation_candidate_woodbury_cholmod_64(benchmark, woodbury_candidate_setup):
-    from repro.thermal.backends.cholmod import sksparse_available
-    from repro.thermal.steady_state import SteadyStateSolver as _SSS
-    from repro.thermal.steady_state import WoodburySolver
-
-    if not sksparse_available():
-        pytest.skip("scikit-sparse not installed (optional CI leg)")
-    _, stack_cfg, grid, density, pm = woodbury_candidate_setup
-    base = _SSS(build_stack(stack_cfg, grid), backend="cholmod")
-
-    def score_candidate():
-        stack = build_stack(stack_cfg, grid, tsv_density=density)
-        solver = WoodburySolver(base, stack, crossover_rank=10_000)
-        assert solver.is_low_rank
-        return solver.solve(pm)
-
-    benchmark.pedantic(score_candidate, rounds=3, iterations=1)
 
 
 # -- warm-cache batch sweeps ------------------------------------------------------

@@ -50,8 +50,9 @@ def execute_spec(spec: JobSpec, config=None, progress: Progress = None):
     The lower-level sibling of :func:`run_flow_job` for callers that
     need the floorplan/maps, not just the metrics record.  ``config``
     overrides the spec's canonical :meth:`JobSpec.to_flow_config` —
-    interactive knobs like ``--no-incremental`` ride here; callers using
-    a results store must not override fields that change the outcome.
+    interactive knobs like ``--replica-processes`` ride here; callers
+    using a results store must not override fields that change the
+    outcome.
     """
     from ..benchmarks import load
     from ..core.flow import run_flow

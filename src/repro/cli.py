@@ -112,10 +112,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     config = replace(
         spec.to_flow_config(), replica_processes=args.replica_processes
     )
-    if args.no_incremental:
-        config = replace(
-            config, mitigation=replace(config.mitigation, incremental=False)
-        )
     outcome = execute_spec(spec, config=config)
     print(f"[{args.benchmark} / {spec.mode}]")
     if config.replicas > 1:
@@ -127,9 +123,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     _print_metrics(outcome.metrics)
     if outcome.mitigation is not None:
         mit = outcome.mitigation
-        print(f"  mitigation: {mit.woodbury_candidates} Woodbury candidates, "
-              f"{mit.refactorized_candidates} refactorized, "
-              f"{mit.rebaselines} re-baseline(s)")
+        print(f"  mitigation: {mit.refactorized_candidates} factorized "
+              f"candidates over {mit.rounds} round(s)")
     if outcome.dvfs is not None:
         d = outcome.dvfs
         print(f"  dvfs: baseline |r|={d.baseline_score:.3f} "
@@ -417,10 +412,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     topology = (
         TopologyConfig(kind=args.topology) if args.topology != "3d" else None
     )
-    cells = run_exploration(
-        grid_n=args.grid, seed=args.seed,
-        incremental=not args.no_incremental, topology=topology,
-    )
+    cells = run_exploration(grid_n=args.grid, seed=args.seed, topology=topology)
     for c in cells:
         print(f"{c.power_pattern:<20}{c.tsv_pattern:<20}"
               f"r1={c.r_bottom:+.3f}  r2={c.r_top:+.3f}  peak={c.peak_k:.1f}K")
@@ -478,10 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--replica-processes", type=int, default=None,
                         help="worker processes for the replica pool "
                              "(default: min(replicas, cpu count))")
-    p_flow.add_argument("--no-incremental", action="store_true",
-                        help="refactorize every mitigation candidate stack "
-                             "instead of solving them through the round's "
-                             "base LU (the Woodbury path); the slow oracle")
     p_flow.add_argument("--topology", choices=["3d", "2.5d"], default="3d",
                         help="integration style: '3d' stacks dies "
                              "vertically (the paper's setup); '2.5d' places "
@@ -641,10 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--topology", choices=["3d", "2.5d"], default="3d",
                        help="run the study on a vertical 3D stack (default) "
                             "or on a 2.5D interposer layout")
-    p_exp.add_argument("--no-incremental", action="store_true",
-                       help="factorize every TSV pattern's network instead "
-                            "of riding the empty-interface factorization "
-                            "via low-rank Woodbury updates")
     add_backend_arg(p_exp)
     p_exp.set_defaults(func=_cmd_explore)
 

@@ -78,7 +78,7 @@ def run_exploration(
     total_power_w: float = 8.0,
     seed: int = 0,
     cache: SolverCache | None = None,
-    incremental: bool = True,
+    incremental: bool = False,
     topology=None,
 ) -> List[ExplorationCell]:
     """Evaluate all 30 power x TSV combinations on a two-die stack.
@@ -87,12 +87,12 @@ def run_exploration(
     repeated studies — parameter scans over power or seeds on the same
     TSV patterns — factorize each network exactly once.
 
-    ``incremental`` solves the TSV patterns after the first ("none", the
-    empty interface) as low-rank Woodbury updates of that first
-    factorization where the pattern is localized enough (islands, sparse
-    irregular vias); dense patterns exceed the measured crossover and
-    fall back to their own factorization automatically.
-    ``incremental=False`` factorizes every pattern — the oracle path.
+    Every TSV pattern's network is factorized.  ``incremental=True``
+    (opt-in, slated for deletion) instead solves the patterns after the
+    first ("none", the empty interface) as low-rank Woodbury updates of
+    that first factorization where the pattern is localized enough;
+    dense patterns exceed the crossover and fall back to their own
+    factorization automatically.
 
     ``topology`` (a :class:`~repro.thermal.stack.TopologyConfig`) reruns
     the same 30-cell study on a 2.5D interposer layout; None or "3d" is

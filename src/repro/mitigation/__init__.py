@@ -2,10 +2,10 @@
 
 Gaussian activity sampling, the Eq. 2 correlation-stability map, and
 the stability-guided dummy-TSV insertion loop with its sweet-spot stop
-criterion — candidates solved through the round's base LU via
-low-rank Woodbury updates.  :mod:`repro.mitigation.dvfs` adds the
-runtime counterpart: a seeded DVFS governor that randomizes the power
-trace instead of the heat path, scored with the same Eq. 1 metrics.
+criterion — each candidate stack factorized afresh in symmetric mode.
+:mod:`repro.mitigation.dvfs` adds the runtime counterpart: a seeded
+DVFS governor that randomizes the power trace instead of the heat path,
+scored with the same Eq. 1 metrics.
 """
 
 from .activity import ActivitySampler, sample_power_maps

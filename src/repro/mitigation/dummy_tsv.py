@@ -20,14 +20,15 @@ already-saturated heat path; the runner-up groups keep the loop moving at
 no extra sampling cost (the round's activity samples and stability map
 are shared by all candidates).
 
-Each insertion perturbs only the pierced bins' conductivities, so
-candidate stacks are *not* refactorized: they are solved through the
-round's base LU via the Sherman–Morrison–Woodbury identity
-(:class:`~repro.thermal.steady_state.WoodburySolver`), and the loop only
-pays a fresh factorization when committed insertions have accumulated
-past the measured crossover rank (the solver falls back by itself, and
-the loop adopts that factorization as the new base).  ``incremental=False``
-restores the refactorize-per-candidate oracle.
+Every candidate stack is factorized afresh through the round's solver
+cache (one symmetric-mode SuperLU factorization each), and the accepted
+candidate's solver serves the next round.  ``incremental=True`` instead
+solves candidates through the round's base LU via the
+Sherman–Morrison–Woodbury identity
+(:class:`~repro.thermal.steady_state.WoodburySolver`), re-baselining once
+committed insertions accumulate past the crossover rank; that path is
+opt-in and slated for deletion, since refactorizing measured faster end
+to end.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ class MitigationConfig:
     target_die: Optional[int] = None
     seed: int = 0
     #: solve speculative candidates through the round's base LU via the
-    #: Woodbury identity instead of refactorizing each candidate stack;
-    #: False restores the refactorize-per-candidate oracle
-    incremental: bool = True
+    #: Woodbury identity instead of refactorizing each candidate stack
+    #: (opt-in; slated for deletion with the Woodbury layer)
+    incremental: bool = False
     #: committed-update rank past which the loop re-baselines (fresh
     #: factorization); None uses the measured crossover for the grid size
     #: (:func:`~repro.thermal.steady_state.woodbury_crossover_rank`)

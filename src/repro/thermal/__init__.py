@@ -2,7 +2,7 @@
 
 Materials and the face-to-back layer stack, finite-volume RC network
 assembly, the detailed steady-state solver the verification stage relies
-on (Sec. 4's analysis role, including low-rank Woodbury solves for
+on (Sec. 4's analysis role, plus opt-in low-rank Woodbury solves for
 locally perturbed TSV patterns), the transient solver behind Fig. 1's
 time-scale study, and the calibrated fast power-blurring estimator used
 inside the annealing loop.

@@ -15,9 +15,10 @@ Selection order (:func:`resolve_backend`):
    past 64x64); otherwise cholmod when scikit-sparse is importable;
    otherwise superlu.
 
-The compiled_triangular backend is never auto-selected for *fresh*
-solves — it changes low-order bits relative to the superlu oracle, so
-switching it on is an explicit (flag / env) decision.
+The compiled_triangular backend is never auto-selected: its fresh
+factorizations are superlu's own symmetric-mode ones, and it differs
+only in how *persisted* factors are solved, which pays off on warm
+shared disk caches — an explicit (flag / env) decision.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ Everything in the thermal stack that used to call ``scipy``'s ``splu`` /
 :class:`FactorizationBackend`: ``backend.factor(G) -> Factorization``,
 where the returned object knows how to solve against the factored system
 and *describes itself* — whether its solves route through persisted
-(rebuilt) factors, roughly what one right-hand side costs relative to
-native SuperLU, and whether it can serve as the base of a Woodbury
-low-rank solver.  Callers make policy decisions (cache eviction,
-Woodbury crossover deflation, disk persistence) from those capability
-fields instead of sniffing concrete types.
+(rebuilt) factors, and whether it can serve as the base of a Woodbury
+low-rank solver.  Callers make policy decisions (cache eviction, disk
+persistence) from those capability fields instead of sniffing concrete
+types.
 """
 
 from __future__ import annotations
@@ -65,9 +64,6 @@ class Factorization(abc.ABC):
       rather than a native in-process factorization (the cache uses this
       to decide what :meth:`~repro.thermal.steady_state.SolverCache.
       drop_persisted_solvers` evicts);
-    * ``per_rhs_cost_hint`` — approximate cost of one back-substitution
-      relative to native SuperLU (1.0); the Woodbury crossover rank is
-      scaled by ``1 / hint``;
     * ``supports_woodbury_base`` — whether a
       :class:`~repro.thermal.steady_state.WoodburySolver` may ride this
       factorization (iterative backends return approximate solves whose
@@ -76,7 +72,6 @@ class Factorization(abc.ABC):
 
     backend_name: str = "unknown"
     is_persisted: bool = False
-    per_rhs_cost_hint: float = 1.0
     supports_woodbury_base: bool = True
 
     @abc.abstractmethod

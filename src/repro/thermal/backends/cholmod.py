@@ -57,12 +57,6 @@ class CholmodFactorization(Factorization):
 
     backend_name = "cholmod"
     is_persisted = False
-    #: per-RHS cost relative to equilibrated SuperLU (half the factor
-    #: nnz, one factor matrix).  Continuously validated on the
-    #: scikit-sparse CI leg: tools/measure_woodbury_crossover.py
-    #: --check-hints fails the build if the measured median drifts more
-    #: than HINT_DRIFT_FACTOR from this value
-    per_rhs_cost_hint = 0.2
     supports_woodbury_base = True
 
     def __init__(self, factor) -> None:
@@ -99,7 +93,6 @@ class PersistedCholeskyFactorization(Factorization):
         self._L = L.tocsc()
         self._perm = np.asarray(perm, dtype=np.intp)
         self.kernel_name = pick_kernel_name()
-        self.per_rhs_cost_hint = 1.0 if self.kernel_name == "numba" else 1.2
         self._pair = None
 
     def _kernel_pair(self):

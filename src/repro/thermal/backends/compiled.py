@@ -1,27 +1,21 @@
 """Compiled batched triangular solves over persisted CSR factors.
 
-Two measured wins over the historical persisted-LU path, picked by what
-the host offers:
+Fresh factorizations are the superlu backend's symmetric-mode ones
+(:data:`~repro.thermal.backends.superlu.SYMMETRIC_SPLU_KWARGS`); the
+measured win over the superlu backend is on *persisted* factors, picked
+by what the host offers: persisted factors rebuild their solves through batched
+multi-RHS forward/back-substitution kernels — numba-jitted CSR sweeps
+(column-parallel) when numba is importable, otherwise the
+"wrapped-native" trick: re-wrapping each stored triangular factor in a
+NATURAL-ordered, non-pivoting ``splu`` whose factorization is a
+zero-fill copy, so every solve runs SuperLU's compiled substitution
+instead of ``spsolve_triangular``'s interpreted loop (measured 8.3x
+faster per RHS).  ``REPRO_COMPILED_KERNEL`` (``auto`` / ``numba`` /
+``wrapped``) pins the choice.
 
-* fresh factorizations exploit that ``G`` is SPD: SuperLU in symmetric
-  mode (``MMD_AT_PLUS_A`` ordering, relaxed diagonal pivoting) produces
-  ~2.5x sparser factors than equilibrated COLAMD — ~3.5x faster to
-  factorize and ~2x faster per right-hand side on the reference
-  container, while staying a *direct* solve (no iteration, no tolerance);
-* persisted factors rebuild their solves through batched multi-RHS
-  forward/back-substitution kernels: numba-jitted CSR sweeps
-  (column-parallel) when numba is importable, otherwise the
-  "wrapped-native" trick — re-wrapping each stored triangular factor in
-  a NATURAL-ordered, non-pivoting ``splu`` whose factorization is a
-  zero-fill copy, so every solve runs SuperLU's compiled substitution
-  instead of ``spsolve_triangular``'s interpreted loop (measured 8.3x
-  faster per RHS).  ``REPRO_COMPILED_KERNEL`` (``auto`` / ``numba`` /
-  ``wrapped``) pins the choice.
-
-Factorizations here are always reconstructable (symmetric mode implies
-``Equil=False``), so this backend persists for free and also *adopts*
-v1/superlu ``lu`` payloads — a disk cache written by the old code speeds
-up the moment the backend switches.
+Factorizations here are always reconstructable, so this backend persists
+for free and also *adopts* v1/superlu ``lu`` payloads — a disk cache
+written by the superlu backend speeds up the moment the backend switches.
 """
 
 from __future__ import annotations
@@ -41,6 +35,7 @@ from .base import (
     Factorization,
     FactorizationBackend,
 )
+from .superlu import SYMMETRIC_SPLU_KWARGS
 
 __all__ = [
     "CompiledNativeFactorization",
@@ -48,14 +43,6 @@ __all__ = [
     "CompiledTriangularBackend",
     "numba_available",
 ]
-
-#: symmetric-mode factorization of the SPD conductance system — the
-#: ordering/pivoting choice behind this backend's speed (measured: 3.5x
-#: faster factorization, ~0.5x per-RHS cost vs equilibrated COLAMD)
-_SYMMETRIC_SPLU_KWARGS = dict(
-    permc_spec="MMD_AT_PLUS_A",
-    options=dict(SymmetricMode=True, DiagPivotThresh=0.001, Equil=False),
-)
 
 _NUMBA_CACHE: dict = {}
 
@@ -215,9 +202,6 @@ class CompiledPersistedFactorization(Factorization):
         self._perm_r = np.asarray(perm_r, dtype=np.intp)
         self._perm_c = np.asarray(perm_c, dtype=np.intp)
         self.kernel_name = pick_kernel_name()
-        # numba sweeps run at native-substitution speed; the wrapped
-        # kernel was measured ~1.1x native SuperLU per RHS
-        self.per_rhs_cost_hint = 1.0 if self.kernel_name == "numba" else 1.2
         self._pair = None  # built lazily: JIT compile / re-wrap on first solve
 
     def _kernel_pair(self):
@@ -249,7 +233,6 @@ class CompiledNativeFactorization(Factorization):
 
     backend_name = "compiled_triangular"
     is_persisted = False
-    per_rhs_cost_hint = 0.5
     supports_woodbury_base = True
 
     def __init__(self, lu) -> None:
@@ -290,7 +273,7 @@ class CompiledTriangularBackend(FactorizationBackend):
         reconstructable: bool = False,
         hints: Optional[FactorHints] = None,
     ) -> Factorization:
-        lu = spla.splu(matrix.tocsc(), **_SYMMETRIC_SPLU_KWARGS)
+        lu = spla.splu(matrix.tocsc(), **SYMMETRIC_SPLU_KWARGS)
         return CompiledNativeFactorization(lu)
 
     def payload_from(self, fact: Factorization) -> Dict[str, np.ndarray]:

@@ -128,9 +128,6 @@ class MultigridFactorization(Factorization):
 
     backend_name = "multigrid"
     is_persisted = False
-    #: one solve costs tens of V-cycles; still far below a fresh direct
-    #: factorization at the sizes where this backend engages
-    per_rhs_cost_hint = 5.0
     supports_woodbury_base = False
 
     def __init__(

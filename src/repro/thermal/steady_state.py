@@ -1,28 +1,29 @@
 """Steady-state thermal solver (the detailed, HotSpot-role analysis).
 
 Solves ``G T = q + B * T_amb`` for the nodal temperatures of the full 3D
-RC network.  Three levels of reuse keep repeated analyses cheap:
+RC network.  Two levels of reuse keep repeated analyses cheap:
 
 * :class:`SteadyStateSolver` caches the factorization of one stack, and
   :meth:`SteadyStateSolver.solve_many` pushes a whole batch of power-map
   sets through that single factorization (the Gaussian activity sampling
   of Sec. 6.2 runs 100 solves — one back-substitution each);
-* :class:`WoodburySolver` solves a *locally perturbed* stack — a
-  dummy-TSV candidate of the Sec. 6.2 mitigation loop — through the
-  unperturbed stack's factorization via the Sherman–Morrison–Woodbury
-  identity, skipping the per-candidate refactorization entirely as long
-  as the perturbation rank stays below the measured crossover;
 * :class:`SolverCache` memoizes whole solvers keyed by (grid shape, stack
   configuration, TSV-density digest, factorization backend), so flow
   runs, verification, exploration studies, and the mitigation loop stop
   re-assembling and re-factorizing identical networks.
 
+:class:`WoodburySolver` solves a *locally perturbed* stack through the
+unperturbed stack's factorization via the Sherman–Morrison–Woodbury
+identity.  It is opt-in (``MitigationConfig.incremental=True``,
+``run_exploration(incremental=True)``) and slated for deletion: with
+symmetric-mode factorizations, refactorizing each candidate measured
+faster end to end.
+
 *How* a system is factored lives one layer down, behind the
 :mod:`~repro.thermal.backends` protocol: this module never calls
-``splu``/``spsolve_triangular`` itself, and policy decisions that used
-to sniff factorization types (cache eviction of disk-loaded solvers,
-Woodbury crossover deflation) now read the backend's capability fields
-(``is_persisted``, ``per_rhs_cost_hint``, ``supports_woodbury_base``).
+``splu``/``spsolve_triangular`` itself, and policy decisions (cache
+eviction of disk-loaded solvers, Woodbury bases) read the backend's
+capability fields (``is_persisted``, ``supports_woodbury_base``).
 """
 
 from __future__ import annotations
@@ -147,9 +148,8 @@ class SteadyStateSolver:
     backend instance, or None for the env/auto policy of
     :func:`~repro.thermal.backends.resolve_backend`).
     ``reconstructable=True`` asks for a factorization whose factors can
-    be persisted and rebuilt in other processes (the matrices here are
-    diagonally dominant, so the superlu backend simply disables
-    equilibration); ``lu`` injects an already-built
+    be persisted and rebuilt in other processes (every superlu
+    factorization already is); ``lu`` injects an already-built
     :class:`~repro.thermal.backends.base.Factorization` — typically one
     rebuilt from disk — instead of computing one.
     """
@@ -231,14 +231,12 @@ class SteadyStateSolver:
         return _results_from_columns(self.stack, t)
 
 
-# Woodbury-vs-refactorize crossover, measured by
-# tools/measure_woodbury_crossover.py on the reference container over the
-# real assembled networks (16x16 .. 64x64 grids): the rank at which the
-# batched Z = G⁻¹·U back-substitution costs as much as a fresh
-# factorization follows the power law below.  Re-run the tool (it now
-# reports per-backend fits too) and update these two coefficients when
-# the solver stack or hardware changes; REPRO_WOODBURY_CROSSOVER
-# overrides the whole model with a fixed rank.
+# Woodbury-vs-refactorize crossover, measured on the reference container
+# over the real assembled networks (16x16 .. 64x64 grids) against
+# equilibrated-COLAMD SuperLU: the rank at which the batched Z = G⁻¹·U
+# back-substitution costs as much as a fresh factorization follows the
+# power law below.  REPRO_WOODBURY_CROSSOVER overrides the whole model
+# with a fixed rank.
 _CROSSOVER_COEFFICIENT = 3.39
 _CROSSOVER_EXPONENT = 0.421
 #: fraction of the measured break-even rank at which we still prefer the
@@ -252,9 +250,7 @@ def woodbury_crossover_rank(num_nodes: int) -> int:
     The measured break-even point (see the module constants above) times
     a safety factor.  ``REPRO_WOODBURY_CROSSOVER`` pins an explicit rank
     instead, for experiments and for machines with very different
-    factorization/back-substitution cost ratios.  The returned rank
-    assumes native-SuperLU per-RHS cost; :class:`WoodburySolver` scales
-    it by its base factorization's ``per_rhs_cost_hint``.
+    factorization/back-substitution cost ratios.
     """
     raw = os.environ.get("REPRO_WOODBURY_CROSSOVER")
     if raw is not None:
@@ -295,11 +291,7 @@ class WoodburySolver:
       approximate solves would compound through the dense core);
     * ``rank > crossover_rank`` — the batched Z solve would cost more
       than refactorizing; the default crossover is *measured*, not
-      guessed (:func:`woodbury_crossover_rank`), and is scaled by the
-      base factorization's ``per_rhs_cost_hint`` (a disk-rebuilt superlu
-      base solves each RHS ~15x slower than native, so its Z setup
-      breaks even that much earlier; a cholmod base, faster per RHS,
-      stretches the crossover the other way);
+      guessed (:func:`woodbury_crossover_rank`);
     * the probe residual check fails — one deterministic RHS is solved
       through the Woodbury path and verified against ``G'`` directly, so
       an ill-conditioned core (a nearly singular ``I + C·W``) is caught
@@ -346,13 +338,6 @@ class WoodburySolver:
         base_fact = base.factorization
         if crossover_rank is None:
             crossover_rank = woodbury_crossover_rank(self.network.num_nodes)
-            # the crossover was measured against native SuperLU
-            # back-substitution; scale by the base backend's own
-            # per-RHS cost so e.g. persisted factors (hint ~15) break
-            # even proportionally earlier
-            hint = float(getattr(base_fact, "per_rhs_cost_hint", 1.0))
-            if hint > 0.0 and hint != 1.0:
-                crossover_rank = max(1, int(crossover_rank / hint))
         self.crossover_rank = crossover_rank
 
         rank = self.update.rank

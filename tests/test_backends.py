@@ -2,9 +2,10 @@
 oracles, persistence format v2, and the capability queries that replaced
 type sniffing in the solver layer.
 
-Every backend is validated against the superlu oracle (bit-compatible
-extraction of the pre-refactor solver): direct backends to 1e-10
-relative, multigrid to its stated iterative tolerance.  cholmod's
+Every backend is validated against the default superlu backend
+(symmetric-mode ``splu``): direct backends to 1e-10 relative, multigrid
+to its stated iterative tolerance.  The historical equilibrated-COLAMD
+``splu`` default survives here only, as an oracle for the default.  cholmod's
 *native* path needs scikit-sparse (skipped when absent — CI's optional
 leg covers it); its persisted-factor path is dependency-free and is
 exercised here with synthesized Cholesky payloads.
@@ -12,6 +13,7 @@ exercised here with synthesized Cholesky payloads.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro.core import faults
 from repro.core.faults import DegradationWarning, injected
@@ -33,7 +35,12 @@ from repro.thermal.backends.multigrid import (
     MULTIGRID_TOLERANCE,
     MultigridFactorization,
 )
-from repro.thermal.backends.superlu import PersistedSuperLUFactorization
+from repro.thermal.backends.superlu import (
+    SYMMETRIC_SPLU_KWARGS,
+    NativeSuperLUFactorization,
+    PersistedSuperLUFactorization,
+    SuperLUBackend,
+)
 from repro.thermal.stack import build_stack, normalize_tsv_densities
 from repro.thermal.steady_state import (
     SolverCache,
@@ -105,8 +112,8 @@ class TestRegistryAndSelection:
             multigrid_threshold()
 
     def test_auto_never_picks_compiled(self):
-        # compiled_triangular changes low-order bits vs the oracle, so
-        # engaging it must stay an explicit decision
+        # compiled_triangular only pays off for persisted-factor solves,
+        # so engaging it must stay an explicit decision
         for cells in (64, 4096):
             assert resolve_backend(cells_per_layer=cells).name in (
                 "superlu", "cholmod"
@@ -132,12 +139,12 @@ class TestRegistryAndSelection:
 
 class TestSuperLUBitCompatibility:
     def test_default_backend_is_the_old_solver_exactly(self):
-        """The refactor must not move a single bit on the default path."""
-        import scipy.sparse.linalg as spla
-
+        """The superlu backend is symmetric-mode ``splu``, bit for bit."""
         cfg, grid, stack = _stack()
         solver = SteadyStateSolver(stack, backend="superlu")
-        lu = spla.splu(solver.network.conductance.tocsc())
+        lu = spla.splu(
+            solver.network.conductance.tocsc(), **SYMMETRIC_SPLU_KWARGS
+        )
         sets = _power_sets(grid, 2)
         got = solver.solve(sets[0])
         q = solver.network.power_vector(list(sets[0])) + (
@@ -153,6 +160,84 @@ class TestSuperLUBitCompatibility:
         np.testing.assert_allclose(
             solver._lu.solve(e), solver.factorization.solve(e), rtol=0
         )
+
+
+class _HistoricalSuperLU(SuperLUBackend):
+    """The historical default: equilibrated-COLAMD ``splu``."""
+
+    def factor(self, matrix, *, reconstructable=False, hints=None):
+        return NativeSuperLUFactorization(spla.splu(matrix.tocsc()))
+
+
+class TestHistoricalSuperLUOracle:
+    """The symmetric-mode default against the equilibrated-COLAMD
+    factorization it replaced."""
+
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    def test_steady_solve_matches(self, num_dies):
+        _, grid, stack = _stack(num_dies=num_dies, tsv=True)
+        new = SteadyStateSolver(stack, backend="superlu")
+        old = SteadyStateSolver(stack, backend=_HistoricalSuperLU())
+        for a, b in zip(
+            new.solve_many(_power_sets(grid, num_dies)),
+            old.solve_many(_power_sets(grid, num_dies)),
+        ):
+            np.testing.assert_allclose(a.nodal, b.nodal, rtol=ORACLE_RTOL)
+
+    def test_transient_run_matches(self):
+        _, grid, stack = _stack(grid_n=8, tsv=True)
+        pm = _power_sets(grid, 2, count=1)[0]
+
+        def power_at(_t):
+            return pm
+
+        new = TransientSolver(stack, backend="superlu").run(
+            power_at, duration=0.2, dt=0.05
+        )
+        old = TransientSolver(stack, backend=_HistoricalSuperLU()).run(
+            power_at, duration=0.2, dt=0.05
+        )
+        np.testing.assert_allclose(new.die_means, old.die_means, rtol=ORACLE_RTOL)
+        np.testing.assert_allclose(new.die_peaks, old.die_peaks, rtol=ORACLE_RTOL)
+
+    def test_n100_flow_record_matches(self, monkeypatch):
+        from repro.benchmarks import load
+        from repro.core.config import FlowConfig
+        from repro.core.flow import run_flow
+        from repro.floorplan import objectives
+        from repro.floorplan.annealer import AnnealConfig
+        from repro.mitigation.dummy_tsv import MitigationConfig
+        from repro.thermal import steady_state
+
+        circuit, stack = load("n100")
+        config = FlowConfig(
+            mode="tsc_aware",
+            anneal=AnnealConfig(iterations=120, seed=1, calibration_samples=6),
+            mitigation=MitigationConfig(
+                samples=20, max_rounds=2, grid_nx=16, grid_ny=16
+            ),
+            verify_nx=16,
+            verify_ny=16,
+        )
+
+        def record():
+            # cold process caches, so neither run reuses the other's solvers
+            monkeypatch.setattr(steady_state, "_DEFAULT_CACHE", SolverCache())
+            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
+            doc = run_flow(circuit, stack, config).metrics.to_dict()
+            doc.pop("runtime_s")
+            doc.pop("degradations", None)
+            return doc
+
+        new = record()
+        monkeypatch.setattr(SuperLUBackend, "factor", _HistoricalSuperLU.factor)
+        old = record()
+        assert new.keys() == old.keys()
+        for key, value in new.items():
+            if isinstance(value, float):
+                assert value == pytest.approx(old[key], rel=1e-9, abs=0.0), key
+            else:
+                assert value == old[key], key
 
 
 @pytest.mark.parametrize("num_dies", [2, 3])
@@ -414,49 +499,16 @@ class TestMultigridOracle:
 
 
 class TestWoodburyCrossoverHint:
-    def _pair(self):
+    def test_explicit_crossover_still_wins(self):
         cfg = StackConfig.square(2000.0)
         grid = GridSpec(cfg.outline, 16, 16)
-        base_stack = build_stack(cfg, grid)
         density = np.zeros(grid.shape)
         density[4:6, 5:7] = 0.5
         pert = build_stack(cfg, grid, tsv_density={(0, 1): density})
-        return grid, base_stack, pert
-
-    def test_hint_scales_the_crossover(self):
-        grid, base_stack, pert = self._pair()
-        base = SteadyStateSolver(base_stack)
-        n = base.network.num_nodes
-        native = WoodburySolver(base, pert)
-        assert native.crossover_rank == woodbury_crossover_rank(n)
-
-        # a persisted superlu base carries the measured ~15x hint and
-        # deflates the crossover by exactly that factor
-        backend = get_backend("superlu")
-        cache_fact = backend.factorization_from_payload(
-            backend.payload_from(
-                SteadyStateSolver(base_stack, reconstructable=True).factorization
-            )
+        base = SteadyStateSolver(build_stack(cfg, grid))
+        assert WoodburySolver(base, pert).crossover_rank == (
+            woodbury_crossover_rank(base.network.num_nodes)
         )
-        assert cache_fact.per_rhs_cost_hint == 15.0
-        persisted_base = SteadyStateSolver(base_stack, lu=cache_fact)
-        deflated = WoodburySolver(persisted_base, pert)
-        assert deflated.crossover_rank == max(
-            1, int(woodbury_crossover_rank(n) / 15.0)
-        )
-
-    def test_cheap_hint_stretches_the_crossover(self):
-        grid, base_stack, pert = self._pair()
-        base = SteadyStateSolver(base_stack)
-        base.factorization.per_rhs_cost_hint = 0.5  # e.g. a cholmod base
-        wood = WoodburySolver(base, pert)
-        n = base.network.num_nodes
-        assert wood.crossover_rank == int(woodbury_crossover_rank(n) / 0.5)
-
-    def test_explicit_crossover_still_wins(self):
-        grid, base_stack, pert = self._pair()
-        base = SteadyStateSolver(base_stack)
-        base.factorization.per_rhs_cost_hint = 15.0
         wood = WoodburySolver(base, pert, crossover_rank=7)
         assert wood.crossover_rank == 7
 
@@ -565,7 +617,6 @@ class TestDropPersistedCapability:
         class NativeCholeskyStub:
             backend_name = "cholmod"
             is_persisted = False
-            per_rhs_cost_hint = 0.2
             supports_woodbury_base = True
 
             def solve(self, b):  # pragma: no cover - never called here

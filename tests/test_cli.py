@@ -67,6 +67,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["serve", "--queue-threshold", "100"])
 
+    @pytest.mark.parametrize("command", [["flow", "n100"], ["explore"]])
+    def test_no_incremental_flag_is_gone(self, command):
+        # refactorizing each candidate is the default; the flag that
+        # selected it was removed
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--no-incremental"])
+
+    def test_old_jobspec_with_incremental_still_parses(self):
+        from repro.api import JobSpec
+        from repro.core.schema import SchemaWarning
+
+        doc = dict(JobSpec(benchmark="n100").to_json(), incremental=False)
+        with pytest.warns(SchemaWarning, match="incremental"):
+            assert JobSpec.from_json(doc) == JobSpec(benchmark="n100")
+
 
 class TestCommands:
     def test_benchmarks_listing(self, capsys):

@@ -1,4 +1,5 @@
-"""Low-rank Woodbury solves for perturbed TSV patterns.
+"""Low-rank Woodbury solves for perturbed TSV patterns (the opt-in
+``incremental=True`` path).
 
 Oracle tests pin :class:`WoodburySolver` against fresh factorizations of
 the perturbed stacks (the refactorize-per-candidate path it replaces),
@@ -259,28 +260,6 @@ class TestSolverCacheIntegration:
         assert cache.solver(cfg, grid, density) is upgraded
         pm = _power_maps(grid, 2)
         assert _rel_err(first.solve(pm).nodal, upgraded.solve(pm).nodal) <= ORACLE_RTOL
-
-    def test_persisted_base_deflates_crossover(self, tmp_path):
-        """The crossover model is calibrated on native SuperLU
-        back-substitution; a disk-loaded base solves ~15x slower per RHS,
-        so the low-rank path must break even that much earlier."""
-        grid, cfg, base_stack, mod_stack = _stack_pair(2)
-        warm = SolverCache(disk_dir=tmp_path)
-        warm.solver(cfg, grid)  # persist the factorization
-        cold = SolverCache(disk_dir=tmp_path)
-        persisted_base = cold.solver(cfg, grid)
-        assert cold.disk_hits == 1
-        native_base = SteadyStateSolver(base_stack)
-        native = WoodburySolver(native_base, mod_stack)
-        slow = WoodburySolver(persisted_base, mod_stack)
-        assert slow.crossover_rank == max(1, native.crossover_rank // 15)
-        # at these sizes that forces the fallback — and the result is
-        # still exact (its own native factorization)
-        assert slow.fallback_reason == "rank"
-        pm = _power_maps(grid, 2)
-        np.testing.assert_array_equal(
-            slow.solve(pm).nodal, SteadyStateSolver(mod_stack).solve(pm).nodal
-        )
 
     def test_drop_persisted_solvers_evicts_woodbury_over_persisted_base(
         self, tmp_path
