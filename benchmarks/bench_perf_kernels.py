@@ -14,6 +14,7 @@ from repro.floorplan.moves import apply_random_move
 from repro.floorplan.objectives import CompiledNetlist, CostEvaluator, FloorplanMode
 from repro.floorplan.seqpair import LayoutState, pack_die
 from repro.layout.grid import GridSpec
+from repro.layout.tsv import SiteNetlist, interface_densities
 from repro.leakage.entropy import spatial_entropy
 from repro.leakage.pearson import (
     die_correlation,
@@ -120,6 +121,22 @@ def test_spatial_entropy_64(benchmark):
     rng = np.random.default_rng(1)
     pm = rng.lognormal(0, 0.8, size=(64, 64))
     benchmark(spatial_entropy, pm)
+
+
+def test_refresh_tsv_density_n100(benchmark, n100_state):
+    """The TSV part of one in-loop anneal refresh at 32x32: signal-TSV
+    sites of every crossing net, then every interface's density map."""
+    circ, stack, state = n100_state
+    fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
+    netlist = SiteNetlist(list(state.modules), circ.nets, circ.terminals)
+
+    def refresh():
+        sites = fp.signal_sites(netlist)
+        return interface_densities(
+            sites, stack.tsv_pitch, stack.outline, 32, 32, stack.num_dies
+        )
+
+    benchmark(refresh)
 
 
 def test_pearson_64(benchmark):

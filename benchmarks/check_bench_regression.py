@@ -53,6 +53,8 @@ TRACKED = [
     "test_wirelength_ibm03",
     "test_wirelength_per_move_dirty_ibm03",
     "test_anneal_iteration_incremental_n100",
+    "test_refresh_tsv_density_n100",
+    "test_spatial_entropy_64",
     "test_activity_sweep_batched_lu_reuse",
     "test_sample_power_maps_batched_n100",
     "test_transient_traces_batched_run_many",

@@ -27,6 +27,7 @@ import numpy as np
 from ..layout.die import StackConfig
 from ..layout.grid import GridSpec
 from ..layout.net import Net, Terminal
+from ..layout.tsv import SiteNetlist, interface_densities
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
@@ -419,6 +420,7 @@ class CostEvaluator:
         self.nets = tuple(nets)
         self.thermal = thermal_model or FastThermalModel(num_dies=stack.num_dies)
         self._netlist: Optional[CompiledNetlist] = None
+        self._sites: Optional[SiteNetlist] = None
         self._timing: Optional[TimingGraph] = None
         self._cache = _ExpensiveCache()
         self._scales: Dict[str, float] = {}
@@ -436,6 +438,11 @@ class CostEvaluator:
         if self._netlist is None:
             self._netlist = CompiledNetlist(list(state.modules), self.nets, self.terminals)
         return self._netlist
+
+    def _site_netlist(self, state: LayoutState) -> SiteNetlist:
+        if self._sites is None:
+            self._sites = SiteNetlist(list(state.modules), self.nets, self.terminals)
+        return self._sites
 
     def _timing_graph(self, state: LayoutState) -> TimingGraph:
         if self._timing is None:
@@ -598,9 +605,11 @@ class CostEvaluator:
                            refresh_assignment: bool, refresh_timing: bool,
                            refresh_thermal: bool) -> None:
         cache = self._cache
+        # timing and voltage assignment never read TSVs; the thermal
+        # refresh rasterizes signal-TSV sites without building TSV objects
         fp = state.realize_with_positions(
             snap.positions, snap.sizes, self.nets, self.terminals,
-            place_tsvs=refresh_thermal,
+            place_tsvs=False,
         )
         if refresh_assignment:
             timing = self._timing_graph(state)
@@ -637,11 +646,14 @@ class CostEvaluator:
             snap.stale_power = set()
             snap.power_stamp = self._assignment_stamp
             if num_dies > 1:
-                # every adjacent interface's TSVs, not just (0, 1)
-                density = [
-                    fp.tsv_density((d, d + 1), self.grid)
-                    for d in range(num_dies - 1)
-                ]
+                # every adjacent interface's TSVs, not just (0, 1).  Sites
+                # come from the realized placements, not snap.cx/cy: a soft
+                # module kept at its nominal size centres up to an ulp away
+                sites = fp.signal_sites(self._site_netlist(state))
+                density = interface_densities(
+                    sites, self.stack.tsv_pitch, self.stack.outline,
+                    self.grid.nx, self.grid.ny, num_dies,
+                )
             else:
                 density = None
             temp_maps = self.thermal.estimate(maps, tsv_density=density)

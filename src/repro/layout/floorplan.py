@@ -13,8 +13,8 @@ voltage-assignment stage, and the attack/mitigation layers.  It owns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .geometry import Rect, bounding_box, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, Placement
 from .net import Net, Terminal, total_hpwl
-from .tsv import TSV, TSVKind, tsv_density_map
+from .tsv import TSV, SignalSites, SiteNetlist, TSVKind, tsv_density_map
 
 __all__ = ["Floorplan3D"]
 
@@ -121,7 +121,23 @@ class Floorplan3D:
         """(total 3D HPWL in um, number of die crossings == signal TSVs)."""
         return total_hpwl(self.nets, self.placements, self.terminals, tsv_length)
 
-    def place_signal_tsvs(self, rng: np.random.Generator | None = None) -> None:
+    def signal_sites(self, netlist: SiteNetlist | None = None) -> SignalSites:
+        """Signal-TSV sites of the inter-die nets, from the placements.
+
+        ``netlist`` is this floorplan's nets compiled over its module
+        names; callers that derive sites repeatedly (the annealer's cost
+        evaluator) compile it once and pass it in.
+        """
+        if netlist is None:
+            netlist = SiteNetlist(list(self.placements), self.nets, self.terminals)
+        placements = [self.placements[n] for n in netlist.module_names]
+        centers = np.array([p.center for p in placements], dtype=float).reshape(-1, 2)
+        dies = np.array([p.die for p in placements], dtype=np.int64)
+        return netlist.sites(
+            centers[:, 0], centers[:, 1], dies, self.stack.outline, self.stack.tsv_pitch / 2.0
+        )
+
+    def place_signal_tsvs(self) -> None:
         """Derive signal TSV sites from inter-die nets.
 
         Each die crossing of a net contributes one TSV placed at the
@@ -129,35 +145,23 @@ class Floorplan3D:
         Replaces previously derived signal TSVs; dummy thermal TSVs are
         kept untouched.
         """
-        outline = self.stack.outline
-        margin = self.stack.tsv_pitch / 2.0
+        sites = self.signal_sites()
         new_tsvs: List[TSV] = [t for t in self.tsvs if t.kind == TSVKind.THERMAL]
-        for net in self.nets:
-            dies = {self.placements[m].die for m in net.modules if m in self.placements}
-            if len(dies) < 2:
-                continue
-            xs = [self.placements[m].center[0] for m in net.modules]
-            ys = [self.placements[m].center[1] for m in net.modules]
-            for t in net.terminals:
-                term = self.terminals.get(t)
-                if term is not None:
-                    xs.append(term.x)
-                    ys.append(term.y)
-            cx = min(max(float(np.mean(xs)), outline.x + margin), outline.x2 - margin)
-            cy = min(max(float(np.mean(ys)), outline.y + margin), outline.y2 - margin)
-            lo, hi = min(dies), max(dies)
-            for d in range(lo, hi):
-                new_tsvs.append(
-                    TSV(
-                        cx,
-                        cy,
-                        d,
-                        d + 1,
-                        kind=TSVKind.SIGNAL,
-                        diameter=self.stack.tsv_diameter,
-                        keepout=self.stack.tsv_keepout,
-                    )
+        for x, y, lo, hi in zip(
+            sites.x.tolist(), sites.y.tolist(), sites.lo.tolist(), sites.hi.tolist()
+        ):
+            new_tsvs.extend(
+                TSV(
+                    x,
+                    y,
+                    d,
+                    d + 1,
+                    kind=TSVKind.SIGNAL,
+                    diameter=self.stack.tsv_diameter,
+                    keepout=self.stack.tsv_keepout,
                 )
+                for d in range(lo, hi)
+            )
         self.tsvs = new_tsvs
 
     # -- maps -------------------------------------------------------------------

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "Point",
     "Rect",
@@ -229,40 +227,6 @@ def total_overlap_area(rects: Sequence[Rect]) -> float:
             total += r.overlap_area(rects[j])
         active.append(idx)
     return total
-
-
-def pairwise_manhattan_sum(xs: np.ndarray) -> float:
-    """Sum over all unordered pairs of |xi - xj| in O(n log n).
-
-    For sorted values x(1) <= ... <= x(n), the contribution of x(k) is
-    ``x(k) * (k-1) - prefix_sum(k-1)`` — the classic sorted prefix-sum
-    identity.  Used by the spatial-entropy class distances (Eq. 3).
-    """
-    xs = np.sort(np.asarray(xs, dtype=float))
-    n = xs.size
-    if n < 2:
-        return 0.0
-    ranks = np.arange(n, dtype=float)
-    prefix = np.concatenate(([0.0], np.cumsum(xs)[:-1]))
-    return float(np.sum(xs * ranks - prefix))
-
-
-def cross_manhattan_sum(xs_a: np.ndarray, xs_b: np.ndarray) -> float:
-    """Sum over all pairs (a in A, b in B) of |a - b| in O(n log n).
-
-    Identity: sum_{A x B} = sum_{A union B pairs} - sum_{A pairs} - sum_{B pairs},
-    where the union is treated as a multiset.
-    """
-    xs_a = np.asarray(xs_a, dtype=float)
-    xs_b = np.asarray(xs_b, dtype=float)
-    if xs_a.size == 0 or xs_b.size == 0:
-        return 0.0
-    merged = np.concatenate([xs_a, xs_b])
-    return (
-        pairwise_manhattan_sum(merged)
-        - pairwise_manhattan_sum(xs_a)
-        - pairwise_manhattan_sum(xs_b)
-    )
 
 
 def rect_overlap_area(a: Rect, b: Rect) -> float:

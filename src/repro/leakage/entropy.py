@@ -20,19 +20,19 @@ The metric needs no thermal solve, which is why the floorplanner can
 afford it *every* iteration as a fast leakage proxy (Sec. 4.2).
 
 Classes come from nested-means partitioning (sort, split at the mean,
-recurse until the class standard deviation approaches zero).  All average
-distances use the exact O(k log k) sorted prefix-sum identity rather than
-O(k^2) pairwise enumeration, so 64x64 grids classify in milliseconds.
+recurse until the class standard deviation approaches zero).  Bin
+coordinates are integer grid indices, so every class's intra- and
+inter-class Manhattan sums follow exactly, in integer arithmetic, from
+per-class coordinate histograms — no pairwise enumeration and no per-class
+sorting, so 64x64 grids classify in about a millisecond.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
-
-from ..layout.geometry import cross_manhattan_sum, pairwise_manhattan_sum
 
 __all__ = ["nested_means_classes", "spatial_entropy", "SpatialEntropyBreakdown"]
 
@@ -79,9 +79,9 @@ def nested_means_classes(
     unique = np.unique(labels)
     means = np.array([flat[labels == u].mean() for u in unique])
     order = np.argsort(means)
-    remap = {int(unique[o]): rank for rank, o in enumerate(order)}
-    dense = np.array([remap[int(l)] for l in labels])
-    return dense.reshape(np.asarray(values).shape)
+    rank = np.empty(int(unique[-1]) + 1, dtype=int)
+    rank[unique[order]] = np.arange(order.size)
+    return rank[labels].reshape(np.asarray(values).shape)
 
 
 @dataclass
@@ -95,28 +95,18 @@ class SpatialEntropyBreakdown:
     contributions: List[float]
 
 
-def _class_distances(
-    xs: np.ndarray, ys: np.ndarray, member: np.ndarray
-) -> Tuple[float, float]:
-    """(avg inter-class, avg intra-class) Manhattan distance for one class.
+def _manhattan_sums(hist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-class (intra, inter) sums of |a - b| along one axis, exactly.
 
-    ``member`` is a boolean mask over bins.  Singleton classes get an
-    intra-class distance of 0.5 cells — the sub-resolution floor — so the
-    inter/intra ratio stays finite, following the grid-distance convention.
+    ``hist[c, a]`` counts class ``c``'s bins at coordinate ``a``.  The
+    intra sum runs over the unordered pairs within class ``c``, the inter
+    sum over the pairs of one bin in ``c`` and one outside it.
     """
-    mx, my = xs[member], ys[member]
-    ox, oy = xs[~member], ys[~member]
-    k = mx.size
-    intra = 0.5
-    if k >= 2:
-        pairs = k * (k - 1) / 2.0
-        intra = (pairwise_manhattan_sum(mx) + pairwise_manhattan_sum(my)) / pairs
-        intra = max(intra, 0.5)
-    inter = 0.0
-    if ox.size > 0 and k > 0:
-        cross_pairs = float(k) * float(ox.size)
-        inter = (cross_manhattan_sum(mx, ox) + cross_manhattan_sum(my, oy)) / cross_pairs
-    return inter, intra
+    coords = np.arange(hist.shape[1])
+    spread = hist @ np.abs(coords[:, None] - coords[None, :])
+    intra = np.einsum("ca,ca->c", spread, hist) // 2
+    inter = np.einsum("ca,ca->c", spread, hist.sum(axis=0) - hist)
+    return intra, inter
 
 
 def spatial_entropy(
@@ -142,23 +132,35 @@ def spatial_entropy(
         raise ValueError("power map must be 2D")
     labels = nested_means_classes(pm, rtol=rtol, max_depth=max_depth)
     ny, nx = pm.shape
-    ys, xs = np.mgrid[0:ny, 0:nx]
-    xs = xs.ravel().astype(float)
-    ys = ys.ravel().astype(float)
-    flat_labels = labels.ravel()
-    total = flat_labels.size
+    total = labels.size
+    classes = int(labels.max()) + 1 if total else 0
+    rows = labels * ny + np.arange(ny)[:, None]
+    cols = labels * nx + np.arange(nx)[None, :]
+    hist_y = np.bincount(rows.ravel(), minlength=classes * ny).reshape(classes, ny)
+    hist_x = np.bincount(cols.ravel(), minlength=classes * nx).reshape(classes, nx)
+    intra_x, inter_x = _manhattan_sums(hist_x)
+    intra_y, inter_y = _manhattan_sums(hist_y)
+    class_sizes = hist_x.sum(axis=1)
 
     entropy = 0.0
     sizes: List[int] = []
     inters: List[float] = []
     intras: List[float] = []
     contribs: List[float] = []
-    for label in np.unique(flat_labels):
-        member = flat_labels == label
-        size = int(member.sum())
+    for c in range(classes):
+        size = int(class_sizes[c])
+        others = total - size
+        # singleton classes get an intra-class distance of 0.5 cells — the
+        # sub-resolution floor — so the inter/intra ratio stays finite
+        intra = 0.5
+        if size >= 2:
+            pairs = size * (size - 1) / 2.0
+            intra = max(float(intra_x[c] + intra_y[c]) / pairs, 0.5)
+        inter = 0.0
+        if others > 0:
+            inter = float(inter_x[c] + inter_y[c]) / (float(size) * float(others))
         frac = size / total
-        inter, intra = _class_distances(xs, ys, member)
-        shannon = frac * np.log2(frac) if frac > 0 else 0.0
+        shannon = frac * np.log2(frac)
         if weight == "claramunt":
             ratio = intra / inter if inter > 0 else 0.0
         else:

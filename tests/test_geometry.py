@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +10,6 @@ from repro.layout.geometry import (
     Point,
     Rect,
     bounding_box,
-    cross_manhattan_sum,
-    pairwise_manhattan_sum,
     rects_overlap,
     total_overlap_area,
 )
@@ -163,36 +160,3 @@ class TestCollections:
             for j in range(i + 1, len(rects))
         )
         assert total_overlap_area(rects) == pytest.approx(brute, rel=1e-9, abs=1e-6)
-
-
-class TestManhattanSums:
-    def test_pairwise_known(self):
-        # |1-2| + |1-4| + |2-4| = 1 + 3 + 2 = 6
-        assert pairwise_manhattan_sum(np.array([1.0, 2.0, 4.0])) == pytest.approx(6.0)
-
-    def test_pairwise_trivial(self):
-        assert pairwise_manhattan_sum(np.array([])) == 0.0
-        assert pairwise_manhattan_sum(np.array([3.0])) == 0.0
-
-    def test_cross_known(self):
-        # pairs (1,2),(1,3),(5,2),(5,3) -> 1+2+3+2 = 8
-        assert cross_manhattan_sum(np.array([1.0, 5.0]), np.array([2.0, 3.0])) == pytest.approx(8.0)
-
-    @given(st.lists(finite, min_size=2, max_size=40))
-    @settings(max_examples=40)
-    def test_pairwise_matches_bruteforce(self, vals):
-        xs = np.array(vals)
-        brute = sum(
-            abs(xs[i] - xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs))
-        )
-        assert pairwise_manhattan_sum(xs) == pytest.approx(brute, rel=1e-9, abs=1e-6)
-
-    @given(
-        st.lists(finite, min_size=1, max_size=20),
-        st.lists(finite, min_size=1, max_size=20),
-    )
-    @settings(max_examples=40)
-    def test_cross_matches_bruteforce(self, a, b):
-        xa, xb = np.array(a), np.array(b)
-        brute = sum(abs(x - y) for x in xa for y in xb)
-        assert cross_manhattan_sum(xa, xb) == pytest.approx(brute, rel=1e-9, abs=1e-6)
