@@ -9,6 +9,9 @@ assignment.
 import numpy as np
 import pytest
 
+from oracles.activity import sample_power_maps_loop
+from oracles.pearson import local_correlation_map_loop
+from oracles.triangular import SpsolveTriangularSolve
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
 from repro.floorplan.objectives import CompiledNetlist, CostEvaluator, FloorplanMode
@@ -16,14 +19,10 @@ from repro.floorplan.seqpair import LayoutState, pack_die
 from repro.layout.grid import GridSpec
 from repro.layout.tsv import SiteNetlist, interface_densities
 from repro.leakage.entropy import spatial_entropy
-from repro.leakage.pearson import (
-    die_correlation,
-    local_correlation_map,
-    local_correlation_map_loop,
-)
+from repro.leakage.pearson import die_correlation, local_correlation_map
 from repro.leakage.stability import stability_map
 from repro.power.assignment import AssignmentObjective, assign_voltages
-from repro.mitigation.activity import sample_power_maps, sample_power_maps_loop
+from repro.mitigation.activity import sample_power_maps
 from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import build_stack
 from repro.thermal.steady_state import SteadyStateSolver
@@ -341,7 +340,6 @@ def test_mitigation_round_batched_sampling(benchmark, mitigation_floorplan):
 
 def test_mitigation_round_loop_sampling(benchmark, mitigation_floorplan, monkeypatch):
     from repro.mitigation import dummy_tsv
-    from repro.mitigation.activity import sample_power_maps_loop
 
     monkeypatch.setattr(dummy_tsv, "sample_power_maps", sample_power_maps_loop)
     benchmark.pedantic(
@@ -386,10 +384,13 @@ def test_mitigation_candidate_refactorize_64(benchmark, mitigation_candidate_set
 
 # -- factorization-backend kernels ------------------------------------------------
 #
-# The backend layer's performance claim, pinned by a ratio gate in
-# check_bench_regression.py: the compiled batched-substitution kernels
-# beat the historical spsolve_triangular persisted path by a wide margin
-# per RHS over the *same* stored factors.
+# The persisted-solve claim, pinned by a ratio gate in
+# check_bench_regression.py: the superlu backend's persisted path
+# (stored triangular factors re-wrapped in SuperLU's compiled
+# substitution) beats the spsolve_triangular oracle by a wide margin per
+# RHS over the *same* stored factors.  The kernel names predate the
+# fold of the compiled backend into superlu and are kept so the tracked
+# baselines stay comparable.
 
 
 @pytest.fixture(scope="module")
@@ -402,11 +403,11 @@ def persisted_factors_setup(n100_state):
         build_stack(stack_cfg, grid), reconstructable=True, backend="superlu"
     )
     payload = get_backend("superlu").payload_from(solver.factorization)
-    scipy_fact = get_backend("superlu").factorization_from_payload(payload)
-    compiled_fact = get_backend("compiled_triangular").factorization_from_payload(payload)
+    scipy_fact = SpsolveTriangularSolve(payload)
+    compiled_fact = get_backend("superlu").factorization_from_payload(payload)
     rhs = np.random.default_rng(0).random((solver.network.num_nodes, 8))
-    # pay the one-time kernel setup (splu wrap or numba JIT) out here so
-    # the timed region is the steady-state per-RHS cost
+    # warm both paths out here so the timed region is the steady-state
+    # per-RHS cost
     compiled_fact.solve(rhs[:, 0])
     scipy_fact.solve(rhs[:, 0])
     return scipy_fact, compiled_fact, rhs

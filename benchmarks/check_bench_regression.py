@@ -26,8 +26,8 @@ so they can be adopted with ``--update``.
 
 ``RATIO_GATES`` additionally pins paired fast/slow kernels to a minimum
 speedup *within one run* (no calibration scaling, so the floor holds on
-any machine): e.g. the compiled persisted-factor solve must stay at
-least 3x faster than the scipy triangular-solve path over the same
+any machine): e.g. the superlu persisted-factor solve must stay at
+least 3x faster than the spsolve_triangular oracle over the same
 factors.  A gate whose kernels are not both in the run is skipped, and
 the skip is printed with its reason.
 """
@@ -72,8 +72,8 @@ TRACKED = [
 #: kernel must stay at least ``min_ratio`` x faster than its slow
 #: counterpart, or the optimization it embodies has silently rotted
 RATIO_GATES = [
-    # the compiled backend's batched substitution vs the historical
-    # spsolve_triangular path, over the same persisted factors
+    # the superlu persisted path (re-wrapped factors) vs the
+    # spsolve_triangular oracle, over the same persisted factors
     {
         "fast": "test_persisted_rhs_compiled_64",
         "slow": "test_persisted_rhs_scipy_64",

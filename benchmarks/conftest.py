@@ -14,9 +14,14 @@ scale toward the paper's full setup via environment knobs:
 from __future__ import annotations
 
 import os
-
+import sys
+from pathlib import Path
 
 from repro.core.config import env_int
+
+# the loop oracles some kernels time live in tests/oracles, importable
+# as ``oracles.<module>`` exactly as the tests import them
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def runs_per_setup() -> int:

@@ -446,10 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto",) + BACKEND_NAMES,
             default=None,
             help="factorization backend for all thermal solves (default: "
-                 "the REPRO_THERMAL_BACKEND env var, else 'auto' — cholmod "
-                 "when scikit-sparse is installed, multigrid beyond the "
-                 "grid-size threshold, superlu otherwise); an unavailable "
-                 "choice degrades to superlu with a counted degradation",
+                 "the REPRO_THERMAL_BACKEND env var, else 'auto' — multigrid "
+                 "beyond the grid-size threshold, superlu otherwise); an "
+                 "unavailable choice degrades to superlu with a counted "
+                 "degradation",
         )
 
     p_flow = sub.add_parser("flow", help="run one floorplanning flow")

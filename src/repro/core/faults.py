@@ -45,13 +45,11 @@ Triggers: ``always`` (default), ``after:N`` (the Nth arrival, exactly
 once), ``every:N`` (every Nth arrival), ``prob:P[:SEED]`` (seeded
 Bernoulli per arrival — deterministic for a fixed seed).
 
-The thermal factorization-backend layer adds ``fail``-style sites
-``backend.cholmod.unavailable`` / ``backend.compiled_triangular.unavailable``
-/ ``backend.multigrid.unavailable`` (checked via :func:`fault_fires` in
-each backend's ``available()``), which simulate a host missing the
-optional library: a forced-unavailable backend that was explicitly
-requested degrades to superlu with a counted
-``backend.fallback.<name>`` ledger entry.
+The thermal factorization-backend layer adds the ``fail``-style site
+``backend.multigrid.unavailable`` (checked via :func:`fault_fires` in
+the multigrid backend's ``available()``): an explicitly requested
+multigrid backend that is forced unavailable degrades to superlu with a
+counted ``backend.fallback.multigrid`` ledger entry.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ __all__ = [
     "die_correlation",
     "average_correlation",
     "local_correlation_map",
-    "local_correlation_map_loop",
 ]
 
 
@@ -105,8 +104,7 @@ def local_correlation_map(
     Vectorized with integral images: all window sums come from one
     summed-area table per moment, so the cost is O(ny*nx) regardless of
     the window size — the previous per-bin loop was O(ny*nx*window^2)
-    in Python.  ``local_correlation_map_loop`` keeps the reference
-    implementation for verification.
+    in Python; that loop survives as the test oracle.
     """
     if power_map.shape != thermal_map.shape:
         raise ValueError("maps must share dimensions")
@@ -149,26 +147,4 @@ def local_correlation_map(
         dt = tw - tw.mean()
         d = np.sqrt((dp * dp).sum() * (dt * dt).sum())
         out[j, i] = (dp * dt).sum() / d if d > 0 else 0.0
-    return out
-
-
-def local_correlation_map_loop(
-    power_map: np.ndarray, thermal_map: np.ndarray, window: int = 5
-) -> np.ndarray:
-    """Reference O(ny*nx*window^2) implementation of
-    :func:`local_correlation_map`, kept as the correctness oracle."""
-    if power_map.shape != thermal_map.shape:
-        raise ValueError("maps must share dimensions")
-    ny, nx = power_map.shape
-    out = np.zeros((ny, nx))
-    for j in range(ny):
-        j0, j1 = max(0, j - window), min(ny, j + window + 1)
-        for i in range(nx):
-            i0, i1 = max(0, i - window), min(nx, i + window + 1)
-            p = power_map[j0:j1, i0:i1].ravel()
-            t = thermal_map[j0:j1, i0:i1].ravel()
-            dp = p - p.mean()
-            dt = t - t.mean()
-            denom = np.sqrt((dp * dp).sum() * (dt * dt).sum())
-            out[j, i] = (dp * dt).sum() / denom if denom > 0 else 0.0
     return out

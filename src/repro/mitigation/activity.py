@@ -12,14 +12,14 @@ rasterizer applies it on top of the voltage-scaled nominal power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec, rasterize_power
 
-__all__ = ["ActivitySampler", "sample_power_maps", "sample_power_maps_loop"]
+__all__ = ["ActivitySampler", "sample_power_maps"]
 
 
 @dataclass
@@ -41,10 +41,6 @@ class ActivitySampler:
         return {
             name: float(max(0.0, f)) for name, f in zip(self.module_names, factors)
         }
-
-    def samples(self, count: int) -> Iterator[Dict[str, float]]:
-        for _ in range(count):
-            yield self.sample()
 
     def sample_matrix(self, count: int) -> np.ndarray:
         """``(count, modules)`` activity factors in one draw.
@@ -97,9 +93,8 @@ def sample_power_maps(
 
     All samples are rasterized in one matrix product against a per-module
     power basis instead of ``count * num_dies`` Python-loop
-    rasterizations; :func:`sample_power_maps_loop` keeps the per-sample
-    loop as the correctness oracle (equal to ~1e-12 relative — the
-    accumulation order differs).
+    rasterizations; the per-sample loop survives as the test oracle
+    (equal to ~1e-12 relative — the accumulation order differs).
     """
     names = sorted(floorplan.placements)
     sampler = ActivitySampler(names, sigma=sigma, seed=seed)
@@ -112,23 +107,3 @@ def sample_power_maps(
         [per_die[d][i] for d in range(floorplan.stack.num_dies)]
         for i in range(count)
     ]
-
-
-def sample_power_maps_loop(
-    floorplan: Floorplan3D,
-    grid: GridSpec,
-    count: int = 100,
-    sigma: float = 0.10,
-    seed: int = 0,
-) -> List[List[np.ndarray]]:
-    """Per-sample rasterization loop — the oracle for :func:`sample_power_maps`."""
-    sampler = ActivitySampler(sorted(floorplan.placements), sigma=sigma, seed=seed)
-    out: List[List[np.ndarray]] = []
-    for activity in sampler.samples(count):
-        out.append(
-            [
-                floorplan.power_map(d, grid, activity=activity)
-                for d in range(floorplan.stack.num_dies)
-            ]
-        )
-    return out

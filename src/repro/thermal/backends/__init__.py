@@ -1,24 +1,21 @@
 """Factorization backends and the policy that picks one.
 
+Two backends: ``superlu`` (direct symmetric-mode SuperLU, persistable
+to a disk cache) and ``multigrid`` (iterative, for grids too large to
+factor directly).
+
 Selection order (:func:`resolve_backend`):
 
 1. an explicit request — the ``backend=`` argument (a name or a
    :class:`~repro.thermal.backends.base.FactorizationBackend` instance)
    or, failing that, the ``REPRO_THERMAL_BACKEND`` environment variable
    (``auto`` means "no request").  A requested backend that is
-   unavailable here (missing library, injected fault) **degrades to
-   superlu** with a counted ``backend.fallback.<name>`` degradation —
-   sweeps survive heterogeneous hosts and the ledger says which hosts
-   ran what;
+   unavailable here (an injected ``backend.<name>.unavailable`` fault)
+   **degrades to superlu** with a counted ``backend.fallback.<name>``
+   degradation, so the ledger says which runs took the fallback;
 2. ``auto``: grids with more than :func:`multigrid_threshold` cells per
    layer take the multigrid backend (direct factorization cost explodes
-   past 64x64); otherwise cholmod when scikit-sparse is importable;
-   otherwise superlu.
-
-The compiled_triangular backend is never auto-selected: its fresh
-factorizations are superlu's own symmetric-mode ones, and it differs
-only in how *persisted* factors are solved, which pays off on warm
-shared disk caches — an explicit (flag / env) decision.
+   past 64x64); otherwise superlu.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from .base import (
     Factorization,
     FactorizationBackend,
 )
-from .cholmod import CholmodBackend
-from .compiled import CompiledTriangularBackend
 from .multigrid import MultigridBackend
 from .superlu import SuperLUBackend
 
@@ -51,12 +46,7 @@ __all__ = [
 
 _REGISTRY = {
     backend_cls.name: backend_cls
-    for backend_cls in (
-        SuperLUBackend,
-        CholmodBackend,
-        CompiledTriangularBackend,
-        MultigridBackend,
-    )
+    for backend_cls in (SuperLUBackend, MultigridBackend)
 }
 
 #: registry order = documentation order (superlu is the universal floor)
@@ -131,7 +121,4 @@ def resolve_backend(
         multigrid = get_backend("multigrid")
         if multigrid.available():
             return multigrid
-    cholmod = get_backend("cholmod")
-    if cholmod.available():
-        return cholmod
     return get_backend("superlu")

@@ -1,14 +1,13 @@
 """The factorization-backend protocol.
 
-Everything in the thermal stack that used to call ``scipy``'s ``splu`` /
-``spsolve_triangular`` directly now goes through a
-:class:`FactorizationBackend`: ``backend.factor(G) -> Factorization``,
-where the returned object knows how to solve against the factored system
-and *describes itself* — whether its solves route through persisted
-(rebuilt) factors, and whether it can serve as the base of a Woodbury
-low-rank solver.  Callers make policy decisions (cache eviction, disk
-persistence) from those capability fields instead of sniffing concrete
-types.
+Everything in the thermal stack that factors the conductance system
+goes through a :class:`FactorizationBackend`:
+``backend.factor(G) -> Factorization``, where the returned object knows
+how to solve against the factored system and *describes itself* —
+whether its solves route through persisted (rebuilt) factors, and
+whether it can serve as the base of a Woodbury low-rank solver.
+Callers make policy decisions (cache eviction, disk persistence) from
+those capability fields instead of sniffing concrete types.
 """
 
 from __future__ import annotations
@@ -83,20 +82,6 @@ class Factorization(abc.ABC):
         which every backend here already implements block-wise."""
         return self.solve(b)
 
-    def solve_triangular_parts(
-        self, b: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(forward, solution)``: the intermediate of the forward
-        (lower-triangular) substitution and the full solve.
-
-        Diagnostic hook for factor-level validation; backends without
-        explicit triangular factors (multigrid) raise
-        ``NotImplementedError``.
-        """
-        raise NotImplementedError(
-            f"{self.backend_name} exposes no triangular factors"
-        )
-
 
 class FactorizationBackend(abc.ABC):
     """Factory for :class:`Factorization` objects plus persistence glue."""
@@ -134,12 +119,6 @@ class FactorizationBackend(abc.ABC):
     def payload_from(self, fact: Factorization) -> Dict[str, np.ndarray]:
         """Arrays describing ``fact`` for on-disk persistence."""
         raise BackendUnavailable(f"{self.name} factorizations do not persist")
-
-    def accepts_payload(self, payload: Dict[str, np.ndarray]) -> bool:
-        """Whether :meth:`factorization_from_payload` understands this
-        payload ``kind`` (e.g. the compiled backend adopts plain ``lu``
-        payloads written by the superlu backend)."""
-        return False
 
     def factorization_from_payload(
         self, payload: Dict[str, np.ndarray]

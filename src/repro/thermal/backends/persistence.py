@@ -1,22 +1,13 @@
 """Versioned on-disk persistence of factorization payloads.
 
-Format history:
-
-* **v1** (PR 3..6): ``lu-<digest>.npz`` with raw SuperLU triangular
-  factors (``L_*``, ``U_*``, ``perm_r``, ``perm_c``, ``shape``,
-  ``conductance_digest``) and no format/backend markers; the digest in
-  the filename was computed over a cache key *without* a backend
-  component.
-* **v2** (this revision): ``fact-<digest>.npz`` where the digest covers
-  the backend name too, plus three marker fields — ``format`` (2),
-  ``backend`` (writer's registry name) and ``kind``: ``lu`` for a
-  row/column-permuted LU triangular pair, ``cholesky`` for a permuted
-  Cholesky factor (``PAPᵀ = LLᵀ``, only ``L`` and one permutation are
-  stored).
-
-v1 files are still understood: :func:`read_legacy_payload` upgrades
-them in place (re-saved under the v2 name, old file unlinked) the first
-time a cache miss would otherwise refactorize.
+A persisted factorization is ``fact-<digest>.npz``, where the digest
+covers the solver-cache key including the backend name.  Besides the
+SuperLU triangular pair (``L_*``, ``U_*`` as CSC triples, ``perm_r``,
+``perm_c``, ``shape``) and the ``conductance_digest`` the cache checks
+on load, a payload carries three marker fields: ``format`` (2),
+``backend`` (the writer's registry name) and ``kind`` (``lu``).  Files
+written by older revisions are simply not found under the current name;
+a cache directory can always be deleted.
 
 The fault sites (``lu.save`` / ``lu.load``) and the degradation key
 (``persisted_lu.load_failed``) keep their historical names — chaos tests
@@ -36,45 +27,33 @@ from ...core.faults import fault_point, warn_degraded
 
 __all__ = [
     "FORMAT_VERSION",
-    "KIND_CHOLESKY",
     "KIND_LU",
     "load_payload",
-    "payload_kind",
-    "read_legacy_payload",
     "save_payload",
     "triangular_matrices",
 ]
 
 FORMAT_VERSION = 2
 KIND_LU = "lu"
-KIND_CHOLESKY = "cholesky"
 
 #: payload keys holding sparse matrices as (data, indices, indptr) triples
 _MATRIX_PREFIXES = ("L", "U")
 
 
-def payload_kind(payload: Dict[str, np.ndarray]) -> str:
-    """The payload's factor kind; v1 payloads carry no marker and are LU."""
-    kind = payload.get("kind")
-    return KIND_LU if kind is None else str(kind)
-
-
 def triangular_matrices(payload: Dict[str, np.ndarray]):
-    """The CSC factor matrices stored in a payload (``U`` may be absent
-    for ``cholesky`` payloads, where it is implicitly ``Lᵀ``)."""
+    """The CSC factor matrices ``{"L": ..., "U": ...}`` of a payload."""
     shape = tuple(int(v) for v in payload["shape"])
-    out = {}
-    for prefix in _MATRIX_PREFIXES:
-        if f"{prefix}_data" in payload:
-            out[prefix] = sp.csc_matrix(
-                (
-                    payload[f"{prefix}_data"],
-                    payload[f"{prefix}_indices"],
-                    payload[f"{prefix}_indptr"],
-                ),
-                shape=shape,
-            )
-    return out
+    return {
+        prefix: sp.csc_matrix(
+            (
+                payload[f"{prefix}_data"],
+                payload[f"{prefix}_indices"],
+                payload[f"{prefix}_indptr"],
+            ),
+            shape=shape,
+        )
+        for prefix in _MATRIX_PREFIXES
+    }
 
 
 def matrix_arrays(prefix: str, matrix: sp.spmatrix) -> Dict[str, np.ndarray]:
@@ -124,24 +103,3 @@ def load_payload(path: Path) -> Optional[Dict[str, np.ndarray]]:
             "factorizing fresh",
         )
         return None
-
-
-def read_legacy_payload(legacy_path: Path, new_path: Path):
-    """Upgrade a v1 ``lu-*.npz`` file to the v2 name/format.
-
-    Returns the upgraded payload (now saved at ``new_path``) or None
-    when no readable legacy file exists.  The legacy file is unlinked
-    either way — unreadable v1 leftovers must not linger forever.
-    """
-    if not legacy_path.exists():
-        return None
-    payload = load_payload(legacy_path)
-    if payload is None:
-        legacy_path.unlink(missing_ok=True)
-        return None
-    payload.setdefault("format", np.int64(FORMAT_VERSION))
-    payload.setdefault("backend", np.array("superlu"))
-    payload.setdefault("kind", np.array(KIND_LU))
-    save_payload(new_path, payload)
-    legacy_path.unlink(missing_ok=True)
-    return payload

@@ -1,4 +1,4 @@
-"""The SuperLU backend — the default direct factorization.
+"""The SuperLU backend — the one direct factorization.
 
 * fresh factorizations call ``scipy.sparse.linalg.splu`` in symmetric
   mode (:data:`SYMMETRIC_SPLU_KWARGS`): the conductance system is SPD,
@@ -7,15 +7,17 @@
   and faster per right-hand side, while staying a *direct* solve.
   Equilibration is off, so ``A = Pr^T L U Pc^T`` holds exactly and every
   factorization can be persisted and rebuilt in another process;
-* persisted factorizations rebuild solves from the stored triangular
-  pair via two ``spsolve_triangular`` passes — the slow per-RHS floor
-  the compiled backend's kernels beat, kept as the dependency-free
-  fallback.
+* persisted factorizations solve through the "wrapped-native" kernel:
+  each stored triangular factor is re-wrapped in a NATURAL-ordered,
+  non-pivoting ``splu`` whose factorization is a zero-fill copy, so
+  every solve runs SuperLU's compiled substitution instead of
+  ``spsolve_triangular``'s interpreted loop (~4-5x faster per RHS at
+  64x64 over the same stored factors).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,10 +39,18 @@ __all__ = [
 ]
 
 #: symmetric-mode ``splu`` options for the SPD conductance system: the
-#: one fresh factorization every direct SuperLU-based backend computes
+#: one fresh factorization the direct backend computes
 SYMMETRIC_SPLU_KWARGS = dict(
     permc_spec="MMD_AT_PLUS_A",
     options=dict(SymmetricMode=True, DiagPivotThresh=0.001, Equil=False),
+)
+
+#: ``splu`` options that factor an already-triangular matrix as a
+#: zero-fill copy of itself (no reordering, no pivoting)
+_WRAP_SPLU_KWARGS = dict(
+    permc_spec="NATURAL",
+    diag_pivot_thresh=0.0,
+    options=dict(Equil=False),
 )
 
 
@@ -57,24 +67,15 @@ class NativeSuperLUFactorization(Factorization):
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(b)
 
-    def solve_triangular_parts(
-        self, b: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        rebuilt = PersistedSuperLUFactorization(
-            self._lu.L, self._lu.U, self._lu.perm_r, self._lu.perm_c
-        )
-        return rebuilt.solve_triangular_parts(b)
-
 
 class PersistedSuperLUFactorization(Factorization):
     """A solve operator rebuilt from persisted SuperLU factors.
 
     ``splu`` objects cannot cross process boundaries, but their ``L``,
     ``U`` and permutations can (factorized with equilibration disabled,
-    so ``A = Pr^T L U Pc^T`` holds exactly).  A solve is then two sparse
-    triangular substitutions — slower per right-hand side than native
-    SuperLU, but it skips the dominant factorization cost entirely, and
-    batched solves (``solve_many``) amortize the difference away.
+    so ``A = Pr^T L U Pc^T`` holds exactly).  A solve is then a forward
+    and a backward substitution through the re-wrapped factors; it skips
+    the dominant factorization cost entirely.
     """
 
     backend_name = "superlu"
@@ -88,30 +89,18 @@ class PersistedSuperLUFactorization(Factorization):
         perm_r: np.ndarray,
         perm_c: np.ndarray,
     ) -> None:
-        self._L = L.tocsr()
-        self._U = U.tocsr()
+        self._L = L.tocsc()
+        self._U = U.tocsc()
         self._perm_r = np.asarray(perm_r, dtype=np.intp)
         self._perm_c = np.asarray(perm_c, dtype=np.intp)
-
-    def _forward(self, b: np.ndarray) -> np.ndarray:
-        rb = np.empty_like(b)
-        rb[self._perm_r] = b
-        return spla.spsolve_triangular(
-            self._L, rb, lower=True, unit_diagonal=True, overwrite_b=True
-        )
-
-    def _backward(self, y: np.ndarray) -> np.ndarray:
-        x = spla.spsolve_triangular(self._U, y, lower=False, overwrite_b=True)
-        return x[self._perm_c]
+        self._lower = spla.splu(self._L, **_WRAP_SPLU_KWARGS)
+        self._upper = spla.splu(self._U, **_WRAP_SPLU_KWARGS)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._backward(self._forward(b))
-
-    def solve_triangular_parts(
-        self, b: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        y = self._forward(b)
-        return y.copy(), self._backward(y)
+        rb = np.empty_like(b, dtype=np.float64)
+        rb[self._perm_r] = b
+        x = self._upper.solve(self._lower.solve(rb))
+        return np.ascontiguousarray(x[self._perm_c])
 
 
 class SuperLUBackend(FactorizationBackend):
@@ -154,9 +143,6 @@ class SuperLUBackend(FactorizationBackend):
         payload.update(persistence.matrix_arrays("L", L))
         payload.update(persistence.matrix_arrays("U", U))
         return payload
-
-    def accepts_payload(self, payload: Dict[str, np.ndarray]) -> bool:
-        return persistence.payload_kind(payload) == persistence.KIND_LU
 
     def factorization_from_payload(
         self, payload: Dict[str, np.ndarray]

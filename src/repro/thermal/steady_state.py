@@ -20,10 +20,12 @@ symmetric-mode factorizations, refactorizing each candidate measured
 faster end to end.
 
 *How* a system is factored lives one layer down, behind the
-:mod:`~repro.thermal.backends` protocol: this module never calls
-``splu``/``spsolve_triangular`` itself, and policy decisions (cache
-eviction of disk-loaded solvers, Woodbury bases) read the backend's
-capability fields (``is_persisted``, ``supports_woodbury_base``).
+:mod:`~repro.thermal.backends` protocol (direct ``superlu``, whose
+factors can persist to a disk cache, or iterative ``multigrid`` for
+large grids): this module never calls ``splu`` itself, and policy
+decisions (cache eviction of disk-loaded solvers, Woodbury bases) read
+the backend's capability fields (``is_persisted``,
+``supports_woodbury_base``).
 """
 
 from __future__ import annotations
@@ -40,15 +42,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from ..core.faults import fault_fires, record_degradation, warn_degraded
+from ..core.faults import fault_fires, record_degradation
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
 from .backends import get_backend, resolve_backend
-from .backends.persistence import load_payload, read_legacy_payload, save_payload
-from .backends.superlu import (  # noqa: F401  (compat re-export)
-    PersistedSuperLUFactorization as _PersistedLU,
-)
+from .backends.persistence import load_payload, save_payload
 from .rc_network import LowRankUpdate, ThermalNetwork, assemble, low_rank_update
 from .stack import ThermalStack, build_stack, normalize_tsv_densities
 
@@ -456,8 +455,7 @@ def _solves_through_persisted_factors(solver) -> bool:
     substitution path on every solve), and for low-rank Woodbury entries
     whose *base* factorization does.  A fallen-back Woodbury entry
     solves through its own native factorization and is fine to keep —
-    as is a native (e.g. cholmod) factorization that merely *can* be
-    persisted.
+    as is a native factorization that merely *can* be persisted.
     """
     fact = getattr(solver, "factorization", None)
     if fact is not None and getattr(fact, "is_persisted", False):
@@ -466,29 +464,6 @@ def _solves_through_persisted_factors(solver) -> bool:
         return bool(
             getattr(solver.base.factorization, "is_persisted", False)
         )
-    return False
-
-
-def _self_check_ok(fact, network: ThermalNetwork) -> bool:
-    """Residual-verify a rebuilt factorization against the live matrix.
-
-    Only runs for factorizations that request it (``needs_self_check``,
-    e.g. rebuilt Cholesky factors whose permutation convention crossed a
-    library boundary).  One deterministic RHS; a failure is a counted
-    degradation and the caller refactorizes fresh.
-    """
-    if not getattr(fact, "needs_self_check", False):
-        return True
-    probe = network.boundary * network.stack.ambient + 1.0
-    x = fact.solve(probe)
-    residual = float(np.abs(network.conductance @ x - probe).max())
-    if residual <= 1e-6 * max(float(np.abs(probe).max()), 1.0):
-        return True
-    warn_degraded(
-        "persisted_factor.self_check_failed",
-        f"persisted {getattr(fact, 'backend_name', '?')} factors failed "
-        f"the residual self-check (|r|={residual:.2e}); factorizing fresh",
-    )
     return False
 
 
@@ -529,8 +504,7 @@ class SolverCache:
     layer pays off for factorization-dominated workloads (exactly the
     warm-up of pool workers), which is why it is opt-in.  Backends that
     cannot persist (multigrid) simply skip the disk layer.  On-disk
-    files are versioned (``fact-*.npz``, format 2); v1 ``lu-*.npz``
-    files from older revisions are migrated in place on first touch.
+    files are versioned (``fact-*.npz``, format 2).
     """
 
     def __init__(
@@ -583,7 +557,7 @@ class SolverCache:
         rebuilt factors (slower per RHS than a native factorization) and
         must not keep serving later same-process callers.  Eviction is
         driven by the factorization's ``is_persisted`` capability flag —
-        a native cholmod/superlu entry that merely *could* persist stays.
+        a native entry that merely *could* persist stays.
         Returns the number of evicted entries.
         """
         with self._lock:
@@ -683,32 +657,24 @@ class SolverCache:
         self.disk_dir.mkdir(parents=True, exist_ok=True)
         path = self.disk_dir / f"fact-{self._digest_key(key)}.npz"
         payload = load_payload(path)
-        if payload is None and not path.exists():
-            # v1 files predate the backend key component; upgrade any
-            # matching legacy file in place and adopt it if possible
-            legacy = self.disk_dir / f"lu-{self._digest_key(key[:-1])}.npz"
-            payload = read_legacy_payload(legacy, path)
-        if payload is not None and backend.accepts_payload(payload):
+        if payload is not None:
             fact = backend.factorization_from_payload(payload)
             candidate = SteadyStateSolver(
                 stack, lu=fact, network=network, backend=backend
             )
             stored_digest = str(payload.get("conductance_digest", ""))
             digest = _conductance_digest(candidate.network.conductance)
-            if digest == stored_digest and _self_check_ok(
-                fact, candidate.network
-            ):
+            if digest == stored_digest:
                 self.disk_hits += 1
                 return candidate
-            if digest != stored_digest:
-                # factors of an older network revision: drop them so the
-                # fresh factorization below can re-persist
-                record_degradation("persisted_lu.stale_digest")
+            # factors of an older network revision: drop them so the
+            # fresh factorization below can re-persist
+            record_degradation("persisted_lu.stale_digest")
             path.unlink(missing_ok=True)
             network = candidate.network
         elif path.exists():
-            # unreadable (torn/foreign) or unadoptable file: heal it, or
-            # the existing-file check would block re-persisting forever
+            # unreadable (torn) file: heal it, or the existing-file check
+            # would block re-persisting forever
             path.unlink(missing_ok=True)
         solver = SteadyStateSolver(
             stack, reconstructable=True, network=network, backend=backend

@@ -64,7 +64,7 @@ class TransientSolver:
             raise ValueError("need room for at least one step factorization")
         self._max_cached_steps = max_cached_steps
         #: the step matrix C/dt + G is SPD with the same 7-point stencil
-        #: as G itself, so every thermal backend (cholmod, multigrid)
+        #: as G itself, so every thermal backend (superlu, multigrid)
         #: applies; the same env/auto policy as steady state decides
         self._hints = self.network.factor_hints()
         self.backend = resolve_backend(backend, hints=self._hints)

@@ -1,7 +1,7 @@
-"""Reference loop implementations the array-native production kernels
-must reproduce bit for bit.
+"""Reference implementations the production kernels must reproduce.
 
-These are the historical per-net, per-TSV and per-class loops, kept out
-of ``src/`` so there is one production path per kernel.  Tests import
-them as ``from oracles.<module> import ...``.
+These are the historical per-net, per-TSV, per-class and per-sample
+loops, plus the interpreted triangular solve over persisted factors,
+kept out of ``src/`` so there is one production path per kernel.  Tests
+import them as ``from oracles.<module> import ...``.
 """

@@ -74,6 +74,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--no-incremental"])
 
+    @pytest.mark.parametrize("backend", ["cholmod", "compiled_triangular"])
+    def test_removed_thermal_backends_rejected(self, backend, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["flow", "n100", "--thermal-backend", backend])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "'superlu', 'multigrid'" in err
+
     def test_old_jobspec_with_incremental_still_parses(self):
         from repro.api import JobSpec
         from repro.core.schema import SchemaWarning

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles.pearson import local_correlation_map_loop
 from repro.leakage.entropy import nested_means_classes, spatial_entropy
 from repro.leakage.pearson import (
     average_correlation,
@@ -73,8 +74,6 @@ class TestPearson:
 
     def test_local_correlation_map_matches_loop_reference(self):
         """The integral-image version must reproduce the O(n*w^2) loop."""
-        from repro.leakage.pearson import local_correlation_map_loop
-
         rng = np.random.default_rng(7)
         for shape in ((12, 12), (9, 17), (5, 5)):
             for window in (1, 3, 6):
@@ -90,8 +89,6 @@ class TestPearson:
         The moment decomposition cancels catastrophically in windows far
         from the outlier; those fall back to the exact two-pass formula.
         """
-        from repro.leakage.pearson import local_correlation_map_loop
-
         rng = np.random.default_rng(3)
         p = rng.random((12, 12)) * 1e-3
         p[5, 5] = 1e3

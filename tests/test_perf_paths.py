@@ -14,17 +14,14 @@ Covers the four perf-path guarantees this layer makes:
 import numpy as np
 import pytest
 
+from oracles.activity import sample_power_maps_loop
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan.moves import apply_random_move
 from repro.floorplan.objectives import CompiledNetlist, CostEvaluator, FloorplanMode
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
-from repro.mitigation.activity import (
-    ActivitySampler,
-    sample_power_maps,
-    sample_power_maps_loop,
-)
+from repro.mitigation.activity import ActivitySampler, sample_power_maps
 from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import build_stack
 from repro.thermal.steady_state import SolverCache, SteadyStateSolver
