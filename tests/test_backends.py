@@ -113,6 +113,16 @@ class TestRegistryAndSelection:
         with pytest.raises(ValueError, match="REPRO_MULTIGRID_THRESHOLD"):
             multigrid_threshold()
 
+    def test_unavailable_request_degrades_to_superlu(self):
+        before = faults.snapshot_degradations()
+        with injected("backend.multigrid.unavailable=fail"):
+            with pytest.warns(
+                DegradationWarning, match="backend.fallback.multigrid"
+            ):
+                chosen = resolve_backend("multigrid")
+        assert chosen.name == "superlu"
+        assert faults.degradations_since(before)["backend.fallback.multigrid"] == 1
+
     def test_forced_unavailable_multigrid_falls_back(self):
         before = faults.snapshot_degradations()
         with injected("backend.multigrid.unavailable=fail"):
@@ -122,13 +132,9 @@ class TestRegistryAndSelection:
             assert "backend.fallback.multigrid" not in faults.degradations_since(
                 before
             )
-            # an explicit request degrades loudly, and is counted
-            with pytest.warns(
-                DegradationWarning, match="backend.fallback.multigrid"
-            ):
+            with pytest.warns(DegradationWarning):
                 explicit = resolve_backend("multigrid")
             assert explicit.name == "superlu"
-        assert faults.degradations_since(before)["backend.fallback.multigrid"] == 1
 
 
 class TestSuperLUBitCompatibility:
