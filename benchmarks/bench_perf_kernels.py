@@ -432,11 +432,12 @@ def test_persisted_rhs_compiled_64(benchmark, persisted_factors_setup):
 
 
 def test_run_batch_warm_store_resume(benchmark, tmp_path_factory):
+    from repro.api import JobSpec
     from repro.core.store import ResultsStore
-    from repro.exploration.study import BatchJob, run_batch
+    from repro.exploration.study import run_batch
 
     root = tmp_path_factory.mktemp("store")
-    job = BatchJob(benchmark="n100", iterations=40, grid=16)
+    job = JobSpec(benchmark="n100", iterations=40, grid=16)
     store = ResultsStore(root)
     run_batch([job], processes=1, store=store)  # cold run, recorded once
 
@@ -448,9 +449,10 @@ def test_run_batch_warm_store_resume(benchmark, tmp_path_factory):
 
 def test_run_batch_cold_flow(benchmark, tmp_path_factory):
     """The cold counterpart of the resume bench: one actual flow run."""
-    from repro.exploration.study import BatchJob, run_batch
+    from repro.api import JobSpec
+    from repro.exploration.study import run_batch
 
-    job = BatchJob(benchmark="n100", iterations=40, grid=16)
+    job = JobSpec(benchmark="n100", iterations=40, grid=16)
     benchmark.pedantic(
         run_batch, args=([job],), kwargs=dict(processes=1), rounds=1, iterations=1
     )

@@ -37,7 +37,8 @@ from .core import (
     run_flow,
     verify_correlations,
 )
-from .exploration import BatchJob, run_batch, summarize_batch
+from .api import JobSpec
+from .exploration import run_batch, summarize_batch
 from .floorplan import AnnealConfig, FloorplanMode, anneal
 from .layout import Floorplan3D, GridSpec, Module, Net, Rect, StackConfig, Terminal
 from .leakage import die_correlation, spatial_entropy, stability_map
@@ -83,7 +84,7 @@ __all__ = [
     "default_solver_cache",
     "build_stack",
     "solve_floorplan",
-    "BatchJob",
+    "JobSpec",
     "run_batch",
     "summarize_batch",
     "__version__",

@@ -21,7 +21,7 @@ hand:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..core.store import ResultsStore
 from .jobs import JobResult, JobSpec
@@ -151,7 +151,7 @@ def submit(
 ) -> Dict[str, object]:
     """Enqueue one spec for distributed workers (``repro.cli work``).
 
-    The payload travels in the versioned :meth:`BatchJob.to_json` form,
+    The payload travels in the versioned :meth:`JobSpec.to_json` form,
     which queue workers of any revision deserialize tolerantly.
     Idempotent per key: a spec already queued (or completed) is not
     re-added; ``retry_failed`` clears a recorded failure so workers try
@@ -160,7 +160,7 @@ def submit(
     from ..core.queue import WorkQueue
 
     queue = WorkQueue(queue_dir)
-    enqueued = queue.enqueue(spec.key(), spec.to_batch_job().to_json())
+    enqueued = queue.enqueue(spec.key(), spec.to_json())
     if retry_failed:
         queue.clear_failure(spec.key())
     return {"job_id": spec.job_id(), "key": spec.key(), "enqueued": bool(enqueued)}

@@ -1,13 +1,12 @@
 """The wire-level job vocabulary of the evaluation service.
 
 :class:`JobSpec` is the *request*: everything that determines one flow
-invocation's outcome, and nothing else.  It deliberately mirrors
-:class:`~repro.exploration.study.BatchJob` field-for-field so a spec
-submitted over HTTP, a job enqueued into a shared
+invocation's outcome, and nothing else.  It is the one job type of the
+repo: a spec submitted over HTTP, a job enqueued into a shared
 :class:`~repro.core.queue.WorkQueue` directory, and a ``repro.cli
-batch`` grid entry all share one results-store identity
-(:meth:`JobSpec.key` delegates to ``BatchJob.key()``) — a sweep finished
-on a worker pool is already "completed" to the service, and vice versa.
+batch`` grid entry are all ``JobSpec`` documents with one results-store
+identity (:meth:`JobSpec.key`) — a sweep finished on a worker pool is
+already "completed" to the service, and vice versa.
 
 :class:`JobResult` is the *response*: the recorded
 :class:`~repro.core.results.FlowMetrics` plus the provenance a client
@@ -21,13 +20,17 @@ unknown keys tolerated with a warning, bad values rejected with the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional
 
 from ..core import schema
+from ..core.config import FlowConfig
 from ..core.results import FlowMetrics
 from ..core.store import artifact_digest
+from ..floorplan.annealer import AnnealConfig
 from ..floorplan.objectives import FloorplanMode
+from ..mitigation.dummy_tsv import MITIGATION_MODES
+from ..thermal.stack import TOPOLOGY_KINDS, TopologyConfig
 
 __all__ = ["JobSpec", "JobResult"]
 
@@ -47,11 +50,14 @@ class JobSpec:
     iterations: int = 1500
     grid: int = 32
     num_dies: int = 2
+    #: parallel-tempering replicas for the annealing stage (1 = plain SA);
+    #: inside a pool worker the replica chains advance serially unless
+    #: REPRO_REPLICA_PROCESSES overrides — see repro.floorplan.tempering
     replicas: int = 1
     exchange_every: int = 50
     #: integration style ("3d" | "2.5d") and mitigation mode
-    #: ("static" | "dvfs" | "combined"); validated by the BatchJob
-    #: round-trip below, exactly like the numeric bounds
+    #: ("static" | "dvfs" | "combined"); the defaults reproduce the
+    #: legacy vertical-stack static-TSV runs bit-identically
     topology: str = "3d"
     mitigation_mode: str = "static"
 
@@ -68,9 +74,26 @@ class JobSpec:
                 f"mode must be '{FloorplanMode.POWER_AWARE}' or "
                 f"'{FloorplanMode.TSC_AWARE}', got {self.mode!r}"
             )
-        # numeric bounds are BatchJob's rules; constructing one enforces
-        # them here so the two vocabularies can never drift apart
-        self.to_batch_job()
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if self.grid < 2:
+            raise ValueError("grid must be >= 2")
+        if self.num_dies < 2:
+            raise ValueError("num_dies must be >= 2")
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        if self.exchange_every < 1:
+            raise ValueError("exchange_every must be >= 1")
+        if self.topology not in TOPOLOGY_KINDS:
+            raise ValueError(
+                f"unknown topology kind {self.topology!r}; expected one of "
+                + ", ".join(TOPOLOGY_KINDS)
+            )
+        if self.mitigation_mode not in MITIGATION_MODES:
+            raise ValueError(
+                f"unknown mitigation mode {self.mitigation_mode!r}; "
+                "expected one of " + ", ".join(MITIGATION_MODES)
+            )
 
     def to_json(self) -> dict:
         """Versioned JSON document (see :mod:`repro.core.schema`)."""
@@ -78,63 +101,50 @@ class JobSpec:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "JobSpec":
-        """Rebuild from :meth:`to_json` output; unknown keys warn, bad
-        values raise the same ``ValueError`` construction would."""
+        """Rebuild from :meth:`to_json` output (or a legacy unstamped
+        ``asdict`` queue payload); unknown keys warn, bad values raise
+        the same ``ValueError`` construction would."""
         return schema.from_json_dict(cls, data)
 
-    def to_batch_job(self):
-        """The equivalent :class:`~repro.exploration.study.BatchJob`."""
-        from ..exploration.study import BatchJob
-
-        return BatchJob(
-            benchmark=self.benchmark,
-            mode=self.mode,
-            seed=self.seed,
-            iterations=self.iterations,
-            grid=self.grid,
-            num_dies=self.num_dies,
-            replicas=self.replicas,
-            exchange_every=self.exchange_every,
-            topology=self.topology,
-            mitigation_mode=self.mitigation_mode,
-        )
-
-    def to_flow_config(self):
-        """The :class:`~repro.core.config.FlowConfig` this spec runs.
-
-        Field mapping is identical to the batch executor's
-        (:func:`~repro.exploration.study._execute_batch_job`), so a spec
-        evaluated in-process by the service produces metrics
-        bit-identical to the same job drained from a work queue.
-        """
-        from dataclasses import replace as dc_replace
-
-        from ..core.config import FlowConfig
-        from ..floorplan.annealer import AnnealConfig
-        from ..thermal.stack import TopologyConfig
-
+    def to_flow_config(self) -> FlowConfig:
+        """The :class:`~repro.core.config.FlowConfig` this spec runs —
+        the only job-to-config mapping, shared by every frontend."""
         config = FlowConfig(
             mode=self.mode,
             anneal=AnnealConfig(iterations=self.iterations, seed=self.seed),
             verify_nx=self.grid,
             verify_ny=self.grid,
-            seed=self.seed,
             replicas=self.replicas,
             exchange_every=self.exchange_every,
             topology=TopologyConfig(kind=self.topology),
         )
         if self.mitigation_mode != "static":
-            config = dc_replace(
+            config = replace(
                 config,
-                mitigation=dc_replace(
-                    config.mitigation, mode=self.mitigation_mode
-                ),
+                mitigation=replace(config.mitigation, mode=self.mitigation_mode),
             )
         return config
 
     def key(self) -> str:
-        """Results-store identity, shared with ``BatchJob.key()``."""
-        return self.to_batch_job().key()
+        """Stable identity of this job in a results store.
+
+        Every field that changes the outcome participates, so resuming a
+        sweep with different knobs never reuses a stale record.  The
+        replica/topology/mitigation suffixes appear only for non-default
+        jobs, so every key written before those knobs existed still
+        matches its job.
+        """
+        key = (
+            f"{self.benchmark}|{self.mode}|seed{self.seed}"
+            f"|it{self.iterations}|grid{self.grid}|dies{self.num_dies}"
+        )
+        if self.replicas != 1:
+            key += f"|rep{self.replicas}x{self.exchange_every}"
+        if self.topology != "3d":
+            key += f"|top{self.topology}"
+        if self.mitigation_mode != "static":
+            key += f"|mit{self.mitigation_mode}"
+        return key
 
     def job_id(self) -> str:
         """Short stable identifier derived from :meth:`key` (URL-safe)."""

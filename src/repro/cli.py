@@ -3,14 +3,14 @@
 Examples::
 
     python -m repro.cli flow n100 --mode tsc_aware --iterations 2000
-    python -m repro.cli sweep n100 n300 --runs 3
+    python -m repro.cli batch n100 n300 --seeds 3 -j 1
     python -m repro.cli batch n100 n300 --modes power_aware tsc_aware --seeds 4 -j 8 \
         --store runs/sweep1 --cache-dir runs/cache
     python -m repro.cli explore --grid 32
     python -m repro.cli benchmarks
 
-``sweep`` runs serially in-process; ``batch`` is the parallel variant,
-fanning (benchmark, mode, seed) jobs across local worker processes.
+``batch`` fans (benchmark, mode, seed) jobs across local worker
+processes; ``-j 1`` drains them serially in-process.
 
 Multi-host sweeps split the same thing into three verbs sharing one
 queue directory on a common filesystem::
@@ -44,15 +44,11 @@ import sys
 from typing import List
 
 from .benchmarks import benchmark_names, load
-from .core.config import FlowConfig
-from .core.flow import run_flow
-from .core.results import aggregate_metrics, format_table
-from .floorplan.annealer import AnnealConfig
-from .floorplan.objectives import FloorplanMode
+from .core.results import format_table
 
 __all__ = ["main"]
 
-#: metrics columns of the sweep/batch comparison tables (Table 2 order)
+#: metrics columns of the batch comparison tables (Table 2 order)
 TABLE_METRICS = [
     "correlation_r1", "spatial_entropy_s1", "correlation_r2",
     "power_w", "critical_delay_ns", "wirelength_m", "peak_temp_k",
@@ -134,24 +130,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    for mode in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
-        rows = {}
-        for bench in args.benchmarks:
-            circuit, stack = load(bench)
-            runs = []
-            for seed in range(args.runs):
-                config = FlowConfig(
-                    mode=mode,
-                    anneal=AnnealConfig(iterations=args.iterations, seed=seed),
-                    verify_nx=args.grid, verify_ny=args.grid,
-                )
-                runs.append(run_flow(circuit, stack, config).metrics)
-            rows[bench] = aggregate_metrics(runs)
-        print("\n" + format_table(rows, TABLE_METRICS, title=f"setup: {mode}"))
-    return 0
-
-
 def _build_jobs(args: argparse.Namespace) -> list:
     """The (benchmark, mode, seed, topology, mitigation) JobSpec grid
     shared by batch/enqueue."""
@@ -174,7 +152,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from .core.store import ResultsStore
     from .exploration.study import run_batch, summarize_batch
 
-    jobs = [spec.to_batch_job() for spec in _build_jobs(args)]
+    jobs = _build_jobs(args)
     store = ResultsStore(args.store) if args.store else None
     if store is not None:
         done = store.completed()
@@ -352,7 +330,7 @@ def _print_degradations(store) -> None:
             print(f"    {kind:<40} {totals[kind]}")
 
 
-def _cmd_sweep_status(args: argparse.Namespace) -> int:
+def _cmd_queue_status(args: argparse.Namespace) -> int:
     from .core.queue import WorkQueue
 
     queue = WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl)
@@ -486,14 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_arg(p_flow)
     p_flow.set_defaults(func=_cmd_flow)
 
-    p_sweep = sub.add_parser("sweep", help="PA vs TSC over several benchmarks")
-    p_sweep.add_argument("benchmarks", nargs="+", choices=benchmark_names())
-    p_sweep.add_argument("--runs", type=int, default=2)
-    p_sweep.add_argument("--iterations", type=int, default=1500)
-    p_sweep.add_argument("--grid", type=int, default=32)
-    add_backend_arg(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
     def add_grid_args(p) -> None:
         p.add_argument("benchmarks", nargs="+", choices=benchmark_names())
         p.add_argument("--modes", nargs="+",
@@ -593,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print one machine-readable JSON document — "
                              "the same payload the evaluation service "
                              "serves at GET /v1/queue/status")
-    p_stat.set_defaults(func=_cmd_sweep_status)
+    p_stat.set_defaults(func=_cmd_queue_status)
 
     p_serve = sub.add_parser(
         "serve", help="leakage evaluation as a service (asyncio HTTP frontend)"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..floorplan.annealer import AnnealConfig
 from ..floorplan.objectives import FloorplanMode
@@ -50,7 +50,6 @@ class FlowConfig:
     verify_ny: int = 48
     #: final (full-size) voltage-volume growth bound
     final_volume_size: int = 40
-    seed: int = 0
     #: parallel-tempering replicas for the annealing stage; 1 = the plain
     #: single-chain anneal (bit-identical to the legacy path)
     replicas: int = 1
@@ -82,10 +81,6 @@ class FlowConfig:
         """Rebuild from :meth:`to_json` output; unknown keys warn, bad
         values raise the same ``ValueError`` as direct construction."""
         return schema.from_json_dict(cls, data)
-
-    def with_seed(self, seed: int) -> "FlowConfig":
-        """A copy with the flow and annealer seeds rebased."""
-        return replace(self, seed=seed, anneal=replace(self.anneal, seed=seed))
 
     @property
     def run_mitigation(self) -> bool:

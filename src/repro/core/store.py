@@ -92,7 +92,7 @@ def persist_atomic(path: Path, write_tmp) -> None:
 class ResultsStore:
     """Append-only JSONL store of per-job :class:`FlowMetrics`.
 
-    Keys are caller-defined job identities (see ``BatchJob.key()``); the
+    Keys are caller-defined job identities (see ``JobSpec.key()``); the
     last record per key wins, so re-running a job simply supersedes it.
 
     ``filename`` names the JSONL file inside ``root`` — the distributed

@@ -7,7 +7,6 @@ Table 2-scale scenario sweeps.
 
 from .patterns import POWER_PATTERNS, TSV_PATTERNS, pattern_names, power_pattern, tsv_pattern
 from .study import (
-    BatchJob,
     ExplorationCell,
     run_batch,
     run_exploration,
@@ -24,7 +23,6 @@ __all__ = [
     "ExplorationCell",
     "run_exploration",
     "summarize_findings",
-    "BatchJob",
     "run_batch",
     "summarize_batch",
 ]

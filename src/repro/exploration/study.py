@@ -27,16 +27,16 @@ from __future__ import annotations
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..api import JobSpec, execute_spec
 from ..core.queue import WorkQueue, run_worker
 from ..core.results import FlowMetrics, aggregate_metrics
 from ..core.store import ResultsStore
-from ..floorplan.objectives import FloorplanMode
 from ..layout.die import StackConfig
 from ..layout.grid import GridSpec
 from ..leakage.pearson import die_correlation
@@ -47,7 +47,6 @@ __all__ = [
     "ExplorationCell",
     "run_exploration",
     "summarize_findings",
-    "BatchJob",
     "run_batch",
     "summarize_batch",
     "summarize_mitigation_matrix",
@@ -175,97 +174,6 @@ def summarize_findings(cells: List[ExplorationCell]) -> Dict[str, float]:
 # -- multi-run batch execution ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatchJob:
-    """One flow invocation of a scenario sweep.
-
-    Kept to plain picklable fields so jobs travel cleanly to process-pool
-    workers; each worker loads the benchmark by name and builds its own
-    configs (solver caches and calibrated thermal models are per-process
-    and warm up once per worker).
-    """
-
-    benchmark: str
-    mode: str = FloorplanMode.POWER_AWARE
-    seed: int = 0
-    iterations: int = 1500
-    grid: int = 32
-    num_dies: int = 2
-    #: parallel-tempering replicas for the annealing stage (1 = plain SA);
-    #: inside a pool worker the replica chains advance serially unless
-    #: REPRO_REPLICA_PROCESSES overrides — see repro.floorplan.tempering
-    replicas: int = 1
-    exchange_every: int = 50
-    #: integration style ("3d" | "2.5d") and mitigation mode
-    #: ("static" | "dvfs" | "combined"); the defaults reproduce the
-    #: legacy vertical-stack static-TSV runs bit-identically
-    topology: str = "3d"
-    mitigation_mode: str = "static"
-
-    def __post_init__(self) -> None:
-        from ..mitigation.dummy_tsv import MITIGATION_MODES
-        from ..thermal.stack import TOPOLOGY_KINDS
-
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
-        if self.num_dies < 2:
-            raise ValueError("num_dies must be >= 2")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.exchange_every < 1:
-            raise ValueError("exchange_every must be >= 1")
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ValueError(
-                f"unknown topology kind {self.topology!r}; expected one of "
-                + ", ".join(TOPOLOGY_KINDS)
-            )
-        if self.mitigation_mode not in MITIGATION_MODES:
-            raise ValueError(
-                f"unknown mitigation mode {self.mitigation_mode!r}; "
-                "expected one of " + ", ".join(MITIGATION_MODES)
-            )
-
-    def to_json(self) -> dict:
-        """Versioned JSON document (see :mod:`repro.core.schema`)."""
-        from ..core import schema
-
-        return schema.to_json_dict(self)
-
-    @classmethod
-    def from_json(cls, data) -> "BatchJob":
-        """Rebuild from :meth:`to_json` output (or a legacy ``asdict``
-        payload); unknown keys warn, bad values raise ``ValueError``."""
-        from ..core import schema
-
-        return schema.from_json_dict(cls, data)
-
-    def label(self) -> str:
-        return f"{self.benchmark}/{self.mode}/seed{self.seed}"
-
-    def key(self) -> str:
-        """Stable identity of this job in a results store.
-
-        Every field that changes the outcome participates, so resuming a
-        sweep with different knobs never reuses a stale record.  The
-        replica/topology/mitigation suffixes appear only for non-default
-        jobs, so every key written before those knobs existed still
-        matches its job.
-        """
-        key = (
-            f"{self.benchmark}|{self.mode}|seed{self.seed}"
-            f"|it{self.iterations}|grid{self.grid}|dies{self.num_dies}"
-        )
-        if self.replicas != 1:
-            key += f"|rep{self.replicas}x{self.exchange_every}"
-        if self.topology != "3d":
-            key += f"|top{self.topology}"
-        if self.mitigation_mode != "static":
-            key += f"|mit{self.mitigation_mode}"
-        return key
-
-
 def _init_batch_worker(cache_dir: Optional[str]) -> None:
     """Point a worker's process-wide caches at the shared on-disk layer."""
     if cache_dir is None:
@@ -277,49 +185,19 @@ def _init_batch_worker(cache_dir: Optional[str]) -> None:
     set_model_cache_dir(cache_dir)
 
 
-def _execute_batch_job(job: BatchJob) -> FlowMetrics:
-    # local imports keep worker start-up lean and avoid an import cycle
-    # (core.flow does not import exploration)
-    from dataclasses import replace as dc_replace
-
-    from ..benchmarks import load
-    from ..core.config import FlowConfig
-    from ..core.flow import run_flow
-    from ..floorplan.annealer import AnnealConfig
-    from ..thermal.stack import TopologyConfig
-
-    # num_dies flows into load() so the circuit is generated (module
-    # areas sized) for that die count, not patched onto a 2-die instance
-    circuit, stack = load(job.benchmark, num_dies=job.num_dies)
-    config = FlowConfig(
-        mode=job.mode,
-        anneal=AnnealConfig(iterations=job.iterations, seed=job.seed),
-        verify_nx=job.grid,
-        verify_ny=job.grid,
-        seed=job.seed,
-        replicas=job.replicas,
-        exchange_every=job.exchange_every,
-        topology=TopologyConfig(kind=job.topology),
-    )
-    if job.mitigation_mode != "static":
-        config = dc_replace(
-            config,
-            mitigation=dc_replace(config.mitigation, mode=job.mitigation_mode),
-        )
-    return run_flow(circuit, stack, config).metrics
-
-
 def execute_batch_payload(payload: dict) -> FlowMetrics:
-    """Queue executor for :class:`BatchJob` payloads (``asdict`` form).
+    """Queue executor for :class:`~repro.api.JobSpec` payloads.
 
     This is what ``repro.cli work`` workers and the :func:`run_batch`
-    frontend both run, so single-host and multi-host sweeps execute the
-    exact same flow path.  Payloads travel as JSON (queue files, HTTP
-    bodies), so they deserialize through the tolerant
-    :meth:`BatchJob.from_json` path: a queue written by a newer revision
-    with extra fields still executes here.
+    frontend both run, and it goes through the same
+    :func:`~repro.api.execute_spec` the service and ``repro.cli flow``
+    use, so every frontend executes the exact same flow path.  Payloads
+    travel as JSON (queue files, HTTP bodies), so they deserialize
+    through the tolerant :meth:`JobSpec.from_json` path: a queue written
+    by a newer revision with extra fields, or a legacy unstamped
+    ``asdict`` payload, still executes here.
     """
-    return _execute_batch_job(BatchJob.from_json(payload))
+    return execute_spec(JobSpec.from_json(payload)).metrics
 
 
 def batch_worker_main(
@@ -336,7 +214,7 @@ def batch_worker_main(
     """One queue-draining worker process (the ``repro.cli work`` unit).
 
     Configures the process-wide solver/model caches, then claims and
-    executes :class:`BatchJob` payloads until the queue is drained —
+    executes :class:`~repro.api.JobSpec` payloads until the queue is drained —
     all of it, or just ``only_keys`` when the caller owns a subset.
     ``max_attempts``/``retry_backoff`` set this worker's per-job retry
     budget and backoff base (see :class:`~repro.core.queue.WorkQueue`);
@@ -371,7 +249,7 @@ def batch_worker_main(
 
 
 def run_batch(
-    jobs: Iterable[BatchJob],
+    jobs: Iterable[JobSpec],
     processes: Optional[int] = None,
     store: Union[ResultsStore, str, Path, None] = None,
     cache_dir: Union[str, Path, None] = None,
@@ -440,7 +318,7 @@ def run_batch(
         )
         for i in pending:
             key = jobs[i].key()
-            queue.enqueue(key, asdict(jobs[i]))
+            queue.enqueue(key, jobs[i].to_json())
             # a re-run is an explicit request to retry previous failures
             queue.clear_failure(key)
         # a persistent queue dir may hold other sweeps' jobs (an earlier
@@ -506,7 +384,7 @@ def run_batch(
             if metrics is None:
                 detail = failures.get(key, {}).get("error", "job never completed")
                 raise RuntimeError(
-                    f"batch job {jobs[i].label()} failed "
+                    f"batch job {key} failed "
                     f"({len(failures)} failed in total); queue dir: "
                     f"{queue_dir}\n{detail}"
                 )
@@ -518,7 +396,7 @@ def run_batch(
 
 
 def summarize_batch(
-    jobs: Sequence[BatchJob], metrics: Sequence[FlowMetrics]
+    jobs: Sequence[JobSpec], metrics: Sequence[FlowMetrics]
 ) -> Dict[Tuple[str, str], Dict[str, float]]:
     """Aggregate batch results per (benchmark, mode) across seeds.
 
@@ -535,7 +413,7 @@ def summarize_batch(
 
 
 def summarize_mitigation_matrix(
-    jobs: Sequence[BatchJob], metrics: Sequence[FlowMetrics]
+    jobs: Sequence[JobSpec], metrics: Sequence[FlowMetrics]
 ) -> Dict[Tuple[str, str], Dict[str, float]]:
     """The topology x mitigation-mode comparison of a sweep.
 

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from repro.core.config import FlowConfig
 from repro.core.flow import run_flow
 from repro.core.schema import SchemaWarning
 from repro.core.store import ResultsStore
-from repro.exploration.study import BatchJob
 from repro.floorplan.annealer import AnnealConfig
 from repro.floorplan.objectives import FloorplanMode
 from repro.mitigation.dummy_tsv import MitigationConfig
@@ -45,7 +45,7 @@ class TestSchemaRoundTrip:
     @pytest.mark.parametrize("cls,kwargs", [
         (AnnealConfig, dict(iterations=7, seed=2)),
         (MitigationConfig, dict(samples=3, tsvs_per_round=2)),
-        (BatchJob, dict(benchmark="n100", seed=4, replicas=2)),
+        (JobSpec, dict(benchmark="n100", seed=4, replicas=2)),
         (JobSpec, dict(benchmark="n300", mode="tsc_aware", grid=16)),
     ])
     def test_dataclass_roundtrip(self, cls, kwargs):
@@ -57,6 +57,11 @@ class TestSchemaRoundTrip:
         with pytest.warns(SchemaWarning, match="future_field, other"):
             spec = JobSpec.from_json(doc)
         assert spec == JobSpec(**SPEC)
+        # FlowConfig.seed was never read by the flow and is gone; old
+        # documents that carry it still load
+        old = dict(FlowConfig().to_json(), seed=7)
+        with pytest.warns(SchemaWarning, match="seed"):
+            assert FlowConfig.from_json(old) == FlowConfig()
 
     def test_newer_schema_version_warns_but_loads(self):
         doc = dict(JobSpec(**SPEC).to_json(), schema_version=99)
@@ -90,10 +95,10 @@ class TestSchemaRoundTrip:
     def test_legacy_asdict_payload_still_loads(self):
         from dataclasses import asdict
 
-        job = BatchJob(benchmark="n100", iterations=99)
+        spec = JobSpec(benchmark="n100", iterations=99)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no version stamp is not a warning
-            assert BatchJob.from_json(asdict(job)) == job
+            assert JobSpec.from_json(asdict(spec)) == spec
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="expected a JSON object"):
@@ -117,10 +122,31 @@ class TestSchemaRoundTrip:
         assert JobSpec.from_json(wire).key() == spec.key()
 
 
+#: queue payloads as revisions before the single job type wrote them:
+#: ``run_batch`` enqueued the unstamped ``asdict`` form, ``submit`` the
+#: stamped ``to_json`` form
+_PRE_MERGE_PAYLOAD = {
+    "benchmark": "n100", "mode": "power_aware", "seed": 0, "iterations": 25,
+    "grid": 12, "num_dies": 2, "replicas": 1, "exchange_every": 50,
+    "topology": "3d", "mitigation_mode": "static",
+}
+
+
+def _frozen(metrics):
+    """A record minus the fields that depend on wall clock and cache
+    warmth; everything else is deterministic per job."""
+    return replace(metrics, runtime_s=0.0, degradations={})
+
+
 class TestJobSpec:
     def test_key_matches_batch_job(self):
+        # the exact key the former batch job type wrote to results stores,
+        # so a sweep store from before the merge still resumes
         spec = JobSpec("n100", mode="tsc_aware", seed=3, replicas=2)
-        assert spec.key() == spec.to_batch_job().key()
+        assert spec.key() == "n100|tsc_aware|seed3|it1500|grid32|dies2|rep2x50"
+        assert JobSpec.from_json(_PRE_MERGE_PAYLOAD).key() == (
+            "n100|power_aware|seed0|it25|grid12|dies2"
+        )
         assert spec.job_id() != JobSpec("n100", seed=4).job_id()
 
     def test_flow_config_matches_batch_executor(self):
@@ -128,6 +154,41 @@ class TestJobSpec:
         assert cfg.anneal.iterations == 77
         assert cfg.anneal.seed == 5
         assert cfg.verify_nx == cfg.verify_ny == 16
+
+    def test_record_is_path_invariant(self, tmp_path, monkeypatch):
+        """One spec, three frontends: in-process, the serial ``run_batch``
+        queue drain, and ``submit`` + a ``work`` queue worker."""
+        from repro.core.queue import WorkQueue
+        from repro.exploration.study import batch_worker_main, run_batch
+        from repro.floorplan.tempering import IN_POOL_ENV
+
+        # the worker marks this process as a pool worker; undo it after
+        monkeypatch.setenv(IN_POOL_ENV, "1")
+        for mode in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
+            spec = JobSpec("n100", mode=mode, iterations=25, grid=12)
+            in_process = run_flow_job(spec).metrics
+            (batched,) = run_batch([spec], processes=1)
+            qdir = tmp_path / mode
+            submit(spec, qdir)
+            assert batch_worker_main(str(qdir)) == 1
+            (worked,) = WorkQueue(qdir).completed().values()
+            assert (
+                _frozen(in_process) == _frozen(batched) == _frozen(worked)
+            ), mode
+            assert in_process.mode == mode
+
+    @pytest.mark.parametrize("stamped", [False, True])
+    def test_pre_merge_queue_payload_executes(self, stamped):
+        from repro.exploration.study import execute_batch_payload
+
+        payload = dict(_PRE_MERGE_PAYLOAD)
+        if stamped:
+            payload["schema_version"] = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = execute_batch_payload(payload)
+        expected = run_flow_job(JobSpec(**SPEC)).metrics
+        assert _frozen(metrics) == _frozen(expected)
 
 
 class TestFacade:

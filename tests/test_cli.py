@@ -20,10 +20,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["flow", "n9999"])
 
-    def test_sweep_multiple(self):
-        args = build_parser().parse_args(["sweep", "n100", "n300", "--runs", "3"])
-        assert args.benchmarks == ["n100", "n300"]
-        assert args.runs == 3
+    def test_sweep_is_not_a_command(self, capsys):
+        """``sweep`` was ``batch --seeds N -j 1`` without the store; it
+        is gone, and ``batch`` covers it."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "n100", "--runs", "3"])
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        args = build_parser().parse_args(["batch", "n100", "--seeds", "3", "-j", "1"])
+        assert args.seeds == 3 and args.processes == 1
 
     def test_enqueue_requires_queue_dir(self):
         with pytest.raises(SystemExit):

@@ -51,11 +51,6 @@ class TestEnvInt:
 
 
 class TestFlowConfig:
-    def test_with_seed_rebases_both(self):
-        cfg = FlowConfig().with_seed(13)
-        assert cfg.seed == 13
-        assert cfg.anneal.seed == 13
-
     def test_mitigation_only_in_tsc_mode(self):
         assert not FlowConfig(mode=FloorplanMode.POWER_AWARE).run_mitigation
         assert FlowConfig(mode=FloorplanMode.TSC_AWARE).run_mitigation

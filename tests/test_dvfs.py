@@ -247,23 +247,23 @@ class TestModeSchema:
 
 
 class TestSweepVocabulary:
-    """topology/mitigation_mode through BatchJob and JobSpec."""
+    """topology/mitigation_mode through JobSpec."""
 
     def test_batch_job_validates_fields(self):
-        from repro.exploration.study import BatchJob
+        from repro.api import JobSpec
 
         with pytest.raises(ValueError, match="unknown topology kind"):
-            BatchJob(benchmark="n100", topology="4d")
+            JobSpec(benchmark="n100", topology="4d")
         with pytest.raises(ValueError, match="unknown mitigation mode"):
-            BatchJob(benchmark="n100", mitigation_mode="jitter")
+            JobSpec(benchmark="n100", mitigation_mode="jitter")
 
     def test_default_key_unchanged(self):
         """Legacy sweeps resume: default topology/mode add no key text."""
-        from repro.exploration.study import BatchJob
+        from repro.api import JobSpec
 
-        key = BatchJob(benchmark="n100", seed=0).key()
+        key = JobSpec(benchmark="n100", seed=0).key()
         assert "top" not in key and "mit" not in key
-        sweep = BatchJob(
+        sweep = JobSpec(
             benchmark="n100", seed=0, topology="2.5d", mitigation_mode="dvfs"
         ).key()
         assert sweep == key + "|top2.5d|mitdvfs"

@@ -141,10 +141,11 @@ class TestStudy:
 
 class TestRunBatch:
     def test_serial_batch_runs_and_aggregates(self):
-        from repro.exploration.study import BatchJob, run_batch, summarize_batch
+        from repro.api import JobSpec
+        from repro.exploration.study import run_batch, summarize_batch
 
         jobs = [
-            BatchJob(benchmark="n100", seed=s, iterations=40, grid=16)
+            JobSpec(benchmark="n100", seed=s, iterations=40, grid=16)
             for s in range(2)
         ]
         metrics = run_batch(jobs, processes=1)
@@ -159,10 +160,11 @@ class TestRunBatch:
         )
 
     def test_process_pool_batch(self):
-        from repro.exploration.study import BatchJob, run_batch
+        from repro.api import JobSpec
+        from repro.exploration.study import run_batch
 
         jobs = [
-            BatchJob(benchmark="n100", seed=s, iterations=30, grid=16)
+            JobSpec(benchmark="n100", seed=s, iterations=30, grid=16)
             for s in range(2)
         ]
         parallel = run_batch(jobs, processes=2)
@@ -178,7 +180,8 @@ class TestRunBatch:
         assert run_batch([]) == []
 
     def test_summarize_batch_length_mismatch(self):
-        from repro.exploration.study import BatchJob, summarize_batch
+        from repro.api import JobSpec
+        from repro.exploration.study import summarize_batch
 
         with pytest.raises(ValueError):
-            summarize_batch([BatchJob(benchmark="n100")], [])
+            summarize_batch([JobSpec(benchmark="n100")], [])

@@ -486,16 +486,14 @@ class TestRetryAndQuarantine:
         assert "quarantined 1" in out
 
     def test_work_cli_exits_nonzero_on_quarantined_job(self, tmp_path, capsys):
-        from dataclasses import asdict
-
+        from repro.api import JobSpec
         from repro.cli import main
-        from repro.exploration.study import BatchJob
 
         queue = WorkQueue(tmp_path)
-        # a payload that is not a valid BatchJob: every execution fails
+        # a payload that is not a valid JobSpec: every execution fails
         queue.enqueue("broken", {"benchmark": "no-such-bench"})
-        job = BatchJob(benchmark="n100", iterations=25, grid=12)
-        queue.enqueue(job.key(), asdict(job))
+        job = JobSpec(benchmark="n100", iterations=25, grid=12)
+        queue.enqueue(job.key(), job.to_json())
         code = main([
             "work", "--queue-dir", str(tmp_path), "--workers", "1",
             "--max-attempts", "2", "--backoff", "0.01",

@@ -23,7 +23,8 @@ import pytest
 from repro.core.queue import Lease, WorkQueue, run_worker
 from repro.core.results import FlowMetrics
 from repro.core.store import ResultsStore
-from repro.exploration.study import BatchJob, run_batch
+from repro.api import JobSpec
+from repro.exploration.study import run_batch
 
 
 def _metrics(tag=1.0):
@@ -482,7 +483,7 @@ class TestTwoWorkerSweepMatchesSingleHost:
         single-host serial ``run_batch`` produce stores with identical
         keys *and* identical metrics (flows are deterministic per key)."""
         jobs = [
-            BatchJob(benchmark="n100", seed=s, iterations=25, grid=12)
+            JobSpec(benchmark="n100", seed=s, iterations=25, grid=12)
             for s in range(2)
         ]
         serial_store = ResultsStore(tmp_path / "serial")
@@ -526,8 +527,8 @@ class TestTwoWorkerSweepMatchesSingleHost:
         neither executed nor waited on by an unrelated run_batch call."""
         store = ResultsStore(tmp_path)
         queue = WorkQueue(store.root / "queue")
-        queue.enqueue("foreign-job", {"not": "a BatchJob payload"})
-        job = BatchJob(benchmark="n100", seed=0, iterations=25, grid=12)
+        queue.enqueue("foreign-job", {"not": "a JobSpec payload"})
+        job = JobSpec(benchmark="n100", seed=0, iterations=25, grid=12)
         results = run_batch([job], processes=1, store=store)
         assert results[0] is not None
         # the foreign job was never claimed: no failure, no completion
@@ -538,7 +539,7 @@ class TestTwoWorkerSweepMatchesSingleHost:
     def test_run_batch_resumes_from_queue_shards(self, tmp_path):
         """Results durable in a shard but not yet merged into the store
         are honoured: the flow is not re-executed."""
-        job = BatchJob(benchmark="n100", seed=0, iterations=25, grid=12)
+        job = JobSpec(benchmark="n100", seed=0, iterations=25, grid=12)
         store = ResultsStore(tmp_path)
         queue = WorkQueue(store.root / "queue")
         queue.enqueue(job.key(), {})
@@ -566,18 +567,18 @@ class TestRunBatchFailurePropagation:
         from repro.exploration import study
 
         jobs = [
-            BatchJob(benchmark="n100", seed=s, iterations=25, grid=12)
+            JobSpec(benchmark="n100", seed=s, iterations=25, grid=12)
             for s in range(2)
         ]
 
-        real = study._execute_batch_job
+        real = study.execute_spec
 
-        def fail_seed_one(job):
-            if job.seed == 1:
+        def fail_seed_one(spec):
+            if spec.seed == 1:
                 raise ValueError("synthetic seed-1 failure")
-            return real(job)
+            return real(spec)
 
-        monkeypatch.setattr(study, "_execute_batch_job", fail_seed_one)
+        monkeypatch.setattr(study, "execute_spec", fail_seed_one)
         store = ResultsStore(tmp_path)
         with pytest.raises(RuntimeError, match="seed1"):
             run_batch(jobs, processes=1, store=store)
@@ -585,6 +586,6 @@ class TestRunBatchFailurePropagation:
         assert jobs[0].key() in store
         # a re-run retries the failure (clear_failure on enqueue) and,
         # once the flow behaves, completes the sweep
-        monkeypatch.setattr(study, "_execute_batch_job", real)
+        monkeypatch.setattr(study, "execute_spec", real)
         results = run_batch(jobs, processes=1, store=store)
         assert all(r is not None for r in results)

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.results import FlowMetrics
 from repro.core.store import ResultsStore, load_thermal_model, save_thermal_model
-from repro.exploration.study import BatchJob, run_batch
+from repro.api import JobSpec
+from repro.exploration.study import run_batch
 from repro.thermal.fast import FastThermalModel
 
 
@@ -132,24 +133,38 @@ class TestThermalModelPersistence:
         assert load_thermal_model(bad) is None
 
 
-class TestBatchJobKey:
+class TestJobSpecKey:
     def test_key_covers_outcome_changing_fields(self):
-        base = BatchJob(benchmark="n100")
+        base = JobSpec(benchmark="n100")
         variants = [
-            BatchJob(benchmark="n300"),
-            BatchJob(benchmark="n100", mode="tsc_aware"),
-            BatchJob(benchmark="n100", seed=1),
-            BatchJob(benchmark="n100", iterations=99),
-            BatchJob(benchmark="n100", grid=16),
-            BatchJob(benchmark="n100", num_dies=3),
+            JobSpec(benchmark="n300"),
+            JobSpec(benchmark="n100", mode="tsc_aware"),
+            JobSpec(benchmark="n100", seed=1),
+            JobSpec(benchmark="n100", iterations=99),
+            JobSpec(benchmark="n100", grid=16),
+            JobSpec(benchmark="n100", num_dies=3),
         ]
         keys = {base.key()} | {v.key() for v in variants}
         assert len(keys) == len(variants) + 1
+        # stores and queues written by earlier revisions resume only if
+        # these strings never change
+        literal = "n100|power_aware|seed0|it1500|grid32|dies2"
+        assert base.key() == literal
+        assert base.job_id() == "43db77d305bbbb0c"
+        assert (
+            JobSpec(benchmark="n100", replicas=4, exchange_every=25).key()
+            == literal + "|rep4x25"
+        )
+        assert JobSpec(benchmark="n100", topology="2.5d").key() == literal + "|top2.5d"
+        assert (
+            JobSpec(benchmark="n100", mitigation_mode="dvfs").key()
+            == literal + "|mitdvfs"
+        )
 
 
 class TestRunBatchResume:
     def test_resume_skips_recorded_jobs(self, tmp_path, monkeypatch):
-        job = BatchJob(benchmark="n100", iterations=25, grid=12)
+        job = JobSpec(benchmark="n100", iterations=25, grid=12)
         store = ResultsStore(tmp_path)
         first = run_batch([job], processes=1, store=store)
         assert len(first) == 1 and first[0].benchmark == "n100"
@@ -159,15 +174,15 @@ class TestRunBatchResume:
         # job now would blow up
         from repro.exploration import study
 
-        def boom(job):
+        def boom(spec):
             raise AssertionError("job re-executed despite store record")
 
-        monkeypatch.setattr(study, "_execute_batch_job", boom)
+        monkeypatch.setattr(study, "execute_spec", boom)
         second = run_batch([job], processes=1, store=store)
         assert second[0] == first[0]
 
     def test_store_accepts_path(self, tmp_path):
-        job = BatchJob(benchmark="n100", iterations=25, grid=12)
+        job = JobSpec(benchmark="n100", iterations=25, grid=12)
         first = run_batch([job], processes=1, store=tmp_path)
         # resumed via a plain path as well
         second = run_batch([job], processes=1, store=str(tmp_path))
@@ -176,8 +191,8 @@ class TestRunBatchResume:
     def test_mixed_resume_runs_only_missing(self, tmp_path):
         store = ResultsStore(tmp_path)
         jobs = [
-            BatchJob(benchmark="n100", iterations=25, grid=12, seed=0),
-            BatchJob(benchmark="n100", iterations=25, grid=12, seed=1),
+            JobSpec(benchmark="n100", iterations=25, grid=12, seed=0),
+            JobSpec(benchmark="n100", iterations=25, grid=12, seed=1),
         ]
         store.append(jobs[0].key(), _metrics(r1=0.123, runtime=9.0))
         results = run_batch(jobs, processes=1, store=store)

@@ -4,11 +4,11 @@ import os
 
 import pytest
 
+from repro.api import JobSpec
 from repro.benchmarks import load
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.core.config import FlowConfig
 from repro.core.flow import run_flow
-from repro.exploration.study import BatchJob
 from repro.floorplan.annealer import AnnealConfig, anneal
 from repro.floorplan.objectives import FloorplanMode
 from repro.floorplan.tempering import (
@@ -178,13 +178,13 @@ class TestPlumbing:
         assert outcome.anneal_result.iterations == 60
 
     def test_batch_job_key_backward_compatible(self):
-        plain = BatchJob(benchmark="n100", seed=1)
+        plain = JobSpec(benchmark="n100", seed=1)
         assert plain.key() == "n100|power_aware|seed1|it1500|grid32|dies2"
-        tempered = BatchJob(benchmark="n100", seed=1, replicas=4)
+        tempered = JobSpec(benchmark="n100", seed=1, replicas=4)
         assert tempered.key().endswith("|rep4x50")
         assert plain.key() != tempered.key()
         # exchange cadence changes the outcome, so it changes the key
         assert (
-            BatchJob(benchmark="n100", replicas=4, exchange_every=25).key()
-            != BatchJob(benchmark="n100", replicas=4, exchange_every=50).key()
+            JobSpec(benchmark="n100", replicas=4, exchange_every=25).key()
+            != JobSpec(benchmark="n100", replicas=4, exchange_every=50).key()
         )

@@ -239,7 +239,7 @@ class TestFlowPlumbingDigest:
         legacy = FlowConfig(
             mode="power_aware",
             anneal=AnnealConfig(iterations=40, seed=3),
-            verify_nx=16, verify_ny=16, seed=3,
+            verify_nx=16, verify_ny=16,
         )
         via_legacy = run_flow(circuit, stack, legacy).metrics
 
