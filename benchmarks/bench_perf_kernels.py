@@ -11,7 +11,6 @@ import pytest
 
 from oracles.activity import sample_power_maps_loop
 from oracles.pearson import local_correlation_map_loop
-from oracles.triangular import SpsolveTriangularSolve
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
 from repro.floorplan.objectives import CompiledNetlist, CostEvaluator, FloorplanMode
@@ -382,53 +381,10 @@ def test_mitigation_candidate_refactorize_64(benchmark, mitigation_candidate_set
     benchmark.pedantic(score_candidate, rounds=2, iterations=1)
 
 
-# -- factorization-backend kernels ------------------------------------------------
-#
-# The persisted-solve claim, pinned by a ratio gate in
-# check_bench_regression.py: the superlu backend's persisted path
-# (stored triangular factors re-wrapped in SuperLU's compiled
-# substitution) beats the spsolve_triangular oracle by a wide margin per
-# RHS over the *same* stored factors.  The kernel names predate the
-# fold of the compiled backend into superlu and are kept so the tracked
-# baselines stay comparable.
-
-
-@pytest.fixture(scope="module")
-def persisted_factors_setup(n100_state):
-    from repro.thermal.backends import get_backend
-
-    _, stack_cfg, _ = n100_state
-    grid = GridSpec(stack_cfg.outline, 64, 64)
-    solver = SteadyStateSolver(
-        build_stack(stack_cfg, grid), reconstructable=True, backend="superlu"
-    )
-    payload = get_backend("superlu").payload_from(solver.factorization)
-    scipy_fact = SpsolveTriangularSolve(payload)
-    compiled_fact = get_backend("superlu").factorization_from_payload(payload)
-    rhs = np.random.default_rng(0).random((solver.network.num_nodes, 8))
-    # warm both paths out here so the timed region is the steady-state
-    # per-RHS cost
-    compiled_fact.solve(rhs[:, 0])
-    scipy_fact.solve(rhs[:, 0])
-    return scipy_fact, compiled_fact, rhs
-
-
-def test_persisted_rhs_scipy_64(benchmark, persisted_factors_setup):
-    scipy_fact, _, rhs = persisted_factors_setup
-    benchmark.pedantic(scipy_fact.solve_many, args=(rhs,), rounds=2, iterations=1)
-
-
-def test_persisted_rhs_compiled_64(benchmark, persisted_factors_setup):
-    _, compiled_fact, rhs = persisted_factors_setup
-    benchmark.pedantic(compiled_fact.solve_many, args=(rhs,), rounds=3, iterations=1)
-
-
 # -- warm-cache batch sweeps ------------------------------------------------------
 #
-# (a) resuming a recorded sweep from the results store costs file reads,
-#     not flow re-runs; (b) a worker warming up against the shared
-#     on-disk solver cache loads persisted factors instead of
-#     re-factorizing.
+# resuming a recorded sweep from the results store costs file reads, not
+# flow re-runs.
 
 
 def test_run_batch_warm_store_resume(benchmark, tmp_path_factory):
@@ -456,20 +412,6 @@ def test_run_batch_cold_flow(benchmark, tmp_path_factory):
     benchmark.pedantic(
         run_batch, args=([job],), kwargs=dict(processes=1), rounds=1, iterations=1
     )
-
-
-def test_solver_cache_warm_disk_load(benchmark, tmp_path_factory, n100_state):
-    from repro.thermal.steady_state import SolverCache
-
-    _, stack, _ = n100_state
-    grid = GridSpec(stack.outline, 32, 32)
-    disk = tmp_path_factory.mktemp("lucache")
-    SolverCache(disk_dir=disk).solver(stack, grid)  # persist once
-
-    def warm_worker():
-        SolverCache(disk_dir=disk).solver(stack, grid)
-
-    benchmark(warm_worker)
 
 
 def test_solver_cache_cold_factorize(benchmark, n100_state):

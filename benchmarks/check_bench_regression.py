@@ -26,10 +26,10 @@ so they can be adopted with ``--update``.
 
 ``RATIO_GATES`` additionally pins paired fast/slow kernels to a minimum
 speedup *within one run* (no calibration scaling, so the floor holds on
-any machine): e.g. the superlu persisted-factor solve must stay at
-least 3x faster than the spsolve_triangular oracle over the same
-factors.  A gate whose kernels are not both in the run is skipped, and
-the skip is printed with its reason.
+any machine): e.g. the 2.5D interposer steady solve must stay at least
+2x faster than refactorizing the interposer network per solve.  A gate
+whose kernels are not both in the run is skipped, and the skip is
+printed with its reason.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ TRACKED = [
     "test_local_correlation_map_vectorized_64",
     "test_detailed_solve_32",
     "test_mitigation_candidate_refactorize_64",
-    "test_persisted_rhs_scipy_64",
-    "test_persisted_rhs_compiled_64",
     "test_anneal_serial_n100",
     "test_interposer_steady_state_64",
 ]
@@ -72,13 +70,6 @@ TRACKED = [
 #: kernel must stay at least ``min_ratio`` x faster than its slow
 #: counterpart, or the optimization it embodies has silently rotted
 RATIO_GATES = [
-    # the superlu persisted path (re-wrapped factors) vs the
-    # spsolve_triangular oracle, over the same persisted factors
-    {
-        "fast": "test_persisted_rhs_compiled_64",
-        "slow": "test_persisted_rhs_scipy_64",
-        "min_ratio": 3.0,
-    },
     # the 2.5D interposer steady solve must stay a cheap back-
     # substitution against refactorizing the (wider) interposer network
     # per solve — the topology layer rides the same cached-LU machinery

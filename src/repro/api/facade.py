@@ -105,7 +105,7 @@ def run_flow_job(
     after = cache.counters()
     deltas = {
         name: int(after[name]) - int(before[name])
-        for name in ("hits", "misses", "disk_hits")
+        for name in ("hits", "misses")
     }
     if store is not None:
         store.append(key, outcome.metrics)

@@ -505,9 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "persist immediately and re-runs resume by "
                               "skipping recorded jobs")
     p_batch.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="shared on-disk solver/model cache for pool "
-                              "workers (identical stacks factorize once "
-                              "across the whole sweep)")
+                         help="shared on-disk cache of calibrated "
+                              "fast-thermal models (each calibration stack "
+                              "is calibrated once across the whole sweep)")
     p_batch.set_defaults(func=_cmd_batch)
 
     p_enq = sub.add_parser(
@@ -533,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds of missed heartbeats before a "
                              "worker's claim is reclaimed")
     p_work.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="shared on-disk solver/model cache")
+                        help="shared on-disk cache of calibrated "
+                             "fast-thermal models")
     p_work.add_argument("--max-jobs", type=int, default=None,
                         help="cap on jobs per worker (default: drain)")
     p_work.add_argument("--max-attempts", type=int, default=3,

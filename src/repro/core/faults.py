@@ -1,7 +1,7 @@
 """Deterministic fault injection and the degradation ledger.
 
 Chaos-testing the distributed sweep stack (queue leases, results-store
-appends, persisted-LU loads, Woodbury cores) needs faults that fire *on
+appends, Woodbury cores) needs faults that fire *on
 purpose*: at a named site, on a chosen arrival, reproducibly.  This
 module provides that, plus the two robustness primitives the hardened
 call sites share:
@@ -22,7 +22,7 @@ call sites share:
 
 * the **degradation ledger** — a process-wide counter of every fallback
   the stack took to survive (``woodbury.fallback.rank``,
-  ``persisted_lu.load_failed``, ``io_retry.store.append`` …).
+  ``persist.write_failed``, ``io_retry.store.append`` …).
   :func:`snapshot_degradations` / :func:`degradations_since` bracket a
   flow run so its :class:`~repro.core.results.FlowMetrics` can report
   *how* it survived, and :func:`warn_degraded` additionally emits a
@@ -109,7 +109,7 @@ class TornWriteFault(OSError):
 
 class DegradationWarning(UserWarning):
     """The stack degraded gracefully instead of failing (e.g. an
-    unreadable persisted LU fell back to a fresh factorization)."""
+    requested backend that is unavailable fell back to superlu)."""
 
 
 @dataclass

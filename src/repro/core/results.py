@@ -30,7 +30,7 @@ class FlowMetrics:
     runtime_s: float
     feasible: bool = True
     #: fallbacks taken while producing this record (Woodbury→refactorize,
-    #: persisted-LU→fresh, bounded I/O retries, ...), counter per reason —
+    #: backend→superlu, bounded I/O retries, ...), counter per reason —
     #: how a sweep reports *how* it survived, not just that it did.  Counts
     #: depend on process cache state, so oracle comparisons exclude them
     #: (like ``runtime_s``).

@@ -15,9 +15,8 @@ durable the moment it finishes:
 
 The module also persists calibrated fast-thermal models (the
 power-blurring masks are a handful of floats) so pool workers stop
-re-deriving them per process; the heavyweight sibling — persisted LU
-factors of the detailed solver — lives with
-:class:`~repro.thermal.steady_state.SolverCache`.
+re-deriving them per process; they are the only artifact a cache
+directory holds.
 """
 
 from __future__ import annotations
@@ -53,40 +52,33 @@ def artifact_digest(*parts: object) -> str:
 
 
 def persist_atomic(path: Path, write_tmp) -> None:
-    """Race- and crash-tolerant persist shared by all cache writers.
+    """Race- and crash-tolerant persist of one cache artifact.
 
-    ``write_tmp(tmp_base)`` writes the payload and returns the path it
-    actually wrote (some writers, like ``np.savez``, append their own
-    extension).  Temp names are per-process and the final rename is
-    atomic, so pool workers racing to persist the same artifact cannot
-    corrupt it; an existing file wins (cached artifacts are deterministic
-    functions of their key), and any OS-level failure is swallowed — a
-    cache is an optimization, not a ledger.
+    ``write_tmp(tmp)`` writes the payload to the path ``tmp``.  Temp
+    names are per-process and the final rename is atomic, so pool workers
+    racing to persist the same artifact cannot corrupt it; an existing
+    file wins (cached artifacts are deterministic functions of their
+    key), and any OS-level failure is swallowed — a cache is an
+    optimization, not a ledger.
     """
     path = Path(path)
     if path.exists():
         return
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    written = None
     try:
-        written = Path(write_tmp(tmp))
-        os.replace(written, path)
+        write_tmp(tmp)
+        os.replace(tmp, path)
     except OSError:
         # a cache entry that failed to persist is a degradation worth
-        # counting (the factorization will be re-derived elsewhere), not
-        # an error worth raising
+        # counting (the artifact will be re-derived elsewhere), not an
+        # error worth raising
         record_degradation("persist.write_failed")
-        # clean up whatever the failed writer left (write_tmp may have
-        # died before returning its actual output name, e.g. disk-full
-        # mid-np.savez) so shared cache dirs don't accumulate junk
-        candidates = {tmp, Path(str(tmp) + ".npz")}
-        if written is not None:
-            candidates.add(written)
-        for leftover in candidates:
-            try:
-                os.unlink(leftover)
-            except OSError:
-                pass
+        # clean up whatever the failed writer left (e.g. disk-full
+        # mid-write) so shared cache dirs don't accumulate junk
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 class ResultsStore:
@@ -302,9 +294,8 @@ def save_thermal_model(path: str | Path, model) -> None:
             for (s, t), p in model.masks.items()
         },
     }
-    def write(tmp: Path) -> Path:
+    def write(tmp: Path) -> None:
         tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        return tmp
 
     persist_atomic(path, write)
 

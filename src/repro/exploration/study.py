@@ -175,13 +175,11 @@ def summarize_findings(cells: List[ExplorationCell]) -> Dict[str, float]:
 
 
 def _init_batch_worker(cache_dir: Optional[str]) -> None:
-    """Point a worker's process-wide caches at the shared on-disk layer."""
+    """Point a worker's calibrated-model cache at the shared directory."""
     if cache_dir is None:
         return
     from ..floorplan.objectives import set_model_cache_dir
-    from ..thermal.steady_state import default_solver_cache
 
-    default_solver_cache().disk_dir = Path(cache_dir)
     set_model_cache_dir(cache_dir)
 
 
@@ -213,7 +211,7 @@ def batch_worker_main(
 ) -> int:
     """One queue-draining worker process (the ``repro.cli work`` unit).
 
-    Configures the process-wide solver/model caches, then claims and
+    Configures the process-wide model cache, then claims and
     executes :class:`~repro.api.JobSpec` payloads until the queue is drained —
     all of it, or just ``only_keys`` when the caller owns a subset.
     ``max_attempts``/``retry_backoff`` set this worker's per-job retry
@@ -280,9 +278,9 @@ def run_batch(
     directory that vanishes with the call.
 
     ``cache_dir`` names a shared on-disk cache directory: workers persist
-    detailed-solver factorizations and calibrated fast-thermal models
-    there, so identical stacks warm up once across the whole pool (and
-    across re-runs) instead of once per process.
+    calibrated fast-thermal models there, so each calibration stack is
+    calibrated once across the whole pool (and across re-runs) instead of
+    once per process.
 
     ``max_attempts``/``retry_backoff`` give every job a retry budget with
     exponential backoff (default: failures are terminal, the historical
@@ -329,13 +327,11 @@ def run_batch(
         if processes is None:
             processes = min(len(pending), os.cpu_count() or 1)
         if processes <= 1 or len(pending) == 1:
-            # the serial path configures the *current* process's caches;
-            # put them back afterwards so library callers see no change
+            # the serial path configures the *current* process's model
+            # cache; put it back afterwards so library callers see no change
             from ..floorplan.objectives import model_cache_dir, set_model_cache_dir
             from ..floorplan.tempering import IN_POOL_ENV
-            from ..thermal.steady_state import default_solver_cache
 
-            prev_disk = default_solver_cache().disk_dir
             prev_model = model_cache_dir()
             prev_in_pool = os.environ.get(IN_POOL_ENV)
             try:
@@ -345,12 +341,6 @@ def run_batch(
                 _init_batch_worker(cache_dir)
                 run_worker(queue, execute_batch_payload, only_keys=pending_keys)
             finally:
-                cache = default_solver_cache()
-                cache.disk_dir = prev_disk
-                # disk-loaded solvers solve through triangular
-                # substitution; they must not keep serving later
-                # same-process callers
-                cache.drop_persisted_solvers()
                 set_model_cache_dir(prev_model)
                 if prev_in_pool is None:
                     os.environ.pop(IN_POOL_ENV, None)

@@ -49,13 +49,15 @@ class VoltageVolume:
         return min(self.feasible, key=lambda lv: lv.volts)
 
 
-def module_adjacency(
-    floorplan: Floorplan3D, touch_margin: float = 1.0
-) -> Dict[str, Set[str]]:
+#: lateral gap (um) within which two same-die modules count as touching
+_TOUCH_MARGIN = 1.0
+
+
+def module_adjacency(floorplan: Floorplan3D) -> Dict[str, Set[str]]:
     """Geometric adjacency of placed modules.
 
     Two modules are adjacent when (a) they share a die and their rects
-    touch within ``touch_margin`` um, or (b) they sit on vertically
+    touch within :data:`_TOUCH_MARGIN` um, or (b) they sit on vertically
     neighbouring dies and their footprints overlap.  Sweep-based, so large
     benchmarks stay fast.
     """
@@ -68,8 +70,8 @@ def module_adjacency(
         on_die.sort(key=lambda p: p.rect.x)
         active: List = []
         for p in on_die:
-            r = p.rect.inflated(touch_margin)
-            active = [q for q in active if q.rect.x2 + touch_margin > p.rect.x]
+            r = p.rect.inflated(_TOUCH_MARGIN)
+            active = [q for q in active if q.rect.x2 + _TOUCH_MARGIN > p.rect.x]
             for q in active:
                 if r.touches_or_overlaps(q.rect):
                     adj[p.name].add(q.name)
@@ -102,7 +104,6 @@ def grow_volumes(
     levels: Sequence[VoltageLevel] = DEFAULT_LEVELS,
     max_volume_size: int = 40,
     adjacency: Dict[str, Set[str]] | None = None,
-    record_all_prefixes: bool = False,
 ) -> List[VoltageVolume]:
     """Grow candidate voltage volumes from every module (BFS trees).
 
@@ -113,10 +114,9 @@ def grow_volumes(
     one root stops when adding the next neighbour would empty the feasible
     set, or at ``max_volume_size`` members.
 
-    By default only prefixes at power-of-two sizes plus the maximal prefix
-    are recorded, which keeps the candidate pool linear in the module
-    count; ``record_all_prefixes=True`` keeps every tree node (closer to
-    the paper's full tree, at a quadratic-pool cost).
+    Only prefixes at power-of-two sizes plus the maximal prefix are
+    recorded, which keeps the candidate pool linear in the module count
+    (the paper's full tree of every node would grow it quadratically).
 
     Returns candidates deduplicated by member set.
     """
@@ -164,7 +164,7 @@ def grow_volumes(
             for neigh in sorted(adjacency[nxt]):
                 if neigh not in member_set and neigh not in frontier:
                     frontier.append(neigh)
-            if record_all_prefixes or len(members) >= next_pow2:
+            if len(members) >= next_pow2:
                 record(member_set, feas)
                 while next_pow2 <= len(members):
                     next_pow2 *= 2

@@ -1,8 +1,7 @@
 """Factorization backends and the policy that picks one.
 
-Two backends: ``superlu`` (direct symmetric-mode SuperLU, persistable
-to a disk cache) and ``multigrid`` (iterative, for grids too large to
-factor directly).
+Two backends: ``superlu`` (direct symmetric-mode SuperLU) and
+``multigrid`` (iterative, for grids too large to factor directly).
 
 Selection order (:func:`resolve_backend`):
 

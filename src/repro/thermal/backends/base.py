@@ -4,17 +4,16 @@ Everything in the thermal stack that factors the conductance system
 goes through a :class:`FactorizationBackend`:
 ``backend.factor(G) -> Factorization``, where the returned object knows
 how to solve against the factored system and *describes itself* —
-whether its solves route through persisted (rebuilt) factors, and
 whether it can serve as the base of a Woodbury low-rank solver.
-Callers make policy decisions (cache eviction, disk persistence) from
-those capability fields instead of sniffing concrete types.
+Callers make that policy decision from the capability field instead of
+sniffing concrete types.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,10 +58,6 @@ class Factorization(abc.ABC):
     instance):
 
     * ``backend_name`` — the backend that produced this object;
-    * ``is_persisted`` — solves route through factors rebuilt from disk
-      rather than a native in-process factorization (the cache uses this
-      to decide what :meth:`~repro.thermal.steady_state.SolverCache.
-      drop_persisted_solvers` evicts);
     * ``supports_woodbury_base`` — whether a
       :class:`~repro.thermal.steady_state.WoodburySolver` may ride this
       factorization (iterative backends return approximate solves whose
@@ -70,7 +65,6 @@ class Factorization(abc.ABC):
     """
 
     backend_name: str = "unknown"
-    is_persisted: bool = False
     supports_woodbury_base: bool = True
 
     @abc.abstractmethod
@@ -84,12 +78,10 @@ class Factorization(abc.ABC):
 
 
 class FactorizationBackend(abc.ABC):
-    """Factory for :class:`Factorization` objects plus persistence glue."""
+    """Factory for :class:`Factorization` objects."""
 
     #: registry name (also the ``--thermal-backend`` / env-var token)
     name: str = "unknown"
-    #: whether factorizations can round-trip through an on-disk payload
-    supports_persistence: bool = False
 
     def available(self) -> bool:
         """Whether this backend can run in this process (libraries
@@ -105,23 +97,6 @@ class FactorizationBackend(abc.ABC):
         self,
         matrix: sp.spmatrix,
         *,
-        reconstructable: bool = False,
         hints: Optional[FactorHints] = None,
     ) -> Factorization:
-        """Factor ``matrix`` (SPD, diagonally dominant).
-
-        ``reconstructable=True`` asks for a factorization whose payload
-        can be persisted and rebuilt in another process (backends that
-        cannot honour it raise :class:`BackendUnavailable`).
-        """
-
-    # -- persistence -------------------------------------------------
-    def payload_from(self, fact: Factorization) -> Dict[str, np.ndarray]:
-        """Arrays describing ``fact`` for on-disk persistence."""
-        raise BackendUnavailable(f"{self.name} factorizations do not persist")
-
-    def factorization_from_payload(
-        self, payload: Dict[str, np.ndarray]
-    ) -> Factorization:
-        """Rebuild a persisted factorization (``is_persisted=True``)."""
-        raise BackendUnavailable(f"{self.name} factorizations do not persist")
+        """Factor ``matrix`` (SPD, diagonally dominant)."""

@@ -23,11 +23,10 @@ tests pin against).  On the reference container a 3-die 128x128 solve
 (N=229k) converges in ~40 V-cycles, ~0.6 s — versus ~15 s for a fresh
 SuperLU factorization of the same system.
 
-Multigrid factorizations are approximate and carry no triangular
-factors: they do not persist, and they refuse to serve as Woodbury
-bases (``supports_woodbury_base=False`` — the solver layer falls back
-to a fresh factorization of the perturbed system, which at these sizes
-is again a multigrid setup, still cheap).
+Multigrid factorizations are approximate and refuse to serve as
+Woodbury bases (``supports_woodbury_base=False`` — the solver layer
+falls back to a fresh factorization of the perturbed system, which at
+these sizes is again a multigrid setup, still cheap).
 """
 
 from __future__ import annotations
@@ -127,7 +126,6 @@ class MultigridFactorization(Factorization):
     """V-cycle-preconditioned CG solver for one assembled system."""
 
     backend_name = "multigrid"
-    is_persisted = False
     supports_woodbury_base = False
 
     def __init__(
@@ -227,7 +225,6 @@ class MultigridBackend(FactorizationBackend):
     """Iterative geometric-multigrid backend (needs grid-shape hints)."""
 
     name = "multigrid"
-    supports_persistence = False
 
     def available(self) -> bool:
         return not fault_fires(f"backend.{self.name}.unavailable")
@@ -241,13 +238,8 @@ class MultigridBackend(FactorizationBackend):
         self,
         matrix: sp.spmatrix,
         *,
-        reconstructable: bool = False,
         hints: FactorHints | None = None,
     ) -> Factorization:
-        if reconstructable:
-            raise BackendUnavailable(
-                "multigrid solves are iterative; there is no factor to persist"
-            )
         if hints is None or hints.grid_shape is None:
             raise BackendUnavailable(
                 "multigrid needs FactorHints.grid_shape (layer-major "

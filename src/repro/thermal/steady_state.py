@@ -20,12 +20,10 @@ symmetric-mode factorizations, refactorizing each candidate measured
 faster end to end.
 
 *How* a system is factored lives one layer down, behind the
-:mod:`~repro.thermal.backends` protocol (direct ``superlu``, whose
-factors can persist to a disk cache, or iterative ``multigrid`` for
-large grids): this module never calls ``splu`` itself, and policy
-decisions (cache eviction of disk-loaded solvers, Woodbury bases) read
-the backend's capability fields (``is_persisted``,
-``supports_woodbury_base``).
+:mod:`~repro.thermal.backends` protocol (direct ``superlu``, or
+iterative ``multigrid`` for large grids): this module never calls
+``splu`` itself, and the Woodbury-base decision reads the backend's
+``supports_woodbury_base`` capability field.
 """
 
 from __future__ import annotations
@@ -35,19 +33,16 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from ..core.faults import fault_fires, record_degradation
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from .backends import get_backend, resolve_backend
-from .backends.persistence import load_payload, save_payload
+from .backends import resolve_backend
 from .rc_network import LowRankUpdate, ThermalNetwork, assemble, low_rank_update
 from .stack import ThermalStack, build_stack, normalize_tsv_densities
 
@@ -123,41 +118,17 @@ def _results_from_columns(stack: ThermalStack, t: np.ndarray) -> List[ThermalRes
     ]
 
 
-def _conductance_digest(matrix: sp.csc_matrix) -> str:
-    """Digest of the exact system a factorization solves.
-
-    Persisted factors are only valid for the matrix they were computed
-    from; any revision of ``build_stack``/``assemble`` (materials,
-    boundary conductances, stencils) changes this digest and invalidates
-    stale cache files instead of silently solving the wrong system.
-    """
-    m = matrix.tocsc()
-    h = hashlib.sha1()
-    h.update(repr(m.shape).encode())
-    h.update(m.indptr.tobytes())
-    h.update(m.indices.tobytes())
-    h.update(m.data.tobytes())
-    return h.hexdigest()
-
-
 class SteadyStateSolver:
     """Factorized steady-state solver bound to one thermal stack.
 
     ``backend`` picks the factorization backend (a registry name, a
     backend instance, or None for the env/auto policy of
     :func:`~repro.thermal.backends.resolve_backend`).
-    ``reconstructable=True`` asks for a factorization whose factors can
-    be persisted and rebuilt in other processes (every superlu
-    factorization already is); ``lu`` injects an already-built
-    :class:`~repro.thermal.backends.base.Factorization` — typically one
-    rebuilt from disk — instead of computing one.
     """
 
     def __init__(
         self,
         stack: ThermalStack,
-        reconstructable: bool = False,
-        lu=None,
         network: ThermalNetwork | None = None,
         backend=None,
     ) -> None:
@@ -166,27 +137,8 @@ class SteadyStateSolver:
             network if network is not None else assemble(stack)
         )
         hints = self.network.factor_hints()
-        if lu is not None:
-            self._fact = lu
-            if backend is not None:
-                self.backend = resolve_backend(backend, hints=hints)
-            else:
-                # bind to the factorization's own backend without the
-                # availability fallback: the injected factors already
-                # solve here, whatever libraries this host has
-                try:
-                    self.backend = get_backend(
-                        getattr(lu, "backend_name", "superlu")
-                    )
-                except ValueError:
-                    self.backend = get_backend("superlu")
-        else:
-            self.backend = resolve_backend(backend, hints=hints)
-            self._fact = self.backend.factor(
-                self.network.conductance,
-                reconstructable=reconstructable,
-                hints=hints,
-            )
+        self.backend = resolve_backend(backend, hints=hints)
+        self._fact = self.backend.factor(self.network.conductance, hints=hints)
 
     @property
     def factorization(self):
@@ -447,26 +399,6 @@ class WoodburySolver:
         return _results_from_columns(self.stack, t)
 
 
-def _solves_through_persisted_factors(solver) -> bool:
-    """Whether this cache entry's solves route through persisted factors.
-
-    A pure capability query now: true when the solver's factorization
-    reports ``is_persisted`` (rebuilt from disk, paying the slow
-    substitution path on every solve), and for low-rank Woodbury entries
-    whose *base* factorization does.  A fallen-back Woodbury entry
-    solves through its own native factorization and is fine to keep —
-    as is a native factorization that merely *can* be persisted.
-    """
-    fact = getattr(solver, "factorization", None)
-    if fact is not None and getattr(fact, "is_persisted", False):
-        return True
-    if isinstance(solver, WoodburySolver) and solver.is_low_rank:
-        return bool(
-            getattr(solver.base.factorization, "is_persisted", False)
-        )
-    return False
-
-
 def _digest_array(arr: np.ndarray) -> str:
     arr = np.ascontiguousarray(arr, dtype=float)
     h = hashlib.sha1(arr.tobytes())
@@ -494,33 +426,15 @@ class SolverCache:
     safe even when callers rebuild density maps from scratch each time,
     and the backend component keeps e.g. a superlu oracle solver and a
     multigrid solver of the same network from shadowing each other.
-
-    With ``disk_dir`` set, factorizations additionally persist to (and
-    load from) that directory, so *other processes* — e.g. the workers of
-    a :func:`~repro.exploration.study.run_batch` sweep — skip the
-    factorization of any stack some worker has already seen.  Loaded
-    solvers back-substitute through persisted factors (see the backend
-    package): slower per solve than a native factorization, so the disk
-    layer pays off for factorization-dominated workloads (exactly the
-    warm-up of pool workers), which is why it is opt-in.  Backends that
-    cannot persist (multigrid) simply skip the disk layer.  On-disk
-    files are versioned (``fact-*.npz``, format 2).
     """
 
-    def __init__(
-        self,
-        maxsize: int = 8,
-        disk_dir: str | Path | None = None,
-        backend=None,
-    ) -> None:
+    def __init__(self, maxsize: int = 8, backend=None) -> None:
         if maxsize < 1:
             raise ValueError("cache needs room for at least one solver")
         self.maxsize = maxsize
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.backend = backend
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
         self._entries: "OrderedDict[tuple, SteadyStateSolver]" = OrderedDict()
         #: serializes lookups/factorizations across threads — the service
         #: frontend (:mod:`repro.service`) runs flows on a thread pool
@@ -538,7 +452,6 @@ class SolverCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
                 "entries": len(self._entries),
             }
 
@@ -547,33 +460,6 @@ class SolverCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
-
-    def drop_persisted_solvers(self) -> int:
-        """Evict entries whose solve goes through persisted factors.
-
-        The serial batch path temporarily points the process-global cache
-        at a disk directory; solvers loaded there back-substitute through
-        rebuilt factors (slower per RHS than a native factorization) and
-        must not keep serving later same-process callers.  Eviction is
-        driven by the factorization's ``is_persisted`` capability flag —
-        a native entry that merely *could* persist stays.
-        Returns the number of evicted entries.
-        """
-        with self._lock:
-            stale = [
-                key
-                for key, solver in self._entries.items()
-                if _solves_through_persisted_factors(solver)
-            ]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
-
-    @staticmethod
-    def _digest_key(key: tuple) -> str:
-        """Filename-safe digest of a cache key (all parts have stable reprs)."""
-        return hashlib.sha1(repr(key).encode()).hexdigest()
 
     def _resolve_backend(self, grid: GridSpec):
         return resolve_backend(
@@ -622,69 +508,16 @@ class SolverCache:
                 self.hits += 1
                 self._entries.move_to_end(key)
                 if isinstance(solver, WoodburySolver):
-                    if self.disk_dir is None:
-                        solver = solver.rebase()
-                    else:
-                        # go through the disk layer like a cache miss would,
-                        # so the factorization is persisted (or loaded) and
-                        # the shared cache does not depend on request order
-                        solver = self._full_solver(
-                            key, solver.stack, network=solver.network,
-                            backend=backend,
-                        )
+                    solver = solver.rebase()
                     self._entries[key] = solver
                 return solver
             self.misses += 1
             stack = build_stack(stack_cfg, grid, tsv_density=densities, **stack_kwargs)
-            solver = self._full_solver(key, stack, backend=backend)
+            solver = SteadyStateSolver(stack, backend=backend)
             self._entries[key] = solver
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
             return solver
-
-    def _full_solver(
-        self,
-        key: tuple,
-        stack: ThermalStack,
-        network: ThermalNetwork | None = None,
-        backend=None,
-    ) -> SteadyStateSolver:
-        """A full solver for this stack, through the disk layer if enabled."""
-        if backend is None:
-            backend = self._resolve_backend(stack.grid)
-        if self.disk_dir is None or not backend.supports_persistence:
-            return SteadyStateSolver(stack, network=network, backend=backend)
-        self.disk_dir.mkdir(parents=True, exist_ok=True)
-        path = self.disk_dir / f"fact-{self._digest_key(key)}.npz"
-        payload = load_payload(path)
-        if payload is not None:
-            fact = backend.factorization_from_payload(payload)
-            candidate = SteadyStateSolver(
-                stack, lu=fact, network=network, backend=backend
-            )
-            stored_digest = str(payload.get("conductance_digest", ""))
-            digest = _conductance_digest(candidate.network.conductance)
-            if digest == stored_digest:
-                self.disk_hits += 1
-                return candidate
-            # factors of an older network revision: drop them so the
-            # fresh factorization below can re-persist
-            record_degradation("persisted_lu.stale_digest")
-            path.unlink(missing_ok=True)
-            network = candidate.network
-        elif path.exists():
-            # unreadable (torn) file: heal it, or the existing-file check
-            # would block re-persisting forever
-            path.unlink(missing_ok=True)
-        solver = SteadyStateSolver(
-            stack, reconstructable=True, network=network, backend=backend
-        )
-        disk_payload = backend.payload_from(solver.factorization)
-        disk_payload["conductance_digest"] = np.array(
-            _conductance_digest(solver.network.conductance)
-        )
-        save_payload(path, disk_payload)
-        return solver
 
     def solver_for_floorplan(
         self, floorplan: Floorplan3D, grid: GridSpec, **stack_kwargs
@@ -711,9 +544,7 @@ class SolverCache:
         rank exceeds the crossover or the probe rejects the core — the
         caller never has to know which.  Entries share the cache key
         space with :meth:`solver`, so a later full-solver request for the
-        same network reuses whatever is already here.  Incremental
-        entries are never persisted to ``disk_dir`` (they carry no
-        factorization of their own).
+        same network reuses whatever is already here.
         """
         with self._lock:
             densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)

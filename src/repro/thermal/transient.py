@@ -161,7 +161,6 @@ class TransientSolver:
         duration: float,
         dt: float,
         t0: np.ndarray | None = None,
-        max_traces_in_flight: int | None = None,
         column_exact: bool = False,
     ) -> List[TransientTrace]:
         """Integrate a batch of power traces against one factorization.
@@ -185,52 +184,12 @@ class TransientSolver:
 
         ``t0`` is an optional starting nodal vector, either one shared
         ``(nodes,)`` vector or a per-trace ``(nodes, traces)`` matrix.
-
-        ``max_traces_in_flight`` bounds memory for thousand-trace sweeps
-        (covert-channel BER scans): at most that many traces hold nodal
-        state at once — the batch runs in consecutive lock-step chunks
-        against the same cached factorization, trading some of the
-        multi-RHS win for a flat memory ceiling.  Traces are
-        independent, so chunked results match the unchunked batch to
-        machine precision (bitwise only under ``column_exact``).
         """
         fns = list(power_ats)
         if not fns:
             return []
         if duration <= 0 or dt <= 0:
             raise ValueError("duration and dt must be positive")
-        if max_traces_in_flight is not None:
-            if max_traces_in_flight < 1:
-                raise ValueError("max_traces_in_flight must be >= 1")
-            if max_traces_in_flight < len(fns):
-                # a shared (or absent) t0 passes straight through to each
-                # chunk — materializing the full (nodes, traces) state
-                # here would defeat the memory ceiling this parameter
-                # exists to provide; only a per-trace t0 matrix (already
-                # caller-allocated) is shape-checked and sliced
-                t0_arr = None if t0 is None else np.asarray(t0, dtype=float)
-                per_trace = t0_arr is not None and t0_arr.ndim == 2
-                if per_trace:
-                    n = self.network.num_nodes
-                    if t0_arr.shape != (n, len(fns)):
-                        raise ValueError(
-                            f"t0 must have shape ({n},) or ({n}, {len(fns)}), "
-                            f"got {t0_arr.shape}"
-                        )
-                out: List[TransientTrace] = []
-                for start in range(0, len(fns), max_traces_in_flight):
-                    stop = start + max_traces_in_flight
-                    chunk_t0 = t0_arr[:, start:stop] if per_trace else t0_arr
-                    out.extend(
-                        self.run_many(
-                            fns[start:stop],
-                            duration,
-                            dt,
-                            t0=chunk_t0,
-                            column_exact=column_exact,
-                        )
-                    )
-                return out
         lu = self._factorize(dt)
         net = self.network
         n_steps = int(round(duration / dt))

@@ -1,7 +1,6 @@
 """Reference implementations the production kernels must reproduce.
 
 These are the historical per-net, per-TSV, per-class and per-sample
-loops, plus the interpreted triangular solve over persisted factors,
-kept out of ``src/`` so there is one production path per kernel.  Tests
+loops, kept out of ``src/`` so there is one production path per kernel.  Tests
 import them as ``from oracles.<module> import ...``.
 """

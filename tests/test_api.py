@@ -138,6 +138,10 @@ def _frozen(metrics):
     return replace(metrics, runtime_s=0.0, degradations={})
 
 
+def _no_calibration(*args, **kwargs):
+    raise AssertionError("calibrated in-process instead of loading the model")
+
+
 class TestJobSpec:
     def test_key_matches_batch_job(self):
         # the exact key the former batch job type wrote to results stores,
@@ -176,6 +180,33 @@ class TestJobSpec:
                 _frozen(in_process) == _frozen(batched) == _frozen(worked)
             ), mode
             assert in_process.mode == mode
+
+    def test_record_is_cache_dir_invariant(self, tmp_path, monkeypatch):
+        """A calibrated model loaded back from a batch ``cache_dir`` gives
+        the record of a run that calibrates in-process; the directory
+        holds only those models."""
+        from repro.exploration.study import run_batch
+        from repro.floorplan import objectives
+        from repro.thermal import fast
+
+        cache_dir = tmp_path / "cache"
+        for mode in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
+            spec = JobSpec("n100", mode=mode, iterations=25, grid=12)
+            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
+            in_process = run_flow_job(spec).metrics
+            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
+            run_batch([spec], processes=1, cache_dir=cache_dir)
+            files = sorted(p.name for p in cache_dir.iterdir())
+            assert files and all(
+                name.startswith("fastmodel-") and name.endswith(".json")
+                for name in files
+            ), files
+            # a second cold process: the model must come from disk
+            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
+            with monkeypatch.context() as patch:
+                patch.setattr(fast, "calibrate", _no_calibration)
+                (loaded,) = run_batch([spec], processes=1, cache_dir=cache_dir)
+            assert _frozen(loaded) == _frozen(in_process), mode
 
     @pytest.mark.parametrize("stamped", [False, True])
     def test_pre_merge_queue_payload_executes(self, stamped):

@@ -1,21 +1,17 @@
 """The factorization-backend layer: selection policy, cross-backend
-oracles, persistence format v2, and the capability queries that replaced
-type sniffing in the solver layer.
+oracles, and the capability queries that replaced type sniffing in the
+solver layer.
 
 Two backends remain: superlu (direct) and multigrid (iterative).  The
 superlu default (symmetric-mode ``splu``) is validated against the
 historical equilibrated-COLAMD ``splu``, which survives here only as an
-oracle; its persisted path (stored factors re-wrapped in SuperLU's
-compiled substitution) against both the native factorization and the
-``spsolve_triangular`` oracle in ``tests/oracles``.  Multigrid is held
-to its stated iterative tolerance.
+oracle.  Multigrid is held to its stated iterative tolerance.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oracles.triangular import SpsolveTriangularSolve
 from repro.core import faults
 from repro.core.faults import DegradationWarning, injected
 from repro.layout.die import StackConfig
@@ -34,7 +30,6 @@ from repro.thermal.backends.multigrid import (
 from repro.thermal.backends.superlu import (
     SYMMETRIC_SPLU_KWARGS,
     NativeSuperLUFactorization,
-    PersistedSuperLUFactorization,
     SuperLUBackend,
 )
 from repro.thermal.stack import build_stack
@@ -165,7 +160,7 @@ class TestSuperLUBitCompatibility:
 class _HistoricalSuperLU(SuperLUBackend):
     """The historical default: equilibrated-COLAMD ``splu``."""
 
-    def factor(self, matrix, *, reconstructable=False, hints=None):
+    def factor(self, matrix, *, hints=None):
         return NativeSuperLUFactorization(spla.splu(matrix.tocsc()))
 
 
@@ -240,19 +235,10 @@ class TestHistoricalSuperLUOracle:
                 assert value == old[key], key
 
 
-def _persisted(solver):
-    """``solver``'s factors through a payload round trip: (payload,
-    rebuilt persisted factorization)."""
-    backend = get_backend("superlu")
-    payload = backend.payload_from(solver.factorization)
-    return payload, backend.factorization_from_payload(payload)
-
-
 @pytest.mark.parametrize("num_dies", [2, 3])
 class TestCompiledBackendOracle:
-    """The superlu backend's fresh factorization and its compiled
-    persisted path (stored factors re-wrapped in SuperLU's compiled
-    substitution) against the oracles."""
+    """The superlu backend's factorization, solved directly and as a
+    Woodbury base, against the oracles."""
 
     def _oracle_pair(self, num_dies, **stack_kwargs):
         cfg, grid, stack = _stack(num_dies=num_dies, tsv=True, **stack_kwargs)
@@ -263,23 +249,11 @@ class TestCompiledBackendOracle:
     def test_fresh_factorization_matches_oracle(self, num_dies):
         grid, _, oracle, native = self._oracle_pair(num_dies)
         assert native.factorization.backend_name == "superlu"
-        assert not native.factorization.is_persisted
         sets = _power_sets(grid, num_dies)
         want = oracle.solve(sets[0])
         got = native.solve(sets[0])
         np.testing.assert_allclose(got.nodal, want.nodal, rtol=ORACLE_RTOL)
         for a, b in zip(native.solve_many(sets), oracle.solve_many(sets)):
-            np.testing.assert_allclose(a.nodal, b.nodal, rtol=ORACLE_RTOL)
-
-    def test_persisted_roundtrip_matches_oracle(self, num_dies):
-        grid, stack, oracle, native = self._oracle_pair(num_dies)
-        _, fact = _persisted(native)
-        assert isinstance(fact, PersistedSuperLUFactorization)
-        assert fact.is_persisted
-        rebuilt = SteadyStateSolver(stack, lu=fact)
-        assert rebuilt.backend.name == "superlu"
-        sets = _power_sets(grid, num_dies)
-        for a, b in zip(rebuilt.solve_many(sets), oracle.solve_many(sets)):
             np.testing.assert_allclose(a.nodal, b.nodal, rtol=ORACLE_RTOL)
 
     def test_woodbury_rides_compiled_base(self, num_dies):
@@ -291,36 +265,12 @@ class TestCompiledBackendOracle:
         pert_stack = build_stack(cfg, grid, tsv_density={(0, 1): density})
         sets = _power_sets(grid, num_dies)
 
-        _, fact = _persisted(SteadyStateSolver(base_stack, backend="superlu"))
-        base = SteadyStateSolver(base_stack, lu=fact)
+        base = SteadyStateSolver(base_stack, backend="superlu")
         wood = WoodburySolver(base, pert_stack)
         assert wood.is_low_rank, wood.fallback_reason
         oracle = SteadyStateSolver(pert_stack, backend="superlu")
         for a, b in zip(wood.solve_many(sets), oracle.solve_many(sets)):
             np.testing.assert_allclose(a.nodal, b.nodal, rtol=1e-8)
-
-
-class TestCompiledKernels:
-    def test_wrapped_kernel_matches_spsolve_triangular(self):
-        """Over the same stored factors, the persisted path matches the
-        native factorization and the ``spsolve_triangular`` oracle, for
-        one vector and for a block."""
-        rng = np.random.default_rng(3)
-        for num_dies in (2, 3):
-            _, _, stack = _stack(num_dies=num_dies, grid_n=8, tsv=True)
-            solver = SteadyStateSolver(stack, backend="superlu")
-            payload, fact = _persisted(solver)
-            slow = SpsolveTriangularSolve(payload)
-            n = solver.network.num_nodes
-            for b in (rng.random(n), rng.random((n, 4))):
-                got = fact.solve(b)
-                assert got.shape == b.shape
-                np.testing.assert_allclose(
-                    got, solver.factorization.solve(b), rtol=1e-11, atol=0
-                )
-                np.testing.assert_allclose(
-                    got, slow.solve(b.copy()), rtol=1e-11, atol=0
-                )
 
 
 class TestMultigridOracle:
@@ -330,7 +280,7 @@ class TestMultigridOracle:
         mg = SteadyStateSolver(stack, backend="multigrid")
         fact = mg.factorization
         assert isinstance(fact, MultigridFactorization)
-        assert not fact.supports_woodbury_base and not fact.is_persisted
+        assert not fact.supports_woodbury_base
         sets = _power_sets(grid, 2)
         for a, b in zip(mg.solve_many(sets), direct.solve_many(sets)):
             # iterative answer: verify the true residual meets the
@@ -402,10 +352,6 @@ class TestMultigridOracle:
         G = solver.network.conductance
         with pytest.raises(BackendUnavailable, match="grid_shape"):
             backend.factor(G)
-        with pytest.raises(BackendUnavailable, match="persist"):
-            backend.factor(
-                G, reconstructable=True, hints=solver.network.factor_hints()
-            )
 
 
 class TestWoodburyCrossoverHint:
@@ -435,88 +381,6 @@ class TestCacheBackendKeySpace:
         cache.backend = None
         assert cache.solver(cfg, grid) is a
         assert cache.hits == 1
-
-    def test_compiled_backend_disk_roundtrip(self, tmp_path):
-        """A cold cache loads the warm cache's factors and solves them
-        through the compiled persisted path."""
-        cfg, grid, stack = _stack(grid_n=8)
-        warm = SolverCache(disk_dir=tmp_path, backend="superlu")
-        warm_solver = warm.solver(cfg, grid)
-        assert not warm_solver.factorization.is_persisted
-        cold = SolverCache(disk_dir=tmp_path, backend="superlu")
-        loaded = cold.solver(cfg, grid)
-        assert cold.disk_hits == 1
-        assert isinstance(loaded.factorization, PersistedSuperLUFactorization)
-        with np.load(next(tmp_path.glob("fact-*.npz"))) as z:
-            assert int(z["format"]) == 2
-            assert str(z["backend"]) == "superlu"
-            assert str(z["kind"]) == "lu"
-        pm = _power_sets(grid, 2)[0]
-        np.testing.assert_allclose(
-            loaded.solve(pm).nodal, warm_solver.solve(pm).nodal,
-            rtol=ORACLE_RTOL,
-        )
-
-    def test_non_persistable_backend_skips_disk(self, tmp_path):
-        cfg = StackConfig.square(2000.0)
-        grid = GridSpec(cfg.outline, 16, 16)
-        cache = SolverCache(disk_dir=tmp_path, backend="multigrid")
-        solver = cache.solver(cfg, grid)
-        assert solver.backend.name == "multigrid"
-        assert not list(tmp_path.iterdir())  # no files, no crash
-        assert cache.disk_hits == 0
-
-
-class TestDropPersistedCapability:
-    """The eviction policy reads ``is_persisted``, not factor types:
-    a native entry of any factor type survives, a persisted one of any
-    type is evicted."""
-
-    def _entry(self, fact):
-        _, grid, stack = _stack(grid_n=8)
-        cache = SolverCache()
-        solver = SteadyStateSolver(stack, lu=fact)
-        cache._entries[("probe", fact.backend_name)] = solver
-        return cache
-
-    def test_native_cholesky_style_entry_survives(self):
-        class NativeCholeskyStub:
-            backend_name = "stub"
-            is_persisted = False
-            supports_woodbury_base = True
-
-            def solve(self, b):  # pragma: no cover - never called here
-                return b
-
-            def solve_many(self, b):  # pragma: no cover
-                return b
-
-        cache = self._entry(NativeCholeskyStub())
-        assert cache.drop_persisted_solvers() == 0
-        assert len(cache) == 1
-
-    def test_persisted_cholesky_entry_is_evicted(self):
-        class PersistedCholeskyStub:
-            backend_name = "stub"
-            is_persisted = True
-            supports_woodbury_base = True
-
-            def solve(self, b):  # pragma: no cover - never called here
-                return b
-
-            def solve_many(self, b):  # pragma: no cover
-                return b
-
-        cache = self._entry(PersistedCholeskyStub())
-        assert cache.drop_persisted_solvers() == 1
-        assert len(cache) == 0
-
-    def test_persisted_superlu_entry_is_still_evicted(self, tmp_path):
-        cfg, grid, _ = _stack(grid_n=8)
-        SolverCache(disk_dir=tmp_path).solver(cfg, grid)
-        cache = SolverCache(disk_dir=tmp_path)
-        cache.solver(cfg, grid)
-        assert cache.drop_persisted_solvers() == 1
 
 
 class TestTransientBackend:

@@ -2,10 +2,10 @@
 
 The acceptance loop injects a fault at every instrumented site of a
 queue sweep — fs errors in store/queue I/O, worker crashes (real
-``os._exit`` in spawned processes), clock skew, corrupt persisted LU
-factors — and asserts the sweep still converges to exactly the no-fault
-oracle: same keys, same metrics (``runtime_s`` and ``degradations``
-excluded, like every oracle comparison over flows).  Alongside it:
+``os._exit`` in spawned processes), clock skew — and asserts the sweep
+still converges to exactly the no-fault oracle: same keys, same metrics
+(``runtime_s`` and ``degradations`` excluded, like every oracle
+comparison over flows).  Alongside it:
 quarantine semantics (a poison job lands in ``quarantine/`` exactly
 once, via both the executor-failure and the crash-steal path), fencing
 under injected clock skew, SIGTERM lease release, failure-record
@@ -26,7 +26,6 @@ import pytest
 from repro.core import faults
 from repro.core.faults import (
     CRASH_EXIT_CODE,
-    DegradationWarning,
     FaultPlan,
     InjectedFault,
     TornWriteFault,
@@ -578,64 +577,38 @@ class TestManifestIndex:
 # -- graceful solver degradation --------------------------------------------------
 
 
-class TestPersistedLUDegradation:
-    def _cache_roundtrip(self, tmp_path):
+class TestModelCacheDegradation:
+    def test_injected_enospc_on_model_save_is_survivable(
+        self, tmp_path, monkeypatch
+    ):
+        import errno
+        from pathlib import Path
+
+        from repro.core.store import load_thermal_model, save_thermal_model
         from repro.layout.die import StackConfig
         from repro.layout.grid import GridSpec
+        from repro.thermal.fast import calibrate
         from repro.thermal.steady_state import SolverCache
 
         cfg = StackConfig.square(1000.0)
         grid = GridSpec(cfg.outline, 8, 8)
-        warm = SolverCache(disk_dir=tmp_path)
-        solver = warm.solver(cfg, grid)
-        files = list(tmp_path.glob("fact-*.npz"))
-        assert len(files) == 1
-        return cfg, grid, solver, files[0]
+        model = calibrate(SolverCache().solver(cfg, grid), grid)
+        write_text = Path.write_text
 
-    def test_corrupt_lu_file_degrades_to_fresh_factorization(self, tmp_path):
-        from repro.thermal.steady_state import SolverCache
+        def disk_full(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        cfg, grid, oracle_solver, lu_path = self._cache_roundtrip(tmp_path)
-        lu_path.write_bytes(lu_path.read_bytes()[: lu_path.stat().st_size // 2])
-        cold = SolverCache(disk_dir=tmp_path)
-        with pytest.warns(DegradationWarning, match="persisted_lu.load_failed"):
-            survived = cold.solver(cfg, grid)
-        pm = [np.full(grid.shape, 0.001) for _ in range(2)]
-        a, b = survived.solve(pm), oracle_solver.solve(pm)
-        assert np.allclose(a.nodal, b.nodal, rtol=1e-9)
-        # the unreadable file was healed: a fresh factorization re-persisted
-        reloaded = SolverCache(disk_dir=tmp_path).solver(cfg, grid)
-        assert np.allclose(reloaded.solve(pm).nodal, b.nodal, rtol=1e-9)
-
-    def test_injected_eio_on_lu_load_degrades_not_raises(self, tmp_path):
-        from repro.thermal.steady_state import SolverCache
-
-        cfg, grid, oracle_solver, _ = self._cache_roundtrip(tmp_path)
-        cold = SolverCache(disk_dir=tmp_path)
+        path = tmp_path / "fastmodel-probe.json"
         before = faults.snapshot_degradations()
-        with injected("lu.load=eio@after:1"):
-            with pytest.warns(DegradationWarning):
-                survived = cold.solver(cfg, grid)
-        assert faults.degradations_since(before)["persisted_lu.load_failed"] == 1
-        pm = [np.full(grid.shape, 0.001) for _ in range(2)]
-        assert np.allclose(
-            survived.solve(pm).nodal, oracle_solver.solve(pm).nodal, rtol=1e-9
-        )
-
-    def test_injected_enospc_on_lu_save_is_survivable(self, tmp_path):
-        from repro.thermal.steady_state import SolverCache
-
-        cfg, grid, oracle_solver, lu_path = self._cache_roundtrip(tmp_path)
-        lu_path.unlink()
-        before = faults.snapshot_degradations()
-        with injected("lu.save=enospc"):
-            solver = SolverCache(disk_dir=tmp_path).solver(cfg, grid)
-        assert faults.degradations_since(before)["persist.write_failed"] >= 1
-        assert not list(tmp_path.glob("fact-*.npz"))  # nothing half-written
-        pm = [np.full(grid.shape, 0.001) for _ in range(2)]
-        assert np.allclose(
-            solver.solve(pm).nodal, oracle_solver.solve(pm).nodal, rtol=1e-9
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", disk_full)
+            save_thermal_model(path, model)  # survives a full disk
+        assert faults.degradations_since(before)["persist.write_failed"] == 1
+        assert not list(tmp_path.iterdir())  # nothing half-written
+        assert load_thermal_model(path) is None
+        save_thermal_model(path, model)  # the next writer persists it whole
+        assert load_thermal_model(path) == model
 
 
 class TestWoodburyDegradation:

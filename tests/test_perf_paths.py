@@ -1,14 +1,12 @@
 """Oracle tests for the batched/incremental hot paths.
 
-Covers the four perf-path guarantees this layer makes:
+Covers the three perf-path guarantees this layer makes:
 
 * ``TransientSolver.run_many`` matches per-trace ``run`` to 1e-12;
 * per-net dirty HPWL tracking is *bit-identical* to a full recompute
   over long random move sequences (including a three-die stack);
 * the batched Gaussian activity sampler matches the per-sample
-  rasterization loop;
-* persisted solver factorizations rebuild into solvers that match the
-  natively factorized ones.
+  rasterization loop.
 """
 
 import numpy as np
@@ -24,7 +22,6 @@ from repro.layout.grid import GridSpec
 from repro.mitigation.activity import ActivitySampler, sample_power_maps
 from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import build_stack
-from repro.thermal.steady_state import SolverCache, SteadyStateSolver
 from repro.thermal.transient import TransientSolver
 
 
@@ -93,69 +90,6 @@ class TestRunManyOracle:
         assert solver.run_many([], duration=0.1, dt=0.01) == []
         with pytest.raises(ValueError):
             solver.run_many(self._traces(grid, 1), duration=0.0, dt=0.01)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 100])
-    def test_chunked_batch_matches_unchunked(self, chunk):
-        """``max_traces_in_flight`` bounds memory without changing the
-        answer: traces are independent, so chunked lock-step matches full
-        lock-step to machine precision (SuperLU's multi-RHS back
-        substitution is not bitwise stable across batch widths, same as
-        the ``run`` vs ``run_many`` oracle above)."""
-        grid, solver = self._solver()
-        fns = self._traces(grid, 7)
-        full = solver.run_many(fns, duration=0.04, dt=0.005)
-        chunked = solver.run_many(
-            fns, duration=0.04, dt=0.005, max_traces_in_flight=chunk
-        )
-        assert len(chunked) == len(full)
-        for a, b in zip(chunked, full):
-            np.testing.assert_allclose(a.die_means, b.die_means, atol=1e-12)
-            np.testing.assert_allclose(a.die_peaks, b.die_peaks, atol=1e-12)
-            np.testing.assert_array_equal(a.times, b.times)
-
-    def test_chunked_batch_slices_per_trace_t0(self):
-        grid, solver = self._solver()
-        fns = self._traces(grid, 5)
-        n = solver.network.num_nodes
-        rng = np.random.default_rng(3)
-        t0 = solver.stack.ambient + rng.random((n, 5))
-        full = solver.run_many(fns, duration=0.02, dt=0.005, t0=t0)
-        chunked = solver.run_many(
-            fns, duration=0.02, dt=0.005, t0=t0, max_traces_in_flight=2
-        )
-        for a, b in zip(chunked, full):
-            np.testing.assert_allclose(a.die_means, b.die_means, atol=1e-12)
-        # the full-batch t0 is validated before any chunk runs
-        with pytest.raises(ValueError):
-            solver.run_many(
-                fns, duration=0.02, dt=0.005,
-                t0=t0[:, :3], max_traces_in_flight=2,
-            )
-
-    def test_chunked_t0_none_never_materializes_full_batch(self):
-        """With no caller-supplied t0, chunking must allocate nodal state
-        chunk-by-chunk — a full (nodes, traces) matrix up front would
-        defeat the memory ceiling the parameter provides."""
-        grid, solver = self._solver()
-        fns = self._traces(grid, 6)
-        batches = []
-        orig = solver._initial
-
-        def spy(t0, batch):
-            batches.append(batch)
-            return orig(t0, batch)
-
-        solver._initial = spy
-        solver.run_many(fns, duration=0.01, dt=0.005, max_traces_in_flight=2)
-        assert batches and max(batches) == 2
-
-    def test_chunk_size_validation(self):
-        grid, solver = self._solver()
-        with pytest.raises(ValueError):
-            solver.run_many(
-                self._traces(grid, 2), duration=0.02, dt=0.005,
-                max_traces_in_flight=0,
-            )
 
     def test_dt_factorization_lru(self):
         """Alternating step sizes reuse their factorizations."""
@@ -263,100 +197,3 @@ class TestBatchedActivitySampling:
         for sb, sl in zip(batched, loop):
             for mb, ml in zip(sb, sl):
                 np.testing.assert_allclose(mb, ml, rtol=1e-9, atol=1e-15)
-
-
-class TestPersistedSolverCache:
-    def test_disk_round_trip_matches_native(self, tmp_path):
-        cfg = StackConfig.square(1500.0)
-        grid = GridSpec(cfg.outline, 10, 10)
-        rng = np.random.default_rng(11)
-        pm = [rng.random(grid.shape) * 0.01 for _ in range(2)]
-
-        warmer = SolverCache(disk_dir=tmp_path)
-        warm_solver = warmer.solver(cfg, grid)
-        assert warmer.disk_hits == 0
-        assert list(tmp_path.glob("fact-*.npz"))
-
-        fresh = SolverCache(disk_dir=tmp_path)  # simulates another process
-        loaded = fresh.solver(cfg, grid)
-        assert fresh.disk_hits == 1
-
-        native = SteadyStateSolver(build_stack(cfg, grid))
-        want = native.solve(pm)
-        for solver in (warm_solver, loaded):
-            got = solver.solve(pm)
-            np.testing.assert_allclose(got.nodal, want.nodal, rtol=1e-9)
-        sets = [[rng.random(grid.shape) * 0.01 for _ in range(2)] for _ in range(5)]
-        want_many = native.solve_many(sets)
-        got_many = loaded.solve_many(sets)
-        for a, b in zip(got_many, want_many):
-            np.testing.assert_allclose(a.nodal, b.nodal, rtol=1e-9)
-
-    @pytest.mark.parametrize("corruption", ["garbage", "truncated_zip"])
-    def test_corrupt_file_falls_back_to_factorization(self, tmp_path, corruption):
-        cfg = StackConfig.square(1500.0)
-        grid = GridSpec(cfg.outline, 8, 8)
-        SolverCache(disk_dir=tmp_path).solver(cfg, grid)
-        (path,) = tmp_path.glob("fact-*.npz")
-        if corruption == "garbage":
-            path.write_bytes(b"not an npz file")
-        else:
-            # a torn write keeps the zip magic but loses the payload —
-            # np.load raises BadZipFile, which must mean "re-factorize"
-            path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
-        fallback = SolverCache(disk_dir=tmp_path)
-        solver = fallback.solver(cfg, grid)
-        assert fallback.disk_hits == 0
-        rng = np.random.default_rng(0)
-        pm = [rng.random(grid.shape) * 0.01 for _ in range(2)]
-        native = SteadyStateSolver(build_stack(cfg, grid))
-        np.testing.assert_allclose(
-            solver.solve(pm).nodal, native.solve(pm).nodal, rtol=1e-9
-        )
-        # the unreadable file was healed: the next process loads cleanly
-        healed = SolverCache(disk_dir=tmp_path)
-        healed.solver(cfg, grid)
-        assert healed.disk_hits == 1
-
-    def test_no_disk_dir_means_no_files(self, tmp_path):
-        cfg = StackConfig.square(1500.0)
-        grid = GridSpec(cfg.outline, 8, 8)
-        SolverCache().solver(cfg, grid)
-        assert not list(tmp_path.iterdir())
-
-    def test_stale_factors_for_changed_network_are_rejected(self, tmp_path):
-        """Factors persisted for an older network revision must be
-        dropped (and re-persisted), never silently solve the wrong
-        system."""
-        import numpy as _np
-
-        cfg = StackConfig.square(1500.0)
-        grid = GridSpec(cfg.outline, 8, 8)
-        SolverCache(disk_dir=tmp_path).solver(cfg, grid)
-        (path,) = tmp_path.glob("fact-*.npz")
-        # simulate a code revision changing the assembled conductance:
-        # rewrite the stored digest so it no longer matches
-        with _np.load(path) as z:
-            payload = {name: z[name] for name in z.files}
-        payload["conductance_digest"] = _np.array("0" * 40)
-        _np.savez(path.with_suffix(""), **payload)
-        before = path.stat().st_mtime_ns
-
-        fresh = SolverCache(disk_dir=tmp_path)
-        solver = fresh.solver(cfg, grid)
-        assert fresh.disk_hits == 0  # stale factors rejected
-        assert not solver.factorization.is_persisted
-        assert path.stat().st_mtime_ns != before  # re-persisted fresh
-
-    def test_drop_persisted_solvers_and_clear_stats(self, tmp_path):
-        cfg = StackConfig.square(1500.0)
-        grid = GridSpec(cfg.outline, 8, 8)
-        SolverCache(disk_dir=tmp_path).solver(cfg, grid)
-        cache = SolverCache(disk_dir=tmp_path)
-        solver = cache.solver(cfg, grid)
-        assert solver.factorization.is_persisted
-        assert cache.disk_hits == 1
-        assert cache.drop_persisted_solvers() == 1
-        assert len(cache) == 0
-        cache.clear()
-        assert cache.disk_hits == 0

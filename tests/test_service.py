@@ -262,7 +262,7 @@ class TestHttpErrors:
             assert status == 200 and doc["status"] == "ok"
             assert doc["jobs"]["submitted"] == 1
             assert doc["jobs"]["completed"] == 1
-            assert set(doc["solver_cache"]) >= {"hits", "misses", "disk_hits"}
+            assert set(doc["solver_cache"]) >= {"hits", "misses"}
 
         service_test(scenario)(dict(store_dir=tmp_path))
 

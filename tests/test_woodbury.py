@@ -261,43 +261,6 @@ class TestSolverCacheIntegration:
         pm = _power_maps(grid, 2)
         assert _rel_err(first.solve(pm).nodal, upgraded.solve(pm).nodal) <= ORACLE_RTOL
 
-    def test_drop_persisted_solvers_evicts_woodbury_over_persisted_base(
-        self, tmp_path
-    ):
-        grid, cfg, base_stack, _ = _stack_pair(2)
-        SolverCache(disk_dir=tmp_path).solver(cfg, grid)
-        cache = SolverCache(disk_dir=tmp_path)
-        persisted_base = cache.solver(cfg, grid)
-        density = np.zeros(grid.shape)
-        density[4:6, 4:8] = 0.55
-        woodbury = cache.incremental_solver(
-            cfg, grid, density, base=persisted_base, crossover_rank=10_000
-        )
-        assert woodbury.is_low_rank
-        assert len(cache) == 2
-        # both entries route solves through the persisted factors: the
-        # base directly, the Woodbury one via its base LU
-        assert cache.drop_persisted_solvers() == 2
-        assert len(cache) == 0
-
-    def test_solver_upgrade_persists_to_disk_cache(self, tmp_path):
-        """A network first seen incrementally and later requested as a
-        full solver must still land in the shared disk cache — other
-        workers' warm-up must not depend on request order."""
-        grid, cfg, base_stack, _ = _stack_pair(2)
-        cache = SolverCache(disk_dir=tmp_path)
-        base = cache.solver(cfg, grid)
-        density = np.zeros(grid.shape)
-        density[4:6, 4:8] = 0.55
-        cache.incremental_solver(
-            cfg, grid, density, base=base, crossover_rank=10_000
-        )
-        upgraded = cache.solver(cfg, grid, density)  # the upgrade path
-        assert not isinstance(upgraded, WoodburySolver)
-        other_worker = SolverCache(disk_dir=tmp_path)
-        other_worker.solver(cfg, grid, density)
-        assert other_worker.disk_hits == 1
-
     def test_incremental_solver_for_floorplan_matches_full(self):
         from repro.layout.floorplan import Floorplan3D
         from repro.layout.module import Module, Placement
