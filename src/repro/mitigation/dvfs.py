@@ -19,12 +19,18 @@ attacker's hypothesis) and the observed temperature sequence — the same
 steady-state metrics use, fed with (traces, windows) matrices instead of
 (ny, nx) maps.
 
+The attacker reads only end-of-window die means, a linear functional of
+the LTI backward-Euler response, so no trace is integrated: one adjoint
+recursion (:meth:`~repro.thermal.transient.TransientSolver.die_mean_kernels`,
+dies x steps solves) gives the die-mean impulse response, projected here
+onto the modules and summed per window, and each trace is then a small
+dense convolution of its per-module power deviations.
+
 Everything is deterministic in ``(seed, schedule)``: per-trace RNG
-streams spawn from one :class:`numpy.random.SeedSequence`, so scores are
-byte-identical whether traces integrate one-by-one
-(:meth:`~repro.thermal.transient.TransientSolver.run`) or batched
-(:meth:`~repro.thermal.transient.TransientSolver.run_many`), and across
-process or replica counts.
+streams spawn from one :class:`numpy.random.SeedSequence`, and each
+trace's convolution runs alone, so scores are byte-identical across
+trace counts and process boundaries.  They equal forward integration of
+every trace (``tests/oracles/transient.py``) within 1e-10.
 """
 
 from __future__ import annotations
@@ -134,137 +140,42 @@ def _trace_streams(seed: int, trace: int) -> tuple:
     """(activity_rng, governor_rng) for one trace.
 
     Spawned from one root :class:`~numpy.random.SeedSequence` keyed by
-    the trace index, so streams never depend on how traces are batched
-    across ``run``/``run_many`` calls or worker processes.
+    the trace index, so streams never depend on how many traces run or
+    on which worker process runs them.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trace,))
     act_ss, gov_ss = ss.spawn(2)
     return np.random.default_rng(act_ss), np.random.default_rng(gov_ss)
 
 
-def _window_power_at(per_die_maps: List[np.ndarray], schedule: DVFSchedule):
-    """A ``power_at(t)`` callback stepping through per-window maps."""
-    last = schedule.windows - 1
-
-    def power_at(t: float):
-        step = int(round(t / schedule.dt)) - 1
-        w = min(step // schedule.period, last)
-        return [maps[w] for maps in per_die_maps]
-
-    return power_at
-
-
-def evaluate_dvfs(
-    floorplan: Floorplan3D,
-    config: MitigationConfig | None = None,
-    *,
-    grid: GridSpec | None = None,
-    topology=None,
-    batched: bool = True,
-    cache: SolverCache | None = None,
-) -> DVFSReport:
-    """Score the runtime DVFS governor against the no-governor baseline.
-
-    Each of ``config.dvfs_traces`` traces drives the transient solver
-    with a secret per-window Gaussian activity sequence, once at nominal
-    frequency and once through the governor; the attacker correlates
-    nominal per-window die power with end-of-window die temperatures.
-    Traces start from the thermal equilibrium of each arm's mean power
-    (one steady solve per arm, through the audit-sanctioned cache path),
-    so the observed fluctuations carry the activity signal rather than
-    the ambient-to-operating-point ramp — without this, the slow ramp
-    (time constant >> window length) swamps both arms and the metric
-    cannot tell them apart.
-    Both variants of every trace integrate through one factorized step
-    matrix (``batched=True``, the
-    :meth:`~repro.thermal.transient.TransientSolver.run_many` path with
-    ``column_exact``); ``batched=False`` runs them one at a time —
-    byte-identical results, the determinism tests' oracle.
-
-    ``topology`` selects the stack style (2.5D governors modulate the
-    same way; only the heat path differs).
-    """
-    config = config or MitigationConfig(mode="dvfs")
-    schedule = DVFSchedule.from_mitigation(config)
-    if grid is None:
-        grid = GridSpec(floorplan.stack.outline, config.grid_nx, config.grid_ny)
-    names = sorted(floorplan.placements)
-    num_dies = floorplan.stack.num_dies
-    num_modules = len(names)
-    basis = module_power_basis(floorplan, grid, names)  # per die: (M, cells)
-    shape = grid.shape
-
-    tkw = topology_kwargs(topology)
-    stack = stack_for_floorplan(floorplan, grid, **tkw)
-    solver = TransientSolver(stack)
-
-    traces = config.dvfs_traces
-    windows = schedule.windows
+def _activity(
+    config: MitigationConfig, schedule: DVFSchedule, num_modules: int
+) -> tuple:
+    """Per-trace per-window per-module activity, ``(traces, windows,
+    modules)`` each: the secret nominal factors, and the same factors
+    scaled by the governor's ``scale ** 3``."""
     scales = schedule.scales()
-
-    # per-arm equilibrium starting state: nominal mean power for the
-    # baseline arm, governor-mean power (E[scale^3] of the uniform level
-    # draw) for the mitigated arm
-    steady = (cache or SolverCache()).solver_for_floorplan(floorplan, grid, **tkw)
-    nominal_maps = [basis[d].sum(axis=0).reshape(shape) for d in range(num_dies)]
-    mean_s3 = float(np.mean(scales**3))
-    t0_base = steady.solve(nominal_maps).nodal
-    t0_gov = steady.solve([m * mean_s3 for m in nominal_maps]).nodal
-    # nominal per-window per-die power totals — the attacker's hypothesis
-    window_power = np.empty((traces, windows, num_dies))
-    baseline_fns = []
-    governed_fns = []
-    for tr in range(traces):
+    shape = (schedule.windows, num_modules)
+    nominal = np.empty((config.dvfs_traces, *shape))
+    governed = np.empty_like(nominal)
+    for tr in range(config.dvfs_traces):
         act_rng, gov_rng = _trace_streams(config.seed, tr)
-        factors = np.maximum(
-            act_rng.normal(1.0, config.sigma, size=(windows, num_modules)), 0.0
-        )
-        level_idx = gov_rng.integers(0, schedule.levels, size=(windows, num_modules))
-        modulated = factors * scales[level_idx] ** 3
-        base_maps = []
-        governed_maps = []
-        for d in range(num_dies):
-            nominal = (factors @ basis[d]).reshape(windows, *shape)
-            base_maps.append(nominal)
-            governed_maps.append((modulated @ basis[d]).reshape(windows, *shape))
-            window_power[tr, :, d] = nominal.sum(axis=(1, 2))
-        baseline_fns.append(_window_power_at(base_maps, schedule))
-        governed_fns.append(_window_power_at(governed_maps, schedule))
+        nominal[tr] = np.maximum(act_rng.normal(1.0, config.sigma, size=shape), 0.0)
+        level_idx = gov_rng.integers(0, schedule.levels, size=shape)
+        governed[tr] = nominal[tr] * scales[level_idx] ** 3
+    return nominal, governed
 
-    duration = schedule.duration
-    if batched:
-        # column_exact keeps every trace byte-identical to a solo run:
-        # SuperLU's blocked multi-RHS substitution rounds differently
-        # above its panel width, and the determinism contract here is
-        # bitwise, not just close
-        t0 = np.column_stack([t0_base] * traces + [t0_gov] * traces)
-        all_traces = solver.run_many(
-            baseline_fns + governed_fns,
-            duration,
-            schedule.dt,
-            t0=t0,
-            column_exact=True,
-        )
-        base_traces = all_traces[:traces]
-        governed_traces = all_traces[traces:]
-    else:
-        base_traces = [
-            solver.run(fn, duration, schedule.dt, t0=t0_base) for fn in baseline_fns
-        ]
-        governed_traces = [
-            solver.run(fn, duration, schedule.dt, t0=t0_gov) for fn in governed_fns
-        ]
 
-    # end-of-window samples: the attacker reads temperature once per dwell
-    sample_idx = np.arange(windows) * schedule.period + schedule.period - 1
-
-    def observe(trace_list) -> np.ndarray:
-        return np.stack(
-            [t.die_means[sample_idx] for t in trace_list]
-        )  # (traces, windows, dies)
-
-    base_temps = observe(base_traces)
-    governed_temps = observe(governed_traces)
+def _report(
+    schedule: DVFSchedule,
+    window_power: np.ndarray,
+    base_temps: np.ndarray,
+    governed_temps: np.ndarray,
+) -> DVFSReport:
+    """Score both arms: ``window_power`` is the attacker's nominal
+    per-window die power and the temps are the end-of-window die means,
+    all ``(traces, windows, dies)``."""
+    traces, windows, num_dies = window_power.shape
 
     def score(temps: np.ndarray):
         per_trace = np.empty((traces, num_dies))
@@ -288,7 +199,6 @@ def evaluate_dvfs(
 
     base_r, base_global, base_local = score(base_temps)
     gov_r, gov_global, gov_local = score(governed_temps)
-
     return DVFSReport(
         schedule=schedule,
         baseline_correlations=base_r,
@@ -298,4 +208,92 @@ def evaluate_dvfs(
         baseline_local=base_local,
         mitigated_local=gov_local,
         traces=traces,
+    )
+
+
+def evaluate_dvfs(
+    floorplan: Floorplan3D,
+    config: MitigationConfig | None = None,
+    *,
+    grid: GridSpec | None = None,
+    topology=None,
+    cache: SolverCache | None = None,
+) -> DVFSReport:
+    """Score the runtime DVFS governor against the no-governor baseline.
+
+    Each of ``config.dvfs_traces`` traces drives the stack with a secret
+    per-window Gaussian activity sequence, once at nominal frequency and
+    once through the governor; the attacker correlates nominal
+    per-window die power with end-of-window die temperatures.
+    Traces start from the thermal equilibrium of each arm's mean power
+    (one two-RHS steady solve, through the audit-sanctioned cache path),
+    so the observed fluctuations carry the activity signal rather than
+    the ambient-to-operating-point ramp — without this, the slow ramp
+    (time constant >> window length) swamps both arms and the metric
+    cannot tell them apart.  From there every end-of-window die mean is
+    the arm's equilibrium die mean plus a convolution of the trace's
+    per-module power deviations with window response kernels (see the
+    module doc).
+
+    ``cache`` supplies the equilibrium solver (default: a private
+    :class:`SolverCache`).  ``topology`` selects the stack style (2.5D
+    governors modulate the same way; only the heat path differs).
+    """
+    config = config or MitigationConfig(mode="dvfs")
+    schedule = DVFSchedule.from_mitigation(config)
+    if grid is None:
+        grid = GridSpec(floorplan.stack.outline, config.grid_nx, config.grid_ny)
+    names = sorted(floorplan.placements)
+    num_dies = floorplan.stack.num_dies
+    basis = module_power_basis(floorplan, grid, names)  # per die: (M, cells)
+    shape = grid.shape
+    windows, period = schedule.windows, schedule.period
+    mean_s3 = float(np.mean(schedule.scales() ** 3))
+
+    tkw = topology_kwargs(topology)
+    # per-arm equilibrium die means: nominal mean power for the baseline
+    # arm, governor-mean power (E[scale^3] of the uniform level draw) for
+    # the mitigated arm
+    cache = cache if cache is not None else SolverCache()
+    steady = cache.solver_for_floorplan(floorplan, grid, rhs_budget=2, **tkw)
+    nominal_maps = [basis[d].sum(axis=0).reshape(shape) for d in range(num_dies)]
+    equilibria = steady.solve_many(
+        [nominal_maps, [m * mean_s3 for m in nominal_maps]]
+    )
+    eq_base, eq_gov = (
+        np.array([np.mean(m) for m in result.die_maps]) for result in equilibria
+    )
+
+    # die-mean impulse responses, projected onto the modules
+    # (steps, modules, dies), then summed over each window's steps:
+    # window_kernels[L] maps one window of per-module power deviation to
+    # the die means read L windows later
+    kernels = TransientSolver(
+        stack_for_floorplan(floorplan, grid, **tkw)
+    ).die_mean_kernels(schedule.dt, windows * period)
+    module_kernels = sum(basis[s] @ kernels[:, s] for s in range(num_dies))
+    window_kernels = module_kernels.reshape(
+        windows, period, len(names), num_dies
+    ).sum(axis=1)
+
+    def observe(deviation: np.ndarray, equilibrium: np.ndarray) -> np.ndarray:
+        """End-of-window die means, (traces, windows, dies); each trace
+        convolves alone so its bytes never depend on the trace count."""
+        temps = np.empty((len(deviation), windows, num_dies))
+        for tr, dev in enumerate(deviation):
+            rise = np.zeros((windows, num_dies))
+            for lag in range(windows):
+                rise[lag:] += dev[: windows - lag] @ window_kernels[lag]
+            temps[tr] = equilibrium + rise
+        return temps
+
+    nominal, governed = _activity(config, schedule, len(names))
+    # nominal per-window per-die power totals — the attacker's hypothesis
+    module_die_power = np.stack([b.sum(axis=1) for b in basis], axis=1)
+    window_power = np.stack([n @ module_die_power for n in nominal])
+    return _report(
+        schedule,
+        window_power,
+        observe(nominal - 1.0, eq_base),
+        observe(governed - mean_s3, eq_gov),
     )

@@ -40,9 +40,17 @@ class FactorHints:
     :class:`~repro.thermal.rc_network.ThermalNetwork` — the multigrid
     backend needs it to build its in-plane coarsening and z-line
     smoother; direct backends ignore it.
+
+    ``rhs_budget`` is how many right-hand sides the caller will solve
+    against this one system (verification solves 1, the DVFS
+    equilibrium 2).  ``None`` means "unknown or many" and leaves
+    auto-selection to the size rule alone; a small budget lets auto pick
+    the backend with the cheaper setup (see
+    :func:`~repro.thermal.backends.resolve_backend`).
     """
 
     grid_shape: Optional[Tuple[int, int, int]] = None
+    rhs_budget: Optional[int] = None
 
     @property
     def cells_per_layer(self) -> Optional[int]:

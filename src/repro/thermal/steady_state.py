@@ -42,7 +42,7 @@ from ..core.faults import fault_fires, record_degradation
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from .backends import resolve_backend
+from .backends import FactorHints, resolve_backend
 from .rc_network import LowRankUpdate, ThermalNetwork, assemble, low_rank_update
 from .stack import ThermalStack, build_stack, normalize_tsv_densities
 
@@ -461,9 +461,11 @@ class SolverCache:
             self.hits = 0
             self.misses = 0
 
-    def _resolve_backend(self, grid: GridSpec):
+    def _resolve_backend(self, grid: GridSpec, rhs_budget: Optional[int] = None):
         return resolve_backend(
-            self.backend, cells_per_layer=grid.nx * grid.ny
+            self.backend,
+            hints=FactorHints(rhs_budget=rhs_budget),
+            cells_per_layer=grid.nx * grid.ny,
         )
 
     def _key(
@@ -487,9 +489,16 @@ class SolverCache:
         stack_cfg: StackConfig,
         grid: GridSpec,
         tsv_density=None,
+        *,
+        rhs_budget: Optional[int] = None,
         **stack_kwargs,
     ) -> SteadyStateSolver:
         """The cached (or freshly built) *full* solver for this exact network.
+
+        ``rhs_budget`` states how many right-hand sides the caller will
+        solve (see :class:`~repro.thermal.backends.base.FactorHints`); it
+        only steers auto backend selection, and the resolved backend is
+        part of the cache key.
 
         A cached incremental entry (:class:`WoodburySolver`) is upgraded
         to its own factorization before being returned: callers of this
@@ -501,7 +510,7 @@ class SolverCache:
         """
         with self._lock:
             densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
-            backend = self._resolve_backend(grid)
+            backend = self._resolve_backend(grid, rhs_budget)
             key = self._key(stack_cfg, grid, densities, stack_kwargs, backend.name)
             solver = self._entries.get(key)
             if solver is not None:
@@ -520,11 +529,18 @@ class SolverCache:
             return solver
 
     def solver_for_floorplan(
-        self, floorplan: Floorplan3D, grid: GridSpec, **stack_kwargs
+        self,
+        floorplan: Floorplan3D,
+        grid: GridSpec,
+        *,
+        rhs_budget: Optional[int] = None,
+        **stack_kwargs,
     ) -> SteadyStateSolver:
         """Solver for a floorplan's stack and *all* its TSV interfaces."""
         densities = floorplan.tsv_densities(grid)
-        return self.solver(floorplan.stack, grid, densities, **stack_kwargs)
+        return self.solver(
+            floorplan.stack, grid, densities, rhs_budget=rhs_budget, **stack_kwargs
+        )
 
     def incremental_solver(
         self,

@@ -13,6 +13,16 @@ traces' right-hand sides in a single call, mirroring what
 steady-state activity sweeps.  Per-die reductions go through a
 precomputed layer-slice index instead of a per-step per-die Python loop.
 
+:meth:`TransientSolver.die_mean_kernels` answers the question a readout
+of die-mean temperatures actually asks, without integrating any trace:
+the system is linear and time-invariant, so every die mean is a
+convolution of the power deviations with an impulse response, and the
+adjoint recursion computes that response in ``steps`` solves whatever
+the number of traces.  The DVFS leakage evaluator
+(:mod:`repro.mitigation.dvfs`) scores through it; it is deterministic
+and equals forward integration (``tests/oracles/transient.py``) within
+1e-10.
+
 This solver backs the Figure 1 reproduction: module activity toggles on a
 nanosecond-to-microsecond scale while the thermal response follows on a
 millisecond-to-second scale — the low-pass behaviour that limits (but does
@@ -161,7 +171,6 @@ class TransientSolver:
         duration: float,
         dt: float,
         t0: np.ndarray | None = None,
-        column_exact: bool = False,
     ) -> List[TransientTrace]:
         """Integrate a batch of power traces against one factorization.
 
@@ -169,18 +178,10 @@ class TransientSolver:
         (nodes, traces) right-hand-side matrix and back-substitutes it in
         a single call — far cheaper than per-trace :meth:`run` loops, and
         the per-die reductions vectorize over the whole batch.  Results
-        match per-trace :meth:`run` calls to machine precision; they are
-        NOT bitwise equal by default, because SuperLU's blocked multi-RHS
-        back-substitution rounds differently from the single-vector path
-        once the batch exceeds its internal panel width (~4 columns).
-
-        ``column_exact=True`` back-substitutes one column at a time
-        instead, making every trace *byte-identical* to a solo
-        :meth:`run` (the die reductions already share :meth:`run`'s
-        contiguous layout).  Factorization reuse, batched right-hand-side
-        assembly and vectorized reductions are kept, so it costs only the
-        multi-RHS substitution win — the deterministic DVFS leakage
-        evaluator runs this mode so its scores never depend on batching.
+        match per-trace :meth:`run` calls to machine precision, not
+        bitwise: SuperLU's blocked multi-RHS back-substitution rounds
+        differently from the single-vector path once the batch exceeds
+        its internal panel width (~4 columns).
 
         ``t0`` is an optional starting nodal vector, either one shared
         ``(nodes,)`` vector or a per-trace ``(nodes, traces)`` matrix.
@@ -207,17 +208,10 @@ class TransientSolver:
             for b, fn in enumerate(fns):
                 q[:, b] = net.power_vector(list(fn(t_now)))
             rhs = c_over_dt[:, None] * temp + q + ambient_q[:, None]
-            if column_exact:
-                temp = np.empty_like(rhs)
-                for b in range(batch):
-                    temp[:, b] = lu.solve(rhs[:, b].copy())
-            else:
-                temp = lu.solve_many(rhs)
+            temp = lu.solve_many(rhs)
             times[step] = t_now
             # (traces, dies, cells), C-contiguous: each (trace, die) row is
-            # then the same contiguous cells vector :meth:`run` reduces, so
-            # the means/peaks are bitwise equal to per-trace runs (a
-            # strided mean over (dies, cells, traces) rounds differently)
+            # then the same contiguous cells vector :meth:`run` reduces
             block = np.ascontiguousarray(np.moveaxis(temp[self._die_nodes], 2, 0))
             die_means[:, step, :] = block.mean(axis=2)
             die_peaks[:, step, :] = block.max(axis=2)
@@ -227,6 +221,42 @@ class TransientSolver:
             )
             for b in range(batch)
         ]
+
+    def die_mean_kernels(self, dt: float, steps: int) -> np.ndarray:
+        """Impulse response of every die's mean temperature to cell power.
+
+        Returns ``H`` of shape ``(steps, dies, cells, dies)``:
+        ``H[j, s, c, d]`` is the rise of die ``d``'s active-layer mean
+        temperature at the end of step ``k + j`` caused by 1 W injected
+        into cell ``c`` of die ``s`` during step ``k`` only (``j = 0`` is
+        that step itself; cells in :meth:`run`'s power-map order).  The
+        backward-Euler system is linear and time-invariant, and a step
+        from the equilibrium ``T0 = G⁻¹(q̄ + B T_amb)`` under constant
+        ``q̄`` returns ``T0``, so a run started there reads die means
+        ``mean_d(T0) + Σ_j Σ_{s,c} H[j, s, c, d] · (q_{n−j} − q̄)[s, c]``.
+
+        Computed by the adjoint recursion on the step matrix
+        ``A = C/dt + G`` (symmetric): ``w_0 = A⁻¹R``,
+        ``w_j = A⁻¹((C/dt)·w_{j−1})``, where ``R`` holds one mean-readout
+        column per die and ``H[j]`` is ``w_j`` at the die nodes — ``steps``
+        solves of a (nodes, dies) block, whatever number of traces the
+        caller convolves against ``H``.
+        """
+        if dt <= 0 or steps < 1:
+            raise ValueError("dt must be positive and steps >= 1")
+        lu = self._factorize(dt)
+        num_dies, cells = self._die_nodes.shape
+        kernels = np.empty((steps, num_dies, cells, num_dies))
+        readout = np.zeros((self.network.num_nodes, num_dies))
+        for d in range(num_dies):
+            readout[self._die_nodes[d], d] = 1.0 / cells
+        c_over_dt = (self.network.capacitance / dt)[:, None]
+        w = lu.solve_many(readout)
+        kernels[0] = w[self._die_nodes]
+        for j in range(1, steps):
+            w = lu.solve_many(c_over_dt * w)
+            kernels[j] = w[self._die_nodes]
+        return kernels
 
 
 def thermal_time_constant(trace: TransientTrace, die: int = 0) -> float:

@@ -1,6 +1,7 @@
 """Reference implementations the production kernels must reproduce.
 
 These are the historical per-net, per-TSV, per-class and per-sample
-loops, kept out of ``src/`` so there is one production path per kernel.  Tests
-import them as ``from oracles.<module> import ...``.
+loops and the forward-integrated DVFS traces, kept out of ``src/`` so
+there is one production path per kernel.  Tests import them as
+``from oracles.<module> import ...``.
 """

@@ -18,7 +18,9 @@ from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.thermal.backends import (
     BACKEND_NAMES,
+    FEW_RHS_CROSSOVER,
     BackendUnavailable,
+    FactorHints,
     get_backend,
     multigrid_threshold,
     resolve_backend,
@@ -132,6 +134,71 @@ class TestRegistryAndSelection:
             assert explicit.name == "superlu"
 
 
+class TestFewRHSSelection:
+    """``FactorHints.rhs_budget``: callers that solve one or two
+    right-hand sides (verification, the DVFS equilibrium) take multigrid
+    on grids past 16x16; everything else keeps today's size rule."""
+
+    @staticmethod
+    def _auto(n, rhs_budget):
+        return resolve_backend(
+            hints=FactorHints(grid_shape=(4, n, n), rhs_budget=rhs_budget)
+        ).name
+
+    def test_no_budget_keeps_the_size_rule(self):
+        for n in (12, 16, 32, 64):
+            assert self._auto(n, None) == "superlu"
+        assert self._auto(65, None) == "multigrid"
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_few_rhs_take_multigrid_past_16x16(self, budget):
+        for n in (12, 16):
+            assert self._auto(n, budget) == "superlu"
+        for n in (17, 20, 24, 32, 48, 64, 65):
+            assert self._auto(n, budget) == "multigrid"
+
+    def test_budget_above_crossover_keeps_superlu(self):
+        assert self._auto(32, FEW_RHS_CROSSOVER) == "multigrid"
+        assert self._auto(32, FEW_RHS_CROSSOVER + 1) == "superlu"
+        assert self._auto(32, 40) == "superlu"  # a mitigation candidate sweep
+        assert self._auto(65, 40) == "multigrid"  # the size rule still rules
+
+    def test_explicit_request_wins(self, monkeypatch):
+        hints = FactorHints(grid_shape=(4, 32, 32), rhs_budget=1)
+        assert resolve_backend("superlu", hints=hints).name == "superlu"
+        superlu = get_backend("superlu")
+        assert resolve_backend(superlu, hints=hints) is superlu
+        monkeypatch.setenv("REPRO_THERMAL_BACKEND", "superlu")
+        assert resolve_backend(hints=hints).name == "superlu"
+
+    def test_unavailable_multigrid_under_auto_is_quiet(self):
+        hints = FactorHints(grid_shape=(4, 32, 32), rhs_budget=1)
+        before = faults.snapshot_degradations()
+        with injected("backend.multigrid.unavailable=fail"):
+            assert resolve_backend(hints=hints).name == "superlu"
+            assert "backend.fallback.multigrid" not in faults.degradations_since(
+                before
+            )
+            with pytest.warns(
+                DegradationWarning, match="backend.fallback.multigrid"
+            ):
+                explicit = resolve_backend("multigrid", hints=hints)
+        assert explicit.name == "superlu"
+        assert faults.degradations_since(before)["backend.fallback.multigrid"] == 1
+
+    def test_cache_keys_the_budgeted_backend(self):
+        cfg, grid, _ = _stack(grid_n=24)
+        cache = SolverCache(maxsize=4)
+        few = cache.solver(cfg, grid, rhs_budget=1)
+        assert few.backend_name == "multigrid"
+        assert cache.solver(cfg, grid, rhs_budget=2) is few
+        many = cache.solver(cfg, grid)
+        assert many.backend_name == "superlu"
+        assert cache.misses == 2 and cache.hits == 1
+        pinned = SolverCache(maxsize=4, backend="superlu")
+        assert pinned.solver(cfg, grid, rhs_budget=1).backend_name == "superlu"
+
+
 class TestSuperLUBitCompatibility:
     def test_default_backend_is_the_old_solver_exactly(self):
         """The superlu backend is symmetric-mode ``splu``, bit for bit."""
@@ -233,6 +300,72 @@ class TestHistoricalSuperLUOracle:
                 assert value == pytest.approx(old[key], rel=1e-9, abs=0.0), key
             else:
                 assert value == old[key], key
+
+
+class TestFewRHSRecordTolerance:
+    """The stated tolerance of the few-RHS rule: a flow record under
+    ``REPRO_THERMAL_BACKEND=superlu`` and under auto (verification and
+    the DVFS equilibrium through multigrid) agree exactly on integer and
+    boolean fields and within 1e-9 relative on floats."""
+
+    @pytest.mark.parametrize(
+        "mode, topology, mitigation_mode",
+        [
+            ("power_aware", "3d", "static"),
+            ("tsc_aware", "3d", "static"),
+            ("tsc_aware", "2.5d", "dvfs"),
+        ],
+    )
+    def test_superlu_and_auto_records_agree(
+        self, monkeypatch, mode, topology, mitigation_mode
+    ):
+        from repro.benchmarks import load
+        from repro.core.config import FlowConfig
+        from repro.core.flow import run_flow
+        from repro.floorplan import objectives
+        from repro.floorplan.annealer import AnnealConfig
+        from repro.mitigation.dummy_tsv import MitigationConfig
+        from repro.thermal import steady_state
+        from repro.thermal.stack import TopologyConfig
+
+        circuit, stack = load("n100")
+        config = FlowConfig(
+            mode=mode,
+            anneal=AnnealConfig(iterations=60, seed=0, calibration_samples=4),
+            topology=TopologyConfig(topology),
+            mitigation=MitigationConfig(
+                mode=mitigation_mode, samples=20, max_rounds=1,
+                grid_nx=20, grid_ny=20, dvfs_traces=2,
+            ),
+            verify_nx=24,
+            verify_ny=24,
+        )
+
+        def record(backend):
+            if backend is None:
+                monkeypatch.delenv("REPRO_THERMAL_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_THERMAL_BACKEND", backend)
+            # cold process caches, so neither run reuses the other's solvers
+            cache = SolverCache()
+            monkeypatch.setattr(steady_state, "_DEFAULT_CACHE", cache)
+            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
+            doc = run_flow(circuit, stack, config).metrics.to_dict()
+            doc.pop("runtime_s")
+            doc.pop("degradations", None)
+            backends = {s.backend_name for s in cache._entries.values()}
+            return doc, backends
+
+        auto, auto_backends = record(None)
+        direct, direct_backends = record("superlu")
+        assert "multigrid" in auto_backends  # verification took multigrid
+        assert direct_backends == {"superlu"}
+        assert auto.keys() == direct.keys()
+        for key, value in auto.items():
+            if isinstance(value, float):
+                assert value == pytest.approx(direct[key], rel=1e-9, abs=0.0), key
+            else:
+                assert value == direct[key], key
 
 
 @pytest.mark.parametrize("num_dies", [2, 3])

@@ -1,10 +1,10 @@
 """Runtime DVFS mitigation: determinism, leakage reduction, wire schema.
 
 The governor's contract is *byte*-identical scores for one ``(seed,
-schedule)`` regardless of execution layout — solo ``run`` vs. batched
-``run_many``, trace count, process boundary — plus the physical claim
-that pseudo-random frequency hopping decorrelates the temperature trace
-from the secret activity sequence.
+schedule)`` regardless of trace count and process boundary, scores equal
+to forward integration of every trace (``oracles.transient``) within
+1e-10, plus the physical claim that pseudo-random frequency hopping
+decorrelates the temperature trace from the secret activity sequence.
 """
 
 import json
@@ -26,9 +26,11 @@ from repro.mitigation import (
 )
 from repro.thermal.stack import TopologyConfig
 
+from oracles.transient import evaluate_dvfs_forward
 
-@pytest.fixture(scope="module")
-def floorplan():
+
+def _floorplan(num_dies=2, bg2_die=0):
+    """tx and bg1 on die 0, rx on die 1, bg2 on ``bg2_die``."""
     mods = {
         "tx": Module("tx", 300, 300, power=2.0),
         "bg1": Module("bg1", 300, 300, power=0.3),
@@ -38,10 +40,21 @@ def floorplan():
     placements = {
         "tx": Placement(mods["tx"], 100, 100, die=0),
         "bg1": Placement(mods["bg1"], 600, 600, die=0),
-        "bg2": Placement(mods["bg2"], 100, 600, die=0),
+        "bg2": Placement(mods["bg2"], 100, 600, die=bg2_die),
         "rx": Placement(mods["rx"], 100, 100, die=1),
     }
-    return Floorplan3D(StackConfig.square(1000.0), placements)
+    return Floorplan3D(StackConfig.square(1000.0, num_dies=num_dies), placements)
+
+
+@pytest.fixture(scope="module")
+def floorplan():
+    return _floorplan()
+
+
+#: adjoint scores vs. the forward oracle; the forward path integrates
+#: absolute temperatures (hundreds of K) and carries ~1e-10 K of
+#: rounding, the adjoint path only the rise
+ORACLE_ATOL = 1e-10
 
 
 #: a small-but-real evaluation: enough windows for the correlation to be
@@ -106,18 +119,37 @@ class TestSchedule:
 
 
 class TestDeterminism:
-    def test_batched_equals_unbatched_bytewise(self, floorplan):
-        """run_many(column_exact) and per-trace run are byte-identical."""
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    @pytest.mark.parametrize("kind", ["3d", "2.5d"])
+    def test_adjoint_matches_forward_oracle(self, kind, num_dies):
+        """Response kernels give the scores forward integration of every
+        trace gives: per-trace r, die correlation and local peak."""
+        fp = _floorplan(num_dies, bg2_die=num_dies - 1)
         config = MitigationConfig(**SMALL)
-        batched = evaluate_dvfs(floorplan, config, batched=True)
-        solo = evaluate_dvfs(floorplan, config, batched=False)
-        assert _fingerprint(batched) == _fingerprint(solo)
+        topo = TopologyConfig(kind=kind) if kind != "3d" else None
+        adjoint = evaluate_dvfs(fp, config, topology=topo)
+        forward = evaluate_dvfs_forward(fp, config, topology=topo)
+        assert adjoint.baseline_correlations.shape == (3, num_dies)
+        for field in (
+            "baseline_correlations", "mitigated_correlations",
+            "baseline_die_correlation", "mitigated_die_correlation",
+            "baseline_local", "mitigated_local",
+        ):
+            np.testing.assert_allclose(
+                getattr(adjoint, field), getattr(forward, field),
+                rtol=0.0, atol=ORACLE_ATOL, err_msg=field,
+            )
 
-    def test_batched_equals_unbatched_on_interposer(self, floorplan):
+    @pytest.mark.parametrize("kind", ["3d", "2.5d"])
+    def test_forward_oracle_batched_equals_solo_bytewise(self, floorplan, kind):
+        """The oracle's own guard: column-exact batched integration and
+        per-trace ``run`` are byte-identical."""
         config = MitigationConfig(**SMALL)
-        topo = TopologyConfig(kind="2.5d")
-        batched = evaluate_dvfs(floorplan, config, topology=topo, batched=True)
-        solo = evaluate_dvfs(floorplan, config, topology=topo, batched=False)
+        topo = TopologyConfig(kind=kind) if kind != "3d" else None
+        batched = evaluate_dvfs_forward(floorplan, config, topology=topo)
+        solo = evaluate_dvfs_forward(
+            floorplan, config, topology=topo, batched=False
+        )
         assert _fingerprint(batched) == _fingerprint(solo)
 
     def test_trace_streams_independent_of_trace_count(self, floorplan):
