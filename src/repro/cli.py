@@ -5,7 +5,7 @@ Examples::
     python -m repro.cli flow n100 --mode tsc_aware --iterations 2000
     python -m repro.cli batch n100 n300 --seeds 3 -j 1
     python -m repro.cli batch n100 n300 --modes power_aware tsc_aware --seeds 4 -j 8 \
-        --store runs/sweep1 --cache-dir runs/cache
+        --store runs/sweep1
     python -m repro.cli explore --grid 32
     python -m repro.cli benchmarks
 
@@ -17,8 +17,7 @@ queue directory on a common filesystem::
 
     python -m repro.cli enqueue n100 n300 --modes power_aware tsc_aware \
         --seeds 50 --queue-dir /shared/q
-    python -m repro.cli work --queue-dir /shared/q --workers 8 \
-        --cache-dir /shared/cache        # run this on every host
+    python -m repro.cli work --queue-dir /shared/q --workers 8   # on every host
     python -m repro.cli sweep-status --queue-dir /shared/q
 
 Workers claim jobs via atomic lease files and append results to
@@ -165,9 +164,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
           f"({len(args.benchmarks)} benchmarks x {len(args.modes)} modes x "
           f"{args.seeds} seeds x {len(combos)} topology/mitigation combos) "
           f"on {args.processes or 'auto'} processes")
-    results = run_batch(
-        jobs, processes=args.processes, store=store, cache_dir=args.cache_dir
-    )
+    results = run_batch(jobs, processes=args.processes, store=store)
     summary = summarize_batch(jobs, results)
     for mode in args.modes:
         rows = {
@@ -241,7 +238,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
     try:
         if workers == 1:
             done = batch_worker_main(
-                str(args.queue_dir), args.lease_ttl, args.cache_dir,
+                str(args.queue_dir), args.lease_ttl,
                 max_jobs=args.max_jobs,
                 max_attempts=args.max_attempts, retry_backoff=args.backoff,
                 watch=args.watch,
@@ -255,9 +252,9 @@ def _cmd_work(args: argparse.Namespace) -> int:
             procs = [
                 mp.Process(
                     target=batch_worker_main,
-                    args=(str(args.queue_dir), args.lease_ttl, args.cache_dir,
-                          None, args.max_jobs),
-                    kwargs=dict(max_attempts=args.max_attempts,
+                    args=(str(args.queue_dir), args.lease_ttl),
+                    kwargs=dict(max_jobs=args.max_jobs,
+                                max_attempts=args.max_attempts,
                                 retry_backoff=args.backoff, watch=True),
                 )
                 for _ in range(workers)
@@ -278,7 +275,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
                 futures = [
                     pool.submit(
                         batch_worker_main, str(args.queue_dir), args.lease_ttl,
-                        args.cache_dir, None, args.max_jobs,
+                        max_jobs=args.max_jobs,
                         max_attempts=args.max_attempts,
                         retry_backoff=args.backoff,
                     )
@@ -504,10 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append-only results store; finished jobs "
                               "persist immediately and re-runs resume by "
                               "skipping recorded jobs")
-    p_batch.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="shared on-disk cache of calibrated "
-                              "fast-thermal models (each calibration stack "
-                              "is calibrated once across the whole sweep)")
     p_batch.set_defaults(func=_cmd_batch)
 
     p_enq = sub.add_parser(
@@ -532,9 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--lease-ttl", type=float, default=300.0,
                         help="seconds of missed heartbeats before a "
                              "worker's claim is reclaimed")
-    p_work.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="shared on-disk cache of calibrated "
-                             "fast-thermal models")
     p_work.add_argument("--max-jobs", type=int, default=None,
                         help="cap on jobs per worker (default: drain)")
     p_work.add_argument("--max-attempts", type=int, default=3,

@@ -22,7 +22,7 @@ call sites share:
 
 * the **degradation ledger** — a process-wide counter of every fallback
   the stack took to survive (``woodbury.fallback.rank``,
-  ``persist.write_failed``, ``io_retry.store.append`` …).
+  ``backend.fallback.multigrid``, ``io_retry.store.append`` …).
   :func:`snapshot_degradations` / :func:`degradations_since` bracket a
   flow run so its :class:`~repro.core.results.FlowMetrics` can report
   *how* it survived, and :func:`warn_degraded` additionally emits a

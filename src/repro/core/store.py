@@ -1,4 +1,4 @@
-"""Persisted sweep artifacts: an append-only results store and cache dirs.
+"""Persisted sweep results: an append-only store of flow records.
 
 Paper-scale sweeps (50 seeds x six benchmarks x two setups) run for
 hours; losing everything to one interruption — or keeping every
@@ -12,11 +12,6 @@ durable the moment it finishes:
   keeping the file valid after any crash;
 * the same records export to Parquet for analysis stacks when
   ``pyarrow`` is installed (gated — the core flow never needs it).
-
-The module also persists calibrated fast-thermal models (the
-power-blurring masks are a handful of floats) so pool workers stop
-re-deriving them per process; they are the only artifact a cache
-directory holds.
 """
 
 from __future__ import annotations
@@ -27,15 +22,12 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .faults import TornWriteFault, fault_point, record_degradation, retry_io
+from .faults import TornWriteFault, fault_point, retry_io
 from .results import FlowMetrics
 
 __all__ = [
     "ResultsStore",
     "artifact_digest",
-    "persist_atomic",
-    "save_thermal_model",
-    "load_thermal_model",
 ]
 
 #: bump when the record layout changes; loaders skip newer-schema lines
@@ -49,36 +41,6 @@ def artifact_digest(*parts: object) -> str:
         h.update(repr(part).encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def persist_atomic(path: Path, write_tmp) -> None:
-    """Race- and crash-tolerant persist of one cache artifact.
-
-    ``write_tmp(tmp)`` writes the payload to the path ``tmp``.  Temp
-    names are per-process and the final rename is atomic, so pool workers
-    racing to persist the same artifact cannot corrupt it; an existing
-    file wins (cached artifacts are deterministic functions of their
-    key), and any OS-level failure is swallowed — a cache is an
-    optimization, not a ledger.
-    """
-    path = Path(path)
-    if path.exists():
-        return
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    try:
-        write_tmp(tmp)
-        os.replace(tmp, path)
-    except OSError:
-        # a cache entry that failed to persist is a degradation worth
-        # counting (the artifact will be re-derived elsewhere), not an
-        # error worth raising
-        record_degradation("persist.write_failed")
-        # clean up whatever the failed writer left (e.g. disk-full
-        # mid-write) so shared cache dirs don't accumulate junk
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
 
 
 class ResultsStore:
@@ -273,50 +235,3 @@ class ResultsStore:
         pq.write_table(pa.Table.from_pylist(rows), out)
         return out
 
-
-# -- calibrated fast-thermal model persistence -----------------------------------
-
-
-def save_thermal_model(path: str | Path, model) -> None:
-    """Persist a :class:`~repro.thermal.fast.FastThermalModel`'s masks."""
-    payload = {
-        "schema": _SCHEMA,
-        "num_dies": model.num_dies,
-        "tsv_beta": model.tsv_beta,
-        "ambient": model.ambient,
-        "masks": {
-            f"{s},{t}": {
-                "amplitude": p.amplitude,
-                "sigma": p.sigma,
-                "amplitude_global": p.amplitude_global,
-                "sigma_global": p.sigma_global,
-            }
-            for (s, t), p in model.masks.items()
-        },
-    }
-    def write(tmp: Path) -> None:
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-    persist_atomic(path, write)
-
-
-def load_thermal_model(path: str | Path):
-    """The persisted model at ``path``, or None when absent/unreadable."""
-    from ..thermal.fast import FastThermalModel, MaskParams
-
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("schema", 0) > _SCHEMA:
-            return None
-        masks = {
-            tuple(int(x) for x in key.split(",")): MaskParams(**params)
-            for key, params in payload["masks"].items()
-        }
-        return FastThermalModel(
-            num_dies=int(payload["num_dies"]),
-            masks=masks,
-            tsv_beta=float(payload["tsv_beta"]),
-            ambient=float(payload["ambient"]),
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None

@@ -174,15 +174,6 @@ def summarize_findings(cells: List[ExplorationCell]) -> Dict[str, float]:
 # -- multi-run batch execution ---------------------------------------------------
 
 
-def _init_batch_worker(cache_dir: Optional[str]) -> None:
-    """Point a worker's calibrated-model cache at the shared directory."""
-    if cache_dir is None:
-        return
-    from ..floorplan.objectives import set_model_cache_dir
-
-    set_model_cache_dir(cache_dir)
-
-
 def execute_batch_payload(payload: dict) -> FlowMetrics:
     """Queue executor for :class:`~repro.api.JobSpec` payloads.
 
@@ -201,7 +192,6 @@ def execute_batch_payload(payload: dict) -> FlowMetrics:
 def batch_worker_main(
     queue_dir: str,
     lease_ttl: float = 300.0,
-    cache_dir: Optional[str] = None,
     worker_id: Optional[str] = None,
     max_jobs: Optional[int] = None,
     only_keys: Optional[frozenset] = None,
@@ -211,9 +201,9 @@ def batch_worker_main(
 ) -> int:
     """One queue-draining worker process (the ``repro.cli work`` unit).
 
-    Configures the process-wide model cache, then claims and
-    executes :class:`~repro.api.JobSpec` payloads until the queue is drained —
-    all of it, or just ``only_keys`` when the caller owns a subset.
+    Claims and executes :class:`~repro.api.JobSpec` payloads until the
+    queue is drained — all of it, or just ``only_keys`` when the caller
+    owns a subset.
     ``max_attempts``/``retry_backoff`` set this worker's per-job retry
     budget and backoff base (see :class:`~repro.core.queue.WorkQueue`);
     with ``max_attempts > 1`` crash-steals are bounded by the same
@@ -228,7 +218,6 @@ def batch_worker_main(
     from ..floorplan.tempering import IN_POOL_ENV
 
     os.environ[IN_POOL_ENV] = "1"
-    _init_batch_worker(cache_dir)
     queue = WorkQueue(
         queue_dir,
         lease_ttl=lease_ttl,
@@ -250,7 +239,6 @@ def run_batch(
     jobs: Iterable[JobSpec],
     processes: Optional[int] = None,
     store: Union[ResultsStore, str, Path, None] = None,
-    cache_dir: Union[str, Path, None] = None,
     queue_dir: Union[str, Path, None] = None,
     lease_ttl: float = 300.0,
     max_attempts: int = 1,
@@ -277,10 +265,8 @@ def run_batch(
     store is given (shards survive interruptions), else a temporary
     directory that vanishes with the call.
 
-    ``cache_dir`` names a shared on-disk cache directory: workers persist
-    calibrated fast-thermal models there, so each calibration stack is
-    calibrated once across the whole pool (and across re-runs) instead of
-    once per process.
+    Each worker process calibrates the fast thermal model once per
+    (stack, grid) it meets and reuses it for the rest of its jobs.
 
     ``max_attempts``/``retry_backoff`` give every job a retry budget with
     exponential backoff (default: failures are terminal, the historical
@@ -292,7 +278,6 @@ def run_batch(
         return []
     if isinstance(store, (str, Path)):
         store = ResultsStore(store)
-    cache_dir = str(cache_dir) if cache_dir is not None else None
     done = store.completed() if store is not None else {}
     results: List[Optional[FlowMetrics]] = [done.get(job.key()) for job in jobs]
     pending = [i for i, r in enumerate(results) if r is None]
@@ -327,21 +312,15 @@ def run_batch(
         if processes is None:
             processes = min(len(pending), os.cpu_count() or 1)
         if processes <= 1 or len(pending) == 1:
-            # the serial path configures the *current* process's model
-            # cache; put it back afterwards so library callers see no change
-            from ..floorplan.objectives import model_cache_dir, set_model_cache_dir
             from ..floorplan.tempering import IN_POOL_ENV
 
-            prev_model = model_cache_dir()
             prev_in_pool = os.environ.get(IN_POOL_ENV)
             try:
                 # the serial drain is still batch context: don't let a
                 # tempered job fan out a replica pool mid-profile/test
                 os.environ[IN_POOL_ENV] = "1"
-                _init_batch_worker(cache_dir)
                 run_worker(queue, execute_batch_payload, only_keys=pending_keys)
             finally:
-                set_model_cache_dir(prev_model)
                 if prev_in_pool is None:
                     os.environ.pop(IN_POOL_ENV, None)
                 else:
@@ -353,7 +332,6 @@ def run_batch(
                         batch_worker_main,
                         str(queue_dir),
                         lease_ttl,
-                        cache_dir,
                         only_keys=pending_keys,
                         max_attempts=max_attempts,
                         retry_backoff=retry_backoff,

@@ -72,9 +72,6 @@ class AnnealConfig:
     assignment_every: int = 50
     inloop_volume_size: int = 16
     calibration_samples: int = 24
-    #: incremental (dirty-die) cost evaluation; disable to fall back to
-    #: the full per-move evaluation, the correctness oracle
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -297,10 +294,7 @@ class AnnealChain:
             self.best_cost = evaluator.total_cost(self.best_bd)
         candidate = self.state.copy()
         move = apply_random_move(candidate, self.rng)
-        if config.incremental:
-            bd = evaluator.evaluate(candidate, dirty_dies=move.dies)
-        else:
-            bd = evaluator.evaluate(candidate, force_full=True)
+        bd = evaluator.evaluate(candidate, dirty_dies=move.dies)
         cost = evaluator.total_cost(bd)
         delta = cost - self.current_cost
         if delta <= 0 or self.rng.random() < math.exp(

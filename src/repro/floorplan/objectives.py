@@ -45,27 +45,9 @@ __all__ = [
 
 
 #: calibrated fast-thermal models, memoized per (stack, grid) — repeated
-#: flow runs over the same benchmark (sweeps, batches) calibrate once
+#: flow runs over the same benchmark in one process (sweep workers,
+#: batches) calibrate once
 _CALIBRATED_MODELS: Dict[Tuple[StackConfig, GridSpec], FastThermalModel] = {}
-
-#: optional cross-process persistence of calibrated masks (sweep workers)
-_MODEL_CACHE_DIR: Optional[str] = None
-
-
-def set_model_cache_dir(path: Optional[str]) -> None:
-    """Persist calibrated thermal models under ``path`` (None disables).
-
-    Batch-sweep workers point this at a shared directory so each
-    (stack, grid) calibrates once across the *whole pool* instead of once
-    per process; see :func:`~repro.exploration.study.run_batch`.
-    """
-    global _MODEL_CACHE_DIR
-    _MODEL_CACHE_DIR = str(path) if path is not None else None
-
-
-def model_cache_dir() -> Optional[str]:
-    """The currently configured model-persistence directory (or None)."""
-    return _MODEL_CACHE_DIR
 
 
 def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalModel:
@@ -77,30 +59,13 @@ def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalM
     """
     key = (stack, grid)
     model = _CALIBRATED_MODELS.get(key)
-    if model is not None:
-        return model
-    model_path = None
-    if _MODEL_CACHE_DIR is not None:
-        import os
-
-        from ..core.store import artifact_digest, load_thermal_model
-
-        os.makedirs(_MODEL_CACHE_DIR, exist_ok=True)
-        model_path = os.path.join(
-            _MODEL_CACHE_DIR, f"fastmodel-{artifact_digest(stack, grid)}.json"
-        )
-        model = load_thermal_model(model_path)
     if model is None:
         from ..thermal.fast import calibrate as _calibrate
         from ..thermal.steady_state import default_solver_cache
 
         solver = default_solver_cache().solver(stack, grid)
         model = _calibrate(solver, grid, num_dies=stack.num_dies)
-        if model_path is not None:
-            from ..core.store import save_thermal_model
-
-            save_thermal_model(model_path, model)
-    _CALIBRATED_MODELS[key] = model
+        _CALIBRATED_MODELS[key] = model
     return model
 
 

@@ -32,7 +32,7 @@ SYMMETRIC_SPLU_KWARGS = dict(
 
 
 class NativeSuperLUFactorization(Factorization):
-    """An in-process ``splu`` handle (the historical ``solver._lu``)."""
+    """An in-process ``splu`` handle."""
 
     backend_name = "superlu"
     supports_woodbury_base = True

@@ -146,12 +146,6 @@ class SteadyStateSolver:
         return self._fact
 
     @property
-    def _lu(self):
-        # historical name for the factorization handle; several external
-        # callers (and the Woodbury internals' tests) solve through it
-        return self._fact
-
-    @property
     def backend_name(self) -> str:
         return getattr(self._fact, "backend_name", self.backend.name)
 

@@ -62,6 +62,12 @@ class TestSchemaRoundTrip:
         old = dict(FlowConfig().to_json(), seed=7)
         with pytest.warns(SchemaWarning, match="seed"):
             assert FlowConfig.from_json(old) == FlowConfig()
+        # AnnealConfig.incremental only ever switched tests to the
+        # force_full oracle; documents that carry it still load
+        doc = FlowConfig().to_json()
+        old = dict(doc, anneal=dict(doc["anneal"], incremental=False))
+        with pytest.warns(SchemaWarning, match="incremental"):
+            assert FlowConfig.from_json(old) == FlowConfig()
 
     def test_newer_schema_version_warns_but_loads(self):
         doc = dict(JobSpec(**SPEC).to_json(), schema_version=99)
@@ -138,8 +144,49 @@ def _frozen(metrics):
     return replace(metrics, runtime_s=0.0, degradations={})
 
 
-def _no_calibration(*args, **kwargs):
-    raise AssertionError("calibrated in-process instead of loading the model")
+class TestCalibrationReuse:
+    """The fast thermal model calibrates once per (stack, grid) per
+    process; every later flow on that stack reuses it."""
+
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        from repro.floorplan import objectives
+        from repro.thermal import fast
+
+        calls = []
+        calibrate = fast.calibrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
+        monkeypatch.setattr(fast, "calibrate", counting)
+        return calls
+
+    def test_memo_per_stack_and_grid(self, calibrations):
+        from repro.floorplan.objectives import calibrated_thermal_model
+        from repro.layout.die import StackConfig
+        from repro.layout.grid import GridSpec
+
+        stack = StackConfig.square(1000.0)
+        grid = GridSpec(stack.outline, 8, 8)
+        model = calibrated_thermal_model(stack, grid)
+        assert calibrated_thermal_model(stack, grid) is model
+        assert calibrations == [grid]
+        other = GridSpec(stack.outline, 10, 10)
+        assert calibrated_thermal_model(stack, other) is not model
+        assert calibrations == [grid, other]
+
+    def test_serial_batch_calibrates_once(self, calibrations):
+        from repro.exploration.study import run_batch
+
+        specs = [JobSpec("n100", seed=seed, iterations=25, grid=12)
+                 for seed in (0, 1)]
+        assert len(run_batch(specs, processes=1)) == 2
+        assert len(calibrations) == 1
+        with pytest.raises(TypeError, match="cache_dir"):
+            run_batch(specs, processes=1, cache_dir="unused")
 
 
 class TestJobSpec:
@@ -180,33 +227,6 @@ class TestJobSpec:
                 _frozen(in_process) == _frozen(batched) == _frozen(worked)
             ), mode
             assert in_process.mode == mode
-
-    def test_record_is_cache_dir_invariant(self, tmp_path, monkeypatch):
-        """A calibrated model loaded back from a batch ``cache_dir`` gives
-        the record of a run that calibrates in-process; the directory
-        holds only those models."""
-        from repro.exploration.study import run_batch
-        from repro.floorplan import objectives
-        from repro.thermal import fast
-
-        cache_dir = tmp_path / "cache"
-        for mode in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
-            spec = JobSpec("n100", mode=mode, iterations=25, grid=12)
-            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
-            in_process = run_flow_job(spec).metrics
-            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
-            run_batch([spec], processes=1, cache_dir=cache_dir)
-            files = sorted(p.name for p in cache_dir.iterdir())
-            assert files and all(
-                name.startswith("fastmodel-") and name.endswith(".json")
-                for name in files
-            ), files
-            # a second cold process: the model must come from disk
-            monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
-            with monkeypatch.context() as patch:
-                patch.setattr(fast, "calibrate", _no_calibration)
-                (loaded,) = run_batch([spec], processes=1, cache_dir=cache_dir)
-            assert _frozen(loaded) == _frozen(in_process), mode
 
     @pytest.mark.parametrize("stamped", [False, True])
     def test_pre_merge_queue_payload_executes(self, stamped):

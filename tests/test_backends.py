@@ -214,15 +214,6 @@ class TestSuperLUBitCompatibility:
         )
         assert np.array_equal(got.nodal, lu.solve(q))
 
-    def test_lu_alias_still_solves(self):
-        _, grid, stack = _stack()
-        solver = SteadyStateSolver(stack)
-        e = np.zeros(solver.network.num_nodes)
-        e[7] = 1.0
-        np.testing.assert_allclose(
-            solver._lu.solve(e), solver.factorization.solve(e), rtol=0
-        )
-
 
 class _HistoricalSuperLU(SuperLUBackend):
     """The historical default: equilibrated-COLAMD ``splu``."""

@@ -43,7 +43,6 @@ class TestParser:
         args = build_parser().parse_args(["work", "--queue-dir", "/tmp/q"])
         assert args.workers == 1
         assert args.lease_ttl == pytest.approx(300.0)
-        assert args.cache_dir is None
         assert args.max_jobs is None
 
     def test_sweep_status_flags(self):
@@ -77,6 +76,17 @@ class TestParser:
         # selected it was removed
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--no-incremental"])
+
+    @pytest.mark.parametrize("command", [
+        ["batch", "n100"], ["work", "--queue-dir", "/tmp/q"],
+    ])
+    def test_cache_dir_flag_is_gone(self, command, capsys):
+        # workers reuse calibrated fast models in memory; nothing to point
+        # at a directory
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--cache-dir", "X"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("backend", ["cholmod", "compiled_triangular"])
     def test_removed_thermal_backends_rejected(self, backend, capsys):
@@ -133,8 +143,7 @@ class TestQueueCommands:
         out = capsys.readouterr().out
         assert "1 jobs" in out and "pending 1" in out
 
-        assert main(["work", "--queue-dir", qdir,
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert main(["work", "--queue-dir", qdir]) == 0
         out = capsys.readouterr().out
         assert "completed 1 job(s)" in out
 

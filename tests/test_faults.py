@@ -577,40 +577,6 @@ class TestManifestIndex:
 # -- graceful solver degradation --------------------------------------------------
 
 
-class TestModelCacheDegradation:
-    def test_injected_enospc_on_model_save_is_survivable(
-        self, tmp_path, monkeypatch
-    ):
-        import errno
-        from pathlib import Path
-
-        from repro.core.store import load_thermal_model, save_thermal_model
-        from repro.layout.die import StackConfig
-        from repro.layout.grid import GridSpec
-        from repro.thermal.fast import calibrate
-        from repro.thermal.steady_state import SolverCache
-
-        cfg = StackConfig.square(1000.0)
-        grid = GridSpec(cfg.outline, 8, 8)
-        model = calibrate(SolverCache().solver(cfg, grid), grid)
-        write_text = Path.write_text
-
-        def disk_full(self, data, *args, **kwargs):
-            write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        path = tmp_path / "fastmodel-probe.json"
-        before = faults.snapshot_degradations()
-        with monkeypatch.context() as patch:
-            patch.setattr(Path, "write_text", disk_full)
-            save_thermal_model(path, model)  # survives a full disk
-        assert faults.degradations_since(before)["persist.write_failed"] == 1
-        assert not list(tmp_path.iterdir())  # nothing half-written
-        assert load_thermal_model(path) is None
-        save_thermal_model(path, model)  # the next writer persists it whole
-        assert load_thermal_model(path) == model
-
-
 class TestWoodburyDegradation:
     def _pair(self):
         from repro.layout.die import StackConfig

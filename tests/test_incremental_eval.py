@@ -50,6 +50,14 @@ def _evaluators(circ, stack, mode=FloorplanMode.TSC_AWARE):
     return inc, full
 
 
+class _FullEvaluator(CostEvaluator):
+    """The oracle: every move recomputes from scratch, whatever the annealer
+    passes as ``dirty_dies``."""
+
+    def evaluate(self, state, force_full=False, dirty_dies=None):
+        return super().evaluate(state, force_full=True)
+
+
 def _assert_matches(bd_inc, bd_full, context):
     for field in FIELDS:
         assert getattr(bd_inc, field) == pytest.approx(
@@ -174,19 +182,18 @@ class TestAnnealerEvaluatorHygiene:
         every slow term refreshes every iteration."""
         circ, outline = _circuit(num_modules=8, seed=7)
         stack = StackConfig(outline)
-        results = []
-        for incremental in (True, False):
-            config = AnnealConfig(
-                iterations=60,
-                calibration_samples=4,
-                grid_nx=8,
-                grid_ny=8,
-                timing_every=1,
-                thermal_every=1,
-                assignment_every=1,
-                incremental=incremental,
-            )
-            evaluator = CostEvaluator(
+        config = AnnealConfig(
+            iterations=60,
+            calibration_samples=4,
+            grid_nx=8,
+            grid_ny=8,
+            timing_every=1,
+            thermal_every=1,
+            assignment_every=1,
+        )
+        results, stats = [], []
+        for evaluator_cls in (CostEvaluator, _FullEvaluator):
+            evaluator = evaluator_cls(
                 stack,
                 circ.nets,
                 circ.terminals,
@@ -202,6 +209,8 @@ class TestAnnealerEvaluatorHygiene:
                 anneal(circ.modules, stack, circ.nets, circ.terminals,
                        config=config, evaluator=evaluator)
             )
+            stats.append(evaluator.eval_stats["incremental"])
         inc_result, full_result = results
+        assert stats[0] > 0 and stats[1] == 0
         assert inc_result.cost == pytest.approx(full_result.cost, abs=1e-9)
         assert inc_result.state.die_of == full_result.state.die_of

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.results import FlowMetrics
-from repro.core.store import ResultsStore, load_thermal_model, save_thermal_model
+from repro.core.store import ResultsStore
 from repro.api import JobSpec
 from repro.exploration.study import run_batch
-from repro.thermal.fast import FastThermalModel
 
 
 def _metrics(benchmark="n100", mode="power_aware", r1=0.5, runtime=1.0):
@@ -110,27 +109,6 @@ class TestResultsStore:
         else:  # pragma: no cover - exercised only where pyarrow exists
             out = store.to_parquet()
             assert out.exists()
-
-
-class TestThermalModelPersistence:
-    def test_round_trip(self, tmp_path):
-        model = FastThermalModel(num_dies=3, tsv_beta=0.3, ambient=300.0)
-        path = tmp_path / "model.json"
-        save_thermal_model(path, model)
-        again = load_thermal_model(path)
-        assert again is not None
-        assert again.num_dies == 3
-        assert again.tsv_beta == pytest.approx(0.3)
-        assert again.ambient == pytest.approx(300.0)
-        assert set(again.masks) == set(model.masks)
-        for key, params in model.masks.items():
-            assert again.masks[key] == params
-
-    def test_missing_or_corrupt_returns_none(self, tmp_path):
-        assert load_thermal_model(tmp_path / "absent.json") is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert load_thermal_model(bad) is None
 
 
 class TestJobSpecKey:

@@ -190,7 +190,7 @@ class TestFallbackBoundary:
         index = n // 2
         e = np.zeros(n)
         e[index] = 1.0
-        w = float(base._lu.solve(e)[index])  # (G^-1)_ii
+        w = float(base.factorization.solve(e)[index])  # (G^-1)_ii
         # G' = G - (1 - eps)/w * e_i e_i^T makes I + C·W ~ eps: the dense
         # core is numerically singular and the Woodbury correction
         # explodes — exactly what the probe residual must catch
