@@ -10,9 +10,8 @@ sockets, no server to keep alive.
 
 Layout under the queue root::
 
-    jobs/<digest>.json       one spec per job: {"key", "payload"}
-    manifest.jsonl           append-only job index ({"key"} per line) so
-                             claim polling stops rescanning jobs/
+    jobs/<digest>.json       one spec per job: {"key", "payload"}; the
+                             listing of jobs/ is the job index
     leases/<digest>.lease    exclusive claim; mtime is the heartbeat
     fences/<digest>.json     per-key fencing token: {"epoch", "steals"}
     shards/<worker>.jsonl    per-worker ResultsStore shard (append-only)
@@ -24,10 +23,12 @@ Layout under the queue root::
 Coordination rules:
 
 * **Claim** — a lease file created with ``O_CREAT | O_EXCL``; exactly one
-  worker wins.  Every claim bumps the job's **fencing epoch** (a
-  monotonic per-key counter in ``fences/``) and embeds it in the lease
-  and, at completion, in the shard record.  Workers heartbeat by
-  refreshing the lease mtime while the job runs.
+  worker wins.  Candidates come from listing ``jobs/`` in digest order;
+  only the job files a worker tries to acquire are read.  Every claim
+  bumps the job's **fencing epoch** (a monotonic per-key counter in
+  ``fences/``) and embeds it in the lease and, at completion, in the
+  shard record.  Workers heartbeat by refreshing the lease mtime while
+  the job runs.
 * **Reclaim** — a lease whose mtime is older than ``lease_ttl`` belongs
   to a dead worker.  Stealing it goes through an atomic ``rename`` to a
   unique tombstone, so of N workers that notice the same expired lease,
@@ -55,8 +56,8 @@ plus the heartbeat interval; the CLI default (300 s) is conservative,
 and the fencing epochs make even a mis-sized TTL safe (just slower).
 Queue I/O routes through :func:`~repro.core.faults.retry_io` (transient
 fs errors cost a bounded retry) and is instrumented with fault-injection
-sites (``queue.job``, ``queue.manifest``, ``queue.lease``,
-``queue.fence``, ``queue.complete``) for the chaos suite.
+sites (``queue.job``, ``queue.lease``, ``queue.fence``,
+``queue.complete``) for the chaos suite.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ _SCHEMA = 2
 #: recorded error strings are capped so quarantine triage stays greppable
 #: (a stack of recursive-flow tracebacks once weighed in at megabytes)
 _MAX_ERROR_CHARS = 4000
+
+#: job states assigned by :meth:`WorkQueue._classify`
+_DONE, _QUARANTINED, _FAILED, _BACKOFF, _RUNNABLE = (
+    "done", "quarantined", "failed", "backoff", "runnable"
+)
 
 
 def worker_name() -> str:
@@ -223,7 +229,6 @@ class WorkQueue:
         self.failures_dir = self.root / "failures"
         self.fences_dir = self.root / "fences"
         self.quarantine_dir = self.root / "quarantine"
-        self.manifest_path = self.root / "manifest.jsonl"
         for directory in (
             self.jobs_dir, self.leases_dir, self.shards_dir,
             self.failures_dir, self.fences_dir, self.quarantine_dir,
@@ -233,8 +238,6 @@ class WorkQueue:
         self.store = ResultsStore(self.root)
         #: shard stores memoized per filename (each memoizes by file stamp)
         self._shards: Dict[str, ResultsStore] = {}
-        #: manifest index memoized against (manifest stamp, jobs-dir mtime)
-        self._manifest_cache: Optional[Tuple[tuple, List[str]]] = None
         #: fencing epochs memoized against the fences-dir mtime
         self._fence_cache: Optional[Tuple[int, Dict[str, int]]] = None
 
@@ -270,117 +273,25 @@ class WorkQueue:
                 tmp.unlink()
             except OSError:
                 pass
-        self._manifest_append(key)
         return True
 
-    def _manifest_append(self, key: str) -> None:
-        """Index one job in the manifest (job files stay authoritative).
+    def _job_digests(self) -> List[str]:
+        """Digests of every job file in jobs/, sorted (no file is read)."""
+        return sorted(
+            name[: -len(".json")]
+            for name in os.listdir(self.jobs_dir)
+            if name.endswith(".json")
+        )
 
-        A manifest line that never lands (crash or persistent fs error
-        between the job write and this append) is healed by the next
-        :meth:`_manifest_index` call noticing jobs/ is newer than the
-        manifest and re-scanning once.
-        """
-        line = (json.dumps({"key": key}, sort_keys=True) + "\n").encode("utf-8")
-
-        def write() -> None:
-            fault_point("queue.manifest")
-            fd = os.open(self.manifest_path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, line)
-            finally:
-                os.close(fd)
-
-        try:
-            retry_io(write, site="queue.manifest")
-        except OSError:
-            faults.record_degradation("queue.manifest_append_failed")
-
-    def _manifest_entries(self) -> List[str]:
-        """Manifest keys in enqueue order (deduped, torn lines skipped)."""
-        seen: Dict[str, None] = {}
-        try:
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        seen.setdefault(str(record["key"]))
-                    except (ValueError, KeyError, TypeError):
-                        continue  # torn concurrent append
-        except OSError:
-            pass
-        return list(seen)
-
-    def _manifest_index(self) -> List[str]:
-        """Every queued job key, in enqueue order, without rescanning jobs/.
-
-        The manifest is the O(1)-stat fast path; a jobs/ directory newer
-        than the manifest (a crash between job write and index append, a
-        pre-manifest queue dir, a foreign writer) triggers one repair
-        scan that appends the missing keys — after which polling is back
-        to a stat and a memoized parse.
-        """
-        try:
-            m_st = self.manifest_path.stat()
-            m_stamp: Optional[Tuple[int, int]] = (m_st.st_mtime_ns, m_st.st_size)
-            m_mtime = m_st.st_mtime_ns
-        except OSError:
-            m_stamp, m_mtime = None, -1
-        try:
-            d_mtime = self.jobs_dir.stat().st_mtime_ns
-        except OSError:
-            d_mtime = -1
-        stamp = (m_stamp, d_mtime)
-        if self._manifest_cache is not None and self._manifest_cache[0] == stamp:
-            return self._manifest_cache[1]
-        keys = self._manifest_entries()
-        if d_mtime > m_mtime:
-            indexed = set(keys)
-            missing = [
-                key for key in self.jobs() if key not in indexed
-            ]
-            for key in missing:
-                self._manifest_append(key)
-            keys.extend(missing)
-            if not missing and m_stamp is None and not keys:
-                # empty queue: nothing to index, nothing to memoize against
-                self._manifest_cache = (stamp, [])
-                return []
-            try:
-                st = self.manifest_path.stat()
-                stamp = ((st.st_mtime_ns, st.st_size), d_mtime)
-            except OSError:
-                pass
-        self._manifest_cache = (stamp, keys)
-        return keys
-
-    def jobs(self) -> Dict[str, dict]:
-        """All queued job payloads keyed by job key (full jobs/ scan).
-
-        Inspection-path helper (status, repairs); the claim loop uses
-        the manifest index plus per-key payload reads instead.
-        """
-        out: Dict[str, dict] = {}
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            record = self._read_json(path)
-            if record is None or record.get("schema", 0) > _SCHEMA:
-                continue
-            try:
-                out[record["key"]] = record["payload"]
-            except (KeyError, TypeError):
-                continue
-        return out
-
-    def job_payload(self, key: str) -> Optional[dict]:
-        """The payload of one queued job, or None when absent/torn."""
-        record = self._read_json(self.jobs_dir / f"{self._digest(key)}.json")
+    def _read_job(self, digest: str) -> Optional[Tuple[str, dict]]:
+        """``(key, payload)`` of one job file, or None when torn/absent."""
+        record = self._read_json(self.jobs_dir / f"{digest}.json")
         if record is None or record.get("schema", 0) > _SCHEMA:
             return None
-        payload = record.get("payload")
-        return payload if isinstance(payload, dict) else None
+        key, payload = record.get("key"), record.get("payload")
+        if not isinstance(key, str) or not isinstance(payload, dict):
+            return None
+        return key, payload
 
     @staticmethod
     def _read_json(path: Path) -> Optional[dict]:
@@ -674,16 +585,52 @@ class WorkQueue:
                 out[str(record["key"])] = record
         return out
 
-    def _failure_blocks(self, record: Dict[str, object], now_ts: float) -> bool:
-        """Whether a failure record makes its job unclaimable right now."""
-        attempt = int(record.get("attempt", 1))
-        if attempt >= self.max_attempts:
-            return True  # budget exhausted: terminal
-        next_retry = record.get("next_retry_at")
-        return next_retry is not None and now_ts < float(next_retry)
+    def _classify(
+        self, only_keys: Optional[Set[str]] = None
+    ) -> Tuple[Dict[str, str], Dict[str, dict], Dict[str, dict]]:
+        """The state of every job listed in jobs/, read without parsing a
+        job file.
 
-    def _failure_terminal(self, record: Dict[str, object]) -> bool:
-        return int(record.get("attempt", 1)) >= self.max_attempts
+        Returns ``(states, failures, quarantined)``.  ``states`` maps each
+        job digest (only those of ``only_keys``, when given) in digest
+        order to done (a live-epoch record in any shard or the merged
+        store), quarantined, failed (its failure record schedules no retry:
+        the recording worker's budget is spent), backoff (a retry not due
+        yet) or runnable.  The record, not this instance's
+        ``max_attempts``, decides, so a read-only view (the service's
+        poll, ``sweep-status``) agrees with the workers that wrote it.
+        The failure and quarantine records come back keyed by digest.
+        :meth:`claim`, :meth:`status`, :meth:`drained` and the service
+        all read the queue through this one view.
+        """
+        done = {self._digest(key) for key in self.completed()}
+        failures = {self._digest(key): r for key, r in self.failures().items()}
+        quarantined = {
+            self._digest(key): r for key, r in self.quarantined().items()
+        }
+        wanted = (
+            None if only_keys is None else {self._digest(key) for key in only_keys}
+        )
+        now_ts = faults.now()
+        states: Dict[str, str] = {}
+        for digest in self._job_digests():
+            if wanted is not None and digest not in wanted:
+                continue
+            failure = failures.get(digest)
+            if digest in done:
+                states[digest] = _DONE
+            elif digest in quarantined:
+                states[digest] = _QUARANTINED
+            elif failure is None:
+                states[digest] = _RUNNABLE
+            elif "next_retry_at" not in failure:
+                # record_failure schedules a retry only while budget remains
+                states[digest] = _FAILED
+            elif now_ts < float(failure["next_retry_at"]):
+                states[digest] = _BACKOFF
+            else:
+                states[digest] = _RUNNABLE
+        return states, failures, quarantined
 
     # -- claiming --------------------------------------------------------------
 
@@ -774,32 +721,25 @@ class WorkQueue:
     ) -> Optional[Lease]:
         """Claim one runnable job, or None when nothing is claimable now.
 
-        Scans the memoized manifest index (one stat per poll — not a
-        jobs/ directory walk), skipping completed keys (any shard or the
-        merged store, at a live epoch), quarantined keys, failures whose
-        retry budget is exhausted or whose backoff has not elapsed, and
-        live leases; expired leases are reclaimed.  ``only_keys``
-        restricts the scan to a subset of job keys — how ``run_batch``
-        keeps its workers off unrelated jobs sharing the queue
-        directory.  ``None`` does not mean the sweep is finished — other
-        workers may still hold live leases (see :meth:`status` or
-        :func:`run_worker`).
+        Lists jobs/ in digest order (see :meth:`_classify`), skipping
+        completed keys (any shard or the merged store, at a live epoch),
+        quarantined keys, failures whose retry budget is exhausted or
+        whose backoff has not elapsed, and live leases; expired leases
+        are reclaimed.  Only the job files this call tries to acquire are
+        read.  ``only_keys`` restricts the scan to a subset of job keys —
+        how ``run_batch`` keeps its workers off unrelated jobs sharing
+        the queue directory.  ``None`` does not mean the sweep is
+        finished — other workers may still hold live leases (see
+        :meth:`status` or :func:`run_worker`).
         """
-        done = set(self.completed())
-        failed = self.failures()
-        quarantined = set(self.quarantined())
-        now_ts = faults.now()
-        for key in self._manifest_index():
-            if only_keys is not None and key not in only_keys:
+        states, _, _ = self._classify(only_keys)
+        for digest, state in states.items():
+            if state != _RUNNABLE:
                 continue
-            if key in done or key in quarantined:
-                continue
-            failure = failed.get(key)
-            if failure is not None and self._failure_blocks(failure, now_ts):
-                continue
-            payload = self.job_payload(key)
-            if payload is None:
-                continue  # indexed but torn/missing job file
+            job = self._read_job(digest)
+            if job is None:
+                continue  # torn or vanished job file
+            key, payload = job
             lease = retry_io(
                 lambda: self._try_acquire(key, payload, worker_id), site="queue.lease"
             )
@@ -848,12 +788,11 @@ class WorkQueue:
 
     def status(self) -> QueueStatus:
         """Snapshot progress: totals, live/stale leases, failures,
-        quarantine."""
-        jobs_keys = self._manifest_index()
-        done = set(self.completed())
-        failures = self.failures()
-        quarantined = self.quarantined()
-        digest_to_key = {self._digest(key): key for key in jobs_keys}
+        quarantine.
+
+        Keys come from the lease, failure and quarantine records; no job
+        file is parsed."""
+        states, failures, quarantined = self._classify()
         now_ts = faults.now()
         active: List[Dict[str, object]] = []
         stale: List[Dict[str, object]] = []
@@ -863,39 +802,36 @@ class WorkQueue:
                 age = now_ts - path.stat().st_mtime
             except OSError:
                 continue  # released between the glob and the stat
-            key = digest_to_key.get(path.stem, record.get("key", path.stem))
-            if age > self.lease_ttl and key in done:
+            if age > self.lease_ttl and states.get(path.stem) == _DONE:
                 # completed but never released (died post-append): reap
                 # rather than reporting a forever-stale ghost
                 self._reap_completed_lease(path)
                 continue
             entry = {
-                "key": key,
+                "key": record.get("key", path.stem),
                 "worker": record.get("worker", "?"),
                 "age_s": age,
             }
             (stale if age > self.lease_ttl else active).append(entry)
-        job_set = set(jobs_keys)
-        completed = sum(1 for key in jobs_keys if key in done)
-        unresolved_failures = {
-            k: v
-            for k, v in failures.items()
-            if k in job_set and k not in done
-        }
-        quarantined = {
-            k: v for k, v in quarantined.items() if k in job_set and k not in done
-        }
-        failed = len(set(unresolved_failures) | set(quarantined))
+        unresolved = [digest for digest, state in states.items() if state != _DONE]
+        completed = len(states) - len(unresolved)
+        failed = sum(1 for d in unresolved if d in failures or d in quarantined)
         return QueueStatus(
-            total=len(jobs_keys),
+            total=len(states),
             completed=completed,
             failed=failed,
             claimed=len(active),
-            pending=len(jobs_keys) - completed - failed,
+            pending=len(unresolved) - failed,
             active=active,
             stale=stale,
-            failures=unresolved_failures,
-            quarantined=quarantined,
+            failures={
+                str(failures[d]["key"]): failures[d]
+                for d in unresolved if d in failures
+            },
+            quarantined={
+                str(quarantined[d]["key"]): quarantined[d]
+                for d in unresolved if d in quarantined
+            },
         )
 
     def drained(self, only_keys: Optional[Set[str]] = None) -> bool:
@@ -904,22 +840,10 @@ class WorkQueue:
 
         A failure with retry budget (and backoff) remaining does *not*
         drain the queue — a waiting worker will re-claim it."""
-        keys = self._manifest_index()
-        if only_keys is not None:
-            keys = [key for key in keys if key in only_keys]
-        if not keys:
-            return True
-        done = set(self.completed())
-        failed = self.failures()
-        quarantined = set(self.quarantined())
-        for key in keys:
-            if key in done or key in quarantined:
-                continue
-            record = failed.get(key)
-            if record is not None and self._failure_terminal(record):
-                continue
-            return False
-        return True
+        states, _, _ = self._classify(only_keys)
+        return all(
+            state in (_DONE, _QUARANTINED, _FAILED) for state in states.values()
+        )
 
 
 def _heartbeat_loop(lease: Lease, stop: threading.Event, interval: float) -> None:

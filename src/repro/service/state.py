@@ -207,7 +207,7 @@ class ServiceState:
         human does with ``sweep-status``, just with a result at the end.
         """
         from ..api import submit as api_submit
-        from ..core.queue import WorkQueue
+        from ..core.queue import _FAILED, _QUARANTINED, WorkQueue
 
         spec = job.spec
         loop = asyncio.get_running_loop()
@@ -231,14 +231,12 @@ class ServiceState:
                     job_id=spec.job_id(), key=key,
                     status="completed", reused=False, metrics=metrics,
                 )
-            failures = await loop.run_in_executor(self._executor, queue.failures)
-            quarantined = await loop.run_in_executor(self._executor, queue.quarantined)
-            record = quarantined.get(key)
-            if record is None:
-                failure = failures.get(key)
-                if failure is not None and queue._failure_terminal(failure):
-                    record = failure
-            if record is not None:
+            states, failures, quarantined = await loop.run_in_executor(
+                self._executor, lambda: queue._classify({key})
+            )
+            digest = queue._digest(key)
+            if states.get(digest) in (_QUARANTINED, _FAILED):
+                record = quarantined.get(digest) or failures[digest]
                 raise RuntimeError(
                     f"queued job {key} failed on the worker pool: "
                     f"{record.get('error', record.get('reason', 'unknown'))}"

@@ -62,7 +62,7 @@ _INSTANCES: dict = {}
 
 #: cells per layer above which ``auto`` switches to multigrid; 4096
 #: (= 64x64) keeps every historical grid on the direct oracle path
-_DEFAULT_MULTIGRID_THRESHOLD = 4096
+_MULTIGRID_THRESHOLD = 4096
 
 #: largest ``FactorHints.rhs_budget`` for which ``auto`` prefers a
 #: multigrid setup plus that many PCG solves over a fresh SuperLU
@@ -89,17 +89,8 @@ def get_backend(name: str) -> FactorizationBackend:
 
 
 def multigrid_threshold() -> int:
-    """Cells-per-layer bound above which ``auto`` engages multigrid
-    (override with ``REPRO_MULTIGRID_THRESHOLD``)."""
-    raw = os.environ.get("REPRO_MULTIGRID_THRESHOLD")
-    if raw is None:
-        return _DEFAULT_MULTIGRID_THRESHOLD
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_MULTIGRID_THRESHOLD must be an integer, got {raw!r}"
-        )
+    """Cells-per-layer bound above which ``auto`` engages multigrid."""
+    return _MULTIGRID_THRESHOLD
 
 
 def resolve_backend(

@@ -236,20 +236,6 @@ class FastThermalModel:
             )
         return out
 
-    def estimate_die(
-        self,
-        die: int,
-        power_maps: Sequence[np.ndarray],
-        tsv_density=None,
-    ) -> np.ndarray:
-        """Temperature map of one die only (saves half the convolutions)."""
-        shape = _validated_shapes(power_maps, self.num_dies)
-        atten = per_die_attenuation(self.num_dies, shape, tsv_density, self.tsv_beta)
-        temp = np.full(shape, self.ambient, dtype=float)
-        for s in range(self.num_dies):
-            temp += self._respond(power_maps[s] * atten[s], self.masks[(s, die)])
-        return temp
-
 
 def calibrate(
     solver,

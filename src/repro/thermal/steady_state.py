@@ -70,9 +70,6 @@ class ThermalResult:
     def peak(self) -> float:
         return float(max(m.max() for m in self.die_maps))
 
-    def die_map(self, die: int) -> np.ndarray:
-        return self.die_maps[die]
-
 
 def _split_die_maps(stack: ThermalStack, t: np.ndarray) -> List[np.ndarray]:
     """Per-die active-layer temperature maps out of a nodal vector.

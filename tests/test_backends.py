@@ -102,13 +102,9 @@ class TestRegistryAndSelection:
         big = resolve_backend(cells_per_layer=multigrid_threshold() + 1)
         assert big.name == "multigrid"
 
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MULTIGRID_THRESHOLD", "100")
-        assert multigrid_threshold() == 100
-        assert resolve_backend(cells_per_layer=101).name == "multigrid"
-        monkeypatch.setenv("REPRO_MULTIGRID_THRESHOLD", "lots")
-        with pytest.raises(ValueError, match="REPRO_MULTIGRID_THRESHOLD"):
-            multigrid_threshold()
+    def test_threshold_is_a_fixed_64x64_layer(self):
+        assert multigrid_threshold() == 64 * 64
+        assert resolve_backend(cells_per_layer=101).name == "superlu"
 
     def test_unavailable_request_degrades_to_superlu(self):
         before = faults.snapshot_degradations()

@@ -61,14 +61,6 @@ class TestFastModel:
         cooled = m.estimate([pm, np.zeros((32, 32))], tsv_density=density)[0]
         assert cooled[16, 16] < hot[16, 16]
 
-    def test_estimate_die_matches_estimate(self):
-        m = FastThermalModel(num_dies=2)
-        rng = np.random.default_rng(0)
-        pms = [rng.random((16, 16)) * 0.01 for _ in range(2)]
-        full = m.estimate(pms)
-        single = m.estimate_die(1, pms)
-        assert np.allclose(full[1], single)
-
     def test_linearity(self):
         m = FastThermalModel(num_dies=2)
         pm = np.zeros((16, 16))

@@ -423,6 +423,17 @@ class TestRetryAndQuarantine:
         retry = queue.claim("w0")
         assert retry is not None and retry.key == "j"
 
+    def test_failure_record_not_local_budget_decides_terminal(self, tmp_path):
+        """A view opened with the library's default budget of one (the
+        service's poll, sweep-status) does not call a job failed while
+        the record that a budget-2 worker wrote still schedules a retry."""
+        pool = WorkQueue(tmp_path, lease_ttl=60.0, max_attempts=2, retry_backoff=30.0)
+        view = WorkQueue(tmp_path, lease_ttl=60.0)
+        pool.enqueue("j", {})
+        pool.record_failure(pool.claim("w0"), "transient", "w0")
+        assert not view.drained()
+        assert view._classify()[0] == {WorkQueue._digest("j"): "backoff"}
+
     def test_exhausted_budget_quarantines_exactly_once(self, tmp_path):
         """The acceptance criterion: a job exceeding max_attempts lands in
         quarantine/ exactly once, and sweep-status reports it."""
@@ -525,53 +536,81 @@ class TestFailureRecordHygiene:
         assert queue.failures()["j"]["error"] == "short"
 
 
-# -- manifest index ---------------------------------------------------------------
+# -- the jobs/ listing is the job index --------------------------------------------
 
 
-class TestManifestIndex:
-    def test_enqueue_appends_manifest_in_order(self, tmp_path):
+def _totals(status):
+    return status.total, status.completed, status.failed, status.pending
+
+
+class TestJobListing:
+    def test_job_file_written_without_enqueue_is_claimable(self, tmp_path):
+        """A job file that lands in jobs/ by any route other than
+        enqueue (another tool, a copy from an older queue dir) is
+        claimable on the next claim, and status() counts it."""
         queue = WorkQueue(tmp_path)
-        for i in range(4):
-            queue.enqueue(f"job{i}", {})
-        queue.enqueue("job0", {})  # idempotent: no duplicate line
-        lines = [
-            json.loads(line)["key"]
-            for line in queue.manifest_path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert lines == [f"job{i}" for i in range(4)]
-        assert queue._manifest_index() == lines
+        queue.enqueue("queued", {"tag": 0.0})
+        assert _totals(queue.status()) == (1, 0, 0, 1)
+        record = {"schema": 2, "key": "dropped-in", "payload": {"tag": 1.0}}
+        path = queue.jobs_dir / f"{WorkQueue._digest('dropped-in')}.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert _totals(queue.status()) == (2, 0, 0, 2)
+        claimed = set()
+        while (lease := queue.claim("w0")) is not None:
+            claimed.add(lease.key)
+            queue.complete(lease, _execute(lease.payload), "w0")
+        assert claimed == {"queued", "dropped-in"}
+        assert _totals(queue.status()) == (2, 2, 0, 0)
 
-    def test_lost_manifest_healed_from_jobs_dir(self, tmp_path):
-        """The crash window — job file durable, manifest append lost —
-        heals on the next index read; so does a deleted manifest."""
-        queue = WorkQueue(tmp_path)
-        with injected("queue.manifest=eio"):
-            queue.enqueue("silent", {"tag": 1.0})  # manifest append fails
-        assert "silent" not in queue._manifest_entries()
-        fresh = WorkQueue(tmp_path)
-        assert fresh._manifest_index() == ["silent"]  # repaired by scan
-        lease = fresh.claim("w0")
-        assert lease is not None and lease.key == "silent"
-        lease.release()
-        os.unlink(fresh.manifest_path)
-        assert WorkQueue(tmp_path)._manifest_index() == ["silent"]
+    def test_leftover_manifest_from_older_queue_dir_drains(self, tmp_path):
+        """Older revisions kept a manifest.jsonl index next to jobs/.  A
+        queue dir that still holds one (here with a torn tail and a key
+        that has no job file) drains fully, with the same status()
+        totals as a queue dir that never had one."""
+        legacy, control = WorkQueue(tmp_path / "legacy"), WorkQueue(tmp_path / "control")
+        for queue in (legacy, control):
+            for key, payload in _JOBS.items():
+                queue.enqueue(key, payload)
+        lines = [json.dumps({"key": key}) for key in _JOBS]
+        lines += [json.dumps({"key": "ghost"}), '{"key": "jo']
+        (legacy.root / "manifest.jsonl").write_text("\n".join(lines), encoding="utf-8")
+        assert _totals(legacy.status()) == _totals(control.status()) == (5, 0, 0, 5)
+        for queue in (legacy, control):
+            run_worker(queue, _execute, worker_id="w0", poll_interval=0.02)
+        assert legacy.drained()
+        assert _totals(legacy.status()) == _totals(control.status()) == (5, 5, 0, 0)
+        merged = legacy.merge().completed()
+        assert {k: _frozen(m) for k, m in merged.items()} == _oracle(_JOBS)
 
-    def test_claim_polls_manifest_not_jobs_dir(self, tmp_path, monkeypatch):
-        """Once the index is warm, polling an unchanged queue does not
-        rescan jobs/ (the O(jobs)-per-poll behaviour this index removed)."""
-        queue = WorkQueue(tmp_path)
-        for i in range(3):
-            queue.enqueue(f"job{i}", {})
-        queue._manifest_index()  # warm the memo
+    def test_claim_parses_only_the_job_files_it_tries(self, tmp_path, monkeypatch):
+        """claim reads one job file per acquisition attempt, never the
+        whole of jobs/; status() and drained() read none."""
+        queue = WorkQueue(tmp_path, lease_ttl=60.0)
+        for i in range(20):
+            queue.enqueue(f"job{i:02d}", {"tag": float(i)})
+        held = [queue.claim(f"holder{i}") for i in range(3)]
+        assert all(lease is not None for lease in held)
 
-        def forbidden(*a, **kw):
-            raise AssertionError("claim rescanned jobs/ on a warm manifest")
+        reads = []
+        read_json = WorkQueue._read_json
 
-        monkeypatch.setattr(queue, "jobs", forbidden)
+        def counting(path):
+            if path.parent == queue.jobs_dir:
+                reads.append(path.name)
+            return read_json(path)
+
+        monkeypatch.setattr(queue, "_read_json", counting)
         lease = queue.claim("w0")
         assert lease is not None
-        lease.release()
+        # the three held jobs come first in digest order: each costs one
+        # read and a failed acquisition, then the fourth read wins
+        assert len(reads) == len(held) + 1
+        reads.clear()
+        assert _totals(queue.status()) == (20, 0, 0, 20)
+        assert not queue.drained()
+        assert reads == []
+        for claimed in held + [lease]:
+            claimed.release()
 
 
 # -- graceful solver degradation --------------------------------------------------

@@ -56,7 +56,7 @@ class TestEnqueueAndClaim:
         queue = WorkQueue(tmp_path)
         assert queue.enqueue("a", {"tag": 1}) is True
         assert queue.enqueue("a", {"tag": 2}) is False  # first spec wins
-        assert queue.jobs() == {"a": {"tag": 1}}
+        assert queue._read_job(WorkQueue._digest("a")) == ("a", {"tag": 1})
 
     def test_claim_skips_completed_and_failed(self, tmp_path):
         queue = WorkQueue(tmp_path)
@@ -79,6 +79,18 @@ class TestEnqueueAndClaim:
         while (lease := queue.claim("w1")) is not None:
             keys.add(lease.key)
         assert keys == {"bad", "open"}
+
+    def test_claims_come_in_digest_order(self, tmp_path):
+        """Claims follow the sorted jobs/ listing, not enqueue order."""
+        queue = WorkQueue(tmp_path)
+        keys = [f"job{i}" for i in range(6)]
+        for key in keys:
+            queue.enqueue(key, {})
+        claimed = []
+        while (lease := queue.claim("w0")) is not None:
+            claimed.append(lease.key)
+        assert claimed == sorted(keys, key=WorkQueue._digest)
+        assert claimed != keys  # the two orders differ for these keys
 
     def test_two_workers_racing_for_one_claim(self, tmp_path):
         """Exactly one of two simultaneous claimers wins, every round."""

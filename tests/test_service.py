@@ -221,6 +221,44 @@ class TestQueueFanOut:
         worker.join(timeout=30)
         assert not worker.is_alive()
 
+    def test_queued_job_waits_out_retries_then_reports_terminal_failure(
+        self, tmp_path
+    ):
+        """A retriable worker failure keeps the service polling; only the
+        failure that spends the pool's budget fails the service job."""
+        from repro.core.queue import WorkQueue
+
+        qdir = tmp_path / "q"
+        pool = WorkQueue(qdir, lease_ttl=30.0, max_attempts=2, retry_backoff=0.0)
+
+        async def fail_next_claim(loop):
+            deadline = loop.time() + 30.0
+            while (lease := await loop.run_in_executor(None, pool.claim, "w0")) is None:
+                assert loop.time() < deadline, "job never became claimable"
+                await asyncio.sleep(0.05)
+            await loop.run_in_executor(
+                None, pool.record_failure, lease, "boom", "w0"
+            )
+
+        async def scenario(state, client):
+            loop = asyncio.get_running_loop()
+            status, doc = await client.post("/jobs", SPEC)
+            assert status == 202 and doc["dispatch"] == "queue"
+            await fail_next_claim(loop)  # attempt 1 of 2: a retry is due
+            await asyncio.sleep(0.5)  # ten service polls
+            status, polled = await client.get(f"/jobs/{doc['id']}")
+            assert polled["status"] == "running"
+            await fail_next_claim(loop)  # attempt 2 of 2: quarantined
+            final = await poll_terminal(client, doc["id"], timeout=30.0)
+            assert final["status"] == "failed"
+            assert "RuntimeError" in final["error"]
+            assert "failed on the worker pool: boom" in final["error"]
+
+        service_test(scenario)(dict(
+            store_dir=tmp_path / "store", queue_dir=qdir,
+            queue_threshold=1, poll_interval=0.05,
+        ))
+
     def test_small_jobs_stay_inline_below_threshold(self, tmp_path):
         async def scenario(state, client):
             status, doc = await client.post("/jobs?wait=1", SPEC)

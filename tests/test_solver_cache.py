@@ -200,7 +200,7 @@ class TestFastModelDensities:
         with pytest.raises(ValueError):
             model.estimate([good, np.zeros((4, 4))])  # mismatched later die
         with pytest.raises(ValueError):
-            model.estimate_die(0, [good, np.zeros((4, 4))])
+            model.estimate([np.zeros((4, 4)), good])  # mismatched first die
         with pytest.raises(ValueError):
             model.estimate([good, good], tsv_density=np.zeros((4, 4)))
 
