@@ -13,10 +13,11 @@ from oracles.activity import sample_power_maps_loop
 from oracles.pearson import local_correlation_map_loop
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
-from repro.floorplan.objectives import CompiledNetlist, CostEvaluator, FloorplanMode
+from repro.floorplan.objectives import CostEvaluator, FloorplanMode
 from repro.floorplan.seqpair import LayoutState, pack_die
 from repro.layout.grid import GridSpec
-from repro.layout.tsv import SiteNetlist, interface_densities
+from repro.layout.net import CompiledNetlist
+from repro.layout.tsv import interface_densities
 from repro.leakage.entropy import spatial_entropy
 from repro.leakage.pearson import die_correlation, local_correlation_map
 from repro.leakage.stability import stability_map
@@ -126,7 +127,7 @@ def test_refresh_tsv_density_n100(benchmark, n100_state):
     sites of every crossing net, then every interface's density map."""
     circ, stack, state = n100_state
     fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-    netlist = SiteNetlist(list(state.modules), circ.nets, circ.terminals)
+    netlist = CompiledNetlist(list(state.modules), circ.nets, circ.terminals)
 
     def refresh():
         sites = fp.signal_sites(netlist)

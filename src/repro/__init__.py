@@ -52,7 +52,7 @@ from .thermal import (
     solve_floorplan,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "load_benchmark",

@@ -7,13 +7,8 @@ Eq. 3 leakage terms into the classical area/wirelength/thermal mix.
 
 from .annealer import AnnealChain, AnnealConfig, AnnealResult, anneal
 from .moves import MOVE_NAMES, MoveRecord, apply_random_move
-from .objectives import (
-    CompiledNetlist,
-    CostBreakdown,
-    CostEvaluator,
-    FloorplanMode,
-    ObjectiveWeights,
-)
+from ..layout.net import CompiledNetlist
+from .objectives import CostBreakdown, CostEvaluator, FloorplanMode, ObjectiveWeights
 from .seqpair import DieSequencePair, LayoutState, pack_die
 from .tempering import resolve_replica_processes, temper
 

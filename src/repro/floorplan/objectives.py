@@ -14,20 +14,23 @@ the initial solution, then combined as a weighted sum — the standard
 multi-objective annealing recipe Corblivar uses.  Expensive terms
 (timing, thermal, leakage, voltage assignment) refresh on a configurable
 cadence; the cheap terms (outline fit, wirelength) are exact every
-iteration via a fully vectorized netlist evaluation.
+iteration via a fully vectorized netlist evaluation.  One
+:class:`~repro.layout.net.CompiledNetlist`, compiled once per evaluator,
+serves both the wirelength and the signal-TSV sites of every thermal
+refresh; each thermal refresh rasterizes every die's power map afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..layout.die import StackConfig
 from ..layout.grid import GridSpec
-from ..layout.net import Net, Terminal
-from ..layout.tsv import SiteNetlist, interface_densities
+from ..layout.net import CompiledNetlist, Net, Terminal
+from ..layout.tsv import interface_densities
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
@@ -38,7 +41,6 @@ from .seqpair import LayoutState, pack_die
 __all__ = [
     "ObjectiveWeights",
     "CostBreakdown",
-    "CompiledNetlist",
     "CostEvaluator",
     "FloorplanMode",
 ]
@@ -146,154 +148,6 @@ class CostBreakdown:
         return out
 
 
-class CompiledNetlist:
-    """Netlist compiled to flat arrays for O(#pins) numpy wirelength.
-
-    Per net we record the module-pin index ranges and, for nets with
-    terminals, precomputed terminal bounding boxes.  HPWL and die-crossing
-    counts then come from ``np.maximum.reduceat`` over pin coordinates —
-    no Python-level net loop in the annealing hot path.
-    """
-
-    def __init__(
-        self,
-        module_names: Sequence[str],
-        nets: Sequence[Net],
-        terminals: Mapping[str, Terminal],
-    ) -> None:
-        self.module_index: Dict[str, int] = {n: i for i, n in enumerate(module_names)}
-        pin_idx: List[int] = []
-        ptr: List[int] = [0]
-        tminx: List[float] = []
-        tmaxx: List[float] = []
-        tminy: List[float] = []
-        tmaxy: List[float] = []
-        sink_counts: List[int] = []
-        kept_nets: List[Net] = []
-        for net in nets:
-            mods = [m for m in net.modules if m in self.module_index]
-            if not mods:
-                continue
-            kept_nets.append(net)
-            pin_idx.extend(self.module_index[m] for m in mods)
-            ptr.append(len(pin_idx))
-            txs = [terminals[t].x for t in net.terminals if t in terminals]
-            tys = [terminals[t].y for t in net.terminals if t in terminals]
-            tminx.append(min(txs) if txs else np.inf)
-            tmaxx.append(max(txs) if txs else -np.inf)
-            tminy.append(min(tys) if tys else np.inf)
-            tmaxy.append(max(tys) if tys else -np.inf)
-            sink_counts.append(max(1, len(mods) - 1 + len(txs)))
-        self.nets = kept_nets
-        self.pin_idx = np.asarray(pin_idx, dtype=np.int64)
-        self.ptr = np.asarray(ptr, dtype=np.int64)
-        self.term_min_x = np.asarray(tminx)
-        self.term_max_x = np.asarray(tmaxx)
-        self.term_min_y = np.asarray(tminy)
-        self.term_max_y = np.asarray(tmaxy)
-        self.sink_counts = np.asarray(sink_counts, dtype=np.int64)
-        self.num_modules = len(module_names)
-        self.module_names = list(module_names)
-        # module -> nets adjacency (CSR over pin occurrences), backing the
-        # per-net dirty tracking of the incremental evaluator
-        lengths = np.diff(self.ptr)
-        net_of_pin = np.repeat(
-            np.arange(len(kept_nets), dtype=np.int64), lengths
-        )
-        order = np.argsort(self.pin_idx, kind="stable")
-        self._mod_net_idx = net_of_pin[order]
-        self._mod_net_ptr = np.searchsorted(
-            self.pin_idx[order], np.arange(self.num_modules + 1)
-        )
-
-    @property
-    def num_nets(self) -> int:
-        return len(self.nets)
-
-    def nets_touching(self, module_indices: Sequence[int]) -> np.ndarray:
-        """Unique indices of nets with a pin on any of the given modules."""
-        if self.num_nets == 0:
-            return np.zeros(0, dtype=np.int64)
-        chunks = [
-            self._mod_net_idx[self._mod_net_ptr[m] : self._mod_net_ptr[m + 1]]
-            for m in module_indices
-        ]
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))
-
-    def wirelength(
-        self,
-        centers_x: np.ndarray,
-        centers_y: np.ndarray,
-        dies: np.ndarray,
-        tsv_length: float,
-    ) -> Tuple[float, int, np.ndarray, np.ndarray]:
-        """(total HPWL um, total crossings, per-net HPWL, per-net crossings)."""
-        if self.num_nets == 0:
-            return 0.0, 0, np.zeros(0), np.zeros(0, dtype=np.int64)
-        starts = self.ptr[:-1]
-        px = centers_x[self.pin_idx]
-        py = centers_y[self.pin_idx]
-        pd = dies[self.pin_idx]
-        max_x = np.maximum.reduceat(px, starts)
-        min_x = np.minimum.reduceat(px, starts)
-        max_y = np.maximum.reduceat(py, starts)
-        min_y = np.minimum.reduceat(py, starts)
-        max_d = np.maximum.reduceat(pd, starts)
-        min_d = np.minimum.reduceat(pd, starts)
-        hi_x = np.maximum(max_x, self.term_max_x)
-        lo_x = np.minimum(min_x, self.term_min_x)
-        hi_y = np.maximum(max_y, self.term_max_y)
-        lo_y = np.minimum(min_y, self.term_min_y)
-        crossings = (max_d - min_d).astype(np.int64)
-        hpwl = (hi_x - lo_x) + (hi_y - lo_y) + crossings * tsv_length
-        return float(hpwl.sum()), int(crossings.sum()), hpwl, crossings
-
-    def wirelength_of(
-        self,
-        net_idx: np.ndarray,
-        centers_x: np.ndarray,
-        centers_y: np.ndarray,
-        dies: np.ndarray,
-        tsv_length: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-net HPWL and crossings for ``net_idx`` only.
-
-        Gathers exactly the selected nets' pin runs and applies the same
-        ``reduceat`` arithmetic as :meth:`wirelength`, so the returned
-        entries are bit-identical to the corresponding entries of a full
-        recompute — the property the incremental evaluator relies on.
-        """
-        net_idx = np.asarray(net_idx, dtype=np.int64)
-        if net_idx.size == 0:
-            return np.zeros(0), np.zeros(0, dtype=np.int64)
-        starts = self.ptr[net_idx]
-        lengths = self.ptr[net_idx + 1] - starts
-        offsets = np.zeros(net_idx.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        flat = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
-            starts - offsets, lengths
-        )
-        pins = self.pin_idx[flat]
-        px = centers_x[pins]
-        py = centers_y[pins]
-        pd = dies[pins]
-        max_x = np.maximum.reduceat(px, offsets)
-        min_x = np.minimum.reduceat(px, offsets)
-        max_y = np.maximum.reduceat(py, offsets)
-        min_y = np.minimum.reduceat(py, offsets)
-        max_d = np.maximum.reduceat(pd, offsets)
-        min_d = np.minimum.reduceat(pd, offsets)
-        hi_x = np.maximum(max_x, self.term_max_x[net_idx])
-        lo_x = np.minimum(min_x, self.term_min_x[net_idx])
-        hi_y = np.maximum(max_y, self.term_max_y[net_idx])
-        lo_y = np.minimum(min_y, self.term_min_y[net_idx])
-        crossings = (max_d - min_d).astype(np.int64)
-        hpwl = (hi_x - lo_x) + (hi_y - lo_y) + crossings * tsv_length
-        return hpwl, crossings
-
-
 @dataclass
 class _ExpensiveCache:
     """Last computed values of the slow cost terms."""
@@ -337,14 +191,6 @@ class _Snapshot:
     outline: float = 0.0
     area: float = 0.0
     die_assignment: float = 0.0
-    #: per-die power maps rasterized at the last thermal refresh
-    power_maps: Optional[List[np.ndarray]] = None
-    #: per-die spatial entropies matching ``power_maps``
-    entropies: Optional[List[float]] = None
-    #: dies whose cached power map no longer matches ``positions``
-    stale_power: set = field(default_factory=set)
-    #: voltage-assignment stamp the power maps were rasterized under
-    power_stamp: int = -1
 
 
 class CostEvaluator:
@@ -385,14 +231,12 @@ class CostEvaluator:
         self.nets = tuple(nets)
         self.thermal = thermal_model or FastThermalModel(num_dies=stack.num_dies)
         self._netlist: Optional[CompiledNetlist] = None
-        self._sites: Optional[SiteNetlist] = None
         self._timing: Optional[TimingGraph] = None
         self._cache = _ExpensiveCache()
         self._scales: Dict[str, float] = {}
         self._iteration = 0
         self._committed: Optional[_Snapshot] = None
         self._pending: Optional[_Snapshot] = None
-        self._assignment_stamp = 0
         self._total_nominal_power: Optional[float] = None
         #: observability: how many evaluations took which path, and how
         #: many nets the per-net dirty path actually recomputed
@@ -403,11 +247,6 @@ class CostEvaluator:
         if self._netlist is None:
             self._netlist = CompiledNetlist(list(state.modules), self.nets, self.terminals)
         return self._netlist
-
-    def _site_netlist(self, state: LayoutState) -> SiteNetlist:
-        if self._sites is None:
-            self._sites = SiteNetlist(list(state.modules), self.nets, self.terminals)
-        return self._sites
 
     def _timing_graph(self, state: LayoutState) -> TimingGraph:
         if self._timing is None:
@@ -503,7 +342,6 @@ class CostEvaluator:
             cy=cy,
             dd=dd,
             die_power=die_power,
-            stale_power=set(range(self.stack.num_dies)),
         )
         self._finish_cheap(state, snap)
         return snap
@@ -525,10 +363,6 @@ class CostEvaluator:
             net_crossings=(
                 None if base.net_crossings is None else base.net_crossings.copy()
             ),
-            power_maps=None if base.power_maps is None else list(base.power_maps),
-            entropies=None if base.entropies is None else list(base.entropies),
-            stale_power=set(base.stale_power) | set(dirty),
-            power_stamp=base.power_stamp,
         )
         nl = self._compiled(state)
         touched: set = set()
@@ -588,7 +422,6 @@ class CostEvaluator:
                 fp, inflation, objective=objective,
                 max_volume_size=self.inloop_volume_size,
             )
-            self._assignment_stamp += 1
         voltages = cache.assignment.voltages if cache.assignment else None
         if voltages:
             fp = fp.with_voltages(voltages)
@@ -598,23 +431,12 @@ class CostEvaluator:
             cache.delay = report.critical_delay_ns
         if refresh_thermal:
             num_dies = self.stack.num_dies
-            if snap.power_maps is None or snap.power_stamp != self._assignment_stamp:
-                # no cache yet, or voltages changed: every map is stale
-                stale = set(range(num_dies))
-                maps: List[np.ndarray] = [None] * num_dies  # type: ignore[list-item]
-            else:
-                stale = set(snap.stale_power)
-                maps = list(snap.power_maps)
-            for d in stale:
-                maps[d] = fp.power_map(d, self.grid)
-            snap.power_maps = maps
-            snap.stale_power = set()
-            snap.power_stamp = self._assignment_stamp
+            maps = [fp.power_map(d, self.grid) for d in range(num_dies)]
             if num_dies > 1:
                 # every adjacent interface's TSVs, not just (0, 1).  Sites
                 # come from the realized placements, not snap.cx/cy: a soft
                 # module kept at its nominal size centres up to an ulp away
-                sites = fp.signal_sites(self._site_netlist(state))
+                sites = fp.signal_sites(self._compiled(state))
                 density = interface_densities(
                     sites, self.stack.tsv_pitch, self.stack.outline,
                     self.grid.nx, self.grid.ny, num_dies,
@@ -629,15 +451,7 @@ class CostEvaluator:
                 ]
                 cache.correlation = float(np.mean(rs))
             if self.weights.entropy > 0.0:
-                if snap.entropies is None:
-                    recompute = set(range(num_dies))
-                    ents = [0.0] * num_dies
-                else:
-                    recompute = stale
-                    ents = list(snap.entropies)
-                for d in recompute:
-                    ents[d] = float(spatial_entropy(maps[d]))
-                snap.entropies = ents
+                ents = [float(spatial_entropy(m)) for m in maps]
                 cache.entropy = float(np.mean(ents))
         cache.power = fp.total_power()
         cache.volumes = (
@@ -655,8 +469,8 @@ class CostEvaluator:
 
         With ``dirty_dies`` (the dies touched by the last move, relative
         to the last :meth:`commit`-ted state) only the affected geometry
-        is repacked and re-rasterized; every untouched term is reused
-        from the committed snapshot.  ``force_full`` recomputes
+        is repacked; every untouched cheap term is reused from the
+        committed snapshot.  ``force_full`` recomputes
         everything from scratch and doubles as the correctness oracle for
         the incremental path.  Callers driving the incremental path must
         call :meth:`commit` after every accepted move.

@@ -8,7 +8,7 @@ layer consumes.
 from .die import Die, StackConfig
 from .floorplan import Floorplan3D
 from .geometry import Point, Rect, bounding_box, rects_overlap, total_overlap_area
-from .grid import GridSpec, rasterize_power, rasterize_value_map
+from .grid import GridSpec, rasterize_power
 from .module import Module, ModuleKind, Placement
 from .net import Net, Terminal, net_hpwl_3d, total_hpwl
 from .serialize import floorplan_from_dict, floorplan_to_dict, load_floorplan, save_floorplan
@@ -25,7 +25,6 @@ __all__ = [
     "total_overlap_area",
     "GridSpec",
     "rasterize_power",
-    "rasterize_value_map",
     "Module",
     "ModuleKind",
     "Placement",

@@ -22,8 +22,8 @@ from .die import StackConfig
 from .geometry import Rect, bounding_box, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, Placement
-from .net import Net, Terminal, total_hpwl
-from .tsv import TSV, SignalSites, SiteNetlist, TSVKind, tsv_density_map
+from .net import CompiledNetlist, Net, Terminal, total_hpwl
+from .tsv import TSV, SignalSites, TSVKind, tsv_density_map
 
 __all__ = ["Floorplan3D"]
 
@@ -121,7 +121,7 @@ class Floorplan3D:
         """(total 3D HPWL in um, number of die crossings == signal TSVs)."""
         return total_hpwl(self.nets, self.placements, self.terminals, tsv_length)
 
-    def signal_sites(self, netlist: SiteNetlist | None = None) -> SignalSites:
+    def signal_sites(self, netlist: CompiledNetlist | None = None) -> SignalSites:
         """Signal-TSV sites of the inter-die nets, from the placements.
 
         ``netlist`` is this floorplan's nets compiled over its module
@@ -129,7 +129,7 @@ class Floorplan3D:
         evaluator) compile it once and pass it in.
         """
         if netlist is None:
-            netlist = SiteNetlist(list(self.placements), self.nets, self.terminals)
+            netlist = CompiledNetlist(list(self.placements), self.nets, self.terminals)
         placements = [self.placements[n] for n in netlist.module_names]
         centers = np.array([p.center for p in placements], dtype=float).reshape(-1, 2)
         dies = np.array([p.die for p in placements], dtype=np.int64)

@@ -5,6 +5,10 @@ convention: an (ny, nx) array whose element [j, i] covers the cell with
 lower-left corner (outline.x + i*cell_w, outline.y + j*cell_h).  The
 leakage metrics (Eq. 1-3) require power and thermal grids with identical
 dimensions; this module is the single place that builds them.
+
+:func:`cell_overlaps` is the one rectangle/cell overlap kernel: power
+maps, the per-module power basis of the activity sampler, and TSV
+density maps (``layout.tsv``) all weight its overlap areas.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .geometry import Rect
 from .module import Placement
 
-__all__ = ["GridSpec", "rasterize_power", "rasterize_value_map", "bin_centers"]
+__all__ = ["GridSpec", "cell_overlaps", "power_cells", "rasterize_power", "bin_centers"]
 
 
 @dataclass(frozen=True)
@@ -78,30 +82,80 @@ def bin_centers(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(xs, ys)
 
 
-def _accumulate_rect(
-    out: np.ndarray, grid: GridSpec, rect: Rect, density: float
-) -> None:
-    """Add ``density`` (value per um^2) into every cell overlapped by rect,
-    weighted by the exact overlap area."""
-    x1 = max(rect.x, grid.outline.x)
-    y1 = max(rect.y, grid.outline.y)
-    x2 = min(rect.x2, grid.outline.x2)
-    y2 = min(rect.y2, grid.outline.y2)
-    if x2 <= x1 or y2 <= y1:
-        return
-    cw, ch = grid.cell_w, grid.cell_h
-    i1 = int((x1 - grid.outline.x) / cw)
-    i2 = min(grid.nx - 1, int((x2 - grid.outline.x) / cw - 1e-12))
-    j1 = int((y1 - grid.outline.y) / ch)
-    j2 = min(grid.ny - 1, int((y2 - grid.outline.y) / ch - 1e-12))
-    # Per-axis overlap lengths; outer product gives per-cell overlap areas.
-    cols = np.arange(i1, i2 + 1)
-    rows = np.arange(j1, j2 + 1)
-    cx1 = grid.outline.x + cols * cw
-    cy1 = grid.outline.y + rows * ch
-    ox = np.minimum(x2, cx1 + cw) - np.maximum(x1, cx1)
-    oy = np.minimum(y2, cy1 + ch) - np.maximum(y1, cy1)
-    out[j1 : j2 + 1, i1 : i2 + 1] += density * np.outer(oy, ox)
+def cell_overlaps(
+    x1: np.ndarray,
+    y1: np.ndarray,
+    x2: np.ndarray,
+    y2: np.ndarray,
+    grid: GridSpec,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (rectangle, cell) overlap of axis-aligned rectangles at once.
+
+    Rectangles are given by their corner arrays and clipped to the
+    outline.  Returns ``(owner, cell, area)``: the rectangle index, the
+    flat cell index ``row * nx + column`` and the overlap area in um^2,
+    ordered rectangle-major, then row, then column.  The arithmetic is a
+    per-rectangle cell loop's, elementwise, so ``np.bincount`` over
+    ``cell`` in this order reproduces such a loop's ``+=`` sums bit for
+    bit.
+    """
+    outline = grid.outline
+    nx, ny = grid.nx, grid.ny
+    x1 = np.maximum(np.asarray(x1, dtype=float), outline.x)
+    y1 = np.maximum(np.asarray(y1, dtype=float), outline.y)
+    x2 = np.minimum(np.asarray(x2, dtype=float), outline.x2)
+    y2 = np.minimum(np.asarray(y2, dtype=float), outline.y2)
+    cell_w = grid.cell_w
+    cell_h = grid.cell_h
+    i1 = ((x1 - outline.x) / cell_w).astype(np.int64)
+    i2 = np.minimum(nx - 1, ((x2 - outline.x) / cell_w - 1e-12).astype(np.int64))
+    j1 = ((y1 - outline.y) / cell_h).astype(np.int64)
+    j2 = np.minimum(ny - 1, ((y2 - outline.y) / cell_h - 1e-12).astype(np.int64))
+    cols = np.maximum(i2 - i1 + 1, 0)
+    rows = np.maximum(j2 - j1 + 1, 0)
+    count = np.where((x2 > x1) & (y2 > y1), cols * rows, 0)
+    owner = np.repeat(np.arange(x1.size, dtype=np.int64), count)
+    first = np.cumsum(count) - count
+    k = np.arange(owner.size, dtype=np.int64) - first[owner]
+    width = cols[owner]
+    j = j1[owner] + k // width
+    i = i1[owner] + k % width
+    cy1 = outline.y + j * cell_h
+    oy = np.minimum(y2[owner], cy1 + cell_h) - np.maximum(y1[owner], cy1)
+    cx1 = outline.x + i * cell_w
+    ox = np.minimum(x2[owner], cx1 + cell_w) - np.maximum(x1[owner], cx1)
+    return owner, j * nx + i, ox * oy
+
+
+def power_cells(
+    placements: Sequence[Placement],
+    grid: GridSpec,
+    activity: Mapping[str, float] | None = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(owner, cell, watts)``: each placement's power share per cell.
+
+    A module spreads its *effective* power uniformly over its footprint:
+    the nominal power scaled by its supply voltage's power factor times
+    an optional per-module activity factor (the Gaussian activity
+    sampler's, Sec. 6.2).  ``owner`` indexes ``placements``; zero-power
+    modules contribute no entries.  Ordered as :func:`cell_overlaps`.
+    """
+    from ..power.voltages import power_scale_for  # local import avoids cycle
+
+    act = {} if activity is None else activity
+    power = np.array(
+        [p.module.power * power_scale_for(p.voltage) * act.get(p.name, 1.0) for p in placements],
+        dtype=float,
+    )
+    x, y, w, h = np.array(
+        [(p.x, p.y, p.width, p.height) for p in placements], dtype=float
+    ).reshape(-1, 4).T
+    area = w * h
+    keep = np.flatnonzero((area > 0) & (power != 0.0))
+    density = power[keep] / area[keep]
+    x, y = x[keep], y[keep]
+    owner, cell, overlap = cell_overlaps(x, y, x + w[keep], y + h[keep], grid)
+    return keep[owner], cell, density[owner] * overlap
 
 
 def rasterize_power(
@@ -112,38 +166,10 @@ def rasterize_power(
 ) -> np.ndarray:
     """Power map of one die in W per cell, shape (ny, nx).
 
-    Each placed module spreads its *effective* power uniformly over its
-    footprint; effective power is the nominal power scaled by the supply
-    voltage's power factor (already folded into the placement's power via
-    the voltage assignment caller) times an optional per-module activity
-    factor (used by the Gaussian activity sampler, Sec. 6.2).
+    The die's modules accumulate in ``placements`` order with one
+    ``np.bincount`` over :func:`power_cells`.
     """
-    from ..power.voltages import power_scale_for  # local import avoids cycle
-
-    out = np.zeros(grid.shape, dtype=float)
-    for p in placements:
-        if p.die != die:
-            continue
-        act = 1.0 if activity is None else activity.get(p.name, 1.0)
-        eff_power = p.module.power * power_scale_for(p.voltage) * act
-        area = p.width * p.height
-        if area <= 0 or eff_power == 0.0:
-            continue
-        _accumulate_rect(out, grid, p.rect, eff_power / area)
-    return out
-
-
-def rasterize_value_map(
-    rect_values: Sequence[Tuple[Rect, float]], grid: GridSpec
-) -> np.ndarray:
-    """Generic rasterizer: list of (rect, total_value) onto the grid.
-
-    Each rect's value is spread uniformly over its area; cells accumulate
-    the exact overlapped share.  Returns value per cell, shape (ny, nx).
-    """
-    out = np.zeros(grid.shape, dtype=float)
-    for rect, value in rect_values:
-        if rect.area <= 0:
-            continue
-        _accumulate_rect(out, grid, rect, value / rect.area)
-    return out
+    on_die = [p for p in placements if p.die == die]
+    _, cell, watts = power_cells(on_die, grid, activity)
+    out = np.bincount(cell, weights=watts, minlength=grid.nx * grid.ny)
+    return out.reshape(grid.shape)

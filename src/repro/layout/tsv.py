@@ -5,25 +5,27 @@ vertical "heat pipes" between stacked dies, and their number and
 arrangement modulates the power-temperature correlation (Sec. 3).  This
 module provides TSV records, island grouping, keep-out-zone accounting,
 and rasterization of TSV density maps consumed by the thermal solvers.
+Density maps weight the footprint/cell overlaps of the grid's one
+overlap kernel, :func:`~repro.layout.grid.cell_overlaps`; signal-TSV
+sites come from :meth:`~repro.layout.net.CompiledNetlist.sites`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Rect
-from .net import Net, Terminal
+from .grid import GridSpec, cell_overlaps
 
 __all__ = [
     "TSV",
     "TSVKind",
     "TSVIsland",
     "SignalSites",
-    "SiteNetlist",
     "interface_densities",
     "tsv_density_map",
     "tsv_cell_occupancy",
@@ -170,101 +172,7 @@ class SignalSites:
     hi: np.ndarray
 
 
-class SiteNetlist:
-    """A netlist compiled once for array-native signal-TSV site derivation.
-
-    Per net: the module-pin columns (in ``net.modules`` order) followed by
-    the terminal pins (in ``net.terminals`` order, unknown terminals
-    skipped), grouped by pin count so each refresh takes every centroid
-    as ``mean(axis=1)`` over one (nets, pins) matrix per group — the same
-    pairwise summation ``np.mean`` applies to one net's pin list, so the
-    sites are bit-identical to a per-net loop.  A ``reduceat`` sum divided
-    by the pin count would not be.  Nets without a placed module never
-    cross dies and are dropped.
-    """
-
-    def __init__(
-        self,
-        module_names: Sequence[str],
-        nets: Sequence[Net],
-        terminals: Mapping[str, Terminal],
-    ) -> None:
-        self.module_names = list(module_names)
-        index = {n: i for i, n in enumerate(self.module_names)}
-        num_modules = len(index)
-        pin_idx: List[int] = []
-        ptr: List[int] = [0]
-        term_x: List[float] = []
-        term_y: List[float] = []
-        missing: List[Optional[str]] = []
-        by_count: Dict[int, Tuple[List[int], List[List[int]]]] = {}
-        for net in nets:
-            mods = [index[m] for m in net.modules if m in index]
-            if not mods:
-                continue
-            row = len(missing)
-            missing.append(next((m for m in net.modules if m not in index), None))
-            pin_idx.extend(mods)
-            ptr.append(len(pin_idx))
-            cols = list(mods)
-            for t in net.terminals:
-                term = terminals.get(t)
-                if term is not None:
-                    cols.append(num_modules + len(term_x))
-                    term_x.append(term.x)
-                    term_y.append(term.y)
-            rows, matrix = by_count.setdefault(len(cols), ([], []))
-            rows.append(row)
-            matrix.append(cols)
-        self.num_nets = len(missing)
-        self.pin_idx = np.asarray(pin_idx, dtype=np.int64)
-        self.starts = np.asarray(ptr[:-1], dtype=np.int64)
-        self.term_x = np.asarray(term_x, dtype=float)
-        self.term_y = np.asarray(term_y, dtype=float)
-        self._missing = missing
-        self._partial = np.array([m is not None for m in missing], dtype=bool)
-        self._groups = [
-            (np.asarray(rows, dtype=np.int64), np.asarray(matrix, dtype=np.int64))
-            for rows, matrix in by_count.values()
-        ]
-
-    def sites(
-        self,
-        cx: np.ndarray,
-        cy: np.ndarray,
-        dies: np.ndarray,
-        outline: Rect,
-        margin: float,
-    ) -> SignalSites:
-        """Sites from per-module centres and dies (``module_names`` order).
-
-        Centroids are clipped to ``margin`` inside the outline.  A crossing
-        net with a pin on an unplaced module raises ``KeyError``.
-        """
-        if self.num_nets == 0:
-            empty = np.zeros(0)
-            none = np.zeros(0, dtype=np.int64)
-            return SignalSites(empty, empty, none, none)
-        pin_dies = np.asarray(dies, dtype=np.int64)[self.pin_idx]
-        lo = np.minimum.reduceat(pin_dies, self.starts)
-        hi = np.maximum.reduceat(pin_dies, self.starts)
-        crossing = hi > lo
-        partial = crossing & self._partial
-        if partial.any():
-            raise KeyError(self._missing[int(np.argmax(partial))])
-        px = np.concatenate([cx, self.term_x])
-        py = np.concatenate([cy, self.term_y])
-        mx = np.empty(self.num_nets)
-        my = np.empty(self.num_nets)
-        for rows, cols in self._groups:
-            mx[rows] = px[cols].mean(axis=1)
-            my[rows] = py[cols].mean(axis=1)
-        x = np.minimum(np.maximum(mx[crossing], outline.x + margin), outline.x2 - margin)
-        y = np.minimum(np.maximum(my[crossing], outline.y + margin), outline.y2 - margin)
-        return SignalSites(x, y, lo[crossing], hi[crossing])
-
-
-def _footprint_cells(
+def _footprint_fractions(
     x: np.ndarray,
     y: np.ndarray,
     side: np.ndarray | float,
@@ -272,44 +180,14 @@ def _footprint_cells(
     nx: int,
     ny: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (footprint, cell) overlap of square TSV footprints at once.
-
-    Returns ``(owner, cell, fraction)``: the footprint index, the flat
-    cell index ``row * nx + column`` and the fraction of the cell's area
-    covered, ordered footprint-major, then row, then column.  Footprints
-    are clipped to the outline; the arithmetic is a cell loop's,
-    elementwise, so accumulating ``fraction`` in this order reproduces
-    such a loop's sums bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """``(owner, cell, fraction)`` of square footprints centred at (x, y):
+    :func:`~repro.layout.grid.cell_overlaps` areas as cell-area fractions."""
+    grid = GridSpec(outline, nx, ny)
     half = np.asarray(side, dtype=float) / 2.0
-    fx = x - half
-    fy = y - half
-    x1 = np.maximum(fx, outline.x)
-    y1 = np.maximum(fy, outline.y)
-    x2 = np.minimum(fx + side, outline.x2)
-    y2 = np.minimum(fy + side, outline.y2)
-    cell_w = outline.w / nx
-    cell_h = outline.h / ny
-    i1 = ((x1 - outline.x) / cell_w).astype(np.int64)
-    i2 = np.minimum(nx - 1, ((x2 - outline.x) / cell_w - 1e-12).astype(np.int64))
-    j1 = ((y1 - outline.y) / cell_h).astype(np.int64)
-    j2 = np.minimum(ny - 1, ((y2 - outline.y) / cell_h - 1e-12).astype(np.int64))
-    cols = np.maximum(i2 - i1 + 1, 0)
-    rows = np.maximum(j2 - j1 + 1, 0)
-    count = np.where((x2 > x1) & (y2 > y1), cols * rows, 0)
-    owner = np.repeat(np.arange(x.size, dtype=np.int64), count)
-    first = np.cumsum(count) - count
-    k = np.arange(owner.size, dtype=np.int64) - first[owner]
-    width = cols[owner]
-    j = j1[owner] + k // width
-    i = i1[owner] + k % width
-    cy1 = outline.y + j * cell_h
-    oy = np.minimum(y2[owner], cy1 + cell_h) - np.maximum(y1[owner], cy1)
-    cx1 = outline.x + i * cell_w
-    ox = np.minimum(x2[owner], cx1 + cell_w) - np.maximum(x1[owner], cx1)
-    return owner, j * nx + i, (ox * oy) / (cell_w * cell_h)
+    fx = np.asarray(x, dtype=float) - half
+    fy = np.asarray(y, dtype=float) - half
+    owner, cell, area = cell_overlaps(fx, fy, fx + side, fy + side, grid)
+    return owner, cell, area / grid.cell_area
 
 
 def interface_densities(
@@ -329,7 +207,7 @@ def interface_densities(
     layers = num_dies - 1
     if layers < 1:
         return []
-    owner, cell, frac = _footprint_cells(sites.x, sites.y, side, outline, nx, ny)
+    owner, cell, frac = _footprint_fractions(sites.x, sites.y, side, outline, nx, ny)
     lo = sites.lo[owner]
     hi = sites.hi[owner]
     size = nx * ny
@@ -358,7 +236,7 @@ def tsv_cell_occupancy(
     x = np.array([t.x for t in tsvs], dtype=float)
     y = np.array([t.y for t in tsvs], dtype=float)
     side = np.array([t.pitch for t in tsvs], dtype=float)
-    _, cell, frac = _footprint_cells(x, y, side, outline, nx, ny)
+    _, cell, frac = _footprint_fractions(x, y, side, outline, nx, ny)
     occ = np.bincount(cell, weights=frac, minlength=nx * ny)
     return np.clip(occ, 0.0, 1.0).reshape(ny, nx)
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
-from ..layout.grid import GridSpec, rasterize_power
+from ..layout.grid import GridSpec, power_cells
 
 __all__ = ["ActivitySampler", "sample_power_maps"]
 
@@ -65,18 +65,16 @@ def module_power_basis(
     for modules on other dies).  Power maps are linear in the per-module
     activity factors, so any activity sample's map of die d is
     ``factors @ basis[d]`` — the batched form the Gaussian sampler uses.
+    Every module's row comes from one :func:`~repro.layout.grid.power_cells`
+    call; each row holds exactly the map ``rasterize_power`` gives that
+    module alone.
     """
-    cells = grid.nx * grid.ny
-    out: List[np.ndarray] = []
-    for d in range(floorplan.stack.num_dies):
-        basis = np.zeros((len(module_names), cells))
-        for m, name in enumerate(module_names):
-            p = floorplan.placements[name]
-            if p.die != d:
-                continue
-            basis[m] = rasterize_power([p], grid, d).ravel()
-        out.append(basis)
-    return out
+    placements = [floorplan.placements[name] for name in module_names]
+    owner, cell, watts = power_cells(placements, grid)
+    dies = np.array([p.die for p in placements], dtype=np.int64)
+    basis = np.zeros((floorplan.stack.num_dies, len(placements), grid.nx * grid.ny))
+    basis[dies[owner], owner, cell] = watts
+    return list(basis)
 
 
 def sample_power_maps(

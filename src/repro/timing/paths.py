@@ -21,7 +21,7 @@ can run inside the annealing loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class TimingGraph:
         centers_x: np.ndarray,
         centers_y: np.ndarray,
         dies: np.ndarray,
-        term_min_x: np.ndarray | None = None,
-        term_max_x: np.ndarray | None = None,
-        term_min_y: np.ndarray | None = None,
-        term_max_y: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorized Elmore delay per net from module-center arrays."""
         if self.num_nets == 0:
@@ -104,11 +100,6 @@ class TimingGraph:
         min_x = np.minimum.reduceat(px, starts)
         max_y = np.maximum.reduceat(py, starts)
         min_y = np.minimum.reduceat(py, starts)
-        if term_max_x is not None:
-            max_x = np.maximum(max_x, term_max_x)
-            min_x = np.minimum(min_x, term_min_x)
-            max_y = np.maximum(max_y, term_max_y)
-            min_y = np.minimum(min_y, term_min_y)
         crossings = (
             np.maximum.reduceat(pd, starts) - np.minimum.reduceat(pd, starts)
         ).astype(float)

@@ -1,13 +1,16 @@
 """Tests for the versioned schema layer and the repro.api facade."""
 
 import json
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.api import (
     JobResult,
     JobSpec,
@@ -26,6 +29,14 @@ from repro.floorplan.objectives import FloorplanMode
 from repro.mitigation.dummy_tsv import MitigationConfig
 
 SPEC = dict(benchmark="n100", iterations=25, grid=12)
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib: Python 3.10 has no TOML parser in the stdlib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert repro.__version__ == match.group(1)
 
 
 class TestSchemaRoundTrip:

@@ -13,7 +13,6 @@ from repro.floorplan.annealer import (
     anneal,
 )
 from repro.floorplan.objectives import (
-    CompiledNetlist,
     CostBreakdown,
     CostEvaluator,
     FloorplanMode,
@@ -21,6 +20,7 @@ from repro.floorplan.objectives import (
 )
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
+from repro.layout.net import CompiledNetlist
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,11 @@ import pytest
 from oracles.activity import sample_power_maps_loop
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan.moves import apply_random_move
-from repro.floorplan.objectives import CompiledNetlist, CostEvaluator, FloorplanMode
+from repro.floorplan.objectives import CostEvaluator, FloorplanMode
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
+from repro.layout.net import CompiledNetlist
 from repro.mitigation.activity import ActivitySampler, sample_power_maps
 from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import build_stack

@@ -1,6 +1,7 @@
 """Bit-identity of the array-native anneal-refresh kernels against their
-loop oracles (``tests/oracles``): signal-TSV sites, TSV density maps and
-spatial entropy must be exactly equal (``==``), not merely close."""
+loop oracles (``tests/oracles``): power maps, signal-TSV sites, TSV
+density maps and spatial entropy must be exactly equal (``==``), not
+merely close."""
 
 import dataclasses
 
@@ -15,6 +16,7 @@ from oracles.entropy import (
     pairwise_manhattan_sum,
     spatial_entropy_loop,
 )
+from oracles.grid import rasterize_power_loop
 from oracles.tsv import (
     place_signal_tsvs_loop,
     tsv_cell_occupancy_loop,
@@ -38,6 +40,7 @@ from repro.layout.tsv import (
     tsv_density_map,
 )
 from repro.leakage.entropy import nested_means_classes, spatial_entropy
+from repro.mitigation.activity import module_power_basis
 from repro.thermal.fast import FastThermalModel
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -83,6 +86,70 @@ def _random_floorplan(rng, num_dies, modules=40, nets=90, thermal=0):
         hi = int(rng.integers(lo + 1, num_dies))
         fp.tsvs.append(TSV(float(x), float(y), lo, hi, kind=TSVKind.THERMAL))
     return fp
+
+
+def _random_power_layout(rng, num_dies, modules=60):
+    """Powered modules overhanging (and some wholly outside) the outline,
+    about a fifth at zero power, random rotations, and supply voltages on
+    and between the three levels."""
+    outline = Rect(3.3, -7.1, 997.7, 802.9)
+    placements = {}
+    for k in range(modules):
+        w, h = rng.uniform(2.0, 260.0, size=2)
+        name = f"m{k}"
+        power = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.01, 2.0))
+        voltage = float(rng.choice([0.8, 1.0, 1.2, rng.uniform(0.75, 1.25)]))
+        placements[name] = Placement(
+            Module(name, float(w), float(h), power=power),
+            float(rng.uniform(outline.x - 280.0, outline.x2 + 20.0)),
+            float(rng.uniform(outline.y - 280.0, outline.y2 + 20.0)),
+            die=int(rng.integers(num_dies)),
+            rotated=bool(rng.integers(2)),
+            voltage=voltage,
+        )
+    return Floorplan3D(StackConfig(outline, num_dies=num_dies), placements)
+
+
+POWER_GRIDS = [(16, 16), (32, 32), (48, 48), (40, 24)]
+
+
+class TestPowerRasterization:
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("nx,ny", POWER_GRIDS)
+    def test_power_map_equals_loop(self, num_dies, seed, nx, ny):
+        rng = np.random.default_rng(seed)
+        fp = _random_power_layout(rng, num_dies)
+        grid = GridSpec(fp.stack.outline, nx, ny)
+        names = list(fp.placements)
+        factors = np.maximum(rng.normal(1.0, 0.3, size=len(names)), 0.0)
+        activity = {n: float(f) for n, f in zip(names, factors) if rng.random() < 0.8}
+        assert any(fp.placements[n].module.power == 0.0 for n in names)
+        for act in (None, activity):
+            for d in range(num_dies):
+                expected = rasterize_power_loop(fp.placements.values(), grid, d, act)
+                assert np.array_equal(fp.power_map(d, grid, activity=act), expected)
+
+    def test_empty_die(self):
+        fp = _random_power_layout(np.random.default_rng(0), 2)
+        fp.placements = {n: dataclasses.replace(p, die=0) for n, p in fp.placements.items()}
+        grid = GridSpec(fp.stack.outline, 40, 24)
+        empty = fp.power_map(1, grid)
+        assert empty.shape == (24, 40) and not empty.any()
+
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    @pytest.mark.parametrize("nx,ny", POWER_GRIDS)
+    def test_basis_rows_equal_single_module_maps(self, num_dies, nx, ny):
+        fp = _random_power_layout(np.random.default_rng(10 + num_dies), num_dies)
+        grid = GridSpec(fp.stack.outline, nx, ny)
+        names = sorted(fp.placements)
+        basis = module_power_basis(fp, grid, names)
+        assert len(basis) == num_dies
+        for m, name in enumerate(names):
+            p = fp.placements[name]
+            for d in range(num_dies):
+                expected = rasterize_power_loop([p], grid, d).ravel()
+                assert np.array_equal(basis[d][m], expected)
 
 
 class TestSignalSites:

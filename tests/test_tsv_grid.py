@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layout.geometry import Rect
-from repro.layout.grid import GridSpec, bin_centers, rasterize_power, rasterize_value_map
+from repro.layout.grid import GridSpec, bin_centers, rasterize_power
 from repro.layout.module import Module, Placement
 from repro.layout.tsv import (
     TSV,
     TSVIsland,
-    TSVKind,
     place_island,
     place_regular_grid,
     tsv_cell_occupancy,
@@ -167,10 +166,3 @@ class TestRasterizePower:
         p = Placement(Module("a", w, h, power=1.0), x, y, die=0)
         pm = rasterize_power([p], g, die=0)
         assert pm.sum() == pytest.approx(1.0, rel=1e-6)
-
-    def test_rasterize_value_map(self):
-        g = GridSpec(Rect(0, 0, 100, 100), 4, 4)
-        out = rasterize_value_map([(Rect(0, 0, 50, 50), 8.0)], g)
-        assert out.sum() == pytest.approx(8.0)
-        assert out[0, 0] == pytest.approx(2.0)
-        assert out[3, 3] == 0.0
