@@ -30,13 +30,15 @@ Coordination rules:
   shard record.  Workers heartbeat by refreshing the lease mtime while
   the job runs.
 * **Reclaim** — a lease whose mtime is older than ``lease_ttl`` belongs
-  to a dead worker.  Stealing it goes through an atomic ``rename`` to a
-  unique tombstone, so of N workers that notice the same expired lease,
-  exactly one reclaims the job — at a *higher* epoch.  A zombie worker
-  that was merely stalled (NFS clock skew, a long GC pause) can still
-  finish and append its result, but that record carries the fenced-out
-  epoch and :meth:`merge` discards it: reclamation can never produce a
-  double-commit with diverging survivors.
+  to a dead worker.  Stealing it goes through an ``O_EXCL`` steal marker
+  named after the expired lease file's inode and mtime, and the lease is
+  removed only while it is still that file, so of N workers that notice
+  the same expired lease, exactly one reclaims the job — at a *higher*
+  epoch.  A zombie worker that was merely stalled (NFS clock skew, a
+  long GC pause) can still finish and append its result, but that
+  record carries the fenced-out epoch and :meth:`merge` discards it:
+  reclamation can never produce a double-commit with diverging
+  survivors.
 * **Retry** — an execution failure consumes one unit of the job's
   ``max_attempts`` budget; while budget remains, the job becomes
   claimable again after an exponential backoff (base ``retry_backoff``,
@@ -69,7 +71,6 @@ import socket
 import threading
 import traceback
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -402,7 +403,7 @@ class WorkQueue:
         Contenders spin on the O_EXCL lock file (a merge is one dedup
         read plus a handful of appends — fast); a lock whose holder died
         goes stale after ``lease_ttl`` and is stolen through the same
-        atomic-rename protocol as job leases.
+        :meth:`_steal` protocol as job leases.
         """
         path = self.root / "merge.lock"
         while True:
@@ -411,20 +412,11 @@ class WorkQueue:
                 break
             except FileExistsError:
                 try:
-                    age = faults.now() - path.stat().st_mtime
+                    seen = path.stat()
                 except OSError:
                     continue  # released under us; retry at once
-                if age > self.lease_ttl:
-                    tomb = path.with_name(f"merge.lock.stale-{uuid.uuid4().hex}")
-                    try:
-                        os.rename(path, tomb)
-                    except OSError:
-                        pass  # another contender won the steal
-                    else:
-                        try:
-                            tomb.unlink()
-                        except OSError:
-                            pass
+                if faults.now() - seen.st_mtime > self.lease_ttl:
+                    self._steal(path, seen)
                     continue
                 time.sleep(0.05)
         try:
@@ -637,6 +629,41 @@ class WorkQueue:
     def _lease_path(self, key: str) -> Path:
         return self.leases_dir / f"{self._digest(key)}.lease"
 
+    def _steal(self, path: Path, seen: os.stat_result) -> bool:
+        """Remove the expired file instance ``seen`` from ``path``; False
+        when another worker got there first.
+
+        Of all workers that judged this instance expired, only the one
+        that creates its steal marker may remove it, and only while
+        ``path`` still holds that instance: a late stealer must never
+        remove the fresh file an earlier stealer just created there.  A
+        marker older than ``lease_ttl`` was left by a stealer that died
+        inside this short section, and is reaped.
+        """
+        marker = path.with_name(f"{path.name}.steal-{seen.st_ino}-{seen.st_mtime_ns}")
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            try:
+                if faults.now() - marker.stat().st_mtime > self.lease_ttl:
+                    marker.unlink()
+            except OSError:
+                pass
+            return False
+        try:
+            current = path.stat()
+            if (current.st_ino, current.st_mtime_ns) != (seen.st_ino, seen.st_mtime_ns):
+                return False
+            path.unlink()
+            return True
+        except FileNotFoundError:
+            return False  # released under us
+        finally:
+            try:
+                marker.unlink()
+            except OSError:
+                pass
+
     def _try_acquire(self, key: str, payload: dict, worker_id: str) -> Optional[Lease]:
         """One O_EXCL claim attempt, reclaiming an expired lease if present.
 
@@ -651,22 +678,13 @@ class WorkQueue:
                 fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
                 try:
-                    age = faults.now() - path.stat().st_mtime
+                    seen = path.stat()
                 except OSError:
                     continue  # released under us; retry the create at once
-                if age <= self.lease_ttl:
+                if faults.now() - seen.st_mtime <= self.lease_ttl:
                     return None  # live claim elsewhere
-                # expired: of all workers that see it, only the one whose
-                # atomic rename succeeds may re-create the lease
-                tomb = path.with_name(f"{path.name}.stale-{uuid.uuid4().hex}")
-                try:
-                    os.rename(path, tomb)
-                except OSError:
+                if not self._steal(path, seen):
                     return None  # lost the steal race
-                try:
-                    tomb.unlink()
-                except OSError:
-                    pass
                 steal_bump = 1
                 fence = self._read_fence(key)
                 steals = fence["steals"] + 1
@@ -771,21 +789,6 @@ class WorkQueue:
 
     # -- inspection ------------------------------------------------------------
 
-    def _reap_completed_lease(self, path: Path) -> bool:
-        """Unlink a stale lease whose job already completed (a worker
-        that crashed *between* shard append and release).  Uses the same
-        tombstone protocol as a steal, so concurrent reapers are safe."""
-        tomb = path.with_name(f"{path.name}.stale-{uuid.uuid4().hex}")
-        try:
-            os.rename(path, tomb)
-        except OSError:
-            return False
-        try:
-            tomb.unlink()
-        except OSError:
-            pass
-        return True
-
     def status(self) -> QueueStatus:
         """Snapshot progress: totals, live/stale leases, failures,
         quarantine.
@@ -799,13 +802,14 @@ class WorkQueue:
         for path in sorted(self.leases_dir.glob("*.lease")):
             record = self._read_json(path) or {}
             try:
-                age = now_ts - path.stat().st_mtime
+                seen = path.stat()
             except OSError:
                 continue  # released between the glob and the stat
+            age = now_ts - seen.st_mtime
             if age > self.lease_ttl and states.get(path.stem) == _DONE:
                 # completed but never released (died post-append): reap
                 # rather than reporting a forever-stale ghost
-                self._reap_completed_lease(path)
+                self._steal(path, seen)
                 continue
             entry = {
                 "key": record.get("key", path.stem),

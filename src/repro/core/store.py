@@ -9,9 +9,7 @@ durable the moment it finishes:
 * records append to ``results.jsonl`` (one JSON object per line), so an
   interrupted sweep resumes by skipping every job key already present;
 * a torn final line (the process died mid-write) is ignored on load,
-  keeping the file valid after any crash;
-* the same records export to Parquet for analysis stacks when
-  ``pyarrow`` is installed (gated — the core flow never needs it).
+  keeping the file valid after any crash.
 """
 
 from __future__ import annotations
@@ -216,22 +214,4 @@ class ResultsStore:
                 have[key] = epoch
                 merged += 1
         return merged
-
-    def to_parquet(self, path: str | Path | None = None) -> Path:
-        """Export the store to a Parquet file (requires ``pyarrow``)."""
-        try:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-        except ImportError as exc:  # pragma: no cover - optional dep
-            raise RuntimeError(
-                "Parquet export needs pyarrow; the JSONL store at "
-                f"{self.path} remains the source of truth"
-            ) from exc
-        rows = [
-            {"key": key, **metrics.to_dict()}
-            for key, metrics in self.completed().items()
-        ]
-        out = Path(path) if path is not None else self.root / "results.parquet"
-        pq.write_table(pa.Table.from_pylist(rows), out)
-        return out
 

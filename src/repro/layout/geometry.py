@@ -15,7 +15,6 @@ __all__ = [
     "Point",
     "Rect",
     "bounding_box",
-    "manhattan",
     "rect_overlap_area",
     "rects_overlap",
     "total_overlap_area",
@@ -39,11 +38,6 @@ class Point:
 
     def as_tuple(self) -> Tuple[float, float]:
         return (self.x, self.y)
-
-
-def manhattan(ax: float, ay: float, bx: float, by: float) -> float:
-    """Manhattan distance between two coordinate pairs."""
-    return abs(ax - bx) + abs(ay - by)
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,6 @@ class Rect:
     def center(self) -> Point:
         return Point(self.x + self.w / 2.0, self.y + self.h / 2.0)
 
-    @property
-    def aspect_ratio(self) -> float:
-        """Width / height; ``inf`` for degenerate zero-height rects."""
-        if self.h == 0:
-            return math.inf
-        return self.w / self.h
-
     # -- predicates ----------------------------------------------------------
     def contains_point(self, px: float, py: float) -> bool:
         """Whether (px, py) lies inside or on the boundary."""
@@ -121,15 +108,6 @@ class Rect:
             and other.y < self.y2
         )
 
-    def touches_or_overlaps(self, other: "Rect") -> bool:
-        """Whether the closed rectangles intersect (shared edges count)."""
-        return (
-            self.x <= other.x2
-            and other.x <= self.x2
-            and self.y <= other.y2
-            and other.y <= self.y2
-        )
-
     # -- constructive operations ----------------------------------------------
     def intersection(self, other: "Rect") -> "Rect | None":
         """The overlap rectangle, or None when interiors are disjoint."""
@@ -156,29 +134,6 @@ class Rect:
         x2 = max(self.x2, other.x2)
         y2 = max(self.y2, other.y2)
         return Rect(x1, y1, x2 - x1, y2 - y1)
-
-    def moved_to(self, x: float, y: float) -> "Rect":
-        """A copy relocated so its lower-left corner is at (x, y)."""
-        return Rect(x, y, self.w, self.h)
-
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.x + dx, self.y + dy, self.w, self.h)
-
-    def rotated(self) -> "Rect":
-        """A copy rotated by 90 degrees in place (w and h swapped)."""
-        return Rect(self.x, self.y, self.h, self.w)
-
-    def inflated(self, margin: float) -> "Rect":
-        """A copy grown by ``margin`` on every side (clipped at zero size)."""
-        w = max(0.0, self.w + 2 * margin)
-        h = max(0.0, self.h + 2 * margin)
-        return Rect(self.x - margin, self.y - margin, w, h)
-
-    def distance_to(self, other: "Rect") -> float:
-        """Minimum Manhattan gap between two rectangles (0 when touching)."""
-        dx = max(0.0, max(self.x, other.x) - min(self.x2, other.x2))
-        dy = max(0.0, max(self.y, other.y) - min(self.y2, other.y2))
-        return dx + dy
 
 
 def bounding_box(rects: Iterable[Rect]) -> Rect:

@@ -20,14 +20,15 @@ claim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+import heapq
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
-from .voltages import DEFAULT_LEVELS, VoltageLevel
-from .volumes import VoltageVolume, grow_volumes, module_adjacency
+from .voltages import VoltageLevel
+from .volumes import VoltageVolume, grow_volumes, mask_levels
 
 __all__ = ["AssignmentObjective", "VoltageAssignment", "assign_voltages"]
 
@@ -62,142 +63,80 @@ class VoltageAssignment:
         )
 
 
-def _density(floorplan: Floorplan3D, name: str) -> float:
-    p = floorplan.placements[name]
-    area = p.width * p.height
-    return p.module.power / area if area > 0 else 0.0
-
-
-def _score_power_aware(
-    vol: VoltageVolume, floorplan: Floorplan3D, remaining: Set[str]
-) -> float:
-    """Higher is better: power saved per volume, with a size bonus."""
-    members = vol.members & remaining
-    if not members:
-        return -np.inf
-    lv = vol.lowest_voltage
-    saving = sum(
-        floorplan.placements[m].module.power * (1.0 - lv.power_scale) for m in members
-    )
-    return saving + 1e-3 * len(members)
-
-
-def _score_tsc_aware(
-    vol: VoltageVolume, floorplan: Floorplan3D, remaining: Set[str]
-) -> float:
-    """Higher is better: large volumes of uniform power density."""
-    members = sorted(vol.members & remaining)
-    if not members:
-        return -np.inf
-    dens = np.array([_density(floorplan, m) for m in members])
-    mean = float(dens.mean())
-    spread = float(dens.std() / mean) if mean > 0 else 0.0
-    # Uniformity dominates: merging helps only while the power densities
-    # stay flat, so TSC assignments end up with more, smaller volumes than
-    # PA (the paper reports ~87% more) but each volume is homogeneous.
-    return float(len(members) ** 0.35) / (1.0 + 8.0 * spread)
-
-
-def _choose_level_pa(vol: VoltageVolume) -> VoltageLevel:
-    return vol.lowest_voltage
-
-
-def _choose_level_tsc(
-    vol: VoltageVolume, floorplan: Floorplan3D, target_density: float
-) -> VoltageLevel:
-    """The feasible level pulling the volume's density closest to target."""
-    members = sorted(vol.members)
-    dens = np.array([_density(floorplan, m) for m in members])
-    mean = float(dens.mean()) if dens.size else 0.0
-    best = None
-    best_err = np.inf
-    for lv in vol.feasible:
-        err = abs(mean * lv.power_scale - target_density)
-        if err < best_err:
-            best, best_err = lv, err
-    assert best is not None  # feasible sets are never empty
-    return best
-
-
 def assign_voltages(
     floorplan: Floorplan3D,
     max_inflation: Mapping[str, float],
     objective: str = AssignmentObjective.POWER_AWARE,
-    levels: Sequence[VoltageLevel] = DEFAULT_LEVELS,
     max_volume_size: int = 40,
 ) -> VoltageAssignment:
     """Grow candidate volumes and select a disjoint cover of all modules.
 
     Returns the per-module voltages, the selected volumes, and the chosen
-    level per volume.  Every module is always covered: singleton volumes
-    with the 1.0 V reference are feasible by construction.
+    level per volume.  Every module is always covered: each module's
+    singleton volume is a candidate, and the 1.0 V reference is always
+    feasible.
+
+    Power-aware scores a volume by the power its lowest feasible level
+    saves, plus a size bonus, and picks that level.  TSC-aware scores
+    large volumes of uniform power density, and picks the feasible level
+    pulling the volume's mean density closest to the median density.
     """
     if objective not in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
         raise ValueError(f"unknown objective {objective!r}")
-    adjacency = module_adjacency(floorplan)
-    candidates = grow_volumes(
-        floorplan,
-        max_inflation,
-        levels=levels,
-        max_volume_size=max_volume_size,
-        adjacency=adjacency,
+    tsc = objective == AssignmentObjective.TSC_AWARE
+    names = sorted(floorplan.placements)
+    placed = [floorplan.placements[name] for name in names]
+    power = np.array([p.module.power for p in placed], dtype=float)
+    density = np.array(
+        [p.module.power / a if (a := p.width * p.height) > 0 else 0.0 for p in placed],
+        dtype=float,
     )
+    target_density = float(np.median(density)) if density.size else 0.0
+    candidates = grow_volumes(floorplan, max_inflation, max_volume_size)
+    remaining = np.ones(len(names), dtype=bool)
 
-    remaining: Set[str] = set(floorplan.placements)
+    def score_of(k: int) -> float:
+        """Higher is better; scores only shrink as ``remaining`` does."""
+        members, feas = candidates[k]
+        live = members[remaining[members]]
+        if not tsc:
+            saving = power[live] * (1.0 - mask_levels(feas)[0].power_scale)
+            return sum(saving.tolist()) + 1e-3 * len(live)
+        dens = density[live]
+        mean = float(dens.mean())
+        spread = float(dens.std() / mean) if mean > 0 else 0.0
+        # Uniformity dominates: merging helps only while the power densities
+        # stay flat, so TSC assignments end up with more, smaller volumes than
+        # PA (the paper reports ~87% more) but each volume is homogeneous.
+        return float(len(live) ** 0.35) / (1.0 + 8.0 * spread)
+
+    # lazy greedy cover: a heap of possibly stale scores re-validated on
+    # pop finds the max without rescoring the whole pool each round
+    heap: List[Tuple[float, int]] = [(-score_of(k), k) for k in range(len(candidates))]
+    heapq.heapify(heap)
     selected: List[VoltageVolume] = []
     chosen: List[VoltageLevel] = []
     voltages: Dict[str, float] = {}
-
-    if objective == AssignmentObjective.TSC_AWARE:
-        all_dens = np.array([_density(floorplan, m) for m in remaining])
-        target_density = float(np.median(all_dens)) if all_dens.size else 0.0
-
-    def score_of(vol: VoltageVolume) -> float:
-        if objective == AssignmentObjective.POWER_AWARE:
-            return _score_power_aware(vol, floorplan, remaining)
-        return _score_tsc_aware(vol, floorplan, remaining)
-
-    # lazy greedy cover: scores only shrink as `remaining` shrinks, so a
-    # heap of possibly stale scores re-validated on pop finds the max
-    # without rescoring the whole pool each round
-    import heapq
-
-    heap: List[Tuple[float, int]] = [
-        (-score_of(vol), i) for i, vol in enumerate(candidates)
-    ]
-    heapq.heapify(heap)
-    while remaining:
-        vol = None
-        while heap:
-            neg_score, i = heapq.heappop(heap)
-            cand = candidates[i]
-            if not (cand.members & remaining):
+    while remaining.any():
+        while True:
+            _, k = heapq.heappop(heap)
+            if not remaining[candidates[k][0]].any():
                 continue
-            fresh = score_of(cand)
+            fresh = score_of(k)
             if not heap or -heap[0][0] <= fresh + 1e-12:
-                vol = cand
                 break
-            heapq.heappush(heap, (-fresh, i))
-        if vol is None:
-            # should not happen (singletons always qualify) — fall back
-            name = sorted(remaining)[0]
-            ref = next(lv for lv in levels if lv.volts == 1.0)
-            fallback = VoltageVolume(frozenset({name}), (ref,))
-            selected.append(fallback)
-            chosen.append(ref)
-            voltages[name] = ref.volts
-            remaining.discard(name)
-            continue
-        members = vol.members & remaining
-        effective = VoltageVolume(frozenset(members), vol.feasible)
-        if objective == AssignmentObjective.POWER_AWARE:
-            level = _choose_level_pa(effective)
+            heapq.heappush(heap, (-fresh, k))
+        members, feas = candidates[k]
+        live = members[remaining[members]]
+        feasible = mask_levels(feas)
+        if tsc:
+            mean = float(density[live].mean())
+            level = min(feasible, key=lambda lv: abs(mean * lv.power_scale - target_density))
         else:
-            level = _choose_level_tsc(effective, floorplan, target_density)
-        selected.append(effective)
+            level = feasible[0]
+        remaining[live] = False
+        selected.append(VoltageVolume(frozenset(names[i] for i in live), feasible))
         chosen.append(level)
-        for m in members:
-            voltages[m] = level.volts
-        remaining -= members
+        voltages.update((names[i], level.volts) for i in live)
 
     return VoltageAssignment(voltages=voltages, volumes=selected, chosen=chosen)

@@ -12,12 +12,16 @@ overlapping in footprint on vertically adjacent dies (a volume may span
 dies — that is what makes it a *volume* rather than an island).  The
 feasible voltage set of a volume is the intersection of its members'
 feasible sets; growth stops when the intersection would become empty.
+
+Everything here runs in one index space: module ``k`` is the ``k``-th
+name in sorted order, and a feasible set is a bitmask over
+:data:`~repro.power.voltages.DEFAULT_LEVELS` (bit ``k`` is level ``k``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Mapping, Tuple
 
 import numpy as np
 
@@ -29,7 +33,7 @@ __all__ = ["VoltageVolume", "module_adjacency", "grow_volumes"]
 
 @dataclass(frozen=True)
 class VoltageVolume:
-    """A candidate voltage domain: member modules + common feasible set."""
+    """A selected voltage domain: member modules + common feasible set."""
 
     members: FrozenSet[str]
     feasible: Tuple[VoltageLevel, ...]
@@ -40,77 +44,82 @@ class VoltageVolume:
         if not self.feasible:
             raise ValueError("a voltage volume needs a non-empty feasible set")
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def lowest_voltage(self) -> VoltageLevel:
-        return min(self.feasible, key=lambda lv: lv.volts)
-
 
 #: lateral gap (um) within which two same-die modules count as touching
 _TOUCH_MARGIN = 1.0
 
 
-def module_adjacency(floorplan: Floorplan3D) -> Dict[str, Set[str]]:
-    """Geometric adjacency of placed modules.
+def level_mask(slack_ratio: float) -> int:
+    """The levels feasible at ``slack_ratio``, as a bitmask."""
+    return sum(1 << DEFAULT_LEVELS.index(lv) for lv in feasible_voltages(slack_ratio))
+
+
+def mask_levels(mask: int) -> Tuple[VoltageLevel, ...]:
+    """The levels of a bitmask, lowest voltage first (``DEFAULT_LEVELS``
+    is in ascending voltage order)."""
+    return tuple(lv for k, lv in enumerate(DEFAULT_LEVELS) if mask >> k & 1)
+
+
+def module_adjacency(floorplan: Floorplan3D) -> np.ndarray:
+    """Geometric adjacency of placed modules, as an ``(n, n)`` boolean
+    matrix over the module names in sorted order.
 
     Two modules are adjacent when (a) they share a die and their rects
     touch within :data:`_TOUCH_MARGIN` um, or (b) they sit on vertically
-    neighbouring dies and their footprints overlap.  Sweep-based, so large
-    benchmarks stay fast.
+    neighbouring dies and their footprints' open interiors overlap.
+
+    (a) is the predicate of an x-sweep: of a same-die pair ordered by
+    ``(x, placement order)``, the later module, grown by the margin on
+    every side, must touch the earlier one as closed rects, and the
+    earlier one's right edge plus the margin must lie past the later
+    one's left edge.
     """
-    adj: Dict[str, Set[str]] = {name: set() for name in floorplan.placements}
-    placements = list(floorplan.placements.values())
-
-    # same-die lateral adjacency
-    for die in range(floorplan.stack.num_dies):
-        on_die = [p for p in placements if p.die == die]
-        on_die.sort(key=lambda p: p.rect.x)
-        active: List = []
-        for p in on_die:
-            r = p.rect.inflated(_TOUCH_MARGIN)
-            active = [q for q in active if q.rect.x2 + _TOUCH_MARGIN > p.rect.x]
-            for q in active:
-                if r.touches_or_overlaps(q.rect):
-                    adj[p.name].add(q.name)
-                    adj[q.name].add(p.name)
-            active.append(p)
-
-    # cross-die vertical adjacency (footprint overlap on neighbouring dies)
-    for die_a, die_b in floorplan.stack.die_pairs():
-        lower = sorted(
-            (p for p in placements if p.die == die_a), key=lambda p: p.rect.x
-        )
-        upper = sorted(
-            (p for p in placements if p.die == die_b), key=lambda p: p.rect.x
-        )
-        active = []
-        events = sorted(lower + upper, key=lambda p: p.rect.x)
-        for p in events:
-            active = [q for q in active if q.rect.x2 > p.rect.x]
-            for q in active:
-                if q.die != p.die and q.rect.overlaps(p.rect):
-                    adj[p.name].add(q.name)
-                    adj[q.name].add(p.name)
-            active.append(p)
-    return adj
+    names = sorted(floorplan.placements)
+    order = {name: k for k, name in enumerate(floorplan.placements)}
+    placed = [floorplan.placements[name] for name in names]
+    x = np.array([p.x for p in placed], dtype=float)
+    y = np.array([p.y for p in placed], dtype=float)
+    w = np.array([p.width for p in placed], dtype=float)
+    h = np.array([p.height for p in placed], dtype=float)
+    die = np.array([p.die for p in placed], dtype=np.int64)
+    pos = np.array([order[name] for name in names], dtype=np.int64)
+    x2, y2 = x + w, y + h
+    m = _TOUCH_MARGIN
+    # rows: the later module p (grown by m); columns: the earlier module q
+    gx, gy = x - m, y - m
+    gx2, gy2 = gx + (w + 2 * m), gy + (h + 2 * m)
+    later = (x[:, None] > x) | ((x[:, None] == x) & (pos[:, None] > pos))
+    lateral = (
+        later
+        & (die[:, None] == die)
+        & (x2 + m > x[:, None])
+        & (gx[:, None] <= x2)
+        & (x <= gx2[:, None])
+        & (gy[:, None] <= y2)
+        & (y <= gy2[:, None])
+    )
+    vertical = (
+        (np.abs(die[:, None] - die) == 1)
+        & (x[:, None] < x2)
+        & (x < x2[:, None])
+        & (y[:, None] < y2)
+        & (y < y2[:, None])
+    )
+    return lateral | lateral.T | vertical
 
 
 def grow_volumes(
     floorplan: Floorplan3D,
     max_inflation: Mapping[str, float],
-    levels: Sequence[VoltageLevel] = DEFAULT_LEVELS,
     max_volume_size: int = 40,
-    adjacency: Dict[str, Set[str]] | None = None,
-) -> List[VoltageVolume]:
+) -> List[Tuple[np.ndarray, int]]:
     """Grow candidate voltage volumes from every module (BFS trees).
 
     ``max_inflation[m]`` is module m's maximum tolerable delay-scaling
     factor from the timing analysis.  BFS prefixes with a non-empty
     feasible intersection become candidate volumes (the tree-node
-    semantics of Sec. 6.1: "each node comprises a volume").  Growth from
+    semantics of Sec. 6.1: "each node comprises a volume").  Roots are
+    taken in placement order and neighbours in index order.  Growth from
     one root stops when adding the next neighbour would empty the feasible
     set, or at ``max_volume_size`` members.
 
@@ -118,55 +127,43 @@ def grow_volumes(
     recorded, which keeps the candidate pool linear in the module count
     (the paper's full tree of every node would grow it quadratically).
 
-    Returns candidates deduplicated by member set.
+    Returns ``(members, feasible)`` per candidate, deduplicated by member
+    set: the sorted member indices and the feasible-level bitmask.
     """
-    if adjacency is None:
-        adjacency = module_adjacency(floorplan)
-    per_module_feasible: Dict[str, Tuple[VoltageLevel, ...]] = {
-        name: tuple(feasible_voltages(max_inflation.get(name, 1.0), levels))
-        for name in floorplan.placements
-    }
+    names = sorted(floorplan.placements)
+    index = {name: k for k, name in enumerate(names)}
+    neighbours = [np.flatnonzero(row).tolist() for row in module_adjacency(floorplan)]
+    masks = [level_mask(max_inflation.get(name, 1.0)) for name in names]
 
-    seen: Set[FrozenSet[str]] = set()
-    volumes: List[VoltageVolume] = []
+    seen = set()
+    volumes: List[Tuple[np.ndarray, int]] = []
 
-    def record(member_set: Set[str], feas: Set[VoltageLevel]) -> None:
-        key = frozenset(member_set)
+    def record(members: List[int], key: int, feas: int) -> None:
         if key not in seen:
             seen.add(key)
-            volumes.append(
-                VoltageVolume(key, tuple(sorted(feas, key=lambda lv: lv.volts)))
-            )
+            volumes.append((np.array(sorted(members), dtype=np.int64), feas))
 
-    for root in floorplan.placements:
-        feas = set(per_module_feasible[root])
-        members: List[str] = [root]
-        member_set: Set[str] = {root}
-        frontier: List[str] = sorted(adjacency[root])
-        record(member_set, feas)
-        next_pow2 = 2
+    for root in (index[name] for name in floorplan.placements):
+        feas = masks[root]
+        members = [root]
+        key = 1 << root
+        frontier = list(neighbours[root])
+        queued = {root, *frontier}
+        record(members, key, feas)
         while frontier and len(members) < max_volume_size:
-            # BFS: expand the next adjacent module keeping feasibility
-            nxt = None
-            nxt_feas: Set[VoltageLevel] = set()
-            for cand in frontier:
-                cand_feas = feas & set(per_module_feasible[cand])
-                if cand_feas:
-                    nxt = cand
-                    nxt_feas = cand_feas
-                    break
-            if nxt is None:
+            # feasible sets only shrink, so a neighbour that no longer fits
+            # never will: drop it and expand the first one that still does
+            frontier = [k for k in frontier if feas & masks[k]]
+            if not frontier:
                 break
-            frontier.remove(nxt)
+            nxt = frontier.pop(0)
+            feas &= masks[nxt]
             members.append(nxt)
-            member_set.add(nxt)
-            feas = nxt_feas
-            for neigh in sorted(adjacency[nxt]):
-                if neigh not in member_set and neigh not in frontier:
-                    frontier.append(neigh)
-            if len(members) >= next_pow2:
-                record(member_set, feas)
-                while next_pow2 <= len(members):
-                    next_pow2 *= 2
-        record(member_set, feas)  # the maximal prefix is always a candidate
+            key |= 1 << nxt
+            fresh = [k for k in neighbours[nxt] if k not in queued]
+            queued.update(fresh)
+            frontier += fresh
+            if len(members) & (len(members) - 1) == 0:
+                record(members, key, feas)
+        record(members, key, feas)  # the maximal prefix is always a candidate
     return volumes

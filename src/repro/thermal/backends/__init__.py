@@ -121,8 +121,10 @@ def resolve_backend(
     6-10 RHS at 32x32-48x48; :data:`FEW_RHS_CROSSOVER` sits at the low
     end.  At 16x16 and below the two tie within a few milliseconds (two
     RHS already favour SuperLU), so budgets change nothing there.  The
-    dummy-TSV candidates' 40-RHS activity sweeps state no budget and
-    keep SuperLU.
+    dummy-TSV candidates state no budget and keep SuperLU: each candidate
+    stack is factorized for one nominal solve, and only the accepted
+    pattern's factors go on to serve the next round's 40-sample activity
+    sweep.
     """
     if isinstance(backend, FactorizationBackend):
         return backend

@@ -18,6 +18,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -384,6 +385,48 @@ class TestZombieFencing:
         queue.shard_for("survivor").append("k", _metrics(2), epoch=2)
         merged = queue.merge().completed()
         assert merged["k"].correlation_r1 == pytest.approx(2.0)
+
+
+class TestStealRace:
+    def test_expired_lease_stolen_once_per_trial(self, tmp_path):
+        """600 trials of four threads stealing one expired lease, with a
+        tiny switch interval to interleave them: every trial has exactly
+        one winner, at the next epoch, whose lease is the one left behind
+        with no steal marker beside it."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(600):
+                queue = WorkQueue(tmp_path / f"t{trial}", lease_ttl=60.0)
+                queue.enqueue("a", {})
+                assert queue.claim("dead") is not None
+                old = time.time() - 3600.0
+                os.utime(queue._lease_path("a"), (old, old))
+                barrier = threading.Barrier(4)
+                wins = []
+
+                def contend(worker):
+                    barrier.wait(timeout=10.0)
+                    lease = queue.claim(worker)
+                    if lease is not None:
+                        wins.append(lease)
+
+                threads = [
+                    threading.Thread(target=contend, args=(f"w{i}",)) for i in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                assert not any(t.is_alive() for t in threads)
+                assert [lease.epoch for lease in wins] == [2], f"trial {trial}"
+                record = json.loads(queue._lease_path("a").read_text(encoding="utf-8"))
+                assert record["worker"] == wins[0].worker
+                assert sorted(p.name for p in queue.leases_dir.iterdir()) == [
+                    queue._lease_path("a").name
+                ]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # -- retry budgets, backoff, quarantine -------------------------------------------

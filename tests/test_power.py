@@ -1,10 +1,16 @@
 """Tests for voltage levels, volume growth, and assignment objectives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.volumes import assign_voltages_loop, module_adjacency_loop
+from repro.benchmarks import load
+from repro.floorplan.moves import apply_random_move
+from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.module import Module, Placement
@@ -16,7 +22,8 @@ from repro.power.voltages import (
     feasible_voltages,
     power_scale_for,
 )
-from repro.power.volumes import grow_volumes, module_adjacency
+from repro.power.volumes import grow_volumes, mask_levels, module_adjacency
+from repro.timing.paths import TimingGraph
 
 
 class TestVoltageLevels:
@@ -76,25 +83,111 @@ def _grid_floorplan(nx=3, ny=3, sep=0.0, power=None):
     return Floorplan3D(stack, placements)
 
 
+def _index(fp):
+    return {name: k for k, name in enumerate(sorted(fp.placements))}
+
+
+def _as_names(fp, adj):
+    names = sorted(fp.placements)
+    return {names[i]: {names[j] for j in np.flatnonzero(row)} for i, row in enumerate(adj)}
+
+
+def _pair_floorplan(a, b):
+    """Two 100x100 modules on a 2-die stack: ``a``/``b`` are (x, y, die)."""
+    placements = {}
+    for name, (x, y, die) in zip(("a", "b"), (a, b)):
+        placements[name] = Placement(Module(name, 100, 100, power=0.5), x, y, die=die)
+    return Floorplan3D(StackConfig.square(1000.0), placements)
+
+
 class TestAdjacency:
     def test_touching_modules_adjacent(self):
         fp = _grid_floorplan()
-        adj = module_adjacency(fp)
-        assert "m01" in adj["m00"]
-        assert "m10" in adj["m00"]
-        assert "m11" not in adj["m00"] or True  # diagonal contact allowed via corner
+        adj, ix = module_adjacency(fp), _index(fp)
+        assert adj[ix["m00"], ix["m01"]]
+        assert adj[ix["m00"], ix["m10"]]
+        assert adj[ix["m00"], ix["m11"]]  # diagonal neighbours share a corner
+        assert not adj[ix["m00"], ix["m02"]]
+        assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
 
     def test_separated_modules_not_adjacent(self):
         fp = _grid_floorplan(sep=50.0)
-        adj = module_adjacency(fp)
-        assert "m01" not in adj["m00"]
+        adj, ix = module_adjacency(fp), _index(fp)
+        assert not adj[ix["m00"], ix["m01"]]
 
     def test_cross_die_overlap_adjacent(self):
         fp = _grid_floorplan()
-        adj = module_adjacency(fp)
+        adj, ix = module_adjacency(fp), _index(fp)
         # "top" overlaps m00's footprint on the adjacent die
-        assert "m00" in adj["top"]
-        assert "top" in adj["m00"]
+        assert adj[ix["top"], ix["m00"]]
+        assert adj[ix["m00"], ix["top"]]
+        assert not adj[ix["top"], ix["m01"]]  # edge contact across dies is not overlap
+
+
+class TestAdjacencyBoundaries:
+    """Contacts exactly on the margin, each checked against the x-sweep
+    oracle as well as by value."""
+
+    @pytest.mark.parametrize(
+        "b,adjacent",
+        [
+            ((100.0, 0.0, 0), True),  # shared vertical edge (gap 0)
+            ((0.0, 100.0, 0), True),  # shared horizontal edge (gap 0)
+            ((100.0, 100.0, 0), True),  # corner contact
+            ((100.0, -100.0, 0), True),  # corner contact, below
+            ((100.5, 0.0, 0), True),  # gap inside the margin
+            # a lateral gap of exactly the margin fails the sweep's strict
+            # ``x2 + margin > x`` cut; a vertical one passes the closed test
+            ((101.0, 0.0, 0), False),
+            ((0.0, 101.0, 0), True),
+            ((101.0, 101.0, 0), False),
+            ((0.0, 101.5, 0), False),
+            ((100.0, 0.0, 1), False),  # edge contact across dies
+            ((99.0, 99.0, 1), True),  # footprint overlap across dies
+        ],
+    )
+    def test_pair(self, b, adjacent):
+        for first, second in (((0.0, 0.0, 0), b), (b, (0.0, 0.0, 0))):
+            fp = _pair_floorplan(first, second)
+            adj = module_adjacency(fp)
+            assert _as_names(fp, adj) == module_adjacency_loop(fp)
+            assert bool(adj[0, 1]) is adjacent
+
+    def test_non_neighbouring_dies_not_adjacent(self):
+        """Dies 0 and 2 of a 3-die stack overlap in footprint but are not a
+        die pair; each is adjacent to the die-1 module overlapping both."""
+        placements = {
+            name: Placement(Module(name, 100, 100, power=0.5), x, 0.0, die=die)
+            for name, x, die in (("bottom", 0.0, 0), ("middle", 50.0, 1), ("top", 0.0, 2))
+        }
+        fp = Floorplan3D(StackConfig.square(1000.0, num_dies=3), placements)
+        adj = _as_names(fp, module_adjacency(fp))
+        assert adj == module_adjacency_loop(fp)
+        assert adj == {"bottom": {"middle"}, "middle": {"bottom", "top"}, "top": {"middle"}}
+
+    @pytest.mark.parametrize("num_dies", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_snapped_layouts_match_sweep(self, num_dies, seed):
+        """Coordinates on a half-unit lattice make exact edge, corner and
+        margin contacts common, with ties in x and rotated modules."""
+        rng = np.random.default_rng(seed)
+        placements = {}
+        for k in range(60):
+            name = f"m{k:02d}"
+            w, h = rng.integers(1, 8, size=2) / 2.0
+            placements[name] = Placement(
+                Module(name, float(w), float(h), power=0.5),
+                float(rng.integers(0, 40) / 2.0),
+                float(rng.integers(0, 40) / 2.0),
+                die=int(rng.integers(num_dies)),
+                rotated=bool(rng.integers(2)),
+            )
+        order = list(placements)
+        rng.shuffle(order)
+        fp = Floorplan3D(
+            StackConfig.square(100.0, num_dies=num_dies), {n: placements[n] for n in order}
+        )
+        assert _as_names(fp, module_adjacency(fp)) == module_adjacency_loop(fp)
 
 
 class TestGrowVolumes:
@@ -102,31 +195,40 @@ class TestGrowVolumes:
         fp = _grid_floorplan()
         inflation = {n: 1.0 for n in fp.placements}
         vols = grow_volumes(fp, inflation)
-        singles = [v for v in vols if v.size == 1]
+        singles = [members for members, _ in vols if len(members) == 1]
         assert len(singles) == len(fp.placements)
 
     def test_growth_with_slack(self):
         fp = _grid_floorplan()
         inflation = {n: 2.0 for n in fp.placements}
         vols = grow_volumes(fp, inflation)
-        assert any(v.size > 4 for v in vols)
+        assert any(len(members) > 4 for members, _ in vols)
         # with generous slack all three levels stay feasible
-        big = max(vols, key=lambda v: v.size)
-        assert len(big.feasible) == 3
+        _, feasible = max(vols, key=lambda v: len(v[0]))
+        assert mask_levels(feasible) == DEFAULT_LEVELS
 
     def test_feasible_intersection_shrinks(self):
         fp = _grid_floorplan()
         inflation = {n: (2.0 if n != "m11" else 1.0) for n in fp.placements}
         vols = grow_volumes(fp, inflation)
-        for v in vols:
-            if "m11" in v.members:
-                assert all(lv.volts >= 1.0 for lv in v.feasible)
+        m11 = _index(fp)["m11"]
+        assert any(m11 in members and len(members) > 1 for members, _ in vols)
+        for members, feasible in vols:
+            if m11 in members:
+                assert all(lv.volts >= 1.0 for lv in mask_levels(feasible))
 
     def test_max_size_respected(self):
         fp = _grid_floorplan()
         inflation = {n: 2.0 for n in fp.placements}
         vols = grow_volumes(fp, inflation, max_volume_size=3)
-        assert max(v.size for v in vols) <= 3
+        assert max(len(members) for members, _ in vols) <= 3
+
+    def test_members_sorted_and_unique(self):
+        fp = _grid_floorplan()
+        vols = grow_volumes(fp, {n: 2.0 for n in fp.placements})
+        keys = [tuple(members) for members, _ in vols]
+        assert all(list(k) == sorted(set(k)) for k in keys)
+        assert len(set(keys)) == len(keys)
 
 
 class TestAssignment:
@@ -189,3 +291,35 @@ class TestAssignment:
         fp = _grid_floorplan()
         with pytest.raises(ValueError):
             assign_voltages(fp, {}, objective="fastest")
+
+
+class TestAgainstOracle:
+    """The index-space pipeline gives the name-keyed oracle's cover
+    exactly (``==``): voltages, volumes in selection order, chosen levels."""
+
+    @pytest.mark.parametrize("bench", ["n100", "n200"])
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    def test_random_walk_matches_oracle(self, bench, num_dies):
+        circ, stack = load(bench)
+        stack = dataclasses.replace(stack, num_dies=num_dies)
+        rng = np.random.default_rng(num_dies)
+        state = LayoutState.initial(circ.modules, stack, rng)
+        for _ in range(2):
+            for _ in range(30):
+                apply_random_move(state, rng)
+            fp = state.realize(circ.nets, circ.terminals)
+            names = sorted(fp.placements)
+            assert _as_names(fp, module_adjacency(fp)) == module_adjacency_loop(fp)
+            timing = TimingGraph(names, circ.nets, tsv_length_um=50.0)
+            inflations = (
+                timing.max_delay_inflation(fp),
+                dict(zip(names, rng.uniform(0.9, 2.0, len(names)).tolist())),
+            )
+            for inflation in inflations:
+                for objective in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
+                    for size in (16, 40):
+                        got = assign_voltages(fp, inflation, objective, max_volume_size=size)
+                        want = assign_voltages_loop(fp, inflation, objective, size)
+                        assert got.voltages == want.voltages
+                        assert got.volumes == want.volumes
+                        assert got.chosen == want.chosen

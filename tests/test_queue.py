@@ -15,6 +15,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import pathlib
 import threading
 import time
 
@@ -175,6 +176,54 @@ class TestLeaseExpiry:
             t.join()
         assert len(wins) == 1
         assert not list(queue.leases_dir.glob("*.stale-*"))  # tombstones reaped
+
+    def test_late_stealer_leaves_a_fresh_lease_alone(self, tmp_path, monkeypatch):
+        """Two workers judge the same lease expired.  The first completes
+        its whole steal right after the second's stat, so the lease file
+        is now the first's fresh claim: the second must lose and leave
+        that claim in place, not re-create the lease."""
+        queue = WorkQueue(tmp_path, lease_ttl=60.0)
+        queue.enqueue("a", {})
+        assert queue.claim("dead") is not None
+        path = queue._lease_path("a")
+        old = time.time() - 3600.0
+        os.utime(path, (old, old))
+        real_stat = pathlib.Path.stat
+        first = []
+
+        def stat(self, *args, **kwargs):
+            result = real_stat(self, *args, **kwargs)
+            if self == path and not first:
+                first.append(None)  # the first stealer's own stats are real
+                first[0] = queue._try_acquire("a", {}, "first")
+            return result
+
+        monkeypatch.setattr(pathlib.Path, "stat", stat)
+        second = queue._try_acquire("a", {}, "second")
+        monkeypatch.undo()
+        assert first[0] is not None and first[0].epoch == 2
+        assert second is None
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert (record["worker"], record["epoch"]) == ("first", 2)
+        assert queue._read_fence("a") == {"epoch": 2, "steals": 1}
+        assert sorted(p.name for p in queue.leases_dir.iterdir()) == [path.name]
+
+    def test_status_reaps_the_stale_lease_of_a_completed_job(self, tmp_path):
+        """A worker that died between its shard append and the release
+        leaves a lease that status() removes rather than reports."""
+        queue = WorkQueue(tmp_path, lease_ttl=60.0)
+        queue.enqueue("a", {"tag": 1})
+        queue.enqueue("b", {"tag": 2})
+        done = queue.claim("w0")
+        queue.shard_for("w0").append(done.key, _metrics(1), epoch=done.epoch)
+        live = queue.claim("w1")
+        old = time.time() - 3600.0
+        os.utime(done.path, (old, old))
+        status = queue.status()
+        assert status.stale == []
+        assert [entry["key"] for entry in status.active] == [live.key]
+        assert (status.completed, status.claimed) == (1, 1)
+        assert sorted(queue.leases_dir.iterdir()) == [live.path]
 
 
 def _doomed_worker(queue_dir, started_path):

@@ -98,18 +98,6 @@ class TestResultsStore:
             fh.write(json.dumps(record) + "\n")
         assert set(ResultsStore(tmp_path).completed()) == {"a"}
 
-    def test_parquet_export_gated_on_pyarrow(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        store.append("a", _metrics())
-        try:
-            import pyarrow  # noqa: F401
-        except ImportError:
-            with pytest.raises(RuntimeError, match="pyarrow"):
-                store.to_parquet()
-        else:  # pragma: no cover - exercised only where pyarrow exists
-            out = store.to_parquet()
-            assert out.exists()
-
 
 class TestJobSpecKey:
     def test_key_covers_outcome_changing_fields(self):
