@@ -118,8 +118,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     _print_metrics(outcome.metrics)
     if outcome.mitigation is not None:
         mit = outcome.mitigation
-        print(f"  mitigation: {mit.refactorized_candidates} factorized "
-              f"candidates over {mit.rounds} round(s)")
+        scored = mit.woodbury_candidates + mit.refactorized_candidates
+        print(f"  mitigation: {scored} candidates scored over {mit.rounds} round(s)")
     if outcome.dvfs is not None:
         d = outcome.dvfs
         print(f"  dvfs: baseline |r|={d.baseline_score:.3f} "

@@ -7,9 +7,8 @@ they are deliberately small, immutable where possible, and numpy-friendly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Point",
@@ -27,17 +26,6 @@ class Point:
 
     x: float
     y: float
-
-    def manhattan_to(self, other: "Point") -> float:
-        """Manhattan (L1) distance to ``other``."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def euclidean_to(self, other: "Point") -> float:
-        """Euclidean (L2) distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -81,24 +69,6 @@ class Rect:
         """Whether (px, py) lies inside or on the boundary."""
         return self.x <= px <= self.x2 and self.y <= py <= self.y2
 
-    def contains_rect(self, other: "Rect") -> bool:
-        """Whether ``other`` lies fully inside (or on the boundary of) self.
-
-        Uses a coordinate-scaled tolerance: rects store (x, y, w, h), so a
-        derived edge like ``union_bbox(a, b).y2`` can differ from
-        ``max(a.y2, b.y2)`` by one ulp; exact comparison would make such
-        geometrically-true containments flicker.
-        """
-        tol = 1e-9 * max(
-            1.0, abs(self.x), abs(self.y), abs(self.x2), abs(self.y2)
-        )
-        return (
-            self.x <= other.x + tol
-            and self.y <= other.y + tol
-            and other.x2 <= self.x2 + tol
-            and other.y2 <= self.y2 + tol
-        )
-
     def overlaps(self, other: "Rect") -> bool:
         """Whether the open interiors of the two rectangles intersect."""
         return (
@@ -109,16 +79,6 @@ class Rect:
         )
 
     # -- constructive operations ----------------------------------------------
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """The overlap rectangle, or None when interiors are disjoint."""
-        x1 = max(self.x, other.x)
-        y1 = max(self.y, other.y)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
-        if x2 <= x1 or y2 <= y1:
-            return None
-        return Rect(x1, y1, x2 - x1, y2 - y1)
-
     def overlap_area(self, other: "Rect") -> float:
         """Area of the intersection (0.0 when disjoint)."""
         dx = min(self.x2, other.x2) - max(self.x, other.x)

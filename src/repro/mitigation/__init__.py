@@ -2,7 +2,8 @@
 
 Gaussian activity sampling, the Eq. 2 correlation-stability map, and
 the stability-guided dummy-TSV insertion loop with its sweet-spot stop
-criterion — each candidate stack factorized afresh in symmetric mode.
+criterion — each candidate stack scored by one nominal solve, and only
+the pattern a round sweeps factorized in symmetric mode.
 :mod:`repro.mitigation.dvfs` adds the runtime counterpart: a seeded
 DVFS governor that randomizes the power trace instead of the heat path,
 scored with the same Eq. 1 metrics.

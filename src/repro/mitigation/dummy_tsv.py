@@ -12,19 +12,20 @@ The post-processing stage of the flow:
    would increase the overall correlation again" (Sec. 6.2, 7.1).
 
 Each round evaluates the ``candidates_per_round`` most stable *disjoint*
-bin groups speculatively: all candidate stacks are factorized through the
-round's solver cache and scored against the same nominal power maps, and
-the best-scoring group is accepted.  The greedy top-group choice can hit
-the sweet-spot test one round early when its bins happen to sit on an
-already-saturated heat path; the runner-up groups keep the loop moving at
-no extra sampling cost (the round's activity samples and stability map
-are shared by all candidates).
+bin groups speculatively: every candidate stack is solved once, against
+the same nominal power maps, and the best-scoring group is accepted.  The
+greedy top-group choice can hit the sweet-spot test one round early when
+its bins happen to sit on an already-saturated heat path; the runner-up
+groups keep the loop moving at no extra sampling cost (the round's
+activity samples and stability map are shared by all candidates).
 
-Every candidate stack is factorized afresh through the round's solver
-cache (one symmetric-mode SuperLU factorization each), and the accepted
-candidate's solver serves the next round.  ``incremental=True`` instead
-solves candidates through the round's base LU via the
-Sherman–Morrison–Woodbury identity
+A candidate's one nominal solve comes from a one-right-hand-side solver
+(``rhs_budget=1``), which the auto backend policy sets up as multigrid
+past 16x16 instead of factorizing with SuperLU.  Only a round's activity
+sweep needs direct factors, so a TSV pattern is factorized only when a
+round sweeps it, and the last accepted pattern never is.
+``incremental=True`` instead solves candidates through the round's base
+LU via the Sherman–Morrison–Woodbury identity
 (:class:`~repro.thermal.steady_state.WoodburySolver`), re-baselining once
 committed insertions accumulate past the crossover rank; that path is
 opt-in and slated for deletion, since refactorizing measured faster end
@@ -89,7 +90,7 @@ class MitigationConfig:
     target_die: Optional[int] = None
     seed: int = 0
     #: solve speculative candidates through the round's base LU via the
-    #: Woodbury identity instead of refactorizing each candidate stack
+    #: Woodbury identity instead of giving each candidate its own solver
     #: (opt-in; slated for deletion with the Woodbury layer)
     incremental: bool = False
     #: committed-update rank past which the loop re-baselines (fresh
@@ -172,8 +173,9 @@ class MitigationReport:
     last_stability: Optional[np.ndarray] = None
     #: candidates scored through the base LU (Woodbury path)
     woodbury_candidates: int = 0
-    #: candidates that paid a full factorization (non-incremental runs,
-    #: or Woodbury fallbacks past the crossover / probe rejection)
+    #: candidates scored on a solver of their own: every candidate of a
+    #: non-incremental run (a one-RHS solver, multigrid past 16x16), or a
+    #: Woodbury fallback past the crossover / probe rejection
     refactorized_candidates: int = 0
     #: times the loop adopted a fallback factorization as its new base
     rebaselines: int = 0
@@ -224,10 +226,9 @@ def insert_dummy_tsvs(
     grid = GridSpec(fp.stack.outline, config.grid_nx, config.grid_ny)
 
     # each accepted round changes the TSV pattern, so solvers are keyed by
-    # density digest; the local cache holds every speculative candidate of
-    # a round (the accepted one's factorization carries into the next
-    # round) and keeps rejected candidates from evicting anything
-    # globally useful
+    # density digest and resolved backend; the local cache holds a round's
+    # sweep solver and every speculative candidate, and keeps rejected
+    # candidates from evicting anything globally useful
     solver_cache = SolverCache(maxsize=max(4, config.candidates_per_round + 2))
 
     def make_solver(current: Floorplan3D) -> SteadyStateSolver:
@@ -246,9 +247,10 @@ def insert_dummy_tsvs(
             die_correlation(p, t) for p, t in zip(nominal_maps, result.die_maps)
         ]
 
-    # base_solver carries the loop's one real factorization; candidate
-    # stacks ride it via the Woodbury identity until the accumulated
-    # committed update crosses the re-baseline threshold
+    # the incoming pattern's factors serve round 0's activity sweep; with
+    # incremental=True, base_solver is also the LU candidate stacks ride via
+    # the Woodbury identity until the accumulated committed update crosses
+    # the re-baseline threshold
     base_solver = make_solver(fp)
     solver = base_solver
     # rank of fp's network relative to base_solver's (0 right after a
@@ -260,7 +262,9 @@ def insert_dummy_tsvs(
 
     def candidate_solver(candidate: Floorplan3D):
         if not config.incremental:
-            return make_solver(candidate)
+            return solver_cache.solver_for_floorplan(
+                candidate, grid, rhs_budget=1, **tkw
+            )
         return solver_cache.incremental_solver_for_floorplan(
             candidate, grid, base=base_solver,
             crossover_rank=config.rebase_rank, **tkw,
@@ -289,7 +293,9 @@ def insert_dummy_tsvs(
         die = config.target_die if config.target_die is not None else 0
         p_samples = [ps[die] for ps in power_sets]
         # one batched back-substitution for all activity samples — the LU
-        # is factorized once per TSV pattern, not once per sample
+        # is factorized once per swept TSV pattern, not once per sample
+        if not config.incremental:
+            solver = make_solver(fp)
         t_samples = [r.die_maps[die] for r in solver.solve_many(power_sets)]
         stability = stability_map(p_samples, t_samples)
         last_stability = stability
@@ -317,8 +323,7 @@ def insert_dummy_tsvs(
             break  # every bin is occupied; nothing left to try
 
         # speculative pass: score every candidate group against the same
-        # nominal maps; incremental solves ride base_solver's LU, and
-        # whatever solver wins stays in the cache for the next round
+        # nominal maps; incremental solves ride base_solver's LU
         best: Optional[Tuple[float, List[Tuple[int, int]], Floorplan3D,
                              SteadyStateSolver, List[float]]] = None
         for bins in candidate_bins:

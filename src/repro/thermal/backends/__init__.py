@@ -120,11 +120,10 @@ def resolve_backend(
     back-substitution, which puts the break-even near 4 RHS at 20x20 and
     6-10 RHS at 32x32-48x48; :data:`FEW_RHS_CROSSOVER` sits at the low
     end.  At 16x16 and below the two tie within a few milliseconds (two
-    RHS already favour SuperLU), so budgets change nothing there.  The
-    dummy-TSV candidates state no budget and keep SuperLU: each candidate
-    stack is factorized for one nominal solve, and only the accepted
-    pattern's factors go on to serve the next round's 40-sample activity
-    sweep.
+    RHS already favour SuperLU), so budgets change nothing there.  Each
+    dummy-TSV candidate states a budget of 1 (its one nominal solve); a
+    round's activity sweep states none, so only a swept TSV pattern is
+    factorized.
     """
     if isinstance(backend, FactorizationBackend):
         return backend

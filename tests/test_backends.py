@@ -291,20 +291,31 @@ class TestHistoricalSuperLUOracle:
 
 class TestFewRHSRecordTolerance:
     """The stated tolerance of the few-RHS rule: a flow record under
-    ``REPRO_THERMAL_BACKEND=superlu`` and under auto (verification and
-    the DVFS equilibrium through multigrid) agree exactly on integer and
-    boolean fields and within 1e-9 relative on floats."""
+    ``REPRO_THERMAL_BACKEND=superlu`` and under auto (verification, the
+    DVFS equilibrium and the dummy-TSV candidates through multigrid)
+    agree exactly on integer and boolean fields and within 1e-9 relative
+    on floats.  The dummy-TSV loop's own report keeps the same TSVs and
+    rounds, and its correlations stay within 1e-9 relative, so no
+    candidate argmin or stop-bar decision flips between backends."""
 
     @pytest.mark.parametrize(
-        "mode, topology, mitigation_mode",
+        "mode, topology, mitigation_mode, max_rounds",
         [
-            ("power_aware", "3d", "static"),
-            ("tsc_aware", "3d", "static"),
-            ("tsc_aware", "2.5d", "dvfs"),
+            ("power_aware", "3d", "static", 1),
+            ("tsc_aware", "3d", "static", 1),
+            # a second round sweeps the pattern accepted from a multigrid score
+            ("tsc_aware", "3d", "static", 2),
+            ("tsc_aware", "2.5d", "dvfs", 1),
+        ],
+        ids=[
+            "power_aware-3d-static",
+            "tsc_aware-3d-static",
+            "tsc_aware-3d-static-2rounds",
+            "tsc_aware-2.5d-dvfs",
         ],
     )
     def test_superlu_and_auto_records_agree(
-        self, monkeypatch, mode, topology, mitigation_mode
+        self, monkeypatch, mode, topology, mitigation_mode, max_rounds
     ):
         from repro.benchmarks import load
         from repro.core.config import FlowConfig
@@ -321,7 +332,7 @@ class TestFewRHSRecordTolerance:
             anneal=AnnealConfig(iterations=60, seed=0, calibration_samples=4),
             topology=TopologyConfig(topology),
             mitigation=MitigationConfig(
-                mode=mitigation_mode, samples=20, max_rounds=1,
+                mode=mitigation_mode, samples=20, max_rounds=max_rounds,
                 grid_nx=20, grid_ny=20, dvfs_traces=2,
             ),
             verify_nx=24,
@@ -337,14 +348,15 @@ class TestFewRHSRecordTolerance:
             cache = SolverCache()
             monkeypatch.setattr(steady_state, "_DEFAULT_CACHE", cache)
             monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
-            doc = run_flow(circuit, stack, config).metrics.to_dict()
+            outcome = run_flow(circuit, stack, config)
+            doc = outcome.metrics.to_dict()
             doc.pop("runtime_s")
             doc.pop("degradations", None)
             backends = {s.backend_name for s in cache._entries.values()}
-            return doc, backends
+            return doc, backends, outcome.mitigation
 
-        auto, auto_backends = record(None)
-        direct, direct_backends = record("superlu")
+        auto, auto_backends, auto_mit = record(None)
+        direct, direct_backends, direct_mit = record("superlu")
         assert "multigrid" in auto_backends  # verification took multigrid
         assert direct_backends == {"superlu"}
         assert auto.keys() == direct.keys()
@@ -353,6 +365,21 @@ class TestFewRHSRecordTolerance:
                 assert value == pytest.approx(direct[key], rel=1e-9, abs=0.0), key
             else:
                 assert value == direct[key], key
+        if mode != "tsc_aware" or mitigation_mode != "static":
+            return
+        if max_rounds > 1:
+            assert direct_mit.rounds == max_rounds  # a round was accepted
+        assert auto_mit.rounds == direct_mit.rounds
+        assert auto_mit.inserted == direct_mit.inserted
+        positions = [
+            [(t.x, t.y) for t in mit.floorplan.thermal_tsvs]
+            for mit in (auto_mit, direct_mit)
+        ]
+        assert positions[0] == positions[1]
+        for key in ("correlation_trace", "final_correlations"):
+            assert getattr(auto_mit, key) == pytest.approx(
+                getattr(direct_mit, key), rel=1e-9, abs=0.0
+            ), key
 
 
 @pytest.mark.parametrize("num_dies", [2, 3])

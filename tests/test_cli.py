@@ -125,6 +125,36 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "r1=" in out and "power=" in out
 
+    def test_flow_tsc_prints_candidates_scored(self, monkeypatch, capsys):
+        """The mitigation line counts the candidates the loop scored, and
+        its rounds, as the run's own report states them."""
+        from dataclasses import replace
+
+        from repro.core import flow
+
+        insert = flow.insert_dummy_tsvs
+        reports = []
+
+        def short_insertion(floorplan, config, *args, **kwargs):
+            config = replace(config, samples=8, max_rounds=2)
+            reports.append(insert(floorplan, config, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(flow, "insert_dummy_tsvs", short_insertion)
+        assert main([
+            "flow", "n100", "--mode", "tsc_aware", "--iterations", "60",
+            "--grid", "16", "--seed", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        (report,) = reports
+        scored = report.woodbury_candidates + report.refactorized_candidates
+        assert scored >= report.rounds >= 1
+        assert (
+            f"mitigation: {scored} candidates scored over {report.rounds} round(s)"
+            in out
+        )
+        assert "factorized" not in out
+
 
 class TestQueueCommands:
     def test_enqueue_work_status_round_trip(self, tmp_path, capsys):

@@ -20,27 +20,6 @@ def rect_strategy():
     return st.builds(Rect, finite, finite, positive, positive)
 
 
-class TestPoint:
-    def test_manhattan(self):
-        assert Point(0, 0).manhattan_to(Point(3, 4)) == 7
-
-    def test_euclidean(self):
-        assert Point(0, 0).euclidean_to(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_as_tuple(self):
-        assert Point(1.5, -2.0).as_tuple() == (1.5, -2.0)
-
-    @given(finite, finite, finite, finite)
-    def test_manhattan_symmetry(self, ax, ay, bx, by):
-        a, b = Point(ax, ay), Point(bx, by)
-        assert a.manhattan_to(b) == pytest.approx(b.manhattan_to(a))
-
-    @given(finite, finite, finite, finite)
-    def test_euclidean_le_manhattan(self, ax, ay, bx, by):
-        a, b = Point(ax, ay), Point(bx, by)
-        assert a.euclidean_to(b) <= a.manhattan_to(b) + 1e-9
-
-
 class TestRect:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -52,7 +31,7 @@ class TestRect:
         r = Rect(1, 2, 3, 4)
         assert r.x2 == 4 and r.y2 == 6
         assert r.area == 12
-        assert r.center.as_tuple() == (2.5, 4.0)
+        assert r.center == Point(2.5, 4.0)
 
     def test_contains_point_boundary(self):
         r = Rect(0, 0, 2, 2)
@@ -60,23 +39,10 @@ class TestRect:
         assert r.contains_point(2, 2)
         assert not r.contains_point(2.01, 1)
 
-    def test_contains_rect(self):
-        outer = Rect(0, 0, 10, 10)
-        assert outer.contains_rect(Rect(1, 1, 5, 5))
-        assert outer.contains_rect(outer)
-        assert not outer.contains_rect(Rect(6, 6, 5, 5))
-
     def test_overlap_open_vs_closed(self):
         a = Rect(0, 0, 1, 1)
         b = Rect(1, 0, 1, 1)  # shares an edge
         assert not a.overlaps(b)
-
-    def test_intersection(self):
-        a = Rect(0, 0, 4, 4)
-        b = Rect(2, 2, 4, 4)
-        inter = a.intersection(b)
-        assert inter == Rect(2, 2, 2, 2)
-        assert a.intersection(Rect(10, 10, 1, 1)) is None
 
     def test_overlap_area(self):
         a = Rect(0, 0, 4, 4)
@@ -93,22 +59,17 @@ class TestRect:
         assert a.overlaps(b) == b.overlaps(a)
         assert a.overlap_area(b) == pytest.approx(b.overlap_area(a))
 
-    @given(rect_strategy(), rect_strategy())
-    @settings(max_examples=60)
-    def test_intersection_consistent_with_area(self, a, b):
-        inter = a.intersection(b)
-        if inter is None:
-            assert a.overlap_area(b) == pytest.approx(0.0, abs=1e-9)
-        else:
-            assert inter.area == pytest.approx(a.overlap_area(b), rel=1e-9)
-            assert a.contains_rect(inter) or inter.area <= a.area
-
     @given(rect_strategy())
     @settings(max_examples=60)
     def test_union_bbox_contains_both(self, a):
         b = Rect(a.x + 5, a.y + 5, a.w, a.h)
         u = a.union_bbox(b)
-        assert u.contains_rect(a) and u.contains_rect(b)
+        # u stores (x, y, w, h), so its derived far edges may sit one ulp
+        # inside max(a.x2, b.x2); compare at a coordinate-scaled tolerance
+        tol = 1e-9 * max(1.0, abs(u.x), abs(u.y), abs(u.x2), abs(u.y2))
+        for r in (a, b):
+            assert u.x <= r.x + tol and u.y <= r.y + tol
+            assert r.x2 <= u.x2 + tol and r.y2 <= u.y2 + tol
 
 
 class TestCollections:

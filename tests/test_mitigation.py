@@ -174,3 +174,43 @@ class TestSpeculativeRounds:
         if len(greedy.correlation_trace) > 1:
             assert len(spec.correlation_trace) > 1
             assert spec.correlation_trace[1] <= greedy.correlation_trace[1] + 1e-9
+
+
+class TestFactorizationCount:
+    """A candidate is one nominal solve, so only the patterns a round
+    sweeps pay a SuperLU factorization; past 16x16 the candidates take a
+    multigrid setup instead."""
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        from repro.thermal.backends.multigrid import MultigridBackend
+        from repro.thermal.backends.superlu import SuperLUBackend
+
+        monkeypatch.delenv("REPRO_THERMAL_BACKEND", raising=False)
+        counts = {"superlu": 0, "multigrid": 0}
+        for cls in (SuperLUBackend, MultigridBackend):
+
+            def counted(self, matrix, *, hints=None, _factor=cls.factor):
+                counts[self.name] += 1
+                return _factor(self, matrix, hints=hints)
+
+            monkeypatch.setattr(cls, "factor", counted)
+        return counts
+
+    def test_only_swept_patterns_are_factorized(self, monkeypatch):
+        counts = self._count_factorizations(monkeypatch)
+        cfg = MitigationConfig(samples=15, tsvs_per_round=6, max_rounds=3,
+                               grid_nx=20, grid_ny=20, seed=1)
+        report = insert_dummy_tsvs(_hotspot_floorplan(), cfg)
+        assert report.rounds >= 2  # an accepted pattern was swept
+        assert counts["superlu"] == report.rounds
+        assert counts["multigrid"] == report.refactorized_candidates > 0
+
+    def test_small_grids_keep_superlu(self, monkeypatch):
+        counts = self._count_factorizations(monkeypatch)
+        cfg = MitigationConfig(samples=15, tsvs_per_round=6, max_rounds=3,
+                               grid_nx=12, grid_ny=12, seed=1)
+        report = insert_dummy_tsvs(_hotspot_floorplan(), cfg)
+        assert counts["multigrid"] == 0
+        # the accepted candidate's factors serve the next round's sweep
+        assert counts["superlu"] == 1 + report.refactorized_candidates

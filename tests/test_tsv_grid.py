@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.layout.geometry import Rect
+from repro.layout.geometry import Point, Rect
 from repro.layout.grid import GridSpec, bin_centers, rasterize_power
 from repro.layout.module import Module, Placement
 from repro.layout.tsv import (
@@ -33,7 +33,7 @@ class TestTSV:
         t = TSV(100, 100, 0, 1, diameter=5, keepout=2.5)
         assert t.pitch == 10.0
         fp = t.footprint
-        assert fp.w == 10 and fp.center.as_tuple() == (100, 100)
+        assert fp.w == 10 and fp.center == Point(100, 100)
 
     def test_copper_area(self):
         t = TSV(0, 0, 0, 1, diameter=10)
