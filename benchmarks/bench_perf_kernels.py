@@ -14,7 +14,7 @@ from oracles.pearson import local_correlation_map_loop
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
 from repro.floorplan.objectives import CostEvaluator, FloorplanMode
-from repro.floorplan.seqpair import LayoutState, pack_die
+from repro.floorplan.seqpair import LayoutState
 from repro.layout.grid import GridSpec
 from repro.layout.net import CompiledNetlist
 from repro.layout.tsv import interface_densities
@@ -68,52 +68,6 @@ def test_wirelength_ibm03(benchmark, ibm03_state):
         cy[idx] = y + h / 2
         dd[idx] = state.die_of[name]
     benchmark(nl.wirelength, cx, cy, dd, 50.0)
-
-
-def _module_coords(nl, state):
-    positions = {}
-    sizes = {n: state.effective_size(n) for n in state.modules}
-    for pair in state.pairs:
-        pos, _, _ = pack_die(pair, {n: sizes[n] for n in pair.s1})
-        positions.update(pos)
-    cx = np.empty(nl.num_modules)
-    cy = np.empty(nl.num_modules)
-    dd = np.empty(nl.num_modules, dtype=np.int64)
-    for name, idx in nl.module_index.items():
-        x, y = positions[name]
-        w, h = sizes[name]
-        cx[idx] = x + w / 2
-        cy[idx] = y + h / 2
-        dd[idx] = state.die_of[name]
-    return cx, cy, dd
-
-
-def test_wirelength_per_move_dirty_ibm03(benchmark, ibm03_state):
-    """Per-net dirty recompute for a real move's shifted modules — what
-    one SA iteration pays for wirelength on an IBM-HB+-scale instance
-    (compare against test_wirelength_ibm03, the full recompute)."""
-    circ, stack, state = ibm03_state
-    nl = CompiledNetlist(list(circ.modules), circ.nets, circ.terminals)
-    rng = np.random.default_rng(7)
-    state = state.copy()
-    cx, cy, dd = _module_coords(nl, state)
-    # median-sized real move: apply moves until one shifts a typical count
-    moved_sets = []
-    while len(moved_sets) < 20:
-        candidate = state.copy()
-        apply_random_move(candidate, rng)
-        cx2, cy2, dd2 = _module_coords(nl, candidate)
-        moved = np.nonzero((cx2 != cx) | (cy2 != cy) | (dd2 != dd))[0]
-        if moved.size:
-            moved_sets.append(moved)
-        state, cx, cy, dd = candidate, cx2, cy2, dd2
-    moved = sorted(moved_sets, key=lambda m: m.size)[len(moved_sets) // 2]
-
-    def dirty_recompute():
-        dirty = nl.nets_touching(moved)
-        nl.wirelength_of(dirty, cx, cy, dd, 50.0)
-
-    benchmark(dirty_recompute)
 
 
 def test_spatial_entropy_64(benchmark):
@@ -174,15 +128,14 @@ def test_voltage_assignment_n100(benchmark, n100_state):
     benchmark(assign_voltages, fp, inflation, AssignmentObjective.TSC_AWARE)
 
 
-# -- incremental vs full annealing-iteration throughput -------------------------
+# -- annealing-iteration throughput ---------------------------------------------
 #
 # One "iteration" is what the SA loop does per move: copy the state, apply
-# a random move, and score the candidate.  The incremental variant passes
-# the move's dirty dies and commits (accept-all worst case for the
-# snapshot machinery); the full variant is the force_full oracle.
+# a random move, and score the candidate at the default refresh cadences.
+# Every candidate is adopted (the accept-all case).
 
 
-def _iteration_harness(incremental: bool):
+def _iteration_harness():
     circ, stack = load("n100")
     rng = np.random.default_rng(0)
     state = LayoutState.initial(circ.modules, stack, rng)
@@ -193,30 +146,20 @@ def _iteration_harness(incremental: bool):
         auto_calibrate=False,
     )
     evaluator.evaluate(state, force_full=True)
-    evaluator.commit()
     box = {"state": state}
 
     def one_iteration():
         candidate = box["state"].copy()
-        move = apply_random_move(candidate, rng)
-        if incremental:
-            evaluator.evaluate(candidate, dirty_dies=move.dies)
-            evaluator.commit()
-            box["state"] = candidate
-        else:
-            evaluator.evaluate(candidate, force_full=True)
+        apply_random_move(candidate, rng)
+        evaluator.evaluate(candidate)
+        box["state"] = candidate
 
     return one_iteration
 
 
-def test_anneal_iteration_incremental_n100(benchmark):
-    """Incremental path, default refresh cadences — the production loop."""
-    benchmark(_iteration_harness(incremental=True))
-
-
-def test_anneal_iteration_full_n100(benchmark):
-    """force_full oracle per move — what every iteration used to cost."""
-    benchmark(_iteration_harness(incremental=False))
+def test_anneal_iteration_n100(benchmark):
+    """One move of the production loop, default refresh cadences."""
+    benchmark(_iteration_harness())
 
 
 # -- batched activity-sampling sweep (Sec. 6.2) ---------------------------------

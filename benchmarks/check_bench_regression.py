@@ -51,8 +51,7 @@ DEFAULT_BASELINE = Path(__file__).parent / "BENCH_baseline.json"
 TRACKED = [
     "test_pack_ibm03",
     "test_wirelength_ibm03",
-    "test_wirelength_per_move_dirty_ibm03",
-    "test_anneal_iteration_incremental_n100",
+    "test_anneal_iteration_n100",
     "test_refresh_tsv_density_n100",
     "test_spatial_entropy_64",
     "test_activity_sweep_batched_lu_reuse",

@@ -236,6 +236,9 @@ def run_flow(
         mitigation_mode=config.mitigation.mode,
         dvfs_baseline_r=float(dvfs.baseline_score) if dvfs is not None else 0.0,
         dvfs_mitigated_r=float(dvfs.mitigated_score) if dvfs is not None else 0.0,
+        # r1/r2 and s1/s2 above hold one or two dies; the lists hold more
+        correlations=[float(r) for r in correlations] if len(correlations) > 2 else [],
+        entropies=[float(s) for s in entropies] if len(entropies) > 2 else [],
     )
     emit(
         stage="verify", status="done",

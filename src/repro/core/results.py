@@ -45,6 +45,11 @@ class FlowMetrics:
     #: 0.0 when the DVFS stage did not run
     dvfs_baseline_r: float = 0.0
     dvfs_mitigated_r: float = 0.0
+    #: per-die verified correlations and spatial entropies, bottom die
+    #: first; filled (and stored) only for more than 2 dies, where r1/r2
+    #: and s1/s2 cannot hold every die
+    correlations: List[float] = field(default_factory=list)
+    entropies: List[float] = field(default_factory=list)
 
     _NUMERIC = (
         "spatial_entropy_s1",
@@ -79,6 +84,9 @@ class FlowMetrics:
         if self.dvfs_baseline_r or self.dvfs_mitigated_r:
             out["dvfs_baseline_r"] = self.dvfs_baseline_r
             out["dvfs_mitigated_r"] = self.dvfs_mitigated_r
+        if len(self.correlations) > 2:
+            out["correlations"] = list(self.correlations)
+            out["entropies"] = list(self.entropies)
         return out
 
     @classmethod
@@ -93,6 +101,8 @@ class FlowMetrics:
             "mitigation_mode": str(data.get("mitigation_mode", "static")),
             "dvfs_baseline_r": float(data.get("dvfs_baseline_r", 0.0)),
             "dvfs_mitigated_r": float(data.get("dvfs_mitigated_r", 0.0)),
+            "correlations": [float(v) for v in data.get("correlations", ())],
+            "entropies": [float(v) for v in data.get("entropies", ())],
         }
         for name in cls._NUMERIC:
             value = data[name]

@@ -10,14 +10,15 @@ flow additionally memorizes low-leakage floorplans, which we track as
 
 The loop itself lives in :class:`AnnealChain`, a resumable step API: one
 chain object carries the complete Metropolis state (layout, evaluator
-snapshot, temperature, RNG, best-so-far tracking) and advances any number
-of moves at a time.  :func:`anneal` is the single-chain driver — chain
-construction, one :meth:`AnnealChain.run` over the full budget, then
-:meth:`AnnealChain.finalize` — and is bit-identical to the historical
-monolithic loop for a given seed.  Chains pickle cleanly, which is what
-the parallel-tempering layer (:mod:`repro.floorplan.tempering`) builds
-on: replicas travel to worker processes between exchange rounds with
-their whole state, so results cannot depend on worker scheduling.
+with its slow-term cache, temperature, RNG, best-so-far tracking) and
+advances any number of moves at a time.  :func:`anneal` is the
+single-chain driver — chain construction, one :meth:`AnnealChain.run`
+over the full budget, then :meth:`AnnealChain.finalize` — and is
+bit-identical to the historical monolithic loop for a given seed.
+Chains pickle cleanly, which is what the parallel-tempering layer
+(:mod:`repro.floorplan.tempering`) builds on: replicas travel to worker
+processes between exchange rounds with their whole state, so results
+cannot depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -248,12 +249,10 @@ class AnnealChain:
 
         current_bd = evaluator.evaluate(state, force_full=True)
         current_cost = evaluator.total_cost(current_bd)
-        evaluator.commit()
 
         if temperature is None:
-            # probe deltas for the starting temperature (full evaluations
-            # on probe copies; deliberately never committed, so the
-            # incremental baseline stays pinned to ``state``)
+            # probe deltas for the starting temperature, scored on copies
+            # of the starting state
             probe_deltas: List[float] = []
             probe = state.copy()
             for _ in range(min(20, config.calibration_samples)):
@@ -293,8 +292,8 @@ class AnnealChain:
             self.current_cost = evaluator.total_cost(self.current_bd)
             self.best_cost = evaluator.total_cost(self.best_bd)
         candidate = self.state.copy()
-        move = apply_random_move(candidate, self.rng)
-        bd = evaluator.evaluate(candidate, dirty_dies=move.dies)
+        apply_random_move(candidate, self.rng)
+        bd = evaluator.evaluate(candidate)
         cost = evaluator.total_cost(bd)
         delta = cost - self.current_cost
         if delta <= 0 or self.rng.random() < math.exp(
@@ -303,7 +302,6 @@ class AnnealChain:
             self.state = candidate
             self.current_cost = cost
             self.current_bd = bd
-            evaluator.commit()
             self.accepted += 1
             feasible = bd.outline <= 1e-9
             improved = (

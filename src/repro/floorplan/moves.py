@@ -3,40 +3,20 @@
 The moves mirror Corblivar's layout operations (Fig. 3, "Adapt Solution"):
 intra-die reordering, hard-block rotation, soft-block reshaping, and the
 3D-specific moves — migrating a block to the other die and swapping blocks
-across dies.  Every move mutates the state in place and returns a
-:class:`MoveRecord` naming the move and the dies it touched; the record
-*is* the move tag (it subclasses ``str``) so existing string-based callers
-keep working, while the incremental cost evaluator consumes ``.dies`` for
-dirty-die tracking.
+across dies.  Every move mutates the state in place and returns whether it
+applied; :func:`apply_random_move` returns the applied move's name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from ..layout.module import ModuleKind
 from .seqpair import LayoutState
 
-__all__ = ["MOVE_NAMES", "MoveRecord", "apply_random_move"]
-
-
-class MoveRecord(str):
-    """Tag of an applied move plus the set of dies it touched.
-
-    Subclasses ``str`` so that legacy callers treating the return value of
-    :func:`apply_random_move` as a plain tag (``tag in MOVE_NAMES``) are
-    unaffected; the annealer reads ``record.dies`` to invalidate only the
-    touched dies' cached cost terms.
-    """
-
-    dies: FrozenSet[int]
-
-    def __new__(cls, name: str, dies: Iterable[int] = ()) -> "MoveRecord":
-        obj = str.__new__(cls, name)
-        obj.dies = frozenset(dies)
-        return obj
+__all__ = ["MOVE_NAMES", "apply_random_move"]
 
 
 def _random_die_with_blocks(
@@ -48,56 +28,56 @@ def _random_die_with_blocks(
     return candidates[int(rng.integers(0, len(candidates)))]
 
 
-def move_swap_in_s1(state: LayoutState, rng: np.random.Generator) -> Optional[Set[int]]:
+def move_swap_in_s1(state: LayoutState, rng: np.random.Generator) -> bool:
     """Swap two blocks in one die's first sequence only (changes the
     relative geometric relation between them)."""
     die = _random_die_with_blocks(state, rng, minimum=2)
     if die is None:
-        return None
+        return False
     s1 = state.pairs[die].s1
     i, j = rng.choice(len(s1), size=2, replace=False)
     s1[i], s1[j] = s1[j], s1[i]
-    return {die}
+    return True
 
 
-def move_swap_in_both(state: LayoutState, rng: np.random.Generator) -> Optional[Set[int]]:
+def move_swap_in_both(state: LayoutState, rng: np.random.Generator) -> bool:
     """Swap two blocks in both sequences (swaps their positions)."""
     die = _random_die_with_blocks(state, rng, minimum=2)
     if die is None:
-        return None
+        return False
     pair = state.pairs[die]
     i, j = rng.choice(len(pair.s1), size=2, replace=False)
     a, b = pair.s1[i], pair.s1[j]
     pair.s1[i], pair.s1[j] = b, a
     ia, ib = pair.s2.index(a), pair.s2.index(b)
     pair.s2[ia], pair.s2[ib] = b, a
-    return {die}
+    return True
 
 
-def move_rotate(state: LayoutState, rng: np.random.Generator) -> Optional[Set[int]]:
+def move_rotate(state: LayoutState, rng: np.random.Generator) -> bool:
     """Rotate one block by 90 degrees."""
     names = list(state.modules)
     name = names[int(rng.integers(0, len(names)))]
     state.rotated[name] = not state.rotated.get(name, False)
-    return {state.die_of[name]}
+    return True
 
 
-def move_reshape_soft(state: LayoutState, rng: np.random.Generator) -> Optional[Set[int]]:
+def move_reshape_soft(state: LayoutState, rng: np.random.Generator) -> bool:
     """Re-aspect one soft block within its allowed range."""
     soft = [n for n, m in state.modules.items() if m.kind == ModuleKind.SOFT]
     if not soft:
-        return None
+        return False
     name = soft[int(rng.integers(0, len(soft)))]
     m = state.modules[name]
     lo, hi = np.log(m.min_aspect), np.log(m.max_aspect)
     state.aspect[name] = float(np.exp(rng.uniform(lo, hi)))
-    return {state.die_of[name]}
+    return True
 
 
-def move_to_other_die(state: LayoutState, rng: np.random.Generator) -> Optional[Set[int]]:
+def move_to_other_die(state: LayoutState, rng: np.random.Generator) -> bool:
     """Migrate one block to a different die (3D move)."""
     if state.stack.num_dies < 2:
-        return None
+        return False
     names = list(state.modules)
     name = names[int(rng.integers(0, len(names)))]
     src = state.die_of[name]
@@ -106,16 +86,16 @@ def move_to_other_die(state: LayoutState, rng: np.random.Generator) -> Optional[
     state.pairs[src].remove(name)
     state.pairs[dst].insert_random(name, rng)
     state.die_of[name] = dst
-    return {src, dst}
+    return True
 
 
-def move_swap_across_dies(state: LayoutState, rng: np.random.Generator) -> Optional[Set[int]]:
+def move_swap_across_dies(state: LayoutState, rng: np.random.Generator) -> bool:
     """Swap two blocks between dies, preserving sequence positions."""
     if state.stack.num_dies < 2:
-        return None
+        return False
     dies = [d for d, p in enumerate(state.pairs) if len(p) >= 1]
     if len(dies) < 2:
-        return None
+        return False
     da, db = rng.choice(dies, size=2, replace=False)
     pa, pb = state.pairs[da], state.pairs[db]
     a = pa.s1[int(rng.integers(0, len(pa.s1)))]
@@ -124,22 +104,22 @@ def move_swap_across_dies(state: LayoutState, rng: np.random.Generator) -> Optio
         ia, ib = seq_a.index(a), seq_b.index(b)
         seq_a[ia], seq_b[ib] = b, a
     state.die_of[a], state.die_of[b] = int(db), int(da)
-    return {int(da), int(db)}
+    return True
 
 
-def move_shift_in_sequence(state: LayoutState, rng: np.random.Generator) -> Optional[Set[int]]:
+def move_shift_in_sequence(state: LayoutState, rng: np.random.Generator) -> bool:
     """Remove one block and reinsert it at a random sequence position."""
     die = _random_die_with_blocks(state, rng, minimum=2)
     if die is None:
-        return None
+        return False
     pair = state.pairs[die]
     name = pair.s1[int(rng.integers(0, len(pair.s1)))]
     pair.remove(name)
     pair.insert_random(name, rng)
-    return {die}
+    return True
 
 
-_MoveFn = Callable[[LayoutState, np.random.Generator], Optional[Set[int]]]
+_MoveFn = Callable[[LayoutState, np.random.Generator], bool]
 
 _MOVES: List[Tuple[str, _MoveFn, float]] = [
     ("swap_s1", move_swap_in_s1, 0.22),
@@ -156,8 +136,8 @@ _WEIGHTS = np.array([w for _, _, w in _MOVES])
 _WEIGHTS = _WEIGHTS / _WEIGHTS.sum()
 
 
-def apply_random_move(state: LayoutState, rng: np.random.Generator) -> MoveRecord:
-    """Apply one randomly selected move in place; returns its record.
+def apply_random_move(state: LayoutState, rng: np.random.Generator) -> str:
+    """Apply one randomly selected move in place; returns its name.
 
     Falls back to another move kind when the selected one is inapplicable
     (e.g. no soft blocks to reshape), so a call always perturbs the state
@@ -166,7 +146,6 @@ def apply_random_move(state: LayoutState, rng: np.random.Generator) -> MoveRecor
     order = rng.choice(len(_MOVES), size=len(_MOVES), replace=False, p=_WEIGHTS)
     for idx in order:
         name, fn, _ = _MOVES[int(idx)]
-        dies = fn(state, rng)
-        if dies is not None:
-            return MoveRecord(name, dies)
-    return MoveRecord("none")
+        if fn(state, rng):
+            return name
+    return "none"

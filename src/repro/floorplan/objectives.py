@@ -163,34 +163,19 @@ class _ExpensiveCache:
 
 @dataclass
 class _Snapshot:
-    """Memoized geometry and cost terms of one evaluated layout.
+    """Packed geometry and cheap cost terms of one evaluated layout.
 
-    The incremental evaluator keeps the snapshot of the annealer's
-    current (committed) state; a move then only repacks the dies it
-    touched, patches the affected module centres, and reuses every other
-    cached term.  Snapshots are immutable-by-convention once committed —
-    :meth:`CostEvaluator._advance_snapshot` always copies before writing.
+    Built from scratch for every evaluation, so a score depends only on
+    the state it was given, never on what was evaluated before it.
     """
 
     positions: Dict[str, Tuple[float, float]]
     sizes: Dict[str, Tuple[float, float]]
-    extents: List[Tuple[float, float]]
-    die_members: List[List[str]]
-    cx: np.ndarray
-    cy: np.ndarray
-    dd: np.ndarray
-    #: nominal (pre-voltage) module power per die, for the die-assignment term
-    die_power: List[float]
-    wirelength: float = 0.0
-    tsv_crossings: int = 0
-    #: per-net HPWL / crossings backing the per-net dirty tracking; the
-    #: totals above are always full sums over these arrays, so the
-    #: incremental path is bit-identical to a full recompute
-    net_hpwl: Optional[np.ndarray] = None
-    net_crossings: Optional[np.ndarray] = None
-    outline: float = 0.0
-    area: float = 0.0
-    die_assignment: float = 0.0
+    wirelength: float
+    tsv_crossings: int
+    outline: float
+    area: float
+    die_assignment: float
 
 
 class CostEvaluator:
@@ -235,12 +220,7 @@ class CostEvaluator:
         self._cache = _ExpensiveCache()
         self._scales: Dict[str, float] = {}
         self._iteration = 0
-        self._committed: Optional[_Snapshot] = None
-        self._pending: Optional[_Snapshot] = None
         self._total_nominal_power: Optional[float] = None
-        #: observability: how many evaluations took which path, and how
-        #: many nets the per-net dirty path actually recomputed
-        self.eval_stats = {"full": 0, "incremental": 0, "dirty_nets": 0}
 
     # -- plumbing ---------------------------------------------------------------
     def _compiled(self, state: LayoutState) -> CompiledNetlist:
@@ -263,67 +243,18 @@ class CostEvaluator:
         return self._total_nominal_power
 
     # -- snapshot construction ------------------------------------------------------
-    def _finish_cheap(
-        self,
-        state: LayoutState,
-        snap: "_Snapshot",
-        moved: Optional[np.ndarray] = None,
-    ) -> None:
-        """Derive the cheap cost terms from the snapshot's geometry.
-
-        ``moved`` (module indices whose centre or die actually changed
-        relative to the committed baseline) switches wirelength to the
-        per-net dirty path: only nets touching a moved module are
-        recomputed, everything else keeps its cached per-net value.  The
-        totals are full sums over the per-net arrays either way, so both
-        paths produce bit-identical results.
-        """
-        nl = self._compiled(state)
-        if moved is None or snap.net_hpwl is None or snap.net_crossings is None:
-            _, _, hpwl, crossings = nl.wirelength(
-                snap.cx, snap.cy, snap.dd, self.tsv_length_um
-            )
-            snap.net_hpwl = hpwl
-            snap.net_crossings = crossings
-        else:
-            dirty_nets = nl.nets_touching(moved)
-            if dirty_nets.size:
-                h, c = nl.wirelength_of(
-                    dirty_nets, snap.cx, snap.cy, snap.dd, self.tsv_length_um
-                )
-                snap.net_hpwl[dirty_nets] = h
-                snap.net_crossings[dirty_nets] = c
-            self.eval_stats["dirty_nets"] += int(dirty_nets.size)
-        snap.wirelength = float(snap.net_hpwl.sum()) if snap.net_hpwl.size else 0.0
-        snap.tsv_crossings = (
-            int(snap.net_crossings.sum()) if snap.net_crossings.size else 0
-        )
-        outline = self.stack.outline
-        over = 0.0
-        fill = 0.0
-        for w, h in snap.extents:
-            over += max(0.0, w / outline.w - 1.0) + max(0.0, h / outline.h - 1.0)
-            fill += (min(w, outline.w) / outline.w) * (min(h, outline.h) / outline.h)
-        snap.outline = over
-        snap.area = fill / max(1, len(snap.extents))
-        # thermal design rule: pull power toward the heatsink-adjacent die
-        top = self.stack.num_dies - 1
-        snap.die_assignment = 1.0 - snap.die_power[top] / self._total_power(state)
-
     def _full_snapshot(self, state: LayoutState) -> "_Snapshot":
+        """Pack every die and derive the cheap cost terms from scratch."""
         nl = self._compiled(state)
         sizes = {n: state.effective_size(n) for n in state.modules}
         positions: Dict[str, Tuple[float, float]] = {}
         extents: List[Tuple[float, float]] = []
-        die_members: List[List[str]] = []
         die_power: List[float] = []
         for pair in state.pairs:
-            members = list(pair.s1)
             pos, w, h = pack_die(pair, sizes)
             positions.update(pos)
             extents.append((w, h))
-            die_members.append(members)
-            die_power.append(sum(state.modules[n].power for n in members))
+            die_power.append(sum(state.modules[n].power for n in pair.s1))
         cx = np.empty(nl.num_modules)
         cy = np.empty(nl.num_modules)
         dd = np.empty(nl.num_modules, dtype=np.int64)
@@ -333,71 +264,24 @@ class CostEvaluator:
             cx[idx] = x + w / 2.0
             cy[idx] = y + h / 2.0
             dd[idx] = state.die_of[name]
-        snap = _Snapshot(
+        wirelength, tsv_crossings = nl.wirelength(cx, cy, dd, self.tsv_length_um)
+        outline = self.stack.outline
+        over = 0.0
+        fill = 0.0
+        for w, h in extents:
+            over += max(0.0, w / outline.w - 1.0) + max(0.0, h / outline.h - 1.0)
+            fill += (min(w, outline.w) / outline.w) * (min(h, outline.h) / outline.h)
+        # thermal design rule: pull power toward the heatsink-adjacent die
+        top = self.stack.num_dies - 1
+        return _Snapshot(
             positions=positions,
             sizes=sizes,
-            extents=extents,
-            die_members=die_members,
-            cx=cx,
-            cy=cy,
-            dd=dd,
-            die_power=die_power,
+            wirelength=wirelength,
+            tsv_crossings=tsv_crossings,
+            outline=over,
+            area=fill / max(1, len(extents)),
+            die_assignment=1.0 - die_power[top] / self._total_power(state),
         )
-        self._finish_cheap(state, snap)
-        return snap
-
-    def _advance_snapshot(self, state: LayoutState, dirty: set) -> "_Snapshot":
-        """Copy-on-write the committed snapshot, repacking only dirty dies."""
-        base = self._committed
-        assert base is not None
-        snap = _Snapshot(
-            positions=dict(base.positions),
-            sizes=dict(base.sizes),
-            extents=list(base.extents),
-            die_members=list(base.die_members),
-            cx=base.cx.copy(),
-            cy=base.cy.copy(),
-            dd=base.dd.copy(),
-            die_power=list(base.die_power),
-            net_hpwl=None if base.net_hpwl is None else base.net_hpwl.copy(),
-            net_crossings=(
-                None if base.net_crossings is None else base.net_crossings.copy()
-            ),
-        )
-        nl = self._compiled(state)
-        touched: set = set()
-        for d in dirty:
-            # old members: covers modules that migrated *out* of die d
-            touched.update(base.die_members[d])
-            members = list(state.pairs[d].s1)
-            snap.die_members[d] = members
-            touched.update(members)
-            sizes = {n: state.effective_size(n) for n in members}
-            pos, w, h = pack_die(state.pairs[d], sizes)
-            snap.extents[d] = (w, h)
-            for n in members:
-                snap.sizes[n] = sizes[n]
-                snap.positions[n] = pos[n]
-            snap.die_power[d] = sum(state.modules[n].power for n in members)
-        for n in touched:
-            idx = nl.module_index[n]
-            x, y = snap.positions[n]
-            w, h = snap.sizes[n]
-            snap.cx[idx] = x + w / 2.0
-            snap.cy[idx] = y + h / 2.0
-            snap.dd[idx] = state.die_of[n]
-        # repacking a die usually shifts only part of it: nets are dirty
-        # only where a pin's centre or die assignment actually changed
-        touched_idx = np.fromiter(
-            (nl.module_index[n] for n in touched), dtype=np.int64, count=len(touched)
-        )
-        moved_mask = (
-            (snap.cx[touched_idx] != base.cx[touched_idx])
-            | (snap.cy[touched_idx] != base.cy[touched_idx])
-            | (snap.dd[touched_idx] != base.dd[touched_idx])
-        )
-        self._finish_cheap(state, snap, moved=touched_idx[moved_mask])
-        return snap
 
     # -- term computation ---------------------------------------------------------
     def _refresh_expensive(self, state: LayoutState, snap: "_Snapshot",
@@ -434,8 +318,9 @@ class CostEvaluator:
             maps = [fp.power_map(d, self.grid) for d in range(num_dies)]
             if num_dies > 1:
                 # every adjacent interface's TSVs, not just (0, 1).  Sites
-                # come from the realized placements, not snap.cx/cy: a soft
-                # module kept at its nominal size centres up to an ulp away
+                # come from the realized placements, not the packed centres
+                # the wirelength used: a soft module kept at its nominal
+                # size centres up to an ulp away
                 sites = fp.signal_sites(self._compiled(state))
                 density = interface_densities(
                     sites, self.stack.tsv_pitch, self.stack.outline,
@@ -459,38 +344,23 @@ class CostEvaluator:
         )
 
     # -- public API -----------------------------------------------------------------
-    def evaluate(
-        self,
-        state: LayoutState,
-        force_full: bool = False,
-        dirty_dies: Optional[Sequence[int]] = None,
-    ) -> CostBreakdown:
-        """Score one state; slow terms refresh on their cadence.
+    def evaluate(self, state: LayoutState, force_full: bool = False) -> CostBreakdown:
+        """Score one state.
 
-        With ``dirty_dies`` (the dies touched by the last move, relative
-        to the last :meth:`commit`-ted state) only the affected geometry
-        is repacked; every untouched cheap term is reused from the
-        committed snapshot.  ``force_full`` recomputes
-        everything from scratch and doubles as the correctness oracle for
-        the incremental path.  Callers driving the incremental path must
-        call :meth:`commit` after every accepted move.
+        The cheap terms (outline, packing, wirelength, die assignment)
+        are computed from scratch on every call; the slow terms (timing,
+        thermal and leakage, voltage assignment) refresh on their
+        cadence and are reused from the last refresh in between.
+        ``force_full`` refreshes timing, thermal and assignment now —
+        scale calibration, the chain's starting state and the final
+        score of the best state use it.
         """
         self._iteration += 1
         it = self._iteration
         refresh_timing = force_full or (it % self.timing_every == 0)
         refresh_thermal = force_full or (it % self.thermal_every == 0)
         refresh_assignment = force_full or (it % self.assignment_every == 0)
-        incremental = (
-            not force_full
-            and dirty_dies is not None
-            and self._committed is not None
-        )
-        if incremental:
-            snap = self._advance_snapshot(state, set(dirty_dies))
-            self.eval_stats["incremental"] += 1
-        else:
-            snap = self._full_snapshot(state)
-            self.eval_stats["full"] += 1
+        snap = self._full_snapshot(state)
         bd = CostBreakdown(
             area=snap.area,
             wirelength=snap.wirelength,
@@ -509,23 +379,7 @@ class CostEvaluator:
         bd.volumes = cache.volumes
         bd.correlation = cache.correlation
         bd.entropy = cache.entropy
-        self._pending = snap
         return bd
-
-    def commit(self) -> None:
-        """Adopt the most recently evaluated state as the incremental baseline.
-
-        The annealer calls this after every *accepted* move (and once for
-        the initial state); rejected candidates are simply never
-        committed, so their snapshots are dropped on the next evaluation.
-        """
-        if self._pending is not None:
-            self._committed = self._pending
-
-    def reset_incremental(self) -> None:
-        """Drop the incremental baselines (e.g. before reusing the evaluator)."""
-        self._committed = None
-        self._pending = None
 
     def calibrate_scales(
         self, state: LayoutState, rng: np.random.Generator, samples: int = 24
@@ -533,7 +387,6 @@ class CostEvaluator:
         """Sample random perturbations to set per-term normalization."""
         from .moves import apply_random_move
 
-        self.reset_incremental()
         acc: Dict[str, List[float]] = {name: [] for name in CostBreakdown._FIELDS}
         probe = state.copy()
         for _ in range(samples):
@@ -557,7 +410,6 @@ class CostEvaluator:
         scale, so one chain calibrates and the rest adopt its result
         here instead of sampling their own.
         """
-        self.reset_incremental()
         self._scales = dict(scales)
         self._iteration = 0
         return dict(self._scales)

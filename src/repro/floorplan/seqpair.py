@@ -252,8 +252,9 @@ class LayoutState:
         """Build the :class:`Floorplan3D` from already packed positions.
 
         ``positions`` (and optionally precomputed effective ``sizes``) come
-        from a previous :meth:`pack` — the incremental cost evaluator calls
-        this to avoid re-packing every die when only a few moved.
+        from a previous packing — the cost evaluator's slow-term refresh
+        calls this with the positions it already packed for the cheap
+        terms, so no die is packed twice.
         """
         placements = {}
         for name, module in self.modules.items():

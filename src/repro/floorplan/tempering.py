@@ -19,15 +19,15 @@ For a fixed ``(seed, replicas)`` the result is *identical* regardless of
   ``np.random.SeedSequence(seed)`` — no stream is shared across chains;
 * swap decisions draw from a dedicated coordinator stream (the last
   spawned child), one draw per attempted pair, *unconditionally*;
-* chains travel to workers whole (layout, evaluator snapshot,
-  temperature, RNG state pickle along) and are gathered back in replica
+* chains travel to workers whole (layout, evaluator with its slow-term
+  cache, temperature, RNG state pickle along) and are gathered back in replica
   order, so the pool is pure transport with no RNG of its own.
 
 Swaps exchange *temperatures* (ladder positions), not layouts: all
 chains advance the same move count per round, so their cooling decay is
 common and handing a chain the partner's current temperature is exactly
-the classical state-swap formulation without invalidating each
-evaluator's incremental-cost snapshot.
+the classical state-swap formulation, and each evaluator's slow-term
+cache stays with the layout it was computed for.
 
 Nested-parallelism guard
 ------------------------

@@ -189,28 +189,6 @@ class CompiledNetlist:
             (np.asarray(rows, dtype=np.int64), np.asarray(matrix, dtype=np.int64))
             for rows, matrix in by_count.values()
         ]
-        # module -> nets adjacency (CSR over pin occurrences), backing the
-        # per-net dirty tracking of the incremental evaluator
-        net_of_pin = np.repeat(
-            np.arange(self.num_nets, dtype=np.int64), np.diff(self.ptr)
-        )
-        order = np.argsort(self.pin_idx, kind="stable")
-        self._mod_net_idx = net_of_pin[order]
-        self._mod_net_ptr = np.searchsorted(
-            self.pin_idx[order], np.arange(self.num_modules + 1)
-        )
-
-    def nets_touching(self, module_indices: Sequence[int]) -> np.ndarray:
-        """Unique indices of nets with a pin on any of the given modules."""
-        if self.num_nets == 0:
-            return np.zeros(0, dtype=np.int64)
-        chunks = [
-            self._mod_net_idx[self._mod_net_ptr[m] : self._mod_net_ptr[m + 1]]
-            for m in module_indices
-        ]
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))
 
     def wirelength(
         self,
@@ -218,10 +196,10 @@ class CompiledNetlist:
         centers_y: np.ndarray,
         dies: np.ndarray,
         tsv_length: float,
-    ) -> Tuple[float, int, np.ndarray, np.ndarray]:
-        """(total HPWL um, total crossings, per-net HPWL, per-net crossings)."""
+    ) -> Tuple[float, int]:
+        """(total HPWL um, total crossings)."""
         if self.num_nets == 0:
-            return 0.0, 0, np.zeros(0), np.zeros(0, dtype=np.int64)
+            return 0.0, 0
         starts = self.ptr[:-1]
         px = centers_x[self.pin_idx]
         py = centers_y[self.pin_idx]
@@ -238,50 +216,7 @@ class CompiledNetlist:
         lo_y = np.minimum(min_y, self.term_min_y)
         crossings = (max_d - min_d).astype(np.int64)
         hpwl = (hi_x - lo_x) + (hi_y - lo_y) + crossings * tsv_length
-        return float(hpwl.sum()), int(crossings.sum()), hpwl, crossings
-
-    def wirelength_of(
-        self,
-        net_idx: np.ndarray,
-        centers_x: np.ndarray,
-        centers_y: np.ndarray,
-        dies: np.ndarray,
-        tsv_length: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-net HPWL and crossings for ``net_idx`` only.
-
-        Gathers exactly the selected nets' pin runs and applies the same
-        ``reduceat`` arithmetic as :meth:`wirelength`, so the returned
-        entries are bit-identical to the corresponding entries of a full
-        recompute — the property the incremental evaluator relies on.
-        """
-        net_idx = np.asarray(net_idx, dtype=np.int64)
-        if net_idx.size == 0:
-            return np.zeros(0), np.zeros(0, dtype=np.int64)
-        starts = self.ptr[net_idx]
-        lengths = self.ptr[net_idx + 1] - starts
-        offsets = np.zeros(net_idx.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        flat = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
-            starts - offsets, lengths
-        )
-        pins = self.pin_idx[flat]
-        px = centers_x[pins]
-        py = centers_y[pins]
-        pd = dies[pins]
-        max_x = np.maximum.reduceat(px, offsets)
-        min_x = np.minimum.reduceat(px, offsets)
-        max_y = np.maximum.reduceat(py, offsets)
-        min_y = np.minimum.reduceat(py, offsets)
-        max_d = np.maximum.reduceat(pd, offsets)
-        min_d = np.minimum.reduceat(pd, offsets)
-        hi_x = np.maximum(max_x, self.term_max_x[net_idx])
-        lo_x = np.minimum(min_x, self.term_min_x[net_idx])
-        hi_y = np.maximum(max_y, self.term_max_y[net_idx])
-        lo_y = np.minimum(min_y, self.term_min_y[net_idx])
-        crossings = (max_d - min_d).astype(np.int64)
-        hpwl = (hi_x - lo_x) + (hi_y - lo_y) + crossings * tsv_length
-        return hpwl, crossings
+        return float(hpwl.sum()), int(crossings.sum())
 
     def sites(
         self,

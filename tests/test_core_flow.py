@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end flow (Fig. 3) and result records."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,34 @@ class TestRunFlow:
         assert pmaps[0].shape == (12, 12)
         assert tmaps[0].shape == (12, 12)
         assert peak > 293.0
+
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    def test_record_keeps_every_die(self, tiny, num_dies):
+        """A 3-die record stores every die's leakage and round-trips; a
+        2-die record keeps its historical key set."""
+        circ, stack = tiny
+        stack = StackConfig(stack.outline, num_dies=num_dies)
+        config = FlowConfig(
+            mode=FloorplanMode.POWER_AWARE,
+            anneal=AnnealConfig(iterations=40, seed=4, calibration_samples=4,
+                                grid_nx=16, grid_ny=16),
+            verify_nx=16,
+            verify_ny=16,
+        )
+        m = run_flow(circ, stack, config).metrics
+        d = m.to_dict()
+        if num_dies == 2:
+            assert m.correlations == [] and m.entropies == []
+            assert set(d) - {"degradations"} == (
+                {"benchmark", "mode", "feasible"} | set(FlowMetrics._NUMERIC)
+            )
+        else:
+            assert len(m.correlations) == len(m.entropies) == 3
+            assert m.correlations[:2] == [m.correlation_r1, m.correlation_r2]
+            assert m.entropies[:2] == [m.spatial_entropy_s1, m.spatial_entropy_s2]
+            assert d["correlations"] == m.correlations
+            assert d["entropies"] == m.entropies
+        assert FlowMetrics.from_dict(json.loads(json.dumps(d))) == m
 
 
 class TestResults:

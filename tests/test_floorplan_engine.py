@@ -12,6 +12,7 @@ from repro.floorplan.annealer import (
     _initial_temperature,
     anneal,
 )
+from repro.floorplan.moves import apply_random_move
 from repro.floorplan.objectives import (
     CostBreakdown,
     CostEvaluator,
@@ -21,6 +22,7 @@ from repro.floorplan.objectives import (
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.net import CompiledNetlist
+from repro.thermal.fast import FastThermalModel
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +50,13 @@ class TestCompiledNetlist:
             p = fp.placements[name]
             cx[idx], cy[idx] = p.center
             dd[idx] = p.die
-        wl, cross, per_net, per_cross = nl.wirelength(cx, cy, dd, 50.0)
+        wl, cross = nl.wirelength(cx, cy, dd, 50.0)
         assert wl == pytest.approx(ref_wl, rel=1e-9)
         assert cross == ref_cross
-        assert per_net.shape[0] == nl.num_nets
 
     def test_empty_netlist(self):
         nl = CompiledNetlist(["a"], [], {})
-        wl, cross, _, _ = nl.wirelength(np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), 50.0)
+        wl, cross = nl.wirelength(np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), 50.0)
         assert wl == 0.0 and cross == 0
 
 
@@ -126,6 +127,57 @@ class TestCostEvaluator:
         flipped.pairs[1].s2 = []
         bd_flipped = ev.evaluate(flipped, force_full=True)
         assert bd_flipped.die_assignment > bd_biased.die_assignment
+
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    def test_random_walk_matches_realized_floorplan(self, num_dies):
+        """Over a few hundred moves with a mixed accept/reject lineage,
+        every candidate's cheap terms equal its realized floorplan's, and
+        its whole breakdown equals a fresh evaluator's: a score depends on
+        the state alone, not on what the evaluator scored before."""
+        spec = BenchmarkSpec("tiny", 0, 14, 1, 40, 8, 0.25, 1.2, seed=5)
+        circ = generate_circuit(spec)
+        stack = StackConfig(spec.outline, num_dies=num_dies)
+        outline = stack.outline
+
+        def evaluator():
+            # every slow term refreshes on every call, so a fresh
+            # evaluator scores exactly what a long-lived one does
+            return CostEvaluator(
+                stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
+                grid_nx=8, grid_ny=8, timing_every=1, thermal_every=1,
+                assignment_every=1, auto_calibrate=False,
+                thermal_model=FastThermalModel(num_dies=num_dies),
+            )
+
+        ev = evaluator()
+        rng = np.random.default_rng(11)
+        state = LayoutState.initial(circ.modules, stack, rng)
+        ev.evaluate(state, force_full=True)
+        accepted = 0
+        for step in range(300):
+            candidate = state.copy()
+            apply_random_move(candidate, rng)
+            bd = ev.evaluate(candidate)
+            fp = candidate.realize(circ.nets, circ.terminals, place_tsvs=False)
+            wl, crossings = fp.wirelength(tsv_length=50.0)
+            assert bd.wirelength == pytest.approx(wl, rel=1e-9), step
+            assert bd.tsv_crossings == crossings, step
+            _, extents = candidate.pack()
+            over = sum(
+                max(0.0, w / outline.w - 1.0) + max(0.0, h / outline.h - 1.0)
+                for w, h in extents
+            )
+            fill = sum(
+                (min(w, outline.w) / outline.w) * (min(h, outline.h) / outline.h)
+                for w, h in extents
+            )
+            assert bd.outline == pytest.approx(over, rel=1e-12, abs=1e-12), step
+            assert bd.area == pytest.approx(fill / len(extents), rel=1e-12), step
+            assert bd == evaluator().evaluate(candidate), step
+            if rng.random() < 0.5:  # accept
+                state = candidate
+                accepted += 1
+        assert 0 < accepted < 300
 
 
 class TestAnnealer:
@@ -206,6 +258,35 @@ class TestAnnealer:
                 original.outline * 5.0 * res.breakdown.outline
             )
             assert res.cost < boosted
+
+    def test_anneal_restores_evaluator_weights(self):
+        """Regression: the compaction phase used to multiply the outline
+        weight 6x *permanently*, compounding on every anneal() call that
+        reused an evaluator."""
+        spec = BenchmarkSpec("tiny", 0, 8, 1, 40, 8, 0.25, 1.2, seed=3)
+        circ = generate_circuit(spec)
+        stack = StackConfig(spec.outline)
+        evaluator = CostEvaluator(
+            stack,
+            circ.nets,
+            circ.terminals,
+            grid_nx=8,
+            grid_ny=8,
+            thermal_model=FastThermalModel(num_dies=2),
+            auto_calibrate=False,
+        )
+        original = evaluator.weights
+        config = AnnealConfig(
+            iterations=30, calibration_samples=4, grid_nx=8, grid_ny=8
+        )
+        first = anneal(circ.modules, stack, circ.nets, circ.terminals,
+                       config=config, evaluator=evaluator)
+        assert evaluator.weights == original
+        second = anneal(circ.modules, stack, circ.nets, circ.terminals,
+                        config=config, evaluator=evaluator)
+        assert evaluator.weights == original
+        # identical seeds + restored weights => identical outcomes
+        assert second.cost == pytest.approx(first.cost)
 
     def test_chain_matches_anneal_in_slices(self, tiny_circuit):
         """Advancing a chain in arbitrary slices equals one straight run."""

@@ -1,10 +1,8 @@
-"""Oracle tests for the batched/incremental hot paths.
+"""Oracle tests for the batched hot paths.
 
-Covers the three perf-path guarantees this layer makes:
+Covers the two perf-path guarantees this layer makes:
 
 * ``TransientSolver.run_many`` matches per-trace ``run`` to 1e-12;
-* per-net dirty HPWL tracking is *bit-identical* to a full recompute
-  over long random move sequences (including a three-die stack);
 * the batched Gaussian activity sampler matches the per-sample
   rasterization loop.
 """
@@ -14,14 +12,10 @@ import pytest
 
 from oracles.activity import sample_power_maps_loop
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
-from repro.floorplan.moves import apply_random_move
-from repro.floorplan.objectives import CostEvaluator, FloorplanMode
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
-from repro.layout.net import CompiledNetlist
 from repro.mitigation.activity import ActivitySampler, sample_power_maps
-from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import build_stack
 from repro.thermal.transient import TransientSolver
 
@@ -102,75 +96,6 @@ class TestRunManyOracle:
         lu_coarse = solver._lus[0.01]
         solver.run(fn, duration=0.02, dt=0.01)  # hits the cached entry
         assert solver._lus[0.01] is lu_coarse
-
-
-class TestPerNetDirtyHPWL:
-    @pytest.mark.parametrize("num_dies", [2, 3])
-    def test_bit_identical_over_move_sequence(self, num_dies):
-        """300 random moves: the per-net dirty path must equal a full
-        recompute *bitwise* — same arrays, same totals."""
-        circ, outline = _circuit(num_modules=16, seed=3)
-        stack = StackConfig(outline, num_dies=num_dies)
-        evaluator = CostEvaluator(
-            stack,
-            circ.nets,
-            circ.terminals,
-            mode=FloorplanMode.TSC_AWARE,
-            grid_nx=8,
-            grid_ny=8,
-            thermal_model=FastThermalModel(num_dies=num_dies),
-            auto_calibrate=False,
-        )
-        rng = np.random.default_rng(17)
-        state = LayoutState.initial(circ.modules, stack, rng)
-        evaluator.evaluate(state, force_full=True)
-        evaluator.commit()
-        nl = evaluator._compiled(state)
-        for step in range(300):
-            candidate = state.copy()
-            rec = apply_random_move(candidate, rng)
-            evaluator.evaluate(candidate, dirty_dies=rec.dies)
-            snap = evaluator._pending
-            wl, crossings, hpwl, per_net_crossings = nl.wirelength(
-                snap.cx, snap.cy, snap.dd, evaluator.tsv_length_um
-            )
-            np.testing.assert_array_equal(snap.net_hpwl, hpwl, err_msg=f"step {step}")
-            np.testing.assert_array_equal(snap.net_crossings, per_net_crossings)
-            assert snap.wirelength == wl, f"step {step}"
-            assert snap.tsv_crossings == crossings, f"step {step}"
-            if rng.random() < 0.6:
-                state = candidate
-                evaluator.commit()
-        assert evaluator.eval_stats["incremental"] == 300
-        # the whole point: the dirty path touches a fraction of the netlist
-        assert evaluator.eval_stats["dirty_nets"] < 300 * nl.num_nets
-
-    def test_nets_touching(self):
-        circ, outline = _circuit(num_modules=10, seed=1)
-        nl = CompiledNetlist(list(circ.modules), circ.nets, circ.terminals)
-        for m in range(nl.num_modules):
-            want = sorted(
-                n for n in range(nl.num_nets)
-                if m in nl.pin_idx[nl.ptr[n] : nl.ptr[n + 1]]
-            )
-            assert nl.nets_touching([m]).tolist() == want
-        assert nl.nets_touching([]).size == 0
-
-    def test_wirelength_of_subset_matches_full(self):
-        circ, outline = _circuit(num_modules=12, seed=8)
-        stack = StackConfig(outline, num_dies=2)
-        rng = np.random.default_rng(4)
-        state = LayoutState.initial(circ.modules, stack, rng)
-        nl = CompiledNetlist(list(circ.modules), circ.nets, circ.terminals)
-        cx = rng.random(nl.num_modules) * 100
-        cy = rng.random(nl.num_modules) * 100
-        dd = rng.integers(0, 2, size=nl.num_modules)
-        _, _, hpwl, crossings = nl.wirelength(cx, cy, dd, 50.0)
-        subset = rng.choice(nl.num_nets, size=max(1, nl.num_nets // 3), replace=False)
-        subset = np.unique(subset)
-        h, c = nl.wirelength_of(subset, cx, cy, dd, 50.0)
-        np.testing.assert_array_equal(h, hpwl[subset])
-        np.testing.assert_array_equal(c, crossings[subset])
 
 
 class TestBatchedActivitySampling:

@@ -308,18 +308,16 @@ class TestInLoopDensity:
         evaluator.thermal = recorder
         realized = []
         evaluator.evaluate(state, force_full=True)
-        evaluator.commit()
         realized.append(state.realize(circ.nets, circ.terminals))
         for _ in range(moves):
             candidate = state.copy()
-            move = apply_random_move(candidate, rng)
+            apply_random_move(candidate, rng)
             with monkeypatch.context() as m:
                 # the in-loop refresh builds no TSV objects and asks the
                 # floorplan for no density map
                 for name in ("place_signal_tsvs", "tsv_density"):
                     m.setattr(Floorplan3D, name, _forbidden(name))
-                evaluator.evaluate(candidate, dirty_dies=move.dies)
-            evaluator.commit()
+                evaluator.evaluate(candidate)
             state = candidate
             realized.append(state.realize(circ.nets, circ.terminals))
         assert len(recorder.densities) == len(realized)
