@@ -30,12 +30,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from ..layout.die import StackConfig
 from ..layout.geometry import Rect
 from ..layout.grid import GridSpec
 from ..layout.tsv import TSV, TSVKind, place_island, place_regular_grid, tsv_density_map
+from ..thermal.fast import gaussian_blur
 
 __all__ = [
     "POWER_PATTERNS",
@@ -73,7 +73,7 @@ def _random_field(
     grid: GridSpec, rng: np.random.Generator, smooth: float, contrast: float
 ) -> np.ndarray:
     field = rng.random(grid.shape)
-    field = gaussian_filter(field, sigma=smooth, mode="nearest")
+    field = gaussian_blur(field, smooth)
     field -= field.min()
     if field.max() > 0:
         field /= field.max()
@@ -95,7 +95,7 @@ def _large_gradients(grid: GridSpec, total_w: float, rng: np.random.Generator) -
         i = int(rng.integers(grid.nx // 8, grid.nx - grid.nx // 8))
         blob = np.zeros(grid.shape)
         blob[j, i] = 1.0
-        pm += gaussian_filter(blob, sigma=2.5, mode="nearest") * 60.0
+        pm += gaussian_blur(blob, 2.5) * 60.0
     return _normalize(pm, total_w)
 
 

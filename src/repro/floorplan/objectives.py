@@ -22,6 +22,7 @@ refresh; each thermal refresh rasterizes every die's power map afresh.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,7 +35,9 @@ from ..layout.tsv import interface_densities
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
+from ..thermal import fast
 from ..thermal.fast import FastThermalModel
+from ..thermal.steady_state import SolverCache
 from ..timing.paths import TimingGraph
 from .seqpair import LayoutState, pack_die
 
@@ -50,24 +53,28 @@ __all__ = [
 #: flow runs over the same benchmark in one process (sweep workers,
 #: batches) calibrate once
 _CALIBRATED_MODELS: Dict[Tuple[StackConfig, GridSpec], FastThermalModel] = {}
+#: serializes the memo's check-then-fill: service jobs run flows on
+#: executor threads, and two cold jobs on one stack must calibrate once
+_CALIBRATION_LOCK = threading.Lock()
 
 
 def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalModel:
     """Fit (or reuse) the power-blurring masks for this outline and grid.
 
-    Corblivar calibrates its masks against HotSpot the same way; the
-    detailed solver used for fitting comes from the process-wide
-    :class:`~repro.thermal.steady_state.SolverCache`.
+    Corblivar calibrates its masks against HotSpot the same way.  The
+    detailed solver used for fitting comes from a private
+    :class:`~repro.thermal.steady_state.SolverCache`, not the process-wide
+    one: no flow ever asks for that network again, so its factorization
+    is freed as soon as the fit is done instead of living for the rest of
+    the process.
     """
     key = (stack, grid)
-    model = _CALIBRATED_MODELS.get(key)
-    if model is None:
-        from ..thermal.fast import calibrate as _calibrate
-        from ..thermal.steady_state import default_solver_cache
-
-        solver = default_solver_cache().solver(stack, grid)
-        model = _calibrate(solver, grid, num_dies=stack.num_dies)
-        _CALIBRATED_MODELS[key] = model
+    with _CALIBRATION_LOCK:
+        model = _CALIBRATED_MODELS.get(key)
+        if model is None:
+            solver = SolverCache(maxsize=1).solver(stack, grid)
+            model = fast.calibrate(solver, grid, num_dies=stack.num_dies)
+            _CALIBRATED_MODELS[key] = model
     return model
 
 

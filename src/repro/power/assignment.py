@@ -95,39 +95,44 @@ def assign_voltages(
     candidates = grow_volumes(floorplan, max_inflation, max_volume_size)
     remaining = np.ones(len(names), dtype=bool)
 
-    def score_of(k: int) -> float:
+    def score_of(live: np.ndarray, feas: int) -> float:
         """Higher is better; scores only shrink as ``remaining`` does."""
-        members, feas = candidates[k]
-        live = members[remaining[members]]
         if not tsc:
             saving = power[live] * (1.0 - mask_levels(feas)[0].power_scale)
             return sum(saving.tolist()) + 1e-3 * len(live)
         dens = density[live]
-        mean = float(dens.mean())
-        spread = float(dens.std() / mean) if mean > 0 else 0.0
-        # Uniformity dominates: merging helps only while the power densities
-        # stay flat, so TSC assignments end up with more, smaller volumes than
-        # PA (the paper reports ~87% more) but each volume is homogeneous.
-        return float(len(live) ** 0.35) / (1.0 + 8.0 * spread)
+        return _uniformity(len(live), float(dens.mean()), float(dens.std()))
 
+    if tsc:
+        scores = _uniformity_scores(candidates, density)
+    else:
+        scores = [score_of(members, feas) for members, feas in candidates]
     # lazy greedy cover: a heap of possibly stale scores re-validated on
-    # pop finds the max without rescoring the whole pool each round
-    heap: List[Tuple[float, int]] = [(-score_of(k), k) for k in range(len(candidates))]
+    # pop finds the max without rescoring the whole pool each round.  A
+    # score depends only on the candidate's live members, which only
+    # shrink, so an unchanged live count means an unchanged score.
+    heap: List[Tuple[float, int]] = [(-score, k) for k, score in enumerate(scores)]
     heapq.heapify(heap)
+    scored_live = [len(members) for members, _ in candidates]
     selected: List[VoltageVolume] = []
     chosen: List[VoltageLevel] = []
     voltages: Dict[str, float] = {}
-    while remaining.any():
+    uncovered = len(names)
+    while uncovered:
         while True:
-            _, k = heapq.heappop(heap)
-            if not remaining[candidates[k][0]].any():
+            neg_score, k = heapq.heappop(heap)
+            members, feas = candidates[k]
+            live = members[remaining[members]]
+            if not live.size:
                 continue
-            fresh = score_of(k)
+            if live.size == scored_live[k]:
+                fresh = -neg_score
+            else:
+                fresh = score_of(live, feas)
+                scored_live[k] = live.size
             if not heap or -heap[0][0] <= fresh + 1e-12:
                 break
             heapq.heappush(heap, (-fresh, k))
-        members, feas = candidates[k]
-        live = members[remaining[members]]
         feasible = mask_levels(feas)
         if tsc:
             mean = float(density[live].mean())
@@ -135,8 +140,40 @@ def assign_voltages(
         else:
             level = feasible[0]
         remaining[live] = False
+        uncovered -= live.size
         selected.append(VoltageVolume(frozenset(names[i] for i in live), feasible))
         chosen.append(level)
         voltages.update((names[i], level.volts) for i in live)
 
     return VoltageAssignment(voltages=voltages, volumes=selected, chosen=chosen)
+
+
+def _uniformity_scores(
+    candidates: List[Tuple[np.ndarray, int]], density: np.ndarray
+) -> List[float]:
+    """The TSC score of every candidate over all its members.
+
+    Candidates of one size are scored together: the row-wise ``mean`` and
+    ``std`` of their gathered ``(C, n)`` density block reduce each row
+    exactly as a candidate's own ``density[members].mean()`` / ``.std()``
+    would, and :func:`_uniformity` is the formula rescoring applies.
+    """
+    by_size: Dict[int, List[int]] = {}
+    for k, (members, _) in enumerate(candidates):
+        by_size.setdefault(len(members), []).append(k)
+    scores = [0.0] * len(candidates)
+    for size, ks in by_size.items():
+        dens = density[np.stack([candidates[k][0] for k in ks])]
+        for k, mean, std in zip(ks, dens.mean(axis=1).tolist(), dens.std(axis=1).tolist()):
+            scores[k] = _uniformity(size, mean, std)
+    return scores
+
+
+def _uniformity(size: int, mean: float, std: float) -> float:
+    """The TSC score of a volume of ``size`` live members whose power
+    densities have this mean and standard deviation."""
+    spread = std / mean if mean > 0 else 0.0
+    # Uniformity dominates: merging helps only while the power densities
+    # stay flat, so TSC assignments end up with more, smaller volumes than
+    # PA (the paper reports ~87% more) but each volume is homogeneous.
+    return float(size**0.35) / (1.0 + 8.0 * spread)

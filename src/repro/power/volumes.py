@@ -20,6 +20,7 @@ name in sorted order, and a feasible set is a bitmask over
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import FrozenSet, List, Mapping, Tuple
 
@@ -147,22 +148,24 @@ def grow_volumes(
         feas = masks[root]
         members = [root]
         key = 1 << root
-        frontier = list(neighbours[root])
+        frontier = deque(neighbours[root])
         queued = {root, *frontier}
         record(members, key, feas)
-        while frontier and len(members) < max_volume_size:
+        while len(members) < max_volume_size:
             # feasible sets only shrink, so a neighbour that no longer fits
-            # never will: drop it and expand the first one that still does
-            frontier = [k for k in frontier if feas & masks[k]]
+            # never will: drop non-fitting heads and expand the first one
+            # that still fits (the order of the others is untouched)
+            while frontier and not feas & masks[frontier[0]]:
+                frontier.popleft()
             if not frontier:
                 break
-            nxt = frontier.pop(0)
+            nxt = frontier.popleft()
             feas &= masks[nxt]
             members.append(nxt)
             key |= 1 << nxt
             fresh = [k for k in neighbours[nxt] if k not in queued]
             queued.update(fresh)
-            frontier += fresh
+            frontier.extend(fresh)
             if len(members) & (len(members) - 1) == 0:
                 record(members, key, feas)
         record(members, key, feas)  # the maximal prefix is always a candidate

@@ -14,6 +14,11 @@ fitted against the detailed solver with :func:`calibrate` — mirroring how
 Corblivar calibrates its masks against HotSpot, and like the paper we
 treat the fast model as *inferior but cheap* and verify final results with
 the detailed analysis (Sec. 6).
+
+The blur is :func:`gaussian_blur`, an in-repo separable kernel whose
+float order is that of ``scipy.ndimage.gaussian_filter(mode="nearest")``,
+so results stay bit-identical while a cold process skips importing
+``scipy.ndimage``.
 """
 
 from __future__ import annotations
@@ -22,11 +27,74 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..layout.grid import GridSpec
 
-__all__ = ["MaskParams", "FastThermalModel", "calibrate", "per_die_attenuation"]
+__all__ = [
+    "MaskParams",
+    "FastThermalModel",
+    "calibrate",
+    "gaussian_blur",
+    "per_die_attenuation",
+]
+
+
+def _half_kernel(sigma: float) -> np.ndarray:
+    """scipy's Gaussian weights from the centre outward: ``exp(-0.5 /
+    sigma^2 * x^2)`` over ``|x| <= int(4 sigma + 0.5)``, divided by their
+    sum."""
+    radius = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return (phi / phi.sum())[radius:]
+
+
+def _blur_axis(maps: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate a ``(k, ny, nx)`` stack with symmetric kernels along ``axis``.
+
+    ``weights[j]`` holds each map's tap ``j`` cells from the centre, shaped
+    ``(k, 1)``.  Each output cell is ``x[i] * w0`` plus ``(x[i - j] +
+    x[i + j]) * w_j`` for ``j`` from the radius inward, added in that
+    order; edges replicate through clipped indices, so a kernel wider than
+    the axis needs no special case.
+    """
+    radius = len(weights) - 1
+    lines = np.moveaxis(maps, axis, 0)
+    n = lines.shape[0]
+    padded = lines[np.clip(np.arange(-radius, n + radius), 0, n - 1)]
+    out = padded[radius : radius + n] * weights[0]
+    if radius:
+        # shifted[s] is padded[s : s + n]: the lines moved by s - radius
+        shifted = np.moveaxis(sliding_window_view(padded, n, axis=0), -1, 1)
+        taps = shifted[:radius] + shifted[2 * radius : radius : -1]
+        taps *= weights[radius:0:-1, None]
+        for tap in taps:
+            out += tap
+    return np.moveaxis(out, 0, axis)
+
+
+def _blur_stack(maps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Blur map ``i`` of a ``(k, ny, nx)`` float stack with the half kernel
+    ``kernels[i]``; all kernels share one radius.  Axis ``ny`` goes first,
+    as in scipy, and the result is C-ordered like scipy's, so later
+    reductions over it sum in the same order."""
+    weights = kernels.T[:, :, None]
+    for axis in (1, 2):
+        maps = _blur_axis(maps, weights, axis)
+    return np.ascontiguousarray(maps)
+
+
+def gaussian_blur(image, sigma: float) -> np.ndarray:
+    """Gaussian blur of the last two axes, edges replicated.
+
+    Bit-identical to ``scipy.ndimage.gaussian_filter(image, sigma,
+    mode="nearest")`` on a 2-D float map; a stack ``(..., ny, nx)`` blurs
+    each map independently, exactly as one map.
+    """
+    image = np.asarray(image, dtype=float)
+    maps = image.reshape((-1,) + image.shape[-2:])
+    return _blur_stack(maps, _half_kernel(sigma)[None]).reshape(image.shape)
 
 
 def _validated_shapes(power_maps: Sequence[np.ndarray], num_dies: int) -> Tuple[int, int]:
@@ -217,23 +285,39 @@ class FastThermalModel:
         atten = per_die_attenuation(self.num_dies, shape, tsv_density, self.tsv_beta)
         # attenuate each source once; reused across all target dies
         sources = [power_maps[s] * atten[s] for s in range(self.num_dies)]
+        # blur each (source, sigma) once: targets sharing a sigma (the
+        # global component always, the default local one too) reuse it, and
+        # every blur of one kernel radius runs in one stack.  Replicated
+        # edges mirror the solver's adiabatic lateral walls: no heat (and
+        # no kernel mass) is lost over the die edge.
+        jobs: Dict[Tuple[int, float], None] = {}
+        for s in range(self.num_dies):
+            for t in range(self.num_dies):
+                params = self.masks[(s, t)]
+                jobs[(s, params.sigma)] = None
+                if params.amplitude_global > 0:
+                    jobs[(s, params.sigma_global)] = None
+        kernels = {sigma: _half_kernel(sigma) for _, sigma in jobs}
+        by_radius: Dict[int, List[Tuple[int, float]]] = {}
+        for job in jobs:
+            by_radius.setdefault(len(kernels[job[1]]), []).append(job)
+        blurred: Dict[Tuple[int, float], np.ndarray] = {}
+        for group in by_radius.values():
+            maps = np.stack([sources[s] for s, _ in group])
+            stack = _blur_stack(maps, np.stack([kernels[sigma] for _, sigma in group]))
+            blurred.update(zip(group, stack))
         out: List[np.ndarray] = []
         for t in range(self.num_dies):
             temp = np.full(shape, self.ambient, dtype=float)
             for s in range(self.num_dies):
-                temp += self._respond(sources[s], self.masks[(s, t)])
+                params = self.masks[(s, t)]
+                response = params.amplitude * blurred[(s, params.sigma)]
+                if params.amplitude_global > 0:
+                    response = response + params.amplitude_global * blurred[
+                        (s, params.sigma_global)
+                    ]
+                temp += response
             out.append(temp)
-        return out
-
-    @staticmethod
-    def _respond(src: np.ndarray, params: MaskParams) -> np.ndarray:
-        # replicate-padding mirrors the solver's adiabatic lateral walls:
-        # no heat (and no kernel mass) is lost over the die edge
-        out = params.amplitude * gaussian_filter(src, params.sigma, mode="nearest")
-        if params.amplitude_global > 0:
-            out = out + params.amplitude_global * gaussian_filter(
-                src, params.sigma_global, mode="nearest"
-            )
         return out
 
 

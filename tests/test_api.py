@@ -189,6 +189,54 @@ class TestCalibrationReuse:
         assert calibrated_thermal_model(stack, other) is not model
         assert calibrations == [grid, other]
 
+    def test_concurrent_cold_calibrations_fit_once(self, calibrations):
+        """Service jobs run flows on executor threads: concurrent cold
+        lookups of one key calibrate once and share the model."""
+        import sys
+        import threading
+
+        from repro.floorplan.objectives import calibrated_thermal_model
+        from repro.layout.die import StackConfig
+        from repro.layout.grid import GridSpec
+
+        stack = StackConfig.square(1000.0)
+        grid = GridSpec(stack.outline, 8, 8)
+        start = threading.Barrier(4)
+        models = []
+
+        def worker():
+            start.wait(timeout=30)
+            models.append(calibrated_thermal_model(stack, grid))
+
+        threads = [threading.Thread(target=worker, daemon=True) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calibrations == [grid]
+        assert len(models) == 4 and all(m is models[0] for m in models)
+
+    def test_cold_calibration_leaves_default_cache_alone(self, calibrations):
+        """The calibration's factorization is private to the fit: the
+        process-wide solver cache gains no entry and counts no lookup."""
+        from repro.floorplan.objectives import calibrated_thermal_model
+        from repro.layout.die import StackConfig
+        from repro.layout.grid import GridSpec
+        from repro.thermal.steady_state import default_solver_cache
+
+        cache = default_solver_cache()
+        before = (len(cache), cache.hits, cache.misses)
+        stack = StackConfig.square(1000.0)
+        calibrated_thermal_model(stack, GridSpec(stack.outline, 9, 9))
+        assert calibrations
+        assert (len(cache), cache.hits, cache.misses) == before
+
     def test_serial_batch_calibrates_once(self, calibrations):
         from repro.exploration.study import run_batch
 

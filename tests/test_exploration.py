@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.blur import gaussian_filter_nearest
+from repro.exploration import patterns
 from repro.exploration.patterns import (
     POWER_PATTERNS,
     TSV_PATTERNS,
@@ -60,6 +62,18 @@ class TestPowerPatterns:
         a = power_pattern("medium_gradients", g, 4.0, seed=7)
         b = power_pattern("medium_gradients", g, 4.0, seed=7)
         assert np.array_equal(a, b)
+
+    def test_same_maps_as_scipy_blur(self, grid, monkeypatch):
+        """The in-repo blur leaves every pattern bit-identical to the
+        scipy ``gaussian_filter(mode="nearest")`` it replaced."""
+        cfg, _ = grid
+        grids = (GridSpec(cfg.outline, 16, 16), GridSpec(cfg.outline, 50, 24))
+        cases = [(name, g, seed) for name in POWER_PATTERNS for g in grids for seed in (0, 1, 2)]
+        got = [power_pattern(name, g, 4.0, seed=seed) for name, g, seed in cases]
+        monkeypatch.setattr(patterns, "gaussian_blur", gaussian_filter_nearest)
+        want = [power_pattern(name, g, 4.0, seed=seed) for name, g, seed in cases]
+        for case, a, b in zip(cases, got, want):
+            assert np.array_equal(a, b), case[0]
 
 
 class TestTSVPatterns:

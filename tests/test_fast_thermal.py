@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles.blur import estimate_scipy, gaussian_filter_nearest
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.leakage.pearson import pearson
-from repro.thermal.fast import FastThermalModel, MaskParams, calibrate
+from repro.thermal.fast import FastThermalModel, MaskParams, calibrate, gaussian_blur
 from repro.thermal.stack import build_stack
 from repro.thermal.steady_state import SteadyStateSolver
 
@@ -110,3 +111,83 @@ class TestCalibration:
         model = calibrate(solver, grid, samples=3, seed=3)
         assert model.masks[(0, 0)].amplitude > model.masks[(0, 1)].amplitude
         assert model.masks[(1, 1)].amplitude > model.masks[(1, 0)].amplitude
+
+
+#: sigmas of the blur oracle, up to kernels far wider than the 5x7 map
+_SIGMAS = (0.5, 0.8, 1.0, 1.5, 2.5, 3.5, 5.0, 8.0, 10.667, 21.0, 21.3)
+
+
+class TestBlurAgainstScipy:
+    """``gaussian_blur`` is bit-identical (``==``) to scipy's
+    ``gaussian_filter(mode="nearest")``, so swapping it in keeps every
+    record byte-identical."""
+
+    @pytest.mark.parametrize("shape", [(5, 7), (12, 12), (24, 50), (32, 32), (64, 64)])
+    def test_matches_scipy(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        image = rng.random(shape)
+        for sigma in _SIGMAS:
+            got = gaussian_blur(image, sigma)
+            assert np.array_equal(got, gaussian_filter_nearest(image, sigma)), sigma
+            # C order, like scipy's output: later sums over it keep their order
+            assert got.flags.c_contiguous
+
+    def test_stack_blurs_each_map_alone(self):
+        rng = np.random.default_rng(3)
+        maps = rng.random((3, 12, 20))
+        for sigma in (1.7, 21.3):
+            got = gaussian_blur(maps, sigma)
+            for k in range(3):
+                assert np.array_equal(got[k], gaussian_filter_nearest(maps[k], sigma))
+
+
+class TestEstimateAgainstScipy:
+    """``estimate`` blurs each (source, sigma) once, yet every map equals
+    the historical per-(source, target) scipy sum exactly."""
+
+    @pytest.fixture(scope="class")
+    def calibrated(self):
+        cfg = StackConfig.square(2000.0)
+        grid = GridSpec(cfg.outline, 16, 16)
+        return calibrate(SteadyStateSolver(build_stack(cfg, grid)), grid, samples=2)
+
+    @staticmethod
+    def _inputs(num_dies, shape, seed):
+        rng = np.random.default_rng(seed)
+        maps = [rng.random(shape) * 1e-3 for _ in range(num_dies)]
+        densities = {
+            "none": None,
+            "single": rng.random(shape),
+            "per_pair": [rng.random(shape) for _ in range(max(1, num_dies - 1))],
+        }
+        return maps, densities
+
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    def test_default_masks(self, num_dies):
+        model = FastThermalModel(num_dies=num_dies)
+        maps, densities = self._inputs(num_dies, (20, 24), num_dies)
+        for name, density in densities.items():
+            got = model.estimate(maps, tsv_density=density)
+            want = estimate_scipy(model, maps, tsv_density=density)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
+
+    def test_calibrated_masks(self, calibrated):
+        # calibrated local sigmas differ per (source, target) pair
+        assert len({p.sigma for p in calibrated.masks.values()}) > 1
+        maps, densities = self._inputs(2, (16, 16), 9)
+        for name, density in densities.items():
+            got = calibrated.estimate(maps, tsv_density=density)
+            want = estimate_scipy(calibrated, maps, tsv_density=density)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
+
+    def test_zero_global_amplitude_skips_the_wide_blur(self):
+        masks = {
+            (s, t): MaskParams(amplitude=10.0 + s + t, sigma=1.5 + s, amplitude_global=0.0)
+            for s in range(2)
+            for t in range(2)
+        }
+        model = FastThermalModel(num_dies=2, masks=masks)
+        maps, _ = self._inputs(2, (9, 11), 4)
+        got = model.estimate(maps)
+        want = estimate_scipy(model, maps)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -323,3 +323,43 @@ class TestAgainstOracle:
                         assert got.voltages == want.voltages
                         assert got.volumes == want.volumes
                         assert got.chosen == want.chosen
+
+    @pytest.mark.parametrize("powers", ["equal_density", "zero_power"])
+    def test_tie_heavy_inputs_match_oracle(self, powers):
+        """Ties everywhere (one power density for every module, so every
+        singleton and every uniform group scores alike) and all-zero
+        volumes (the ``mean > 0`` guard of the uniformity score) still
+        give the oracle's cover, selection order included."""
+        circ, stack = load("n100")
+        rng = np.random.default_rng(11)
+        state = LayoutState.initial(circ.modules, stack, rng)
+        for _ in range(30):
+            apply_random_move(state, rng)
+        fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
+        half = stack.outline.w / 2.0
+
+        def power_of(p):
+            if powers == "equal_density":
+                # a power-of-two density makes power / area exactly that density
+                return 2.0**-20 * (p.width * p.height)
+            # zero on the left half, so whole grown volumes are power-free
+            return 0.0 if p.x < half else p.module.power
+
+        fp = Floorplan3D(
+            fp.stack,
+            {
+                name: dataclasses.replace(
+                    p, module=dataclasses.replace(p.module, power=power_of(p))
+                )
+                for name, p in fp.placements.items()
+            },
+        )
+        names = sorted(fp.placements)
+        inflation = dict(zip(names, rng.uniform(0.9, 2.0, len(names)).tolist()))
+        for objective in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
+            for size in (16, 40):
+                got = assign_voltages(fp, inflation, objective, max_volume_size=size)
+                want = assign_voltages_loop(fp, inflation, objective, size)
+                assert got.voltages == want.voltages
+                assert got.volumes == want.volumes
+                assert got.chosen == want.chosen
