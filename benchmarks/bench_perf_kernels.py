@@ -2,8 +2,8 @@
 
 Not a paper artifact; tracks the throughput of the pieces that gate the
 flow's wall-clock: sequence-pair packing, vectorized wirelength, the
-leakage metrics, fast thermal estimation, the detailed solve, and voltage
-assignment.
+leakage metrics, fast thermal estimation and calibration, the detailed
+solve, and voltage assignment.
 """
 
 import numpy as np
@@ -111,6 +111,21 @@ def test_fast_thermal_64(benchmark):
     rng = np.random.default_rng(4)
     pms = [rng.random((64, 64)) * 1e-3 for _ in range(2)]
     benchmark(model.estimate, pms)
+
+
+def test_fast_calibration_n100(benchmark, n100_state):
+    """A cold fit of the fast model's masks at 32x32: the detailed solves
+    of the TSV-free calibration stack plus the moment fits."""
+    from repro.floorplan import objectives
+
+    _, stack, _ = n100_state
+    grid = GridSpec(stack.outline, 32, 32)
+
+    def cold_calibration():
+        objectives._CALIBRATED_MODELS.clear()
+        return objectives.calibrated_thermal_model(stack, grid)
+
+    benchmark(cold_calibration)
 
 
 def test_detailed_solve_32(benchmark, n100_state):

@@ -63,6 +63,7 @@ TRACKED = [
     "test_anneal_serial_n100",
     "test_interposer_steady_state_64",
     "test_voltage_assignment_n100",
+    "test_fast_calibration_n100",
 ]
 
 #: paired-kernel speedup floors, checked within one run (so they are

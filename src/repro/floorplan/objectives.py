@@ -37,7 +37,7 @@ from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
 from ..thermal import fast
 from ..thermal.fast import FastThermalModel
-from ..thermal.steady_state import SolverCache
+from ..thermal.steady_state import UniformStackSolver
 from ..timing.paths import TimingGraph
 from .seqpair import LayoutState, pack_die
 
@@ -62,17 +62,16 @@ def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalM
     """Fit (or reuse) the power-blurring masks for this outline and grid.
 
     Corblivar calibrates its masks against HotSpot the same way.  The
-    detailed solver used for fitting comes from a private
-    :class:`~repro.thermal.steady_state.SolverCache`, not the process-wide
-    one: no flow ever asks for that network again, so its factorization
-    is freed as soon as the fit is done instead of living for the rest of
-    the process.
+    calibration stack has no TSVs, so the detailed solves go through the
+    exact cosine-basis :class:`~repro.thermal.steady_state.UniformStackSolver`:
+    no sparse factorization, and nothing left in the process-wide solver
+    cache.
     """
     key = (stack, grid)
     with _CALIBRATION_LOCK:
         model = _CALIBRATED_MODELS.get(key)
         if model is None:
-            solver = SolverCache(maxsize=1).solver(stack, grid)
+            solver = UniformStackSolver.for_config(stack, grid)
             model = fast.calibrate(solver, grid, num_dies=stack.num_dies)
             _CALIBRATED_MODELS[key] = model
     return model

@@ -36,6 +36,7 @@ from .steady_state import (
     SolverCache,
     SteadyStateSolver,
     ThermalResult,
+    UniformStackSolver,
     WoodburySolver,
     default_solver_cache,
     solve_floorplan,
@@ -70,6 +71,7 @@ __all__ = [
     "topology_kwargs",
     "DEFAULT_DIMENSIONS",
     "SteadyStateSolver",
+    "UniformStackSolver",
     "WoodburySolver",
     "SolverCache",
     "ThermalResult",

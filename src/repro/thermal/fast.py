@@ -331,12 +331,19 @@ def calibrate(
 ) -> FastThermalModel:
     """Fit mask parameters against a detailed solver.
 
-    ``solver`` is a :class:`~repro.thermal.steady_state.SteadyStateSolver`
-    built over the *same grid*.  For each (source, target) die pair we
-    apply random blotchy power maps to the source die only, solve in
-    detail, and fit (amplitude, sigma) by matching the response's total
-    energy and spatial second moment — a two-moment fit that is robust and
-    needs no nonlinear optimizer.
+    ``solver`` needs only ``solve_many`` (per-die power-map sets in, a
+    :class:`~repro.thermal.steady_state.ThermalResult` per set out, die
+    maps in kelvin) and ``stack.ambient``, over the *same grid*: a
+    :class:`~repro.thermal.steady_state.SteadyStateSolver`, or the
+    factorization-free
+    :class:`~repro.thermal.steady_state.UniformStackSolver` that
+    ``calibrated_thermal_model`` uses.  Each grid side needs at least 5
+    cells, since probe sources sit 2 cells clear of every edge.
+
+    For each (source, target) die pair we apply random blotchy power maps
+    to the source die only, solve in detail, and fit (amplitude, sigma) by
+    matching the response's total energy and spatial second moment — a
+    two-moment fit that is robust and needs no nonlinear optimizer.
     """
     rng = np.random.default_rng(seed)
     masks: Dict[Tuple[int, int], MaskParams] = {}
@@ -349,8 +356,7 @@ def calibrate(
     uniform = np.full(shape, 1.0 / (shape[0] * shape[1]))
     global_amp: Dict[Tuple[int, int], float] = {}
     mean_p = float(uniform.mean())
-    # every calibration solve shares the solver's one factorization, so
-    # all of them go through in two batched multi-RHS substitutions: one
+    # all calibration solves go through two batched multi-RHS calls: one
     # uniform probe per source die here, all random samples below
     uniform_results = solver.solve_many(
         [

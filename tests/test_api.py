@@ -223,8 +223,8 @@ class TestCalibrationReuse:
         assert len(models) == 4 and all(m is models[0] for m in models)
 
     def test_cold_calibration_leaves_default_cache_alone(self, calibrations):
-        """The calibration's factorization is private to the fit: the
-        process-wide solver cache gains no entry and counts no lookup."""
+        """The calibration solves outside the process-wide solver cache:
+        it gains no entry and counts no lookup."""
         from repro.floorplan.objectives import calibrated_thermal_model
         from repro.layout.die import StackConfig
         from repro.layout.grid import GridSpec

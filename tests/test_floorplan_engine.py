@@ -189,6 +189,22 @@ class TestAnnealer:
         with pytest.raises(ValueError):
             AnnealConfig(initial_acceptance=0.0)
 
+    @pytest.mark.parametrize("grid", [dict(grid_nx=4), dict(grid_ny=4), dict(grid_nx=1)])
+    def test_grid_below_calibration_margin_rejected(self, grid):
+        with pytest.raises(ValueError, match="2 cells from every edge"):
+            AnnealConfig(**grid)
+        payload = AnnealConfig().to_json()
+        payload.update(grid)
+        with pytest.raises(ValueError, match="2 cells from every edge"):
+            AnnealConfig.from_json(payload)
+
+    def test_smallest_grid_anneals(self, tiny_circuit):
+        circ, stack = tiny_circuit
+        cfg = AnnealConfig(iterations=20, seed=1, calibration_samples=2,
+                           grid_nx=5, grid_ny=5)
+        result = anneal(circ.modules, stack, circ.nets, circ.terminals, config=cfg)
+        assert result.iterations == 20
+
     def test_anneal_improves_over_initial(self, tiny_circuit):
         circ, stack = tiny_circuit
         cfg = AnnealConfig(iterations=200, seed=4, calibration_samples=6,
