@@ -421,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto",) + BACKEND_NAMES,
             default=None,
             help="factorization backend for all thermal solves (default: "
-                 "the REPRO_THERMAL_BACKEND env var, else 'auto' — multigrid "
-                 "beyond the grid-size threshold, superlu otherwise); an "
+                 "the REPRO_THERMAL_BACKEND env var, else 'auto' — spectral "
+                 "past 64x64 cells per layer and for 1-4 right-hand sides "
+                 "past 16x16, superlu otherwise); an "
                  "unavailable choice degrades to superlu with a counted "
                  "degradation",
         )

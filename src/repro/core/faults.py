@@ -22,7 +22,7 @@ call sites share:
 
 * the **degradation ledger** — a process-wide counter of every fallback
   the stack took to survive (``woodbury.fallback.rank``,
-  ``backend.fallback.multigrid``, ``io_retry.store.append`` …).
+  ``backend.fallback.spectral``, ``io_retry.store.append`` …).
   :func:`snapshot_degradations` / :func:`degradations_since` bracket a
   flow run so its :class:`~repro.core.results.FlowMetrics` can report
   *how* it survived, and :func:`warn_degraded` additionally emits a
@@ -46,10 +46,11 @@ once), ``every:N`` (every Nth arrival), ``prob:P[:SEED]`` (seeded
 Bernoulli per arrival — deterministic for a fixed seed).
 
 The thermal factorization-backend layer adds the ``fail``-style site
-``backend.multigrid.unavailable`` (checked via :func:`fault_fires` in
-the multigrid backend's ``available()``): an explicitly requested
-multigrid backend that is forced unavailable degrades to superlu with a
-counted ``backend.fallback.multigrid`` ledger entry.
+``backend.spectral.unavailable`` (checked via :func:`fault_fires` in
+the spectral backend's ``available()``): an explicitly requested
+spectral backend that is forced unavailable degrades to superlu with a
+counted ``backend.fallback.spectral`` ledger entry; a capped PCG
+solve counts ``spectral.no_convergence``.
 """
 
 from __future__ import annotations

@@ -76,8 +76,10 @@ def verify_correlations(
     silently ignored TSVs between upper dies of taller stacks.
     ``topology`` selects the stack style; None or "3d" keeps cache keys
     and results bit-identical to the pre-topology code.  The one solve
-    states ``rhs_budget=1``, so on grids past 16x16 auto selection sets up
-    multigrid instead of factorizing (records move within 1e-9 relative).
+    states ``rhs_budget=1``, so on grids past 16x16 (counted on the
+    interposer's wider layer for 2.5D) auto selection sets up the
+    spectral backend instead of factorizing (records move within 1e-9
+    relative).
     """
     cache = cache if cache is not None else default_solver_cache()
     solver = cache.solver_for_floorplan(

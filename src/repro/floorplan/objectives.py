@@ -37,7 +37,7 @@ from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
 from ..thermal import fast
 from ..thermal.fast import FastThermalModel
-from ..thermal.steady_state import UniformStackSolver
+from ..thermal.steady_state import calibration_solver
 from ..timing.paths import TimingGraph
 from .seqpair import LayoutState, pack_die
 
@@ -62,16 +62,16 @@ def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalM
     """Fit (or reuse) the power-blurring masks for this outline and grid.
 
     Corblivar calibrates its masks against HotSpot the same way.  The
-    calibration stack has no TSVs, so the detailed solves go through the
-    exact cosine-basis :class:`~repro.thermal.steady_state.UniformStackSolver`:
-    no sparse factorization, and nothing left in the process-wide solver
-    cache.
+    calibration stack has no TSVs, so the detailed solves go through
+    :func:`~repro.thermal.steady_state.calibration_solver`, where the
+    spectral backend's preconditioner is exact: no sparse factorization,
+    and nothing left in the process-wide solver cache.
     """
     key = (stack, grid)
     with _CALIBRATION_LOCK:
         model = _CALIBRATED_MODELS.get(key)
         if model is None:
-            solver = UniformStackSolver.for_config(stack, grid)
+            solver = calibration_solver(stack, grid)
             model = fast.calibrate(solver, grid, num_dies=stack.num_dies)
             _CALIBRATED_MODELS[key] = model
     return model

@@ -20,8 +20,8 @@ groups keep the loop moving at no extra sampling cost (the round's
 activity samples and stability map are shared by all candidates).
 
 A candidate's one nominal solve comes from a one-right-hand-side solver
-(``rhs_budget=1``), which the auto backend policy sets up as multigrid
-past 16x16 instead of factorizing with SuperLU.  Only a round's activity
+(``rhs_budget=1``), which the auto backend policy sets up as spectral
+PCG past 16x16 instead of factorizing with SuperLU.  Only a round's activity
 sweep needs direct factors, so a TSV pattern is factorized only when a
 round sweeps it, and the last accepted pattern never is.
 ``incremental=True`` instead solves candidates through the round's base
@@ -174,7 +174,7 @@ class MitigationReport:
     #: candidates scored through the base LU (Woodbury path)
     woodbury_candidates: int = 0
     #: candidates scored on a solver of their own: every candidate of a
-    #: non-incremental run (a one-RHS solver, multigrid past 16x16), or a
+    #: non-incremental run (a one-RHS solver, spectral past 16x16), or a
     #: Woodbury fallback past the crossover / probe rejection
     refactorized_candidates: int = 0
     #: times the loop adopted a fallback factorization as its new base

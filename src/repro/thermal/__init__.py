@@ -36,7 +36,6 @@ from .steady_state import (
     SolverCache,
     SteadyStateSolver,
     ThermalResult,
-    UniformStackSolver,
     WoodburySolver,
     default_solver_cache,
     solve_floorplan,
@@ -71,7 +70,6 @@ __all__ = [
     "topology_kwargs",
     "DEFAULT_DIMENSIONS",
     "SteadyStateSolver",
-    "UniformStackSolver",
     "WoodburySolver",
     "SolverCache",
     "ThermalResult",

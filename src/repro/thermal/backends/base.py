@@ -37,9 +37,9 @@ class FactorHints:
 
     ``grid_shape`` is the ``(layers, ny, nx)`` shape behind the
     layer-major node numbering of an assembled
-    :class:`~repro.thermal.rc_network.ThermalNetwork` — the multigrid
-    backend needs it to build its in-plane coarsening and z-line
-    smoother; direct backends ignore it.
+    :class:`~repro.thermal.rc_network.ThermalNetwork` — the spectral
+    backend needs it to homogenize each layer's couplings and build its
+    cosine-basis preconditioner; direct backends ignore it.
 
     ``rhs_budget`` is how many right-hand sides the caller will solve
     against this one system (verification solves 1, the DVFS

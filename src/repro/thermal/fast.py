@@ -333,12 +333,11 @@ def calibrate(
 
     ``solver`` needs only ``solve_many`` (per-die power-map sets in, a
     :class:`~repro.thermal.steady_state.ThermalResult` per set out, die
-    maps in kelvin) and ``stack.ambient``, over the *same grid*: a
-    :class:`~repro.thermal.steady_state.SteadyStateSolver`, or the
-    factorization-free
-    :class:`~repro.thermal.steady_state.UniformStackSolver` that
-    ``calibrated_thermal_model`` uses.  Each grid side needs at least 5
-    cells, since probe sources sit 2 cells clear of every edge.
+    maps in kelvin) and ``stack.ambient``, over the *same grid*:
+    ``calibrated_thermal_model`` passes the spectral
+    :func:`~repro.thermal.steady_state.calibration_solver`.  Each grid
+    side needs at least 5 cells, since probe sources sit 2 cells clear of
+    every edge.
 
     For each (source, target) die pair we apply random blotchy power maps
     to the source die only, solve in detail, and fit (amplitude, sigma) by

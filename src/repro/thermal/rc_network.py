@@ -49,7 +49,8 @@ class ThermalNetwork:
         """Layer-major ``(layers, ny, nx)`` node-numbering shape.
 
         ``node_index`` below is exactly the raveled index into this box;
-        structured backends (the multigrid stencil coarsener) rely on it.
+        structured backends rely on it (the spectral backend homogenizes
+        each layer of it and transforms it in a cosine basis).
         """
         grid = self.stack.grid
         return (self.stack.num_layers, grid.ny, grid.nx)

@@ -48,6 +48,7 @@ __all__ = [
     "TopologyConfig",
     "TOPOLOGY_KINDS",
     "build_stack",
+    "layer_shape",
     "stack_for_floorplan",
     "normalize_tsv_densities",
     "topology_kwargs",
@@ -291,6 +292,16 @@ def normalize_tsv_densities(
     )
 
 
+def layer_shape(stack_cfg: StackConfig, grid: GridSpec, topology=None) -> Tuple[int, int]:
+    """``(ny, nx)`` of one layer of :func:`build_stack`'s system: the die
+    grid in 3D, the shared grid of all die sites and gaps in 2.5D."""
+    if topology is None or topology.kind == "3d":
+        return grid.shape
+    ny, nx = grid.shape
+    num_dies = stack_cfg.num_dies
+    return ny, num_dies * nx + max(num_dies - 1, 0) * topology.gap_cells
+
+
 def build_stack(
     stack_cfg: StackConfig,
     grid: GridSpec,
@@ -468,7 +479,7 @@ def _build_interposer_stack(
     ny, nx = site_shape
     num_dies = stack_cfg.num_dies
     gap = topology.gap_cells
-    nx_total = num_dies * nx + max(num_dies - 1, 0) * gap
+    _, nx_total = layer_shape(stack_cfg, grid, topology)
     outline = grid.outline
     wide = GridSpec(
         Rect(outline.x, outline.y, outline.w * (nx_total / nx), outline.h),

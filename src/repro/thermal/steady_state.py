@@ -12,9 +12,9 @@ RC network.  Two levels of reuse keep repeated analyses cheap:
   runs, verification, exploration studies, and the mitigation loop stop
   re-assembling and re-factorizing identical networks.
 
-:class:`UniformStackSolver` solves a laterally uniform stack (no TSVs)
-exactly in an in-plane cosine basis, with no sparse factorization at
-all; it serves the fast model's calibration.
+:func:`calibration_solver` is the fast model's calibration solver: the
+TSV-free stack on the ``spectral`` backend, whose preconditioner is
+exact on such a stack, so no sparse factorization happens.
 
 :class:`WoodburySolver` solves a *locally perturbed* stack through the
 unperturbed stack's factorization via the Sherman–Morrison–Woodbury
@@ -25,9 +25,9 @@ faster end to end.
 
 *How* a system is factored lives one layer down, behind the
 :mod:`~repro.thermal.backends` protocol (direct ``superlu``, or
-iterative ``multigrid`` for large grids): this module never calls
-``splu`` itself, and the Woodbury-base decision reads the backend's
-``supports_woodbury_base`` capability field.
+iterative ``spectral`` for few right-hand sides and large grids): this
+module never calls ``splu`` itself, and the Woodbury-base decision reads
+the backend's ``supports_woodbury_base`` capability field.
 """
 
 from __future__ import annotations
@@ -46,17 +46,17 @@ from ..core.faults import fault_fires, record_degradation
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from .backends import FactorHints, resolve_backend
-from .rc_network import _UM, LowRankUpdate, ThermalNetwork, assemble, low_rank_update
-from .stack import ThermalStack, build_stack, normalize_tsv_densities
+from .backends import FactorHints, get_backend, resolve_backend
+from .rc_network import LowRankUpdate, ThermalNetwork, assemble, low_rank_update
+from .stack import ThermalStack, build_stack, layer_shape, normalize_tsv_densities
 
 __all__ = [
     "SteadyStateSolver",
-    "UniformStackSolver",
     "WoodburySolver",
     "SolverCache",
     "ThermalResult",
     "solve_floorplan",
+    "calibration_solver",
     "default_solver_cache",
     "woodbury_crossover_rank",
 ]
@@ -178,149 +178,12 @@ class SteadyStateSolver:
         return _results_from_columns(self.stack, t)
 
 
-def _uniform_value(values, what: str) -> float:
-    """The one value a per-cell map holds; ``ValueError`` if it varies."""
-    flat = np.asarray(values, dtype=float).ravel()
-    if not np.all(flat == flat[0]):
-        raise ValueError(f"{what} varies across cells: the stack is not laterally uniform")
-    return flat[0]
-
-
-def _dct_basis(n: int) -> np.ndarray:
-    """Orthonormal DCT-II basis of an ``n``-cell chain, one mode per column.
-
-    Column ``k`` is the ``k``-th eigenvector of the chain's Laplacian
-    with adiabatic (Neumann) ends; its eigenvalue per unit conductance
-    is ``4 sin^2(pi k / 2n)`` (:func:`_chain_eigenvalues`).
-    """
-    cells = np.arange(n) + 0.5
-    basis = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(cells, np.arange(n)))
-    basis[:, 0] = np.sqrt(1.0 / n)
-    return basis
-
-
-def _chain_eigenvalues(n: int) -> np.ndarray:
-    return 4.0 * np.sin(np.pi / (2.0 * n) * np.arange(n)) ** 2
-
-
-class UniformStackSolver:
-    """Exact steady-state solver for a laterally uniform stack, no sparse LU.
-
-    When no layer property and no boundary resistance varies across
-    cells (a stack without TSVs), ``G`` separates: the in-plane DCT-II
-    modes diagonalize every layer's lateral coupling, and the vertical
-    and boundary couplings are the same in every cell, so each of the
-    ``ny * nx`` modes is one ``layers x layers`` tridiagonal system.  The
-    Thomas factorization of all of them is computed once, vectorized
-    over modes; :meth:`solve_many` then costs two basis changes and one
-    sweep along z for the whole batch.  Conductances are computed exactly
-    as :func:`~repro.thermal.rc_network.assemble` computes them, and the
-    right-hand side is the same ``q + boundary * T_amb``.
-
-    It serves the fast model's calibration, whose stack has no TSVs; it
-    is not a factorization backend.  A stack whose layer maps or bottom
-    resistance vary across cells raises ``ValueError``.
-    """
-
-    def __init__(self, stack: ThermalStack) -> None:
-        self.stack = stack
-        grid = stack.grid
-        cw = grid.cell_w * _UM
-        ch = grid.cell_h * _UM
-        cell_area = cw * ch
-        layers = stack.layers
-        nl = len(layers)
-        k_vert = [
-            _uniform_value(layer.k_vertical, f"{layer.name} k_vertical")
-            for layer in layers
-        ]
-        g_x = np.empty(nl)
-        g_y = np.empty(nl)
-        for li, layer in enumerate(layers):
-            kl = _uniform_value(layer.k_lateral, f"{layer.name} k_lateral")
-            k_hm = 2.0 * kl * kl / (kl + kl)
-            g_x[li] = k_hm * layer.thickness * ch / cw
-            g_y[li] = k_hm * layer.thickness * cw / ch
-        # vertical conductance between layers li and li + 1
-        g_z = np.array(
-            [
-                cell_area
-                / (
-                    layers[li].thickness / (2.0 * k_vert[li])
-                    + layers[li + 1].thickness / (2.0 * k_vert[li + 1])
-                )
-                for li in range(nl - 1)
-            ]
-        )
-        if stack.r_bottom_map is not None:
-            r_bot = _uniform_value(stack.r_bottom_map, "r_bottom_map")
-        else:
-            r_bot = stack.r_bottom_area
-        boundary = np.zeros(nl)
-        boundary[-1] += cell_area / (
-            stack.r_top_area + layers[-1].thickness / (2.0 * k_vert[-1])
-        )
-        boundary[0] += cell_area / (r_bot + layers[0].thickness / (2.0 * k_vert[0]))
-        self._ambient_q = boundary * stack.ambient
-
-        self._basis_y = _dct_basis(grid.ny)
-        self._basis_x = _dct_basis(grid.nx)
-        # diag[l, ky, kx]: mode (ky, kx) of layer l's diagonal of G
-        diag = (
-            g_y[:, None, None] * _chain_eigenvalues(grid.ny)[None, :, None]
-            + g_x[:, None, None] * _chain_eigenvalues(grid.nx)[None, None, :]
-        )
-        diag += boundary[:, None, None]
-        diag[:-1] += g_z[:, None, None]
-        diag[1:] += g_z[:, None, None]
-        # Thomas factorization of every mode's tridiagonal at once; the
-        # off-diagonal of interface li is -g_z[li]
-        self._upper = -g_z
-        self._cp = np.empty((nl - 1,) + grid.shape)
-        self._denom = np.empty_like(diag)
-        self._denom[0] = diag[0]
-        for li in range(nl - 1):
-            self._cp[li] = self._upper[li] / self._denom[li]
-            self._denom[li + 1] = diag[li + 1] - self._upper[li] * self._cp[li]
-
-    def solve_many(
-        self, power_map_sets: Sequence[Sequence[np.ndarray]]
-    ) -> List[ThermalResult]:
-        """Solve a batch of per-die power-map sets (W per cell)."""
-        sets = list(power_map_sets)
-        if not sets:
-            return []
-        stack = self.stack
-        grid = stack.grid
-        nl = stack.num_layers
-        expected = stack.die_map_shape()
-        # rhs[l, j] is layer l's map of right-hand side j
-        rhs = np.zeros((nl, len(sets)) + grid.shape)
-        for j, maps in enumerate(sets):
-            for layer_idx, die in stack.power_layers():
-                if die < len(maps) and maps[die] is not None:
-                    pm = np.asarray(maps[die], dtype=float)
-                    if pm.shape != expected:
-                        raise ValueError(
-                            f"power map for die {die}: shape {pm.shape} != {expected}"
-                        )
-                    rhs[layer_idx, j][stack.site_slice(die)] = pm
-        rhs += self._ambient_q[:, None, None, None]
-        modes = self._basis_y.T @ rhs @ self._basis_x
-        modes[0] /= self._denom[0]
-        for li in range(1, nl):
-            modes[li] -= self._upper[li - 1] * modes[li - 1]
-            modes[li] /= self._denom[li]
-        for li in range(nl - 2, -1, -1):
-            modes[li] -= self._cp[li] * modes[li + 1]
-        temps = self._basis_y @ modes @ self._basis_x.T
-        nodal = np.moveaxis(temps, 1, -1).reshape(stack.num_nodes, len(sets))
-        return _results_from_columns(stack, nodal)
-
-    @classmethod
-    def for_config(cls, stack_cfg: StackConfig, grid: GridSpec) -> "UniformStackSolver":
-        """The solver of this configuration's stack without TSVs."""
-        return cls(build_stack(stack_cfg, grid))
+def calibration_solver(stack_cfg: StackConfig, grid: GridSpec) -> SteadyStateSolver:
+    """The fast model's calibration solver: the TSV-free stack on the
+    ``spectral`` backend instance, which neither the environment nor the
+    auto rule moves.  The stack is laterally uniform, so the
+    preconditioner is exact and every solve takes 2 PCG iterations."""
+    return SteadyStateSolver(build_stack(stack_cfg, grid), backend=get_backend("spectral"))
 
 
 # Woodbury-vs-refactorize crossover, measured on the reference container
@@ -566,7 +429,7 @@ class SolverCache:
     factorized exactly once per backend; the density digest makes reuse
     safe even when callers rebuild density maps from scratch each time,
     and the backend component keeps e.g. a superlu oracle solver and a
-    multigrid solver of the same network from shadowing each other.
+    spectral solver of the same network from shadowing each other.
     """
 
     def __init__(self, maxsize: int = 8, backend=None) -> None:
@@ -602,11 +465,11 @@ class SolverCache:
             self.hits = 0
             self.misses = 0
 
-    def _resolve_backend(self, grid: GridSpec, rhs_budget: Optional[int] = None):
+    def _resolve_backend(self, stack_cfg, grid, stack_kwargs, rhs_budget=None):
+        # the system's layer, not the die grid: a 2.5D interposer is wider
+        ny, nx = layer_shape(stack_cfg, grid, stack_kwargs.get("topology"))
         return resolve_backend(
-            self.backend,
-            hints=FactorHints(rhs_budget=rhs_budget),
-            cells_per_layer=grid.nx * grid.ny,
+            self.backend, hints=FactorHints(rhs_budget=rhs_budget), cells_per_layer=ny * nx
         )
 
     def _key(
@@ -651,7 +514,7 @@ class SolverCache:
         """
         with self._lock:
             densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
-            backend = self._resolve_backend(grid, rhs_budget)
+            backend = self._resolve_backend(stack_cfg, grid, stack_kwargs, rhs_budget)
             key = self._key(stack_cfg, grid, densities, stack_kwargs, backend.name)
             solver = self._entries.get(key)
             if solver is not None:
@@ -705,7 +568,7 @@ class SolverCache:
         """
         with self._lock:
             densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
-            backend = self._resolve_backend(grid)
+            backend = self._resolve_backend(stack_cfg, grid, stack_kwargs)
             key = self._key(stack_cfg, grid, densities, stack_kwargs, backend.name)
             solver = self._entries.get(key)
             if solver is not None:

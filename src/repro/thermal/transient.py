@@ -74,8 +74,9 @@ class TransientSolver:
             raise ValueError("need room for at least one step factorization")
         self._max_cached_steps = max_cached_steps
         #: the step matrix C/dt + G is SPD with the same 7-point stencil
-        #: as G itself, so every thermal backend (superlu, multigrid)
-        #: applies; the same env/auto policy as steady state decides
+        #: as G itself, so every thermal backend (superlu, spectral)
+        #: applies (spectral homogenizes the C/dt diagonal with the
+        #: boundary); the same env/auto policy as steady state decides
         self._hints = self.network.factor_hints()
         self.backend = resolve_backend(backend, hints=self._hints)
         #: LRU of step-matrix factorizations keyed by dt

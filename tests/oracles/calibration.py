@@ -3,8 +3,8 @@
 ``calibrated_thermal_model`` used to fit its masks against a solver from
 a private one-entry ``SolverCache``: one SuperLU factorization of the
 calibration stack.  That composition is kept here so tests can hold the
-cosine-basis :class:`~repro.thermal.steady_state.UniformStackSolver` fit
-to it.
+fit through :func:`~repro.thermal.steady_state.calibration_solver` (the
+spectral backend) to it.
 """
 
 from __future__ import annotations

@@ -88,13 +88,13 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["cholmod", "compiled_triangular"])
+    @pytest.mark.parametrize("backend", ["cholmod", "compiled_triangular", "multigrid"])
     def test_removed_thermal_backends_rejected(self, backend, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["flow", "n100", "--thermal-backend", backend])
         err = capsys.readouterr().err
         assert "invalid choice" in err
-        assert "'superlu', 'multigrid'" in err
+        assert "'superlu', 'spectral'" in err
 
     def test_old_jobspec_with_incremental_still_parses(self):
         from repro.api import JobSpec

@@ -179,16 +179,16 @@ class TestSpeculativeRounds:
 class TestFactorizationCount:
     """A candidate is one nominal solve, so only the patterns a round
     sweeps pay a SuperLU factorization; past 16x16 the candidates take a
-    multigrid setup instead."""
+    spectral setup instead."""
 
     @staticmethod
     def _count_factorizations(monkeypatch):
-        from repro.thermal.backends.multigrid import MultigridBackend
+        from repro.thermal.backends.spectral import SpectralBackend
         from repro.thermal.backends.superlu import SuperLUBackend
 
         monkeypatch.delenv("REPRO_THERMAL_BACKEND", raising=False)
-        counts = {"superlu": 0, "multigrid": 0}
-        for cls in (SuperLUBackend, MultigridBackend):
+        counts = {"superlu": 0, "spectral": 0}
+        for cls in (SuperLUBackend, SpectralBackend):
 
             def counted(self, matrix, *, hints=None, _factor=cls.factor):
                 counts[self.name] += 1
@@ -204,13 +204,13 @@ class TestFactorizationCount:
         report = insert_dummy_tsvs(_hotspot_floorplan(), cfg)
         assert report.rounds >= 2  # an accepted pattern was swept
         assert counts["superlu"] == report.rounds
-        assert counts["multigrid"] == report.refactorized_candidates > 0
+        assert counts["spectral"] == report.refactorized_candidates > 0
 
     def test_small_grids_keep_superlu(self, monkeypatch):
         counts = self._count_factorizations(monkeypatch)
         cfg = MitigationConfig(samples=15, tsvs_per_round=6, max_rounds=3,
                                grid_nx=12, grid_ny=12, seed=1)
         report = insert_dummy_tsvs(_hotspot_floorplan(), cfg)
-        assert counts["multigrid"] == 0
+        assert counts["spectral"] == 0
         # the accepted candidate's factors serve the next round's sweep
         assert counts["superlu"] == 1 + report.refactorized_candidates

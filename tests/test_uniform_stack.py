@@ -1,5 +1,5 @@
-"""The cosine-basis solver of laterally uniform stacks, and the fast
-model's calibration through it."""
+"""The fast model's calibration solver: the TSV-free stack on the
+spectral backend, whose cosine-basis preconditioner is exact there."""
 
 import dataclasses
 
@@ -12,8 +12,9 @@ from repro.floorplan import objectives
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.thermal.backends import SuperLUBackend
-from repro.thermal.stack import TopologyConfig, build_stack
-from repro.thermal.steady_state import SteadyStateSolver, UniformStackSolver
+from repro.thermal.backends.spectral import SpectralFactorization
+from repro.thermal.stack import build_stack
+from repro.thermal.steady_state import SteadyStateSolver, calibration_solver
 
 GRIDS = [(5, 5), (8, 8), (16, 16), (32, 32), (24, 40), (17, 33)]
 
@@ -28,7 +29,8 @@ class TestAgainstSuperLU:
     def test_die_map_rises_match(self, num_dies, ny, nx):
         cfg = _stack_config(num_dies)
         grid = GridSpec(cfg.outline, nx, ny)
-        stack = build_stack(cfg, grid)
+        solver = calibration_solver(cfg, grid)
+        stack = solver.stack
         rng = np.random.default_rng(ny * 100 + nx)
         sets = [
             [rng.random(grid.shape) * 4.0 / grid.nx / grid.ny for _ in range(num_dies)],
@@ -36,7 +38,9 @@ class TestAgainstSuperLU:
             [rng.random(grid.shape) * 1e-3] + [None] * (num_dies - 1),
         ]
         want = SteadyStateSolver(stack, backend="superlu").solve_many(sets)
-        got = UniformStackSolver(stack).solve_many(sets)
+        got = solver.solve_many(sets)
+        # the homogenized stack is the stack: the preconditioner is exact
+        assert solver.factorization.last_iterations <= 2
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.nodal.shape == w.nodal.shape
@@ -47,47 +51,36 @@ class TestAgainstSuperLU:
 
     def test_empty_batch(self):
         cfg = _stack_config(2)
-        solver = UniformStackSolver.for_config(cfg, GridSpec(cfg.outline, 6, 6))
+        solver = calibration_solver(cfg, GridSpec(cfg.outline, 6, 6))
         assert solver.solve_many([]) == []
 
     def test_wrong_map_shape_rejected(self):
         cfg = _stack_config(2)
-        solver = UniformStackSolver.for_config(cfg, GridSpec(cfg.outline, 6, 6))
+        solver = calibration_solver(cfg, GridSpec(cfg.outline, 6, 6))
         with pytest.raises(ValueError, match="shape"):
             solver.solve_many([[np.zeros((6, 6)), np.zeros((5, 6))]])
 
 
 class TestRefusals:
-    def test_tsv_density_refused(self):
-        cfg = _stack_config(2)
-        grid = GridSpec(cfg.outline, 8, 8)
-        density = np.zeros(grid.shape)
-        density[2:4, 3:6] = 0.2
-        with pytest.raises(ValueError, match="not laterally uniform"):
-            UniformStackSolver(build_stack(cfg, grid, tsv_density=density))
+    """What the spectral factorization refuses, and that no suite stack's
+    calibration leaves its exact path."""
 
-    def test_non_uniform_bottom_resistance_refused(self):
+    def test_mismatched_grid_shape_refused(self):
         cfg = _stack_config(2)
-        grid = GridSpec(cfg.outline, 8, 8)
-        stack = build_stack(cfg, grid)
-        r_bottom = np.full(grid.shape, stack.r_bottom_area)
-        r_bottom[0, 0] *= 0.5
-        with pytest.raises(ValueError, match="r_bottom_map"):
-            UniformStackSolver(dataclasses.replace(stack, r_bottom_map=r_bottom))
-
-    def test_interposer_stack_refused(self):
-        cfg = _stack_config(2)
-        grid = GridSpec(cfg.outline, 8, 8)
-        stack = build_stack(cfg, grid, topology=TopologyConfig("2.5d"))
-        with pytest.raises(ValueError, match="not laterally uniform"):
-            UniformStackSolver(stack)
+        stack = build_stack(cfg, GridSpec(cfg.outline, 8, 8))
+        matrix = SteadyStateSolver(stack, backend="superlu").network.conductance
+        with pytest.raises(ValueError, match="does not match"):
+            SpectralFactorization(matrix, (stack.num_layers, 8, 9))
 
     @pytest.mark.parametrize("name", benchmark_names())
     @pytest.mark.parametrize("num_dies", [2, 3])
     def test_every_suite_stack_calibrates_uniformly(self, name, num_dies):
         cfg = StackConfig(spec_for(name).outline, num_dies=num_dies)
-        solver = UniformStackSolver.for_config(cfg, GridSpec(cfg.outline, 7, 9))
+        grid = GridSpec(cfg.outline, 7, 9)
+        solver = calibration_solver(cfg, grid)
         assert len(solver.stack.power_layers()) == num_dies
+        solver.solve_many([[np.full(grid.shape, 1e-3)] * num_dies])
+        assert solver.factorization.last_iterations <= 2
 
 
 class TestCalibration:
