@@ -445,10 +445,10 @@ def test_anneal_tempered_4replica_n100(benchmark, anneal_bench_setup):
 #
 # The side-by-side interposer stack discretizes roughly twice the nodes
 # of the vertical stack at the same per-die grid (dies spread out instead
-# of stacking up).  The factorized steady solve is tracked against the
+# of stacking up).  The steady solve against a built solver (the auto
+# rule puts this grid on the spectral PCG backend) is tracked against the
 # committed baseline like any hot kernel, and the ratio gate pins it at
-# >= 3x over refactorizing the interposer network per solve — the same
-# LU-reuse claim the 3D path makes, restated on the wide grid.
+# >= 2x over rebuilding the interposer network and its solver per solve.
 
 
 @pytest.fixture(scope="module")

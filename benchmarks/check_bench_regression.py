@@ -71,9 +71,10 @@ TRACKED = [
 #: kernel must stay at least ``min_ratio`` x faster than its slow
 #: counterpart, or the optimization it embodies has silently rotted
 RATIO_GATES = [
-    # the 2.5D interposer steady solve must stay a cheap back-
-    # substitution against refactorizing the (wider) interposer network
-    # per solve — the topology layer rides the same cached-LU machinery
+    # the 2.5D interposer steady solve against a built solver must stay
+    # cheap next to rebuilding the (wider) interposer network and its
+    # solver per solve — the topology layer rides the same cached-solver
+    # machinery
     {
         "fast": "test_interposer_steady_state_64",
         "slow": "test_interposer_refactorize_64",

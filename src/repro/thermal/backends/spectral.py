@@ -65,7 +65,8 @@ class SpectralFactorization(Factorization):
         self.maxiter = maxiter
         #: most PCG iterations any column of the last solve took
         self.last_iterations = 0
-        self._matrix = A = matrix.tocsr()
+        # assemble's CSC is used as is: its matvec costs what CSR's does
+        self._matrix = A = matrix.tocsc()
 
         def mean_coupling(offset: int, pairs) -> np.ndarray:
             # a diagonal padded to the box holds each pair at its lower node
@@ -98,14 +99,16 @@ class SpectralFactorization(Factorization):
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """The homogenized stack's exact solve of one residual vector."""
-        modes = self._basis_y.T @ r.reshape(self.grid_shape) @ self._basis_x
+        nl, ny, nx = self.grid_shape
+        modes = (self._basis_y.T @ r.reshape(nl, ny, nx)).reshape(-1, nx) @ self._basis_x
+        modes = modes.reshape(nl, ny, nx)
         modes[0] /= self._denom[0]
-        for li in range(1, len(modes)):
+        for li in range(1, nl):
             modes[li] -= self._upper[li - 1] * modes[li - 1]
             modes[li] /= self._denom[li]
-        for li in range(len(modes) - 2, -1, -1):
+        for li in range(nl - 2, -1, -1):
             modes[li] -= self._cp[li] * modes[li + 1]
-        return (self._basis_y @ modes @ self._basis_x.T).ravel()
+        return ((self._basis_y @ modes).reshape(-1, nx) @ self._basis_x.T).ravel()
 
     def _pcg(self, b: np.ndarray):
         """PCG from a zero start: ``(x, iterations, relative residual)``."""
@@ -126,7 +129,8 @@ class SpectralFactorization(Factorization):
                 break
             z = self._precondition(r)
             rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
+            p *= rz / rz_old
+            p += z
         return x, iteration, residual
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -143,7 +147,7 @@ class SpectralFactorization(Factorization):
                 "spectral.no_convergence",
                 f"spectral PCG stopped at {self.maxiter} iterations, "
                 f"{worst / self.tolerance:.1f}x above the {self.tolerance:.0e} "
-                "residual target; returning the best iterate",
+                "residual target; returning the last iterate",
             )
         return X.reshape(B.shape)
 
