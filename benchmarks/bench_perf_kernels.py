@@ -3,7 +3,7 @@
 Not a paper artifact; tracks the throughput of the pieces that gate the
 flow's wall-clock: sequence-pair packing, vectorized wirelength, the
 leakage metrics, fast thermal estimation and calibration, the detailed
-solve, and voltage assignment.
+solve, the DVFS response kernels, and voltage assignment.
 """
 
 import numpy as np
@@ -253,6 +253,23 @@ def test_transient_traces_per_trace_loop(benchmark, transient_setup):
             solver.run(fn, duration=0.05, dt=0.005)
 
     benchmark(loop)
+
+
+@pytest.fixture(scope="module")
+def dvfs_kernel_stack(n100_state):
+    from repro.thermal.stack import TopologyConfig
+
+    _, stack_cfg, _ = n100_state
+    grid = GridSpec(stack_cfg.outline, 24, 24)
+    return build_stack(stack_cfg, grid, topology=TopologyConfig(kind="2.5d"))
+
+
+def test_dvfs_kernels_2p5d_24(benchmark, dvfs_kernel_stack):
+    """The DVFS stage's response kernels on the n100 2.5D stack at 24x24,
+    as one flow computes them (2 ms steps, 24 windows of 4): a cold
+    solver, so its network assembly and step factorization are timed
+    with both dies' 96-step adjoint chains."""
+    benchmark(lambda: TransientSolver(dvfs_kernel_stack).die_mean_kernels(2e-3, 96))
 
 
 # -- mitigation round at equal sample count (Sec. 6.2 path) -----------------------

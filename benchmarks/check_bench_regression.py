@@ -64,6 +64,8 @@ TRACKED = [
     "test_interposer_steady_state_64",
     "test_voltage_assignment_n100",
     "test_fast_calibration_n100",
+    "test_fast_thermal_64",
+    "test_dvfs_kernels_2p5d_24",
 ]
 
 #: paired-kernel speedup floors, checked within one run (so they are

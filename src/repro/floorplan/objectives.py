@@ -17,7 +17,11 @@ cadence; the cheap terms (outline fit, wirelength) are exact every
 iteration via a fully vectorized netlist evaluation.  One
 :class:`~repro.layout.net.CompiledNetlist`, compiled once per evaluator,
 serves both the wirelength and the signal-TSV sites of every thermal
-refresh; each thermal refresh rasterizes every die's power map afresh.
+refresh.  The slow terms read the snapshot's geometry arrays and
+per-module constants compiled once per evaluator: each thermal refresh
+rasterizes every die's power map afresh, timing runs on the same
+centres, and only a voltage-assignment refresh realizes a
+:class:`~repro.layout.floorplan.Floorplan3D`.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..layout.die import StackConfig
-from ..layout.grid import GridSpec
+from ..layout.grid import GridSpec, rasterize_rects
+from ..layout.module import ModuleKind
 from ..layout.net import CompiledNetlist, Net, Terminal
 from ..layout.tsv import interface_densities
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
+from ..power.voltages import delay_scale_for, power_scale_for
 from ..thermal import fast
 from ..thermal.fast import FastThermalModel
 from ..thermal.steady_state import calibration_solver
@@ -165,6 +171,33 @@ class _ExpensiveCache:
     correlation: float = 0.0
     entropy: float = 0.0
     assignment: Optional[VoltageAssignment] = None
+    #: per-module power and delay factors of the assignment's voltages,
+    #: module-index order (``None``: every module at the 1.0 V reference)
+    power_scale: Optional[np.ndarray] = None
+    delay_scale: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class _ModuleArrays:
+    """Per-module constants in module-index order, compiled once per
+    evaluator and never written."""
+
+    power: np.ndarray
+    delay: np.ndarray
+    soft: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+
+    def realized_sizes(self, w: np.ndarray, h: np.ndarray):
+        """The footprint ``realize_with_positions`` gives packed sizes: a
+        soft module within 1e-9 of its nominal width and height keeps
+        the nominal ones (so its centre can move by an ulp)."""
+        nominal = (
+            self.soft
+            & (np.abs(w - self.width) <= 1e-9)
+            & (np.abs(h - self.height) <= 1e-9)
+        )
+        return np.where(nominal, self.width, w), np.where(nominal, self.height, h)
 
 
 @dataclass
@@ -173,10 +206,17 @@ class _Snapshot:
 
     Built from scratch for every evaluation, so a score depends only on
     the state it was given, never on what was evaluated before it.
+    ``x``/``y`` (lower-left corners), ``w``/``h`` (packed sizes) and
+    ``dies`` hold the same geometry as arrays in module-index order.
     """
 
     positions: Dict[str, Tuple[float, float]]
     sizes: Dict[str, Tuple[float, float]]
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    dies: np.ndarray
     wirelength: float
     tsv_crossings: int
     outline: float
@@ -222,6 +262,7 @@ class CostEvaluator:
         self.nets = tuple(nets)
         self.thermal = thermal_model or FastThermalModel(num_dies=stack.num_dies)
         self._netlist: Optional[CompiledNetlist] = None
+        self._modules: Optional[_ModuleArrays] = None
         self._timing: Optional[TimingGraph] = None
         self._cache = _ExpensiveCache()
         self._scales: Dict[str, float] = {}
@@ -233,6 +274,24 @@ class CostEvaluator:
         if self._netlist is None:
             self._netlist = CompiledNetlist(list(state.modules), self.nets, self.terminals)
         return self._netlist
+
+    def _module_arrays(self, state: LayoutState) -> _ModuleArrays:
+        if self._modules is None:
+            mods = [state.modules[n] for n in self._compiled(state).module_names]
+
+            def array(values, dtype=float):
+                out = np.array(values, dtype=dtype)
+                out.setflags(write=False)
+                return out
+
+            self._modules = _ModuleArrays(
+                power=array([m.power for m in mods]),
+                delay=array([m.intrinsic_delay for m in mods]),
+                soft=array([m.kind == ModuleKind.SOFT for m in mods], dtype=bool),
+                width=array([m.width for m in mods]),
+                height=array([m.height for m in mods]),
+            )
+        return self._modules
 
     def _timing_graph(self, state: LayoutState) -> TimingGraph:
         if self._timing is None:
@@ -261,16 +320,15 @@ class CostEvaluator:
             positions.update(pos)
             extents.append((w, h))
             die_power.append(sum(state.modules[n].power for n in pair.s1))
-        cx = np.empty(nl.num_modules)
-        cy = np.empty(nl.num_modules)
+        xs, ys, ws, hs = np.empty((4, nl.num_modules))
         dd = np.empty(nl.num_modules, dtype=np.int64)
         for name, idx in nl.module_index.items():
-            x, y = positions[name]
-            w, h = sizes[name]
-            cx[idx] = x + w / 2.0
-            cy[idx] = y + h / 2.0
+            xs[idx], ys[idx] = positions[name]
+            ws[idx], hs[idx] = sizes[name]
             dd[idx] = state.die_of[name]
-        wirelength, tsv_crossings = nl.wirelength(cx, cy, dd, self.tsv_length_um)
+        wirelength, tsv_crossings = nl.wirelength(
+            xs + ws / 2.0, ys + hs / 2.0, dd, self.tsv_length_um
+        )
         outline = self.stack.outline
         over = 0.0
         fill = 0.0
@@ -282,6 +340,11 @@ class CostEvaluator:
         return _Snapshot(
             positions=positions,
             sizes=sizes,
+            x=xs,
+            y=ys,
+            w=ws,
+            h=hs,
+            dies=dd,
             wirelength=wirelength,
             tsv_crossings=tsv_crossings,
             outline=over,
@@ -294,13 +357,14 @@ class CostEvaluator:
                            refresh_assignment: bool, refresh_timing: bool,
                            refresh_thermal: bool) -> None:
         cache = self._cache
-        # timing and voltage assignment never read TSVs; the thermal
-        # refresh rasterizes signal-TSV sites without building TSV objects
-        fp = state.realize_with_positions(
-            snap.positions, snap.sizes, self.nets, self.terminals,
-            place_tsvs=False,
-        )
+        mods = self._module_arrays(state)
         if refresh_assignment:
+            # voltage assignment reads a realized floorplan (without TSV
+            # objects); every other slow term reads the snapshot's arrays
+            fp = state.realize_with_positions(
+                snap.positions, snap.sizes, self.nets, self.terminals,
+                place_tsvs=False,
+            )
             timing = self._timing_graph(state)
             inflation = timing.max_delay_inflation(fp)
             objective = (
@@ -312,22 +376,38 @@ class CostEvaluator:
                 fp, inflation, objective=objective,
                 max_volume_size=self.inloop_volume_size,
             )
-        voltages = cache.assignment.voltages if cache.assignment else None
-        if voltages:
-            fp = fp.with_voltages(voltages)
+            volts = [
+                cache.assignment.voltages.get(n, 1.0)
+                for n in self._compiled(state).module_names
+            ]
+            cache.power_scale = np.array([power_scale_for(v) for v in volts])
+            cache.delay_scale = np.array([delay_scale_for(v) for v in volts])
+        # the realized floorplan's geometry, to the ulp
+        w, h = mods.realized_sizes(snap.w, snap.h)
+        cx, cy = snap.x + w / 2.0, snap.y + h / 2.0
+        power = mods.power
+        if cache.power_scale is not None:
+            power = power * cache.power_scale
         if refresh_timing:
             timing = self._timing_graph(state)
-            report = timing.evaluate(fp)
-            cache.delay = report.critical_delay_ns
+            delay = mods.delay
+            if cache.delay_scale is not None:
+                delay = delay * cache.delay_scale
+            through = timing.through_times(timing.net_delays(cx, cy, snap.dies), delay)
+            cache.delay = float(through.max())
         if refresh_thermal:
             num_dies = self.stack.num_dies
-            maps = [fp.power_map(d, self.grid) for d in range(num_dies)]
+            maps = []
+            for d in range(num_dies):
+                on = snap.dies == d
+                maps.append(
+                    rasterize_rects(power[on], snap.x[on], snap.y[on], w[on], h[on], self.grid)
+                )
             if num_dies > 1:
-                # every adjacent interface's TSVs, not just (0, 1).  Sites
-                # come from the realized placements, not the packed centres
-                # the wirelength used: a soft module kept at its nominal
-                # size centres up to an ulp away
-                sites = fp.signal_sites(self._compiled(state))
+                # every adjacent interface's TSVs, not just (0, 1)
+                sites = self._compiled(state).sites(
+                    cx, cy, snap.dies, self.stack.outline, self.stack.tsv_pitch / 2.0
+                )
                 density = interface_densities(
                     sites, self.stack.tsv_pitch, self.stack.outline,
                     self.grid.nx, self.grid.ny, num_dies,
@@ -344,7 +424,8 @@ class CostEvaluator:
             if self.weights.entropy > 0.0:
                 ents = [float(spatial_entropy(m)) for m in maps]
                 cache.entropy = float(np.mean(ents))
-        cache.power = fp.total_power()
+        # summed one module at a time, as Floorplan3D.total_power does
+        cache.power = sum(power.tolist())
         cache.volumes = (
             float(cache.assignment.num_volumes) if cache.assignment else 0.0
         )

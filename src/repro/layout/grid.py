@@ -21,7 +21,14 @@ import numpy as np
 from .geometry import Rect
 from .module import Placement
 
-__all__ = ["GridSpec", "cell_overlaps", "power_cells", "rasterize_power", "bin_centers"]
+__all__ = [
+    "GridSpec",
+    "cell_overlaps",
+    "power_cells",
+    "rasterize_power",
+    "rasterize_rects",
+    "bin_centers",
+]
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,32 @@ def cell_overlaps(
     return owner, j * nx + i, ox * oy
 
 
+def _placement_arrays(placements: Sequence[Placement], activity):
+    """``(power, x, y, w, h)`` of placements: effective watts, lower-left
+    corners and footprint sizes, in ``placements`` order."""
+    from ..power.voltages import power_scale_for  # local import avoids cycle
+
+    act = {} if activity is None else activity
+    power = np.array(
+        [p.module.power * power_scale_for(p.voltage) * act.get(p.name, 1.0) for p in placements],
+        dtype=float,
+    )
+    x, y, w, h = np.array(
+        [(p.x, p.y, p.width, p.height) for p in placements], dtype=float
+    ).reshape(-1, 4).T
+    return power, x, y, w, h
+
+
+def _rect_power_cells(power, x, y, w, h, grid: GridSpec):
+    """:func:`power_cells` of rectangles given as arrays."""
+    area = w * h
+    keep = np.flatnonzero((area > 0) & (power != 0.0))
+    density = power[keep] / area[keep]
+    x, y = x[keep], y[keep]
+    owner, cell, overlap = cell_overlaps(x, y, x + w[keep], y + h[keep], grid)
+    return keep[owner], cell, density[owner] * overlap
+
+
 def power_cells(
     placements: Sequence[Placement],
     grid: GridSpec,
@@ -140,22 +173,26 @@ def power_cells(
     sampler's, Sec. 6.2).  ``owner`` indexes ``placements``; zero-power
     modules contribute no entries.  Ordered as :func:`cell_overlaps`.
     """
-    from ..power.voltages import power_scale_for  # local import avoids cycle
+    return _rect_power_cells(*_placement_arrays(placements, activity), grid)
 
-    act = {} if activity is None else activity
-    power = np.array(
-        [p.module.power * power_scale_for(p.voltage) * act.get(p.name, 1.0) for p in placements],
-        dtype=float,
-    )
-    x, y, w, h = np.array(
-        [(p.x, p.y, p.width, p.height) for p in placements], dtype=float
-    ).reshape(-1, 4).T
-    area = w * h
-    keep = np.flatnonzero((area > 0) & (power != 0.0))
-    density = power[keep] / area[keep]
-    x, y = x[keep], y[keep]
-    owner, cell, overlap = cell_overlaps(x, y, x + w[keep], y + h[keep], grid)
-    return keep[owner], cell, density[owner] * overlap
+
+def rasterize_rects(
+    power: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    h: np.ndarray,
+    grid: GridSpec,
+) -> np.ndarray:
+    """Power map in W per cell, shape (ny, nx), of rectangles given as
+    arrays: ``power`` watts spread uniformly over each footprint with
+    lower-left corner ``(x, y)`` and size ``w`` x ``h``.  Rectangles
+    accumulate in array order with one ``np.bincount``, so placements
+    with this geometry and effective power, in this order, rasterize
+    (:func:`rasterize_power`) to the same bytes."""
+    _, cell, watts = _rect_power_cells(power, x, y, w, h, grid)
+    out = np.bincount(cell, weights=watts, minlength=grid.nx * grid.ny)
+    return out.reshape(grid.shape)
 
 
 def rasterize_power(
@@ -164,12 +201,7 @@ def rasterize_power(
     die: int,
     activity: Mapping[str, float] | None = None,
 ) -> np.ndarray:
-    """Power map of one die in W per cell, shape (ny, nx).
-
-    The die's modules accumulate in ``placements`` order with one
-    ``np.bincount`` over :func:`power_cells`.
-    """
+    """Power map of one die in W per cell, shape (ny, nx): the die's
+    placements through :func:`rasterize_rects`, in ``placements`` order."""
     on_die = [p for p in placements if p.die == die]
-    _, cell, watts = power_cells(on_die, grid, activity)
-    out = np.bincount(cell, weights=watts, minlength=grid.nx * grid.ny)
-    return out.reshape(grid.shape)
+    return rasterize_rects(*_placement_arrays(on_die, activity), grid)

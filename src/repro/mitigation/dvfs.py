@@ -20,11 +20,17 @@ steady-state metrics use, fed with (traces, windows) matrices instead of
 (ny, nx) maps.
 
 The attacker reads only end-of-window die means, a linear functional of
-the LTI backward-Euler response, so no trace is integrated: one adjoint
-recursion (:meth:`~repro.thermal.transient.TransientSolver.die_mean_kernels`,
-dies x steps solves) gives the die-mean impulse response, projected here
-onto the modules and summed per window, and each trace is then a small
-dense convolution of its per-module power deviations.
+the LTI backward-Euler response, so no trace is integrated: one
+factorization and one adjoint recursion per die
+(:meth:`~repro.thermal.transient.TransientSolver.die_mean_kernels`,
+``steps`` one-column solves each, the dies' chains on threads) give the
+die-mean impulse response, projected here onto the modules and summed
+per window, and each trace is then a small dense convolution of its
+per-module power deviations.  A trace's observed temperature is that
+convolution plus a constant per (arm, die) operating point; the per-trace
+Pearson r, Eq. 1 over the (traces, windows) matrix and the local
+correlation map all centre their inputs first, so the operating point
+cancels out of every score and no steady state is solved.
 
 Everything is deterministic in ``(seed, schedule)``: per-trace RNG
 streams spawn from one :class:`numpy.random.SeedSequence`, and each
@@ -44,7 +50,6 @@ from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
 from ..leakage.pearson import die_correlation, local_correlation_map, pearson
 from ..thermal.stack import stack_for_floorplan, topology_kwargs
-from ..thermal.steady_state import SolverCache
 from ..thermal.transient import TransientSolver
 from .activity import module_power_basis
 from .dummy_tsv import MitigationConfig
@@ -217,7 +222,6 @@ def evaluate_dvfs(
     *,
     grid: GridSpec | None = None,
     topology=None,
-    cache: SolverCache | None = None,
 ) -> DVFSReport:
     """Score the runtime DVFS governor against the no-governor baseline.
 
@@ -225,19 +229,17 @@ def evaluate_dvfs(
     per-window Gaussian activity sequence, once at nominal frequency and
     once through the governor; the attacker correlates nominal
     per-window die power with end-of-window die temperatures.
-    Traces start from the thermal equilibrium of each arm's mean power
-    (one two-RHS steady solve, through the audit-sanctioned cache path),
-    so the observed fluctuations carry the activity signal rather than
-    the ambient-to-operating-point ramp — without this, the slow ramp
-    (time constant >> window length) swamps both arms and the metric
-    cannot tell them apart.  From there every end-of-window die mean is
-    the arm's equilibrium die mean plus a convolution of the trace's
+    Each arm is observed as its fluctuation around the operating point of
+    its mean power (nominal mean for the baseline, governor mean
+    ``E[scale^3]`` for the mitigated arm): a convolution of the trace's
     per-module power deviations with window response kernels (see the
-    module doc).
+    module doc).  That operating point is a constant per (arm, die), and
+    every score centres its inputs first, so it is never computed; the
+    fluctuations carry the activity signal, not the ambient-to-operating
+    ramp that would swamp both arms.
 
-    ``cache`` supplies the equilibrium solver (default: a private
-    :class:`SolverCache`).  ``topology`` selects the stack style (2.5D
-    governors modulate the same way; only the heat path differs).
+    ``topology`` selects the stack style (2.5D governors modulate the
+    same way; only the heat path differs).
     """
     config = config or MitigationConfig(mode="dvfs")
     schedule = DVFSchedule.from_mitigation(config)
@@ -246,46 +248,30 @@ def evaluate_dvfs(
     names = sorted(floorplan.placements)
     num_dies = floorplan.stack.num_dies
     basis = module_power_basis(floorplan, grid, names)  # per die: (M, cells)
-    shape = grid.shape
     windows, period = schedule.windows, schedule.period
     mean_s3 = float(np.mean(schedule.scales() ** 3))
-
-    tkw = topology_kwargs(topology)
-    # per-arm equilibrium die means: nominal mean power for the baseline
-    # arm, governor-mean power (E[scale^3] of the uniform level draw) for
-    # the mitigated arm
-    cache = cache if cache is not None else SolverCache()
-    steady = cache.solver_for_floorplan(floorplan, grid, rhs_budget=2, **tkw)
-    nominal_maps = [basis[d].sum(axis=0).reshape(shape) for d in range(num_dies)]
-    equilibria = steady.solve_many(
-        [nominal_maps, [m * mean_s3 for m in nominal_maps]]
-    )
-    eq_base, eq_gov = (
-        np.array([np.mean(m) for m in result.die_maps]) for result in equilibria
-    )
 
     # die-mean impulse responses, projected onto the modules
     # (steps, modules, dies), then summed over each window's steps:
     # window_kernels[L] maps one window of per-module power deviation to
     # the die means read L windows later
     kernels = TransientSolver(
-        stack_for_floorplan(floorplan, grid, **tkw)
+        stack_for_floorplan(floorplan, grid, **topology_kwargs(topology))
     ).die_mean_kernels(schedule.dt, windows * period)
     module_kernels = sum(basis[s] @ kernels[:, s] for s in range(num_dies))
     window_kernels = module_kernels.reshape(
         windows, period, len(names), num_dies
     ).sum(axis=1)
 
-    def observe(deviation: np.ndarray, equilibrium: np.ndarray) -> np.ndarray:
-        """End-of-window die means, (traces, windows, dies); each trace
-        convolves alone so its bytes never depend on the trace count."""
-        temps = np.empty((len(deviation), windows, num_dies))
-        for tr, dev in enumerate(deviation):
-            rise = np.zeros((windows, num_dies))
+    def observe(deviation: np.ndarray) -> np.ndarray:
+        """End-of-window die-mean rises over the operating point,
+        (traces, windows, dies); each trace convolves alone so its bytes
+        never depend on the trace count."""
+        rises = np.zeros((len(deviation), windows, num_dies))
+        for rise, dev in zip(rises, deviation):
             for lag in range(windows):
                 rise[lag:] += dev[: windows - lag] @ window_kernels[lag]
-            temps[tr] = equilibrium + rise
-        return temps
+        return rises
 
     nominal, governed = _activity(config, schedule, len(names))
     # nominal per-window per-die power totals — the attacker's hypothesis
@@ -294,6 +280,6 @@ def evaluate_dvfs(
     return _report(
         schedule,
         window_power,
-        observe(nominal - 1.0, eq_base),
-        observe(governed - mean_s3, eq_gov),
+        observe(nominal - 1.0),
+        observe(governed - mean_s3),
     )

@@ -42,8 +42,8 @@ class FactorHints:
     cosine-basis preconditioner; direct backends ignore it.
 
     ``rhs_budget`` is how many right-hand sides the caller will solve
-    against this one system (verification solves 1, the DVFS
-    equilibrium 2).  ``None`` means "unknown or many" and leaves
+    against this one system (verification and each dummy-TSV candidate
+    solve 1).  ``None`` means "unknown or many" and leaves
     auto-selection to the size rule alone; a small budget lets auto pick
     the backend with the cheaper setup (see
     :func:`~repro.thermal.backends.resolve_backend`).

@@ -57,6 +57,10 @@ class SpectralFactorization(Factorization):
     def __init__(
         self, matrix: sp.spmatrix, grid_shape, tolerance=SPECTRAL_TOLERANCE, maxiter=_PCG_MAXITER
     ) -> None:
+        if maxiter < 1:
+            raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+        if not tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {tolerance}")
         nl, ny, nx = self.grid_shape = tuple(int(v) for v in grid_shape)
         n = nl * ny * nx
         if n != matrix.shape[0]:

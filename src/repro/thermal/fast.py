@@ -15,10 +15,12 @@ Corblivar calibrates its masks against HotSpot, and like the paper we
 treat the fast model as *inferior but cheap* and verify final results with
 the detailed analysis (Sec. 6).
 
-The blur is :func:`gaussian_blur`, an in-repo separable kernel whose
-float order is that of ``scipy.ndimage.gaussian_filter(mode="nearest")``,
-so results stay bit-identical while a cold process skips importing
-``scipy.ndimage``.
+A blur is two matrix products, ``B_y @ P @ B_xᵀ``, with the
+replicate-edge operators of :func:`_blur_operator`; the model builds each
+``(sigma, axis length)`` operator once.  The result agrees with
+``scipy.ndimage.gaussian_filter(mode="nearest")`` to a stated relative
+tolerance (``tests/test_fast_thermal.py``), not bit for bit, and a cold
+process never imports ``scipy.ndimage``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..layout.grid import GridSpec
 
@@ -50,51 +51,37 @@ def _half_kernel(sigma: float) -> np.ndarray:
     return (phi / phi.sum())[radius:]
 
 
-def _blur_axis(maps: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate a ``(k, ny, nx)`` stack with symmetric kernels along ``axis``.
+def _blur_operator(sigma: float, n: int) -> np.ndarray:
+    """The replicate-edge Gaussian blur of an ``n``-cell axis as an
+    ``(n, n)`` matrix: row ``i`` holds output cell ``i``'s weight on
+    every input cell.
 
-    ``weights[j]`` holds each map's tap ``j`` cells from the centre, shaped
-    ``(k, 1)``.  Each output cell is ``x[i] * w0`` plus ``(x[i - j] +
-    x[i + j]) * w_j`` for ``j`` from the radius inward, added in that
-    order; edges replicate through clipped indices, so a kernel wider than
-    the axis needs no special case.
+    The weights are scipy's (:func:`_half_kernel`, mirrored); a tap past
+    either end lands on the edge cell, so a kernel wider than the axis
+    needs no special case.
     """
-    radius = len(weights) - 1
-    lines = np.moveaxis(maps, axis, 0)
-    n = lines.shape[0]
-    padded = lines[np.clip(np.arange(-radius, n + radius), 0, n - 1)]
-    out = padded[radius : radius + n] * weights[0]
-    if radius:
-        # shifted[s] is padded[s : s + n]: the lines moved by s - radius
-        shifted = np.moveaxis(sliding_window_view(padded, n, axis=0), -1, 1)
-        taps = shifted[:radius] + shifted[2 * radius : radius : -1]
-        taps *= weights[radius:0:-1, None]
-        for tap in taps:
-            out += tap
-    return np.moveaxis(out, 0, axis)
-
-
-def _blur_stack(maps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Blur map ``i`` of a ``(k, ny, nx)`` float stack with the half kernel
-    ``kernels[i]``; all kernels share one radius.  Axis ``ny`` goes first,
-    as in scipy, and the result is C-ordered like scipy's, so later
-    reductions over it sum in the same order."""
-    weights = kernels.T[:, :, None]
-    for axis in (1, 2):
-        maps = _blur_axis(maps, weights, axis)
-    return np.ascontiguousarray(maps)
+    half = _half_kernel(sigma)
+    taps = np.concatenate([half[:0:-1], half])
+    offsets = np.arange(1 - len(half), len(half))
+    rows = np.repeat(np.arange(n), len(taps))
+    cols = np.clip(rows + np.tile(offsets, n), 0, n - 1)
+    operator = np.zeros((n, n))
+    np.add.at(operator, (rows, cols), np.tile(taps, n))
+    return operator
 
 
 def gaussian_blur(image, sigma: float) -> np.ndarray:
     """Gaussian blur of the last two axes, edges replicated.
 
-    Bit-identical to ``scipy.ndimage.gaussian_filter(image, sigma,
-    mode="nearest")`` on a 2-D float map; a stack ``(..., ny, nx)`` blurs
-    each map independently, exactly as one map.
+    ``B_y @ P @ B_xᵀ`` with :func:`_blur_operator` matrices: within a
+    stated relative tolerance (``tests/test_fast_thermal.py``) of
+    ``scipy.ndimage.gaussian_filter(image, sigma, mode="nearest")`` on a
+    2-D float map; a stack ``(..., ny, nx)`` blurs each map independently,
+    exactly as one map.  The result is C-ordered.
     """
     image = np.asarray(image, dtype=float)
-    maps = image.reshape((-1,) + image.shape[-2:])
-    return _blur_stack(maps, _half_kernel(sigma)[None]).reshape(image.shape)
+    ny, nx = image.shape[-2:]
+    return _blur_operator(sigma, ny) @ image @ _blur_operator(sigma, nx).T
 
 
 def _validated_shapes(power_maps: Sequence[np.ndarray], num_dies: int) -> Tuple[int, int]:
@@ -236,10 +223,24 @@ class FastThermalModel:
     masks: Dict[Tuple[int, int], MaskParams] = field(default_factory=dict)
     tsv_beta: float = 0.45
     ambient: float = 293.0
+    #: read-only :func:`_blur_operator` matrices by ``(sigma, axis
+    #: length)``, built on first use; one model serves every estimate of
+    #: a (stack, grid), so each is built once
+    _operators: Dict[Tuple[float, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.masks:
             self.masks = self.default_masks(self.num_dies)
+
+    def _operator(self, sigma: float, n: int) -> np.ndarray:
+        operator = self._operators.get((sigma, n))
+        if operator is None:
+            operator = _blur_operator(sigma, n)
+            operator.setflags(write=False)
+            self._operators[(sigma, n)] = operator
+        return operator
 
     @staticmethod
     def default_masks(num_dies: int) -> Dict[Tuple[int, int], MaskParams]:
@@ -286,26 +287,24 @@ class FastThermalModel:
         # attenuate each source once; reused across all target dies
         sources = [power_maps[s] * atten[s] for s in range(self.num_dies)]
         # blur each (source, sigma) once: targets sharing a sigma (the
-        # global component always, the default local one too) reuse it, and
-        # every blur of one kernel radius runs in one stack.  Replicated
-        # edges mirror the solver's adiabatic lateral walls: no heat (and
-        # no kernel mass) is lost over the die edge.
-        jobs: Dict[Tuple[int, float], None] = {}
+        # global component always, the default local one too) reuse it.
+        # Replicated edges mirror the solver's adiabatic lateral walls: no
+        # heat (and no kernel mass) is lost over the die edge.
+        ny, nx = shape
+        blurred: Dict[Tuple[int, float], np.ndarray] = {}
         for s in range(self.num_dies):
             for t in range(self.num_dies):
                 params = self.masks[(s, t)]
-                jobs[(s, params.sigma)] = None
+                sigmas = [params.sigma]
                 if params.amplitude_global > 0:
-                    jobs[(s, params.sigma_global)] = None
-        kernels = {sigma: _half_kernel(sigma) for _, sigma in jobs}
-        by_radius: Dict[int, List[Tuple[int, float]]] = {}
-        for job in jobs:
-            by_radius.setdefault(len(kernels[job[1]]), []).append(job)
-        blurred: Dict[Tuple[int, float], np.ndarray] = {}
-        for group in by_radius.values():
-            maps = np.stack([sources[s] for s, _ in group])
-            stack = _blur_stack(maps, np.stack([kernels[sigma] for _, sigma in group]))
-            blurred.update(zip(group, stack))
+                    sigmas.append(params.sigma_global)
+                for sigma in sigmas:
+                    if (s, sigma) not in blurred:
+                        blurred[(s, sigma)] = (
+                            self._operator(sigma, ny)
+                            @ sources[s]
+                            @ self._operator(sigma, nx).T
+                        )
         out: List[np.ndarray] = []
         for t in range(self.num_dies):
             temp = np.full(shape, self.ambient, dtype=float)

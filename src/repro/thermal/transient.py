@@ -17,11 +17,13 @@ precomputed layer-slice index instead of a per-step per-die Python loop.
 of die-mean temperatures actually asks, without integrating any trace:
 the system is linear and time-invariant, so every die mean is a
 convolution of the power deviations with an impulse response, and the
-adjoint recursion computes that response in ``steps`` solves whatever
-the number of traces.  The DVFS leakage evaluator
-(:mod:`repro.mitigation.dvfs`) scores through it; it is deterministic
-and equals forward integration (``tests/oracles/transient.py``) within
-1e-10.
+adjoint recursion computes that response in ``steps`` one-column solves
+per die whatever the number of traces.  One factorization serves every
+die; the dies' recursions never interact, so each runs as its own chain
+on a small thread pool.  The DVFS leakage evaluator
+(:mod:`repro.mitigation.dvfs`) scores through it; it is deterministic,
+byte-identical whatever the pool size, and equals forward integration
+(``tests/oracles/transient.py``) within 1e-10.
 
 This solver backs the Figure 1 reproduction: module activity toggles on a
 nanosecond-to-microsecond scale while the thermal response follows on a
@@ -31,6 +33,7 @@ not defeat) the thermal side channel (Sec. 2.1).
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
@@ -231,33 +234,59 @@ class TransientSolver:
         temperature at the end of step ``k + j`` caused by 1 W injected
         into cell ``c`` of die ``s`` during step ``k`` only (``j = 0`` is
         that step itself; cells in :meth:`run`'s power-map order).  The
-        backward-Euler system is linear and time-invariant, and a step
-        from the equilibrium ``T0 = G⁻¹(q̄ + B T_amb)`` under constant
-        ``q̄`` returns ``T0``, so a run started there reads die means
-        ``mean_d(T0) + Σ_j Σ_{s,c} H[j, s, c, d] · (q_{n−j} − q̄)[s, c]``.
+        backward-Euler system is linear and time-invariant, so a run's die
+        means are its response to constant power plus
+        ``Σ_j Σ_{s,c} H[j, s, c, d] · (q_{n−j} − q̄)[s, c]`` for any
+        reference power ``q̄``.
 
         Computed by the adjoint recursion on the step matrix
-        ``A = C/dt + G`` (symmetric): ``w_0 = A⁻¹R``,
-        ``w_j = A⁻¹((C/dt)·w_{j−1})``, where ``R`` holds one mean-readout
-        column per die and ``H[j]`` is ``w_j`` at the die nodes — ``steps``
-        solves of a (nodes, dies) block, whatever number of traces the
-        caller convolves against ``H``.
+        ``A = C/dt + G`` (symmetric): ``w_0 = A⁻¹r_d``,
+        ``w_j = A⁻¹((C/dt)·w_{j−1})``, where ``r_d`` is die ``d``'s
+        mean-readout column and ``H[j, :, :, d]`` is ``w_j`` at the die
+        nodes — ``steps`` one-column solves per die, whatever number of
+        traces the caller convolves against ``H``.
+
+        The step matrix is factorized here, on the calling thread.  The
+        dies' chains never interact, so each runs alone on a pool of one
+        thread per die, at most one per available core; only
+        ``Factorization.solve_many`` runs off the calling thread, and
+        SuperLU releases the GIL inside it.  A chain's bytes do not
+        depend on the pool size.
         """
         if dt <= 0 or steps < 1:
             raise ValueError("dt must be positive and steps >= 1")
         lu = self._factorize(dt)
         num_dies, cells = self._die_nodes.shape
         kernels = np.empty((steps, num_dies, cells, num_dies))
-        readout = np.zeros((self.network.num_nodes, num_dies))
-        for d in range(num_dies):
-            readout[self._die_nodes[d], d] = 1.0 / cells
         c_over_dt = (self.network.capacitance / dt)[:, None]
-        w = lu.solve_many(readout)
-        kernels[0] = w[self._die_nodes]
-        for j in range(1, steps):
-            w = lu.solve_many(c_over_dt * w)
-            kernels[j] = w[self._die_nodes]
+
+        def chain(d: int) -> None:
+            readout = np.zeros((self.network.num_nodes, 1))
+            readout[self._die_nodes[d]] = 1.0 / cells
+            w = lu.solve_many(readout)
+            kernels[0, :, :, d] = w[self._die_nodes, 0]
+            for j in range(1, steps):
+                w = lu.solve_many(c_over_dt * w)
+                kernels[j, :, :, d] = w[self._die_nodes, 0]
+
+        workers = min(num_dies, _available_cores())
+        if workers <= 1:
+            for d in range(num_dies):
+                chain(d)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                # list() re-raises the first chain's exception, if any
+                list(pool.map(chain, range(num_dies)))
         return kernels
+
+
+def _available_cores() -> int:
+    """Cores this process may run on (its affinity mask where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def thermal_time_constant(trace: TransientTrace, die: int = 0) -> float:

@@ -5,7 +5,9 @@ kernels; this module keeps the path it replaced: every trace of both
 arms integrated step by step from its equilibrium, either one
 :meth:`~repro.thermal.transient.TransientSolver.run` at a time or batched
 column-exact.  The two forward variants are byte-identical to each other;
-the adjoint path must match them within 1e-10.
+the adjoint path must match them within 1e-10.  It also keeps the
+kernels' serial reference, every die's recursion on the calling thread,
+which the threaded ``die_mean_kernels`` must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -65,6 +67,24 @@ def run_many_column_exact(
         )
         for b in range(batch)
     ]
+
+
+def die_mean_kernels_serial(
+    solver: TransientSolver, dt: float, steps: int
+) -> np.ndarray:
+    """``die_mean_kernels`` on the calling thread, die by die, one
+    vector solve per step of each die's adjoint recursion."""
+    lu = solver._factorize(dt)
+    num_dies, cells = solver._die_nodes.shape
+    kernels = np.empty((steps, num_dies, cells, num_dies))
+    c_over_dt = solver.network.capacitance / dt
+    for d in range(num_dies):
+        w = np.zeros(solver.network.num_nodes)
+        w[solver._die_nodes[d]] = 1.0 / cells
+        for j in range(steps):
+            w = lu.solve(w if j == 0 else c_over_dt * w)
+            kernels[j, :, :, d] = w[solver._die_nodes]
+    return kernels
 
 
 def window_power_at(per_die_maps: List[np.ndarray], schedule: DVFSchedule):

@@ -8,6 +8,7 @@ decorrelates the temperature trace from the secret activity sequence.
 """
 
 import json
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
+from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.mitigation import (
     MITIGATION_MODES,
@@ -24,9 +26,14 @@ from repro.mitigation import (
     MitigationConfig,
     evaluate_dvfs,
 )
-from repro.thermal.stack import TopologyConfig
+from repro.mitigation.dvfs import _report
+from repro.thermal import transient
+from repro.thermal.backends.base import FactorizationBackend
+from repro.thermal.stack import TopologyConfig, stack_for_floorplan, topology_kwargs
+from repro.thermal.steady_state import SteadyStateSolver
+from repro.thermal.transient import TransientSolver
 
-from oracles.transient import evaluate_dvfs_forward
+from oracles.transient import die_mean_kernels_serial, evaluate_dvfs_forward
 
 
 def _floorplan(num_dies=2, bg2_die=0):
@@ -179,6 +186,140 @@ class TestDeterminism:
             results = list(pool.map(_evaluate_in_subprocess, [kind, kind]))
         assert results[0] == results[1]
         assert results[0] == _evaluate_in_subprocess(kind)
+
+
+def _transient_solver(num_dies, kind, n=12):
+    fp = _floorplan(num_dies, bg2_die=num_dies - 1)
+    grid = GridSpec(fp.stack.outline, n, n)
+    topo = TopologyConfig(kind=kind) if kind != "3d" else None
+    return TransientSolver(stack_for_floorplan(fp, grid, **topology_kwargs(topo)))
+
+
+class TestKernelThreads:
+    """``die_mean_kernels`` runs each die's adjoint chain on a thread; the
+    chains never interact, so the pool size cannot move a byte."""
+
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    @pytest.mark.parametrize("kind", ["3d", "2.5d"])
+    @pytest.mark.parametrize("cores", [None, 1, 3])
+    def test_threaded_equals_serial_recursion_bytewise(
+        self, kind, num_dies, cores, monkeypatch
+    ):
+        """``cores`` pins the pool: one worker (no thread at all), one
+        per die, or this host's own count."""
+        if cores is not None:
+            monkeypatch.setattr(transient, "_available_cores", lambda: cores)
+        solver = _transient_solver(num_dies, kind)
+        got = solver.die_mean_kernels(2e-3, 9)
+        want = die_mean_kernels_serial(solver, 2e-3, 9)
+        assert got.shape == (9, num_dies, solver._die_nodes.shape[1], num_dies)
+        assert got.tobytes() == want.tobytes()
+
+    def test_chain_error_reaches_the_caller(self, monkeypatch):
+        solver = _transient_solver(2, "3d")
+        lu = solver._factorize(2e-3)
+
+        def broken(b):
+            raise FloatingPointError("singular step")
+
+        monkeypatch.setattr(lu, "solve_many", broken)
+        monkeypatch.setattr(transient, "_available_cores", lambda: 2)
+        with pytest.raises(FloatingPointError, match="singular step"):
+            solver.die_mean_kernels(2e-3, 3)
+
+
+class TestNoEquilibrium:
+    def test_builds_no_steady_state_solver(self, floorplan, monkeypatch):
+        """The arms' operating points cancel out of every score, so no
+        steady-state system is built; one step matrix is factorized."""
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("evaluate_dvfs built a steady-state solver")
+
+        monkeypatch.setattr(SteadyStateSolver, "__init__", forbidden)
+        factored = []
+        for cls in _backend_classes():
+            original = cls.factor
+
+            def factor(self, *args, _original=original, **kwargs):
+                factored.append(type(self).name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "factor", factor)
+        for kind in ("3d", "2.5d"):
+            topo = TopologyConfig(kind=kind) if kind != "3d" else None
+            evaluate_dvfs(floorplan, MitigationConfig(**SMALL), topology=topo)
+        assert len(factored) == 2
+
+    def test_scores_ignore_per_arm_die_offsets(self):
+        """A constant added per (arm, die) to the temperatures — the
+        operating point the evaluator no longer solves for — moves no
+        score by more than 1e-12."""
+        rng = np.random.default_rng(11)
+        traces, windows, dies = 4, 12, 3
+        power = rng.random((traces, windows, dies))
+        base = rng.normal(0.0, 0.05, (traces, windows, dies))
+        gov = rng.normal(0.0, 0.05, (traces, windows, dies))
+        schedule = DVFSchedule(windows=windows)
+        rises = _report(schedule, power, base, gov)
+        offset = _report(
+            schedule, power,
+            base + 300.0 + rng.random(dies) * 40.0,
+            gov + 300.0 + rng.random(dies) * 40.0,
+        )
+        for field in (
+            "baseline_correlations", "mitigated_correlations",
+            "baseline_die_correlation", "mitigated_die_correlation",
+            "baseline_local", "mitigated_local",
+        ):
+            np.testing.assert_allclose(
+                getattr(offset, field), getattr(rises, field),
+                rtol=0.0, atol=1e-12, err_msg=field,
+            )
+
+    def test_wrapped_calls_stay_on_the_calling_thread(self, floorplan, monkeypatch):
+        """Only ``Factorization.solve_many`` runs on the kernel pool: every
+        factorization, steady solve and transient run happens on the
+        calling thread, where a single-threaded span stack can time it."""
+        calls = []
+        caller = threading.get_ident()
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((f"{cls.__name__}.{name}", threading.get_ident()))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        for cls in _backend_classes():
+            spy(cls, "factor")
+        for name in ("solve", "solve_many"):
+            spy(SteadyStateSolver, name)
+        for name in ("run", "run_many", "die_mean_kernels"):
+            spy(TransientSolver, name)
+        for kind in ("3d", "2.5d"):
+            topo = TopologyConfig(kind=kind) if kind != "3d" else None
+            evaluate_dvfs(
+                _floorplan(3, bg2_die=2), MitigationConfig(**SMALL), topology=topo
+            )
+        assert {name for name, _ in calls} >= {"TransientSolver.die_mean_kernels"}
+        assert any(name.endswith(".factor") for name, _ in calls)
+        assert all(ident == caller for _, ident in calls), calls
+
+
+def _backend_classes():
+    """Every concrete factorization backend class."""
+    found, todo = [], [FactorizationBackend]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "factor" in cls.__dict__ and not getattr(
+            cls.__dict__["factor"], "__isabstractmethod__", False
+        ):
+            found.append(cls)
+    return found
 
 
 class TestMitigationEffect:

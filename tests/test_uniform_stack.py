@@ -72,6 +72,27 @@ class TestRefusals:
         with pytest.raises(ValueError, match="does not match"):
             SpectralFactorization(matrix, (stack.num_layers, 8, 9))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(maxiter=0), "maxiter must be >= 1"),
+            (dict(maxiter=-3), "maxiter must be >= 1"),
+            (dict(tolerance=0.0), "tolerance must be positive"),
+            (dict(tolerance=-1e-12), "tolerance must be positive"),
+            (dict(tolerance=float("nan")), "tolerance must be positive"),
+        ],
+    )
+    def test_pcg_limits_validated(self, kwargs, message):
+        """A zero iteration cap used to reach ``_pcg`` and die there with
+        an ``UnboundLocalError``; the constructor now refuses it."""
+        cfg = _stack_config(2)
+        stack = build_stack(cfg, GridSpec(cfg.outline, 8, 8))
+        matrix = SteadyStateSolver(stack, backend="superlu").network.conductance
+        with pytest.raises(ValueError, match=message):
+            SpectralFactorization(matrix, (stack.num_layers, 8, 8), **kwargs)
+        fact = SpectralFactorization(matrix, (stack.num_layers, 8, 8), maxiter=1)
+        assert np.all(np.isfinite(fact.solve(np.ones(matrix.shape[0]))))
+
     @pytest.mark.parametrize("name", benchmark_names())
     @pytest.mark.parametrize("num_dies", [2, 3])
     def test_every_suite_stack_calibrates_uniformly(self, name, num_dies):
