@@ -34,7 +34,6 @@ import numpy as np
 
 from ..layout.die import StackConfig
 from ..layout.grid import GridSpec, rasterize_rects
-from ..layout.module import ModuleKind
 from ..layout.net import CompiledNetlist, Net, Terminal
 from ..layout.tsv import interface_densities
 from ..leakage.entropy import spatial_entropy
@@ -287,7 +286,7 @@ class CostEvaluator:
             self._modules = _ModuleArrays(
                 power=array([m.power for m in mods]),
                 delay=array([m.intrinsic_delay for m in mods]),
-                soft=array([m.kind == ModuleKind.SOFT for m in mods], dtype=bool),
+                soft=array([m.is_soft for m in mods], dtype=bool),
                 width=array([m.width for m in mods]),
                 height=array([m.height for m in mods]),
             )

@@ -32,7 +32,6 @@ from repro.layout.geometry import Rect
 from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.layout.net import Net, Terminal
-from repro.timing.paths import TimingGraph
 from repro.layout.tsv import (
     TSV,
     TSVKind,
@@ -43,6 +42,7 @@ from repro.layout.tsv import (
 from repro.leakage.entropy import nested_means_classes, spatial_entropy
 from repro.mitigation.activity import module_power_basis
 from repro.thermal.fast import FastThermalModel
+from repro.timing.paths import TimingGraph
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -355,7 +355,6 @@ class TestRefreshFromSnapshot:
         evaluator.thermal = recorder
         timing = TimingGraph(list(state.modules), circ.nets, tsv_length_um=50.0)
         realized = []
-        realize = LayoutState.realize_with_positions
         for move in range(moves + 1):
             candidate = state.copy()
             if move:
@@ -368,8 +367,7 @@ class TestRefreshFromSnapshot:
                               _forbidden("realize_with_positions"))
                 evaluator.evaluate(candidate, force_full=not move)
             state = candidate
-            fp = realize(state, *state.pack()[:1], nets=circ.nets,
-                         terminals=circ.terminals, place_tsvs=False)
+            fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
             voltages = evaluator._cache.assignment.voltages
             realized.append(fp.with_voltages(voltages) if voltages else fp)
             got = evaluator._cache
