@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..api import JobSpec, execute_spec
+from ..core.parallel import IN_POOL_ENV
 from ..core.queue import WorkQueue, run_worker
 from ..core.results import FlowMetrics, aggregate_metrics
 from ..core.store import ResultsStore
@@ -213,10 +214,8 @@ def batch_worker_main(
     work --watch``), serving jobs the evaluation service fans out as
     they arrive.  Returns the number of jobs this worker completed.
     """
-    # mark this process as a pool worker: tempered flows inside it default
-    # to serial replica advancement instead of nesting a second pool
-    from ..floorplan.tempering import IN_POOL_ENV
-
+    # mark this process as a pool worker: tempered flows and DVFS kernels
+    # inside it stay serial instead of nesting a second pool
     os.environ[IN_POOL_ENV] = "1"
     queue = WorkQueue(
         queue_dir,
@@ -312,8 +311,6 @@ def run_batch(
         if processes is None:
             processes = min(len(pending), os.cpu_count() or 1)
         if processes <= 1 or len(pending) == 1:
-            from ..floorplan.tempering import IN_POOL_ENV
-
             prev_in_pool = os.environ.get(IN_POOL_ENV)
             try:
                 # the serial drain is still batch context: don't let a

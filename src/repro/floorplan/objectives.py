@@ -33,18 +33,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..layout.die import StackConfig
+from ..layout.floorplan import signal_sites_at
 from ..layout.grid import GridSpec, rasterize_rects
 from ..layout.net import CompiledNetlist, Net, Terminal
 from ..layout.tsv import interface_densities
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
-from ..power.voltages import delay_scale_for, power_scale_for
+from ..power.voltages import scaled_delay, scaled_power, total_power
 from ..thermal import fast
 from ..thermal.fast import FastThermalModel
 from ..thermal.steady_state import calibration_solver
 from ..timing.paths import TimingGraph
-from .seqpair import LayoutState, pack_die
+from .seqpair import LayoutState, keeps_nominal_size, pack_die
 
 __all__ = [
     "ObjectiveWeights",
@@ -170,10 +171,11 @@ class _ExpensiveCache:
     correlation: float = 0.0
     entropy: float = 0.0
     assignment: Optional[VoltageAssignment] = None
-    #: per-module power and delay factors of the assignment's voltages,
-    #: module-index order (``None``: every module at the 1.0 V reference)
-    power_scale: Optional[np.ndarray] = None
-    delay_scale: Optional[np.ndarray] = None
+    #: per-module watts and delays at the assignment's voltages (1.0 V
+    #: before any assignment), module-index order; ``None``: not derived
+    #: since the last assignment
+    watts: Optional[np.ndarray] = None
+    delays: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,10 @@ class _ModuleArrays:
     height: np.ndarray
 
     def realized_sizes(self, w: np.ndarray, h: np.ndarray):
-        """The footprint ``realize_with_positions`` gives packed sizes: a
-        soft module within 1e-9 of its nominal width and height keeps
-        the nominal ones (so its centre can move by an ulp)."""
-        nominal = (
-            self.soft
-            & (np.abs(w - self.width) <= 1e-9)
-            & (np.abs(h - self.height) <= 1e-9)
-        )
+        """The footprint ``realize_with_positions`` gives packed sizes
+        (a soft module it keeps at its nominal size can move its centre
+        by an ulp)."""
+        nominal = self.soft & keeps_nominal_size(w, h, self.width, self.height)
         return np.where(nominal, self.width, w), np.where(nominal, self.height, h)
 
 
@@ -375,38 +373,33 @@ class CostEvaluator:
                 fp, inflation, objective=objective,
                 max_volume_size=self.inloop_volume_size,
             )
-            volts = [
-                cache.assignment.voltages.get(n, 1.0)
-                for n in self._compiled(state).module_names
-            ]
-            cache.power_scale = np.array([power_scale_for(v) for v in volts])
-            cache.delay_scale = np.array([delay_scale_for(v) for v in volts])
+            cache.watts = None
+        if cache.watts is None:
+            voltages = cache.assignment.voltages if cache.assignment else {}
+            volts = [voltages.get(n, 1.0) for n in self._compiled(state).module_names]
+            cache.watts = scaled_power(mods.power, volts)
+            cache.delays = scaled_delay(mods.delay, volts)
+            cache.power = total_power(mods.power, volts)
         # the realized floorplan's geometry, to the ulp
         w, h = mods.realized_sizes(snap.w, snap.h)
         cx, cy = snap.x + w / 2.0, snap.y + h / 2.0
-        power = mods.power
-        if cache.power_scale is not None:
-            power = power * cache.power_scale
         if refresh_timing:
             timing = self._timing_graph(state)
-            delay = mods.delay
-            if cache.delay_scale is not None:
-                delay = delay * cache.delay_scale
-            through = timing.through_times(timing.net_delays(cx, cy, snap.dies), delay)
-            cache.delay = float(through.max())
+            net_delays = timing.net_delays(cx, cy, snap.dies)
+            cache.delay = float(timing.through_times(net_delays, cache.delays).max())
         if refresh_thermal:
             num_dies = self.stack.num_dies
             maps = []
             for d in range(num_dies):
                 on = snap.dies == d
                 maps.append(
-                    rasterize_rects(power[on], snap.x[on], snap.y[on], w[on], h[on], self.grid)
+                    rasterize_rects(
+                        cache.watts[on], snap.x[on], snap.y[on], w[on], h[on], self.grid
+                    )
                 )
             if num_dies > 1:
                 # every adjacent interface's TSVs, not just (0, 1)
-                sites = self._compiled(state).sites(
-                    cx, cy, snap.dies, self.stack.outline, self.stack.tsv_pitch / 2.0
-                )
+                sites = signal_sites_at(self._compiled(state), self.stack, cx, cy, snap.dies)
                 density = interface_densities(
                     sites, self.stack.tsv_pitch, self.stack.outline,
                     self.grid.nx, self.grid.ny, num_dies,
@@ -423,8 +416,6 @@ class CostEvaluator:
             if self.weights.entropy > 0.0:
                 ents = [float(spatial_entropy(m)) for m in maps]
                 cache.entropy = float(np.mean(ents))
-        # summed one module at a time, as Floorplan3D.total_power does
-        cache.power = sum(power.tolist())
         cache.volumes = (
             float(cache.assignment.num_volumes) if cache.assignment else 0.0
         )

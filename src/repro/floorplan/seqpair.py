@@ -26,7 +26,7 @@ from ..layout.floorplan import Floorplan3D
 from ..layout.module import Module, ModuleKind, Placement
 from ..layout.net import Net, Terminal
 
-__all__ = ["DieSequencePair", "LayoutState", "pack_die"]
+__all__ = ["DieSequencePair", "LayoutState", "keeps_nominal_size", "pack_die"]
 
 
 class _PrefixMaxBIT:
@@ -79,6 +79,13 @@ class DieSequencePair:
     def insert_random(self, name: str, rng: np.random.Generator) -> None:
         self.s1.insert(int(rng.integers(0, len(self.s1) + 1)), name)
         self.s2.insert(int(rng.integers(0, len(self.s2) + 1)), name)
+
+
+def keeps_nominal_size(w, h, width, height):
+    """Whether a soft module packed at ``w`` x ``h`` is realized at its
+    nominal ``width`` x ``height``: both within 1e-9.  Scalars or
+    arrays (elementwise)."""
+    return (abs(w - width) <= 1e-9) & (abs(h - height) <= 1e-9)
 
 
 def pack_die(
@@ -268,7 +275,7 @@ class LayoutState:
             # Placement.rect matches the geometry the packer used.
             if module.kind == ModuleKind.SOFT:
                 eff_module = module
-                if abs(w - module.width) > 1e-9 or abs(h - module.height) > 1e-9:
+                if not keeps_nominal_size(w, h, module.width, module.height):
                     eff_module = Module(
                         module.name, w, h, kind=module.kind, power=module.power,
                         intrinsic_delay=module.intrinsic_delay,

@@ -49,6 +49,7 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..core.parallel import fanout_cores
 from ..layout.die import StackConfig
 from ..layout.module import Module
 from ..layout.net import Net, Terminal
@@ -61,9 +62,6 @@ __all__ = ["temper", "resolve_replica_processes"]
 #: usual replica-exchange sweet spot for ~4-8 rungs
 DEFAULT_LADDER_RATIO = 1.6
 
-#: set by pool workers (see repro.exploration.study) so nested tempering
-#: defaults to serial instead of oversubscribing the machine
-IN_POOL_ENV = "REPRO_IN_POOL_WORKER"
 #: explicit override for the replica pool size (0/1 -> serial)
 PROCESSES_ENV = "REPRO_REPLICA_PROCESSES"
 
@@ -81,9 +79,7 @@ def resolve_replica_processes(replicas: int, processes: Optional[int] = None) ->
     env = os.environ.get(PROCESSES_ENV)
     if env:
         return max(1, int(env))
-    if os.environ.get(IN_POOL_ENV):
-        return 1
-    return max(1, min(replicas, os.cpu_count() or 1))
+    return max(1, min(replicas, fanout_cores()))
 
 
 def _advance(chain: AnnealChain, moves: int) -> AnnealChain:

@@ -25,7 +25,20 @@ from .module import Module, Placement
 from .net import CompiledNetlist, Net, Terminal, total_hpwl
 from .tsv import TSV, SignalSites, TSVKind, tsv_density_map
 
-__all__ = ["Floorplan3D"]
+__all__ = ["Floorplan3D", "signal_sites_at"]
+
+
+def signal_sites_at(
+    netlist: CompiledNetlist,
+    stack: StackConfig,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    dies: np.ndarray,
+) -> SignalSites:
+    """Signal-TSV sites of ``netlist``'s die-crossing nets for module
+    centres ``(cx, cy)`` on ``dies`` (``netlist.module_names`` order),
+    kept half a TSV pitch inside ``stack``'s outline."""
+    return netlist.sites(cx, cy, dies, stack.outline, stack.tsv_pitch / 2.0)
 
 
 @dataclass
@@ -133,9 +146,7 @@ class Floorplan3D:
         placements = [self.placements[n] for n in netlist.module_names]
         centers = np.array([p.center for p in placements], dtype=float).reshape(-1, 2)
         dies = np.array([p.die for p in placements], dtype=np.int64)
-        return netlist.sites(
-            centers[:, 0], centers[:, 1], dies, self.stack.outline, self.stack.tsv_pitch / 2.0
-        )
+        return signal_sites_at(netlist, self.stack, centers[:, 0], centers[:, 1], dies)
 
     def place_signal_tsvs(self) -> None:
         """Derive signal TSV sites from inter-die nets.
@@ -198,11 +209,10 @@ class Floorplan3D:
 
     def total_power(self) -> float:
         """Total power in W including voltage scaling."""
-        from ..power.voltages import power_scale_for
+        from ..power.voltages import total_power
 
-        return sum(
-            p.module.power * power_scale_for(p.voltage) for p in self.placements.values()
-        )
+        placements = self.placements.values()
+        return total_power([p.module.power for p in placements], [p.voltage for p in placements])
 
     # -- copies -----------------------------------------------------------------
     def copy(self) -> "Floorplan3D":

@@ -137,13 +137,11 @@ def cell_overlaps(
 def _placement_arrays(placements: Sequence[Placement], activity):
     """``(power, x, y, w, h)`` of placements: effective watts, lower-left
     corners and footprint sizes, in ``placements`` order."""
-    from ..power.voltages import power_scale_for  # local import avoids cycle
+    from ..power.voltages import scaled_power  # local import avoids cycle
 
-    act = {} if activity is None else activity
-    power = np.array(
-        [p.module.power * power_scale_for(p.voltage) * act.get(p.name, 1.0) for p in placements],
-        dtype=float,
-    )
+    power = scaled_power([p.module.power for p in placements], [p.voltage for p in placements])
+    if activity is not None:
+        power = power * np.array([activity.get(p.name, 1.0) for p in placements], dtype=float)
     x, y, w, h = np.array(
         [(p.x, p.y, p.width, p.height) for p in placements], dtype=float
     ).reshape(-1, 4).T

@@ -23,6 +23,9 @@ __all__ = [
     "DEFAULT_LEVELS",
     "power_scale_for",
     "delay_scale_for",
+    "scaled_power",
+    "scaled_delay",
+    "total_power",
     "feasible_voltages",
 ]
 
@@ -75,6 +78,26 @@ def delay_scale_for(volts: float) -> float:
     if level is not None:
         return level.delay_scale
     return _interpolate(volts, "delay_scale")
+
+
+def scaled_power(power: Sequence[float], volts: Sequence[float]) -> np.ndarray:
+    """Effective per-module watts: each nominal ``power`` times its
+    supply's :func:`power_scale_for`, elementwise."""
+    scale = np.array([power_scale_for(v) for v in volts], dtype=float)
+    return np.asarray(power, dtype=float) * scale
+
+
+def scaled_delay(delay: Sequence[float], volts: Sequence[float]) -> np.ndarray:
+    """Per-module delays: each nominal ``delay`` times its supply's
+    :func:`delay_scale_for`, elementwise."""
+    scale = np.array([delay_scale_for(v) for v in volts], dtype=float)
+    return np.asarray(delay, dtype=float) * scale
+
+
+def total_power(power: Sequence[float], volts: Sequence[float]) -> float:
+    """Total effective watts of modules, summed one module at a time in
+    the given order."""
+    return sum(scaled_power(power, volts).tolist())
 
 
 def feasible_voltages(

@@ -67,7 +67,8 @@ class SpectralFactorization(Factorization):
             raise ValueError(f"grid_shape {grid_shape} does not match {matrix.shape[0]} nodes")
         self.tolerance = tolerance
         self.maxiter = maxiter
-        #: most PCG iterations any column of the last solve took
+        #: most PCG iterations any column of the last solve took; under
+        #: concurrent solves on one factorization, of whichever ended last
         self.last_iterations = 0
         # assemble's CSC is used as is: its matvec costs what CSR's does
         self._matrix = A = matrix.tocsc()
@@ -141,11 +142,12 @@ class SpectralFactorization(Factorization):
         B = np.asarray(b, dtype=np.float64)
         columns = B.reshape(B.shape[0], -1)
         X = np.empty_like(columns)
-        self.last_iterations, worst = 0, 0.0
+        most, worst = 0, 0.0
         for j in range(columns.shape[1]):
             X[:, j], iterations, residual = self._pcg(np.ascontiguousarray(columns[:, j]))
-            self.last_iterations = max(self.last_iterations, iterations)
+            most = max(most, iterations)
             worst = max(worst, residual)
+        self.last_iterations = most
         if worst > self.tolerance:
             warn_degraded(
                 "spectral.no_convergence",

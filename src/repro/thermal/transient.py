@@ -17,12 +17,12 @@ precomputed layer-slice index instead of a per-step per-die Python loop.
 of die-mean temperatures actually asks, without integrating any trace:
 the system is linear and time-invariant, so every die mean is a
 convolution of the power deviations with an impulse response, and the
-adjoint recursion computes that response in ``steps`` one-column solves
-per die whatever the number of traces.  One factorization serves every
-die; the dies' recursions never interact, so each runs as its own chain
-on a small thread pool.  The DVFS leakage evaluator
+adjoint recursion computes that response in ``steps`` solves per die
+whatever the number of traces.  One factorization serves every die; the
+dies' recursions never interact, so on an idle host each runs as its own
+chain on a small thread pool.  The DVFS leakage evaluator
 (:mod:`repro.mitigation.dvfs`) scores through it; it is deterministic,
-byte-identical whatever the pool size, and equals forward integration
+byte-identical however the dies are split, and equals forward integration
 (``tests/oracles/transient.py``) within 1e-10.
 
 This solver backs the Figure 1 reproduction: module activity toggles on a
@@ -33,7 +33,6 @@ not defeat) the thermal side channel (Sec. 2.1).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
@@ -41,6 +40,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ..core.parallel import fanout_cores
 from .backends import resolve_backend
 from .rc_network import ThermalNetwork, assemble
 from .stack import ThermalStack
@@ -243,15 +243,19 @@ class TransientSolver:
         ``A = C/dt + G`` (symmetric): ``w_0 = A⁻¹r_d``,
         ``w_j = A⁻¹((C/dt)·w_{j−1})``, where ``r_d`` is die ``d``'s
         mean-readout column and ``H[j, :, :, d]`` is ``w_j`` at the die
-        nodes — ``steps`` one-column solves per die, whatever number of
-        traces the caller convolves against ``H``.
+        nodes — ``steps`` solves per die, whatever number of traces the
+        caller convolves against ``H``.
 
         The step matrix is factorized here, on the calling thread.  The
-        dies' chains never interact, so each runs alone on a pool of one
-        thread per die, at most one per available core; only
-        ``Factorization.solve_many`` runs off the calling thread, and
-        SuperLU releases the GIL inside it.  A chain's bytes do not
-        depend on the pool size.
+        dies' recursions never interact, so they split into one chain
+        per core the job may use (:func:`repro.core.parallel.fanout_cores`),
+        each a contiguous block of dies solved as one multi-column
+        recursion on its own thread: one chain per die on an idle host,
+        and a single chain of every die — one multi-column solve per
+        step, the cheaper way on a busy core — inside a batch-pool
+        worker or on one CPU.  Only ``Factorization.solve_many`` runs off
+        the calling thread, and SuperLU releases the GIL inside it.  A
+        column's bytes do not depend on how the dies are split.
         """
         if dt <= 0 or steps < 1:
             raise ValueError("dt must be positive and steps >= 1")
@@ -260,33 +264,23 @@ class TransientSolver:
         kernels = np.empty((steps, num_dies, cells, num_dies))
         c_over_dt = (self.network.capacitance / dt)[:, None]
 
-        def chain(d: int) -> None:
-            readout = np.zeros((self.network.num_nodes, 1))
-            readout[self._die_nodes[d]] = 1.0 / cells
-            w = lu.solve_many(readout)
-            kernels[0, :, :, d] = w[self._die_nodes, 0]
-            for j in range(1, steps):
-                w = lu.solve_many(c_over_dt * w)
-                kernels[j, :, :, d] = w[self._die_nodes, 0]
+        def chain(lo: int, hi: int) -> None:
+            """The recursion of dies ``lo..hi-1``, one column each."""
+            w = np.zeros((self.network.num_nodes, hi - lo))
+            for k, d in enumerate(range(lo, hi)):
+                w[self._die_nodes[d], k] = 1.0 / cells
+            for j in range(steps):
+                w = lu.solve_many(w if j == 0 else c_over_dt * w)
+                kernels[j, :, :, lo:hi] = w[self._die_nodes]
 
-        workers = min(num_dies, _available_cores())
-        if workers <= 1:
-            for d in range(num_dies):
-                chain(d)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # list() re-raises the first chain's exception, if any
-                list(pool.map(chain, range(num_dies)))
+        chains = max(1, min(num_dies, fanout_cores()))
+        edges = [num_dies * i // chains for i in range(chains + 1)]
+        with ThreadPoolExecutor(max_workers=chains) as pool:
+            # list() re-raises the first chain's exception, if any
+            list(pool.map(chain, edges[:-1], edges[1:]))
         return kernels
-
-
-def _available_cores() -> int:
-    """Cores this process may run on (its affinity mask where known)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def thermal_time_constant(trace: TransientTrace, die: int = 0) -> float:

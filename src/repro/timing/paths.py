@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
-from ..power.voltages import delay_scale_for
+from ..power.voltages import scaled_delay
 from .elmore import DEFAULT_TECH, WireTechnology, net_delay_ns
 
 __all__ = ["TimingGraph", "TimingReport"]
@@ -157,13 +157,15 @@ class TimingGraph:
         """Through times and critical delay for one placement."""
         cx, cy, dd = self._arrays_from_floorplan(floorplan)
         nd = self.net_delays(cx, cy, dd)
-        mod_delays = np.zeros(len(self.module_names))
+        intrinsic = np.zeros(len(self.module_names))
+        volts = np.ones(len(self.module_names))
         for name, idx in self._index.items():
             p = floorplan.placements.get(name)
             if p is None:
                 continue
-            v = voltages[name] if voltages and name in voltages else p.voltage
-            mod_delays[idx] = p.module.intrinsic_delay * delay_scale_for(v)
+            intrinsic[idx] = p.module.intrinsic_delay
+            volts[idx] = voltages[name] if voltages and name in voltages else p.voltage
+        mod_delays = scaled_delay(intrinsic, volts.tolist())
         through = self.through_times(nd, mod_delays)
         report_through = {
             name: float(through[idx]) for name, idx in self._index.items()

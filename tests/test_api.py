@@ -270,7 +270,7 @@ class TestJobSpec:
         queue drain, and ``submit`` + a ``work`` queue worker."""
         from repro.core.queue import WorkQueue
         from repro.exploration.study import batch_worker_main, run_batch
-        from repro.floorplan.tempering import IN_POOL_ENV
+        from repro.core.parallel import IN_POOL_ENV
 
         # the worker marks this process as a pool worker; undo it after
         monkeypatch.setenv(IN_POOL_ENV, "1")

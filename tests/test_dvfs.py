@@ -8,6 +8,7 @@ decorrelates the temperature trace from the secret activity sequence.
 """
 
 import json
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.parallel import IN_POOL_ENV
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.grid import GridSpec
@@ -188,32 +190,60 @@ class TestDeterminism:
         assert results[0] == _evaluate_in_subprocess(kind)
 
 
-def _transient_solver(num_dies, kind, n=12):
+def _transient_solver(num_dies, kind, n=12, backend=None):
     fp = _floorplan(num_dies, bg2_die=num_dies - 1)
     grid = GridSpec(fp.stack.outline, n, n)
     topo = TopologyConfig(kind=kind) if kind != "3d" else None
-    return TransientSolver(stack_for_floorplan(fp, grid, **topology_kwargs(topo)))
+    return TransientSolver(
+        stack_for_floorplan(fp, grid, **topology_kwargs(topo)), backend=backend
+    )
 
 
 class TestKernelThreads:
-    """``die_mean_kernels`` runs each die's adjoint chain on a thread; the
-    chains never interact, so the pool size cannot move a byte."""
+    """``die_mean_kernels`` splits the dies into one adjoint chain per
+    core the job may use, each on a thread; the chains never interact,
+    so the split cannot move a byte."""
 
     @pytest.mark.parametrize("num_dies", [2, 3])
     @pytest.mark.parametrize("kind", ["3d", "2.5d"])
-    @pytest.mark.parametrize("cores", [None, 1, 3])
+    @pytest.mark.parametrize("cores", [None, 1, 2, 3])
+    @pytest.mark.parametrize("backend", ["superlu", "spectral"])
     def test_threaded_equals_serial_recursion_bytewise(
-        self, kind, num_dies, cores, monkeypatch
+        self, kind, num_dies, cores, backend, monkeypatch
     ):
-        """``cores`` pins the pool: one worker (no thread at all), one
-        per die, or this host's own count."""
+        """``cores`` pins the split: one chain of every die, two chains
+        (of 1 and 2 dies when there are 3), one per die, or this host's
+        own count; both backends share one factorization across them."""
         if cores is not None:
-            monkeypatch.setattr(transient, "_available_cores", lambda: cores)
-        solver = _transient_solver(num_dies, kind)
+            monkeypatch.setattr(transient, "fanout_cores", lambda: cores)
+        solver = _transient_solver(num_dies, kind, backend=backend)
+        assert solver.backend.name == backend
         got = solver.die_mean_kernels(2e-3, 9)
         want = die_mean_kernels_serial(solver, 2e-3, 9)
         assert got.shape == (9, num_dies, solver._die_nodes.shape[1], num_dies)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("in_pool, widths", [(True, [3] * 4), (False, [1] * 12)])
+    def test_pool_worker_runs_one_chain(self, in_pool, widths, monkeypatch):
+        """Inside a batch-pool worker, whose siblings already occupy the
+        cores, every step is one solve of all the dies' columns; outside
+        it the columns split into ``min(dies, cpu_count)`` chains."""
+        if in_pool:
+            monkeypatch.setenv(IN_POOL_ENV, "1")
+        else:
+            monkeypatch.delenv(IN_POOL_ENV, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        solver = _transient_solver(3, "3d")
+        lu = solver._factorize(2e-3)
+        seen, original = [], lu.solve_many
+
+        def solve_many(b):
+            seen.append(b.shape[1])
+            return original(b)
+
+        monkeypatch.setattr(lu, "solve_many", solve_many)
+        solver.die_mean_kernels(2e-3, 4)
+        assert seen == widths
 
     def test_chain_error_reaches_the_caller(self, monkeypatch):
         solver = _transient_solver(2, "3d")
@@ -223,7 +253,7 @@ class TestKernelThreads:
             raise FloatingPointError("singular step")
 
         monkeypatch.setattr(lu, "solve_many", broken)
-        monkeypatch.setattr(transient, "_available_cores", lambda: 2)
+        monkeypatch.setattr(transient, "fanout_cores", lambda: 2)
         with pytest.raises(FloatingPointError, match="singular step"):
             solver.die_mean_kernels(2e-3, 3)
 

@@ -9,10 +9,10 @@ from repro.benchmarks import load
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.core.config import FlowConfig
 from repro.core.flow import run_flow
+from repro.core.parallel import IN_POOL_ENV
 from repro.floorplan.annealer import AnnealConfig, anneal
 from repro.floorplan.objectives import FloorplanMode
 from repro.floorplan.tempering import (
-    IN_POOL_ENV,
     PROCESSES_ENV,
     resolve_replica_processes,
     temper,
