@@ -37,7 +37,7 @@ def main() -> None:
     floorplan = result.floorplan
     print(f"floorplanned n100: feasible={result.feasible}")
 
-    timing = TimingGraph(list(floorplan.placements), circuit.nets)
+    timing = TimingGraph(floorplan.compiled_netlist())
     inflation = timing.max_delay_inflation(floorplan)
     slack_rich = sum(1 for v in inflation.values() if v >= 1.56)
     print(f"timing: {slack_rich}/{len(inflation)} modules have enough slack "

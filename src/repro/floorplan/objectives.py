@@ -16,12 +16,12 @@ multi-objective annealing recipe Corblivar uses.  Expensive terms
 cadence; the cheap terms (outline fit, wirelength) are exact every
 iteration via a fully vectorized netlist evaluation.  One
 :class:`~repro.layout.net.CompiledNetlist`, compiled once per evaluator,
-serves both the wirelength and the signal-TSV sites of every thermal
-refresh.  The slow terms read the snapshot's geometry arrays and
-per-module constants compiled once per evaluator: each thermal refresh
-rasterizes every die's power map afresh, timing runs on the same
-centres, and only a voltage-assignment refresh realizes a
-:class:`~repro.layout.floorplan.Floorplan3D`.
+serves the wirelength, the signal-TSV sites of every thermal refresh and
+the timing graph's Elmore delays.  The slow terms read the snapshot's
+geometry arrays and per-module constants compiled once per evaluator:
+each thermal refresh rasterizes every die's power map afresh, timing
+runs on the same centres, and only a voltage-assignment refresh
+realizes a :class:`~repro.layout.floorplan.Floorplan3D`.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ class CostEvaluator:
     def _timing_graph(self, state: LayoutState) -> TimingGraph:
         if self._timing is None:
             self._timing = TimingGraph(
-                list(state.modules), self.nets, tsv_length_um=self.tsv_length_um
+                self._compiled(state), tsv_length_um=self.tsv_length_um
             )
         return self._timing
 

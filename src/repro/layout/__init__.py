@@ -2,7 +2,9 @@
 
 Geometry, modules, nets, die stacks, TSV islands (signal and dummy
 thermal), analysis grids, and the `Floorplan3D` container every other
-layer consumes.
+layer consumes.  `CompiledNetlist` is the one compiled form of a
+netlist: wirelength, signal-TSV sites and the timing layer's Elmore
+delays all read its per-net pin extents.
 """
 
 from .die import Die, StackConfig
@@ -10,7 +12,7 @@ from .floorplan import Floorplan3D
 from .geometry import Point, Rect, bounding_box, rects_overlap, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, ModuleKind, Placement
-from .net import Net, Terminal, net_hpwl_3d, total_hpwl
+from .net import CompiledNetlist, Net, Terminal
 from .serialize import floorplan_from_dict, floorplan_to_dict, load_floorplan, save_floorplan
 from .tsv import TSV, TSVIsland, TSVKind, place_island, place_regular_grid, tsv_density_map
 
@@ -28,14 +30,13 @@ __all__ = [
     "Module",
     "ModuleKind",
     "Placement",
+    "CompiledNetlist",
     "Net",
     "Terminal",
     "floorplan_from_dict",
     "floorplan_to_dict",
     "load_floorplan",
     "save_floorplan",
-    "net_hpwl_3d",
-    "total_hpwl",
     "TSV",
     "TSVIsland",
     "TSVKind",

@@ -14,7 +14,7 @@ voltage-assignment stage, and the attack/mitigation layers.  It owns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .die import StackConfig
 from .geometry import Rect, bounding_box, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, Placement
-from .net import CompiledNetlist, Net, Terminal, total_hpwl
+from .net import CompiledNetlist, Net, Terminal
 from .tsv import TSV, SignalSites, TSVKind, tsv_density_map
 
 __all__ = ["Floorplan3D", "signal_sites_at"]
@@ -130,9 +130,24 @@ class Floorplan3D:
         return worst
 
     # -- interconnect ----------------------------------------------------------
+    def module_centers(
+        self, names: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centres ``(cx, cy)`` and dies of the modules ``names``, in that
+        order — the per-module arrays a compiled netlist reads."""
+        placements = [self.placements[n] for n in names]
+        centers = np.array([p.center for p in placements], dtype=float).reshape(-1, 2)
+        dies = np.array([p.die for p in placements], dtype=np.int64)
+        return centers[:, 0], centers[:, 1], dies
+
+    def compiled_netlist(self) -> CompiledNetlist:
+        """This floorplan's nets compiled over its module names."""
+        return CompiledNetlist(list(self.placements), self.nets, self.terminals)
+
     def wirelength(self, tsv_length: float = 50.0) -> Tuple[float, int]:
         """(total 3D HPWL in um, number of die crossings == signal TSVs)."""
-        return total_hpwl(self.nets, self.placements, self.terminals, tsv_length)
+        netlist = self.compiled_netlist()
+        return netlist.wirelength(*self.module_centers(netlist.module_names), tsv_length)
 
     def signal_sites(self, netlist: CompiledNetlist | None = None) -> SignalSites:
         """Signal-TSV sites of the inter-die nets, from the placements.
@@ -142,11 +157,10 @@ class Floorplan3D:
         evaluator) compile it once and pass it in.
         """
         if netlist is None:
-            netlist = CompiledNetlist(list(self.placements), self.nets, self.terminals)
-        placements = [self.placements[n] for n in netlist.module_names]
-        centers = np.array([p.center for p in placements], dtype=float).reshape(-1, 2)
-        dies = np.array([p.die for p in placements], dtype=np.int64)
-        return signal_sites_at(netlist, self.stack, centers[:, 0], centers[:, 1], dies)
+            netlist = self.compiled_netlist()
+        return signal_sites_at(
+            netlist, self.stack, *self.module_centers(netlist.module_names)
+        )
 
     def place_signal_tsvs(self) -> None:
         """Derive signal TSV sites from inter-die nets.

@@ -4,23 +4,24 @@ Wirelength is measured as 3D half-perimeter wirelength (HPWL): the planar
 half-perimeter of the net's bounding box plus a per-die-crossing TSV term.
 This matches how Corblivar scores interconnects for stacked dies.
 
-:class:`CompiledNetlist` compiles a netlist once into flat arrays: the
-annealer's wirelength and the signal-TSV sites of every refresh both
-read it.
+:class:`CompiledNetlist` is the one compilation of a netlist into flat
+arrays, and :meth:`CompiledNetlist.pin_extents` the one place per-net
+pin extents are computed: the annealer's and the floorplan's
+wirelength, the signal-TSV sites of every refresh and the Elmore delays
+of :class:`~repro.timing.paths.TimingGraph` all read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Rect
-from .module import Placement
 from .tsv import SignalSites
 
-__all__ = ["Terminal", "Net", "CompiledNetlist", "net_hpwl_3d", "total_hpwl"]
+__all__ = ["Terminal", "Net", "CompiledNetlist"]
 
 
 @dataclass(frozen=True)
@@ -63,56 +64,6 @@ class Net:
         return self.modules[1:]
 
 
-def net_hpwl_3d(
-    net: Net,
-    placements: Mapping[str, Placement],
-    terminals: Mapping[str, Terminal],
-    tsv_length: float,
-) -> Tuple[float, int]:
-    """3D HPWL and the number of die crossings for one net.
-
-    Returns ``(wirelength_um, crossings)``.  The wirelength is the planar
-    half-perimeter over all pin positions plus ``crossings * tsv_length``.
-    The crossing count is the span of die indices used by the net's module
-    pins (terminals sit on the package/bottom-die boundary and do not add
-    crossings on their own).
-    """
-    xs: list[float] = []
-    ys: list[float] = []
-    dies: set[int] = set()
-    for mod_name in net.modules:
-        p = placements[mod_name]
-        cx, cy = p.center
-        xs.append(cx)
-        ys.append(cy)
-        dies.add(p.die)
-    for term_name in net.terminals:
-        t = terminals[term_name]
-        xs.append(t.x)
-        ys.append(t.y)
-    if not xs:
-        return 0.0, 0
-    hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-    crossings = (max(dies) - min(dies)) if dies else 0
-    return hpwl + crossings * tsv_length, crossings
-
-
-def total_hpwl(
-    nets: Iterable[Net],
-    placements: Mapping[str, Placement],
-    terminals: Mapping[str, Terminal],
-    tsv_length: float,
-) -> Tuple[float, int]:
-    """Total 3D HPWL and total number of die crossings (signal TSV count)."""
-    total = 0.0
-    total_crossings = 0
-    for net in nets:
-        wl, crossings = net_hpwl_3d(net, placements, terminals, tsv_length)
-        total += wl
-        total_crossings += crossings
-    return total, total_crossings
-
-
 class CompiledNetlist:
     """Netlist compiled to flat arrays over ``module_names``.
 
@@ -122,6 +73,9 @@ class CompiledNetlist:
       ``net.modules`` order) and its known terminals' bounding box, so
       HPWL and die crossings come from ``np.maximum.reduceat`` over pin
       coordinates with no Python-level net loop;
+    * its Elmore sink count ``max(1, module pins - 1 + len(net.terminals))``
+      (the first module pin drives; every other pin, terminals included,
+      loads the net);
     * its module-pin columns followed by its terminal columns (in
       ``net.terminals`` order, unknown terminals skipped), grouped by
       pin count, so :meth:`sites` takes every centroid as
@@ -144,6 +98,7 @@ class CompiledNetlist:
         self.num_modules = len(self.module_names)
         pin_idx: List[int] = []
         ptr: List[int] = [0]
+        sinks: List[int] = []
         term_x: List[float] = []
         term_y: List[float] = []
         bounds: List[Tuple[float, float, float, float]] = []
@@ -159,6 +114,7 @@ class CompiledNetlist:
             )
             pin_idx.extend(mods)
             ptr.append(len(pin_idx))
+            sinks.append(max(1, len(mods) - 1 + len(net.terminals)))
             known = [terminals[t] for t in net.terminals if t in terminals]
             txs = [t.x for t in known]
             tys = [t.y for t in known]
@@ -177,6 +133,7 @@ class CompiledNetlist:
         self.num_nets = len(missing)
         self.pin_idx = np.asarray(pin_idx, dtype=np.int64)
         self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.sink_counts = np.asarray(sinks, dtype=np.int64)
         # known terminals' bounding box per net, (inf, -inf) without any
         self.term_min_x, self.term_max_x, self.term_min_y, self.term_max_y = (
             np.array(bounds, dtype=float).reshape(-1, 4).T.copy()
@@ -190,6 +147,42 @@ class CompiledNetlist:
             for rows, matrix in by_count.values()
         ]
 
+    def pin_extents(self, *values: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per-net ``(min, max)`` over the module pins of each per-module
+        array in ``values`` (``module_names`` order): centre coordinates
+        give the pins' bounding box, dies their die span."""
+        starts = self.ptr[:-1]
+        out = []
+        for v in values:
+            pins = v[self.pin_idx]
+            out.append((np.minimum.reduceat(pins, starts), np.maximum.reduceat(pins, starts)))
+        return out
+
+    def net_hpwl(
+        self,
+        cx: np.ndarray,
+        cy: np.ndarray,
+        dies: np.ndarray,
+        tsv_length: float,
+        terminals: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-net 3D HPWL (um) and die crossings.
+
+        The bounding box spans the module pins, merged with the known
+        terminals' box when ``terminals`` is set; the Elmore model
+        (``terminals=False``) measures the module pins alone.
+        """
+        if self.num_nets == 0:
+            return np.zeros(0), np.zeros(0, dtype=np.int64)
+        (lo_x, hi_x), (lo_y, hi_y), (lo_d, hi_d) = self.pin_extents(cx, cy, dies)
+        if terminals:
+            hi_x = np.maximum(hi_x, self.term_max_x)
+            lo_x = np.minimum(lo_x, self.term_min_x)
+            hi_y = np.maximum(hi_y, self.term_max_y)
+            lo_y = np.minimum(lo_y, self.term_min_y)
+        crossings = (hi_d - lo_d).astype(np.int64)
+        return (hi_x - lo_x) + (hi_y - lo_y) + crossings * tsv_length, crossings
+
     def wirelength(
         self,
         centers_x: np.ndarray,
@@ -198,24 +191,7 @@ class CompiledNetlist:
         tsv_length: float,
     ) -> Tuple[float, int]:
         """(total HPWL um, total crossings)."""
-        if self.num_nets == 0:
-            return 0.0, 0
-        starts = self.ptr[:-1]
-        px = centers_x[self.pin_idx]
-        py = centers_y[self.pin_idx]
-        pd = dies[self.pin_idx]
-        max_x = np.maximum.reduceat(px, starts)
-        min_x = np.minimum.reduceat(px, starts)
-        max_y = np.maximum.reduceat(py, starts)
-        min_y = np.minimum.reduceat(py, starts)
-        max_d = np.maximum.reduceat(pd, starts)
-        min_d = np.minimum.reduceat(pd, starts)
-        hi_x = np.maximum(max_x, self.term_max_x)
-        lo_x = np.minimum(min_x, self.term_min_x)
-        hi_y = np.maximum(max_y, self.term_max_y)
-        lo_y = np.minimum(min_y, self.term_min_y)
-        crossings = (max_d - min_d).astype(np.int64)
-        hpwl = (hi_x - lo_x) + (hi_y - lo_y) + crossings * tsv_length
+        hpwl, crossings = self.net_hpwl(centers_x, centers_y, dies, tsv_length)
         return float(hpwl.sum()), int(crossings.sum())
 
     def sites(
@@ -236,10 +212,7 @@ class CompiledNetlist:
             empty = np.zeros(0)
             none = np.zeros(0, dtype=np.int64)
             return SignalSites(empty, empty, none, none)
-        starts = self.ptr[:-1]
-        pin_dies = np.asarray(dies, dtype=np.int64)[self.pin_idx]
-        lo = np.minimum.reduceat(pin_dies, starts)
-        hi = np.maximum.reduceat(pin_dies, starts)
+        ((lo, hi),) = self.pin_extents(np.asarray(dies, dtype=np.int64))
         crossing = hi > lo
         partial = crossing & self._partial
         if partial.any():

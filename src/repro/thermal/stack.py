@@ -327,10 +327,13 @@ def build_stack(
     because TSV landing pads stack onto micro-bumps and the package
     redistribution — they locally strengthen the secondary heat path
     (per-cell bottom resistance blends ``r_bottom_area`` toward
-    ``r_bottom_tsv_area`` with TSV density).  The bond/bulk pattern
-    repeats per tier, each pierced by its own interface's TSVs; only the
-    (0, 1) density feeds the secondary-path blending, since only those
-    TSVs land on the package redistribution.
+    ``r_bottom_tsv_area`` with TSV density).  Tiers are built bottom-up
+    in one loop: die 0 on the thick bulk, each die ``d >= 1`` on the bond
+    layer ``bond{d-1}{d}`` and a thinned bulk, both pierced by that
+    interface's TSVs, and every die with its active and BEOL layers; the
+    TIM, spreader and heat sink close the stack.  Only the (0, 1) density
+    feeds the secondary-path blending, since only those TSVs land on the
+    package redistribution.
 
     ``topology`` selects the stacking style; ``None`` and ``kind="3d"``
     take the exact vertical-stack path below (bit-identical), while
@@ -372,56 +375,21 @@ def build_stack(
             )
         )
 
-    copper01 = copper_for((0, 1))
-    # bottom die
-    add_uniform("die0_bulk", SILICON, dimensions["bulk_thick"])
-    add_uniform("die0_active", SILICON, dimensions["active"], power_die=0)
-    add_uniform("die0_beol", BEOL, dimensions["beol"])
-    # inter-die interface pierced by TSVs
-    add_tsv_layer("bond01", BOND, dimensions["bond"], copper01)
-    add_tsv_layer("die1_bulk", SILICON, dimensions["bulk_thin"], copper01)
-    # top die
-    add_uniform("die1_active", SILICON, dimensions["active"], power_die=1)
-    add_uniform("die1_beol", BEOL, dimensions["beol"])
+    for die in range(stack_cfg.num_dies):
+        if die == 0:
+            add_uniform("die0_bulk", SILICON, dimensions["bulk_thick"])
+        else:
+            # the interface below this die and its thinned bulk, both
+            # pierced by that interface's TSVs
+            copper = copper_for((die - 1, die))
+            add_tsv_layer(f"bond{die - 1}{die}", BOND, dimensions["bond"], copper)
+            add_tsv_layer(f"die{die}_bulk", SILICON, dimensions["bulk_thin"], copper)
+        add_uniform(f"die{die}_active", SILICON, dimensions["active"], power_die=die)
+        add_uniform(f"die{die}_beol", BEOL, dimensions["beol"])
     # cooling assembly
     add_uniform("tim", TIM, dimensions["tim"])
     add_uniform("spreader", COPPER, dimensions["spreader"])
     add_uniform("sink", COPPER, dimensions["sink"])
-
-    if stack_cfg.num_dies > 2:
-        # additional tiers: repeat (bond, bulk, active, beol) above die1's
-        # BEOL, below the cooling assembly; each tier's bond/bulk layers
-        # are pierced by its own interface's TSVs
-        extra: List[Layer] = []
-        for die in range(2, stack_cfg.num_dies):
-            copper_d = copper_for((die - 1, die))
-            extra.append(
-                Layer(
-                    f"bond{die - 1}{die}",
-                    dimensions["bond"],
-                    np.asarray(tsv_composite_vertical(BOND, copper_d)),
-                    np.asarray(tsv_composite_lateral(BOND, copper_d)),
-                    np.asarray(tsv_composite_capacity(BOND, copper_d)),
-                )
-            )
-            extra.append(
-                Layer(
-                    f"die{die}_bulk",
-                    dimensions["bulk_thin"],
-                    np.asarray(tsv_composite_vertical(SILICON, copper_d)),
-                    np.asarray(tsv_composite_lateral(SILICON, copper_d)),
-                    np.asarray(tsv_composite_capacity(SILICON, copper_d)),
-                )
-            )
-            kv, kl, cap = _uniform(SILICON, shape)
-            extra.append(
-                Layer(f"die{die}_active", dimensions["active"], kv, kl, cap,
-                      power_die=die)
-            )
-            kv, kl, cap = _uniform(BEOL, shape)
-            extra.append(Layer(f"die{die}_beol", dimensions["beol"], kv, kl, cap))
-        cooling = layers[-3:]
-        layers = layers[:-3] + extra + cooling
 
     # blend the secondary-path resistance toward the micro-bump value in
     # TSV-dense cells: conductances add in parallel

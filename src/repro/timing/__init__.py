@@ -1,7 +1,9 @@
 """Timing substrate (the paper Sec. 6 / Table 2 delay constraints).
 
-Elmore net delays (TSV hops included), voltage-scaled module delays,
-and the DAG path analysis behind Table 2's critical-delay column.
+Elmore net delays (TSV hops included; one formula for one net or an
+array of nets), voltage-scaled module delays, and the path analysis
+behind Table 2's critical-delay column, run by `TimingGraph` over a
+`repro.layout.CompiledNetlist`.
 """
 
 from .delay_model import K_DELAY_NS_PER_UM, ensure_intrinsic_delays, module_delay_ns

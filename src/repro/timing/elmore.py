@@ -9,11 +9,17 @@ the R/C of every TSV crossing:
 
 with per-length parasitics representative of a 90 nm global metal layer.
 Delays are in nanoseconds throughout (matching Table 2's ns scale).
+:func:`net_delay_ns` is the one copy of the formula: it takes one net's
+scalars or per-net arrays (what :meth:`~repro.timing.paths.TimingGraph.net_delays`
+passes), with the same operation order either way, so an array call is
+byte-identical to a per-net loop of scalar calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["WireTechnology", "DEFAULT_TECH", "net_delay_ns"]
 
@@ -46,23 +52,24 @@ DEFAULT_TECH = WireTechnology()
 
 
 def net_delay_ns(
-    hpwl_um: float,
-    num_sinks: int,
-    tsv_crossings: int = 0,
+    hpwl_um: float | np.ndarray,
+    num_sinks: int | np.ndarray,
+    tsv_crossings: int | np.ndarray = 0,
     tech: WireTechnology = DEFAULT_TECH,
-) -> float:
-    """Elmore delay of one net in ns.
+) -> float | np.ndarray:
+    """Elmore delay in ns of one net, or of every net when given arrays.
 
-    ``hpwl_um`` is the net's planar half-perimeter wirelength;
+    ``hpwl_um`` is the net's 3D half-perimeter wirelength (TSV hops
+    included); ``num_sinks`` its sink count (at least one is charged);
     ``tsv_crossings`` the number of die boundaries crossed.  The lumped
     first-order model is standard for floorplanning-stage estimation — the
     net topology is unknown before routing.
     """
-    if hpwl_um < 0 or num_sinks < 0 or tsv_crossings < 0:
+    if any(np.any(np.asarray(v) < 0) for v in (hpwl_um, num_sinks, tsv_crossings)):
         raise ValueError("net parameters must be non-negative")
     r_wire = tech.r_wire_ohm_per_um * hpwl_um
     c_wire = tech.c_wire_ff_per_um * hpwl_um
-    c_sinks = tech.c_sink_ff * max(1, num_sinks)
+    c_sinks = tech.c_sink_ff * np.maximum(1, num_sinks)
     c_tsv = tech.c_tsv_ff * tsv_crossings
     r_tsv = tech.r_tsv_ohm * tsv_crossings
     c_total = c_wire + c_sinks + c_tsv

@@ -14,18 +14,23 @@ voltage we may apply", Sec. 6.1) and a critical-delay figure per layout
 (Table 2's 0.8-3.8 ns range at 90 nm, which is a registered block-to-block
 scale, not a thousand-module combinational chain).
 
-The evaluation is fully vectorized over a compiled pin incidence, so it
-can run inside the annealing loop.
+The evaluation is fully vectorized over the compiled pin incidence of a
+:class:`~repro.layout.net.CompiledNetlist` — the same pins, per-net
+extents and sink counts the wirelength reads — so it can run inside the
+annealing loop.  Per-net delays are :func:`~repro.timing.elmore.net_delay_ns`
+over the netlist's module-pin HPWL (terminals count as sinks, not as
+wire extent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
+from ..layout.net import CompiledNetlist
 from ..power.voltages import scaled_delay
 from .elmore import DEFAULT_TECH, WireTechnology, net_delay_ns
 
@@ -48,39 +53,20 @@ class TimingReport:
 
 
 class TimingGraph:
-    """Compiled pin incidence for vectorized timing over placements."""
+    """Vectorized timing over a :class:`~repro.layout.net.CompiledNetlist`."""
 
     def __init__(
         self,
-        module_names: Sequence[str],
-        nets: Sequence,
+        netlist: CompiledNetlist,
         tech: WireTechnology = DEFAULT_TECH,
         tsv_length_um: float = 50.0,
     ) -> None:
+        self.netlist = netlist
         self.tech = tech
         self.tsv_length_um = tsv_length_um
-        self.module_names = list(module_names)
-        self._index = {n: i for i, n in enumerate(self.module_names)}
-        pin_mod: List[int] = []
-        pin_net: List[int] = []
-        ptr: List[int] = [0]
-        sinks: List[int] = []
-        net_id = 0
-        for net in nets:
-            mods = [m for m in net.modules if m in self._index]
-            if not mods:
-                continue
-            for m in mods:
-                pin_mod.append(self._index[m])
-                pin_net.append(net_id)
-            ptr.append(len(pin_mod))
-            sinks.append(max(1, len(mods) - 1 + len(net.terminals)))
-            net_id += 1
-        self.pin_mod = np.asarray(pin_mod, dtype=np.int64)
-        self.pin_net = np.asarray(pin_net, dtype=np.int64)
-        self.ptr = np.asarray(ptr, dtype=np.int64)
-        self.sink_counts = np.asarray(sinks, dtype=np.int64)
-        self.num_nets = len(self.sink_counts)
+        self.module_names = netlist.module_names
+        # pins per net: a per-net value repeated over its module pins
+        self._pin_counts = np.diff(netlist.ptr)
 
     # -- geometry -> per-net delays ---------------------------------------------
     def net_delays(
@@ -89,53 +75,12 @@ class TimingGraph:
         centers_y: np.ndarray,
         dies: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized Elmore delay per net from module-center arrays."""
-        if self.num_nets == 0:
-            return np.zeros(0)
-        starts = self.ptr[:-1]
-        px = centers_x[self.pin_mod]
-        py = centers_y[self.pin_mod]
-        pd = dies[self.pin_mod]
-        max_x = np.maximum.reduceat(px, starts)
-        min_x = np.minimum.reduceat(px, starts)
-        max_y = np.maximum.reduceat(py, starts)
-        min_y = np.minimum.reduceat(py, starts)
-        crossings = (
-            np.maximum.reduceat(pd, starts) - np.minimum.reduceat(pd, starts)
-        ).astype(float)
-        hpwl = (max_x - min_x) + (max_y - min_y) + crossings * self.tsv_length_um
-        # vectorized form of elmore.net_delay_ns
-        t = self.tech
-        r_wire = t.r_wire_ohm_per_um * hpwl
-        c_wire = t.c_wire_ff_per_um * hpwl
-        c_sinks = t.c_sink_ff * self.sink_counts
-        c_tsv = t.c_tsv_ff * crossings
-        r_tsv = t.r_tsv_ohm * crossings
-        c_total = c_wire + c_sinks + c_tsv
-        delay_fs = (
-            t.r_driver_ohm * c_total
-            + 0.5 * r_wire * (c_wire + c_tsv)
-            + r_wire * c_sinks
-            + r_tsv * (c_sinks + 0.5 * c_tsv)
+        """Elmore delay per net from module-center arrays."""
+        nl = self.netlist
+        hpwl, crossings = nl.net_hpwl(
+            centers_x, centers_y, dies, self.tsv_length_um, terminals=False
         )
-        return delay_fs * 1e-6
-
-    def _arrays_from_floorplan(
-        self, floorplan: Floorplan3D
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = len(self.module_names)
-        cx = np.zeros(n)
-        cy = np.zeros(n)
-        dd = np.zeros(n, dtype=np.int64)
-        for name, idx in self._index.items():
-            p = floorplan.placements.get(name)
-            if p is None:
-                continue
-            x, y = p.center
-            cx[idx] = x
-            cy[idx] = y
-            dd[idx] = p.die
-        return cx, cy, dd
+        return net_delay_ns(hpwl, nl.sink_counts, crossings, self.tech)
 
     # -- evaluation ----------------------------------------------------------------
     def through_times(
@@ -146,7 +91,9 @@ class TimingGraph:
         """Vectorized through-time per module index."""
         worst_net = np.zeros(len(self.module_names))
         if net_delays.size:
-            np.maximum.at(worst_net, self.pin_mod, net_delays[self.pin_net])
+            np.maximum.at(
+                worst_net, self.netlist.pin_idx, np.repeat(net_delays, self._pin_counts)
+            )
         return module_delays + worst_net
 
     def evaluate(
@@ -155,21 +102,16 @@ class TimingGraph:
         voltages: Mapping[str, float] | None = None,
     ) -> TimingReport:
         """Through times and critical delay for one placement."""
-        cx, cy, dd = self._arrays_from_floorplan(floorplan)
+        cx, cy, dd = floorplan.module_centers(self.module_names)
         nd = self.net_delays(cx, cy, dd)
-        intrinsic = np.zeros(len(self.module_names))
-        volts = np.ones(len(self.module_names))
-        for name, idx in self._index.items():
-            p = floorplan.placements.get(name)
-            if p is None:
-                continue
-            intrinsic[idx] = p.module.intrinsic_delay
-            volts[idx] = voltages[name] if voltages and name in voltages else p.voltage
-        mod_delays = scaled_delay(intrinsic, volts.tolist())
+        placements = [floorplan.placements[name] for name in self.module_names]
+        volts = [
+            float(voltages[name]) if voltages and name in voltages else p.voltage
+            for name, p in zip(self.module_names, placements)
+        ]
+        mod_delays = scaled_delay([p.module.intrinsic_delay for p in placements], volts)
         through = self.through_times(nd, mod_delays)
-        report_through = {
-            name: float(through[idx]) for name, idx in self._index.items()
-        }
+        report_through = dict(zip(self.module_names, through.tolist()))
         critical = float(through.max()) if through.size else 0.0
         return TimingReport(
             critical_delay_ns=critical,

@@ -1,8 +1,9 @@
 """Reference implementations the production kernels must reproduce.
 
 These are the historical per-module, per-net, per-TSV, per-class and
-per-sample loops, the forward-integrated DVFS traces, the scipy blur and
-the factorized calibration, kept out of ``src/`` so there is one
+per-sample loops, the object-level HPWL and scalar Elmore delays, the
+forward-integrated DVFS traces, the scipy blur and the factorized
+calibration, kept out of ``src/`` so there is one
 production path per kernel.  Tests import them as
 ``from oracles.<module> import ...``.
 """

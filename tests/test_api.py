@@ -22,6 +22,7 @@ from repro.api import (
 from repro.core import schema
 from repro.core.config import FlowConfig
 from repro.core.flow import run_flow
+from repro.core.results import FlowMetrics
 from repro.core.schema import SchemaWarning
 from repro.core.store import ResultsStore
 from repro.floorplan.annealer import AnnealConfig
@@ -149,6 +150,23 @@ _PRE_MERGE_PAYLOAD = {
 }
 
 
+#: per-field relative tolerance between superlu and spectral records of
+#: one spec: the verified temperatures and correlations come from the
+#: backend's solves (PCG to a 1e-12 residual; measured <=5.7e-11 on flow
+#: records); the annealed layout, its voltages, wirelength, timing and
+#: power maps do not touch a backend and must agree exactly
+_BACKEND_RTOL = {
+    "spatial_entropy_s1": 0.0,
+    "spatial_entropy_s2": 0.0,
+    "power_w": 0.0,
+    "critical_delay_ns": 0.0,
+    "wirelength_m": 0.0,
+    "correlation_r1": 1e-9,
+    "correlation_r2": 1e-9,
+    "peak_temp_k": 1e-9,
+}
+
+
 def _frozen(metrics):
     """A record minus the fields that depend on wall clock and cache
     warmth; everything else is deterministic per job."""
@@ -266,26 +284,61 @@ class TestJobSpec:
         assert cfg.verify_nx == cfg.verify_ny == 16
 
     def test_record_is_path_invariant(self, tmp_path, monkeypatch):
-        """One spec, three frontends: in-process, the serial ``run_batch``
-        queue drain, and ``submit`` + a ``work`` queue worker."""
+        """One spec, four frontends: in-process, the serial ``run_batch``
+        queue drain, ``submit`` + a ``work`` queue worker, and an HTTP job
+        on the in-process service.  The record is identical across them
+        under each ``REPRO_THERMAL_BACKEND``, and across the two backends
+        every integer and boolean field is equal and every float field
+        within its stated relative tolerance (:data:`_BACKEND_RTOL`)."""
+        from test_service import service_test
+
+        from repro.core.parallel import IN_POOL_ENV
         from repro.core.queue import WorkQueue
         from repro.exploration.study import batch_worker_main, run_batch
-        from repro.core.parallel import IN_POOL_ENV
+
+        def record(metrics):
+            doc = metrics.to_dict()
+            return {k: v for k, v in doc.items() if k not in ("runtime_s", "degradations")}
+
+        def over_http(spec):
+            docs = []
+
+            async def scenario(state, client):
+                status, doc = await client.post("/jobs?wait=1", spec.to_json())
+                assert status == 200 and doc["status"] == "completed"
+                docs.append(doc["result"]["metrics"])
+
+            service_test(scenario)(dict(workers=1))
+            return FlowMetrics.from_dict(docs[0])
 
         # the worker marks this process as a pool worker; undo it after
         monkeypatch.setenv(IN_POOL_ENV, "1")
+        records = {}
+        for backend in ("superlu", "spectral"):
+            monkeypatch.setenv("REPRO_THERMAL_BACKEND", backend)
+            for mode in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
+                spec = JobSpec("n100", mode=mode, iterations=25, grid=12)
+                in_process = run_flow_job(spec).metrics
+                (batched,) = run_batch([spec], processes=1)
+                qdir = tmp_path / backend / mode
+                submit(spec, qdir)
+                assert batch_worker_main(str(qdir)) == 1
+                (worked,) = WorkQueue(qdir).completed().values()
+                paths = [record(m) for m in (in_process, batched, worked, over_http(spec))]
+                for doc in paths[1:]:
+                    assert doc == paths[0], (backend, mode)
+                assert in_process.mode == mode
+                records[backend, mode] = paths[0]
         for mode in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
-            spec = JobSpec("n100", mode=mode, iterations=25, grid=12)
-            in_process = run_flow_job(spec).metrics
-            (batched,) = run_batch([spec], processes=1)
-            qdir = tmp_path / mode
-            submit(spec, qdir)
-            assert batch_worker_main(str(qdir)) == 1
-            (worked,) = WorkQueue(qdir).completed().values()
-            assert (
-                _frozen(in_process) == _frozen(batched) == _frozen(worked)
-            ), mode
-            assert in_process.mode == mode
+            direct, spectral = records["superlu", mode], records["spectral", mode]
+            assert direct.keys() == spectral.keys()
+            for key, value in direct.items():
+                if isinstance(value, float):
+                    assert spectral[key] == pytest.approx(
+                        value, rel=_BACKEND_RTOL[key], abs=0.0
+                    ), (mode, key)
+                else:
+                    assert spectral[key] == value, (mode, key)
 
     @pytest.mark.parametrize("stamped", [False, True])
     def test_pre_merge_queue_payload_executes(self, stamped):

@@ -66,6 +66,27 @@ class TestParser:
         assert args.store is None
         assert args.queue_threshold is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serve_workers_mark_the_process_as_a_pool(self, monkeypatch, workers):
+        """Concurrent inline jobs share this process's cores, so with more
+        than one worker thread nested parallelism stays serial."""
+        import repro.service
+        from repro.core.parallel import IN_POOL_ENV, fanout_cores
+
+        # restored on teardown, whatever the command sets
+        monkeypatch.delenv(IN_POOL_ENV, raising=False)
+        before = fanout_cores()
+        seen = []
+
+        def fake_run(state, host, port):
+            seen.append(fanout_cores())
+            state._executor.shutdown()
+            return 0
+
+        monkeypatch.setattr(repro.service, "run", fake_run)
+        assert main(["serve", "--workers", str(workers)]) == 0
+        assert seen == [1 if workers > 1 else before]
+
     def test_serve_threshold_without_queue_dir_rejected(self):
         with pytest.raises(SystemExit):
             main(["serve", "--queue-threshold", "100"])

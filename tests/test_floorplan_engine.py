@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.hpwl import total_hpwl
+from repro.benchmarks import load
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan.annealer import (
     TEMPERATURE_FLOOR,
@@ -35,24 +37,33 @@ def tiny_circuit():
 
 class TestCompiledNetlist:
     def test_matches_reference_hpwl(self, tiny_circuit):
-        """Vectorized wirelength must equal the reference implementation."""
+        """Vectorized wirelength must equal the per-net reference."""
         circ, stack = tiny_circuit
         rng = np.random.default_rng(0)
         state = LayoutState.initial(circ.modules, stack, rng)
         fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-        ref_wl, ref_cross = fp.wirelength(tsv_length=50.0)
+        ref_wl, ref_cross = total_hpwl(circ.nets, fp.placements, circ.terminals, 50.0)
 
         nl = CompiledNetlist(list(circ.modules), circ.nets, circ.terminals)
-        cx = np.zeros(nl.num_modules)
-        cy = np.zeros(nl.num_modules)
-        dd = np.zeros(nl.num_modules, dtype=np.int64)
-        for name, idx in nl.module_index.items():
-            p = fp.placements[name]
-            cx[idx], cy[idx] = p.center
-            dd[idx] = p.die
-        wl, cross = nl.wirelength(cx, cy, dd, 50.0)
-        assert wl == pytest.approx(ref_wl, rel=1e-9)
+        wl, cross = nl.wirelength(*fp.module_centers(nl.module_names), 50.0)
+        assert wl == pytest.approx(ref_wl, rel=1e-12)
         assert cross == ref_cross
+
+    @pytest.mark.parametrize("name", ["n100", "ibm01"])
+    def test_floorplan_wirelength_matches_object_hpwl(self, name):
+        """The record's wirelength (numpy sum over compiled nets) within
+        1e-12 relative of the per-net loop, crossings equal."""
+        circ, stack = load(name)
+        rng = np.random.default_rng(3)
+        state = LayoutState.initial(circ.modules, stack, rng)
+        for _ in range(3):
+            for _ in range(20):
+                apply_random_move(state, rng)
+            fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
+            wl, cross = fp.wirelength(tsv_length=50.0)
+            ref_wl, ref_cross = total_hpwl(circ.nets, fp.placements, circ.terminals, 50.0)
+            assert wl == pytest.approx(ref_wl, rel=1e-12, abs=0.0)
+            assert cross == ref_cross
 
     def test_empty_netlist(self):
         nl = CompiledNetlist(["a"], [], {})

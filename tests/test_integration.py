@@ -68,7 +68,7 @@ class TestPipelineInvariants:
         sets were derived from exactly that bound."""
         circ, stack, result = annealed
         fp = result.floorplan
-        tg = TimingGraph(list(fp.placements), circ.nets)
+        tg = TimingGraph(fp.compiled_netlist())
         nominal = tg.evaluate(fp, voltages={n: 1.0 for n in fp.placements})
         inflation = tg.max_delay_inflation(fp)
         res = assign_voltages(fp, inflation, objective=AssignmentObjective.POWER_AWARE)

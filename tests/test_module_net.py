@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.layout.die import StackConfig
+from repro.layout.floorplan import Floorplan3D
 from repro.layout.module import Module, ModuleKind, Placement
-from repro.layout.net import Net, Terminal, net_hpwl_3d, total_hpwl
+from repro.layout.net import Net, Terminal
 
 
 class TestModule:
@@ -97,37 +99,36 @@ class TestNet:
 
 
 class TestHPWL:
-    def _placements(self):
-        return {
+    """3D HPWL through ``Floorplan3D.wirelength`` (the compiled netlist)."""
+
+    def _fp(self, nets, terminals=None):
+        placements = {
             "a": Placement(Module("a", 10, 10), 0, 0, die=0),
             "b": Placement(Module("b", 10, 10), 90, 0, die=0),
             "c": Placement(Module("c", 10, 10), 0, 90, die=1),
         }
+        return Floorplan3D(
+            StackConfig.square(1000.0), placements, tuple(nets), dict(terminals or {})
+        )
 
     def test_planar_hpwl(self):
-        wl, crossings = net_hpwl_3d(
-            Net("n", ("a", "b")), self._placements(), {}, tsv_length=50
-        )
+        wl, crossings = self._fp([Net("n", ("a", "b"))]).wirelength(tsv_length=50)
         assert wl == pytest.approx(90.0)  # centers at x=5 and x=95
         assert crossings == 0
 
     def test_crossing_adds_tsv_length(self):
-        wl, crossings = net_hpwl_3d(
-            Net("n", ("a", "c")), self._placements(), {}, tsv_length=50
-        )
+        wl, crossings = self._fp([Net("n", ("a", "c"))]).wirelength(tsv_length=50)
         assert crossings == 1
         assert wl == pytest.approx(90.0 + 50.0)
 
     def test_terminal_extends_bbox(self):
         terms = {"t": Terminal("t", 200.0, 5.0)}
-        wl, _ = net_hpwl_3d(
-            Net("n", ("a",), ("t",)), self._placements(), terms, tsv_length=50
-        )
+        fp = self._fp([Net("n", ("a",), ("t",))], terms)
+        wl, _ = fp.wirelength(tsv_length=50)
         assert wl == pytest.approx(195.0)
 
     def test_total_hpwl_sums(self):
-        p = self._placements()
         nets = [Net("n1", ("a", "b")), Net("n2", ("a", "c"))]
-        total, crossings = total_hpwl(nets, p, {}, tsv_length=50)
+        total, crossings = self._fp(nets).wirelength(tsv_length=50)
         assert total == pytest.approx(90.0 + 140.0)
         assert crossings == 1

@@ -14,6 +14,7 @@ from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.module import Module, Placement
+from repro.layout.net import CompiledNetlist
 from repro.power.assignment import AssignmentObjective, assign_voltages
 from repro.power.voltages import (
     DEFAULT_LEVELS,
@@ -310,7 +311,9 @@ class TestAgainstOracle:
             fp = state.realize(circ.nets, circ.terminals)
             names = sorted(fp.placements)
             assert _as_names(fp, module_adjacency(fp)) == module_adjacency_loop(fp)
-            timing = TimingGraph(names, circ.nets, tsv_length_um=50.0)
+            timing = TimingGraph(
+                CompiledNetlist(names, circ.nets, circ.terminals), tsv_length_um=50.0
+            )
             inflations = (
                 timing.max_delay_inflation(fp),
                 dict(zip(names, rng.uniform(0.9, 2.0, len(names)).tolist())),

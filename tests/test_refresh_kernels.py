@@ -31,7 +31,7 @@ from repro.layout.floorplan import Floorplan3D
 from repro.layout.geometry import Rect
 from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
-from repro.layout.net import Net, Terminal
+from repro.layout.net import CompiledNetlist, Net, Terminal
 from repro.layout.tsv import (
     TSV,
     TSVKind,
@@ -353,7 +353,9 @@ class TestRefreshFromSnapshot:
         )
         recorder = _RecordingModel(num_dies)
         evaluator.thermal = recorder
-        timing = TimingGraph(list(state.modules), circ.nets, tsv_length_um=50.0)
+        timing = TimingGraph(
+            CompiledNetlist(list(state.modules), circ.nets, circ.terminals), tsv_length_um=50.0
+        )
         realized = []
         for move in range(moves + 1):
             candidate = state.copy()

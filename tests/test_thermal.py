@@ -111,6 +111,28 @@ class TestStackBuilder:
         assert [d for _, d in stack.power_layers()] == [0, 1, 2]
         assert stack.layers[-1].name == "sink"
 
+    @pytest.mark.parametrize("num_dies", [1, 2, 3, 4])
+    def test_tiers_repeat_per_die(self, num_dies):
+        cfg = StackConfig.square(1000.0, num_dies=num_dies)
+        stack = build_stack(cfg, GridSpec(cfg.outline, 6, 5))
+        names = ["die0_bulk", "die0_active", "die0_beol"]
+        for d in range(1, num_dies):
+            names += [f"bond{d - 1}{d}", f"die{d}_bulk", f"die{d}_active", f"die{d}_beol"]
+        assert [layer.name for layer in stack.layers] == names + ["tim", "spreader", "sink"]
+        assert stack.power_layers() == [
+            (stack.layer_index(f"die{d}_active"), d) for d in range(num_dies)
+        ]
+
+    def test_single_die_stack_has_one_die(self):
+        """No phantom second tier: one power layer and one die map."""
+        cfg = StackConfig.square(1000.0, num_dies=1)
+        grid = GridSpec(cfg.outline, 8, 8)
+        stack = build_stack(cfg, grid)
+        assert stack.power_layers() == [(1, 0)]
+        res = SteadyStateSolver(stack).solve([np.full(grid.shape, 1.0 / 64)])
+        assert len(res.die_maps) == 1
+        assert res.die_maps[0].max() > stack.ambient
+
 
 class TestSteadyState:
     def test_zero_power_gives_ambient(self, small_setup):

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.hpwl import net_delays_loop
+from repro.benchmarks import load
+from repro.floorplan.moves import apply_random_move
+from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.module import Module, Placement
-from repro.layout.net import Net
+from repro.layout.net import CompiledNetlist, Net
 from repro.timing.delay_model import K_DELAY_NS_PER_UM, ensure_intrinsic_delays, module_delay_ns
 from repro.timing.elmore import WireTechnology, net_delay_ns
 from repro.timing.paths import TimingGraph
@@ -39,6 +43,8 @@ class TestElmore:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             net_delay_ns(-1, 1)
+        with pytest.raises(ValueError):
+            net_delay_ns(np.array([10.0, 20.0]), np.array([1, -1]))
 
     def test_tech_validation(self):
         with pytest.raises(ValueError):
@@ -48,6 +54,19 @@ class TestElmore:
     @settings(max_examples=40)
     def test_nonnegative(self, length, sinks):
         assert net_delay_ns(length, sinks) >= 0
+
+    def test_arrays_equal_scalar_calls(self):
+        rng = np.random.default_rng(0)
+        hpwl = rng.uniform(0, 1e4, 50)
+        sinks = rng.integers(0, 20, 50)
+        crossings = rng.integers(0, 3, 50)
+        tech = WireTechnology(r_tsv_ohm=0.3, c_tsv_ff=20.0)
+        got = net_delay_ns(hpwl, sinks, crossings, tech)
+        want = [
+            net_delay_ns(h, int(n), int(c), tech)
+            for h, n, c in zip(hpwl.tolist(), sinks, crossings)
+        ]
+        assert got.tolist() == want
 
 
 class TestDelayModel:
@@ -90,7 +109,7 @@ def _two_die_fp():
 class TestTimingGraph:
     def test_critical_delay_includes_module_and_net(self):
         fp, nets, mods = _two_die_fp()
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(fp.compiled_netlist())
         report = tg.evaluate(fp)
         # module a has the largest intrinsic delay; its worst net is n1
         assert report.critical_delay_ns > 0.5
@@ -98,7 +117,7 @@ class TestTimingGraph:
 
     def test_net_delays_per_net(self):
         fp, nets, mods = _two_die_fp()
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(fp.compiled_netlist())
         report = tg.evaluate(fp)
         assert report.net_delays_ns.shape == (2,)
         # n2 crosses a die, n1 is planar but longer; both positive
@@ -106,7 +125,7 @@ class TestTimingGraph:
 
     def test_voltage_slows_critical_path(self):
         fp, nets, mods = _two_die_fp()
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(fp.compiled_netlist())
         nominal = tg.evaluate(fp).critical_delay_ns
         slowed = tg.evaluate(
             fp, voltages={n: 0.8 for n in fp.placements}
@@ -115,7 +134,7 @@ class TestTimingGraph:
 
     def test_overdrive_speeds_up(self):
         fp, nets, mods = _two_die_fp()
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(fp.compiled_netlist())
         nominal = tg.evaluate(fp).critical_delay_ns
         fast = tg.evaluate(
             fp, voltages={n: 1.2 for n in fp.placements}
@@ -124,7 +143,7 @@ class TestTimingGraph:
 
     def test_slack_computation(self):
         fp, nets, mods = _two_die_fp()
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(fp.compiled_netlist())
         report = tg.evaluate(fp)
         slacks = report.slack_ns(report.critical_delay_ns)
         assert min(slacks.values()) == pytest.approx(0.0, abs=1e-12)
@@ -132,7 +151,7 @@ class TestTimingGraph:
 
     def test_max_delay_inflation_critical_module_pinned(self):
         fp, nets, mods = _two_die_fp()
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(fp.compiled_netlist())
         inflation = tg.max_delay_inflation(fp)
         # the critical module cannot slow down at all
         crit = min(inflation, key=inflation.get)
@@ -142,7 +161,7 @@ class TestTimingGraph:
 
     def test_inflation_off_critical_module_has_room(self):
         fp, nets, mods = _two_die_fp()
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(fp.compiled_netlist())
         inflation = tg.max_delay_inflation(fp)
         assert max(inflation.values()) > 1.05
 
@@ -150,7 +169,7 @@ class TestTimingGraph:
         mods = {"a": Module("a", 10, 10, intrinsic_delay=0.2)}
         stack = StackConfig.square(100.0)
         fp = Floorplan3D(stack, {"a": Placement(mods["a"], 0, 0, die=0)})
-        tg = TimingGraph(["a"], [])
+        tg = TimingGraph(CompiledNetlist(["a"], [], {}))
         report = tg.evaluate(fp)
         assert report.critical_delay_ns == pytest.approx(0.2)
 
@@ -169,5 +188,22 @@ class TestTimingGraph:
             "a": Placement(mods["a"], 0, 0, die=0),
             "b": Placement(mods["b"], 7900, 7900, die=0),
         }, nets)
-        tg = TimingGraph(list(mods), nets)
+        tg = TimingGraph(near.compiled_netlist())
         assert tg.evaluate(far).critical_delay_ns > tg.evaluate(near).critical_delay_ns
+
+
+@pytest.mark.parametrize("name", ["n100", "ibm01"])
+def test_net_delays_equal_scalar_loop_bytewise(name):
+    """Vectorized delays over the compiled netlist == one scalar
+    ``net_delay_ns`` per net over its module pins, on random layouts."""
+    circ, stack = load(name)
+    rng = np.random.default_rng(7)
+    state = LayoutState.initial(circ.modules, stack, rng)
+    for _ in range(3):
+        for _ in range(20):
+            apply_random_move(state, rng)
+        fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
+        tg = TimingGraph(fp.compiled_netlist(), tsv_length_um=50.0)
+        got = tg.net_delays(*fp.module_centers(tg.module_names))
+        assert got.tolist() == net_delays_loop(circ.nets, fp.placements, 50.0)
+        assert got.tolist() == tg.evaluate(fp).net_delays_ns.tolist()
