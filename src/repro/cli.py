@@ -381,8 +381,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .core.parallel import IN_POOL_ENV
 
         # inline jobs run on that many threads of this one process: like
-        # batch-pool workers, each keeps its DVFS kernel chains and
-        # tempered replicas serial instead of fanning out to every core
+        # batch-pool workers, each runs its dies' DVFS kernel processes
+        # on one chain and its tempered replicas serially instead of
+        # fanning out to every core
         os.environ[IN_POOL_ENV] = "1"
     return run(state, host=args.host, port=args.port)
 

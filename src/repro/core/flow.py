@@ -150,7 +150,7 @@ def run_flow(
     )
 
     # final full-size voltage assignment on the chosen layout
-    timing = TimingGraph(floorplan.compiled_netlist(), tsv_length_um=50.0)
+    timing = TimingGraph(result.netlist, tsv_length_um=50.0)
     inflation = timing.max_delay_inflation(floorplan)
     objective = (
         AssignmentObjective.TSC_AWARE

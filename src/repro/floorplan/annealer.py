@@ -33,7 +33,7 @@ import numpy as np
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.module import Module
-from ..layout.net import Net, Terminal
+from ..layout.net import CompiledNetlist, Net, Terminal
 from ..timing.delay_model import ensure_intrinsic_delays
 from .moves import apply_random_move
 from .objectives import CostBreakdown, CostEvaluator, FloorplanMode, ObjectiveWeights
@@ -113,6 +113,8 @@ class AnnealResult:
 
     state: LayoutState
     floorplan: Floorplan3D
+    #: ``floorplan``'s nets compiled over its module names
+    netlist: CompiledNetlist
     cost: float
     breakdown: CostBreakdown
     feasible: bool
@@ -368,11 +370,16 @@ class AnnealChain:
         evaluator = self.evaluator
         final_bd = evaluator.evaluate(self.best_state, force_full=True)
         final_cost = evaluator.total_cost(final_bd)
-        floorplan = self.best_state.realize(self.nets, self.terminals)
+        # the evaluator scored these nets over the same module order the
+        # realized placements take, so its netlist places the signal TSVs
+        netlist = evaluator.compiled_netlist(self.best_state)
+        floorplan = self.best_state.realize(self.nets, self.terminals, place_tsvs=False)
+        floorplan.place_signal_tsvs(netlist)
         self.elapsed_s += time.perf_counter() - t0
         return AnnealResult(
             state=self.best_state,
             floorplan=floorplan,
+            netlist=netlist,
             cost=final_cost,
             breakdown=final_bd,
             feasible=final_bd.outline <= 1e-9,

@@ -267,14 +267,15 @@ class CostEvaluator:
         self._total_nominal_power: Optional[float] = None
 
     # -- plumbing ---------------------------------------------------------------
-    def _compiled(self, state: LayoutState) -> CompiledNetlist:
+    def compiled_netlist(self, state: LayoutState) -> CompiledNetlist:
+        """The scored nets compiled over ``state``'s module names, once."""
         if self._netlist is None:
             self._netlist = CompiledNetlist(list(state.modules), self.nets, self.terminals)
         return self._netlist
 
     def _module_arrays(self, state: LayoutState) -> _ModuleArrays:
         if self._modules is None:
-            mods = [state.modules[n] for n in self._compiled(state).module_names]
+            mods = [state.modules[n] for n in self.compiled_netlist(state).module_names]
 
             def array(values, dtype=float):
                 out = np.array(values, dtype=dtype)
@@ -293,7 +294,7 @@ class CostEvaluator:
     def _timing_graph(self, state: LayoutState) -> TimingGraph:
         if self._timing is None:
             self._timing = TimingGraph(
-                self._compiled(state), tsv_length_um=self.tsv_length_um
+                self.compiled_netlist(state), tsv_length_um=self.tsv_length_um
             )
         return self._timing
 
@@ -307,7 +308,7 @@ class CostEvaluator:
     # -- snapshot construction ------------------------------------------------------
     def _full_snapshot(self, state: LayoutState) -> "_Snapshot":
         """Pack every die and derive the cheap cost terms from scratch."""
-        nl = self._compiled(state)
+        nl = self.compiled_netlist(state)
         sizes = {n: state.effective_size(n) for n in state.modules}
         positions: Dict[str, Tuple[float, float]] = {}
         extents: List[Tuple[float, float]] = []
@@ -376,7 +377,7 @@ class CostEvaluator:
             cache.watts = None
         if cache.watts is None:
             voltages = cache.assignment.voltages if cache.assignment else {}
-            volts = [voltages.get(n, 1.0) for n in self._compiled(state).module_names]
+            volts = [voltages.get(n, 1.0) for n in self.compiled_netlist(state).module_names]
             cache.watts = scaled_power(mods.power, volts)
             cache.delays = scaled_delay(mods.delay, volts)
             cache.power = total_power(mods.power, volts)
@@ -399,7 +400,7 @@ class CostEvaluator:
                 )
             if num_dies > 1:
                 # every adjacent interface's TSVs, not just (0, 1)
-                sites = signal_sites_at(self._compiled(state), self.stack, cx, cy, snap.dies)
+                sites = signal_sites_at(self.compiled_netlist(state), self.stack, cx, cy, snap.dies)
                 density = interface_densities(
                     sites, self.stack.tsv_pitch, self.stack.outline,
                     self.grid.nx, self.grid.ny, num_dies,

@@ -162,15 +162,15 @@ class Floorplan3D:
             netlist, self.stack, *self.module_centers(netlist.module_names)
         )
 
-    def place_signal_tsvs(self) -> None:
+    def place_signal_tsvs(self, netlist: CompiledNetlist | None = None) -> None:
         """Derive signal TSV sites from inter-die nets.
 
         Each die crossing of a net contributes one TSV placed at the
         clipped centroid of the net's pins — the natural routing position.
         Replaces previously derived signal TSVs; dummy thermal TSVs are
-        kept untouched.
+        kept untouched.  ``netlist`` is as for :meth:`signal_sites`.
         """
-        sites = self.signal_sites()
+        sites = self.signal_sites(netlist)
         new_tsvs: List[TSV] = [t for t in self.tsvs if t.kind == TSVKind.THERMAL]
         for x, y, lo, hi in zip(
             sites.x.tolist(), sites.y.tolist(), sites.lo.tolist(), sites.hi.tolist()

@@ -16,14 +16,17 @@ precomputed layer-slice index instead of a per-step per-die Python loop.
 :meth:`TransientSolver.die_mean_kernels` answers the question a readout
 of die-mean temperatures actually asks, without integrating any trace:
 the system is linear and time-invariant, so every die mean is a
-convolution of the power deviations with an impulse response, and the
-adjoint recursion computes that response in ``steps`` solves per die
-whatever the number of traces.  One factorization serves every die; the
-dies' recursions never interact, so on an idle host each runs as its own
-chain on a small thread pool.  The DVFS leakage evaluator
+convolution of the power deviations with an impulse response.  A
+Lanczos model of the step operator gives every step of that response
+from a few dozen one-column solves per die, whatever the number of
+steps and traces.  One factorization serves every die; the dies'
+processes never interact, so on an idle host each runs as its own chain
+on a small thread pool.  The DVFS leakage evaluator
 (:mod:`repro.mitigation.dvfs`) scores through it; it is deterministic,
-byte-identical however the dies are split, and equals forward integration
-(``tests/oracles/transient.py``) within 1e-10.
+byte-identical however the dies are split, equals the step-by-step
+adjoint recursion within 1e-10 of the kernels' largest entry, and its
+scores equal forward integration (``tests/oracles/transient.py``)
+within 1e-10.
 
 This solver backs the Figure 1 reproduction: module activity toggles on a
 nanosecond-to-microsecond scale while the thermal response follows on a
@@ -239,39 +242,42 @@ class TransientSolver:
         ``Σ_j Σ_{s,c} H[j, s, c, d] · (q_{n−j} − q̄)[s, c]`` for any
         reference power ``q̄``.
 
-        Computed by the adjoint recursion on the step matrix
-        ``A = C/dt + G`` (symmetric): ``w_0 = A⁻¹r_d``,
-        ``w_j = A⁻¹((C/dt)·w_{j−1})``, where ``r_d`` is die ``d``'s
-        mean-readout column and ``H[j, :, :, d]`` is ``w_j`` at the die
-        nodes — ``steps`` solves per die, whatever number of traces the
-        caller convolves against ``H``.
+        With the step matrix ``A = C/dt + G`` (symmetric) and
+        ``M = C/dt``, the adjoint recursion ``w_0 = A⁻¹r_d``,
+        ``w_j = A⁻¹M·w_{j−1}`` gives ``H[j, :, :, d]`` as ``w_j`` at the
+        die nodes, where ``r_d`` is die ``d``'s mean-readout column.
+        ``B = A⁻¹M`` is self-adjoint in the ``M`` inner product, so a
+        Lanczos process on it (the PRIMA model-order reduction of an RC
+        network) gives ``w_j ≈ ‖w_0‖_M · V_k T_k^j e_1`` for every ``j``
+        from ``k + 1`` one-column solves (:func:`_lanczos`): ``k`` stops
+        growing once the a-posteriori bound on every step's error drops
+        to ``1e-10 · ‖w_0‖_M``, typically 10-45 solves per die instead
+        of ``steps``, and never more than ``steps``.
 
         The step matrix is factorized here, on the calling thread.  The
-        dies' recursions never interact, so they split into one chain
-        per core the job may use (:func:`repro.core.parallel.fanout_cores`),
-        each a contiguous block of dies solved as one multi-column
-        recursion on its own thread: one chain per die on an idle host,
-        and a single chain of every die — one multi-column solve per
-        step, the cheaper way on a busy core — inside a batch-pool
-        worker or on one CPU.  Only ``Factorization.solve_many`` runs off
-        the calling thread, and SuperLU releases the GIL inside it.  A
-        column's bytes do not depend on how the dies are split.
+        dies' processes never interact, so they split into one chain per
+        core the job may use (:func:`repro.core.parallel.fanout_cores`),
+        each running a contiguous block of dies one after another on its
+        own thread: one chain per die on an idle host, a single chain
+        inside a batch-pool worker or on one CPU.  Chains call no BLAS,
+        whose own threads would contend with them; SuperLU releases the
+        GIL inside ``Factorization.solve_many``.  The kernels are
+        assembled on the calling thread once the chains join, so their
+        bytes do not depend on how the dies are split.
         """
         if dt <= 0 or steps < 1:
             raise ValueError("dt must be positive and steps >= 1")
         lu = self._factorize(dt)
         num_dies, cells = self._die_nodes.shape
-        kernels = np.empty((steps, num_dies, cells, num_dies))
-        c_over_dt = (self.network.capacitance / dt)[:, None]
+        c_over_dt = self.network.capacitance / dt
+        models: list = [None] * num_dies
 
         def chain(lo: int, hi: int) -> None:
-            """The recursion of dies ``lo..hi-1``, one column each."""
-            w = np.zeros((self.network.num_nodes, hi - lo))
-            for k, d in enumerate(range(lo, hi)):
-                w[self._die_nodes[d], k] = 1.0 / cells
-            for j in range(steps):
-                w = lu.solve_many(w if j == 0 else c_over_dt * w)
-                kernels[j, :, :, lo:hi] = w[self._die_nodes]
+            """The Lanczos processes of dies ``lo..hi-1``, in turn."""
+            for d in range(lo, hi):
+                readout = np.zeros(self.network.num_nodes)
+                readout[self._die_nodes[d]] = 1.0 / cells
+                models[d] = _lanczos(lu, c_over_dt, readout, self._die_nodes, steps)
 
         from concurrent.futures import ThreadPoolExecutor
 
@@ -280,7 +286,81 @@ class TransientSolver:
         with ThreadPoolExecutor(max_workers=chains) as pool:
             # list() re-raises the first chain's exception, if any
             list(pool.map(chain, edges[:-1], edges[1:]))
+
+        kernels = np.empty((steps, num_dies, cells, num_dies))
+        for d, (scale, alpha, beta, basis) in enumerate(models):
+            coeffs = scale * _tridiagonal_powers(alpha, beta, steps)
+            kernels[:, :, :, d] = (coeffs @ basis.reshape(len(alpha), -1)).reshape(
+                steps, num_dies, cells
+            )
         return kernels
+
+
+#: stop a Lanczos process once its bound on every kernel step's error,
+#: relative to ``‖w_0‖_M``, is this small (the adjoint-vs-forward oracle
+#: tolerance of the DVFS scores)
+_LANCZOS_TOL = 1e-10
+#: iterations between two evaluations of that bound
+_LANCZOS_CHECK = 4
+
+
+def _tridiagonal_powers(alpha: np.ndarray, beta: np.ndarray, steps: int) -> np.ndarray:
+    """``(steps, k)``: row ``j`` is ``T^j e_1`` for the symmetric
+    tridiagonal ``T`` with diagonal ``alpha`` and off-diagonal ``beta``,
+    by repeated elementwise products (no BLAS)."""
+    out = np.empty((steps, len(alpha)))
+    y = np.zeros(len(alpha))
+    y[0] = 1.0
+    for j in range(steps):
+        out[j] = y
+        nxt = alpha * y
+        nxt[1:] += beta * y[:-1]
+        nxt[:-1] += beta * y[1:]
+        y = nxt
+    return out
+
+
+def _lanczos(lu, m: np.ndarray, readout: np.ndarray, nodes: np.ndarray, steps: int):
+    """The Lanczos model of ``B = A⁻¹M`` from ``w_0 = A⁻¹ readout``.
+
+    Returns ``(‖w_0‖_M, alpha, beta, basis)``: the tridiagonal ``T_k``
+    and the ``M``-orthonormal basis vectors at ``nodes``,
+    ``(k, *nodes.shape)``, with ``B^j w_0 ≈ ‖w_0‖_M · V_k T_k^j e_1``.
+    The plain three-term recurrence, without reorthogonalization: the
+    error of that model is ``Σ_{i<j} B^{j−1−i} β_k v_{k+1} e_kᵀ T_k^i e_1``,
+    and ``B`` does not grow ``M``-norms, so the process stops once
+    ``β_k Σ_{j<steps} |e_kᵀ T_k^j e_1| ≤ _LANCZOS_TOL``, at ``k = steps``
+    (where the model is exact and needs no further solve) or when the
+    Krylov space is exhausted (``β_k = 0``).  Only one-column
+    ``solve_many`` calls and elementwise numpy, so it may run on a chain
+    thread.
+    """
+    w = lu.solve_many(readout[:, None])[:, 0]
+    scale = np.sqrt(np.einsum("i,i,i->", w, m, w))
+    v, v_prev, b_prev = w / scale, np.zeros_like(w), 0.0
+    alpha, beta, basis = [], [], []
+    while True:
+        basis.append(v[nodes])
+        if len(basis) == steps:
+            # exact; T_k^j e_1 for j < k never reads the last diagonal
+            alpha.append(0.0)
+            break
+        mv = m * v
+        z = lu.solve_many(mv[:, None])[:, 0]
+        a = np.einsum("i,i->", mv, z)
+        z = z - a * v - b_prev * v_prev
+        b = np.sqrt(np.einsum("i,i,i->", z, m, z))
+        alpha.append(a)
+        k = len(alpha)
+        if b == 0.0:
+            break
+        if k % _LANCZOS_CHECK == 0:
+            last = _tridiagonal_powers(np.array(alpha), np.array(beta), steps)[:, -1]
+            if b * np.abs(last).sum() <= _LANCZOS_TOL:
+                break
+        beta.append(b)
+        v_prev, v, b_prev = v, z / b, b
+    return scale, np.array(alpha), np.array(beta), np.stack(basis)
 
 
 def thermal_time_constant(trace: TransientTrace, die: int = 0) -> float:

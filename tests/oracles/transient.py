@@ -6,8 +6,9 @@ arms integrated step by step from its equilibrium, either one
 :meth:`~repro.thermal.transient.TransientSolver.run` at a time or batched
 column-exact.  The two forward variants are byte-identical to each other;
 the adjoint path must match them within 1e-10.  It also keeps the
-kernels' serial reference, every die's recursion on the calling thread,
-which the threaded ``die_mean_kernels`` must equal byte for byte.
+kernels' exact reference, every die's adjoint recursion step by step on
+the calling thread, which the Lanczos model in ``die_mean_kernels`` must
+match within 1e-10 of the kernels' largest entry.
 """
 
 from __future__ import annotations

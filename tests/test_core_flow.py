@@ -1,6 +1,7 @@
 """Integration tests for the end-to-end flow (Fig. 3) and result records."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from repro.floorplan.annealer import AnnealConfig
 from repro.floorplan.objectives import FloorplanMode
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
+from repro.layout.net import CompiledNetlist
 from repro.mitigation.dummy_tsv import MitigationConfig
+from repro.thermal.stack import TopologyConfig
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,30 @@ class TestRunFlow:
         assert out.mitigation is not None
         assert out.metrics.dummy_tsvs == out.mitigation.inserted
         assert out.metrics.mode == FloorplanMode.TSC_AWARE
+
+    @pytest.mark.parametrize("topology, mit_mode", [("3d", "static"), ("2.5d", "dvfs")])
+    def test_compiles_the_netlist_once(self, tiny, topology, mit_mode, monkeypatch):
+        """The anneal's evaluator compiles the netlist; the final signal-TSV
+        placement, the timing graph and the wirelength reuse it."""
+        circ, stack = tiny
+        compiled = []
+        original = CompiledNetlist.__init__
+
+        def counting(self, *args, **kwargs):
+            compiled.append(args[0])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledNetlist, "__init__", counting)
+        config = _flow_config(FloorplanMode.TSC_AWARE, seed=3)
+        config = replace(
+            config,
+            topology=TopologyConfig(kind=topology),
+            mitigation=replace(config.mitigation, mode=mit_mode, dvfs_traces=2),
+        )
+        out = run_flow(circ, stack, config)
+        assert len(compiled) == 1
+        assert compiled[0] == list(out.floorplan.placements)
+        assert out.metrics.signal_tsvs == len(out.floorplan.signal_tsvs) > 0
 
     def test_flow_deterministic(self, tiny):
         circ, stack = tiny

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import IN_POOL_ENV
+from repro.core.parallel import IN_POOL_ENV, fanout_cores
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.grid import GridSpec
@@ -200,9 +200,10 @@ def _transient_solver(num_dies, kind, n=12, backend=None):
 
 
 class TestKernelThreads:
-    """``die_mean_kernels`` splits the dies into one adjoint chain per
-    core the job may use, each on a thread; the chains never interact,
-    so the split cannot move a byte."""
+    """``die_mean_kernels`` splits the dies into one chain per core the
+    job may use, each running its dies' Lanczos processes on a thread;
+    the processes never interact and the kernels are assembled after the
+    chains join, so the split cannot move a byte."""
 
     @pytest.mark.parametrize("num_dies", [2, 3])
     @pytest.mark.parametrize("kind", ["3d", "2.5d"])
@@ -213,21 +214,72 @@ class TestKernelThreads:
     ):
         """``cores`` pins the split: one chain of every die, two chains
         (of 1 and 2 dies when there are 3), one per die, or this host's
-        own count; both backends share one factorization across them."""
-        if cores is not None:
-            monkeypatch.setattr(transient, "fanout_cores", lambda: cores)
+        own count; each gives the bytes of the single chain that runs
+        every die's recursion in turn, on both backends."""
         solver = _transient_solver(num_dies, kind, backend=backend)
         assert solver.backend.name == backend
+        monkeypatch.setattr(transient, "fanout_cores", lambda: 1)
+        want = solver.die_mean_kernels(2e-3, 9)
+        monkeypatch.setattr(
+            transient, "fanout_cores", (lambda: cores) if cores else fanout_cores
+        )
         got = solver.die_mean_kernels(2e-3, 9)
-        want = die_mean_kernels_serial(solver, 2e-3, 9)
         assert got.shape == (9, num_dies, solver._die_nodes.shape[1], num_dies)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("in_pool, widths", [(True, [3] * 4), (False, [1] * 12)])
-    def test_pool_worker_runs_one_chain(self, in_pool, widths, monkeypatch):
-        """Inside a batch-pool worker, whose siblings already occupy the
-        cores, every step is one solve of all the dies' columns; outside
-        it the columns split into ``min(dies, cpu_count)`` chains."""
+    @pytest.mark.parametrize(
+        "kind, n, dt, steps",
+        [
+            ("3d", 12, 2e-3, 9),
+            ("2.5d", 12, 2e-3, 9),
+            ("3d", 12, 2e-3, 96),
+            ("2.5d", 12, 2e-3, 96),
+            ("2.5d", 12, 5e-4, 96),
+            ("3d", 12, 2e-2, 96),
+            ("2.5d", 12, 2e-3, 384),
+            # more steps than nodes: the Krylov space runs out first
+            ("3d", 1, 2e-3, 16),
+            ("3d", 2, 2e-3, 64),
+            ("2.5d", 2, 2e-3, 128),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["superlu", "spectral"])
+    def test_matches_exact_recursion(self, kind, n, dt, steps, backend):
+        """The Lanczos model reproduces every step of the one-solve-per-step
+        adjoint recursion within 1e-10 of the kernels' largest entry, the
+        adjoint-vs-forward tolerance of the scores."""
+        solver = _transient_solver(3, kind, n=n, backend=backend)
+        got = solver.die_mean_kernels(dt, steps)
+        want = die_mean_kernels_serial(solver, dt, steps)
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_stops_before_the_horizon(self, monkeypatch):
+        """The point of the model: a 96-step horizon costs far fewer than
+        96 solves per die, and a longer horizon only a few more."""
+        solver = _transient_solver(2, "3d")
+        lu = solver._factorize(2e-3)
+        solves, original = [], lu.solve_many
+
+        def solve_many(b):
+            solves.append(b.shape[1])
+            return original(b)
+
+        monkeypatch.setattr(lu, "solve_many", solve_many)
+        solver.die_mean_kernels(2e-3, 96)
+        short = len(solves)
+        solver.die_mean_kernels(2e-3, 384)
+        assert short < 2 * 48
+        assert len(solves) - short < 2 * short
+
+    @pytest.mark.parametrize("in_pool, threads", [(True, 1), (False, 3)])
+    def test_pool_worker_runs_one_thread(self, in_pool, threads, monkeypatch):
+        """Every solve is one column.  Inside a batch-pool worker, whose
+        siblings already occupy the cores, every die's process runs on one
+        thread; outside it the dies split into ``min(dies, cpu_count)``
+        chains."""
+        import concurrent.futures
+
         if in_pool:
             monkeypatch.setenv(IN_POOL_ENV, "1")
         else:
@@ -235,15 +287,26 @@ class TestKernelThreads:
             monkeypatch.setattr(os, "cpu_count", lambda: 3)
         solver = _transient_solver(3, "3d")
         lu = solver._factorize(2e-3)
-        seen, original = [], lu.solve_many
+        widths, idents, pools = [], set(), []
+        original, executor = lu.solve_many, concurrent.futures.ThreadPoolExecutor
 
         def solve_many(b):
-            seen.append(b.shape[1])
+            widths.append(b.shape[1])
+            idents.add(threading.get_ident())
             return original(b)
 
+        def pool(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers)
+
         monkeypatch.setattr(lu, "solve_many", solve_many)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
         solver.die_mean_kernels(2e-3, 4)
-        assert seen == widths
+        assert pools == [threads]
+        assert set(widths) == {1} and len(widths) == 3 * 4
+        assert threading.get_ident() not in idents
+        if in_pool:
+            assert len(idents) == 1
 
     def test_chain_error_reaches_the_caller(self, monkeypatch):
         solver = _transient_solver(2, "3d")
