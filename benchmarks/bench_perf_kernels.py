@@ -2,8 +2,8 @@
 
 Not a paper artifact; tracks the throughput of the pieces that gate the
 flow's wall-clock: sequence-pair packing, vectorized wirelength, the
-leakage metrics, fast thermal estimation and calibration, the detailed
-solve, the DVFS response kernels, and voltage assignment.
+leakage metrics, the fast in-loop thermal estimate, the detailed solve,
+the DVFS response kernels, and voltage assignment.
 """
 
 import numpy as np
@@ -13,17 +13,15 @@ from oracles.activity import sample_power_maps_loop
 from oracles.pearson import local_correlation_map_loop
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
-from repro.floorplan.objectives import CostEvaluator, FloorplanMode
+from repro.floorplan.objectives import CostEvaluator, FloorplanMode, calibrated_thermal_model
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.grid import GridSpec
 from repro.layout.net import CompiledNetlist
-from repro.layout.tsv import interface_densities
 from repro.leakage.entropy import spatial_entropy
 from repro.leakage.pearson import die_correlation, local_correlation_map
 from repro.leakage.stability import stability_map
 from repro.power.assignment import AssignmentObjective, assign_voltages
 from repro.mitigation.activity import sample_power_maps
-from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import build_stack
 from repro.thermal.steady_state import SteadyStateSolver
 from repro.thermal.transient import TransientSolver
@@ -76,22 +74,6 @@ def test_spatial_entropy_64(benchmark):
     benchmark(spatial_entropy, pm)
 
 
-def test_refresh_tsv_density_n100(benchmark, n100_state):
-    """The TSV part of one in-loop anneal refresh at 32x32: signal-TSV
-    sites of every crossing net, then every interface's density map."""
-    circ, stack, state = n100_state
-    fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-    netlist = CompiledNetlist(list(state.modules), circ.nets, circ.terminals)
-
-    def refresh():
-        sites = fp.signal_sites(netlist)
-        return interface_densities(
-            sites, stack.tsv_pitch, stack.outline, 32, 32, stack.num_dies
-        )
-
-    benchmark(refresh)
-
-
 def test_pearson_64(benchmark):
     rng = np.random.default_rng(2)
     p = rng.random((64, 64))
@@ -106,26 +88,14 @@ def test_stability_map_100_samples(benchmark):
     benchmark(stability_map, ps, ts)
 
 
-def test_fast_thermal_64(benchmark):
-    model = FastThermalModel(num_dies=2)
+def test_fast_thermal_64(benchmark, n100_state):
+    """One in-loop estimate at 64x64: the homogenized solve of the n100
+    TSV-free stack (model built outside the timing)."""
+    _, stack, _ = n100_state
+    model = calibrated_thermal_model(stack, GridSpec(stack.outline, 64, 64))
     rng = np.random.default_rng(4)
     pms = [rng.random((64, 64)) * 1e-3 for _ in range(2)]
     benchmark(model.estimate, pms)
-
-
-def test_fast_calibration_n100(benchmark, n100_state):
-    """A cold fit of the fast model's masks at 32x32: the detailed solves
-    of the TSV-free calibration stack plus the moment fits."""
-    from repro.floorplan import objectives
-
-    _, stack, _ = n100_state
-    grid = GridSpec(stack.outline, 32, 32)
-
-    def cold_calibration():
-        objectives._CALIBRATED_MODELS.clear()
-        return objectives.calibrated_thermal_model(stack, grid)
-
-    benchmark(cold_calibration)
 
 
 def test_detailed_solve_32(benchmark, n100_state):
@@ -157,8 +127,6 @@ def _iteration_harness():
     evaluator = CostEvaluator(
         stack, circ.nets, circ.terminals,
         mode=FloorplanMode.TSC_AWARE,
-        thermal_model=FastThermalModel(num_dies=stack.num_dies),
-        auto_calibrate=False,
     )
     evaluator.evaluate(state, force_full=True)
     box = {"state": state}

@@ -52,7 +52,6 @@ TRACKED = [
     "test_pack_ibm03",
     "test_wirelength_ibm03",
     "test_anneal_iteration_n100",
-    "test_refresh_tsv_density_n100",
     "test_spatial_entropy_64",
     "test_activity_sweep_batched_lu_reuse",
     "test_sample_power_maps_batched_n100",
@@ -63,7 +62,6 @@ TRACKED = [
     "test_anneal_serial_n100",
     "test_interposer_steady_state_64",
     "test_voltage_assignment_n100",
-    "test_fast_calibration_n100",
     "test_fast_thermal_64",
     "test_dvfs_kernels_2p5d_24",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional
 
 from ..core import schema
-from ..core.config import FlowConfig
+from ..core.config import FlowConfig, check_mitigation_mode
 from ..core.results import FlowMetrics
 from ..core.store import artifact_digest
 from ..floorplan.annealer import AnnealConfig
@@ -56,8 +56,9 @@ class JobSpec:
     replicas: int = 1
     exchange_every: int = 50
     #: integration style ("3d" | "2.5d") and mitigation mode
-    #: ("static" | "dvfs" | "combined"); the defaults reproduce the
-    #: legacy vertical-stack static-TSV runs bit-identically
+    #: ("static" | "dvfs" | "combined"; the last two in TSC mode only);
+    #: the defaults reproduce the legacy vertical-stack static-TSV runs
+    #: bit-identically
     topology: str = "3d"
     mitigation_mode: str = "static"
 
@@ -94,6 +95,7 @@ class JobSpec:
                 f"unknown mitigation mode {self.mitigation_mode!r}; "
                 "expected one of " + ", ".join(MITIGATION_MODES)
             )
+        check_mitigation_mode(self.mode, self.mitigation_mode)
 
     def to_json(self) -> dict:
         """Versioned JSON document (see :mod:`repro.core.schema`)."""

@@ -131,20 +131,31 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 def _build_jobs(args: argparse.Namespace) -> list:
     """The (benchmark, mode, seed, topology, mitigation) JobSpec grid
-    shared by batch/enqueue."""
+    shared by batch/enqueue.  Only the TSC flow runs mitigation, so a
+    non-static mitigation mode pairs with ``tsc_aware`` alone."""
     if args.seeds < 1:
         raise SystemExit("error: --seeds must be >= 1")
     topologies = getattr(args, "topologies", None) or ["3d"]
     mit_modes = getattr(args, "mitigation_modes", None) or ["static"]
-    return [
+    runtime = [mit for mit in mit_modes if mit != "static"]
+    if runtime and any(mode != "tsc_aware" for mode in args.modes):
+        print(f"note: mitigation mode(s) {', '.join(runtime)} run only with "
+              "tsc_aware; other modes pair with static only")
+    jobs = [
         _spec_from_args(args, bench, mode, seed,
                         topology=topology, mitigation_mode=mit)
         for topology in topologies
         for mit in mit_modes
         for mode in args.modes
+        if mit == "static" or mode == "tsc_aware"
         for bench in args.benchmarks
         for seed in range(args.seeds)
     ]
+    if not jobs:
+        raise SystemExit(
+            f"error: mitigation mode(s) {', '.join(runtime)} need --modes tsc_aware"
+        )
+    return jobs
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -161,8 +172,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                   "already recorded")
     combos = sorted({(job.topology, job.mitigation_mode) for job in jobs})
     print(f"running {len(jobs)} flow jobs "
-          f"({len(args.benchmarks)} benchmarks x {len(args.modes)} modes x "
-          f"{args.seeds} seeds x {len(combos)} topology/mitigation combos) "
+          f"({len(args.benchmarks)} benchmarks, {len(args.modes)} modes, "
+          f"{args.seeds} seeds, {len(combos)} topology/mitigation combos) "
           f"on {args.processes or 'auto'} processes")
     results = run_batch(jobs, processes=args.processes, store=store)
     summary = summarize_batch(jobs, results)
@@ -462,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--mitigation-mode", dest="mitigation_mode",
                         choices=["static", "dvfs", "combined"],
                         default="static",
-                        help="leakage defense in TSC mode: 'static' inserts "
+                        help="leakage defense, in TSC mode only (dvfs and "
+                             "combined need --mode tsc_aware): 'static' inserts "
                              "dummy thermal TSVs (Sec. 6.2), 'dvfs' runs the "
                              "seeded runtime governor instead, 'combined' "
                              "layers the governor on the TSV-hardened "
@@ -494,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["static", "dvfs", "combined"],
                        default=["static"],
                        help="mitigation modes to sweep (grid axis); "
+                            "dvfs and combined pair with tsc_aware only; "
                             "sweeping more than one topology/mode combo "
                             "appends a static-vs-runtime comparison matrix "
                             "to the batch report")

@@ -11,7 +11,7 @@ from ..mitigation.dummy_tsv import MitigationConfig
 from ..thermal.stack import TopologyConfig
 from . import schema
 
-__all__ = ["FlowConfig", "env_int"]
+__all__ = ["FlowConfig", "check_mitigation_mode", "env_int"]
 
 
 def env_int(name: str, default: int) -> int:
@@ -30,13 +30,28 @@ def env_int(name: str, default: int) -> int:
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+def check_mitigation_mode(mode: str, mitigation_mode: str) -> None:
+    """Reject a runtime (``dvfs``) or ``combined`` mitigation outside TSC
+    mode: only the TSC flow runs mitigation, so such a job would run no
+    governor yet record the mode.  Every :class:`FlowConfig` and
+    :class:`~repro.api.jobs.JobSpec`, built directly or from JSON,
+    passes through here."""
+    if mitigation_mode != "static" and mode != FloorplanMode.TSC_AWARE:
+        raise ValueError(
+            f"mitigation mode {mitigation_mode!r} needs mode "
+            f"'{FloorplanMode.TSC_AWARE}' (got {mode!r}): only the TSC flow "
+            "runs mitigation"
+        )
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """One floorplanning flow invocation (Fig. 3).
 
     ``mode`` selects the power-aware baseline or the TSC-aware setup; the
-    mitigation post-processing (dummy thermal TSVs) runs only in TSC mode,
-    matching the paper's evaluation.
+    mitigation post-processing (dummy thermal TSVs, the DVFS governor or
+    both) runs only in TSC mode, matching the paper's evaluation, so a
+    power-aware config must keep ``mitigation.mode`` static.
     """
 
     mode: str = FloorplanMode.POWER_AWARE
@@ -70,6 +85,7 @@ class FlowConfig:
             raise ValueError("exchange_every must be >= 1")
         if self.mode not in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
             raise ValueError(f"unknown floorplanning mode {self.mode!r}")
+        check_mitigation_mode(self.mode, self.mitigation.mode)
 
     def to_json(self) -> dict:
         """Versioned JSON document, nested configs included

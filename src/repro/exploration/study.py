@@ -264,7 +264,7 @@ def run_batch(
     store is given (shards survive interruptions), else a temporary
     directory that vanishes with the call.
 
-    Each worker process calibrates the fast thermal model once per
+    Each worker process builds the fast thermal model once per
     (stack, grid) it meets and reuses it for the rest of its jobs.
 
     ``max_attempts``/``retry_backoff`` give every job a retry budget with

@@ -51,11 +51,6 @@ __all__ = [
 #: must not freeze the chain at T=0 or launch it at T=inf
 TEMPERATURE_FLOOR = 1e-9
 
-#: smallest anneal grid side: the fast model's calibration draws probe
-#: sources 2 cells clear of every edge, which needs at least one interior cell
-MIN_GRID_CELLS = 5
-
-
 @dataclass(frozen=True)
 class AnnealConfig:
     """Annealing schedule and evaluation cadence.
@@ -85,11 +80,11 @@ class AnnealConfig:
             raise ValueError("cooling factor must be in (0, 1)")
         if not (0.0 < self.initial_acceptance < 1.0):
             raise ValueError("initial acceptance must be in (0, 1)")
-        if min(self.grid_nx, self.grid_ny) < MIN_GRID_CELLS:
+        if min(self.grid_nx, self.grid_ny) < 1 or self.grid_nx * self.grid_ny < 2:
             raise ValueError(
-                f"grid_nx and grid_ny must be >= {MIN_GRID_CELLS} (got "
-                f"{self.grid_nx}x{self.grid_ny}): the fast model's calibration "
-                "places its probe sources at least 2 cells from every edge"
+                f"the anneal grid needs at least two cells (got "
+                f"{self.grid_nx}x{self.grid_ny}): the in-loop power-temperature "
+                "correlation is undefined on one"
             )
 
     def to_json(self) -> dict:

@@ -16,12 +16,13 @@ multi-objective annealing recipe Corblivar uses.  Expensive terms
 cadence; the cheap terms (outline fit, wirelength) are exact every
 iteration via a fully vectorized netlist evaluation.  One
 :class:`~repro.layout.net.CompiledNetlist`, compiled once per evaluator,
-serves the wirelength, the signal-TSV sites of every thermal refresh and
-the timing graph's Elmore delays.  The slow terms read the snapshot's
-geometry arrays and per-module constants compiled once per evaluator:
-each thermal refresh rasterizes every die's power map afresh, timing
-runs on the same centres, and only a voltage-assignment refresh
-realizes a :class:`~repro.layout.floorplan.Floorplan3D`.
+serves the wirelength and the timing graph's Elmore delays.  The slow
+terms read the snapshot's geometry arrays and per-module constants
+compiled once per evaluator: each thermal refresh rasterizes every die's
+power map afresh and solves the TSV-free stack exactly
+(:class:`~repro.thermal.fast.FastThermalModel`), timing runs on the same
+centres, and only a voltage-assignment refresh realizes a
+:class:`~repro.layout.floorplan.Floorplan3D`.
 """
 
 from __future__ import annotations
@@ -33,15 +34,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..layout.die import StackConfig
-from ..layout.floorplan import signal_sites_at
 from ..layout.grid import GridSpec, rasterize_rects
 from ..layout.net import CompiledNetlist, Net, Terminal
-from ..layout.tsv import interface_densities
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
 from ..power.voltages import scaled_delay, scaled_power, total_power
-from ..thermal import fast
 from ..thermal.fast import FastThermalModel
 from ..thermal.steady_state import calibration_solver
 from ..timing.paths import TimingGraph
@@ -55,30 +53,28 @@ __all__ = [
 ]
 
 
-#: calibrated fast-thermal models, memoized per (stack, grid) — repeated
-#: flow runs over the same benchmark in one process (sweep workers,
-#: batches) calibrate once
+#: fast-thermal models, memoized per (stack, grid) — repeated flow runs
+#: over the same benchmark in one process (sweep workers, batches) build
+#: each once
 _CALIBRATED_MODELS: Dict[Tuple[StackConfig, GridSpec], FastThermalModel] = {}
 #: serializes the memo's check-then-fill: service jobs run flows on
-#: executor threads, and two cold jobs on one stack must calibrate once
+#: executor threads, and two cold jobs on one stack must build once
 _CALIBRATION_LOCK = threading.Lock()
 
 
 def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalModel:
-    """Fit (or reuse) the power-blurring masks for this outline and grid.
+    """Build (or reuse) the in-loop thermal model of this stack and grid.
 
-    Corblivar calibrates its masks against HotSpot the same way.  The
-    calibration stack has no TSVs, so the detailed solves go through
-    :func:`~repro.thermal.steady_state.calibration_solver`, where the
-    spectral backend's preconditioner is exact: no sparse factorization,
-    and nothing left in the process-wide solver cache.
+    The model solves the TSV-free stack through
+    :func:`~repro.thermal.steady_state.calibration_solver`, whose
+    spectral factorization is that stack's exact solve: no sparse
+    factorization, and nothing left in the process-wide solver cache.
     """
     key = (stack, grid)
     with _CALIBRATION_LOCK:
         model = _CALIBRATED_MODELS.get(key)
         if model is None:
-            solver = calibration_solver(stack, grid)
-            model = fast.calibrate(solver, grid, num_dies=stack.num_dies)
+            model = FastThermalModel(calibration_solver(stack, grid))
             _CALIBRATED_MODELS[key] = model
     return model
 
@@ -238,18 +234,12 @@ class CostEvaluator:
         thermal_every: int = 5,
         assignment_every: int = 50,
         inloop_volume_size: int = 16,
-        thermal_model: FastThermalModel | None = None,
-        auto_calibrate: bool = True,
     ) -> None:
         self.stack = stack
         self.mode = mode
         self.weights = weights or ObjectiveWeights.for_mode(mode)
         self.grid = GridSpec(stack.outline, grid_nx, grid_ny)
-        if thermal_model is None and auto_calibrate:
-            # fit the power-blurring masks against the detailed solver for
-            # THIS outline and grid; memoized per (stack, grid) so sweeps
-            # and batches calibrate once
-            thermal_model = calibrated_thermal_model(stack, self.grid)
+        self.thermal = calibrated_thermal_model(stack, self.grid)
         self.tsv_length_um = tsv_length_um
         self.timing_every = max(1, timing_every)
         self.thermal_every = max(1, thermal_every)
@@ -257,7 +247,6 @@ class CostEvaluator:
         self.inloop_volume_size = inloop_volume_size
         self.terminals = dict(terminals)
         self.nets = tuple(nets)
-        self.thermal = thermal_model or FastThermalModel(num_dies=stack.num_dies)
         self._netlist: Optional[CompiledNetlist] = None
         self._modules: Optional[_ModuleArrays] = None
         self._timing: Optional[TimingGraph] = None
@@ -383,31 +372,20 @@ class CostEvaluator:
             cache.power = total_power(mods.power, volts)
         # the realized floorplan's geometry, to the ulp
         w, h = mods.realized_sizes(snap.w, snap.h)
-        cx, cy = snap.x + w / 2.0, snap.y + h / 2.0
         if refresh_timing:
             timing = self._timing_graph(state)
-            net_delays = timing.net_delays(cx, cy, snap.dies)
+            net_delays = timing.net_delays(snap.x + w / 2.0, snap.y + h / 2.0, snap.dies)
             cache.delay = float(timing.through_times(net_delays, cache.delays).max())
         if refresh_thermal:
-            num_dies = self.stack.num_dies
             maps = []
-            for d in range(num_dies):
+            for d in range(self.stack.num_dies):
                 on = snap.dies == d
                 maps.append(
                     rasterize_rects(
                         cache.watts[on], snap.x[on], snap.y[on], w[on], h[on], self.grid
                     )
                 )
-            if num_dies > 1:
-                # every adjacent interface's TSVs, not just (0, 1)
-                sites = signal_sites_at(self.compiled_netlist(state), self.stack, cx, cy, snap.dies)
-                density = interface_densities(
-                    sites, self.stack.tsv_pitch, self.stack.outline,
-                    self.grid.nx, self.grid.ny, num_dies,
-                )
-            else:
-                density = None
-            temp_maps = self.thermal.estimate(maps, tsv_density=density)
+            temp_maps = self.thermal.estimate(maps)
             cache.temperature = float(max(t.max() for t in temp_maps))
             if self.weights.correlation > 0.0:
                 rs = [

@@ -25,20 +25,7 @@ from .module import Module, Placement
 from .net import CompiledNetlist, Net, Terminal
 from .tsv import TSV, SignalSites, TSVKind, tsv_density_map
 
-__all__ = ["Floorplan3D", "signal_sites_at"]
-
-
-def signal_sites_at(
-    netlist: CompiledNetlist,
-    stack: StackConfig,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    dies: np.ndarray,
-) -> SignalSites:
-    """Signal-TSV sites of ``netlist``'s die-crossing nets for module
-    centres ``(cx, cy)`` on ``dies`` (``netlist.module_names`` order),
-    kept half a TSV pitch inside ``stack``'s outline."""
-    return netlist.sites(cx, cy, dies, stack.outline, stack.tsv_pitch / 2.0)
+__all__ = ["Floorplan3D"]
 
 
 @dataclass
@@ -153,13 +140,16 @@ class Floorplan3D:
         """Signal-TSV sites of the inter-die nets, from the placements.
 
         ``netlist`` is this floorplan's nets compiled over its module
-        names; callers that derive sites repeatedly (the annealer's cost
-        evaluator) compile it once and pass it in.
+        names; a caller that already holds one (the anneal, with its
+        cost evaluator's) passes it in.
         """
         if netlist is None:
             netlist = self.compiled_netlist()
-        return signal_sites_at(
-            netlist, self.stack, *self.module_centers(netlist.module_names)
+        # kept half a TSV pitch inside the outline
+        return netlist.sites(
+            *self.module_centers(netlist.module_names),
+            self.stack.outline,
+            self.stack.tsv_pitch / 2.0,
         )
 
     def place_signal_tsvs(self, netlist: CompiledNetlist | None = None) -> None:

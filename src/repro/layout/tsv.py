@@ -26,7 +26,6 @@ __all__ = [
     "TSVKind",
     "TSVIsland",
     "SignalSites",
-    "interface_densities",
     "tsv_density_map",
     "tsv_cell_occupancy",
     "place_regular_grid",
@@ -172,54 +171,6 @@ class SignalSites:
     hi: np.ndarray
 
 
-def _footprint_fractions(
-    x: np.ndarray,
-    y: np.ndarray,
-    side: np.ndarray | float,
-    outline: Rect,
-    nx: int,
-    ny: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(owner, cell, fraction)`` of square footprints centred at (x, y):
-    :func:`~repro.layout.grid.cell_overlaps` areas as cell-area fractions."""
-    grid = GridSpec(outline, nx, ny)
-    half = np.asarray(side, dtype=float) / 2.0
-    fx = np.asarray(x, dtype=float) - half
-    fy = np.asarray(y, dtype=float) - half
-    owner, cell, area = cell_overlaps(fx, fy, fx + side, fy + side, grid)
-    return owner, cell, area / grid.cell_area
-
-
-def interface_densities(
-    sites: SignalSites,
-    side: float,
-    outline: Rect,
-    nx: int,
-    ny: int,
-    num_dies: int,
-) -> List[np.ndarray]:
-    """Signal-TSV density map of every interface ``(d, d + 1)``, in [0, 1].
-
-    Interface ``d`` holds the sites of the nets with ``lo <= d < hi``; all
-    interfaces accumulate with one ``np.bincount``.  Equal, map for map,
-    to ``tsv_density_map`` over the ``TSV`` objects the sites stand for.
-    """
-    layers = num_dies - 1
-    if layers < 1:
-        return []
-    owner, cell, frac = _footprint_fractions(sites.x, sites.y, side, outline, nx, ny)
-    lo = sites.lo[owner]
-    hi = sites.hi[owner]
-    size = nx * ny
-    on = [(lo <= d) & (d < hi) for d in range(layers)]
-    occ = np.bincount(
-        np.concatenate([cell[m] + d * size for d, m in enumerate(on)]),
-        weights=np.concatenate([frac[m] for m in on]),
-        minlength=layers * size,
-    )
-    return list(np.clip(occ, 0.0, 1.0).reshape(layers, ny, nx))
-
-
 def tsv_cell_occupancy(
     tsvs: Sequence[TSV],
     outline: Rect,
@@ -233,11 +184,12 @@ def tsv_cell_occupancy(
     are clipped to [0, 1] — overlapping keep-out zones cannot occupy more
     than the whole cell.  Footprints accumulate in ``tsvs`` order.
     """
-    x = np.array([t.x for t in tsvs], dtype=float)
-    y = np.array([t.y for t in tsvs], dtype=float)
+    grid = GridSpec(outline, nx, ny)
     side = np.array([t.pitch for t in tsvs], dtype=float)
-    _, cell, frac = _footprint_fractions(x, y, side, outline, nx, ny)
-    occ = np.bincount(cell, weights=frac, minlength=nx * ny)
+    fx = np.array([t.x for t in tsvs], dtype=float) - side / 2.0
+    fy = np.array([t.y for t in tsvs], dtype=float) - side / 2.0
+    _, cell, area = cell_overlaps(fx, fy, fx + side, fy + side, grid)
+    occ = np.bincount(cell, weights=area / grid.cell_area, minlength=nx * ny)
     return np.clip(occ, 0.0, 1.0).reshape(ny, nx)
 
 

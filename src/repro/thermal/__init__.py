@@ -4,11 +4,11 @@ Materials and the face-to-back layer stack, finite-volume RC network
 assembly, the detailed steady-state solver the verification stage relies
 on (Sec. 4's analysis role, plus opt-in low-rank Woodbury solves for
 locally perturbed TSV patterns), the transient solver behind Fig. 1's
-time-scale study, and the calibrated fast power-blurring estimator used
-inside the annealing loop.
+time-scale study, and the fast estimator used inside the annealing loop
+(the exact solve of the TSV-free stack).
 """
 
-from .fast import FastThermalModel, MaskParams, calibrate
+from .fast import FastThermalModel
 from .materials import (
     BEOL,
     BOND,
@@ -45,8 +45,6 @@ from .transient import TransientSolver, TransientTrace, thermal_time_constant
 
 __all__ = [
     "FastThermalModel",
-    "MaskParams",
-    "calibrate",
     "Material",
     "SILICON",
     "COPPER",

@@ -6,12 +6,13 @@ its row sums (the boundary plus any ``C/dt``) replaced by their means,
 it becomes a laterally uniform stack, which the in-plane DCT-II modes
 separate into one ``layers x layers`` tridiagonal system per mode.
 :meth:`SpectralBackend.factor` builds that homogenized stack from the
-matrix and ``FactorHints.grid_shape`` alone, and its exact solve (two
-basis changes and a Thomas sweep along z) preconditions a CG on the
-real system, one column at a time, to :data:`SPECTRAL_TOLERANCE`.  On a
-stack without TSVs the homogenized stack is the system itself, and PCG
-stops after 2 iterations.  The factorization is approximate, so it is
-no Woodbury base.
+matrix and ``FactorHints.grid_shape`` alone, and its exact solve,
+:meth:`SpectralFactorization.homogenized_solve` (two basis changes and a
+Thomas sweep along z), preconditions a CG on the real system, one column
+at a time, to :data:`SPECTRAL_TOLERANCE`.  On a stack without TSVs the
+homogenized stack is the system itself: PCG stops after 2 iterations,
+and the fast thermal model calls the exact solve with no CG around it.
+The factorization is approximate, so it is no Woodbury base.
 """
 
 from __future__ import annotations
@@ -102,8 +103,13 @@ class SpectralFactorization(Factorization):
             self._cp[li] = self._upper[li] / diag[li]
             diag[li + 1] -= self._upper[li] * self._cp[li]
 
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """The homogenized stack's exact solve of one residual vector."""
+    def homogenized_solve(self, r: np.ndarray) -> np.ndarray:
+        """The homogenized stack's exact solve of one ``(N,)`` vector.
+
+        It preconditions every PCG step; on a stack without TSVs the
+        homogenized stack is the system, so this alone is its direct
+        solve (the fast thermal model's in-loop estimate).
+        """
         nl, ny, nx = self.grid_shape
         modes = (self._basis_y.T @ r.reshape(nl, ny, nx)).reshape(-1, nx) @ self._basis_x
         modes = modes.reshape(nl, ny, nx)
@@ -122,7 +128,7 @@ class SpectralFactorization(Factorization):
         if bnorm == 0.0:
             return x, 0, 0.0
         r = b.copy()
-        p = z = self._precondition(r)
+        p = z = self.homogenized_solve(r)
         rz = r @ z
         for iteration in range(1, self.maxiter + 1):
             ap = self._matrix @ p
@@ -132,7 +138,7 @@ class SpectralFactorization(Factorization):
             residual = np.linalg.norm(r) / bnorm
             if residual <= self.tolerance:
                 break
-            z = self._precondition(r)
+            z = self.homogenized_solve(r)
             rz, rz_old = r @ z, rz
             p *= rz / rz_old
             p += z

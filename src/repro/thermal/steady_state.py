@@ -12,8 +12,8 @@ RC network.  Two levels of reuse keep repeated analyses cheap:
   runs, verification, exploration studies, and the mitigation loop stop
   re-assembling and re-factorizing identical networks.
 
-:func:`calibration_solver` is the fast model's calibration solver: the
-TSV-free stack on the ``spectral`` backend, whose preconditioner is
+:func:`calibration_solver` is the fast in-loop model's solver: the
+TSV-free stack on the ``spectral`` backend, whose homogenized solve is
 exact on such a stack, so no sparse factorization happens.
 
 :class:`WoodburySolver` solves a *locally perturbed* stack through the
@@ -179,10 +179,11 @@ class SteadyStateSolver:
 
 
 def calibration_solver(stack_cfg: StackConfig, grid: GridSpec) -> SteadyStateSolver:
-    """The fast model's calibration solver: the TSV-free stack on the
-    ``spectral`` backend instance, which neither the environment nor the
-    auto rule moves.  The stack is laterally uniform, so the
-    preconditioner is exact and every solve takes 2 PCG iterations."""
+    """The TSV-free stack on the ``spectral`` backend instance, which
+    neither the environment nor the auto rule moves.  The stack is
+    laterally uniform, so the factorization's homogenized solve is exact:
+    :class:`~repro.thermal.fast.FastThermalModel` calls it directly, and
+    a ``solve`` here stops after 2 PCG iterations."""
     return SteadyStateSolver(build_stack(stack_cfg, grid), backend=get_backend("spectral"))
 
 

@@ -178,23 +178,22 @@ def _frozen(metrics):
 
 
 class TestCalibrationReuse:
-    """The fast thermal model calibrates once per (stack, grid) per
+    """The fast thermal model is built once per (stack, grid) per
     process; every later flow on that stack reuses it."""
 
     @pytest.fixture
     def calibrations(self, monkeypatch):
         from repro.floorplan import objectives
-        from repro.thermal import fast
 
         calls = []
-        calibrate = fast.calibrate
+        build = objectives.calibration_solver
 
         def counting(*args, **kwargs):
             calls.append(args[1])
-            return calibrate(*args, **kwargs)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
-        monkeypatch.setattr(fast, "calibrate", counting)
+        monkeypatch.setattr(objectives, "calibration_solver", counting)
         return calls
 
     def test_memo_per_stack_and_grid(self, calibrations):
@@ -213,7 +212,7 @@ class TestCalibrationReuse:
 
     def test_concurrent_cold_calibrations_fit_once(self, calibrations):
         """Service jobs run flows on executor threads: concurrent cold
-        lookups of one key calibrate once and share the model."""
+        lookups of one key build once and share the model."""
         import sys
         import threading
 
@@ -245,8 +244,8 @@ class TestCalibrationReuse:
         assert len(models) == 4 and all(m is models[0] for m in models)
 
     def test_cold_calibration_leaves_default_cache_alone(self, calibrations):
-        """The calibration solves outside the process-wide solver cache:
-        it gains no entry and counts no lookup."""
+        """The model solves outside the process-wide solver cache: it
+        gains no entry and counts no lookup."""
         from repro.floorplan.objectives import calibrated_thermal_model
         from repro.layout.die import StackConfig
         from repro.layout.grid import GridSpec

@@ -225,6 +225,40 @@ class TestQueueCommands:
             main(["enqueue", "n100", "--iterations", "0",
                   "--queue-dir", str(tmp_path)])
 
+    def test_runtime_mitigation_pairs_with_tsc_mode_only(self, capsys):
+        """The batch/enqueue grid pairs dvfs and combined with tsc_aware
+        alone (only the TSC flow runs mitigation) and says so."""
+        from repro.cli import _build_jobs
+
+        args = build_parser().parse_args(
+            ["batch", "n100", "--seeds", "2",
+             "--mitigation-modes", "static", "dvfs", "combined"]
+        )
+        jobs = _build_jobs(args)
+        assert "run only with tsc_aware" in capsys.readouterr().out
+        pairs = sorted({(job.mode, job.mitigation_mode) for job in jobs})
+        assert pairs == [
+            ("power_aware", "static"),
+            ("tsc_aware", "combined"),
+            ("tsc_aware", "dvfs"),
+            ("tsc_aware", "static"),
+        ]
+        assert len(jobs) == 4 * 2
+        args = build_parser().parse_args(
+            ["batch", "n100", "--modes", "tsc_aware", "--mitigation-modes", "dvfs"]
+        )
+        assert [job.mitigation_mode for job in _build_jobs(args)] == ["dvfs", "dvfs"]
+        assert "note" not in capsys.readouterr().out
+        args = build_parser().parse_args(
+            ["batch", "n100", "--modes", "power_aware", "--mitigation-modes", "dvfs"]
+        )
+        with pytest.raises(SystemExit, match="need --modes tsc_aware"):
+            _build_jobs(args)
+
+    def test_flow_rejects_runtime_mitigation_outside_tsc_mode(self):
+        with pytest.raises(SystemExit, match="needs mode 'tsc_aware'"):
+            main(["flow", "n100", "--mitigation-mode", "dvfs", "--iterations", "5"])
+
     def test_sweep_status_json_document(self, tmp_path, capsys):
         """--json prints the GET /v1/queue/status payload; a healthy —
         even empty — queue exits 0."""

@@ -529,16 +529,18 @@ class TestSweepVocabulary:
 
         key = JobSpec(benchmark="n100", seed=0).key()
         assert "top" not in key and "mit" not in key
+        tsc = JobSpec(benchmark="n100", mode="tsc_aware", seed=0).key()
         sweep = JobSpec(
-            benchmark="n100", seed=0, topology="2.5d", mitigation_mode="dvfs"
+            benchmark="n100", mode="tsc_aware", seed=0, topology="2.5d",
+            mitigation_mode="dvfs",
         ).key()
-        assert sweep == key + "|top2.5d|mitdvfs"
+        assert sweep == tsc + "|top2.5d|mitdvfs"
 
     def test_jobspec_roundtrip_carries_new_fields(self):
         from repro.api import JobSpec
 
         spec = JobSpec(
-            benchmark="n100", topology="2.5d", mitigation_mode="combined"
+            benchmark="n100", mode="tsc_aware", topology="2.5d", mitigation_mode="combined"
         )
         clone = JobSpec.from_json(json.loads(json.dumps(spec.to_json())))
         assert clone == spec
@@ -552,6 +554,30 @@ class TestSweepVocabulary:
             JobSpec.from_json(dict(doc, topology="4d"))
         with pytest.raises(ValueError, match="unknown mitigation mode"):
             JobSpec.from_json(dict(doc, mitigation_mode="jitter"))
+
+    @pytest.mark.parametrize("mitigation_mode", ["dvfs", "combined"])
+    def test_runtime_mitigation_needs_tsc_mode(self, mitigation_mode):
+        """Only the TSC flow runs mitigation: a power-aware job with a
+        governor would record a mode it never ran, so every entry point
+        refuses it."""
+        from repro.api import JobSpec
+        from repro.core.config import FlowConfig
+
+        with pytest.raises(ValueError, match="needs mode 'tsc_aware'"):
+            JobSpec(benchmark="n100", mitigation_mode=mitigation_mode)
+        with pytest.raises(ValueError, match="needs mode 'tsc_aware'"):
+            FlowConfig(mitigation=MitigationConfig(mode=mitigation_mode))
+        spec = JobSpec(benchmark="n100", mode="tsc_aware", mitigation_mode=mitigation_mode)
+        assert spec.to_flow_config().mitigation.mode == mitigation_mode
+        with pytest.raises(ValueError, match="needs mode 'tsc_aware'"):
+            JobSpec.from_json(dict(spec.to_json(), mode="power_aware"))
+        config = FlowConfig(
+            mode="tsc_aware", mitigation=MitigationConfig(mode=mitigation_mode)
+        )
+        doc = json.loads(json.dumps(config.to_json()))
+        assert FlowConfig.from_json(doc) == config
+        with pytest.raises(ValueError, match="needs mode 'tsc_aware'"):
+            FlowConfig.from_json(dict(doc, mode="power_aware"))
 
     def test_flow_config_roundtrip_with_topology(self):
         from repro.core.config import FlowConfig

@@ -1,71 +1,62 @@
-"""Tests for the fast power-blurring thermal model and its calibration."""
+"""Tests for the fast in-loop thermal model (the exact solve of the
+TSV-free stack) and for the Gaussian blur of the exploration patterns.
+The model's agreement with a sparse factorization is pinned in
+``tests/test_uniform_stack.py``."""
 
 import numpy as np
 import pytest
 
-from oracles.blur import estimate_scipy, gaussian_filter_nearest
+from oracles.blur import gaussian_filter_nearest
+from repro.floorplan.objectives import calibrated_thermal_model
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.leakage.pearson import pearson
-from repro.thermal.fast import FastThermalModel, MaskParams, calibrate, gaussian_blur
+from repro.thermal.fast import FastThermalModel, gaussian_blur
 from repro.thermal.stack import build_stack
-from repro.thermal.steady_state import SteadyStateSolver
+from repro.thermal.steady_state import SteadyStateSolver, calibration_solver
 
 
-class TestMaskParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MaskParams(amplitude=-1, sigma=1)
-        with pytest.raises(ValueError):
-            MaskParams(amplitude=1, sigma=0)
+def _model(n: int, side: float = 4000.0) -> FastThermalModel:
+    cfg = StackConfig.square(side)
+    return FastThermalModel(calibration_solver(cfg, GridSpec(cfg.outline, n, n)))
+
+
+def _point(n: int, watts: float) -> np.ndarray:
+    pm = np.zeros((n, n))
+    pm[n // 2, n // 2] = watts
+    return pm
 
 
 class TestFastModel:
-    def test_default_masks_cover_all_pairs(self):
-        m = FastThermalModel(num_dies=2)
-        assert set(m.masks) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
     def test_self_heating_stronger_than_cross(self):
-        m = FastThermalModel(num_dies=2)
-        assert m.masks[(0, 0)].amplitude > m.masks[(0, 1)].amplitude
+        m = _model(32)
+        rise = [t - m.ambient for t in m.estimate([_point(32, 0.1), np.zeros((32, 32))])]
+        assert rise[0][16, 16] > 5 * rise[1][16, 16] > 0
 
     def test_estimate_shapes_and_baseline(self):
-        m = FastThermalModel(num_dies=2)
+        m = _model(16)
         pm = np.zeros((16, 16))
         maps = m.estimate([pm, pm])
         assert len(maps) == 2
-        assert all(np.allclose(t, m.ambient) for t in maps)
+        assert all(t.shape == (16, 16) for t in maps)
+        assert all(np.allclose(t, m.ambient, rtol=0.0, atol=1e-9) for t in maps)
 
     def test_wrong_map_count_rejected(self):
-        m = FastThermalModel(num_dies=2)
+        m = _model(8)
         with pytest.raises(ValueError):
             m.estimate([np.zeros((8, 8))])
 
     def test_point_source_heats_locally(self):
-        m = FastThermalModel(num_dies=2)
-        pm = np.zeros((32, 32))
-        pm[16, 16] = 0.1
-        t0 = m.estimate([pm, np.zeros((32, 32))])[0]
-        rise = t0 - m.ambient
+        m = _model(32)
+        rise = m.estimate([_point(32, 0.1), np.zeros((32, 32))])[0] - m.ambient
         assert rise[16, 16] == rise.max()
         assert rise[16, 16] > 0
-        # far corner sees only the wide global component
+        # the far corner sees only the long-range spreading
         assert rise[0, 0] < rise[16, 16] / 2
 
-    def test_tsv_attenuation_cools(self):
-        m = FastThermalModel(num_dies=2)
-        pm = np.zeros((32, 32))
-        pm[16, 16] = 0.1
-        density = np.zeros((32, 32))
-        density[14:19, 14:19] = 1.0
-        hot = m.estimate([pm, np.zeros((32, 32))])[0]
-        cooled = m.estimate([pm, np.zeros((32, 32))], tsv_density=density)[0]
-        assert cooled[16, 16] < hot[16, 16]
-
     def test_linearity(self):
-        m = FastThermalModel(num_dies=2)
-        pm = np.zeros((16, 16))
-        pm[8, 8] = 0.05
+        m = _model(16)
+        pm = _point(16, 0.05)
         z = np.zeros((16, 16))
         r1 = m.estimate([pm, z])[0] - m.ambient
         r2 = m.estimate([2 * pm, z])[0] - m.ambient
@@ -73,62 +64,61 @@ class TestFastModel:
 
 
 class TestCalibration:
+    """The memoized model of :func:`calibrated_thermal_model`."""
+
     @pytest.fixture(scope="class")
     def setup(self):
         cfg = StackConfig.square(2000.0)
         grid = GridSpec(cfg.outline, 24, 24)
-        solver = SteadyStateSolver(build_stack(cfg, grid))
-        return cfg, grid, solver
+        return cfg, grid, calibrated_thermal_model(cfg, grid)
 
     def test_calibrated_model_tracks_detailed(self, setup):
-        """The fast estimate must correlate strongly with the detailed
-        solution on module-scale (blotchy) power maps — its job is
-        ranking layouts inside the SA loop."""
-        from scipy.ndimage import gaussian_filter
-
-        _, grid, solver = setup
-        model = calibrate(solver, grid, samples=3, seed=1)
+        """On module-scale (blotchy) power maps the estimate is the
+        detailed solution of the same TSV-free stack (the paper's fast
+        analysis ranks layouts; its heat-pipe effects are verified after
+        the anneal)."""
+        cfg, grid, model = setup
         rng = np.random.default_rng(5)
-        pm0 = gaussian_filter(rng.random(grid.shape), 2.0, mode="nearest")
-        pm1 = gaussian_filter(rng.random(grid.shape), 2.0, mode="nearest")
+        pm0 = gaussian_filter_nearest(rng.random(grid.shape), 2.0)
+        pm1 = gaussian_filter_nearest(rng.random(grid.shape), 2.0)
         pm0 *= 4.0 / pm0.sum()
         pm1 *= 4.0 / pm1.sum()
-        detailed = solver.solve([pm0, pm1])
+        detailed = SteadyStateSolver(build_stack(cfg, grid)).solve([pm0, pm1])
         fast = model.estimate([pm0, pm1])
         for d in range(2):
             r = pearson(detailed.die_maps[d], fast[d])
-            assert r > 0.75, f"die {d}: fast/detailed correlation {r:.3f}"
+            assert r > 1.0 - 1e-9, f"die {d}: fast/detailed correlation {r:.12f}"
+            assert pearson(pm0 if d == 0 else pm1, fast[d]) == pytest.approx(
+                pearson(pm0 if d == 0 else pm1, detailed.die_maps[d]), rel=1e-9
+            )
 
     def test_calibrated_amplitudes_positive(self, setup):
-        _, grid, solver = setup
-        model = calibrate(solver, grid, samples=2, seed=2)
-        for params in model.masks.values():
-            assert params.amplitude > 0
-            assert params.sigma > 0
+        """A one-cell source on either die raises every cell of every die."""
+        _, grid, model = setup
+        for die in range(2):
+            maps = [np.zeros(grid.shape) for _ in range(2)]
+            maps[die][3, 17] = 1e-3
+            for t in model.estimate(maps):
+                assert (t - model.ambient).min() > 0
 
     def test_self_amplitude_exceeds_cross(self, setup):
-        _, grid, solver = setup
-        model = calibrate(solver, grid, samples=3, seed=3)
-        assert model.masks[(0, 0)].amplitude > model.masks[(0, 1)].amplitude
-        assert model.masks[(1, 1)].amplitude > model.masks[(1, 0)].amplitude
+        """A die's own peak response to its power exceeds the other die's."""
+        _, grid, model = setup
+        for die in range(2):
+            maps = [np.zeros(grid.shape) for _ in range(2)]
+            maps[die][12, 12] = 1e-2
+            rise = [t - model.ambient for t in model.estimate(maps)]
+            assert rise[die].max() > rise[1 - die].max()
 
 
 #: sigmas of the blur oracle, up to kernels far wider than the 5x7 map
 _SIGMAS = (0.5, 0.8, 1.0, 1.5, 2.5, 3.5, 5.0, 8.0, 10.667, 21.0, 21.3)
 
 #: relative tolerance of the matrix-product blur against scipy's
-#: ``gaussian_filter(mode="nearest")``, on blurred maps and on the fast
-#: model's rise over ambient (measured: <= 2e-14).  The two sum the same
-#: weights in different orders, so they agree to rounding, not bit for bit
+#: ``gaussian_filter(mode="nearest")`` (measured: <= 2e-14).  The two sum
+#: the same weights in different orders, so they agree to rounding, not
+#: bit for bit
 BLUR_RTOL = 1e-13
-
-
-def _assert_rises_close(model, got, want, name=""):
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(
-            g - model.ambient, w - model.ambient, rtol=BLUR_RTOL, atol=0.0,
-            err_msg=name,
-        )
 
 
 class TestBlurAgainstScipy:
@@ -166,68 +156,3 @@ class TestBlurAgainstScipy:
         for sigma in _SIGMAS:
             flat = gaussian_blur(np.full((6, 9), 2.5), sigma)
             np.testing.assert_allclose(flat, 2.5, rtol=1e-14, atol=0.0)
-
-
-class TestEstimateAgainstScipy:
-    """``estimate`` blurs each (source, sigma) once by precomputed
-    operators, yet every map's rise over ambient equals the historical
-    per-(source, target) scipy sum within :data:`BLUR_RTOL`."""
-
-    @pytest.fixture(scope="class")
-    def calibrated(self):
-        cfg = StackConfig.square(2000.0)
-        grid = GridSpec(cfg.outline, 16, 16)
-        return calibrate(SteadyStateSolver(build_stack(cfg, grid)), grid, samples=2)
-
-    @staticmethod
-    def _inputs(num_dies, shape, seed):
-        rng = np.random.default_rng(seed)
-        maps = [rng.random(shape) * 1e-3 for _ in range(num_dies)]
-        densities = {
-            "none": None,
-            "single": rng.random(shape),
-            "per_pair": [rng.random(shape) for _ in range(max(1, num_dies - 1))],
-        }
-        return maps, densities
-
-    @pytest.mark.parametrize("num_dies", [2, 3])
-    def test_default_masks(self, num_dies):
-        model = FastThermalModel(num_dies=num_dies)
-        maps, densities = self._inputs(num_dies, (20, 24), num_dies)
-        for name, density in densities.items():
-            got = model.estimate(maps, tsv_density=density)
-            want = estimate_scipy(model, maps, tsv_density=density)
-            _assert_rises_close(model, got, want, name)
-
-    def test_calibrated_masks(self, calibrated):
-        # calibrated local sigmas differ per (source, target) pair
-        assert len({p.sigma for p in calibrated.masks.values()}) > 1
-        maps, densities = self._inputs(2, (16, 16), 9)
-        for name, density in densities.items():
-            got = calibrated.estimate(maps, tsv_density=density)
-            want = estimate_scipy(calibrated, maps, tsv_density=density)
-            _assert_rises_close(calibrated, got, want, name)
-
-    def test_zero_global_amplitude_skips_the_wide_blur(self):
-        masks = {
-            (s, t): MaskParams(amplitude=10.0 + s + t, sigma=1.5 + s, amplitude_global=0.0)
-            for s in range(2)
-            for t in range(2)
-        }
-        model = FastThermalModel(num_dies=2, masks=masks)
-        maps, _ = self._inputs(2, (9, 11), 4)
-        got = model.estimate(maps)
-        want = estimate_scipy(model, maps)
-        _assert_rises_close(model, got, want)
-        # only the two local sigmas were built, once per axis length
-        assert set(model._operators) == {(1.5, 9), (1.5, 11), (2.5, 9), (2.5, 11)}
-
-    def test_operators_are_built_once_and_read_only(self):
-        model = FastThermalModel(num_dies=2)
-        maps, _ = self._inputs(2, (12, 12), 5)
-        first = model.estimate(maps)
-        operators = dict(model._operators)
-        assert operators and all(not op.flags.writeable for op in operators.values())
-        second = model.estimate(maps)
-        assert all(model._operators[k] is op for k, op in operators.items())
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))

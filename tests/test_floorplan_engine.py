@@ -24,7 +24,6 @@ from repro.floorplan.objectives import (
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
 from repro.layout.net import CompiledNetlist
-from repro.thermal.fast import FastThermalModel
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +94,7 @@ class TestCostEvaluator:
         circ, stack = tiny_circuit
         ev = CostEvaluator(
             stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
-            grid_nx=16, grid_ny=16, auto_calibrate=False,
+            grid_nx=16, grid_ny=16,
         )
         rng = np.random.default_rng(1)
         state = LayoutState.initial(circ.modules, stack, rng)
@@ -111,7 +110,6 @@ class TestCostEvaluator:
         circ, stack = tiny_circuit
         ev = CostEvaluator(
             stack, circ.nets, circ.terminals, grid_nx=16, grid_ny=16,
-            auto_calibrate=False,
         )
         rng = np.random.default_rng(2)
         state = LayoutState.initial(circ.modules, stack, rng)
@@ -123,7 +121,6 @@ class TestCostEvaluator:
         circ, stack = tiny_circuit
         ev = CostEvaluator(
             stack, circ.nets, circ.terminals, grid_nx=16, grid_ny=16,
-            auto_calibrate=False,
         )
         rng = np.random.default_rng(3)
         state = LayoutState.initial(circ.modules, stack, rng, power_biased=True)
@@ -156,8 +153,7 @@ class TestCostEvaluator:
             return CostEvaluator(
                 stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
                 grid_nx=8, grid_ny=8, timing_every=1, thermal_every=1,
-                assignment_every=1, auto_calibrate=False,
-                thermal_model=FastThermalModel(num_dies=num_dies),
+                assignment_every=1,
             )
 
         ev = evaluator()
@@ -200,21 +196,28 @@ class TestAnnealer:
         with pytest.raises(ValueError):
             AnnealConfig(initial_acceptance=0.0)
 
-    @pytest.mark.parametrize("grid", [dict(grid_nx=4), dict(grid_ny=4), dict(grid_nx=1)])
-    def test_grid_below_calibration_margin_rejected(self, grid):
-        with pytest.raises(ValueError, match="2 cells from every edge"):
+    @pytest.mark.parametrize(
+        "grid", [dict(grid_nx=1, grid_ny=1), dict(grid_nx=0), dict(grid_ny=-2, grid_nx=3)]
+    )
+    def test_grid_below_two_cells_rejected(self, grid):
+        with pytest.raises(ValueError, match="at least two cells"):
             AnnealConfig(**grid)
         payload = AnnealConfig().to_json()
         payload.update(grid)
-        with pytest.raises(ValueError, match="2 cells from every edge"):
+        with pytest.raises(ValueError, match="at least two cells"):
             AnnealConfig.from_json(payload)
 
     def test_smallest_grid_anneals(self, tiny_circuit):
+        """Two cells is the bound: the TSC anneal's in-loop correlation
+        runs on either orientation."""
         circ, stack = tiny_circuit
-        cfg = AnnealConfig(iterations=20, seed=1, calibration_samples=2,
-                           grid_nx=5, grid_ny=5)
-        result = anneal(circ.modules, stack, circ.nets, circ.terminals, config=cfg)
-        assert result.iterations == 20
+        for nx, ny in ((1, 2), (2, 1)):
+            cfg = AnnealConfig(iterations=20, seed=1, calibration_samples=2,
+                               grid_nx=nx, grid_ny=ny)
+            result = anneal(circ.modules, stack, circ.nets, circ.terminals,
+                            mode=FloorplanMode.TSC_AWARE, config=cfg)
+            assert result.iterations == 20
+            assert np.isfinite(result.breakdown.correlation)
 
     def test_anneal_improves_over_initial(self, tiny_circuit):
         circ, stack = tiny_circuit
@@ -267,7 +270,6 @@ class TestAnnealer:
         circ, stack = tiny_circuit
         ev = CostEvaluator(
             stack, circ.nets, circ.terminals, grid_nx=16, grid_ny=16,
-            auto_calibrate=False,
         )
         original = ev.weights
         cfg = AnnealConfig(iterations=20, seed=11, calibration_samples=4,
@@ -299,8 +301,6 @@ class TestAnnealer:
             circ.terminals,
             grid_nx=8,
             grid_ny=8,
-            thermal_model=FastThermalModel(num_dies=2),
-            auto_calibrate=False,
         )
         original = evaluator.weights
         config = AnnealConfig(

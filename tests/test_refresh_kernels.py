@@ -35,13 +35,11 @@ from repro.layout.net import CompiledNetlist, Net, Terminal
 from repro.layout.tsv import (
     TSV,
     TSVKind,
-    interface_densities,
     tsv_cell_occupancy,
     tsv_density_map,
 )
 from repro.leakage.entropy import nested_means_classes, spatial_entropy
 from repro.mitigation.activity import module_power_basis
-from repro.thermal.fast import FastThermalModel
 from repro.timing.paths import TimingGraph
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -211,29 +209,14 @@ class TestDensity:
             expected = tsv_density_map_loop(fp.tsvs, fp.stack.outline, grid.nx, grid.ny, pair)
             assert np.array_equal(fp.tsv_density(pair, grid), expected)
 
-    @pytest.mark.parametrize("num_dies", [2, 3])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_interface_densities_equal_loop(self, num_dies, seed):
-        rng = np.random.default_rng(200 + seed)
-        fp = _random_floorplan(rng, num_dies)
-        stack = fp.stack
-        tsvs = place_signal_tsvs_loop(fp)
-        maps = interface_densities(
-            fp.signal_sites(), stack.tsv_pitch, stack.outline, 32, 32, num_dies
-        )
-        assert len(maps) == num_dies - 1
-        for d, got in enumerate(maps):
-            expected = tsv_density_map_loop(tsvs, stack.outline, 32, 32, (d, d + 1))
-            assert np.array_equal(got, expected)
-
     def test_empty(self):
         outline = Rect(0, 0, 10, 10)
         assert np.array_equal(tsv_cell_occupancy([], outline, 3, 3), np.zeros((3, 3)))
         fp = Floorplan3D(StackConfig.square(100.0, num_dies=3), {})
-        maps = interface_densities(fp.signal_sites(), 10.0, fp.stack.outline, 4, 5, 3)
-        assert [m.shape for m in maps] == [(5, 4), (5, 4)]
-        assert not any(m.any() for m in maps)
-        assert interface_densities(fp.signal_sites(), 10.0, fp.stack.outline, 4, 4, 1) == []
+        fp.place_signal_tsvs()
+        densities = fp.tsv_densities(GridSpec(fp.stack.outline, 4, 5))
+        assert [m.shape for m in densities.values()] == [(5, 4), (5, 4)]
+        assert not any(m.any() for m in densities.values())
 
     def test_clipped_and_straddling_footprints(self):
         """Footprints over the outline edge, on cell corners (2x2 cells),
@@ -277,68 +260,23 @@ class TestDensity:
 
 
 class _RecordingModel:
-    """A fast thermal model that records the power maps and TSV
-    densities it is given."""
+    """A fast thermal model that records the power maps it is given."""
 
-    def __init__(self, num_dies):
-        self.model = FastThermalModel(num_dies=num_dies)
+    def __init__(self, model):
+        self.model = model
         self.maps = []
-        self.densities = []
 
-    def estimate(self, maps, tsv_density=None):
+    def estimate(self, maps):
         self.maps.append([m.copy() for m in maps])
-        self.densities.append(tsv_density)
-        return self.model.estimate(maps, tsv_density=tsv_density)
-
-
-class TestInLoopDensity:
-    """The evaluator's in-loop densities read module centres from the
-    realized geometry, not from the packed centres the wirelength uses:
-    a soft module whose effective size is within 1e-9 of nominal keeps
-    its nominal ``Module`` when realized, so its centre can differ by an
-    ulp, and the refresh reproduces that from the snapshot's arrays."""
-
-    @pytest.mark.parametrize("num_dies,moves", [(2, 40), (3, 15)])
-    def test_random_walk_matches_realized_floorplan(self, num_dies, moves, monkeypatch):
-        circ, stack = load("n100")
-        stack = dataclasses.replace(stack, num_dies=num_dies)
-        rng = np.random.default_rng(0)
-        state = LayoutState.initial(circ.modules, stack, rng)
-        evaluator = CostEvaluator(
-            stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
-            thermal_every=1, auto_calibrate=False,
-            thermal_model=FastThermalModel(num_dies=num_dies),
-        )
-        recorder = _RecordingModel(num_dies)
-        evaluator.thermal = recorder
-        realized = []
-        evaluator.evaluate(state, force_full=True)
-        realized.append(state.realize(circ.nets, circ.terminals))
-        for _ in range(moves):
-            candidate = state.copy()
-            apply_random_move(candidate, rng)
-            with monkeypatch.context() as m:
-                # the in-loop refresh builds no TSV objects and asks the
-                # floorplan for no density map
-                for name in ("place_signal_tsvs", "tsv_density"):
-                    m.setattr(Floorplan3D, name, _forbidden(name))
-                evaluator.evaluate(candidate)
-            state = candidate
-            realized.append(state.realize(circ.nets, circ.terminals))
-        assert len(recorder.densities) == len(realized)
-        grid = evaluator.grid
-        for got, fp in zip(recorder.densities, realized):
-            expected = fp.tsv_densities(grid)
-            assert len(got) == len(expected) == num_dies - 1
-            for d, pair in enumerate(stack.die_pairs()):
-                assert np.array_equal(got[d], expected[pair])
+        return self.model.estimate(maps)
 
 
 class TestRefreshFromSnapshot:
     """Between voltage-assignment refreshes, the slow terms read the
-    snapshot's arrays, not a realized ``Floorplan3D``; every map, the
-    critical delay and the power total still equal (``==``) what the
-    realized floorplan with the assignment's voltages gives."""
+    snapshot's arrays, not a realized ``Floorplan3D``, and no refresh
+    reads a signal TSV; every map, the critical delay and the power total
+    still equal (``==``) what the realized floorplan with the
+    assignment's voltages gives."""
 
     @pytest.mark.parametrize("num_dies,moves", [(2, 40), (3, 15)])
     def test_random_walk_matches_realized_floorplan(self, num_dies, moves, monkeypatch):
@@ -349,9 +287,8 @@ class TestRefreshFromSnapshot:
         evaluator = CostEvaluator(
             stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
             thermal_every=1, timing_every=1, assignment_every=6,
-            auto_calibrate=False, thermal_model=FastThermalModel(num_dies=num_dies),
         )
-        recorder = _RecordingModel(num_dies)
+        recorder = _RecordingModel(evaluator.thermal)
         evaluator.thermal = recorder
         timing = TimingGraph(
             CompiledNetlist(list(state.modules), circ.nets, circ.terminals), tsv_length_um=50.0
@@ -362,6 +299,11 @@ class TestRefreshFromSnapshot:
             if move:
                 apply_random_move(candidate, rng)
             with monkeypatch.context() as m:
+                # the in-loop refresh derives no signal-TSV site, builds no
+                # TSV object and asks the floorplan for no density map
+                m.setattr(CompiledNetlist, "sites", _forbidden("sites"))
+                for name in ("place_signal_tsvs", "tsv_density"):
+                    m.setattr(Floorplan3D, name, _forbidden(name))
                 if move and (move + 1) % 6:
                     # evaluation move + 1 refreshes no voltage
                     # assignment, so it realizes no floorplan

@@ -293,6 +293,16 @@ class TestHttpErrors:
 
         service_test(scenario)(dict(store_dir=tmp_path))
 
+    def test_runtime_mitigation_outside_tsc_mode_is_400(self, tmp_path):
+        async def scenario(state, client):
+            for mitigation_mode in ("dvfs", "combined"):
+                status, doc = await client.post(
+                    "/jobs", dict(SPEC, mitigation_mode=mitigation_mode)
+                )
+                assert status == 400 and "needs mode 'tsc_aware'" in doc["error"]
+
+        service_test(scenario)(dict(store_dir=tmp_path))
+
     def test_healthz_reports_counters(self, tmp_path):
         async def scenario(state, client):
             await client.post("/jobs?wait=1", SPEC)

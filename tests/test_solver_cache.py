@@ -8,11 +8,12 @@ from repro.layout.floorplan import Floorplan3D
 from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.layout.tsv import TSV, TSVKind
-from repro.thermal.fast import FastThermalModel, per_die_attenuation
+from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import build_stack, normalize_tsv_densities
 from repro.thermal.steady_state import (
     SolverCache,
     SteadyStateSolver,
+    calibration_solver,
     solve_floorplan,
 )
 
@@ -192,8 +193,12 @@ class TestMultiDieDensities:
 
 
 class TestFastModelDensities:
+    """The fast model takes no TSV densities (it solves the TSV-free
+    stack); what is left is its check of every die's power map."""
+
     def test_shape_validation_covers_every_die(self):
-        model = FastThermalModel(num_dies=2)
+        cfg = StackConfig.square(1000.0)
+        model = FastThermalModel(calibration_solver(cfg, GridSpec(cfg.outline, 8, 8)))
         good = np.zeros((8, 8))
         with pytest.raises(ValueError):
             model.estimate([good])  # wrong count
@@ -201,54 +206,3 @@ class TestFastModelDensities:
             model.estimate([good, np.zeros((4, 4))])  # mismatched later die
         with pytest.raises(ValueError):
             model.estimate([np.zeros((4, 4)), good])  # mismatched first die
-        with pytest.raises(ValueError):
-            model.estimate([good, good], tsv_density=np.zeros((4, 4)))
-
-    def test_single_map_matches_legacy_for_two_dies(self):
-        model = FastThermalModel(num_dies=2)
-        rng = np.random.default_rng(1)
-        pms = [rng.random((8, 8)) * 1e-3 for _ in range(2)]
-        density = rng.random((8, 8)) * 0.5
-        single = model.estimate(pms, tsv_density=density)
-        as_pair = model.estimate(pms, tsv_density={(0, 1): density})
-        for a, b in zip(single, as_pair):
-            assert np.allclose(a, b)
-
-    def test_three_dies_upper_die_not_attenuated_by_lower_interface(self):
-        """Regression: the (0, 1) density used to attenuate *every* die."""
-        model = FastThermalModel(num_dies=3)
-        shape = (8, 8)
-        density = np.full(shape, 0.8)
-        atten = per_die_attenuation(3, shape, density, model.tsv_beta)
-        assert atten[0].min() < 1.0 and atten[1].min() < 1.0
-        assert np.all(atten[2] == 1.0)
-
-    def test_per_pair_attenuation_uses_adjacent_interfaces(self):
-        shape = (4, 4)
-        d01 = np.full(shape, 0.4)
-        d12 = np.full(shape, 0.8)
-        atten = per_die_attenuation(3, shape, {(0, 1): d01, (1, 2): d12}, 0.5)
-        assert np.allclose(atten[0], 1.0 - 0.5 * 0.4)
-        # die 1 touches both interfaces; the stronger one wins
-        assert np.allclose(atten[1], 1.0 - 0.5 * 0.8)
-        assert np.allclose(atten[2], 1.0 - 0.5 * 0.8)
-
-    def test_per_die_sequence(self):
-        shape = (4, 4)
-        per_die = [np.full(shape, v) for v in (0.0, 0.2, 0.6)]
-        atten = per_die_attenuation(3, shape, per_die, 0.5)
-        assert np.allclose(atten[0], 1.0)
-        assert np.allclose(atten[1], 0.9)
-        assert np.allclose(atten[2], 0.7)
-
-    def test_bad_density_count_rejected(self):
-        with pytest.raises(ValueError):
-            per_die_attenuation(3, (4, 4), [np.zeros((4, 4))] * 4, 0.5)
-        with pytest.raises(TypeError):
-            per_die_attenuation(3, (4, 4), 1.0, 0.5)
-
-    def test_non_adjacent_pair_rejected(self):
-        """Regression: the fast path accepted non-adjacent pairs that the
-        detailed solver's normalize_tsv_densities rejects."""
-        with pytest.raises(ValueError):
-            per_die_attenuation(3, (4, 4), {(0, 2): np.zeros((4, 4))}, 0.5)

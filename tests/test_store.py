@@ -123,8 +123,8 @@ class TestJobSpecKey:
         )
         assert JobSpec(benchmark="n100", topology="2.5d").key() == literal + "|top2.5d"
         assert (
-            JobSpec(benchmark="n100", mitigation_mode="dvfs").key()
-            == literal + "|mitdvfs"
+            JobSpec(benchmark="n100", mode="tsc_aware", mitigation_mode="dvfs").key()
+            == "n100|tsc_aware|seed0|it1500|grid32|dies2|mitdvfs"
         )
 
 

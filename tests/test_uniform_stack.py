@@ -1,12 +1,11 @@
-"""The fast model's calibration solver: the TSV-free stack on the
-spectral backend, whose cosine-basis preconditioner is exact there."""
+"""The fast model's solver: the TSV-free stack on the spectral backend,
+whose homogenized (cosine-basis) solve is exact there."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from oracles.calibration import calibrated_thermal_model_factorized
 from repro.benchmarks.suite import benchmark_names, spec_for
 from repro.floorplan import objectives
 from repro.layout.die import StackConfig
@@ -110,25 +109,37 @@ class TestCalibration:
         monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
 
     @pytest.mark.parametrize(
-        "cfg,side",
+        "cfg,nx,ny",
         [
-            (StackConfig(spec_for("n100").outline), 32),
-            (_stack_config(3), 16),
-            (_stack_config(2), 5),
+            (StackConfig(spec_for("n100").outline), 32, 32),
+            (_stack_config(3), 16, 16),
+            (_stack_config(2), 5, 5),
+            (_stack_config(1), 12, 12),
+            (_stack_config(2), 24, 40),
+            (_stack_config(3), 17, 9),
         ],
-        ids=["n100-32", "3die-16", "2die-5"],
+        ids=["n100-32", "3die-16", "2die-5", "1die-12", "2die-24x40", "3die-17x9"],
     )
-    def test_masks_match_factorized_calibration(self, cold, cfg, side):
-        grid = GridSpec(cfg.outline, side, side)
-        got = objectives.calibrated_thermal_model(cfg, grid)
-        want = calibrated_thermal_model_factorized(cfg, grid)
-        assert got.masks.keys() == want.masks.keys()
-        for pair, mask in want.masks.items():
-            for field in dataclasses.fields(mask):
-                expected = getattr(mask, field.name)
-                assert getattr(got.masks[pair], field.name) == pytest.approx(
-                    expected, rel=1e-6
-                ), (pair, field.name)
+    def test_estimate_matches_factorized_solve(self, cold, cfg, nx, ny):
+        """``estimate`` (one homogenized solve, no CG) equals a SuperLU
+        solve of ``build_stack(stack, grid)`` within 1e-9 of the largest
+        rise, die by die."""
+        grid = GridSpec(cfg.outline, nx, ny)
+        model = objectives.calibrated_thermal_model(cfg, grid)
+        want = SteadyStateSolver(build_stack(cfg, grid), backend="superlu")
+        rng = np.random.default_rng(nx * 100 + ny)
+        sets = [
+            [rng.random(grid.shape) * 4.0 / grid.nx / grid.ny for _ in range(cfg.num_dies)],
+            [np.zeros(grid.shape)] * (cfg.num_dies - 1) + [np.full(grid.shape, 1e-3)],
+        ]
+        for maps in sets:
+            got = model.estimate(maps)
+            expected = want.solve(maps).die_maps
+            assert len(got) == len(expected) == cfg.num_dies
+            for g, w in zip(got, expected):
+                rise = w - model.ambient
+                assert g.shape == grid.shape
+                assert np.abs((g - model.ambient) - rise).max() <= 1e-9 * np.abs(rise).max()
 
     def test_cold_calibration_factorizes_nothing(self, cold, monkeypatch):
         def refuse(*args, **kwargs):
