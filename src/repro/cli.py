@@ -102,6 +102,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .api import execute_spec
+    from .mitigation.dvfs import WINDOWS as DVFS_WINDOWS
 
     spec = _spec_from_args(args, args.benchmark, args.mode, args.seed)
     config = replace(
@@ -125,7 +126,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         print(f"  dvfs: baseline |r|={d.baseline_score:.3f} "
               f"mitigated |r|={d.mitigated_score:.3f} "
               f"reduction={d.reduction:+.3f} "
-              f"({d.traces} traces, {d.schedule.windows} windows)")
+              f"({d.traces} traces, {DVFS_WINDOWS} windows)")
     return 0
 
 
@@ -403,10 +404,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from .exploration import run_exploration, summarize_findings
     from .thermal.stack import TopologyConfig
 
-    topology = (
-        TopologyConfig(kind=args.topology) if args.topology != "3d" else None
+    cells = run_exploration(
+        grid_n=args.grid, seed=args.seed, topology=TopologyConfig(kind=args.topology)
     )
-    cells = run_exploration(grid_n=args.grid, seed=args.seed, topology=topology)
     for c in cells:
         print(f"{c.power_pattern:<20}{c.tsv_pattern:<20}"
               f"r1={c.r_bottom:+.3f}  r2={c.r_top:+.3f}  peak={c.peak_k:.1f}K")

@@ -9,7 +9,6 @@ from ..floorplan.annealer import AnnealConfig
 from ..floorplan.objectives import FloorplanMode
 from ..mitigation.dummy_tsv import MitigationConfig
 from ..thermal.stack import TopologyConfig
-from . import schema
 
 __all__ = ["FlowConfig", "check_mitigation_mode", "env_int"]
 
@@ -34,8 +33,8 @@ def check_mitigation_mode(mode: str, mitigation_mode: str) -> None:
     """Reject a runtime (``dvfs``) or ``combined`` mitigation outside TSC
     mode: only the TSC flow runs mitigation, so such a job would run no
     governor yet record the mode.  Every :class:`FlowConfig` and
-    :class:`~repro.api.jobs.JobSpec`, built directly or from JSON,
-    passes through here."""
+    :class:`~repro.api.jobs.JobSpec` (the latter built directly or from
+    JSON) passes through here."""
     if mitigation_mode != "static" and mode != FloorplanMode.TSC_AWARE:
         raise ValueError(
             f"mitigation mode {mitigation_mode!r} needs mode "
@@ -63,8 +62,6 @@ class FlowConfig:
     #: "we also verify the final correlation after floorplanning")
     verify_nx: int = 48
     verify_ny: int = 48
-    #: final (full-size) voltage-volume growth bound
-    final_volume_size: int = 40
     #: parallel-tempering replicas for the annealing stage; 1 = the plain
     #: single-chain anneal (bit-identical to the legacy path)
     replicas: int = 1
@@ -74,8 +71,7 @@ class FlowConfig:
     #: serial inside batch-pool workers — see repro.floorplan.tempering)
     replica_processes: int | None = None
     #: integration style: the paper's vertical 3D stack (default) or a
-    #: 2.5D silicon-interposer layout with dies side by side; "3d" keeps
-    #: every solver path bit-identical to the pre-topology code
+    #: 2.5D silicon-interposer layout with dies side by side
     topology: TopologyConfig = field(default_factory=TopologyConfig)
 
     def __post_init__(self) -> None:
@@ -86,17 +82,6 @@ class FlowConfig:
         if self.mode not in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
             raise ValueError(f"unknown floorplanning mode {self.mode!r}")
         check_mitigation_mode(self.mode, self.mitigation.mode)
-
-    def to_json(self) -> dict:
-        """Versioned JSON document, nested configs included
-        (see :mod:`repro.core.schema`)."""
-        return schema.to_json_dict(self)
-
-    @classmethod
-    def from_json(cls, data) -> "FlowConfig":
-        """Rebuild from :meth:`to_json` output; unknown keys warn, bad
-        values raise the same ``ValueError`` as direct construction."""
-        return schema.from_json_dict(cls, data)
 
     @property
     def run_mitigation(self) -> bool:

@@ -31,12 +31,14 @@ from ..floorplan.tempering import temper
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
+from ..layout.net import TSV_LENGTH_UM
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..mitigation.dummy_tsv import MitigationReport, insert_dummy_tsvs
+from ..mitigation.dvfs import WINDOWS as DVFS_WINDOWS
 from ..mitigation.dvfs import DVFSReport, evaluate_dvfs
 from ..power.assignment import AssignmentObjective, assign_voltages
-from ..thermal.stack import TopologyConfig, topology_kwargs
+from ..thermal.stack import TopologyConfig
 from ..thermal.steady_state import SolverCache, default_solver_cache
 from ..timing.paths import TimingGraph
 from .config import FlowConfig
@@ -44,6 +46,9 @@ from .faults import degradations_since, snapshot_degradations
 from .results import FlowMetrics
 
 __all__ = ["FlowOutcome", "run_flow", "verify_correlations"]
+
+#: voltage-volume growth bound of the final full-size assignment
+FINAL_VOLUME_SIZE = 40
 
 
 @dataclass
@@ -74,17 +79,14 @@ def verify_correlations(
     :class:`SolverCache`) and is keyed by the TSV densities of *all*
     adjacent die pairs — earlier revisions hardcoded the (0, 1) pair and
     silently ignored TSVs between upper dies of taller stacks.
-    ``topology`` selects the stack style; None or "3d" keeps cache keys
-    and results bit-identical to the pre-topology code.  The one solve
-    states ``rhs_budget=1``, so on grids past 16x16 (counted on the
-    interposer's wider layer for 2.5D) auto selection sets up the
-    spectral backend instead of factorizing (records move within 1e-9
-    relative).
+    ``topology`` selects the stack style (``None`` is the 3D stack).
+    The one solve states ``rhs_budget=1``, so on grids past 16x16
+    (counted on the interposer's wider layer for 2.5D) auto selection
+    sets up the spectral backend instead of factorizing (records move
+    within 1e-9 relative).
     """
     cache = cache if cache is not None else default_solver_cache()
-    solver = cache.solver_for_floorplan(
-        floorplan, grid, rhs_budget=1, **topology_kwargs(topology)
-    )
+    solver = cache.solver_for_floorplan(floorplan, grid, rhs_budget=1, topology=topology)
     power_maps = [
         floorplan.power_map(d, grid) for d in range(floorplan.stack.num_dies)
     ]
@@ -150,7 +152,7 @@ def run_flow(
     )
 
     # final full-size voltage assignment on the chosen layout
-    timing = TimingGraph(result.netlist, tsv_length_um=50.0)
+    timing = TimingGraph(result.netlist)
     inflation = timing.max_delay_inflation(floorplan)
     objective = (
         AssignmentObjective.TSC_AWARE
@@ -159,7 +161,7 @@ def run_flow(
     )
     assignment = assign_voltages(
         floorplan, inflation, objective=objective,
-        max_volume_size=config.final_volume_size,
+        max_volume_size=FINAL_VOLUME_SIZE,
     )
     floorplan = floorplan.with_voltages(assignment.voltages)
     timing_report = timing.evaluate(floorplan)
@@ -196,8 +198,7 @@ def run_flow(
             # insertion in combined mode, so it measures the *residual*
             # leakage the static defense left behind
             emit(stage="dvfs", status="start",
-                 traces=config.mitigation.dvfs_traces,
-                 windows=config.mitigation.dvfs_windows)
+                 traces=config.mitigation.dvfs_traces, windows=DVFS_WINDOWS)
             dvfs = evaluate_dvfs(
                 floorplan, config.mitigation, topology=config.topology
             )
@@ -216,7 +217,7 @@ def run_flow(
     # mitigation adds TSVs only: the timing graph's netlist still fits
     netlist = timing.netlist
     wirelength_um, _ = netlist.wirelength(
-        *floorplan.module_centers(netlist.module_names), 50.0
+        *floorplan.module_centers(netlist.module_names), TSV_LENGTH_UM
     )
     runtime = time.perf_counter() - t_start
     metrics = FlowMetrics(

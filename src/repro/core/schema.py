@@ -1,13 +1,16 @@
-"""Versioned JSON round-tripping for the public config dataclasses.
+"""Versioned JSON round-tripping for the wire documents.
 
-The service layer (:mod:`repro.api`, :mod:`repro.service`) needs a
-*stable serialized job schema*: a document a network client produced
+The two wire documents are :class:`~repro.api.jobs.JobSpec` and
+:class:`~repro.api.jobs.JobResult`; the flow's config dataclasses are
+built from a spec (:meth:`~repro.api.jobs.JobSpec.to_flow_config`) and
+never travel themselves.  The service layer (:mod:`repro.api`,
+:mod:`repro.service`) needs a *stable serialized job schema*: a document a network client produced
 last month must still deserialize against today's dataclasses, and a
 document produced by a newer revision must degrade gracefully rather
 than explode.  The rules, shared by every ``to_json``/``from_json``
 pair built on this module:
 
-* every document carries a ``schema_version`` stamp (nested config
+* every document carries a ``schema_version`` stamp (nested
   dataclasses stamp their own sub-documents);
 * **unknown keys are ignored with a warning** — a field added in a
   future revision does not break an older reader (forward

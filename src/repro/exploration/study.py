@@ -95,28 +95,25 @@ def run_exploration(
     factorization automatically.
 
     ``topology`` (a :class:`~repro.thermal.stack.TopologyConfig`) reruns
-    the same 30-cell study on a 2.5D interposer layout; None or "3d" is
-    bit-identical to the pre-topology study.
+    the same 30-cell study on a 2.5D interposer layout; ``None`` is the
+    3D stack.
     """
-    from ..thermal.stack import topology_kwargs
-
     stack_cfg = StackConfig.square(die_side_um)
     grid = GridSpec(stack_cfg.outline, grid_n, grid_n)
     power_names, tsv_names = pattern_names()
     cache = cache if cache is not None else default_solver_cache()
-    tkw = topology_kwargs(topology)
 
     cells: List[ExplorationCell] = []
     base_solver = None
     for tsv_name in tsv_names:
         _, density = tsv_pattern(tsv_name, stack_cfg, grid, seed=seed)
         if not incremental or base_solver is None:
-            solver = cache.solver(stack_cfg, grid, density, **tkw)
+            solver = cache.solver(stack_cfg, grid, density, topology=topology)
             if base_solver is None:
                 base_solver = solver
         else:
             solver = cache.incremental_solver(
-                stack_cfg, grid, density, base=base_solver, **tkw
+                stack_cfg, grid, density, base=base_solver, topology=topology
             )
         # all five power patterns ride one factorization per TSV pattern
         pm_pairs = [

@@ -51,9 +51,17 @@ __all__ = [
 #: must not freeze the chain at T=0 or launch it at T=inf
 TEMPERATURE_FLOOR = 1e-9
 
+#: the geometric cooling schedule: moves per temperature step, the factor
+#: each step multiplies the temperature by, and the probability with
+#: which the starting temperature accepts the mean uphill probe delta
+MOVES_PER_TEMPERATURE = 60
+COOLING = 0.93
+INITIAL_ACCEPTANCE = 0.5
+
+
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing schedule and evaluation cadence.
+    """Annealing budget and evaluation cadence.
 
     Defaults are sized for the Python engine; the paper's C++ Corblivar
     runs far more iterations.  All experiment harnesses expose
@@ -61,45 +69,23 @@ class AnnealConfig:
     """
 
     iterations: int = 3000
-    moves_per_temperature: int = 60
-    cooling: float = 0.93
-    initial_acceptance: float = 0.5
     seed: int = 0
     grid_nx: int = 32
     grid_ny: int = 32
     timing_every: int = 10
     thermal_every: int = 5
     assignment_every: int = 50
-    inloop_volume_size: int = 16
     calibration_samples: int = 24
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not (0.0 < self.cooling < 1.0):
-            raise ValueError("cooling factor must be in (0, 1)")
-        if not (0.0 < self.initial_acceptance < 1.0):
-            raise ValueError("initial acceptance must be in (0, 1)")
         if min(self.grid_nx, self.grid_ny) < 1 or self.grid_nx * self.grid_ny < 2:
             raise ValueError(
                 f"the anneal grid needs at least two cells (got "
                 f"{self.grid_nx}x{self.grid_ny}): the in-loop power-temperature "
                 "correlation is undefined on one"
             )
-
-    def to_json(self) -> dict:
-        """Versioned JSON document (see :mod:`repro.core.schema`)."""
-        from ..core import schema
-
-        return schema.to_json_dict(self)
-
-    @classmethod
-    def from_json(cls, data) -> "AnnealConfig":
-        """Rebuild from :meth:`to_json` output; unknown keys warn, bad
-        values raise the same ``ValueError`` as direct construction."""
-        from ..core import schema
-
-        return schema.from_json_dict(cls, data)
 
 
 @dataclass
@@ -245,7 +231,6 @@ class AnnealChain:
                 timing_every=config.timing_every,
                 thermal_every=config.thermal_every,
                 assignment_every=config.assignment_every,
-                inloop_volume_size=config.inloop_volume_size,
             )
 
         state = LayoutState.initial(modules, stack, rng, power_biased=True)
@@ -267,9 +252,7 @@ class AnnealChain:
                 apply_random_move(cand, rng)
                 bd = evaluator.evaluate(cand)
                 probe_deltas.append(evaluator.total_cost(bd) - current_cost)
-            temperature = _initial_temperature(
-                probe_deltas, config.initial_acceptance
-            )
+            temperature = _initial_temperature(probe_deltas, INITIAL_ACCEPTANCE)
         return AnnealChain(
             state=state,
             evaluator=evaluator,
@@ -287,7 +270,6 @@ class AnnealChain:
     # -- the Metropolis loop -------------------------------------------------
     def step(self) -> None:
         """Advance one move (one historical loop iteration)."""
-        config = self.config
         evaluator = self.evaluator
         if self.iteration == self.push_at and not self._boosted:
             # compaction phase: boost the fixed-outline pressure so the
@@ -334,8 +316,8 @@ class AnnealChain:
         self.history.append(self.current_cost)
         self.iteration += 1
         self.moves_at_t += 1
-        if self.moves_at_t >= config.moves_per_temperature:
-            self.temperature *= config.cooling
+        if self.moves_at_t >= MOVES_PER_TEMPERATURE:
+            self.temperature *= COOLING
             self.moves_at_t = 0
 
     def run(self, moves: int) -> "AnnealChain":

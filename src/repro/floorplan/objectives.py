@@ -35,13 +35,12 @@ import numpy as np
 
 from ..layout.die import StackConfig
 from ..layout.grid import GridSpec, rasterize_rects
-from ..layout.net import CompiledNetlist, Net, Terminal
+from ..layout.net import TSV_LENGTH_UM, CompiledNetlist, Net, Terminal
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
 from ..power.voltages import scaled_delay, scaled_power, total_power
 from ..thermal.fast import FastThermalModel
-from ..thermal.steady_state import calibration_solver
 from ..timing.paths import TimingGraph
 from .seqpair import LayoutState, keeps_nominal_size, pack_die
 
@@ -50,7 +49,12 @@ __all__ = [
     "CostBreakdown",
     "CostEvaluator",
     "FloorplanMode",
+    "INLOOP_VOLUME_SIZE",
 ]
+
+#: voltage-volume growth bound of the in-loop assignment refreshes (the
+#: final full-size assignment grows to ``FINAL_VOLUME_SIZE`` in the flow)
+INLOOP_VOLUME_SIZE = 16
 
 
 #: fast-thermal models, memoized per (stack, grid) — repeated flow runs
@@ -65,16 +69,15 @@ _CALIBRATION_LOCK = threading.Lock()
 def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalModel:
     """Build (or reuse) the in-loop thermal model of this stack and grid.
 
-    The model solves the TSV-free stack through
-    :func:`~repro.thermal.steady_state.calibration_solver`, whose
-    spectral factorization is that stack's exact solve: no sparse
-    factorization, and nothing left in the process-wide solver cache.
+    The model solves the TSV-free stack exactly through its homogenized
+    stack: no sparse factorization, and nothing left in the process-wide
+    solver cache.
     """
     key = (stack, grid)
     with _CALIBRATION_LOCK:
         model = _CALIBRATED_MODELS.get(key)
         if model is None:
-            model = FastThermalModel(calibration_solver(stack, grid))
+            model = FastThermalModel(stack, grid)
             _CALIBRATED_MODELS[key] = model
     return model
 
@@ -229,22 +232,18 @@ class CostEvaluator:
         weights: ObjectiveWeights | None = None,
         grid_nx: int = 32,
         grid_ny: int = 32,
-        tsv_length_um: float = 50.0,
         timing_every: int = 10,
         thermal_every: int = 5,
         assignment_every: int = 50,
-        inloop_volume_size: int = 16,
     ) -> None:
         self.stack = stack
         self.mode = mode
         self.weights = weights or ObjectiveWeights.for_mode(mode)
         self.grid = GridSpec(stack.outline, grid_nx, grid_ny)
         self.thermal = calibrated_thermal_model(stack, self.grid)
-        self.tsv_length_um = tsv_length_um
         self.timing_every = max(1, timing_every)
         self.thermal_every = max(1, thermal_every)
         self.assignment_every = max(1, assignment_every)
-        self.inloop_volume_size = inloop_volume_size
         self.terminals = dict(terminals)
         self.nets = tuple(nets)
         self._netlist: Optional[CompiledNetlist] = None
@@ -282,9 +281,7 @@ class CostEvaluator:
 
     def _timing_graph(self, state: LayoutState) -> TimingGraph:
         if self._timing is None:
-            self._timing = TimingGraph(
-                self.compiled_netlist(state), tsv_length_um=self.tsv_length_um
-            )
+            self._timing = TimingGraph(self.compiled_netlist(state))
         return self._timing
 
     def _total_power(self, state: LayoutState) -> float:
@@ -314,7 +311,7 @@ class CostEvaluator:
             ws[idx], hs[idx] = sizes[name]
             dd[idx] = state.die_of[name]
         wirelength, tsv_crossings = nl.wirelength(
-            xs + ws / 2.0, ys + hs / 2.0, dd, self.tsv_length_um
+            xs + ws / 2.0, ys + hs / 2.0, dd, TSV_LENGTH_UM
         )
         outline = self.stack.outline
         over = 0.0
@@ -361,7 +358,7 @@ class CostEvaluator:
             )
             cache.assignment = assign_voltages(
                 fp, inflation, objective=objective,
-                max_volume_size=self.inloop_volume_size,
+                max_volume_size=INLOOP_VOLUME_SIZE,
             )
             cache.watts = None
         if cache.watts is None:

@@ -22,7 +22,7 @@ from .die import StackConfig
 from .geometry import Rect, bounding_box, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, Placement
-from .net import CompiledNetlist, Net, Terminal
+from .net import TSV_LENGTH_UM, CompiledNetlist, Net, Terminal
 from .tsv import TSV, SignalSites, TSVKind, tsv_density_map
 
 __all__ = ["Floorplan3D"]
@@ -131,7 +131,7 @@ class Floorplan3D:
         """This floorplan's nets compiled over its module names."""
         return CompiledNetlist(list(self.placements), self.nets, self.terminals)
 
-    def wirelength(self, tsv_length: float = 50.0) -> Tuple[float, int]:
+    def wirelength(self, tsv_length: float = TSV_LENGTH_UM) -> Tuple[float, int]:
         """(total 3D HPWL in um, number of die crossings == signal TSVs)."""
         netlist = self.compiled_netlist()
         return netlist.wirelength(*self.module_centers(netlist.module_names), tsv_length)

@@ -21,7 +21,10 @@ import numpy as np
 from .geometry import Rect
 from .tsv import SignalSites
 
-__all__ = ["Terminal", "Net", "CompiledNetlist"]
+__all__ = ["Terminal", "Net", "CompiledNetlist", "TSV_LENGTH_UM"]
+
+#: wire length (um) one die crossing adds to a net: the TSV's height
+TSV_LENGTH_UM = 50.0
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .dummy_tsv import (
     MitigationReport,
     insert_dummy_tsvs,
 )
-from .dvfs import DVFSchedule, DVFSReport, evaluate_dvfs
+from .dvfs import DVFSReport, evaluate_dvfs
 
 __all__ = [
     "ActivitySampler",
@@ -25,7 +25,6 @@ __all__ = [
     "MitigationConfig",
     "MitigationReport",
     "insert_dummy_tsvs",
-    "DVFSchedule",
     "DVFSReport",
     "evaluate_dvfs",
 ]

@@ -64,6 +64,11 @@ __all__ = [
 #: (:mod:`repro.mitigation.dvfs`), or both in sequence
 MITIGATION_MODES = ("static", "dvfs", "combined")
 
+#: dummy thermal TSV geometry (um): larger than signal TSVs, so a dense
+#: group fills one analysis bin
+DUMMY_DIAMETER = 20.0
+DUMMY_KEEPOUT = 5.0
+
 
 @dataclass(frozen=True)
 class MitigationConfig:
@@ -78,10 +83,6 @@ class MitigationConfig:
     #: disjoint candidate bin groups evaluated speculatively per round;
     #: 1 reproduces the purely greedy loop
     candidates_per_round: int = 3
-    #: dummy thermal TSVs are typically larger than signal TSVs; a dense
-    #: group at this geometry fills one analysis bin
-    dummy_diameter: float = 20.0
-    dummy_keepout: float = 5.0
     #: evaluation grid (detailed solves happen once per activity sample)
     grid_nx: int = 32
     grid_ny: int = 32
@@ -99,22 +100,11 @@ class MitigationConfig:
     rebase_rank: Optional[int] = None
     #: mitigation strategy: ``"static"`` (dummy-TSV insertion, Sec. 6.2),
     #: ``"dvfs"`` (runtime activity modulation,
-    #: :mod:`repro.mitigation.dvfs`), or ``"combined"`` (both).
-    #: Validated here *and* therefore at the :mod:`repro.core.schema`
-    #: wire boundary, which constructs through this ``__post_init__``
+    #: :mod:`repro.mitigation.dvfs`), or ``"combined"`` (both)
     mode: str = "static"
-    #: DVFS governor knobs (runtime modes): discrete operating points ...
-    dvfs_levels: int = 3
-    #: ... lowest frequency scale (power scales ~ f^3) ...
-    dvfs_min_scale: float = 0.6
-    #: ... transient steps per governor dwell window ...
-    dvfs_period: int = 4
-    #: ... secret activity windows per measured trace ...
-    dvfs_windows: int = 24
-    #: ... independent traces scored per evaluation ...
+    #: independent traces the DVFS governor's evaluation scores (runtime
+    #: modes; the schedule itself is fixed in :mod:`repro.mitigation.dvfs`)
     dvfs_traces: int = 4
-    #: ... and the backward-Euler step size (seconds)
-    dvfs_dt: float = 2e-3
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -130,32 +120,8 @@ class MitigationConfig:
                 f"unknown mitigation mode {self.mode!r}; expected one of "
                 f"{', '.join(MITIGATION_MODES)}"
             )
-        if self.dvfs_levels < 2:
-            raise ValueError("dvfs_levels must be >= 2")
-        if not 0.0 < self.dvfs_min_scale <= 1.0:
-            raise ValueError("dvfs_min_scale must be in (0, 1]")
-        if self.dvfs_period < 1:
-            raise ValueError("dvfs_period must be >= 1")
-        if self.dvfs_windows < 2:
-            raise ValueError("dvfs_windows must be >= 2")
         if self.dvfs_traces < 1:
             raise ValueError("dvfs_traces must be >= 1")
-        if self.dvfs_dt <= 0:
-            raise ValueError("dvfs_dt must be positive")
-
-    def to_json(self) -> dict:
-        """Versioned JSON document (see :mod:`repro.core.schema`)."""
-        from ..core import schema
-
-        return schema.to_json_dict(self)
-
-    @classmethod
-    def from_json(cls, data) -> "MitigationConfig":
-        """Rebuild from :meth:`to_json` output; unknown keys warn, bad
-        values raise the same ``ValueError`` as direct construction."""
-        from ..core import schema
-
-        return schema.from_json_dict(cls, data)
 
 
 @dataclass
@@ -212,16 +178,11 @@ def insert_dummy_tsvs(
     ``None`` callback costs nothing.
 
     ``topology`` (a :class:`~repro.thermal.stack.TopologyConfig`) selects
-    the stack style every solve discretizes; ``None``/3D keeps the legacy
-    path and cache keys bit-for-bit (2.5D dummy "TSVs" are extra thermal
-    micro-bump fields under the die sites — same density mechanism).
+    the stack style every solve discretizes; ``None`` is the 3D stack
+    (2.5D dummy "TSVs" are extra thermal micro-bump fields under the die
+    sites — same density mechanism).
     """
-    from ..thermal.stack import topology_kwargs
-
     config = config or MitigationConfig()
-    if config.candidates_per_round < 1:
-        raise ValueError("candidates_per_round must be >= 1")
-    tkw = topology_kwargs(topology)
     fp = floorplan.copy()
     grid = GridSpec(fp.stack.outline, config.grid_nx, config.grid_ny)
 
@@ -232,7 +193,7 @@ def insert_dummy_tsvs(
     solver_cache = SolverCache(maxsize=max(4, config.candidates_per_round + 2))
 
     def make_solver(current: Floorplan3D) -> SteadyStateSolver:
-        return solver_cache.solver_for_floorplan(current, grid, **tkw)
+        return solver_cache.solver_for_floorplan(current, grid, topology=topology)
 
     # nominal power maps depend only on placements and voltages — never on
     # TSVs — so one rasterization serves the whole loop and every
@@ -263,11 +224,11 @@ def insert_dummy_tsvs(
     def candidate_solver(candidate: Floorplan3D):
         if not config.incremental:
             return solver_cache.solver_for_floorplan(
-                candidate, grid, rhs_budget=1, **tkw
+                candidate, grid, rhs_budget=1, topology=topology
             )
         return solver_cache.incremental_solver_for_floorplan(
             candidate, grid, base=base_solver,
-            crossover_rank=config.rebase_rank, **tkw,
+            crossover_rank=config.rebase_rank, topology=topology,
         )
 
     correlations = correlations_for(solver)
@@ -339,8 +300,8 @@ def insert_dummy_tsvs(
                         die_from=0,
                         die_to=1,
                         kind=TSVKind.THERMAL,
-                        diameter=config.dummy_diameter,
-                        keepout=config.dummy_keepout,
+                        diameter=DUMMY_DIAMETER,
+                        keepout=DUMMY_KEEPOUT,
                     )
                 )
             cand_solver = candidate_solver(candidate)

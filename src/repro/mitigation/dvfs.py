@@ -32,7 +32,7 @@ Pearson r, Eq. 1 over the (traces, windows) matrix and the local
 correlation map all centre their inputs first, so the operating point
 cancels out of every score and no steady state is solved.
 
-Everything is deterministic in ``(seed, schedule)``: per-trace RNG
+Everything is deterministic in the seed: per-trace RNG
 streams spawn from one :class:`numpy.random.SeedSequence`, and each
 trace's convolution runs alone, so scores are byte-identical across
 trace counts and process boundaries.  They equal forward integration of
@@ -49,71 +49,37 @@ import numpy as np
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
 from ..leakage.pearson import die_correlation, local_correlation_map, pearson
-from ..thermal.stack import stack_for_floorplan, topology_kwargs
+from ..thermal.stack import stack_for_floorplan
 from ..thermal.transient import TransientSolver
 from .activity import module_power_basis
 from .dummy_tsv import MitigationConfig
 
-__all__ = ["DVFSchedule", "DVFSReport", "evaluate_dvfs"]
+__all__ = ["DVFSReport", "evaluate_dvfs"]
 
 #: local (windowed) correlation support along the time axis — the
 #: short-exposure attacker who correlates over a few adjacent windows
 _LOCAL_WINDOW = 5
 
 
-@dataclass(frozen=True)
-class DVFSchedule:
-    """The governor's deterministic operating-point schedule."""
-
-    #: discrete frequency/voltage operating points
-    levels: int = 3
-    #: lowest frequency scale; power scales as ``scale ** 3`` (P ~ f V^2,
-    #: V ~ f in the classic DVFS regime)
-    min_scale: float = 0.6
-    #: transient steps per governor dwell window
-    period: int = 4
-    #: secret activity windows per measured trace
-    windows: int = 24
-    #: backward-Euler step size (seconds)
-    dt: float = 2e-3
-
-    def __post_init__(self) -> None:
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
-        if not 0.0 < self.min_scale <= 1.0:
-            raise ValueError("min_scale must be in (0, 1]")
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-        if self.windows < 2:
-            raise ValueError("windows must be >= 2")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-    @classmethod
-    def from_mitigation(cls, config: MitigationConfig) -> "DVFSchedule":
-        return cls(
-            levels=config.dvfs_levels,
-            min_scale=config.dvfs_min_scale,
-            period=config.dvfs_period,
-            windows=config.dvfs_windows,
-            dt=config.dvfs_dt,
-        )
-
-    @property
-    def duration(self) -> float:
-        """Seconds one trace integrates."""
-        return self.windows * self.period * self.dt
-
-    def scales(self) -> np.ndarray:
-        """The discrete frequency scales, lowest to nominal."""
-        return np.linspace(self.min_scale, 1.0, self.levels)
+#: the governor's deterministic operating-point schedule: discrete
+#: frequency/voltage operating points, the lowest frequency scale (power
+#: scales as ``scale ** 3``: P ~ f V^2 with V ~ f in the classic DVFS
+#: regime), transient steps per governor dwell window, secret activity
+#: windows per measured trace, and the backward-Euler step (seconds)
+LEVELS = 3
+MIN_SCALE = 0.6
+PERIOD = 4
+WINDOWS = 24
+DT = 2e-3
+#: the discrete frequency scales, lowest to nominal
+SCALES = np.linspace(MIN_SCALE, 1.0, LEVELS)
+SCALES.setflags(write=False)
 
 
 @dataclass
 class DVFSReport:
     """Leakage with and without the runtime governor, same traces."""
 
-    schedule: DVFSchedule
     #: per-trace per-die temporal Pearson r (Eq. 1 over windows),
     #: shape (traces, dies) — nominal power vs. observed temperature
     baseline_correlations: np.ndarray
@@ -153,26 +119,22 @@ def _trace_streams(seed: int, trace: int) -> tuple:
     return np.random.default_rng(act_ss), np.random.default_rng(gov_ss)
 
 
-def _activity(
-    config: MitigationConfig, schedule: DVFSchedule, num_modules: int
-) -> tuple:
+def _activity(config: MitigationConfig, num_modules: int) -> tuple:
     """Per-trace per-window per-module activity, ``(traces, windows,
     modules)`` each: the secret nominal factors, and the same factors
     scaled by the governor's ``scale ** 3``."""
-    scales = schedule.scales()
-    shape = (schedule.windows, num_modules)
+    shape = (WINDOWS, num_modules)
     nominal = np.empty((config.dvfs_traces, *shape))
     governed = np.empty_like(nominal)
     for tr in range(config.dvfs_traces):
         act_rng, gov_rng = _trace_streams(config.seed, tr)
         nominal[tr] = np.maximum(act_rng.normal(1.0, config.sigma, size=shape), 0.0)
-        level_idx = gov_rng.integers(0, schedule.levels, size=shape)
-        governed[tr] = nominal[tr] * scales[level_idx] ** 3
+        level_idx = gov_rng.integers(0, LEVELS, size=shape)
+        governed[tr] = nominal[tr] * SCALES[level_idx] ** 3
     return nominal, governed
 
 
 def _report(
-    schedule: DVFSchedule,
     window_power: np.ndarray,
     base_temps: np.ndarray,
     governed_temps: np.ndarray,
@@ -205,7 +167,6 @@ def _report(
     base_r, base_global, base_local = score(base_temps)
     gov_r, gov_global, gov_local = score(governed_temps)
     return DVFSReport(
-        schedule=schedule,
         baseline_correlations=base_r,
         mitigated_correlations=gov_r,
         baseline_die_correlation=base_global,
@@ -242,43 +203,40 @@ def evaluate_dvfs(
     same way; only the heat path differs).
     """
     config = config or MitigationConfig(mode="dvfs")
-    schedule = DVFSchedule.from_mitigation(config)
     if grid is None:
         grid = GridSpec(floorplan.stack.outline, config.grid_nx, config.grid_ny)
     names = sorted(floorplan.placements)
     num_dies = floorplan.stack.num_dies
     basis = module_power_basis(floorplan, grid, names)  # per die: (M, cells)
-    windows, period = schedule.windows, schedule.period
-    mean_s3 = float(np.mean(schedule.scales() ** 3))
+    mean_s3 = float(np.mean(SCALES ** 3))
 
     # die-mean impulse responses, projected onto the modules
     # (steps, modules, dies), then summed over each window's steps:
     # window_kernels[L] maps one window of per-module power deviation to
     # the die means read L windows later
     kernels = TransientSolver(
-        stack_for_floorplan(floorplan, grid, **topology_kwargs(topology))
-    ).die_mean_kernels(schedule.dt, windows * period)
+        stack_for_floorplan(floorplan, grid, topology)
+    ).die_mean_kernels(DT, WINDOWS * PERIOD)
     module_kernels = sum(basis[s] @ kernels[:, s] for s in range(num_dies))
     window_kernels = module_kernels.reshape(
-        windows, period, len(names), num_dies
+        WINDOWS, PERIOD, len(names), num_dies
     ).sum(axis=1)
 
     def observe(deviation: np.ndarray) -> np.ndarray:
         """End-of-window die-mean rises over the operating point,
         (traces, windows, dies); each trace convolves alone so its bytes
         never depend on the trace count."""
-        rises = np.zeros((len(deviation), windows, num_dies))
+        rises = np.zeros((len(deviation), WINDOWS, num_dies))
         for rise, dev in zip(rises, deviation):
-            for lag in range(windows):
-                rise[lag:] += dev[: windows - lag] @ window_kernels[lag]
+            for lag in range(WINDOWS):
+                rise[lag:] += dev[: WINDOWS - lag] @ window_kernels[lag]
         return rises
 
-    nominal, governed = _activity(config, schedule, len(names))
+    nominal, governed = _activity(config, len(names))
     # nominal per-window per-die power totals — the attacker's hypothesis
     module_die_power = np.stack([b.sum(axis=1) for b in basis], axis=1)
     window_power = np.stack([n @ module_die_power for n in nominal])
     return _report(
-        schedule,
         window_power,
         observe(nominal - 1.0),
         observe(governed - mean_s3),

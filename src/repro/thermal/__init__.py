@@ -22,7 +22,7 @@ from .materials import (
 )
 from .rc_network import LowRankUpdate, ThermalNetwork, assemble, low_rank_update
 from .stack import (
-    DEFAULT_DIMENSIONS,
+    DIMENSIONS,
     TOPOLOGY_KINDS,
     Layer,
     ThermalStack,
@@ -30,7 +30,6 @@ from .stack import (
     build_stack,
     normalize_tsv_densities,
     stack_for_floorplan,
-    topology_kwargs,
 )
 from .steady_state import (
     SolverCache,
@@ -65,8 +64,7 @@ __all__ = [
     "build_stack",
     "stack_for_floorplan",
     "normalize_tsv_densities",
-    "topology_kwargs",
-    "DEFAULT_DIMENSIONS",
+    "DIMENSIONS",
     "SteadyStateSolver",
     "WoodburySolver",
     "SolverCache",

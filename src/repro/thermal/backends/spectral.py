@@ -5,13 +5,13 @@ The conductance matrix is a 7-point stencil on a layer-major
 its row sums (the boundary plus any ``C/dt``) replaced by their means,
 it becomes a laterally uniform stack, which the in-plane DCT-II modes
 separate into one ``layers x layers`` tridiagonal system per mode.
-:meth:`SpectralBackend.factor` builds that homogenized stack from the
-matrix and ``FactorHints.grid_shape`` alone, and its exact solve,
-:meth:`SpectralFactorization.homogenized_solve` (two basis changes and a
-Thomas sweep along z), preconditions a CG on the real system, one column
-at a time, to :data:`SPECTRAL_TOLERANCE`.  On a stack without TSVs the
-homogenized stack is the system itself: PCG stops after 2 iterations,
-and the fast thermal model calls the exact solve with no CG around it.
+:class:`HomogenizedStack` builds that stack from the matrix and
+``FactorHints.grid_shape`` alone, and its exact solve (two basis changes
+and a Thomas sweep along z) preconditions a CG on the real system, one
+column at a time, to :data:`SPECTRAL_TOLERANCE`.  On a stack without
+TSVs the homogenized stack is the system itself: PCG stops after 2
+iterations, and the fast thermal model holds a :class:`HomogenizedStack`
+alone and calls its exact solve with no CG around it.
 The factorization is approximate, so it is no Woodbury base.
 """
 
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from ...core.faults import fault_fires, warn_degraded
 from .base import BackendUnavailable, FactorHints, Factorization, FactorizationBackend
 
-__all__ = ["SPECTRAL_TOLERANCE", "SpectralBackend", "SpectralFactorization"]
+__all__ = ["SPECTRAL_TOLERANCE", "HomogenizedStack", "SpectralBackend", "SpectralFactorization"]
 
 #: relative-residual target of every PCG column; at 1e-10, 2.5D flow
 #: records drifted up to 8e-9 from superlu's
@@ -49,42 +49,32 @@ def _chain_eigenvalues(n: int) -> np.ndarray:
     return 4.0 * np.sin(np.pi / (2.0 * n) * np.arange(n)) ** 2
 
 
-class SpectralFactorization(Factorization):
-    """Homogenized-stack-preconditioned CG for one assembled system."""
+class HomogenizedStack:
+    """The laterally uniform stack of one assembled system, and its exact
+    solve: the PCG's preconditioner, and on a stack without TSVs the
+    system's own direct solve.
 
-    backend_name = "spectral"
-    supports_woodbury_base = False
+    It keeps the two DCT bases and every mode's Thomas coefficients,
+    not the matrix they came from.
+    """
 
-    def __init__(
-        self, matrix: sp.spmatrix, grid_shape, tolerance=SPECTRAL_TOLERANCE, maxiter=_PCG_MAXITER
-    ) -> None:
-        if maxiter < 1:
-            raise ValueError(f"maxiter must be >= 1, got {maxiter}")
-        if not tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
+    def __init__(self, matrix: sp.spmatrix, grid_shape) -> None:
         nl, ny, nx = self.grid_shape = tuple(int(v) for v in grid_shape)
         n = nl * ny * nx
         if n != matrix.shape[0]:
             raise ValueError(f"grid_shape {grid_shape} does not match {matrix.shape[0]} nodes")
-        self.tolerance = tolerance
-        self.maxiter = maxiter
-        #: most PCG iterations any column of the last solve took; under
-        #: concurrent solves on one factorization, of whichever ended last
-        self.last_iterations = 0
-        # assemble's CSC is used as is: its matvec costs what CSR's does
-        self._matrix = A = matrix.tocsc()
 
         def mean_coupling(offset: int, pairs) -> np.ndarray:
             # a diagonal padded to the box holds each pair at its lower node
             g = np.zeros(n)
-            g[: n - offset] = -A.diagonal(k=offset)
+            g[: n - offset] = -matrix.diagonal(k=offset)
             g = g.reshape(nl, ny, nx)[pairs]
             return g.sum(axis=(1, 2)) / max(g[0].size if len(g) else 0, 1)
 
         g_x = mean_coupling(1, np.s_[:, :, :-1])
         g_y = mean_coupling(nx, np.s_[:, :-1, :])
         g_z = mean_coupling(ny * nx, np.s_[:-1])
-        row_sum = np.asarray(A.sum(axis=1)).reshape(nl, ny * nx).mean(axis=1)
+        row_sum = np.asarray(matrix.sum(axis=1)).reshape(nl, ny * nx).mean(axis=1)
         # diag[l, ky, kx]: mode (ky, kx) of layer l's homogenized diagonal
         diag = (
             g_y[:, None, None] * _chain_eigenvalues(ny)[:, None]
@@ -103,13 +93,8 @@ class SpectralFactorization(Factorization):
             self._cp[li] = self._upper[li] / diag[li]
             diag[li + 1] -= self._upper[li] * self._cp[li]
 
-    def homogenized_solve(self, r: np.ndarray) -> np.ndarray:
-        """The homogenized stack's exact solve of one ``(N,)`` vector.
-
-        It preconditions every PCG step; on a stack without TSVs the
-        homogenized stack is the system, so this alone is its direct
-        solve (the fast thermal model's in-loop estimate).
-        """
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The homogenized stack's exact solve of one ``(N,)`` vector."""
         nl, ny, nx = self.grid_shape
         modes = (self._basis_y.T @ r.reshape(nl, ny, nx)).reshape(-1, nx) @ self._basis_x
         modes = modes.reshape(nl, ny, nx)
@@ -121,6 +106,29 @@ class SpectralFactorization(Factorization):
             modes[li] -= self._cp[li] * modes[li + 1]
         return ((self._basis_y @ modes).reshape(-1, nx) @ self._basis_x.T).ravel()
 
+
+class SpectralFactorization(Factorization):
+    """Homogenized-stack-preconditioned CG for one assembled system."""
+
+    backend_name = "spectral"
+    supports_woodbury_base = False
+
+    def __init__(
+        self, matrix: sp.spmatrix, grid_shape, tolerance=SPECTRAL_TOLERANCE, maxiter=_PCG_MAXITER
+    ) -> None:
+        if maxiter < 1:
+            raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+        if not tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        self.tolerance = tolerance
+        self.maxiter = maxiter
+        #: most PCG iterations any column of the last solve took; under
+        #: concurrent solves on one factorization, of whichever ended last
+        self.last_iterations = 0
+        # assemble's CSC is used as is: its matvec costs what CSR's does
+        self._matrix = matrix.tocsc()
+        self.homogenized = HomogenizedStack(self._matrix, grid_shape)
+
     def _pcg(self, b: np.ndarray):
         """PCG from a zero start: ``(x, iterations, relative residual)``."""
         x = np.zeros_like(b)
@@ -128,7 +136,7 @@ class SpectralFactorization(Factorization):
         if bnorm == 0.0:
             return x, 0, 0.0
         r = b.copy()
-        p = z = self.homogenized_solve(r)
+        p = z = self.homogenized.solve(r)
         rz = r @ z
         for iteration in range(1, self.maxiter + 1):
             ap = self._matrix @ p
@@ -138,7 +146,7 @@ class SpectralFactorization(Factorization):
             residual = np.linalg.norm(r) / bnorm
             if residual <= self.tolerance:
                 break
-            z = self.homogenized_solve(r)
+            z = self.homogenized.solve(r)
             rz, rz_old = r @ z, rz
             p *= rz / rz_old
             p += z

@@ -23,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .stack import ThermalStack
+from .stack import R_TOP_AREA, ThermalStack
 
 __all__ = ["ThermalNetwork", "LowRankUpdate", "assemble", "low_rank_update"]
 
@@ -199,16 +199,11 @@ def assemble(stack: ThermalStack) -> ThermalNetwork:
     # boundary conductances to ambient
     boundary = np.zeros(n)
     top = stack.layers[-1]
-    g_top = cell_area / (stack.r_top_area + top.thickness / (2.0 * top.k_vertical))
+    g_top = cell_area / (R_TOP_AREA + top.thickness / (2.0 * top.k_vertical))
     idx_top = layer_base[-1] + cell_idx.ravel()
     boundary[idx_top] += np.asarray(g_top, dtype=float).ravel()
     bottom = stack.layers[0]
-    r_bot = (
-        stack.r_bottom_map
-        if stack.r_bottom_map is not None
-        else stack.r_bottom_area
-    )
-    g_bot = cell_area / (r_bot + bottom.thickness / (2.0 * bottom.k_vertical))
+    g_bot = cell_area / (stack.r_bottom_map + bottom.thickness / (2.0 * bottom.k_vertical))
     idx_bot = layer_base[0] + cell_idx.ravel()
     boundary[idx_bot] += np.asarray(g_bot, dtype=float).ravel()
     diag += boundary

@@ -22,8 +22,8 @@ the package").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ __all__ = [
     "layer_shape",
     "stack_for_floorplan",
     "normalize_tsv_densities",
-    "topology_kwargs",
-    "DEFAULT_DIMENSIONS",
+    "DIMENSIONS",
 ]
 
 #: supported stack topologies: the paper's vertical 3D stack, and a 2.5D
@@ -61,28 +60,28 @@ __all__ = [
 TOPOLOGY_KINDS = ("3d", "2.5d")
 
 
+#: 2.5D interposer geometry: substrate silicon, redistribution layer and
+#: micro-bump/underfill gap thicknesses (m), and the mold-compound spacer
+#: columns between adjacent die sites (grid cells)
+INTERPOSER_THICKNESS = 100e-6
+RDL_THICKNESS = 10e-6
+MICROBUMP_THICKNESS = 30e-6
+GAP_CELLS = 2
+
+
 @dataclass(frozen=True)
 class TopologyConfig:
     """Which physical stacking style the thermal model discretizes.
 
     ``kind="3d"`` is the degenerate case: :func:`build_stack` takes the
-    exact legacy vertical-stack path (bit-identical layers, untouched
-    solver-cache keys via :func:`topology_kwargs`).  ``kind="2.5d"``
-    places the dies side-by-side on a silicon interposer: each die keeps
-    its own ``(ny, nx)`` analysis grid as a *site* on a wider shared
-    grid, so power maps, leakage metrics, and every solver stay
-    shape-compatible with the 3D path.
+    exact vertical-stack path, and every solver-cache key equals the one
+    of ``topology=None``.  ``kind="2.5d"`` places the dies side-by-side
+    on a silicon interposer: each die keeps its own ``(ny, nx)`` analysis
+    grid as a *site* on a wider shared grid, so power maps, leakage
+    metrics, and every solver stay shape-compatible with the 3D path.
     """
 
     kind: str = "3d"
-    #: interposer substrate silicon thickness (m); 2.5d only
-    interposer_thickness: float = 100e-6
-    #: interposer redistribution-layer thickness (m); 2.5d only
-    rdl_thickness: float = 10e-6
-    #: micro-bump/underfill gap between die and interposer (m); 2.5d only
-    microbump_thickness: float = 30e-6
-    #: mold-compound spacer columns between adjacent die sites (grid cells)
-    gap_cells: int = 2
 
     def __post_init__(self) -> None:
         if self.kind not in TOPOLOGY_KINDS:
@@ -90,38 +89,11 @@ class TopologyConfig:
                 f"unknown topology kind {self.kind!r}; expected one of "
                 f"{', '.join(TOPOLOGY_KINDS)}"
             )
-        for name in ("interposer_thickness", "rdl_thickness", "microbump_thickness"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.gap_cells < 0:
-            raise ValueError("gap_cells must be >= 0")
-
-    def to_json(self) -> dict:
-        """Versioned JSON document (see :mod:`repro.core.schema`)."""
-        from ..core import schema
-
-        return schema.to_json_dict(self)
-
-    @classmethod
-    def from_json(cls, data) -> "TopologyConfig":
-        """Rebuild from :meth:`to_json` output; unknown keys warn, bad
-        values raise the same ``ValueError`` as direct construction."""
-        from ..core import schema
-
-        return schema.from_json_dict(cls, data)
 
 
-def topology_kwargs(topology: Optional["TopologyConfig"]) -> dict:
-    """``build_stack``/solver-cache kwargs for a topology.
-
-    The degenerate 3D case returns ``{}`` — omitting the kwarg entirely
-    keeps legacy :class:`~repro.thermal.steady_state.SolverCache` keys
-    (and the bit-identical 3D build path) byte-for-byte unchanged, so a
-    pre-topology results store still resumes cleanly.
-    """
-    if topology is None or topology.kind == "3d":
-        return {}
-    return {"topology": topology}
+def is_interposer(topology: Optional[TopologyConfig]) -> bool:
+    """Whether ``topology`` is the 2.5D layout (``None`` is the 3D stack)."""
+    return topology is not None and topology.kind == "2.5d"
 
 
 @dataclass
@@ -141,8 +113,8 @@ class Layer:
             raise ValueError(f"layer {self.name!r}: non-positive thickness")
 
 
-#: Default layer thicknesses in metres.
-DEFAULT_DIMENSIONS: Dict[str, float] = {
+#: Layer thicknesses in metres.
+DIMENSIONS: Dict[str, float] = {
     "bulk_thick": 300e-6,  # bottom-die carrier silicon
     "bulk_thin": 100e-6,  # thinned upper-die silicon (TSV layer)
     "active": 2e-6,
@@ -154,22 +126,28 @@ DEFAULT_DIMENSIONS: Dict[str, float] = {
 }
 
 
+#: per-area boundary resistances to ambient (K m^2 / W): the heatsink
+#: path atop the stack, and the secondary package path below it, which
+#: TSV landing pads strengthen toward ``r_bottom_tsv_area``
+R_TOP_AREA = 2.0e-5
+R_BOTTOM_AREA = 1.0e-3
+#: ambient temperature (K); the paper reports peaks w.r.t. 293 K
+AMBIENT = 293.0
+#: copper fraction of a TSV footprint (barrel vs. keep-out)
+COPPER_FILL_FRACTION = 0.35
+
+
 @dataclass
 class ThermalStack:
-    """The full discretized stack plus boundary resistances."""
+    """The full discretized stack plus its bottom boundary."""
 
     grid: GridSpec
     layers: List[Layer]
-    #: per-area resistance top -> ambient (K m^2 / W), the heatsink path
-    r_top_area: float = 2.0e-5
-    #: per-area resistance bottom -> ambient, the secondary package path
-    r_bottom_area: float = 1.0e-3
-    ambient: float = 293.0  # K (the paper reports peaks w.r.t. 293 K)
-    #: optional per-cell bottom resistance map (K m^2 / W); overrides
-    #: ``r_bottom_area`` where given.  TSV-dense cells connect to the
+    #: per-cell bottom resistance map (K m^2 / W): ``R_BOTTOM_AREA``
+    #: blended toward ``r_bottom_tsv_area`` where TSVs connect to the
     #: package through micro-bump/redistribution stacks, locally
-    #: strengthening the secondary heat path.
-    r_bottom_map: Optional[np.ndarray] = None
+    #: strengthening the secondary heat path
+    r_bottom_map: np.ndarray
     #: 2.5D interposer layouts: per-die ``(row0, col0)`` offsets of each
     #: die's site on the shared grid.  ``None`` (the 3D stack) means every
     #: die's maps span the whole grid.
@@ -177,6 +155,8 @@ class ThermalStack:
     #: 2.5D: the ``(ny, nx)`` shape of each die site — the shape callers'
     #: per-die power/thermal maps keep across both topologies
     site_shape: Optional[Tuple[int, int]] = None
+    #: every stack sits at :data:`AMBIENT`
+    ambient: ClassVar[float] = AMBIENT
 
     @property
     def num_layers(self) -> int:
@@ -236,15 +216,14 @@ def normalize_tsv_densities(
     grid: GridSpec,
     tsv_density,
 ) -> Dict[Tuple[int, int], np.ndarray]:
-    """Canonicalize the many accepted TSV-density forms to a per-pair dict.
+    """Canonicalize the accepted TSV-density forms to a per-pair dict.
 
     Accepted forms:
 
     * ``None`` — no TSVs anywhere (empty dict);
     * a single ``(ny, nx)`` array — density of the (0, 1) interface, the
-      historical two-die calling convention;
-    * a mapping ``{(d, d+1): array}`` over adjacent die pairs;
-    * a sequence of arrays, one per adjacent pair in stack order.
+      two-die form the exploration study passes;
+    * a mapping ``{(d, d+1): array}`` over adjacent die pairs.
 
     Every array is shape-checked against the grid; unknown or
     non-adjacent pairs are rejected.
@@ -275,43 +254,33 @@ def normalize_tsv_densities(
                 )
             out[pair] = _check(arr, pair)
         return out
-    if isinstance(tsv_density, Sequence):
-        pairs = stack_cfg.die_pairs() or [(0, 1)]
-        if len(tsv_density) != len(pairs):
-            raise ValueError(
-                f"{len(tsv_density)} density maps given but the stack has "
-                f"{len(pairs)} adjacent die pairs; the sequence form must "
-                "cover every pair (use a {pair: array} mapping for a subset)"
-            )
-        return {
-            pair: _check(arr, pair) for pair, arr in zip(pairs, tsv_density)
-        }
     raise TypeError(
-        "tsv_density must be None, an array, a {pair: array} mapping, or a "
-        f"sequence of arrays (got {type(tsv_density).__name__})"
+        "tsv_density must be None, an array or a {pair: array} mapping "
+        f"(got {type(tsv_density).__name__})"
     )
 
 
 def layer_shape(stack_cfg: StackConfig, grid: GridSpec, topology=None) -> Tuple[int, int]:
     """``(ny, nx)`` of one layer of :func:`build_stack`'s system: the die
     grid in 3D, the shared grid of all die sites and gaps in 2.5D."""
-    if topology is None or topology.kind == "3d":
+    if not is_interposer(topology):
         return grid.shape
     ny, nx = grid.shape
     num_dies = stack_cfg.num_dies
-    return ny, num_dies * nx + max(num_dies - 1, 0) * topology.gap_cells
+    return ny, num_dies * nx + max(num_dies - 1, 0) * GAP_CELLS
+
+
+def _bottom_resistance(density: np.ndarray, r_bottom_tsv_area: float) -> np.ndarray:
+    """Per-cell package-path resistance: ``R_BOTTOM_AREA`` blended toward
+    ``r_bottom_tsv_area`` with TSV density (conductances add in parallel)."""
+    return 1.0 / ((1.0 - density) / R_BOTTOM_AREA + density / r_bottom_tsv_area)
 
 
 def build_stack(
     stack_cfg: StackConfig,
     grid: GridSpec,
     tsv_density=None,
-    dimensions: Dict[str, float] | None = None,
-    r_top_area: float = 2.0e-5,
-    r_bottom_area: float = 1.0e-3,
     r_bottom_tsv_area: float = 8.0e-5,
-    ambient: float = 293.0,
-    copper_fill_fraction: float = 0.35,
     topology: Optional[TopologyConfig] = None,
 ) -> ThermalStack:
     """Build the thermal stack for a face-to-back 3D IC.
@@ -319,14 +288,14 @@ def build_stack(
     ``tsv_density`` gives the TSV *footprint* density maps between
     adjacent dies in any of the forms accepted by
     :func:`normalize_tsv_densities` (single array = the (0, 1) interface;
-    per-pair mapping or sequence for taller stacks); the copper fraction
-    of a footprint (barrel vs. keep-out) is ``copper_fill_fraction``.
+    per-pair mapping for taller stacks); the copper fraction of a
+    footprint (barrel vs. keep-out) is :data:`COPPER_FILL_FRACTION`.
 
     TSVs act as vertical heat pipes in two ways: they raise the composite
     conductivity of the bond and thinned-bulk layers they pierce, and —
     because TSV landing pads stack onto micro-bumps and the package
     redistribution — they locally strengthen the secondary heat path
-    (per-cell bottom resistance blends ``r_bottom_area`` toward
+    (per-cell bottom resistance blends :data:`R_BOTTOM_AREA` toward
     ``r_bottom_tsv_area`` with TSV density).  Tiers are built bottom-up
     in one loop: die 0 on the thick bulk, each die ``d >= 1`` on the bond
     layer ``bond{d-1}{d}`` and a thinned bulk, both pierced by that
@@ -336,24 +305,17 @@ def build_stack(
     package redistribution.
 
     ``topology`` selects the stacking style; ``None`` and ``kind="3d"``
-    take the exact vertical-stack path below (bit-identical), while
-    ``kind="2.5d"`` builds the side-by-side interposer layout
-    (:func:`_build_interposer_stack`).
+    take the vertical-stack path below, while ``kind="2.5d"`` builds the
+    side-by-side interposer layout (:func:`_build_interposer_stack`).
     """
-    if topology is not None and topology.kind == "2.5d":
-        return _build_interposer_stack(
-            stack_cfg, grid, topology, tsv_density, dimensions,
-            r_top_area, r_bottom_area, r_bottom_tsv_area, ambient,
-            copper_fill_fraction,
-        )
-    if dimensions is None:
-        dimensions = DEFAULT_DIMENSIONS
-    shape = grid.shape
     densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
+    if is_interposer(topology):
+        return _build_interposer_stack(stack_cfg, grid, densities, r_bottom_tsv_area)
+    shape = grid.shape
     zeros = np.zeros(shape)
 
     def copper_for(pair: Tuple[int, int]) -> np.ndarray:
-        return np.clip(densities.get(pair, zeros) * copper_fill_fraction, 0.0, 1.0)
+        return np.clip(densities.get(pair, zeros) * COPPER_FILL_FRACTION, 0.0, 1.0)
 
     layers: List[Layer] = []
 
@@ -377,54 +339,39 @@ def build_stack(
 
     for die in range(stack_cfg.num_dies):
         if die == 0:
-            add_uniform("die0_bulk", SILICON, dimensions["bulk_thick"])
+            add_uniform("die0_bulk", SILICON, DIMENSIONS["bulk_thick"])
         else:
             # the interface below this die and its thinned bulk, both
             # pierced by that interface's TSVs
             copper = copper_for((die - 1, die))
-            add_tsv_layer(f"bond{die - 1}{die}", BOND, dimensions["bond"], copper)
-            add_tsv_layer(f"die{die}_bulk", SILICON, dimensions["bulk_thin"], copper)
-        add_uniform(f"die{die}_active", SILICON, dimensions["active"], power_die=die)
-        add_uniform(f"die{die}_beol", BEOL, dimensions["beol"])
+            add_tsv_layer(f"bond{die - 1}{die}", BOND, DIMENSIONS["bond"], copper)
+            add_tsv_layer(f"die{die}_bulk", SILICON, DIMENSIONS["bulk_thin"], copper)
+        add_uniform(f"die{die}_active", SILICON, DIMENSIONS["active"], power_die=die)
+        add_uniform(f"die{die}_beol", BEOL, DIMENSIONS["beol"])
     # cooling assembly
-    add_uniform("tim", TIM, dimensions["tim"])
-    add_uniform("spreader", COPPER, dimensions["spreader"])
-    add_uniform("sink", COPPER, dimensions["sink"])
-
-    # blend the secondary-path resistance toward the micro-bump value in
-    # TSV-dense cells: conductances add in parallel
-    density01 = densities.get((0, 1), zeros)
-    g_cell = (1.0 - density01) / r_bottom_area + density01 / r_bottom_tsv_area
-    r_bottom_map = 1.0 / g_cell
+    add_uniform("tim", TIM, DIMENSIONS["tim"])
+    add_uniform("spreader", COPPER, DIMENSIONS["spreader"])
+    add_uniform("sink", COPPER, DIMENSIONS["sink"])
 
     return ThermalStack(
         grid=grid,
         layers=layers,
-        r_top_area=r_top_area,
-        r_bottom_area=r_bottom_area,
-        ambient=ambient,
-        r_bottom_map=r_bottom_map,
+        r_bottom_map=_bottom_resistance(densities.get((0, 1), zeros), r_bottom_tsv_area),
     )
 
 
 def _build_interposer_stack(
     stack_cfg: StackConfig,
     grid: GridSpec,
-    topology: TopologyConfig,
-    tsv_density,
-    dimensions: Dict[str, float] | None,
-    r_top_area: float,
-    r_bottom_area: float,
+    densities: Dict[Tuple[int, int], np.ndarray],
     r_bottom_tsv_area: float,
-    ambient: float,
-    copper_fill_fraction: float,
 ) -> ThermalStack:
     """The 2.5D layout: flip-chip dies side-by-side on a silicon interposer.
 
     Every die keeps its caller-facing ``(ny, nx)`` grid as a *site* on a
     wider shared grid (same cell geometry), separated by
-    ``topology.gap_cells`` columns of mold compound.  Layer order from
-    the package (bottom) to the heatsink (top):
+    :data:`GAP_CELLS` columns of mold compound.  Layer order from the
+    package (bottom) to the heatsink (top):
 
         0  interposer bulk Si     <- secondary path to the package
         1  interposer RDL         (lateral spreading between dies)
@@ -441,23 +388,19 @@ def _build_interposer_stack(
     3D TSVs on the package redistribution — locally strengthening the
     secondary path under the interposer.
     """
-    if dimensions is None:
-        dimensions = DEFAULT_DIMENSIONS
     site_shape = grid.shape
     ny, nx = site_shape
     num_dies = stack_cfg.num_dies
-    gap = topology.gap_cells
-    _, nx_total = layer_shape(stack_cfg, grid, topology)
+    _, nx_total = layer_shape(stack_cfg, grid, TopologyConfig("2.5d"))
     outline = grid.outline
     wide = GridSpec(
         Rect(outline.x, outline.y, outline.w * (nx_total / nx), outline.h),
         nx=nx_total,
         ny=ny,
     )
-    sites = [(0, d * (nx + gap)) for d in range(num_dies)]
+    sites = [(0, d * (nx + GAP_CELLS)) for d in range(num_dies)]
     wide_shape = wide.shape
 
-    densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
     per_die = [np.zeros(site_shape) for _ in range(num_dies)]
     for (a, b), arr in densities.items():
         per_die[a] = per_die[a] + arr
@@ -465,7 +408,7 @@ def _build_interposer_stack(
     bump = np.zeros(wide_shape)
     for d, (r0, c0) in enumerate(sites):
         bump[r0 : r0 + ny, c0 : c0 + nx] = np.clip(per_die[d], 0.0, 1.0)
-    copper = np.clip(bump * copper_fill_fraction, 0.0, 1.0)
+    copper = np.clip(bump * COPPER_FILL_FRACTION, 0.0, 1.0)
 
     def patterned(die_mat: Material, fill_mat: Material):
         """Per-cell maps: die material under sites, filler between them."""
@@ -482,58 +425,52 @@ def _build_interposer_stack(
         kv, kl, cap = _uniform(material, wide_shape)
         layers.append(Layer(name, thickness, kv, kl, cap))
 
-    add_uniform("interposer_bulk", SILICON, topology.interposer_thickness)
-    add_uniform("interposer_rdl", BEOL, topology.rdl_thickness)
+    add_uniform("interposer_bulk", SILICON, INTERPOSER_THICKNESS)
+    add_uniform("interposer_rdl", BEOL, RDL_THICKNESS)
     layers.append(
         Layer(
             "microbump",
-            topology.microbump_thickness,
+            MICROBUMP_THICKNESS,
             np.asarray(tsv_composite_vertical(BOND, copper)),
             np.asarray(tsv_composite_lateral(BOND, copper)),
             np.asarray(tsv_composite_capacity(BOND, copper)),
         )
     )
     kv, kl, cap = patterned(BEOL, BOND)
-    layers.append(Layer("die_beol", dimensions["beol"], kv, kl, cap))
+    layers.append(Layer("die_beol", DIMENSIONS["beol"], kv, kl, cap))
     kv, kl, cap = patterned(SILICON, BOND)
-    layers.append(Layer("die_active", dimensions["active"], kv, kl, cap))
+    layers.append(Layer("die_active", DIMENSIONS["active"], kv, kl, cap))
     kv, kl, cap = patterned(SILICON, BOND)
-    layers.append(Layer("die_bulk", dimensions["bulk_thin"], kv, kl, cap))
-    add_uniform("tim", TIM, dimensions["tim"])
-    add_uniform("spreader", COPPER, dimensions["spreader"])
-    add_uniform("sink", COPPER, dimensions["sink"])
+    layers.append(Layer("die_bulk", DIMENSIONS["bulk_thin"], kv, kl, cap))
+    add_uniform("tim", TIM, DIMENSIONS["tim"])
+    add_uniform("spreader", COPPER, DIMENSIONS["spreader"])
+    add_uniform("sink", COPPER, DIMENSIONS["sink"])
 
     # bump-dense cells land on interposer TSVs into the package: blend the
     # secondary-path resistance exactly like the 3D stack's (0, 1) pattern
-    g_cell = (1.0 - bump) / r_bottom_area + bump / r_bottom_tsv_area
-    r_bottom_map = 1.0 / g_cell
-
     return ThermalStack(
         grid=wide,
         layers=layers,
-        r_top_area=r_top_area,
-        r_bottom_area=r_bottom_area,
-        ambient=ambient,
-        r_bottom_map=r_bottom_map,
+        r_bottom_map=_bottom_resistance(bump, r_bottom_tsv_area),
         die_sites=sites,
         site_shape=site_shape,
     )
 
 
-def stack_for_floorplan(floorplan, grid: GridSpec, **stack_kwargs) -> ThermalStack:
+def stack_for_floorplan(
+    floorplan, grid: GridSpec, topology: Optional[TopologyConfig] = None
+) -> ThermalStack:
     """Build the thermal stack for a floorplan's full TSV pattern.
 
     The stack-level analogue of
     :meth:`~repro.thermal.steady_state.SolverCache.solver_for_floorplan`:
     density maps come from ``floorplan.tsv_densities(grid)`` over *all*
-    adjacent die pairs, never the historical single-``(0, 1)``-pair
-    convention (the standing audit rule ``tests/test_call_site_audit.py``
-    enforces).  Extra kwargs — ``topology`` included — pass through to
-    :func:`build_stack`.
+    adjacent die pairs, never the single-``(0, 1)``-pair form (the
+    standing audit rule ``tests/test_call_site_audit.py`` enforces).
     """
     return build_stack(
         floorplan.stack,
         grid,
         tsv_density=floorplan.tsv_densities(grid),
-        **stack_kwargs,
+        topology=topology,
     )

@@ -12,10 +12,6 @@ RC network.  Two levels of reuse keep repeated analyses cheap:
   runs, verification, exploration studies, and the mitigation loop stop
   re-assembling and re-factorizing identical networks.
 
-:func:`calibration_solver` is the fast in-loop model's solver: the
-TSV-free stack on the ``spectral`` backend, whose homogenized solve is
-exact on such a stack, so no sparse factorization happens.
-
 :class:`WoodburySolver` solves a *locally perturbed* stack through the
 unperturbed stack's factorization via the Sherman–Morrison–Woodbury
 identity.  It is opt-in (``MitigationConfig.incremental=True``,
@@ -46,9 +42,16 @@ from ..core.faults import fault_fires, record_degradation
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from .backends import FactorHints, get_backend, resolve_backend
+from .backends import FactorHints, resolve_backend
 from .rc_network import LowRankUpdate, ThermalNetwork, assemble, low_rank_update
-from .stack import ThermalStack, build_stack, layer_shape, normalize_tsv_densities
+from .stack import (
+    ThermalStack,
+    TopologyConfig,
+    build_stack,
+    is_interposer,
+    layer_shape,
+    normalize_tsv_densities,
+)
 
 __all__ = [
     "SteadyStateSolver",
@@ -56,7 +59,6 @@ __all__ = [
     "SolverCache",
     "ThermalResult",
     "solve_floorplan",
-    "calibration_solver",
     "default_solver_cache",
     "woodbury_crossover_rank",
 ]
@@ -176,15 +178,6 @@ class SteadyStateSolver:
         q = _rhs_matrix(self.network, self.stack.ambient, sets)
         t = self._fact.solve_many(q)
         return _results_from_columns(self.stack, t)
-
-
-def calibration_solver(stack_cfg: StackConfig, grid: GridSpec) -> SteadyStateSolver:
-    """The TSV-free stack on the ``spectral`` backend instance, which
-    neither the environment nor the auto rule moves.  The stack is
-    laterally uniform, so the factorization's homogenized solve is exact:
-    :class:`~repro.thermal.fast.FastThermalModel` calls it directly, and
-    a ``solve`` here stops after 2 PCG iterations."""
-    return SteadyStateSolver(build_stack(stack_cfg, grid), backend=get_backend("spectral"))
 
 
 # Woodbury-vs-refactorize crossover, measured on the reference container
@@ -411,26 +404,16 @@ def _digest_array(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _freeze_value(value):
-    """A hashable stand-in for one stack_kwargs value."""
-    if isinstance(value, np.ndarray):
-        return ("ndarray", _digest_array(value))
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze_value(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze_value(v) for v in value)
-    return value
-
-
 class SolverCache:
     """LRU cache of :class:`SteadyStateSolver` instances.
 
-    Keyed by (stack config, grid, TSV-density digest per die pair, extra
-    stack kwargs, resolved backend name).  Identical networks are
+    Keyed by (stack config, grid, TSV-density digest per die pair,
+    topology kind, resolved backend name).  Identical networks are
     factorized exactly once per backend; the density digest makes reuse
     safe even when callers rebuild density maps from scratch each time,
-    and the backend component keeps e.g. a superlu oracle solver and a
-    spectral solver of the same network from shadowing each other.
+    ``topology=None`` and ``TopologyConfig("3d")`` share one key, and the
+    backend component keeps e.g. a superlu oracle solver and a spectral
+    solver of the same network from shadowing each other.
     """
 
     def __init__(self, maxsize: int = 8, backend=None) -> None:
@@ -466,28 +449,20 @@ class SolverCache:
             self.hits = 0
             self.misses = 0
 
-    def _resolve_backend(self, stack_cfg, grid, stack_kwargs, rhs_budget=None):
+    def _lookup(self, stack_cfg, grid, tsv_density, topology, rhs_budget=None):
+        """``(densities, backend, key)`` of one network: its canonical
+        TSV densities, resolved backend and cache key."""
+        densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
         # the system's layer, not the die grid: a 2.5D interposer is wider
-        ny, nx = layer_shape(stack_cfg, grid, stack_kwargs.get("topology"))
-        return resolve_backend(
+        ny, nx = layer_shape(stack_cfg, grid, topology)
+        backend = resolve_backend(
             self.backend, hints=FactorHints(rhs_budget=rhs_budget), cells_per_layer=ny * nx
         )
-
-    def _key(
-        self,
-        stack_cfg: StackConfig,
-        grid: GridSpec,
-        densities: Dict[Tuple[int, int], np.ndarray],
-        stack_kwargs: dict,
-        backend_name: str,
-    ) -> tuple:
         density_key = tuple(
             (pair, _digest_array(arr)) for pair, arr in sorted(densities.items())
         )
-        kwargs_key = tuple(
-            sorted((k, _freeze_value(v)) for k, v in stack_kwargs.items())
-        )
-        return (stack_cfg, grid, density_key, kwargs_key, backend_name)
+        kind = "2.5d" if is_interposer(topology) else "3d"
+        return densities, backend, (stack_cfg, grid, density_key, kind, backend.name)
 
     def solver(
         self,
@@ -496,7 +471,7 @@ class SolverCache:
         tsv_density=None,
         *,
         rhs_budget: Optional[int] = None,
-        **stack_kwargs,
+        topology: Optional[TopologyConfig] = None,
     ) -> SteadyStateSolver:
         """The cached (or freshly built) *full* solver for this exact network.
 
@@ -514,9 +489,9 @@ class SolverCache:
         paid at most once per network.
         """
         with self._lock:
-            densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
-            backend = self._resolve_backend(stack_cfg, grid, stack_kwargs, rhs_budget)
-            key = self._key(stack_cfg, grid, densities, stack_kwargs, backend.name)
+            densities, backend, key = self._lookup(
+                stack_cfg, grid, tsv_density, topology, rhs_budget
+            )
             solver = self._entries.get(key)
             if solver is not None:
                 self.hits += 1
@@ -526,7 +501,7 @@ class SolverCache:
                     self._entries[key] = solver
                 return solver
             self.misses += 1
-            stack = build_stack(stack_cfg, grid, tsv_density=densities, **stack_kwargs)
+            stack = build_stack(stack_cfg, grid, tsv_density=densities, topology=topology)
             solver = SteadyStateSolver(stack, backend=backend)
             self._entries[key] = solver
             while len(self._entries) > self.maxsize:
@@ -539,12 +514,12 @@ class SolverCache:
         grid: GridSpec,
         *,
         rhs_budget: Optional[int] = None,
-        **stack_kwargs,
+        topology: Optional[TopologyConfig] = None,
     ) -> SteadyStateSolver:
         """Solver for a floorplan's stack and *all* its TSV interfaces."""
         densities = floorplan.tsv_densities(grid)
         return self.solver(
-            floorplan.stack, grid, densities, rhs_budget=rhs_budget, **stack_kwargs
+            floorplan.stack, grid, densities, rhs_budget=rhs_budget, topology=topology
         )
 
     def incremental_solver(
@@ -555,7 +530,7 @@ class SolverCache:
         *,
         base: SteadyStateSolver,
         crossover_rank: Optional[int] = None,
-        **stack_kwargs,
+        topology: Optional[TopologyConfig] = None,
     ) -> "SteadyStateSolver | WoodburySolver":
         """A solver for this network that rides ``base``'s factorization.
 
@@ -568,16 +543,14 @@ class SolverCache:
         same network reuses whatever is already here.
         """
         with self._lock:
-            densities = normalize_tsv_densities(stack_cfg, grid, tsv_density)
-            backend = self._resolve_backend(stack_cfg, grid, stack_kwargs)
-            key = self._key(stack_cfg, grid, densities, stack_kwargs, backend.name)
+            densities, _, key = self._lookup(stack_cfg, grid, tsv_density, topology)
             solver = self._entries.get(key)
             if solver is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
                 return solver
             self.misses += 1
-            stack = build_stack(stack_cfg, grid, tsv_density=densities, **stack_kwargs)
+            stack = build_stack(stack_cfg, grid, tsv_density=densities, topology=topology)
             solver = WoodburySolver(base, stack, crossover_rank=crossover_rank)
             self._entries[key] = solver
             while len(self._entries) > self.maxsize:
@@ -591,17 +564,16 @@ class SolverCache:
         *,
         base: SteadyStateSolver,
         crossover_rank: Optional[int] = None,
-        **stack_kwargs,
+        topology: Optional[TopologyConfig] = None,
     ) -> "SteadyStateSolver | WoodburySolver":
         """Incremental solver for a floorplan (all TSV interfaces)."""
-        densities = floorplan.tsv_densities(grid)
         return self.incremental_solver(
             floorplan.stack,
             grid,
-            densities,
+            floorplan.tsv_densities(grid),
             base=base,
             crossover_rank=crossover_rank,
-            **stack_kwargs,
+            topology=topology,
         )
 
 
@@ -617,7 +589,7 @@ def solve_floorplan(
     floorplan: Floorplan3D,
     grid: GridSpec | None = None,
     activity: Dict[str, float] | None = None,
-    stack_kwargs: Optional[dict] = None,
+    topology: Optional[TopologyConfig] = None,
     solver: SteadyStateSolver | None = None,
     cache: SolverCache | None = None,
 ) -> Tuple[ThermalResult, List[np.ndarray]]:
@@ -640,7 +612,5 @@ def solve_floorplan(
         # "is None" rather than truthiness: a fresh SolverCache has
         # len() == 0 and must not be silently swapped for the global one
         cache = cache if cache is not None else _DEFAULT_CACHE
-        solver = cache.solver_for_floorplan(
-            floorplan, grid, **(stack_kwargs or {})
-        )
+        solver = cache.solver_for_floorplan(floorplan, grid, topology=topology)
     return solver.solve(power_maps), power_maps

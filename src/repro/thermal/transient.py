@@ -53,6 +53,9 @@ __all__ = ["TransientSolver", "TransientTrace", "thermal_time_constant"]
 #: per-die power maps applied during the step ending at the given time
 PowerAt = Callable[[float], Sequence[np.ndarray]]
 
+#: step-matrix factorizations kept per solver (one per ``dt``)
+MAX_CACHED_STEPS = 4
+
 
 @dataclass
 class TransientTrace:
@@ -68,17 +71,9 @@ class TransientTrace:
 class TransientSolver:
     """Backward-Euler integrator bound to one thermal stack."""
 
-    def __init__(
-        self,
-        stack: ThermalStack,
-        max_cached_steps: int = 4,
-        backend=None,
-    ) -> None:
+    def __init__(self, stack: ThermalStack, backend=None) -> None:
         self.stack = stack
         self.network: ThermalNetwork = assemble(stack)
-        if max_cached_steps < 1:
-            raise ValueError("need room for at least one step factorization")
-        self._max_cached_steps = max_cached_steps
         #: the step matrix C/dt + G is SPD with the same 7-point stencil
         #: as G itself, so every thermal backend (superlu, spectral)
         #: applies (spectral homogenizes the C/dt diagonal with the
@@ -114,7 +109,7 @@ class TransientSolver:
             (c_over_dt + self.network.conductance).tocsc(), hints=self._hints
         )
         self._lus[dt] = lu
-        while len(self._lus) > self._max_cached_steps:
+        while len(self._lus) > MAX_CACHED_STEPS:
             self._lus.popitem(last=False)
         return lu
 

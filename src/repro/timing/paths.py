@@ -30,7 +30,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
-from ..layout.net import CompiledNetlist
+from ..layout.net import TSV_LENGTH_UM, CompiledNetlist
 from ..power.voltages import scaled_delay
 from .elmore import DEFAULT_TECH, WireTechnology, net_delay_ns
 
@@ -59,11 +59,9 @@ class TimingGraph:
         self,
         netlist: CompiledNetlist,
         tech: WireTechnology = DEFAULT_TECH,
-        tsv_length_um: float = 50.0,
     ) -> None:
         self.netlist = netlist
         self.tech = tech
-        self.tsv_length_um = tsv_length_um
         self.module_names = netlist.module_names
         # pins per net: a per-net value repeated over its module pins
         self._pin_counts = np.diff(netlist.ptr)
@@ -78,7 +76,7 @@ class TimingGraph:
         """Elmore delay per net from module-center arrays."""
         nl = self.netlist
         hpwl, crossings = nl.net_hpwl(
-            centers_x, centers_y, dies, self.tsv_length_um, terminals=False
+            centers_x, centers_y, dies, TSV_LENGTH_UM, terminals=False
         )
         return net_delay_ns(hpwl, nl.sink_counts, crossings, self.tech)
 

@@ -21,8 +21,9 @@ from repro.layout.floorplan import Floorplan3D
 from repro.layout.grid import GridSpec
 from repro.mitigation.activity import module_power_basis
 from repro.mitigation.dummy_tsv import MitigationConfig
-from repro.mitigation.dvfs import DVFSchedule, DVFSReport, _activity, _report
-from repro.thermal.stack import stack_for_floorplan, topology_kwargs
+from repro.mitigation import dvfs
+from repro.mitigation.dvfs import DVFSReport, _activity, _report
+from repro.thermal.stack import stack_for_floorplan
 from repro.thermal.steady_state import SolverCache
 from repro.thermal.transient import PowerAt, TransientSolver, TransientTrace
 
@@ -88,13 +89,13 @@ def die_mean_kernels_serial(
     return kernels
 
 
-def window_power_at(per_die_maps: List[np.ndarray], schedule: DVFSchedule):
+def window_power_at(per_die_maps: List[np.ndarray]):
     """A ``power_at(t)`` callback stepping through per-window maps."""
-    last = schedule.windows - 1
+    last = dvfs.WINDOWS - 1
 
     def power_at(t: float):
-        step = int(round(t / schedule.dt)) - 1
-        w = min(step // schedule.period, last)
+        step = int(round(t / dvfs.DT)) - 1
+        w = min(step // dvfs.PERIOD, last)
         return [maps[w] for maps in per_die_maps]
 
     return power_at
@@ -116,24 +117,24 @@ def evaluate_dvfs_forward(
     factorization; ``batched=False`` runs them one at a time.
     """
     config = config or MitigationConfig(mode="dvfs")
-    schedule = DVFSchedule.from_mitigation(config)
     if grid is None:
         grid = GridSpec(floorplan.stack.outline, config.grid_nx, config.grid_ny)
     names = sorted(floorplan.placements)
     num_dies = floorplan.stack.num_dies
     basis = module_power_basis(floorplan, grid, names)
     shape = grid.shape
-    tkw = topology_kwargs(topology)
-    solver = TransientSolver(stack_for_floorplan(floorplan, grid, **tkw))
-    traces, windows = config.dvfs_traces, schedule.windows
+    solver = TransientSolver(stack_for_floorplan(floorplan, grid, topology))
+    traces, windows, period = config.dvfs_traces, dvfs.WINDOWS, dvfs.PERIOD
 
-    steady = SolverCache(backend="superlu").solver_for_floorplan(floorplan, grid, **tkw)
+    steady = SolverCache(backend="superlu").solver_for_floorplan(
+        floorplan, grid, topology=topology
+    )
     nominal_maps = [basis[d].sum(axis=0).reshape(shape) for d in range(num_dies)]
-    mean_s3 = float(np.mean(schedule.scales() ** 3))
+    mean_s3 = float(np.mean(dvfs.SCALES ** 3))
     t0_base = steady.solve(nominal_maps).nodal
     t0_gov = steady.solve([m * mean_s3 for m in nominal_maps]).nodal
 
-    nominal, governed = _activity(config, schedule, len(names))
+    nominal, governed = _activity(config, len(names))
     window_power = np.empty((traces, windows, num_dies))
     baseline_fns, governed_fns = [], []
     for tr in range(traces):
@@ -143,30 +144,25 @@ def evaluate_dvfs_forward(
             base_maps.append(maps)
             governed_maps.append((governed[tr] @ basis[d]).reshape(windows, *shape))
             window_power[tr, :, d] = maps.sum(axis=(1, 2))
-        baseline_fns.append(window_power_at(base_maps, schedule))
-        governed_fns.append(window_power_at(governed_maps, schedule))
+        baseline_fns.append(window_power_at(base_maps))
+        governed_fns.append(window_power_at(governed_maps))
 
-    duration = schedule.duration
+    dt = dvfs.DT
+    duration = windows * period * dt
     if batched:
         t0 = np.column_stack([t0_base] * traces + [t0_gov] * traces)
         all_traces = run_many_column_exact(
-            solver, baseline_fns + governed_fns, duration, schedule.dt, t0=t0
+            solver, baseline_fns + governed_fns, duration, dt, t0=t0
         )
         base_traces, governed_traces = all_traces[:traces], all_traces[traces:]
     else:
-        base_traces = [
-            solver.run(fn, duration, schedule.dt, t0=t0_base) for fn in baseline_fns
-        ]
-        governed_traces = [
-            solver.run(fn, duration, schedule.dt, t0=t0_gov) for fn in governed_fns
-        ]
+        base_traces = [solver.run(fn, duration, dt, t0=t0_base) for fn in baseline_fns]
+        governed_traces = [solver.run(fn, duration, dt, t0=t0_gov) for fn in governed_fns]
 
     # end-of-window samples: the attacker reads temperature once per dwell
-    sample_idx = np.arange(windows) * schedule.period + schedule.period - 1
+    sample_idx = np.arange(windows) * period + period - 1
 
     def observe(trace_list) -> np.ndarray:
         return np.stack([t.die_means[sample_idx] for t in trace_list])
 
-    return _report(
-        schedule, window_power, observe(base_traces), observe(governed_traces)
-    )
+    return _report(window_power, observe(base_traces), observe(governed_traces))

@@ -41,45 +41,23 @@ def test_version_matches_pyproject():
 
 
 class TestSchemaRoundTrip:
-    def test_flow_config_nested_roundtrip(self):
-        cfg = FlowConfig(
-            mode=FloorplanMode.TSC_AWARE,
-            anneal=AnnealConfig(iterations=42, seed=3),
-            mitigation=MitigationConfig(samples=5, max_rounds=1),
-            verify_nx=16, verify_ny=16, replicas=2, exchange_every=10,
-        )
-        doc = cfg.to_json()
-        assert doc["schema_version"] == schema.SCHEMA_VERSION
-        assert doc["anneal"]["schema_version"] == schema.SCHEMA_VERSION
-        clone = FlowConfig.from_json(json.loads(json.dumps(doc)))
-        assert clone == cfg
-
     @pytest.mark.parametrize("cls,kwargs", [
-        (AnnealConfig, dict(iterations=7, seed=2)),
-        (MitigationConfig, dict(samples=3, tsvs_per_round=2)),
+        (JobResult, dict(job_id="a1", key="n100|k", status="failed", error="boom")),
+        (JobResult, dict(job_id="b2", key="n100|k", reused=True, solver_cache={"hits": 3})),
         (JobSpec, dict(benchmark="n100", seed=4, replicas=2)),
         (JobSpec, dict(benchmark="n300", mode="tsc_aware", grid=16)),
     ])
     def test_dataclass_roundtrip(self, cls, kwargs):
         obj = cls(**kwargs)
-        assert cls.from_json(json.loads(json.dumps(obj.to_json()))) == obj
+        doc = obj.to_json()
+        assert doc["schema_version"] == schema.SCHEMA_VERSION
+        assert cls.from_json(json.loads(json.dumps(doc))) == obj
 
     def test_unknown_keys_warn_and_are_ignored(self):
         doc = dict(JobSpec(**SPEC).to_json(), future_field=1, other=2)
         with pytest.warns(SchemaWarning, match="future_field, other"):
             spec = JobSpec.from_json(doc)
         assert spec == JobSpec(**SPEC)
-        # FlowConfig.seed was never read by the flow and is gone; old
-        # documents that carry it still load
-        old = dict(FlowConfig().to_json(), seed=7)
-        with pytest.warns(SchemaWarning, match="seed"):
-            assert FlowConfig.from_json(old) == FlowConfig()
-        # AnnealConfig.incremental only ever switched tests to the
-        # force_full oracle; documents that carry it still load
-        doc = FlowConfig().to_json()
-        old = dict(doc, anneal=dict(doc["anneal"], incremental=False))
-        with pytest.warns(SchemaWarning, match="incremental"):
-            assert FlowConfig.from_json(old) == FlowConfig()
 
     def test_newer_schema_version_warns_but_loads(self):
         doc = dict(JobSpec(**SPEC).to_json(), schema_version=99)
@@ -96,10 +74,8 @@ class TestSchemaRoundTrip:
             JobSpec.from_json(dict(base, benchmark="n9999"))
         with pytest.raises(ValueError):
             JobSpec.from_json(dict(base, iterations="many"))
-        with pytest.raises(ValueError, match="candidates_per_round"):
-            MitigationConfig.from_json(
-                dict(MitigationConfig().to_json(), candidates_per_round=0)
-            )
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            JobSpec.from_json(dict(base, grid=1))
 
     def test_scalar_coercion_over_the_wire(self):
         doc = dict(JobSpec(**SPEC).to_json(), iterations="1500", seed=2.0)
@@ -186,14 +162,14 @@ class TestCalibrationReuse:
         from repro.floorplan import objectives
 
         calls = []
-        build = objectives.calibration_solver
+        build = objectives.FastThermalModel
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return build(*args, **kwargs)
 
         monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
-        monkeypatch.setattr(objectives, "calibration_solver", counting)
+        monkeypatch.setattr(objectives, "FastThermalModel", counting)
         return calls
 
     def test_memo_per_stack_and_grid(self, calibrations):

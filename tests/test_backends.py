@@ -476,7 +476,7 @@ class TestSpectralOracle:
         network = assemble(stack)
         direct = SteadyStateSolver(stack, network=network, backend="superlu")
         spectral = SteadyStateSolver(stack, network=network, backend="spectral")
-        assert spectral.factorization.grid_shape == network.grid_shape
+        assert spectral.factorization.homogenized.grid_shape == network.grid_shape
         sets = _power_sets(grid, 2, count=2, seed=ny)
         for a, b in zip(spectral.solve_many(sets), direct.solve_many(sets)):
             rise = b.nodal - stack.ambient

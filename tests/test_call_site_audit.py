@@ -10,10 +10,14 @@ Two historical bug classes keep trying to come back:
   adjacency checks, the many-forms canonicalization) *and* the topology
   plumbing, so a 2.5D sweep silently evaluates a 3D stack;
 * the historical hardcoded ``tsv_density((0, 1), grid)`` convention,
-  which ignores the TSV interfaces of taller stacks.
+  which ignores the TSV interfaces of taller stacks;
+* ``**``-expanded keywords into the stack builders, the solver cache or
+  the transient solver: the old ``**stack_kwargs`` pass-through let a
+  caller smuggle any stack parameter (and a second cache key for one
+  system) past the one explicit ``topology=`` argument.
 
 This test walks every module under ``src/repro`` with :mod:`ast` and
-fails on offenders, with an explicit allowlist for the two owner modules
+fails on offenders, with an explicit allowlist for the owner modules
 that legitimately assemble stacks and solvers.  Adding a new offender is
 a test failure, not a review comment.
 """
@@ -27,10 +31,24 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: through stack_for_floorplan / SolverCache.solver_for_floorplan
 OWNED_CONSTRUCTORS = {"build_stack", "SteadyStateSolver", "WoodburySolver"}
 
-#: the modules that own stack assembly and solver construction
+#: calls whose keywords must be spelled out: stack parameters reach them
+#: as the explicit ``topology=`` argument only
+EXPLICIT_KEYWORDS = {
+    "build_stack",
+    "stack_for_floorplan",
+    "solver",
+    "solver_for_floorplan",
+    "incremental_solver",
+    "incremental_solver_for_floorplan",
+    "TransientSolver",
+}
+
+#: the modules that own stack assembly and solver construction; the fast
+#: model builds the one stack that has no TSVs and no topology to route
 ALLOWLIST = {
     "thermal/stack.py",
     "thermal/steady_state.py",
+    "thermal/fast.py",
 }
 
 
@@ -72,7 +90,19 @@ def _audit_file(path: Path) -> list:
                 "pair — use floorplan.tsv_densities(grid) over all "
                 "adjacent pairs"
             )
+        if _passes_expanded_keywords(node):
+            offenders.append(
+                f"{rel}:{node.lineno}: {name}(**...) — pass topology= "
+                "explicitly, never an expanded keyword mapping"
+            )
     return offenders
+
+
+def _passes_expanded_keywords(call: ast.Call) -> bool:
+    """``f(**kwargs)`` for one of the :data:`EXPLICIT_KEYWORDS` calls."""
+    return _called_name(call) in EXPLICIT_KEYWORDS and any(
+        kw.arg is None for kw in call.keywords
+    )
 
 
 def test_no_rogue_solver_or_tsv_call_sites():
@@ -112,6 +142,24 @@ def test_audit_catches_a_planted_offender(tmp_path):
     assert "hardcoded die pair" in offenders[1]
 
 
+def test_audit_catches_a_planted_pass_through(tmp_path):
+    """Expanded keywords into the stack, cache and transient entry points
+    are flagged; spelled-out keywords are not."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(fp, grid, cache, kw, topology):\n"
+        "    a = cache.solver_for_floorplan(fp, grid, **kw)\n"
+        "    b = cache.incremental_solver(fp.stack, grid, None, base=a, **kw)\n"
+        "    s = stack_for_floorplan(fp, grid, **kw)\n"
+        "    t = TransientSolver(s, **{'backend': None})\n"
+        "    ok = cache.solver(fp.stack, grid, topology=topology)\n"
+        "    return a, b, t, ok\n"
+    )
+    offenders = _audit_file_at(bad)
+    assert [o.split(":")[1] for o in offenders] == ["2", "3", "4", "5"]
+    assert all("(**...)" in o for o in offenders)
+
+
 def _audit_file_at(path: Path) -> list:
     """_audit_file for a file outside SRC (test fixture support)."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -126,4 +174,6 @@ def _audit_file_at(path: Path) -> list:
             offenders.append(
                 f"{path.name}:{node.lineno}: hardcoded die pair"
             )
+        if _passes_expanded_keywords(node):
+            offenders.append(f"{path.name}:{node.lineno}: {name}(**...)")
     return offenders

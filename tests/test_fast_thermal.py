@@ -12,13 +12,13 @@ from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.leakage.pearson import pearson
 from repro.thermal.fast import FastThermalModel, gaussian_blur
-from repro.thermal.stack import build_stack
-from repro.thermal.steady_state import SteadyStateSolver, calibration_solver
+from repro.thermal.stack import AMBIENT, build_stack
+from repro.thermal.steady_state import SteadyStateSolver
 
 
 def _model(n: int, side: float = 4000.0) -> FastThermalModel:
     cfg = StackConfig.square(side)
-    return FastThermalModel(calibration_solver(cfg, GridSpec(cfg.outline, n, n)))
+    return FastThermalModel(cfg, GridSpec(cfg.outline, n, n))
 
 
 def _point(n: int, watts: float) -> np.ndarray:
@@ -30,7 +30,7 @@ def _point(n: int, watts: float) -> np.ndarray:
 class TestFastModel:
     def test_self_heating_stronger_than_cross(self):
         m = _model(32)
-        rise = [t - m.ambient for t in m.estimate([_point(32, 0.1), np.zeros((32, 32))])]
+        rise = [t - AMBIENT for t in m.estimate([_point(32, 0.1), np.zeros((32, 32))])]
         assert rise[0][16, 16] > 5 * rise[1][16, 16] > 0
 
     def test_estimate_shapes_and_baseline(self):
@@ -39,7 +39,7 @@ class TestFastModel:
         maps = m.estimate([pm, pm])
         assert len(maps) == 2
         assert all(t.shape == (16, 16) for t in maps)
-        assert all(np.allclose(t, m.ambient, rtol=0.0, atol=1e-9) for t in maps)
+        assert all(np.allclose(t, AMBIENT, rtol=0.0, atol=1e-9) for t in maps)
 
     def test_wrong_map_count_rejected(self):
         m = _model(8)
@@ -48,7 +48,7 @@ class TestFastModel:
 
     def test_point_source_heats_locally(self):
         m = _model(32)
-        rise = m.estimate([_point(32, 0.1), np.zeros((32, 32))])[0] - m.ambient
+        rise = m.estimate([_point(32, 0.1), np.zeros((32, 32))])[0] - AMBIENT
         assert rise[16, 16] == rise.max()
         assert rise[16, 16] > 0
         # the far corner sees only the long-range spreading
@@ -58,8 +58,8 @@ class TestFastModel:
         m = _model(16)
         pm = _point(16, 0.05)
         z = np.zeros((16, 16))
-        r1 = m.estimate([pm, z])[0] - m.ambient
-        r2 = m.estimate([2 * pm, z])[0] - m.ambient
+        r1 = m.estimate([pm, z])[0] - AMBIENT
+        r2 = m.estimate([2 * pm, z])[0] - AMBIENT
         assert np.allclose(r2, 2 * r1, rtol=1e-9)
 
 
@@ -99,7 +99,7 @@ class TestCalibration:
             maps = [np.zeros(grid.shape) for _ in range(2)]
             maps[die][3, 17] = 1e-3
             for t in model.estimate(maps):
-                assert (t - model.ambient).min() > 0
+                assert (t - AMBIENT).min() > 0
 
     def test_self_amplitude_exceeds_cross(self, setup):
         """A die's own peak response to its power exceeds the other die's."""
@@ -107,7 +107,7 @@ class TestCalibration:
         for die in range(2):
             maps = [np.zeros(grid.shape) for _ in range(2)]
             maps[die][12, 12] = 1e-2
-            rise = [t - model.ambient for t in model.estimate(maps)]
+            rise = [t - AMBIENT for t in model.estimate(maps)]
             assert rise[die].max() > rise[1 - die].max()
 
 

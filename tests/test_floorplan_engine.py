@@ -189,12 +189,8 @@ class TestCostEvaluator:
 
 class TestAnnealer:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="iterations"):
             AnnealConfig(iterations=0)
-        with pytest.raises(ValueError):
-            AnnealConfig(cooling=1.5)
-        with pytest.raises(ValueError):
-            AnnealConfig(initial_acceptance=0.0)
 
     @pytest.mark.parametrize(
         "grid", [dict(grid_nx=1, grid_ny=1), dict(grid_nx=0), dict(grid_ny=-2, grid_nx=3)]
@@ -202,10 +198,6 @@ class TestAnnealer:
     def test_grid_below_two_cells_rejected(self, grid):
         with pytest.raises(ValueError, match="at least two cells"):
             AnnealConfig(**grid)
-        payload = AnnealConfig().to_json()
-        payload.update(grid)
-        with pytest.raises(ValueError, match="at least two cells"):
-            AnnealConfig.from_json(payload)
 
     def test_smallest_grid_anneals(self, tiny_circuit):
         """Two cells is the bound: the TSC anneal's in-loop correlation

@@ -312,7 +312,7 @@ class TestAgainstOracle:
             names = sorted(fp.placements)
             assert _as_names(fp, module_adjacency(fp)) == module_adjacency_loop(fp)
             timing = TimingGraph(
-                CompiledNetlist(names, circ.nets, circ.terminals), tsv_length_um=50.0
+                CompiledNetlist(names, circ.nets, circ.terminals)
             )
             inflations = (
                 timing.max_delay_inflation(fp),

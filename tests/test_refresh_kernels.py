@@ -291,7 +291,7 @@ class TestRefreshFromSnapshot:
         recorder = _RecordingModel(evaluator.thermal)
         evaluator.thermal = recorder
         timing = TimingGraph(
-            CompiledNetlist(list(state.modules), circ.nets, circ.terminals), tsv_length_um=50.0
+            CompiledNetlist(list(state.modules), circ.nets, circ.terminals)
         )
         realized = []
         for move in range(moves + 1):

@@ -9,13 +9,8 @@ from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.layout.tsv import TSV, TSVKind
 from repro.thermal.fast import FastThermalModel
-from repro.thermal.stack import build_stack, normalize_tsv_densities
-from repro.thermal.steady_state import (
-    SolverCache,
-    SteadyStateSolver,
-    calibration_solver,
-    solve_floorplan,
-)
+from repro.thermal.stack import TopologyConfig, build_stack, normalize_tsv_densities
+from repro.thermal.steady_state import SolverCache, SteadyStateSolver, solve_floorplan
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +41,11 @@ class TestSolverCache:
         assert cache.misses == 2 and cache.hits == 0
 
     def test_different_stack_kwargs_miss(self, cfg_grid):
+        """``topology`` is the one stack keyword the cache takes."""
         cfg, grid = cfg_grid
         cache = SolverCache()
         a = cache.solver(cfg, grid)
-        b = cache.solver(cfg, grid, ambient=300.0)
+        b = cache.solver(cfg, grid, topology=TopologyConfig("2.5d"))
         assert a is not b
         assert cache.misses == 2
 
@@ -125,7 +121,6 @@ class TestMultiDieDensities:
         assert normalize_tsv_densities(cfg, grid, None) == {}
         assert set(normalize_tsv_densities(cfg, grid, d)) == {(0, 1)}
         assert set(normalize_tsv_densities(cfg, grid, {(0, 1): d})) == {(0, 1)}
-        assert set(normalize_tsv_densities(cfg, grid, [d])) == {(0, 1)}
 
     def test_normalize_rejects_bad_input(self, cfg_grid):
         cfg, grid = cfg_grid
@@ -133,20 +128,16 @@ class TestMultiDieDensities:
             normalize_tsv_densities(cfg, grid, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             normalize_tsv_densities(cfg, grid, {(0, 2): np.zeros(grid.shape)})
-        with pytest.raises(ValueError):
-            # two maps for a two-die stack (only one interface)
-            normalize_tsv_densities(
-                cfg, grid, [np.zeros(grid.shape), np.zeros(grid.shape)]
-            )
         with pytest.raises(TypeError):
             normalize_tsv_densities(cfg, grid, 0.5)
 
     def test_normalize_rejects_underlength_sequence(self):
         """Regression: a short sequence used to zip-truncate, silently
-        leaving upper interfaces TSV-free."""
+        leaving upper interfaces TSV-free.  Sequences are no accepted form
+        at all now: the pairs a map belongs to are always explicit."""
         cfg = StackConfig.square(1000.0, num_dies=3)
         grid = GridSpec(cfg.outline, 8, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             normalize_tsv_densities(cfg, grid, [np.zeros(grid.shape)])
 
     def test_three_die_upper_interface_modifies_layers(self):
@@ -198,7 +189,7 @@ class TestFastModelDensities:
 
     def test_shape_validation_covers_every_die(self):
         cfg = StackConfig.square(1000.0)
-        model = FastThermalModel(calibration_solver(cfg, GridSpec(cfg.outline, 8, 8)))
+        model = FastThermalModel(cfg, GridSpec(cfg.outline, 8, 8))
         good = np.zeros((8, 8))
         with pytest.raises(ValueError):
             model.estimate([good])  # wrong count

@@ -203,7 +203,7 @@ def test_net_delays_equal_scalar_loop_bytewise(name):
         for _ in range(20):
             apply_random_move(state, rng)
         fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-        tg = TimingGraph(fp.compiled_netlist(), tsv_length_um=50.0)
+        tg = TimingGraph(fp.compiled_netlist())
         got = tg.net_delays(*fp.module_centers(tg.module_names))
         assert got.tolist() == net_delays_loop(circ.nets, fp.placements, 50.0)
         assert got.tolist() == tg.evaluate(fp).net_delays_ns.tolist()

@@ -3,15 +3,13 @@
 Three contracts from the topology refactor:
 
 * the 3D path through :class:`TopologyConfig` is *bit-identical* to the
-  legacy ``build_stack`` call — same layer arrays, same assembled
-  conductance matrix, same solver-cache entries;
+  ``topology=None`` ``build_stack`` call — same layer arrays, same
+  assembled conductance matrix, one solver-cache entry;
 * the 2.5D interposer stack solves the same physics: its steady state
   matches a dense ``numpy.linalg.solve`` oracle and conserves energy;
 * the flow-level plumbing (JobSpec -> FlowConfig -> run_flow) leaves the
   default 3D/static cell digest-identical to the pre-topology path.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -19,12 +17,7 @@ import pytest
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.thermal.rc_network import assemble
-from repro.thermal.stack import (
-    TOPOLOGY_KINDS,
-    TopologyConfig,
-    build_stack,
-    topology_kwargs,
-)
+from repro.thermal.stack import GAP_CELLS, TOPOLOGY_KINDS, TopologyConfig, build_stack
 from repro.thermal.steady_state import SolverCache, SteadyStateSolver
 
 
@@ -46,31 +39,16 @@ class TestTopologyConfig:
             TopologyConfig(kind="stacked")
 
     def test_unknown_kind_rejected_at_wire_boundary(self):
-        """from_json raises the exact ValueError construction raises."""
-        doc = TopologyConfig(kind="2.5d").to_json()
+        """The wire document (``JobSpec.from_json``) raises the exact
+        ValueError construction raises."""
+        from repro.api import JobSpec
+
+        doc = JobSpec(benchmark="n100", topology="2.5d").to_json()
         with pytest.raises(
             ValueError,
             match="unknown topology kind 'planar'; expected one of 3d, 2.5d",
         ):
-            TopologyConfig.from_json(dict(doc, kind="planar"))
-
-    def test_bad_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="interposer_thickness"):
-            TopologyConfig(kind="2.5d", interposer_thickness=0.0)
-        with pytest.raises(ValueError, match="gap_cells"):
-            TopologyConfig(kind="2.5d", gap_cells=-1)
-
-    def test_json_roundtrip(self):
-        cfg = TopologyConfig(kind="2.5d", gap_cells=3)
-        assert TopologyConfig.from_json(
-            json.loads(json.dumps(cfg.to_json()))
-        ) == cfg
-
-    def test_topology_kwargs_degenerate(self):
-        assert topology_kwargs(None) == {}
-        assert topology_kwargs(TopologyConfig(kind="3d")) == {}
-        cfg = TopologyConfig(kind="2.5d")
-        assert topology_kwargs(cfg) == {"topology": cfg}
+            JobSpec.from_json(dict(doc, topology="planar"))
 
 
 class TestThreeDBitIdentity:
@@ -102,27 +80,29 @@ class TestThreeDBitIdentity:
         assert np.array_equal(ga.indices, gb.indices)
         assert np.array_equal(ga.indptr, gb.indptr)
 
-    def test_solver_cache_entry_shared(self, small):
-        """3D via topology_kwargs hits the *same* cache entry (same key)."""
+    def test_one_cache_entry_per_3d_system(self, small):
+        """``topology=None`` and ``TopologyConfig("3d")`` spell one system:
+        one factorization, one cache entry, the same solver object."""
         cfg, grid, density = small
         cache = SolverCache()
         plain = cache.solver(cfg, grid, density)
         via_topology = cache.solver(
-            cfg, grid, density, **topology_kwargs(TopologyConfig(kind="3d"))
+            cfg, grid, density, topology=TopologyConfig(kind="3d")
         )
         assert via_topology is plain
+        assert cache.counters() == {"hits": 1, "misses": 1, "entries": 1}
 
 
 class TestInterposerStack:
     def test_structure(self, small):
         cfg, grid, density = small
-        topo = TopologyConfig(kind="2.5d", gap_cells=2)
+        topo = TopologyConfig(kind="2.5d")
         stack = build_stack(cfg, grid, tsv_density=density, topology=topo)
         # dies side by side: shared grid widens, per-die maps keep shape
         assert stack.grid.ny == grid.ny
-        assert stack.grid.nx == 2 * grid.nx + topo.gap_cells
+        assert stack.grid.nx == 2 * grid.nx + GAP_CELLS
         assert stack.die_map_shape() == grid.shape
-        assert stack.die_sites == [(0, 0), (0, grid.nx + topo.gap_cells)]
+        assert stack.die_sites == [(0, 0), (0, grid.nx + GAP_CELLS)]
         # both dies inject into the single shared active layer
         li = stack.layer_index("die_active")
         assert stack.power_layers() == [(li, 0), (li, 1)]

@@ -1,5 +1,6 @@
-"""The fast model's solver: the TSV-free stack on the spectral backend,
-whose homogenized (cosine-basis) solve is exact there."""
+"""The TSV-free stack: on the spectral backend, whose homogenized
+(cosine-basis) solve is exact there, and through the fast model, which
+holds that homogenized solve alone."""
 
 import dataclasses
 
@@ -10,10 +11,10 @@ from repro.benchmarks.suite import benchmark_names, spec_for
 from repro.floorplan import objectives
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
-from repro.thermal.backends import SuperLUBackend
+from repro.thermal.backends import SuperLUBackend, get_backend
 from repro.thermal.backends.spectral import SpectralFactorization
-from repro.thermal.stack import build_stack
-from repro.thermal.steady_state import SteadyStateSolver, calibration_solver
+from repro.thermal.stack import AMBIENT, build_stack
+from repro.thermal.steady_state import SteadyStateSolver
 
 GRIDS = [(5, 5), (8, 8), (16, 16), (32, 32), (24, 40), (17, 33)]
 
@@ -22,13 +23,19 @@ def _stack_config(num_dies: int) -> StackConfig:
     return dataclasses.replace(StackConfig.square(3000.0), num_dies=num_dies)
 
 
+def _spectral_solver(cfg: StackConfig, grid: GridSpec) -> SteadyStateSolver:
+    """The TSV-free stack on the spectral backend instance, which neither
+    the environment nor the auto rule moves."""
+    return SteadyStateSolver(build_stack(cfg, grid), backend=get_backend("spectral"))
+
+
 class TestAgainstSuperLU:
     @pytest.mark.parametrize("num_dies", [2, 3])
     @pytest.mark.parametrize("ny,nx", GRIDS)
     def test_die_map_rises_match(self, num_dies, ny, nx):
         cfg = _stack_config(num_dies)
         grid = GridSpec(cfg.outline, nx, ny)
-        solver = calibration_solver(cfg, grid)
+        solver = _spectral_solver(cfg, grid)
         stack = solver.stack
         rng = np.random.default_rng(ny * 100 + nx)
         sets = [
@@ -50,12 +57,12 @@ class TestAgainstSuperLU:
 
     def test_empty_batch(self):
         cfg = _stack_config(2)
-        solver = calibration_solver(cfg, GridSpec(cfg.outline, 6, 6))
+        solver = _spectral_solver(cfg, GridSpec(cfg.outline, 6, 6))
         assert solver.solve_many([]) == []
 
     def test_wrong_map_shape_rejected(self):
         cfg = _stack_config(2)
-        solver = calibration_solver(cfg, GridSpec(cfg.outline, 6, 6))
+        solver = _spectral_solver(cfg, GridSpec(cfg.outline, 6, 6))
         with pytest.raises(ValueError, match="shape"):
             solver.solve_many([[np.zeros((6, 6)), np.zeros((5, 6))]])
 
@@ -97,7 +104,7 @@ class TestRefusals:
     def test_every_suite_stack_calibrates_uniformly(self, name, num_dies):
         cfg = StackConfig(spec_for(name).outline, num_dies=num_dies)
         grid = GridSpec(cfg.outline, 7, 9)
-        solver = calibration_solver(cfg, grid)
+        solver = _spectral_solver(cfg, grid)
         assert len(solver.stack.power_layers()) == num_dies
         solver.solve_many([[np.full(grid.shape, 1e-3)] * num_dies])
         assert solver.factorization.last_iterations <= 2
@@ -137,9 +144,9 @@ class TestCalibration:
             expected = want.solve(maps).die_maps
             assert len(got) == len(expected) == cfg.num_dies
             for g, w in zip(got, expected):
-                rise = w - model.ambient
+                rise = w - AMBIENT
                 assert g.shape == grid.shape
-                assert np.abs((g - model.ambient) - rise).max() <= 1e-9 * np.abs(rise).max()
+                assert np.abs((g - AMBIENT) - rise).max() <= 1e-9 * np.abs(rise).max()
 
     def test_cold_calibration_factorizes_nothing(self, cold, monkeypatch):
         def refuse(*args, **kwargs):
