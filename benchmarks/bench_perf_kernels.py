@@ -65,7 +65,7 @@ def test_wirelength_ibm03(benchmark, ibm03_state):
         cx[idx] = x + w / 2
         cy[idx] = y + h / 2
         dd[idx] = state.die_of[name]
-    benchmark(nl.wirelength, cx, cy, dd, 50.0)
+    benchmark(nl.wirelength, cx, cy, dd)
 
 
 def test_spatial_entropy_64(benchmark):

@@ -18,8 +18,8 @@ Subpackages
     The flow of Fig. 3: annealing + leakage evaluation + verification +
     dummy-TSV post-processing.
 ``repro.layout`` / ``repro.benchmarks`` / ``repro.floorplan``
-    Geometry, GSRC-format benchmarks (Table 1 suite), and the
-    sequence-pair simulated-annealing engine.
+    Geometry, the synthetic GSRC/IBM-HB+ benchmarks (Table 1 suite), and
+    the sequence-pair simulated-annealing engine.
 ``repro.thermal`` / ``repro.leakage`` / ``repro.timing`` / ``repro.power``
     Detailed + fast thermal analysis, the paper's Eq. 1-3 leakage models,
     Elmore timing, and voltage-volume assignment.
@@ -49,7 +49,6 @@ from .thermal import (
     SteadyStateSolver,
     build_stack,
     default_solver_cache,
-    solve_floorplan,
 )
 
 __version__ = "0.4.0"
@@ -83,7 +82,6 @@ __all__ = [
     "SolverCache",
     "default_solver_cache",
     "build_stack",
-    "solve_floorplan",
     "JobSpec",
     "run_batch",
     "summarize_batch",

@@ -15,7 +15,6 @@ calls; anything it can do, a library caller can do directly::
 
 from .facade import (
     API_VERSION,
-    evaluate_floorplan,
     execute_spec,
     queue_status,
     run_flow_job,
@@ -27,7 +26,6 @@ __all__ = [
     "API_VERSION",
     "JobSpec",
     "JobResult",
-    "evaluate_floorplan",
     "execute_spec",
     "queue_status",
     "run_flow_job",

@@ -1,15 +1,13 @@
 """The versioned facade over the warm solver stack.
 
 Everything a frontend needs — the asyncio HTTP service
-(:mod:`repro.service`), the CLI, a notebook — goes through these four
+(:mod:`repro.service`), the CLI, a notebook — goes through these three
 calls instead of wiring benchmarks, configs, caches, and stores by
 hand:
 
 * :func:`run_flow_job` — evaluate one :class:`JobSpec` in-process,
   reusing any :class:`~repro.core.store.ResultsStore` record and
   reporting the solver cache's behaviour;
-* :func:`evaluate_floorplan` — detailed leakage verification of an
-  existing layout (correlations, entropy, peak temperature);
 * :func:`submit` — hand a spec to a shared
   :class:`~repro.core.queue.WorkQueue` directory for distributed
   workers;
@@ -30,7 +28,6 @@ __all__ = [
     "API_VERSION",
     "execute_spec",
     "run_flow_job",
-    "evaluate_floorplan",
     "submit",
     "queue_status",
 ]
@@ -113,35 +110,6 @@ def run_flow_job(
         job_id=job_id, key=key, status="completed",
         reused=False, metrics=outcome.metrics, solver_cache=deltas,
     )
-
-
-def evaluate_floorplan(
-    floorplan,
-    nx: int = 64,
-    ny: int = 64,
-    solver_cache=None,
-) -> Dict[str, object]:
-    """Detailed leakage evaluation of an existing layout.
-
-    Returns a JSON-ready document: per-die Pearson correlations and
-    spatial entropies at ``nx`` x ``ny`` verification resolution, plus
-    the peak steady-state temperature.  The solver comes from the
-    (warm) process cache unless ``solver_cache`` overrides it.
-    """
-    from ..core.flow import verify_correlations
-    from ..layout.grid import GridSpec
-    from ..leakage.entropy import spatial_entropy
-
-    grid = GridSpec(floorplan.stack.outline, nx, ny)
-    correlations, power_maps, _thermal_maps, peak = verify_correlations(
-        floorplan, grid, cache=solver_cache
-    )
-    return {
-        "correlations": [float(r) for r in correlations],
-        "spatial_entropies": [float(spatial_entropy(p)) for p in power_maps],
-        "peak_temp_k": float(peak),
-        "grid": [int(nx), int(ny)],
-    }
 
 
 def submit(

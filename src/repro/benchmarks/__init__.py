@@ -1,32 +1,17 @@
 """Benchmark substrate (paper Table 1).
 
-GSRC format I/O, synthetic circuit generation targeting the published
-module/net/power figures, and the Table 1 suite (GSRC n100–n300,
-IBM-HB+ ibm01/03) the paper floorplans in both setups.
+Synthetic circuit generation targeting the published module/net/power
+figures, and the Table 1 suite (GSRC n100–n300, IBM-HB+ ibm01/03/07) the
+paper floorplans in both setups.
 """
 
-from .generator import BenchmarkSpec, generate_circuit
-from .gsrc import (
-    BenchmarkCircuit,
-    load_circuit,
-    parse_blocks,
-    parse_nets,
-    parse_pl,
-    parse_power,
-    save_circuit,
-)
+from .generator import BenchmarkCircuit, BenchmarkSpec, generate_circuit
 from .suite import TABLE1, benchmark_names, load, spec_for
 
 __all__ = [
+    "BenchmarkCircuit",
     "BenchmarkSpec",
     "generate_circuit",
-    "BenchmarkCircuit",
-    "load_circuit",
-    "save_circuit",
-    "parse_blocks",
-    "parse_nets",
-    "parse_pl",
-    "parse_power",
     "TABLE1",
     "benchmark_names",
     "load",

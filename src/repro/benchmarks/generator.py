@@ -4,7 +4,9 @@ The GSRC (n100/n200/n300) and IBM-HB+ (ibm01/ibm03/ibm07) files are not
 redistributable inside this repository, so we synthesize instances that
 match every property the paper's Table 1 reports: module counts and
 hard/soft split, the footprint scale factor, net and terminal counts, the
-fixed per-die outline, and the total nominal power at 1.0 V.
+fixed per-die outline, and the total nominal power at 1.0 V.  The
+instances live in memory as :class:`BenchmarkCircuit`; no file format is
+read or written.
 
 Generation is fully deterministic (seeded from the benchmark name), so all
 experiments are repeatable.  Structural choices follow the character of
@@ -24,16 +26,42 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..layout.geometry import Rect
 from ..layout.module import Module, ModuleKind
 from ..layout.net import Net, Terminal
-from .gsrc import BenchmarkCircuit
 
-__all__ = ["BenchmarkSpec", "generate_circuit"]
+__all__ = ["BenchmarkCircuit", "BenchmarkSpec", "generate_circuit"]
+
+
+@dataclass
+class BenchmarkCircuit:
+    """A benchmark instance: modules, nets, terminals, and nominal power."""
+
+    name: str
+    modules: Dict[str, Module]
+    nets: List[Net]
+    terminals: Dict[str, Terminal]
+
+    @property
+    def num_hard(self) -> int:
+        return sum(1 for m in self.modules.values() if m.kind == ModuleKind.HARD)
+
+    @property
+    def num_soft(self) -> int:
+        return sum(1 for m in self.modules.values() if m.kind == ModuleKind.SOFT)
+
+    @property
+    def total_area(self) -> float:
+        return sum(m.area for m in self.modules.values())
+
+    @property
+    def total_power(self) -> float:
+        """Total nominal power in W at the 1.0 V reference."""
+        return sum(m.power for m in self.modules.values())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Registry of the paper's six benchmark instances (Table 1).
 
 Each entry records the properties the paper reports; :func:`load` yields a
-ready-to-floorplan :class:`~repro.benchmarks.gsrc.BenchmarkCircuit` plus
+ready-to-floorplan :class:`~repro.benchmarks.generator.BenchmarkCircuit` plus
 the matching :class:`~repro.layout.die.StackConfig` (fixed outline, two
 dies).  The instances themselves are synthesized deterministically — see
 ``repro.benchmarks.generator`` and DESIGN.md for the substitution note.
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..layout.die import StackConfig
-from .generator import BenchmarkSpec, generate_circuit
-from .gsrc import BenchmarkCircuit
+from .generator import BenchmarkCircuit, BenchmarkSpec, generate_circuit
 
 __all__ = ["TABLE1", "benchmark_names", "spec_for", "load"]
 

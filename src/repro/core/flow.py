@@ -24,14 +24,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..benchmarks.gsrc import BenchmarkCircuit
+from ..benchmarks.generator import BenchmarkCircuit
 from ..floorplan.annealer import AnnealResult, anneal
 from ..floorplan.objectives import FloorplanMode
 from ..floorplan.tempering import temper
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from ..layout.net import TSV_LENGTH_UM
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..mitigation.dummy_tsv import MitigationReport, insert_dummy_tsvs
@@ -215,10 +214,7 @@ def run_flow(
     entropies = [spatial_entropy(p) for p in power_maps]
 
     # mitigation adds TSVs only: the timing graph's netlist still fits
-    netlist = timing.netlist
-    wirelength_um, _ = netlist.wirelength(
-        *floorplan.module_centers(netlist.module_names), TSV_LENGTH_UM
-    )
+    wirelength_um, _ = floorplan.wirelength(timing.netlist)
     runtime = time.perf_counter() - t_start
     metrics = FlowMetrics(
         benchmark=circuit.name,

@@ -6,7 +6,7 @@ Eq. 3 leakage terms into the classical area/wirelength/thermal mix.
 """
 
 from .annealer import AnnealChain, AnnealConfig, AnnealResult, anneal
-from .moves import MOVE_NAMES, apply_random_move
+from .moves import apply_random_move
 from ..layout.net import CompiledNetlist
 from .objectives import CostBreakdown, CostEvaluator, FloorplanMode, ObjectiveWeights
 from .seqpair import DieSequencePair, LayoutState, pack_die
@@ -19,7 +19,6 @@ __all__ = [
     "anneal",
     "temper",
     "resolve_replica_processes",
-    "MOVE_NAMES",
     "apply_random_move",
     "CompiledNetlist",
     "CostBreakdown",

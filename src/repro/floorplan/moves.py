@@ -16,7 +16,7 @@ import numpy as np
 from ..layout.module import ModuleKind
 from .seqpair import LayoutState
 
-__all__ = ["MOVE_NAMES", "apply_random_move"]
+__all__ = ["apply_random_move"]
 
 
 def _random_die_with_blocks(
@@ -131,7 +131,6 @@ _MOVES: List[Tuple[str, _MoveFn, float]] = [
     ("shift", move_shift_in_sequence, 0.10),
 ]
 
-MOVE_NAMES: Tuple[str, ...] = tuple(name for name, _, _ in _MOVES)
 _WEIGHTS = np.array([w for _, _, w in _MOVES])
 _WEIGHTS = _WEIGHTS / _WEIGHTS.sum()
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..layout.die import StackConfig
 from ..layout.grid import GridSpec, rasterize_rects
-from ..layout.net import TSV_LENGTH_UM, CompiledNetlist, Net, Terminal
+from ..layout.net import CompiledNetlist, Net, Terminal
 from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
@@ -310,9 +310,7 @@ class CostEvaluator:
             xs[idx], ys[idx] = positions[name]
             ws[idx], hs[idx] = sizes[name]
             dd[idx] = state.die_of[name]
-        wirelength, tsv_crossings = nl.wirelength(
-            xs + ws / 2.0, ys + hs / 2.0, dd, TSV_LENGTH_UM
-        )
+        wirelength, tsv_crossings = nl.wirelength(xs + ws / 2.0, ys + hs / 2.0, dd)
         outline = self.stack.outline
         over = 0.0
         fill = 0.0

@@ -4,16 +4,16 @@ Geometry, modules, nets, die stacks, TSV islands (signal and dummy
 thermal), analysis grids, and the `Floorplan3D` container every other
 layer consumes.  `CompiledNetlist` is the one compiled form of a
 netlist: wirelength, signal-TSV sites and the timing layer's Elmore
-delays all read its per-net pin extents.
+delays all read its per-net pin extents.  Floorplans live in memory
+only; what a run stores is its `FlowMetrics` record.
 """
 
 from .die import Die, StackConfig
 from .floorplan import Floorplan3D
-from .geometry import Point, Rect, bounding_box, rects_overlap, total_overlap_area
+from .geometry import Point, Rect, bounding_box, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, ModuleKind, Placement
 from .net import CompiledNetlist, Net, Terminal
-from .serialize import floorplan_from_dict, floorplan_to_dict, load_floorplan, save_floorplan
 from .tsv import TSV, TSVIsland, TSVKind, place_island, place_regular_grid, tsv_density_map
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Point",
     "Rect",
     "bounding_box",
-    "rects_overlap",
     "total_overlap_area",
     "GridSpec",
     "rasterize_power",
@@ -33,10 +32,6 @@ __all__ = [
     "CompiledNetlist",
     "Net",
     "Terminal",
-    "floorplan_from_dict",
-    "floorplan_to_dict",
-    "load_floorplan",
-    "save_floorplan",
     "TSV",
     "TSVIsland",
     "TSVKind",

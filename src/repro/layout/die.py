@@ -8,7 +8,7 @@ plus the fixed die outline shared by all dies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .geometry import Rect
@@ -68,16 +68,6 @@ class StackConfig:
         return [Die(i, self.outline) for i in range(self.num_dies)]
 
     @property
-    def top_die(self) -> int:
-        """Index of the die adjacent to the heatsink."""
-        return self.num_dies - 1
-
-    @property
-    def bottom_die(self) -> int:
-        """Index of the die adjacent to the package (secondary heat path)."""
-        return 0
-
-    @property
     def total_area(self) -> float:
         return self.outline.area * self.num_dies
 
@@ -93,9 +83,3 @@ class StackConfig:
     def square(side: float, num_dies: int = 2, **kwargs) -> "StackConfig":
         """Convenience constructor for a square outline of ``side`` um."""
         return StackConfig(Rect(0.0, 0.0, side, side), num_dies=num_dies, **kwargs)
-
-    @staticmethod
-    def from_area_mm2(area_mm2: float, num_dies: int = 2, **kwargs) -> "StackConfig":
-        """Square outline from a die area given in mm^2 (as in Table 1)."""
-        side_um = (area_mm2 ** 0.5) * 1000.0
-        return StackConfig.square(side_um, num_dies=num_dies, **kwargs)

@@ -22,7 +22,7 @@ from .die import StackConfig
 from .geometry import Rect, bounding_box, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, Placement
-from .net import TSV_LENGTH_UM, CompiledNetlist, Net, Terminal
+from .net import CompiledNetlist, Net, Terminal
 from .tsv import TSV, SignalSites, TSVKind, tsv_density_map
 
 __all__ = ["Floorplan3D"]
@@ -50,11 +50,6 @@ class Floorplan3D:
 
     def placements_on(self, die: int) -> List[Placement]:
         return [p for p in self.placements.values() if p.die == die]
-
-    def die_utilization(self, die: int) -> float:
-        """Fraction of the die outline covered by module footprints."""
-        used = sum(p.width * p.height for p in self.placements_on(die))
-        return used / self.stack.outline.area
 
     @property
     def signal_tsvs(self) -> List[TSV]:
@@ -88,33 +83,12 @@ class Floorplan3D:
                 problems.append(f"TSV at ({tsv.x:.1f}, {tsv.y:.1f}) outside outline")
         return problems
 
-    @property
-    def is_legal(self) -> bool:
-        return not self.validate()
-
-    # -- outline / packing metrics ---------------------------------------------
+    # -- packing -----------------------------------------------------------------
     def packing_bbox(self, die: int) -> Optional[Rect]:
         rects = [p.rect for p in self.placements_on(die)]
         if not rects:
             return None
         return bounding_box(rects)
-
-    def outline_violation(self) -> float:
-        """Relative area by which packing bounding boxes exceed the outline.
-
-        0.0 when every die packs inside the fixed outline; used as the
-        fixed-outline penalty by the annealer.
-        """
-        outline = self.stack.outline
-        worst = 0.0
-        for die in range(self.stack.num_dies):
-            bbox = self.packing_bbox(die)
-            if bbox is None:
-                continue
-            ex = max(0.0, bbox.x2 - outline.x2) + max(0.0, outline.x - bbox.x)
-            ey = max(0.0, bbox.y2 - outline.y2) + max(0.0, outline.y - bbox.y)
-            worst += (ex / outline.w) + (ey / outline.h)
-        return worst
 
     # -- interconnect ----------------------------------------------------------
     def module_centers(
@@ -131,10 +105,14 @@ class Floorplan3D:
         """This floorplan's nets compiled over its module names."""
         return CompiledNetlist(list(self.placements), self.nets, self.terminals)
 
-    def wirelength(self, tsv_length: float = TSV_LENGTH_UM) -> Tuple[float, int]:
-        """(total 3D HPWL in um, number of die crossings == signal TSVs)."""
-        netlist = self.compiled_netlist()
-        return netlist.wirelength(*self.module_centers(netlist.module_names), tsv_length)
+    def wirelength(self, netlist: CompiledNetlist | None = None) -> Tuple[float, int]:
+        """(total 3D HPWL in um, number of die crossings == signal TSVs).
+
+        ``netlist`` is as for :meth:`signal_sites`.
+        """
+        if netlist is None:
+            netlist = self.compiled_netlist()
+        return netlist.wirelength(*self.module_centers(netlist.module_names))
 
     def signal_sites(self, netlist: CompiledNetlist | None = None) -> SignalSites:
         """Signal-TSV sites of the inter-die nets, from the placements.

@@ -14,8 +14,6 @@ __all__ = [
     "Point",
     "Rect",
     "bounding_box",
-    "rect_overlap_area",
-    "rects_overlap",
     "total_overlap_area",
 ]
 
@@ -87,14 +85,6 @@ class Rect:
             return 0.0
         return dx * dy
 
-    def union_bbox(self, other: "Rect") -> "Rect":
-        """The bounding box enclosing both rectangles."""
-        x1 = min(self.x, other.x)
-        y1 = min(self.y, other.y)
-        x2 = max(self.x2, other.x2)
-        y2 = max(self.y2, other.y2)
-        return Rect(x1, y1, x2 - x1, y2 - y1)
-
 
 def bounding_box(rects: Iterable[Rect]) -> Rect:
     """The minimal axis-aligned bounding box of a non-empty rect collection."""
@@ -112,24 +102,6 @@ def bounding_box(rects: Iterable[Rect]) -> Rect:
     return Rect(x1, y1, x2 - x1, y2 - y1)
 
 
-def rects_overlap(rects: Sequence[Rect]) -> bool:
-    """Whether any pair of rectangles in the sequence overlaps.
-
-    Uses a sweep over x-sorted rectangles; adequate for the block counts in
-    floorplanning benchmarks (hundreds to low thousands).
-    """
-    order = sorted(range(len(rects)), key=lambda i: rects[i].x)
-    active: list[int] = []
-    for idx in order:
-        r = rects[idx]
-        active = [j for j in active if rects[j].x2 > r.x]
-        for j in active:
-            if r.overlaps(rects[j]):
-                return True
-        active.append(idx)
-    return False
-
-
 def total_overlap_area(rects: Sequence[Rect]) -> float:
     """Sum of pairwise overlap areas (0.0 for a legal packing)."""
     order = sorted(range(len(rects)), key=lambda i: rects[i].x)
@@ -142,8 +114,3 @@ def total_overlap_area(rects: Sequence[Rect]) -> float:
             total += r.overlap_area(rects[j])
         active.append(idx)
     return total
-
-
-def rect_overlap_area(a: Rect, b: Rect) -> float:
-    """Module-level alias for :meth:`Rect.overlap_area`."""
-    return a.overlap_area(b)

@@ -27,7 +27,6 @@ __all__ = [
     "power_cells",
     "rasterize_power",
     "rasterize_rects",
-    "bin_centers",
 ]
 
 
@@ -80,13 +79,6 @@ class GridSpec:
             self.outline.x + (i + 0.5) * self.cell_w,
             self.outline.y + (j + 0.5) * self.cell_h,
         )
-
-
-def bin_centers(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Meshgrid arrays (X, Y) of cell-centre coordinates, shape (ny, nx)."""
-    xs = grid.outline.x + (np.arange(grid.nx) + 0.5) * grid.cell_w
-    ys = grid.outline.y + (np.arange(grid.ny) + 0.5) * grid.cell_h
-    return np.meshgrid(xs, ys)
 
 
 def cell_overlaps(

@@ -9,8 +9,7 @@ at 1.0 V, and an optional intrinsic delay for the timing substrate.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .geometry import Rect
@@ -73,45 +72,6 @@ class Module:
     def is_soft(self) -> bool:
         return self.kind == ModuleKind.SOFT
 
-    @property
-    def power_density(self) -> float:
-        """Nominal power density in W/um^2."""
-        return self.power / self.area
-
-    def reshaped(self, aspect: float) -> "Module":
-        """A soft module re-dimensioned to the given aspect ratio (w/h).
-
-        The area is preserved.  Raises for hard modules and for aspect
-        ratios outside the allowed range.
-        """
-        if not self.is_soft:
-            raise ValueError(f"module {self.name!r} is hard and cannot be reshaped")
-        if not (self.min_aspect <= aspect <= self.max_aspect):
-            raise ValueError(
-                f"module {self.name!r}: aspect {aspect:.3f} outside "
-                f"[{self.min_aspect:.3f}, {self.max_aspect:.3f}]"
-            )
-        area = self.area
-        height = math.sqrt(area / aspect)
-        width = area / height
-        return replace(self, width=width, height=height)
-
-    def scaled(self, factor: float) -> "Module":
-        """A copy with linear dimensions scaled by ``factor``.
-
-        Used to blow up benchmark footprints so that 3D integration pays
-        off (Table 1 scale factors).  Power is scaled with area so the
-        nominal power *density* is preserved.
-        """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return replace(
-            self,
-            width=self.width * factor,
-            height=self.height * factor,
-            power=self.power * factor * factor,
-        )
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -150,6 +110,3 @@ class Placement:
 
     def with_voltage(self, voltage: float) -> "Placement":
         return replace(self, voltage=voltage)
-
-    def moved(self, x: float, y: float) -> "Placement":
-        return replace(self, x=x, y=y)

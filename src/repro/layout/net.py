@@ -166,10 +166,10 @@ class CompiledNetlist:
         cx: np.ndarray,
         cy: np.ndarray,
         dies: np.ndarray,
-        tsv_length: float,
         terminals: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-net 3D HPWL (um) and die crossings.
+        """Per-net 3D HPWL (um) and die crossings, each crossing adding
+        :data:`TSV_LENGTH_UM`.
 
         The bounding box spans the module pins, merged with the known
         terminals' box when ``terminals`` is set; the Elmore model
@@ -184,17 +184,16 @@ class CompiledNetlist:
             hi_y = np.maximum(hi_y, self.term_max_y)
             lo_y = np.minimum(lo_y, self.term_min_y)
         crossings = (hi_d - lo_d).astype(np.int64)
-        return (hi_x - lo_x) + (hi_y - lo_y) + crossings * tsv_length, crossings
+        return (hi_x - lo_x) + (hi_y - lo_y) + crossings * TSV_LENGTH_UM, crossings
 
     def wirelength(
         self,
         centers_x: np.ndarray,
         centers_y: np.ndarray,
         dies: np.ndarray,
-        tsv_length: float,
     ) -> Tuple[float, int]:
         """(total HPWL um, total crossings)."""
-        hpwl, crossings = self.net_hpwl(centers_x, centers_y, dies, tsv_length)
+        hpwl, crossings = self.net_hpwl(centers_x, centers_y, dies)
         return float(hpwl.sum()), int(crossings.sum())
 
     def sites(

@@ -12,7 +12,6 @@ sites come from :meth:`~repro.layout.net.CompiledNetlist.sites`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -77,11 +76,6 @@ class TSV:
         """The occupied square (via plus keep-out zone)."""
         side = self.pitch
         return Rect(self.x - side / 2.0, self.y - side / 2.0, side, side)
-
-    @property
-    def copper_area(self) -> float:
-        """Cross-sectional copper area of the via barrel in um^2."""
-        return math.pi * (self.diameter / 2.0) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,21 @@
-"""Leakage metrics (paper Eq. 1-3 and the cited SVF).
+"""Leakage metrics (paper Eq. 1-3).
 
 Eq. 1 power-temperature Pearson correlation, Eq. 2 correlation
-stability across activity samples, Eq. 3 nested-means spatial entropy,
-and the side-channel vulnerability factor for cross-checks.
+stability across activity samples, and Eq. 3 nested-means spatial
+entropy.
 """
 
 from .entropy import SpatialEntropyBreakdown, nested_means_classes, spatial_entropy
-from .pearson import average_correlation, die_correlation, local_correlation_map, pearson
-from .stability import average_stability, most_stable_bins, stability_map
-from .svf import similarity_matrix, svf
+from .pearson import die_correlation, local_correlation_map, pearson
+from .stability import most_stable_bins, stability_map
 
 __all__ = [
     "SpatialEntropyBreakdown",
     "nested_means_classes",
     "spatial_entropy",
-    "average_correlation",
     "die_correlation",
     "local_correlation_map",
     "pearson",
-    "average_stability",
     "most_stable_bins",
     "stability_map",
-    "similarity_matrix",
-    "svf",
 ]

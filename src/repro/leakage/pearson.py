@@ -8,14 +8,11 @@ spirit as the side-channel vulnerability factor (SVF).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
     "pearson",
     "die_correlation",
-    "average_correlation",
     "local_correlation_map",
 ]
 
@@ -51,20 +48,6 @@ def die_correlation(power_map: np.ndarray, thermal_map: np.ndarray) -> float:
             f"(got {power_map.shape} vs {thermal_map.shape})"
         )
     return pearson(power_map, thermal_map)
-
-
-def average_correlation(
-    power_maps: Sequence[np.ndarray], thermal_maps: Sequence[np.ndarray]
-) -> float:
-    """Mean |r_d| over all dies — the annealer's in-loop leakage score.
-
-    The absolute value matters: a strongly *anti*-correlated map leaks as
-    much information as a correlated one.
-    """
-    if len(power_maps) != len(thermal_maps):
-        raise ValueError("need one thermal map per power map")
-    rs = [abs(die_correlation(p, t)) for p, t in zip(power_maps, thermal_maps)]
-    return float(np.mean(rs)) if rs else 0.0
 
 
 def _window_sums(a: np.ndarray, window: int) -> np.ndarray:

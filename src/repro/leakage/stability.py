@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["stability_map", "average_stability", "most_stable_bins"]
+__all__ = ["stability_map", "most_stable_bins"]
 
 
 def stability_map(
@@ -42,11 +42,6 @@ def stability_map(
     nonzero = denom > 0
     out[nonzero] = num[nonzero] / denom[nonzero]
     return out
-
-
-def average_stability(stability: np.ndarray) -> float:
-    """Mean |r_{d,x,y}| over all bins — a die-level stability summary."""
-    return float(np.abs(stability).mean())
 
 
 def most_stable_bins(

@@ -9,7 +9,7 @@ DVFS governor that randomizes the power trace instead of the heat path,
 scored with the same Eq. 1 metrics.
 """
 
-from .activity import ActivitySampler, sample_power_maps
+from .activity import sample_power_maps
 from .dummy_tsv import (
     MITIGATION_MODES,
     MitigationConfig,
@@ -19,7 +19,6 @@ from .dummy_tsv import (
 from .dvfs import DVFSReport, evaluate_dvfs
 
 __all__ = [
-    "ActivitySampler",
     "sample_power_maps",
     "MITIGATION_MODES",
     "MitigationConfig",

@@ -5,54 +5,21 @@ alternating the inputs at runtime, we model the power profiles of all
 modules as Gaussian distributions ... with the module's nominal power
 value as mean and a standard deviation of 10%."
 
-A sample is a per-module multiplicative activity factor; the power-map
-rasterizer applies it on top of the voltage-scaled nominal power.
+A sample is a per-module multiplicative activity factor ~ N(1, sigma),
+clipped at zero (no negative power); the power-map rasterizer applies it
+on top of the voltage-scaled nominal power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec, power_cells
 
-__all__ = ["ActivitySampler", "sample_power_maps"]
-
-
-@dataclass
-class ActivitySampler:
-    """Draws per-module activity factors ~ N(1, sigma)."""
-
-    module_names: Sequence[str]
-    sigma: float = 0.10
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        self._rng = np.random.default_rng(self.seed)
-
-    def sample(self) -> Dict[str, float]:
-        """One activity set; factors are clipped at zero (no negative power)."""
-        factors = self._rng.normal(1.0, self.sigma, size=len(self.module_names))
-        return {
-            name: float(max(0.0, f)) for name, f in zip(self.module_names, factors)
-        }
-
-    def sample_matrix(self, count: int) -> np.ndarray:
-        """``(count, modules)`` activity factors in one draw.
-
-        The generator fills the matrix row-major from the same stream as
-        repeated :meth:`sample` calls, so the k-th row carries exactly the
-        factors the k-th :meth:`sample` call would have produced.
-        """
-        factors = self._rng.normal(
-            1.0, self.sigma, size=(count, len(self.module_names))
-        )
-        return np.maximum(factors, 0.0)
+__all__ = ["sample_power_maps"]
 
 
 def module_power_basis(
@@ -89,14 +56,19 @@ def sample_power_maps(
     Returns a list of per-sample lists: ``result[i][d]`` is the power map
     of die d under activity sample i.  The paper samples 100 runs.
 
-    All samples are rasterized in one matrix product against a per-module
-    power basis instead of ``count * num_dies`` Python-loop
-    rasterizations; the per-sample loop survives as the test oracle
-    (equal to ~1e-12 relative — the accumulation order differs).
+    The factors of all samples come from one draw of
+    ``default_rng(seed)``, filled row-major, so sample i carries the i-th
+    row of factors over the modules in name order.  All samples are
+    rasterized in one matrix product against a per-module power basis
+    instead of ``count * num_dies`` Python-loop rasterizations; the
+    per-sample loop survives as the test oracle (equal to ~1e-12
+    relative — the accumulation order differs).
     """
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
     names = sorted(floorplan.placements)
-    sampler = ActivitySampler(names, sigma=sigma, seed=seed)
-    factors = sampler.sample_matrix(count)  # (count, modules)
+    factors = np.random.default_rng(seed).normal(1.0, sigma, size=(count, len(names)))
+    factors = np.maximum(factors, 0.0)  # (count, modules)
     basis = module_power_basis(floorplan, grid, names)
     shape = grid.shape
     per_die = [(factors @ basis[d]).reshape(count, *shape) for d in

@@ -257,18 +257,3 @@ def run(
     except KeyboardInterrupt:
         announce("service stopped")
     return 0
-
-
-def parse_ndjson(lines: bytes) -> list:
-    """Decode an NDJSON byte payload into a list of dicts (client/test
-    helper; tolerant of a trailing partial line)."""
-    events = []
-    for line in lines.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return events

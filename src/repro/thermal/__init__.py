@@ -14,7 +14,6 @@ from .materials import (
     BOND,
     COPPER,
     SILICON,
-    SIO2,
     TIM,
     Material,
     tsv_composite_lateral,
@@ -37,7 +36,6 @@ from .steady_state import (
     ThermalResult,
     WoodburySolver,
     default_solver_cache,
-    solve_floorplan,
     woodbury_crossover_rank,
 )
 from .transient import TransientSolver, TransientTrace, thermal_time_constant
@@ -47,7 +45,6 @@ __all__ = [
     "Material",
     "SILICON",
     "COPPER",
-    "SIO2",
     "BEOL",
     "BOND",
     "TIM",
@@ -69,7 +66,6 @@ __all__ = [
     "WoodburySolver",
     "SolverCache",
     "ThermalResult",
-    "solve_floorplan",
     "default_solver_cache",
     "woodbury_crossover_rank",
     "TransientSolver",

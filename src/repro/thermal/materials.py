@@ -18,7 +18,6 @@ __all__ = [
     "Material",
     "SILICON",
     "COPPER",
-    "SIO2",
     "BEOL",
     "BOND",
     "TIM",
@@ -42,7 +41,6 @@ class Material:
 
 SILICON = Material("silicon", 150.0, 1.75e6)
 COPPER = Material("copper", 400.0, 3.55e6)
-SIO2 = Material("sio2", 1.4, 1.65e6)
 #: Back-end-of-line metal/dielectric stack (HotSpot layer default).
 BEOL = Material("beol", 2.25, 2.0e6)
 #: Adhesive / bonding layer between stacked dies.

@@ -18,7 +18,7 @@ The steady-state problem is ``G T = q`` with the ambient folded into q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +48,7 @@ class ThermalNetwork:
     def grid_shape(self) -> tuple:
         """Layer-major ``(layers, ny, nx)`` node-numbering shape.
 
-        ``node_index`` below is exactly the raveled index into this box;
+        Node ``(layer, row, col)`` is the raveled index into this box;
         structured backends rely on it (the spectral backend homogenizes
         each layer of it and transforms it in a cosine basis).
         """
@@ -60,10 +60,6 @@ class ThermalNetwork:
         from .backends.base import FactorHints
 
         return FactorHints(grid_shape=self.grid_shape)
-
-    def node_index(self, layer: int, row: int, col: int) -> int:
-        nx, ny = self.stack.grid.nx, self.stack.grid.ny
-        return (layer * ny + row) * nx + col
 
     def power_vector(self, power_maps: List[np.ndarray]) -> np.ndarray:
         """Assemble the nodal power vector from per-die power maps (W/cell).

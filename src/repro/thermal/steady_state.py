@@ -33,7 +33,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -58,7 +58,6 @@ __all__ = [
     "WoodburySolver",
     "SolverCache",
     "ThermalResult",
-    "solve_floorplan",
     "default_solver_cache",
     "woodbury_crossover_rank",
 ]
@@ -583,34 +582,3 @@ _DEFAULT_CACHE = SolverCache(maxsize=8)
 def default_solver_cache() -> SolverCache:
     """The process-wide solver cache shared by the flow entry points."""
     return _DEFAULT_CACHE
-
-
-def solve_floorplan(
-    floorplan: Floorplan3D,
-    grid: GridSpec | None = None,
-    activity: Dict[str, float] | None = None,
-    topology: Optional[TopologyConfig] = None,
-    solver: SteadyStateSolver | None = None,
-    cache: SolverCache | None = None,
-) -> Tuple[ThermalResult, List[np.ndarray]]:
-    """Detailed thermal analysis of a floorplan.
-
-    Returns ``(thermal result, per-die power maps)``.  When ``solver`` is
-    provided it is reused (its stack must match the floorplan's TSV
-    arrangement — callers that only vary *power* can safely reuse it, as
-    the activity sampler does).  Otherwise the solver comes from
-    ``cache`` (default: the process-wide cache), keyed by the TSV
-    densities of *all* adjacent die pairs — not just (0, 1) as older
-    revisions assumed.
-    """
-    grid = grid or GridSpec(floorplan.stack.outline)
-    power_maps = [
-        floorplan.power_map(d, grid, activity=activity)
-        for d in range(floorplan.stack.num_dies)
-    ]
-    if solver is None:
-        # "is None" rather than truthiness: a fresh SolverCache has
-        # len() == 0 and must not be silently swapped for the global one
-        cache = cache if cache is not None else _DEFAULT_CACHE
-        solver = cache.solver_for_floorplan(floorplan, grid, topology=topology)
-    return solver.solve(power_maps), power_maps

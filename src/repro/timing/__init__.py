@@ -1,19 +1,18 @@
 """Timing substrate (the paper Sec. 6 / Table 2 delay constraints).
 
 Elmore net delays (TSV hops included; one formula for one net or an
-array of nets), voltage-scaled module delays, and the path analysis
-behind Table 2's critical-delay column, run by `TimingGraph` over a
-`repro.layout.CompiledNetlist`.
+array of nets), area-derived intrinsic module delays, and the path
+analysis behind Table 2's critical-delay column, run by `TimingGraph`
+over a `repro.layout.CompiledNetlist` with the `DEFAULT_TECH` wires.
 """
 
-from .delay_model import K_DELAY_NS_PER_UM, ensure_intrinsic_delays, module_delay_ns
+from .delay_model import K_DELAY_NS_PER_UM, ensure_intrinsic_delays
 from .elmore import DEFAULT_TECH, WireTechnology, net_delay_ns
 from .paths import TimingGraph, TimingReport
 
 __all__ = [
     "K_DELAY_NS_PER_UM",
     "ensure_intrinsic_delays",
-    "module_delay_ns",
     "DEFAULT_TECH",
     "WireTechnology",
     "net_delay_ns",

@@ -18,24 +18,11 @@ import math
 from typing import Mapping
 
 from ..layout.module import Module
-from ..power.voltages import delay_scale_for
 
-__all__ = ["K_DELAY_NS_PER_UM", "module_delay_ns", "ensure_intrinsic_delays"]
+__all__ = ["K_DELAY_NS_PER_UM", "ensure_intrinsic_delays"]
 
 #: ns of intrinsic delay per um of module linear dimension.
 K_DELAY_NS_PER_UM = 5e-4
-
-
-def module_delay_ns(module: Module, voltage: float = 1.0) -> float:
-    """Intrinsic delay of a module at the given supply voltage (ns).
-
-    Uses the module's stored ``intrinsic_delay`` when present (benchmark
-    generators set it), otherwise derives it from the area model.
-    """
-    base = module.intrinsic_delay
-    if base <= 0.0:
-        base = K_DELAY_NS_PER_UM * math.sqrt(module.area)
-    return base * delay_scale_for(voltage)
 
 
 def ensure_intrinsic_delays(modules: Mapping[str, Module]) -> dict[str, Module]:

@@ -30,9 +30,9 @@ from typing import Dict, Mapping
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
-from ..layout.net import TSV_LENGTH_UM, CompiledNetlist
+from ..layout.net import CompiledNetlist
 from ..power.voltages import scaled_delay
-from .elmore import DEFAULT_TECH, WireTechnology, net_delay_ns
+from .elmore import DEFAULT_TECH, net_delay_ns
 
 __all__ = ["TimingGraph", "TimingReport"]
 
@@ -47,21 +47,12 @@ class TimingReport:
     #: Elmore delay per compiled net (diagnostic)
     net_delays_ns: np.ndarray
 
-    def slack_ns(self, target_ns: float) -> Dict[str, float]:
-        """Per-module slack against a target clock period."""
-        return {m: target_ns - t for m, t in self.through_ns.items()}
-
 
 class TimingGraph:
     """Vectorized timing over a :class:`~repro.layout.net.CompiledNetlist`."""
 
-    def __init__(
-        self,
-        netlist: CompiledNetlist,
-        tech: WireTechnology = DEFAULT_TECH,
-    ) -> None:
+    def __init__(self, netlist: CompiledNetlist) -> None:
         self.netlist = netlist
-        self.tech = tech
         self.module_names = netlist.module_names
         # pins per net: a per-net value repeated over its module pins
         self._pin_counts = np.diff(netlist.ptr)
@@ -75,10 +66,8 @@ class TimingGraph:
     ) -> np.ndarray:
         """Elmore delay per net from module-center arrays."""
         nl = self.netlist
-        hpwl, crossings = nl.net_hpwl(
-            centers_x, centers_y, dies, TSV_LENGTH_UM, terminals=False
-        )
-        return net_delay_ns(hpwl, nl.sink_counts, crossings, self.tech)
+        hpwl, crossings = nl.net_hpwl(centers_x, centers_y, dies, terminals=False)
+        return net_delay_ns(hpwl, nl.sink_counts, crossings, DEFAULT_TECH)
 
     # -- evaluation ----------------------------------------------------------------
     def through_times(

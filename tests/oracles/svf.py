@@ -1,12 +1,12 @@
-"""Side-channel vulnerability factor (SVF)-style summary metric.
+"""Side-channel vulnerability factor (SVF), the attack tests' cross-check.
 
 The paper motivates the Pearson correlation as "the underlying measure for
 the side-channel vulnerability factor" (Demme et al.).  SVF proper
 correlates *similarity matrices* of oracle traces (here: power/activity
-patterns) and side-channel traces (here: thermal readings) over time.  We
-provide that trace-level formulation as an extension metric: it condenses
-a whole attack campaign — many activity samples and their thermal
-responses — into one leakage number, complementing the per-snapshot Eq. 1.
+patterns) and side-channel traces (here: thermal readings) over time.  It
+condenses a whole attack campaign, many activity patterns and their
+thermal responses, into one leakage number; the integration tests check
+that it agrees with the characterization attack.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pearson import pearson
-
-__all__ = ["similarity_matrix", "svf"]
+from repro.leakage.pearson import pearson
 
 
 def similarity_matrix(traces: Sequence[np.ndarray]) -> np.ndarray:

@@ -2,13 +2,13 @@
 
 ``evaluate_dvfs`` reads end-of-window die means off adjoint response
 kernels; this module keeps the path it replaced: every trace of both
-arms integrated step by step from its equilibrium, either one
-:meth:`~repro.thermal.transient.TransientSolver.run` at a time or batched
-column-exact.  The two forward variants are byte-identical to each other;
-the adjoint path must match them within 1e-10.  It also keeps the
-kernels' exact reference, every die's adjoint recursion step by step on
-the calling thread, which the Lanczos model in ``die_mean_kernels`` must
-match within 1e-10 of the kernels' largest entry.
+arms integrated step by step, as its rise over the operating point of
+its arm, either all traces at once column-exact or one at a time.  The
+two forward variants are byte-identical to each other; the adjoint path
+must match them within 1e-10.  It also keeps the kernels' exact
+reference, every die's adjoint recursion step by step on the calling
+thread, which the Lanczos model in ``die_mean_kernels`` must match
+within 1e-10 of the kernels' largest entry.
 """
 
 from __future__ import annotations
@@ -24,51 +24,52 @@ from repro.mitigation.dummy_tsv import MitigationConfig
 from repro.mitigation import dvfs
 from repro.mitigation.dvfs import DVFSReport, _activity, _report
 from repro.thermal.stack import stack_for_floorplan
-from repro.thermal.steady_state import SolverCache
-from repro.thermal.transient import PowerAt, TransientSolver, TransientTrace
+from repro.thermal.transient import PowerAt, TransientSolver
 
 
-def run_many_column_exact(
+def rise_die_means(
     solver: TransientSolver,
     power_ats: Sequence[PowerAt],
     duration: float,
     dt: float,
-    t0: np.ndarray | None = None,
-) -> List[TransientTrace]:
-    """``run_many`` with one back-substitution per column: every trace is
-    byte-identical to a solo ``solver.run`` (SuperLU's blocked multi-RHS
-    substitution rounds differently past its panel width)."""
-    fns = list(power_ats)
+    batched: bool = True,
+) -> np.ndarray:
+    """Die means ``(traces, steps, dies)`` of backward Euler from rest,
+    ``(C/dt + G) u_{n+1} = (C/dt) u_n + q_{n+1}``.
+
+    ``power_ats`` give per-die power *deviations* from an operating
+    point, so ``u`` is the rise over that operating point's equilibrium:
+    no ambient term and no steady solve, and the rounding scales with the
+    rise, not with the hundreds of kelvin of an absolute temperature.
+    ``batched`` back-substitutes every trace's column each step, one
+    column per call (SuperLU's blocked multi-RHS substitution rounds
+    differently past its panel width); ``batched=False`` integrates the
+    traces one at a time.
+    """
     lu = solver._factorize(dt)
     net = solver.network
+    nodes = solver._die_nodes
     n_steps = int(round(duration / dt))
-    batch = len(fns)
-    temp = solver._initial(t0, batch=batch)
-    num_dies = len(solver._power_layers)
-    times = np.empty(n_steps)
-    die_means = np.empty((batch, n_steps, num_dies))
-    die_peaks = np.empty((batch, n_steps, num_dies))
     c_over_dt = net.capacitance / dt
-    ambient_q = net.boundary * solver.stack.ambient
-    q = np.empty((net.num_nodes, batch))
-    for step in range(n_steps):
-        t_now = (step + 1) * dt
+    fns = list(power_ats)
+    means = np.empty((len(fns), n_steps, len(nodes)))
+    if batched:
+        u = np.zeros((net.num_nodes, len(fns)))
+        for step in range(n_steps):
+            t_now = (step + 1) * dt
+            q = np.column_stack([net.power_vector(list(fn(t_now))) for fn in fns])
+            rhs = c_over_dt[:, None] * u + q
+            u = np.column_stack([lu.solve(rhs[:, b].copy()) for b in range(len(fns))])
+            block = np.ascontiguousarray(np.moveaxis(u[nodes], 2, 0))
+            means[:, step, :] = block.mean(axis=2)
+    else:
         for b, fn in enumerate(fns):
-            q[:, b] = net.power_vector(list(fn(t_now)))
-        rhs = c_over_dt[:, None] * temp + q + ambient_q[:, None]
-        temp = np.empty_like(rhs)
-        for b in range(batch):
-            temp[:, b] = lu.solve(rhs[:, b].copy())
-        times[step] = t_now
-        block = np.ascontiguousarray(np.moveaxis(temp[solver._die_nodes], 2, 0))
-        die_means[:, step, :] = block.mean(axis=2)
-        die_peaks[:, step, :] = block.max(axis=2)
-    return [
-        TransientTrace(
-            times=times.copy(), die_means=die_means[b], die_peaks=die_peaks[b]
-        )
-        for b in range(batch)
-    ]
+            u = np.zeros(net.num_nodes)
+            for step in range(n_steps):
+                q = net.power_vector(list(fn((step + 1) * dt)))
+                u = lu.solve(c_over_dt * u + q)
+                means[b, step, :] = u[nodes].mean(axis=1)
+    return means
 
 
 def die_mean_kernels_serial(
@@ -111,10 +112,11 @@ def evaluate_dvfs_forward(
 ) -> DVFSReport:
     """``evaluate_dvfs`` by integrating every trace forward.
 
-    Equilibria come from a SuperLU solver, so a backward-Euler step from
-    them is exact to rounding and the forward traces do not drift.
-    ``batched`` integrates all traces column-exact through one
-    factorization; ``batched=False`` runs them one at a time.
+    Each arm is integrated as its rise over its operating point: the
+    baseline's power deviation from the nominal mean, the governed arm's
+    from ``E[scale^3]`` times it.  ``batched`` integrates all traces
+    column-exact through one factorization; ``batched=False`` runs them
+    one at a time.
     """
     config = config or MitigationConfig(mode="dvfs")
     if grid is None:
@@ -125,14 +127,7 @@ def evaluate_dvfs_forward(
     shape = grid.shape
     solver = TransientSolver(stack_for_floorplan(floorplan, grid, topology))
     traces, windows, period = config.dvfs_traces, dvfs.WINDOWS, dvfs.PERIOD
-
-    steady = SolverCache(backend="superlu").solver_for_floorplan(
-        floorplan, grid, topology=topology
-    )
-    nominal_maps = [basis[d].sum(axis=0).reshape(shape) for d in range(num_dies)]
     mean_s3 = float(np.mean(dvfs.SCALES ** 3))
-    t0_base = steady.solve(nominal_maps).nodal
-    t0_gov = steady.solve([m * mean_s3 for m in nominal_maps]).nodal
 
     nominal, governed = _activity(config, len(names))
     window_power = np.empty((traces, windows, num_dies))
@@ -140,29 +135,20 @@ def evaluate_dvfs_forward(
     for tr in range(traces):
         base_maps, governed_maps = [], []
         for d in range(num_dies):
-            maps = (nominal[tr] @ basis[d]).reshape(windows, *shape)
-            base_maps.append(maps)
-            governed_maps.append((governed[tr] @ basis[d]).reshape(windows, *shape))
-            window_power[tr, :, d] = maps.sum(axis=(1, 2))
+            window_power[tr, :, d] = (nominal[tr] @ basis[d]).sum(axis=1)
+            base_maps.append(((nominal[tr] - 1.0) @ basis[d]).reshape(windows, *shape))
+            governed_maps.append(
+                ((governed[tr] - mean_s3) @ basis[d]).reshape(windows, *shape)
+            )
         baseline_fns.append(window_power_at(base_maps))
         governed_fns.append(window_power_at(governed_maps))
 
-    dt = dvfs.DT
-    duration = windows * period * dt
-    if batched:
-        t0 = np.column_stack([t0_base] * traces + [t0_gov] * traces)
-        all_traces = run_many_column_exact(
-            solver, baseline_fns + governed_fns, duration, dt, t0=t0
-        )
-        base_traces, governed_traces = all_traces[:traces], all_traces[traces:]
-    else:
-        base_traces = [solver.run(fn, duration, dt, t0=t0_base) for fn in baseline_fns]
-        governed_traces = [solver.run(fn, duration, dt, t0=t0_gov) for fn in governed_fns]
+    duration = windows * period * dvfs.DT
+    means = rise_die_means(
+        solver, baseline_fns + governed_fns, duration, dvfs.DT, batched=batched
+    )
 
     # end-of-window samples: the attacker reads temperature once per dwell
     sample_idx = np.arange(windows) * period + period - 1
-
-    def observe(trace_list) -> np.ndarray:
-        return np.stack([t.die_means[sample_idx] for t in trace_list])
-
-    return _report(window_power, observe(base_traces), observe(governed_traces))
+    observed = means[:, sample_idx, :]
+    return _report(window_power, observed[:traces], observed[traces:])

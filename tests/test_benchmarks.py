@@ -1,104 +1,32 @@
-"""Tests for the GSRC parser/writer and the Table 1 synthetic suite."""
+"""Tests for the benchmark container and the Table 1 synthetic suite."""
 
-import numpy as np
 import pytest
 
 from repro.benchmarks import (
     TABLE1,
+    BenchmarkCircuit,
     benchmark_names,
-    generate_circuit,
     load,
-    load_circuit,
-    parse_blocks,
-    parse_nets,
-    parse_pl,
-    parse_power,
-    save_circuit,
     spec_for,
 )
-from repro.benchmarks.generator import BenchmarkSpec
-from repro.layout.module import ModuleKind
+from repro.layout.module import Module, ModuleKind
 
 
-class TestGSRCParsing:
-    BLOCKS = """
-UCSC blocks 1.0
-NumSoftRectangularBlocks : 1
-NumHardRectilinearBlocks : 1
-NumTerminals : 2
-
-hb0 hardrectilinear 4 (0, 0) (0, 20) (10, 20) (10, 0)
-sb0 softrectangular 400 0.5 2.0
-
-p0 terminal
-p1 terminal
-"""
-
-    NETS = """
-UCLA nets 1.0
-NumNets : 2
-NumPins : 5
-NetDegree : 2
-hb0 B
-sb0 B
-NetDegree : 3
-sb0 B
-p0 B
-p1 B
-"""
-
-    PL = """
-UCLA pl 1.0
-p0 0 0
-p1 100 100
-"""
-
-    def test_parse_blocks(self):
-        modules, terminals = parse_blocks(self.BLOCKS)
-        assert set(modules) == {"hb0", "sb0"}
-        assert terminals == ["p0", "p1"]
-        assert modules["hb0"].kind == ModuleKind.HARD
-        assert modules["hb0"].width == 10 and modules["hb0"].height == 20
-        assert modules["sb0"].kind == ModuleKind.SOFT
-        assert modules["sb0"].area == pytest.approx(400)
-        assert modules["sb0"].min_aspect == 0.5
-
-    def test_parse_blocks_rejects_rectilinear(self):
-        bad = "b0 hardrectilinear 6 (0,0) (0,2) (1,2) (1,1) (2,1) (2,0)"
-        with pytest.raises(ValueError):
-            parse_blocks(bad)
-
-    def test_parse_nets(self):
-        nets = parse_nets(self.NETS)
-        assert len(nets) == 2
-        assert nets[0].modules == ("hb0", "sb0")
-        assert nets[1].degree == 3
-
-    def test_parse_pl(self):
-        pl = parse_pl(self.PL)
-        assert pl["p1"] == (100.0, 100.0)
-
-    def test_parse_power(self):
-        powers = parse_power("# comment\na 0.5\nb 1.25\n")
-        assert powers == {"a": 0.5, "b": 1.25}
-
-
-class TestRoundTrip:
-    def test_save_load_roundtrip(self, tmp_path):
-        circ = generate_circuit(BenchmarkSpec("tiny", 2, 6, 1, 20, 6, 1.0, 2.0))
-        base = tmp_path / "tiny"
-        save_circuit(circ, base)
-        for ext in (".blocks", ".nets", ".pl", ".power"):
-            assert base.with_suffix(ext).exists()
-        loaded = load_circuit(base)
-        assert set(loaded.modules) == set(circ.modules)
-        assert len(loaded.nets) == len(circ.nets)
-        assert set(loaded.terminals) == set(circ.terminals)
-        assert loaded.total_power == pytest.approx(circ.total_power, rel=1e-6)
-        for name, m in circ.modules.items():
-            lm = loaded.modules[name]
-            assert lm.kind == m.kind
-            assert lm.area == pytest.approx(m.area, rel=1e-4)
+class TestCircuitContainer:
+    def test_counts(self):
+        circ = BenchmarkCircuit(
+            name="c",
+            modules={
+                "h": Module("h", 1, 1, kind=ModuleKind.HARD, power=0.25),
+                "s": Module("s", 2, 2, kind=ModuleKind.SOFT, power=0.75),
+            },
+            nets=[],
+            terminals={},
+        )
+        assert circ.num_hard == 1
+        assert circ.num_soft == 1
+        assert circ.total_area == pytest.approx(5.0)
+        assert circ.total_power == pytest.approx(1.0)
 
 
 class TestSuite:
@@ -161,8 +89,3 @@ class TestSuite:
             on_x = t.x in (o.x, o.x2) or t.y in (o.y, o.y2)
             assert on_x, f"terminal {t.name} not on outline edge"
 
-    def test_scaled_copy(self):
-        circ, _ = load("n100")
-        double = circ.scaled(2.0)
-        assert double.total_area == pytest.approx(circ.total_area * 4, rel=1e-9)
-        assert double.total_power == pytest.approx(circ.total_power * 4, rel=1e-9)

@@ -20,12 +20,28 @@ This test walks every module under ``src/repro`` with :mod:`ast` and
 fails on offenders, with an explicit allowlist for the owner modules
 that legitimately assemble stacks and solvers.  Adding a new offender is
 a test failure, not a review comment.
+
+A second audit keeps ``src/`` to what a caller runs: every name in a
+``src/repro`` ``__all__`` must be referenced from the package itself,
+the benchmarks, the examples, the tools or perfbench.  A name only tests
+use is an oracle or a dead end, and belongs in ``tests/`` or nowhere.
 """
 
 import ast
 from pathlib import Path
+from typing import Dict, Iterable, List
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: the trees whose code counts as a caller of an exported name
+CALLER_TREES = ("src", "benchmarks", "examples", "tools", "perfbench")
+
+#: exported names no caller tree references, each with why it stays
+EXPORT_ALLOWLIST = {
+    "core.faults.injected": "the chaos suite's entry point: tests scope "
+    "fault plans to a block with it, the in-process twin of REPRO_FAULTS",
+}
 
 #: constructors only the owner modules may call: everything else must go
 #: through stack_for_floorplan / SolverCache.solver_for_floorplan
@@ -177,3 +193,112 @@ def _audit_file_at(path: Path) -> list:
         if _passes_expanded_keywords(node):
             offenders.append(f"{path.name}:{node.lineno}: {name}(**...)")
     return offenders
+
+
+def _exports(path: Path, package: Path) -> Dict[str, str]:
+    """``{name: qualified name}`` for a module's ``__all__``.  The
+    qualified name is ``<module>.<name>`` under ``package``; a package
+    ``__init__`` re-export names the module it imports the name from."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parts = path.relative_to(package).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    module = ".".join(parts)
+    sources = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                sources[alias.asname or alias.name] = ".".join(
+                    p for p in (module, node.module) if p
+                )
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {
+                e.value: f"{sources.get(e.value, module)}.{e.value}".lstrip(".")
+                for e in node.value.elts
+            }
+    return {}
+
+
+def _references(paths: Iterable[Path]) -> set:
+    """Every name loaded (``f``, ``x.f``) in ``paths``, plus the attribute
+    names perfbench wraps by string, ``Target(owner, "f", ...)``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Call) and _called_name(node) == "Target":
+                names.update(
+                    arg.value for arg in node.args
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                )
+    return names
+
+
+def _unreferenced_exports(package: Path, callers: Iterable[Path]) -> List[str]:
+    """Qualified names in ``package``'s ``__all__`` lists that no file
+    under ``callers`` references, minus :data:`EXPORT_ALLOWLIST`."""
+    refs = _references(p for root in callers for p in sorted(root.rglob("*.py")))
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        for name, qualified in _exports(path, package).items():
+            if name not in refs and qualified not in EXPORT_ALLOWLIST:
+                found.add(qualified)
+    return sorted(found)
+
+
+def test_every_export_has_a_caller():
+    unused = _unreferenced_exports(SRC, [ROOT / tree for tree in CALLER_TREES])
+    assert not unused, (
+        "exported but referenced only by tests (move the oracle to tests/ "
+        "or delete it): " + ", ".join(unused)
+    )
+
+
+def test_export_allowlist_is_minimal():
+    """Every allowlisted name is exported and still has no caller, so a
+    stale entry cannot hide a regrown one."""
+    exported = {
+        qualified
+        for path in SRC.rglob("*.py")
+        for qualified in _exports(path, SRC).values()
+    }
+    refs = _references(
+        p for tree in CALLER_TREES for p in (ROOT / tree).rglob("*.py")
+    )
+    for qualified in EXPORT_ALLOWLIST:
+        assert qualified in exported, f"{qualified} is not exported"
+        assert qualified.rsplit(".", 1)[1] not in refs, (
+            f"{qualified} has a caller now; drop it from the allowlist"
+        )
+
+
+def test_audit_catches_a_planted_unused_export(tmp_path):
+    """An ``__all__`` entry only tests use is flagged, through a package
+    re-export too; a loaded name and a perfbench ``Target`` string count
+    as callers."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .mod import traced, unused, used\n"
+        '__all__ = ["traced", "unused", "used"]\n'
+    )
+    (package / "mod.py").write_text(
+        '__all__ = ["traced", "unused", "used"]\n'
+        "def traced(): pass\n"
+        "def unused(): pass\n"
+        "def used(): pass\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text("import pkg\npkg.used()\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "layers.py").write_text(
+        'from pkg import mod\nT = Target(mod, "traced", "pkg.traced")\n'
+    )
+    callers = [tmp_path / tree for tree in ("src", "tools", "perfbench")]
+    assert _unreferenced_exports(package, callers) == ["mod.unused"]

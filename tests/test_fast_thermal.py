@@ -11,7 +11,8 @@ from repro.floorplan.objectives import calibrated_thermal_model
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.leakage.pearson import pearson
-from repro.thermal.fast import FastThermalModel, gaussian_blur
+from repro.exploration.patterns import gaussian_blur
+from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import AMBIENT, build_stack
 from repro.thermal.steady_state import SteadyStateSolver
 

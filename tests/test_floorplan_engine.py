@@ -23,7 +23,7 @@ from repro.floorplan.objectives import (
 )
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
-from repro.layout.net import CompiledNetlist
+from repro.layout.net import TSV_LENGTH_UM, CompiledNetlist
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,10 @@ class TestCompiledNetlist:
         rng = np.random.default_rng(0)
         state = LayoutState.initial(circ.modules, stack, rng)
         fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-        ref_wl, ref_cross = total_hpwl(circ.nets, fp.placements, circ.terminals, 50.0)
+        ref_wl, ref_cross = total_hpwl(circ.nets, fp.placements, circ.terminals, TSV_LENGTH_UM)
 
         nl = CompiledNetlist(list(circ.modules), circ.nets, circ.terminals)
-        wl, cross = nl.wirelength(*fp.module_centers(nl.module_names), 50.0)
+        wl, cross = nl.wirelength(*fp.module_centers(nl.module_names))
         assert wl == pytest.approx(ref_wl, rel=1e-12)
         assert cross == ref_cross
 
@@ -59,14 +59,14 @@ class TestCompiledNetlist:
             for _ in range(20):
                 apply_random_move(state, rng)
             fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-            wl, cross = fp.wirelength(tsv_length=50.0)
-            ref_wl, ref_cross = total_hpwl(circ.nets, fp.placements, circ.terminals, 50.0)
+            wl, cross = fp.wirelength()
+            ref_wl, ref_cross = total_hpwl(circ.nets, fp.placements, circ.terminals, TSV_LENGTH_UM)
             assert wl == pytest.approx(ref_wl, rel=1e-12, abs=0.0)
             assert cross == ref_cross
 
     def test_empty_netlist(self):
         nl = CompiledNetlist(["a"], [], {})
-        wl, cross = nl.wirelength(np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), 50.0)
+        wl, cross = nl.wirelength(np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))
         assert wl == 0.0 and cross == 0
 
 
@@ -166,7 +166,7 @@ class TestCostEvaluator:
             apply_random_move(candidate, rng)
             bd = ev.evaluate(candidate)
             fp = candidate.realize(circ.nets, circ.terminals, place_tsvs=False)
-            wl, crossings = fp.wirelength(tsv_length=50.0)
+            wl, crossings = fp.wirelength()
             assert bd.wirelength == pytest.approx(wl, rel=1e-9), step
             assert bd.tsv_crossings == crossings, step
             _, extents = candidate.pack()
@@ -230,7 +230,7 @@ class TestAnnealer:
         res = anneal(circ.modules, stack, circ.nets, circ.terminals,
                      mode=FloorplanMode.POWER_AWARE, config=cfg)
         assert res.feasible, f"outline violation {res.breakdown.outline}"
-        assert res.floorplan.is_legal
+        assert res.floorplan.validate() == []
 
     def test_anneal_deterministic_given_seed(self, tiny_circuit):
         circ, stack = tiny_circuit

@@ -3,8 +3,8 @@
 Every cold process (a CLI ``flow``, each spawned batch worker) pays for
 what ``import repro`` drags in.  ``scipy.ndimage`` was imported only for
 its Gaussian filter, and on recent scipy it also loads ``scipy.special``:
-together about 0.3 s of a ~0.8 s import.  The fast thermal model and the
-exploration patterns now blur through ``repro.thermal.fast.gaussian_blur``.
+together about 0.3 s of a ~0.8 s import.  The exploration patterns now
+blur through ``repro.exploration.patterns.gaussian_blur``.
 
 The AST audit rejects the import anywhere under ``src/repro``, inside
 functions too: a lazy import would only move the cost into the run.  The

@@ -9,6 +9,7 @@ invariants that the headline experiments rely on.
 import numpy as np
 import pytest
 
+from oracles.svf import svf
 from repro.attacks import InputActivityModel, ThermalDevice, characterize
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan import AnnealConfig, FloorplanMode, anneal
@@ -16,7 +17,6 @@ from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.leakage.entropy import spatial_entropy
 from repro.leakage.pearson import die_correlation
-from repro.leakage.svf import svf
 from repro.mitigation import sample_power_maps
 from repro.thermal import SteadyStateSolver, build_stack
 from repro.timing import TimingGraph
@@ -41,7 +41,7 @@ class TestPipelineInvariants:
     def test_annealed_floorplan_is_legal(self, annealed):
         _, _, result = annealed
         assert result.feasible
-        assert result.floorplan.is_legal
+        assert result.floorplan.validate() == []
 
     def test_power_conservation_through_pipeline(self, annealed):
         """Power rasterized onto the grid equals module power totals."""
@@ -103,7 +103,7 @@ class TestPipelineInvariants:
             assert np.isfinite(s) and s >= 0
 
     def test_svf_tracks_characterization(self, annealed):
-        """The SVF extension and the characterization attack must agree
+        """The SVF cross-check and the characterization attack must agree
         in sign: a device whose similarity structure leaks (high SVF)
         is also learnable by regression (R^2 well above zero)."""
         circ, stack, result = annealed

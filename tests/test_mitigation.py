@@ -8,7 +8,7 @@ from repro.layout.floorplan import Floorplan3D
 from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.layout.tsv import TSVKind
-from repro.mitigation.activity import ActivitySampler, sample_power_maps
+from repro.mitigation.activity import sample_power_maps
 from repro.mitigation.dummy_tsv import MitigationConfig, insert_dummy_tsvs
 
 
@@ -34,25 +34,48 @@ def _hotspot_floorplan():
     return Floorplan3D(stack, placements)
 
 
+def _one_module_per_die():
+    """Three dies, one module each: a die's power total over its nominal
+    total is that module's activity factor."""
+    mods = {n: Module(n, 200, 200, power=1.0 + i) for i, n in enumerate("abc")}
+    placements = {n: Placement(mods[n], 100, 100, die=i) for i, n in enumerate("abc")}
+    return Floorplan3D(StackConfig.square(1000.0, num_dies=3), placements)
+
+
+def _factors(sets, fp, grid):
+    """Per-sample per-module activity factors of :func:`_one_module_per_die`."""
+    nominal = [fp.power_map(d, grid).sum() for d in range(3)]
+    return np.array([[m.sum() / n for m, n in zip(s, nominal)] for s in sets])
+
+
 class TestActivitySampler:
     def test_mean_near_one(self):
-        s = ActivitySampler(["a", "b", "c"], sigma=0.1, seed=1)
-        samples = [s.sample() for _ in range(300)]
-        vals = np.array([[x[n] for n in ("a", "b", "c")] for x in samples])
+        fp = _one_module_per_die()
+        grid = GridSpec(fp.stack.outline, 4, 4)
+        vals = _factors(sample_power_maps(fp, grid, count=300, sigma=0.1, seed=1), fp, grid)
         assert vals.mean() == pytest.approx(1.0, abs=0.02)
         assert vals.std() == pytest.approx(0.1, abs=0.02)
 
     def test_nonnegative(self):
-        s = ActivitySampler(["a"], sigma=2.0, seed=2)
-        assert all(s.sample()["a"] >= 0.0 for _ in range(200))
+        fp = _one_module_per_die()
+        grid = GridSpec(fp.stack.outline, 4, 4)
+        sets = sample_power_maps(fp, grid, count=200, sigma=2.0, seed=2)
+        assert all((m >= 0.0).all() for s in sets for m in s)
+        # sigma 2 clips about 31% of the factors at exactly zero
+        assert (_factors(sets, fp, grid) == 0.0).any()
 
     def test_sigma_validation(self):
+        fp = _one_module_per_die()
         with pytest.raises(ValueError):
-            ActivitySampler(["a"], sigma=-0.1)
+            sample_power_maps(fp, GridSpec(fp.stack.outline, 4, 4), sigma=-0.1)
 
     def test_zero_sigma_deterministic(self):
-        s = ActivitySampler(["a"], sigma=0.0)
-        assert s.sample()["a"] == 1.0
+        fp = _one_module_per_die()
+        grid = GridSpec(fp.stack.outline, 4, 4)
+        sets = sample_power_maps(fp, grid, count=3, sigma=0.0)
+        for s in sets:
+            for d, m in enumerate(s):
+                np.testing.assert_allclose(m, fp.power_map(d, grid), rtol=1e-12, atol=0.0)
 
     def test_sample_power_maps_shapes(self):
         fp = _hotspot_floorplan()

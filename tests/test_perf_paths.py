@@ -14,8 +14,11 @@ from oracles.activity import sample_power_maps_loop
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
+from repro.layout.floorplan import Floorplan3D
+from repro.layout.geometry import Rect
 from repro.layout.grid import GridSpec
-from repro.mitigation.activity import ActivitySampler, sample_power_maps
+from repro.layout.module import Module, Placement
+from repro.mitigation.activity import sample_power_maps
 from repro.thermal.stack import build_stack
 from repro.thermal.transient import TransientSolver
 
@@ -107,12 +110,23 @@ class TestBatchedActivitySampling:
         return state.realize(circ.nets, circ.terminals, place_tsvs=False)
 
     def test_sample_matrix_matches_sequential_samples(self):
-        names = ["a", "b", "c", "d"]
-        batched = ActivitySampler(names, sigma=0.2, seed=9).sample_matrix(50)
-        sequential = ActivitySampler(names, sigma=0.2, seed=9)
-        for row in batched:
-            sample = sequential.sample()
-            assert [sample[n] for n in names] == list(row)
+        """Sample k carries the k-th row of factors one ``default_rng(seed)``
+        stream draws, module by module in name order: each die of a
+        one-module-per-die stack scales its nominal map by exactly that
+        module's clipped factor."""
+        mods = {n: Module(n, 20.0, 20.0, power=1.0) for n in "abcd"}
+        fp = Floorplan3D(
+            StackConfig(Rect(0.0, 0.0, 100.0, 100.0), num_dies=4),
+            {n: Placement(mods[n], 10.0, 10.0, die=i) for i, n in enumerate("abcd")},
+        )
+        grid = GridSpec(fp.stack.outline, 5, 5)
+        nominal = [fp.power_map(d, grid) for d in range(4)]
+        batched = sample_power_maps(fp, grid, count=50, sigma=0.2, seed=9)
+        sequential = np.random.default_rng(9)
+        for maps in batched:
+            row = np.maximum(sequential.normal(1.0, 0.2, size=4), 0.0)
+            for d in range(4):
+                np.testing.assert_allclose(maps[d], row[d] * nominal[d], rtol=1e-15, atol=0.0)
 
     def test_batched_maps_match_loop_oracle(self):
         fp = self._floorplan()

@@ -45,12 +45,16 @@ class TestNetworkStructure:
         assert np.all(net.capacitance > 0)
 
     def test_node_indexing(self, network):
+        """Nodes number layer-major: node (layer, row, col) is the raveled
+        index into ``grid_shape``."""
         stack, net = network
         nx, ny = stack.grid.nx, stack.grid.ny
-        assert net.node_index(0, 0, 0) == 0
-        assert net.node_index(0, 0, 1) == 1
-        assert net.node_index(0, 1, 0) == nx
-        assert net.node_index(1, 0, 0) == nx * ny
+        assert net.grid_shape == (stack.num_layers, ny, nx)
+        assert net.num_nodes == stack.num_layers * ny * nx
+        index = np.arange(net.num_nodes).reshape(net.grid_shape)
+        assert index[0, 0, 1] == 1
+        assert index[0, 1, 0] == nx
+        assert index[1, 0, 0] == nx * ny
 
     def test_power_vector_placement(self, network):
         stack, net = network
@@ -59,7 +63,7 @@ class TestNetworkStructure:
         pm0[2, 3] = 1.5
         q = net.power_vector([pm0, np.zeros(grid.shape)])
         active0 = stack.layer_index("die0_active")
-        assert q[net.node_index(active0, 2, 3)] == 1.5
+        assert q.reshape(net.grid_shape)[active0, 2, 3] == 1.5
         assert q.sum() == pytest.approx(1.5)
 
     def test_power_vector_shape_check(self, network):

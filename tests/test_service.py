@@ -21,7 +21,7 @@ import urllib.request
 import pytest
 
 from repro.api import JobSpec
-from repro.service import ServiceState, parse_ndjson, serve
+from repro.service import ServiceState, serve
 
 SPEC = {"benchmark": "n100", "iterations": 25, "grid": 12}
 
@@ -158,7 +158,7 @@ class TestEndToEnd:
             # live-follow while the job runs, then compare with the doc
             status, raw = await client.get(f"/jobs/{job_id}/events", raw=True)
             assert status == 200
-            events = parse_ndjson(raw)
+            events = [json.loads(line) for line in raw.splitlines() if line.strip()]
             stages = [(e.get("stage"), e.get("status")) for e in events]
             assert stages[0] == ("service", "running")
             assert ("anneal", "start") in stages

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.flow import verify_correlations
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.grid import GridSpec
@@ -10,7 +11,7 @@ from repro.layout.module import Module, Placement
 from repro.layout.tsv import TSV, TSVKind
 from repro.thermal.fast import FastThermalModel
 from repro.thermal.stack import TopologyConfig, build_stack, normalize_tsv_densities
-from repro.thermal.steady_state import SolverCache, SteadyStateSolver, solve_floorplan
+from repro.thermal.steady_state import SolverCache, SteadyStateSolver
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ class TestSolverCache:
             placements={"m0": Placement(module=m, x=100.0, y=100.0, die=0)},
         )
         mine = SolverCache()
-        solve_floorplan(fp, grid, cache=mine)
+        verify_correlations(fp, grid, cache=mine)
         assert mine.misses == 1 and len(mine) == 1
 
 
@@ -174,13 +175,13 @@ class TestMultiDieDensities:
         assert densities[(0, 1)].sum() == pytest.approx(0.0)
         assert densities[(1, 2)].sum() > 0.0
 
-        with_tsvs, _ = solve_floorplan(fp, grid, cache=SolverCache())
+        _, _, with_tsvs, _ = verify_correlations(fp, grid, cache=SolverCache())
         bare = fp.copy()
         bare.tsvs = []
-        without, _ = solve_floorplan(bare, grid, cache=SolverCache())
+        _, _, without, _ = verify_correlations(bare, grid, cache=SolverCache())
         # the TSVs must change the thermal solution; under the old
         # (0, 1)-only code both solves used identical uniform stacks
-        assert not np.allclose(with_tsvs.nodal, without.nodal)
+        assert not np.allclose(np.stack(with_tsvs), np.stack(without))
 
 
 class TestFastModelDensities:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layout.geometry import Point, Rect
-from repro.layout.grid import GridSpec, bin_centers, rasterize_power
+from repro.layout.grid import GridSpec, rasterize_power
 from repro.layout.module import Module, Placement
 from repro.layout.tsv import (
     TSV,
@@ -34,10 +34,6 @@ class TestTSV:
         assert t.pitch == 10.0
         fp = t.footprint
         assert fp.w == 10 and fp.center == Point(100, 100)
-
-    def test_copper_area(self):
-        t = TSV(0, 0, 0, 1, diameter=10)
-        assert t.copper_area == pytest.approx(np.pi * 25)
 
 
 class TestIslandsAndGrids:
@@ -115,12 +111,6 @@ class TestGridSpec:
         g = GridSpec(Rect(0, 0, 100, 100), 10, 10)
         x, y = g.cell_center(3, 7)
         assert g.cell_of(x, y) == (3, 7)
-
-    def test_bin_centers_shape(self):
-        g = GridSpec(Rect(0, 0, 100, 100), 8, 4)
-        X, Y = bin_centers(g)
-        assert X.shape == (4, 8)
-        assert X[0, 0] == pytest.approx(100 / 16)
 
 
 class TestRasterizePower:
