@@ -35,11 +35,6 @@ class CharacterizationResult:
     train_patterns: int
     test_patterns: int
 
-    @property
-    def success(self) -> bool:
-        """The conventional threshold for a usable thermal model."""
-        return self.r2 >= 0.5
-
 
 def _random_patterns(
     rng: np.random.Generator, count: int, bits: int

@@ -10,8 +10,8 @@ input-to-activity mapping, which is exactly the paper's threat model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -118,10 +118,3 @@ class ThermalDevice:
         maps = self.respond(pattern)
         return self.sensors.estimate_map(maps[die])
 
-    def power_maps(self, pattern: Sequence[int]) -> List[np.ndarray]:
-        """Ground-truth power maps for a pattern (for evaluation only)."""
-        activity = self.activity_model.activity(pattern)
-        return [
-            self.floorplan.power_map(d, self.grid, activity=activity)
-            for d in range(self.floorplan.stack.num_dies)
-        ]

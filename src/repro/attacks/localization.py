@@ -18,7 +18,7 @@ estimated spot — the Pearson r *is* the covert observation quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

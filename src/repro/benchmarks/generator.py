@@ -55,10 +55,6 @@ class BenchmarkCircuit:
         return sum(1 for m in self.modules.values() if m.kind == ModuleKind.SOFT)
 
     @property
-    def total_area(self) -> float:
-        return sum(m.area for m in self.modules.values())
-
-    @property
     def total_power(self) -> float:
         """Total nominal power in W at the 1.0 V reference."""
         return sum(m.power for m in self.modules.values())

@@ -9,7 +9,6 @@ dies).  The instances themselves are synthesized deterministically — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..layout.die import StackConfig

@@ -331,7 +331,7 @@ def _print_degradations(store) -> None:
     """Aggregate FlowMetrics.degradations over the merged store."""
     totals: dict = {}
     for metrics in store.completed().values():
-        for kind, count in getattr(metrics, "degradations", {}).items():
+        for kind, count in metrics.degradations.items():
             totals[kind] = totals.get(kind, 0) + count
     if totals:
         print("  degradations survived (fallbacks taken across all jobs):")
@@ -432,21 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend_arg(p) -> None:
-        from .thermal.backends import BACKEND_NAMES
-
-        p.add_argument(
-            "--thermal-backend",
-            choices=("auto",) + BACKEND_NAMES,
-            default=None,
-            help="factorization backend for all thermal solves (default: "
-                 "the REPRO_THERMAL_BACKEND env var, else 'auto' — spectral "
-                 "past 64x64 cells per layer and for 1-4 right-hand sides "
-                 "past 16x16, superlu otherwise); an "
-                 "unavailable choice degrades to superlu with a counted "
-                 "degradation",
-        )
-
     p_flow = sub.add_parser("flow", help="run one floorplanning flow")
     p_flow.add_argument("benchmark", choices=benchmark_names())
     p_flow.add_argument("--mode", choices=["power_aware", "tsc_aware"],
@@ -479,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "seeded runtime governor instead, 'combined' "
                              "layers the governor on the TSV-hardened "
                              "floorplan")
-    add_backend_arg(p_flow)
     p_flow.set_defaults(func=_cmd_flow)
 
     def add_grid_args(p) -> None:
@@ -510,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sweeping more than one topology/mode combo "
                             "appends a static-vs-runtime comparison matrix "
                             "to the batch report")
-        add_backend_arg(p)
 
     p_batch = sub.add_parser(
         "batch", help="parallel scenario sweep over local worker processes"
@@ -560,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="keep tailing the queue after it drains, "
                              "executing jobs as producers (e.g. the serve "
                              "frontend's fan-out) enqueue them; Ctrl-C stops")
-    add_backend_arg(p_work)
     p_work.set_defaults(func=_cmd_work)
 
     p_stat = sub.add_parser(
@@ -603,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "in-process")
     p_serve.add_argument("--lease-ttl", type=float, default=300.0,
                          help="lease TTL for queue status/fan-out reads")
-    add_backend_arg(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_exp = sub.add_parser("explore", help="Sec. 3 power x TSV study")
@@ -612,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--topology", choices=["3d", "2.5d"], default="3d",
                        help="run the study on a vertical 3D stack (default) "
                             "or on a 2.5D interposer layout")
-    add_backend_arg(p_exp)
     p_exp.set_defaults(func=_cmd_explore)
 
     p_b = sub.add_parser("benchmarks", help="list the Table 1 suite")
@@ -623,12 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend = getattr(args, "thermal_backend", None)
-    if backend is not None:
-        # through the environment rather than call-site plumbing so the
-        # choice reaches worker *processes* (batch pools, queue workers)
-        # exactly like any other REPRO_* knob
-        os.environ["REPRO_THERMAL_BACKEND"] = backend
     return args.func(args)
 
 

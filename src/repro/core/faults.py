@@ -22,7 +22,7 @@ call sites share:
 
 * the **degradation ledger** — a process-wide counter of every fallback
   the stack took to survive (``woodbury.fallback.rank``,
-  ``backend.fallback.spectral``, ``io_retry.store.append`` …).
+  ``spectral.no_convergence``, ``io_retry.store.append`` …).
   :func:`snapshot_degradations` / :func:`degradations_since` bracket a
   flow run so its :class:`~repro.core.results.FlowMetrics` can report
   *how* it survived, and :func:`warn_degraded` additionally emits a
@@ -45,12 +45,8 @@ Triggers: ``always`` (default), ``after:N`` (the Nth arrival, exactly
 once), ``every:N`` (every Nth arrival), ``prob:P[:SEED]`` (seeded
 Bernoulli per arrival — deterministic for a fixed seed).
 
-The thermal factorization-backend layer adds the ``fail``-style site
-``backend.spectral.unavailable`` (checked via :func:`fault_fires` in
-the spectral backend's ``available()``): an explicitly requested
-spectral backend that is forced unavailable degrades to superlu with a
-counted ``backend.fallback.spectral`` ledger entry; a capped PCG
-solve counts ``spectral.no_convergence``.
+The spectral thermal backend adds no fault site; a capped PCG solve
+counts ``spectral.no_convergence`` in the ledger.
 """
 
 from __future__ import annotations
@@ -109,8 +105,8 @@ class TornWriteFault(OSError):
 
 
 class DegradationWarning(UserWarning):
-    """The stack degraded gracefully instead of failing (e.g. an
-    requested backend that is unavailable fell back to superlu)."""
+    """The stack degraded gracefully instead of failing (e.g. a spectral
+    solve stopped at its iteration cap and returned its last iterate)."""
 
 
 @dataclass

@@ -80,7 +80,7 @@ def verify_correlations(
     silently ignored TSVs between upper dies of taller stacks.
     ``topology`` selects the stack style (``None`` is the 3D stack).
     The one solve states ``rhs_budget=1``, so on grids past 16x16
-    (counted on the interposer's wider layer for 2.5D) auto selection
+    (counted on the interposer's wider layer for 2.5D) the automatic rule
     sets up the spectral backend instead of factorizing (records move
     within 1e-9 relative).
     """

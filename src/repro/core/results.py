@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class FlowMetrics:
     runtime_s: float
     feasible: bool = True
     #: fallbacks taken while producing this record (Woodbury→refactorize,
-    #: backend→superlu, bounded I/O retries, ...), counter per reason —
+    #: a capped spectral PCG solve, bounded I/O retries, ...), counter per reason —
     #: how a sweep reports *how* it survived, not just that it did.  Counts
     #: depend on process cache state, so oracle comparisons exclude them
     #: (like ``runtime_s``).

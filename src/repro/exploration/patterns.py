@@ -34,14 +34,14 @@ process never imports ``scipy.ndimage``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..layout.die import StackConfig
 from ..layout.geometry import Rect
 from ..layout.grid import GridSpec
-from ..layout.tsv import TSV, TSVKind, place_island, place_regular_grid, tsv_density_map
+from ..layout.tsv import TSV, place_island, place_regular_grid, tsv_density_map
 
 __all__ = [
     "POWER_PATTERNS",

@@ -10,7 +10,7 @@ only; what a run stores is its `FlowMetrics` record.
 
 from .die import Die, StackConfig
 from .floorplan import Floorplan3D
-from .geometry import Point, Rect, bounding_box, total_overlap_area
+from .geometry import Point, Rect, total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, ModuleKind, Placement
 from .net import CompiledNetlist, Net, Terminal
@@ -22,7 +22,6 @@ __all__ = [
     "Floorplan3D",
     "Point",
     "Rect",
-    "bounding_box",
     "total_overlap_area",
     "GridSpec",
     "rasterize_power",

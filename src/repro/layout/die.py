@@ -68,10 +68,6 @@ class StackConfig:
         return [Die(i, self.outline) for i in range(self.num_dies)]
 
     @property
-    def total_area(self) -> float:
-        return self.outline.area * self.num_dies
-
-    @property
     def tsv_pitch(self) -> float:
         return self.tsv_diameter + 2.0 * self.tsv_keepout
 

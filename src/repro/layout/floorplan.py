@@ -14,12 +14,12 @@ voltage-assignment stage, and the attack/mitigation layers.  It owns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .die import StackConfig
-from .geometry import Rect, bounding_box, total_overlap_area
+from .geometry import total_overlap_area
 from .grid import GridSpec, rasterize_power
 from .module import Module, Placement
 from .net import CompiledNetlist, Net, Terminal
@@ -82,13 +82,6 @@ class Floorplan3D:
             if not outline.contains_point(tsv.x, tsv.y):
                 problems.append(f"TSV at ({tsv.x:.1f}, {tsv.y:.1f}) outside outline")
         return problems
-
-    # -- packing -----------------------------------------------------------------
-    def packing_bbox(self, die: int) -> Optional[Rect]:
-        rects = [p.rect for p in self.placements_on(die)]
-        if not rects:
-            return None
-        return bounding_box(rects)
 
     # -- interconnect ----------------------------------------------------------
     def module_centers(

@@ -8,12 +8,11 @@ they are deliberately small, immutable where possible, and numpy-friendly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "Point",
     "Rect",
-    "bounding_box",
     "total_overlap_area",
 ]
 
@@ -67,15 +66,6 @@ class Rect:
         """Whether (px, py) lies inside or on the boundary."""
         return self.x <= px <= self.x2 and self.y <= py <= self.y2
 
-    def overlaps(self, other: "Rect") -> bool:
-        """Whether the open interiors of the two rectangles intersect."""
-        return (
-            self.x < other.x2
-            and other.x < self.x2
-            and self.y < other.y2
-            and other.y < self.y2
-        )
-
     # -- constructive operations ----------------------------------------------
     def overlap_area(self, other: "Rect") -> float:
         """Area of the intersection (0.0 when disjoint)."""
@@ -84,22 +74,6 @@ class Rect:
         if dx <= 0 or dy <= 0:
             return 0.0
         return dx * dy
-
-
-def bounding_box(rects: Iterable[Rect]) -> Rect:
-    """The minimal axis-aligned bounding box of a non-empty rect collection."""
-    it: Iterator[Rect] = iter(rects)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("bounding_box() of an empty collection") from None
-    x1, y1, x2, y2 = first.x, first.y, first.x2, first.y2
-    for r in it:
-        x1 = min(x1, r.x)
-        y1 = min(y1, r.y)
-        x2 = max(x2, r.x2)
-        y2 = max(y2, r.y2)
-    return Rect(x1, y1, x2 - x1, y2 - y1)
 
 
 def total_overlap_area(rects: Sequence[Rect]) -> float:

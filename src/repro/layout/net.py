@@ -53,18 +53,6 @@ class Net:
         if len(self.modules) + len(self.terminals) < 2:
             raise ValueError(f"net {self.name!r}: needs at least two pins")
 
-    @property
-    def degree(self) -> int:
-        return len(self.modules) + len(self.terminals)
-
-    @property
-    def driver(self) -> str | None:
-        """Name of the driving module (None for terminal-only nets)."""
-        return self.modules[0] if self.modules else None
-
-    @property
-    def sinks(self) -> Tuple[str, ...]:
-        return self.modules[1:]
 
 
 class CompiledNetlist:

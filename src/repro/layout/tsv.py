@@ -71,12 +71,6 @@ class TSV:
         """Minimum centre-to-centre spacing implied by the keep-out zone."""
         return self.diameter + 2.0 * self.keepout
 
-    @property
-    def footprint(self) -> Rect:
-        """The occupied square (via plus keep-out zone)."""
-        side = self.pitch
-        return Rect(self.x - side / 2.0, self.y - side / 2.0, side, side)
-
 
 @dataclass(frozen=True)
 class TSVIsland:

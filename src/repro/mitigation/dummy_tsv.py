@@ -20,7 +20,7 @@ groups keep the loop moving at no extra sampling cost (the round's
 activity samples and stability map are shared by all candidates).
 
 A candidate's one nominal solve comes from a one-right-hand-side solver
-(``rhs_budget=1``), which the auto backend policy sets up as spectral
+(``rhs_budget=1``), which the automatic backend rule sets up as spectral
 PCG past 16x16 instead of factorizing with SuperLU.  Only a round's activity
 sweep needs direct factors, so a TSV pattern is factorized only when a
 round sweeps it, and the last accepted pattern never is.
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from ..layout.tsv import TSV, TSVKind, place_island
+from ..layout.tsv import TSVKind, place_island
 from ..leakage.pearson import die_correlation
 from ..leakage.stability import most_stable_bins, stability_map
 from ..thermal.steady_state import (

@@ -19,15 +19,10 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "BackendUnavailable",
     "FactorHints",
     "Factorization",
     "FactorizationBackend",
 ]
-
-
-class BackendUnavailable(RuntimeError):
-    """Requested backend cannot run here (missing library, bad hints)."""
 
 
 @dataclass(frozen=True)
@@ -43,9 +38,9 @@ class FactorHints:
 
     ``rhs_budget`` is how many right-hand sides the caller will solve
     against this one system (verification and each dummy-TSV candidate
-    solve 1).  ``None`` means "unknown or many" and leaves
-    auto-selection to the size rule alone; a small budget lets auto pick
-    the backend with the cheaper setup (see
+    solve 1).  ``None`` means "unknown or many" and leaves the automatic
+    rule to grid size alone; a small budget lets the rule pick the
+    backend with the cheaper setup (see
     :func:`~repro.thermal.backends.resolve_backend`).
     """
 
@@ -62,43 +57,24 @@ class FactorHints:
 class Factorization(abc.ABC):
     """One factored (or otherwise solvable) SPD system.
 
-    Capability / cost metadata (class attributes, overridable per
-    instance):
-
-    * ``backend_name`` — the backend that produced this object;
-    * ``supports_woodbury_base`` — whether a
-      :class:`~repro.thermal.steady_state.WoodburySolver` may ride this
-      factorization (iterative backends return approximate solves whose
-      residual floor compounds through the dense core, so they opt out).
+    ``supports_woodbury_base`` (a class attribute) says whether a
+    :class:`~repro.thermal.steady_state.WoodburySolver` may ride this
+    factorization (iterative backends return approximate solves whose
+    residual floor compounds through the dense core, so they opt out).
     """
 
-    backend_name: str = "unknown"
     supports_woodbury_base: bool = True
 
     @abc.abstractmethod
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one ``(N,)`` vector or an ``(N, k)`` block."""
 
-    def solve_many(self, b: np.ndarray) -> np.ndarray:
-        """Batched multi-RHS solve; default delegates to :meth:`solve`,
-        which every backend here already implements block-wise."""
-        return self.solve(b)
-
 
 class FactorizationBackend(abc.ABC):
     """Factory for :class:`Factorization` objects."""
 
-    #: registry name (also the ``--thermal-backend`` / env-var token)
+    #: the backend's name in cache keys, records and benchmark traces
     name: str = "unknown"
-
-    def available(self) -> bool:
-        """Whether this backend can run in this process (libraries
-        importable, no injected unavailability fault)."""
-        return True
-
-    def unavailable_reason(self) -> Optional[str]:
-        """Human-readable reason when :meth:`available` is False."""
-        return None
 
     @abc.abstractmethod
     def factor(

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ...core.faults import fault_fires, warn_degraded
-from .base import BackendUnavailable, FactorHints, Factorization, FactorizationBackend
+from ...core.faults import warn_degraded
+from .base import FactorHints, Factorization, FactorizationBackend
 
 __all__ = ["SPECTRAL_TOLERANCE", "HomogenizedStack", "SpectralBackend", "SpectralFactorization"]
 
@@ -110,7 +110,6 @@ class HomogenizedStack:
 class SpectralFactorization(Factorization):
     """Homogenized-stack-preconditioned CG for one assembled system."""
 
-    backend_name = "spectral"
     supports_woodbury_base = False
 
     def __init__(
@@ -177,15 +176,9 @@ class SpectralBackend(FactorizationBackend):
 
     name = "spectral"
 
-    def available(self) -> bool:
-        return not fault_fires(f"backend.{self.name}.unavailable")
-
-    def unavailable_reason(self):
-        return None if self.available() else f"injected backend.{self.name}.unavailable fault"
-
     def factor(self, matrix: sp.spmatrix, *, hints: FactorHints | None = None) -> Factorization:
         if hints is None or hints.grid_shape is None:
-            raise BackendUnavailable(
+            raise ValueError(
                 "spectral needs FactorHints.grid_shape (layer-major (layers, ny, nx) nodes)"
             )
         return SpectralFactorization(matrix, hints.grid_shape)

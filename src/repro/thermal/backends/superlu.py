@@ -34,7 +34,6 @@ SYMMETRIC_SPLU_KWARGS = dict(
 class NativeSuperLUFactorization(Factorization):
     """An in-process ``splu`` handle."""
 
-    backend_name = "superlu"
     supports_woodbury_base = True
 
     def __init__(self, lu) -> None:
@@ -45,7 +44,8 @@ class NativeSuperLUFactorization(Factorization):
 
 
 class SuperLUBackend(FactorizationBackend):
-    """Default direct backend; always available, never degraded to."""
+    """The direct backend: every system the automatic rule does not
+    hand to spectral."""
 
     name = "superlu"
 

@@ -21,9 +21,10 @@ faster end to end.
 
 *How* a system is factored lives one layer down, behind the
 :mod:`~repro.thermal.backends` protocol (direct ``superlu``, or
-iterative ``spectral`` for few right-hand sides and large grids): this
-module never calls ``splu`` itself, and the Woodbury-base decision reads
-the backend's ``supports_woodbury_base`` capability field.
+iterative ``spectral`` for few right-hand sides and large grids, picked
+by that package's size rule): this module never calls ``splu`` itself,
+and the Woodbury-base decision reads the factorization's
+``supports_woodbury_base`` capability field.
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ def _results_from_columns(stack: ThermalStack, t: np.ndarray) -> List[ThermalRes
 class SteadyStateSolver:
     """Factorized steady-state solver bound to one thermal stack.
 
-    ``backend`` picks the factorization backend (a registry name, a
-    backend instance, or None for the env/auto policy of
-    :func:`~repro.thermal.backends.resolve_backend`).
+    ``backend`` is None for the automatic rule of
+    :func:`~repro.thermal.backends.resolve_backend`, or a backend
+    instance that replaces it (tests substitute oracles this way).
     """
 
     def __init__(
@@ -147,10 +148,6 @@ class SteadyStateSolver:
     def factorization(self):
         """The backing :class:`~repro.thermal.backends.base.Factorization`."""
         return self._fact
-
-    @property
-    def backend_name(self) -> str:
-        return getattr(self._fact, "backend_name", self.backend.name)
 
     def _split(self, t: np.ndarray) -> List[np.ndarray]:
         return _split_die_maps(self.stack, t)
@@ -175,7 +172,7 @@ class SteadyStateSolver:
         if not sets:
             return []
         q = _rhs_matrix(self.network, self.stack.ambient, sets)
-        t = self._fact.solve_many(q)
+        t = self._fact.solve(q)
         return _results_from_columns(self.stack, t)
 
 
@@ -300,7 +297,7 @@ class WoodburySolver:
         indices = self.update.indices
         selection = np.zeros((self.network.num_nodes, rank))
         selection[indices, np.arange(rank)] = 1.0
-        z = base_fact.solve_many(selection)
+        z = base_fact.solve(selection)
         core_system = np.eye(rank) + self.update.core @ z[indices, :]
         if fault_fires("woodbury.singular_core"):
             # chaos hook: make the core exactly singular so the LinAlg
@@ -330,7 +327,7 @@ class WoodburySolver:
         self.fallback_reason = reason
         record_degradation(f"woodbury.fallback.{reason}")
         self._full = SteadyStateSolver(
-            self.stack, network=self.network, backend=self.base.backend.name
+            self.stack, network=self.network, backend=self.base.backend
         )
 
     @property
@@ -348,7 +345,7 @@ class WoodburySolver:
         """
         if self._full is None:
             self._full = SteadyStateSolver(
-                self.stack, network=self.network, backend=self.base.backend.name
+                self.stack, network=self.network, backend=self.base.backend
             )
         # solves route through the full factorization from here on; the
         # dense Z block (N x rank) and core factors are dead weight
@@ -366,7 +363,7 @@ class WoodburySolver:
 
     def _apply(self, q: np.ndarray) -> np.ndarray:
         """Woodbury-corrected ``G'⁻¹ q`` for an (N, k) RHS block."""
-        x0 = self.base.factorization.solve_many(q)
+        x0 = self.base.factorization.solve(q)
         if self._z is None:
             return x0  # rank-0 update
         y = scipy.linalg.lu_solve(
@@ -411,15 +408,15 @@ class SolverCache:
     factorized exactly once per backend; the density digest makes reuse
     safe even when callers rebuild density maps from scratch each time,
     ``topology=None`` and ``TopologyConfig("3d")`` share one key, and the
-    backend component keeps e.g. a superlu oracle solver and a spectral
-    solver of the same network from shadowing each other.
+    backend component keeps the superlu solver a sweep factorizes and the
+    spectral solver its few-RHS candidates set up on the same network
+    from shadowing each other.
     """
 
-    def __init__(self, maxsize: int = 8, backend=None) -> None:
+    def __init__(self, maxsize: int = 8) -> None:
         if maxsize < 1:
             raise ValueError("cache needs room for at least one solver")
         self.maxsize = maxsize
-        self.backend = backend
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[tuple, SteadyStateSolver]" = OrderedDict()
@@ -455,7 +452,7 @@ class SolverCache:
         # the system's layer, not the die grid: a 2.5D interposer is wider
         ny, nx = layer_shape(stack_cfg, grid, topology)
         backend = resolve_backend(
-            self.backend, hints=FactorHints(rhs_budget=rhs_budget), cells_per_layer=ny * nx
+            hints=FactorHints(rhs_budget=rhs_budget), cells_per_layer=ny * nx
         )
         density_key = tuple(
             (pair, _digest_array(arr)) for pair, arr in sorted(densities.items())
@@ -476,8 +473,8 @@ class SolverCache:
 
         ``rhs_budget`` states how many right-hand sides the caller will
         solve (see :class:`~repro.thermal.backends.base.FactorHints`); it
-        only steers auto backend selection, and the resolved backend is
-        part of the cache key.
+        only steers the automatic backend rule, and the resolved backend
+        is part of the cache key.
 
         A cached incremental entry (:class:`WoodburySolver`) is upgraded
         to its own factorization before being returned: callers of this

@@ -77,7 +77,8 @@ class TransientSolver:
         #: the step matrix C/dt + G is SPD with the same 7-point stencil
         #: as G itself, so every thermal backend (superlu, spectral)
         #: applies (spectral homogenizes the C/dt diagonal with the
-        #: boundary); the same env/auto policy as steady state decides
+        #: boundary); the same automatic rule as steady state decides,
+        #: unless ``backend`` passes an instance
         self._hints = self.network.factor_hints()
         self.backend = resolve_backend(backend, hints=self._hints)
         #: LRU of step-matrix factorizations keyed by dt
@@ -210,7 +211,7 @@ class TransientSolver:
             for b, fn in enumerate(fns):
                 q[:, b] = net.power_vector(list(fn(t_now)))
             rhs = c_over_dt[:, None] * temp + q + ambient_q[:, None]
-            temp = lu.solve_many(rhs)
+            temp = lu.solve(rhs)
             times[step] = t_now
             # (traces, dies, cells), C-contiguous: each (trace, die) row is
             # then the same contiguous cells vector :meth:`run` reduces
@@ -256,7 +257,7 @@ class TransientSolver:
         own thread: one chain per die on an idle host, a single chain
         inside a batch-pool worker or on one CPU.  Chains call no BLAS,
         whose own threads would contend with them; SuperLU releases the
-        GIL inside ``Factorization.solve_many``.  The kernels are
+        GIL inside ``Factorization.solve``.  The kernels are
         assembled on the calling thread once the chains join, so their
         bytes do not depend on how the dies are split.
         """
@@ -327,10 +328,10 @@ def _lanczos(lu, m: np.ndarray, readout: np.ndarray, nodes: np.ndarray, steps: i
     ``β_k Σ_{j<steps} |e_kᵀ T_k^j e_1| ≤ _LANCZOS_TOL``, at ``k = steps``
     (where the model is exact and needs no further solve) or when the
     Krylov space is exhausted (``β_k = 0``).  Only one-column
-    ``solve_many`` calls and elementwise numpy, so it may run on a chain
+    ``solve`` calls and elementwise numpy, so it may run on a chain
     thread.
     """
-    w = lu.solve_many(readout[:, None])[:, 0]
+    w = lu.solve(readout[:, None])[:, 0]
     scale = np.sqrt(np.einsum("i,i,i->", w, m, w))
     v, v_prev, b_prev = w / scale, np.zeros_like(w), 0.0
     alpha, beta, basis = [], [], []
@@ -341,7 +342,7 @@ def _lanczos(lu, m: np.ndarray, readout: np.ndarray, nodes: np.ndarray, steps: i
             alpha.append(0.0)
             break
         mv = m * v
-        z = lu.solve_many(mv[:, None])[:, 0]
+        z = lu.solve(mv[:, None])[:, 0]
         a = np.einsum("i,i->", mv, z)
         z = z - a * v - b_prev * v_prev
         b = np.sqrt(np.einsum("i,i,i->", z, m, z))

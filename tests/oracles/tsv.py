@@ -11,6 +11,12 @@ from repro.layout.geometry import Rect
 from repro.layout.tsv import TSV, TSVKind
 
 
+def footprint(tsv: TSV) -> Rect:
+    """The occupied square (via plus keep-out zone)."""
+    side = tsv.pitch
+    return Rect(tsv.x - side / 2.0, tsv.y - side / 2.0, side, side)
+
+
 def place_signal_tsvs_loop(fp: Floorplan3D) -> List[TSV]:
     """The TSV list ``fp.place_signal_tsvs()`` must produce.
 
@@ -61,7 +67,7 @@ def tsv_cell_occupancy_loop(
     cell_h = outline.h / ny
     cell_area = cell_w * cell_h
     for tsv in tsvs:
-        fp = tsv.footprint
+        fp = footprint(tsv)
         x1 = max(fp.x, outline.x)
         y1 = max(fp.y, outline.y)
         x2 = min(fp.x2, outline.x2)

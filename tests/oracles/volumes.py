@@ -31,6 +31,11 @@ def _touches_or_overlaps(a: Rect, b: Rect) -> bool:
     return a.x <= b.x2 and b.x <= a.x2 and a.y <= b.y2 and b.y <= a.y2
 
 
+def _overlaps(a: Rect, b: Rect) -> bool:
+    """Whether the open interiors of the rectangles intersect."""
+    return a.x < b.x2 and b.x < a.x2 and a.y < b.y2 and b.y < a.y2
+
+
 def _lowest_voltage(vol: VoltageVolume) -> VoltageLevel:
     return min(vol.feasible, key=lambda lv: lv.volts)
 
@@ -59,7 +64,7 @@ def module_adjacency_loop(floorplan: Floorplan3D) -> Dict[str, Set[str]]:
         for p in sorted(lower + upper, key=lambda p: p.rect.x):
             active = [q for q in active if q.rect.x2 > p.rect.x]
             for q in active:
-                if q.die != p.die and q.rect.overlaps(p.rect):
+                if q.die != p.die and _overlaps(q.rect, p.rect):
                     adj[p.name].add(q.name)
                     adj[q.name].add(p.name)
             active.append(p)

@@ -261,11 +261,11 @@ class TestJobSpec:
         assert cfg.anneal.seed == 5
         assert cfg.verify_nx == cfg.verify_ny == 16
 
-    def test_record_is_path_invariant(self, tmp_path, monkeypatch):
+    def test_record_is_path_invariant(self, tmp_path, monkeypatch, pin_backend):
         """One spec, four frontends: in-process, the serial ``run_batch``
         queue drain, ``submit`` + a ``work`` queue worker, and an HTTP job
         on the in-process service.  The record is identical across them
-        under each ``REPRO_THERMAL_BACKEND``, and across the two backends
+        with the backend rule pinned to each backend, and across the two backends
         every integer and boolean field is equal and every float field
         within its stated relative tolerance (:data:`_BACKEND_RTOL`).
 
@@ -280,6 +280,8 @@ class TestJobSpec:
         from repro.core.parallel import IN_POOL_ENV
         from repro.core.queue import WorkQueue
         from repro.exploration.study import batch_worker_main, run_batch
+        from repro.thermal.backends.spectral import SpectralBackend
+        from repro.thermal.backends.superlu import SuperLUBackend
         from repro.thermal.steady_state import SteadyStateSolver
 
         swept = []
@@ -315,8 +317,8 @@ class TestJobSpec:
             )
         )
         records = {}
-        for backend in ("superlu", "spectral"):
-            monkeypatch.setenv("REPRO_THERMAL_BACKEND", backend)
+        for backend in (SuperLUBackend(), SpectralBackend()):
+            factored = pin_backend(backend)
             for i, spec in enumerate(specs):
                 # in-process, each die's DVFS kernels run on a chain of their
                 # own; the worker marks this process as a pool worker, where
@@ -328,7 +330,7 @@ class TestJobSpec:
                     serial = run_flow_job(spec).metrics
                 monkeypatch.setenv(IN_POOL_ENV, "1")
                 (batched,) = run_batch([spec], processes=1)
-                qdir = tmp_path / backend / str(i)
+                qdir = tmp_path / backend.name / str(i)
                 submit(spec, qdir)
                 assert batch_worker_main(str(qdir)) == 1
                 (worked,) = WorkQueue(qdir).completed().values()
@@ -337,11 +339,12 @@ class TestJobSpec:
                     for m in (in_process, serial, batched, worked, over_http(spec))
                 ]
                 for doc in paths[1:]:
-                    assert doc == paths[0], (backend, spec)
+                    assert doc == paths[0], (backend.name, spec)
                 assert in_process.mode == spec.mode
                 if spec.mitigation_mode == "dvfs":
                     assert paths[0]["dvfs_mitigated_r"] > 0.0
-                records[backend, i] = paths[0]
+                records[backend.name, i] = paths[0]
+            assert factored == {backend.name}
         # the TSC spec's dummy-TSV rounds ran their activity sweeps serially
         assert swept
         for i, spec in enumerate(specs):

@@ -13,20 +13,18 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from repro.core import faults
-from repro.core.faults import DegradationWarning, injected
+from repro.core.faults import DegradationWarning
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
 from repro.thermal.backends import (
-    BACKEND_NAMES,
     FEW_RHS_CROSSOVER,
-    BackendUnavailable,
     SPECTRAL_THRESHOLD,
     FactorHints,
-    get_backend,
     resolve_backend,
 )
 from repro.thermal.backends.spectral import (
     SPECTRAL_TOLERANCE,
+    SpectralBackend,
     SpectralFactorization,
 )
 from repro.thermal.backends.superlu import (
@@ -46,6 +44,9 @@ from repro.thermal.transient import TransientSolver
 
 #: direct backends must match the superlu oracle to this relative error
 ORACLE_RTOL = 1e-10
+
+SUPERLU = SuperLUBackend()
+SPECTRAL = SpectralBackend()
 
 
 def _stack(num_dies=2, grid_n=10, side=1500.0, tsv=False):
@@ -68,34 +69,27 @@ def _power_sets(grid, num_dies, count=3, seed=0):
 
 
 class TestRegistryAndSelection:
-    def test_registry_names(self):
-        assert BACKEND_NAMES == ("superlu", "spectral")
-        for name in BACKEND_NAMES:
-            assert get_backend(name) is get_backend(name)  # singletons
-
     def test_unknown_backend_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown thermal backend"):
-            get_backend("pardiso")
-        with pytest.raises(ValueError, match="unknown thermal backend"):
+        """Backends have no string names to select them by."""
+        with pytest.raises(TypeError, match="FactorizationBackend instance"):
             resolve_backend("pardiso")
+        with pytest.raises(TypeError, match="FactorizationBackend instance"):
+            resolve_backend("superlu")
 
     @pytest.mark.parametrize("name", ["cholmod", "compiled_triangular", "multigrid"])
     def test_removed_backends_are_unknown(self, name, monkeypatch):
-        with pytest.raises(ValueError, match="choose from superlu, spectral"):
+        """Neither an argument nor the environment variable that once
+        chose a backend by name reaches the rule."""
+        with pytest.raises(TypeError, match="FactorizationBackend instance"):
             resolve_backend(name)
-        monkeypatch.setenv("REPRO_THERMAL_BACKEND", name)
-        with pytest.raises(ValueError, match="choose from superlu, spectral"):
-            resolve_backend()
+        for token in (name, "spectral"):
+            monkeypatch.setenv("REPRO_THERMAL_BACKEND", token)
+            assert resolve_backend().name == "superlu"
+            big = resolve_backend(cells_per_layer=SPECTRAL_THRESHOLD + 1)
+            assert big.name == "spectral"
 
     def test_explicit_instance_is_trusted(self):
-        spectral = get_backend("spectral")
-        assert resolve_backend(spectral) is spectral
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THERMAL_BACKEND", "spectral")
-        assert resolve_backend().name == "spectral"
-        monkeypatch.setenv("REPRO_THERMAL_BACKEND", "AUTO")
-        assert resolve_backend().name == "superlu"
+        assert resolve_backend(SPECTRAL) is SPECTRAL
 
     def test_auto_prefers_spectral_above_threshold(self):
         for cells in (64, SPECTRAL_THRESHOLD):
@@ -106,29 +100,6 @@ class TestRegistryAndSelection:
     def test_threshold_is_a_fixed_64x64_layer(self):
         assert SPECTRAL_THRESHOLD == 64 * 64
         assert resolve_backend(cells_per_layer=101).name == "superlu"
-
-    def test_unavailable_request_degrades_to_superlu(self):
-        before = faults.snapshot_degradations()
-        with injected("backend.spectral.unavailable=fail"):
-            with pytest.warns(
-                DegradationWarning, match="backend.fallback.spectral"
-            ):
-                chosen = resolve_backend("spectral")
-        assert chosen.name == "superlu"
-        assert faults.degradations_since(before)["backend.fallback.spectral"] == 1
-
-    def test_forced_unavailable_spectral_falls_back(self):
-        before = faults.snapshot_degradations()
-        with injected("backend.spectral.unavailable=fail"):
-            # auto at a spectral-sized grid quietly takes superlu
-            auto = resolve_backend(cells_per_layer=SPECTRAL_THRESHOLD + 1)
-            assert auto.name == "superlu"
-            assert "backend.fallback.spectral" not in faults.degradations_since(
-                before
-            )
-            with pytest.warns(DegradationWarning):
-                explicit = resolve_backend("spectral")
-            assert explicit.name == "superlu"
 
 
 class TestFewRHSSelection:
@@ -160,28 +131,10 @@ class TestFewRHSSelection:
         assert self._auto(32, 40) == "superlu"  # a mitigation candidate sweep
         assert self._auto(65, 40) == "spectral"  # the size rule still rules
 
-    def test_explicit_request_wins(self, monkeypatch):
+    def test_explicit_request_wins(self):
         hints = FactorHints(grid_shape=(4, 32, 32), rhs_budget=1)
-        assert resolve_backend("superlu", hints=hints).name == "superlu"
-        superlu = get_backend("superlu")
-        assert resolve_backend(superlu, hints=hints) is superlu
-        monkeypatch.setenv("REPRO_THERMAL_BACKEND", "superlu")
-        assert resolve_backend(hints=hints).name == "superlu"
-
-    def test_unavailable_spectral_under_auto_is_quiet(self):
-        hints = FactorHints(grid_shape=(4, 32, 32), rhs_budget=1)
-        before = faults.snapshot_degradations()
-        with injected("backend.spectral.unavailable=fail"):
-            assert resolve_backend(hints=hints).name == "superlu"
-            assert "backend.fallback.spectral" not in faults.degradations_since(
-                before
-            )
-            with pytest.warns(
-                DegradationWarning, match="backend.fallback.spectral"
-            ):
-                explicit = resolve_backend("spectral", hints=hints)
-        assert explicit.name == "superlu"
-        assert faults.degradations_since(before)["backend.fallback.spectral"] == 1
+        assert resolve_backend(hints=hints).name == "spectral"
+        assert resolve_backend(SUPERLU, hints=hints) is SUPERLU
 
     @pytest.mark.parametrize("n, rhs_budget", [(16, 1), (48, None)])
     def test_interposer_cache_and_direct_agree(self, n, rhs_budget):
@@ -200,29 +153,27 @@ class TestFewRHSSelection:
         cached = SolverCache(maxsize=1).solver(
             cfg, grid, rhs_budget=rhs_budget, topology=topology
         )
-        assert cached.backend_name == direct
+        assert cached.backend.name == direct
         if rhs_budget is None:
-            assert SteadyStateSolver(stack).backend_name == direct
+            assert SteadyStateSolver(stack).backend.name == direct
             assert TransientSolver(stack).backend.name == direct
 
     def test_cache_keys_the_budgeted_backend(self):
         cfg, grid, _ = _stack(grid_n=24)
         cache = SolverCache(maxsize=4)
         few = cache.solver(cfg, grid, rhs_budget=1)
-        assert few.backend_name == "spectral"
+        assert few.backend.name == "spectral"
         assert cache.solver(cfg, grid, rhs_budget=2) is few
         many = cache.solver(cfg, grid)
-        assert many.backend_name == "superlu"
+        assert many.backend.name == "superlu"
         assert cache.misses == 2 and cache.hits == 1
-        pinned = SolverCache(maxsize=4, backend="superlu")
-        assert pinned.solver(cfg, grid, rhs_budget=1).backend_name == "superlu"
 
 
 class TestSuperLUBitCompatibility:
     def test_default_backend_is_the_old_solver_exactly(self):
         """The superlu backend is symmetric-mode ``splu``, bit for bit."""
         cfg, grid, stack = _stack()
-        solver = SteadyStateSolver(stack, backend="superlu")
+        solver = SteadyStateSolver(stack, backend=SUPERLU)
         lu = spla.splu(
             solver.network.conductance.tocsc(), **SYMMETRIC_SPLU_KWARGS
         )
@@ -248,7 +199,7 @@ class TestHistoricalSuperLUOracle:
     @pytest.mark.parametrize("num_dies", [2, 3])
     def test_steady_solve_matches(self, num_dies):
         _, grid, stack = _stack(num_dies=num_dies, tsv=True)
-        new = SteadyStateSolver(stack, backend="superlu")
+        new = SteadyStateSolver(stack, backend=SUPERLU)
         old = SteadyStateSolver(stack, backend=_HistoricalSuperLU())
         for a, b in zip(
             new.solve_many(_power_sets(grid, num_dies)),
@@ -263,7 +214,7 @@ class TestHistoricalSuperLUOracle:
         def power_at(_t):
             return pm
 
-        new = TransientSolver(stack, backend="superlu").run(
+        new = TransientSolver(stack, backend=SUPERLU).run(
             power_at, duration=0.2, dt=0.05
         )
         old = TransientSolver(stack, backend=_HistoricalSuperLU()).run(
@@ -313,8 +264,8 @@ class TestHistoricalSuperLUOracle:
 
 
 class TestFewRHSRecordTolerance:
-    """The stated tolerance of the few-RHS rule: a flow record under
-    ``REPRO_THERMAL_BACKEND=superlu`` and under auto (verification, the
+    """The stated tolerance of the few-RHS rule: a flow record with the
+    rule pinned to superlu and under the rule (verification, the
     DVFS equilibrium and the dummy-TSV candidates through spectral)
     agree exactly on integer and boolean fields and within 1e-9 relative
     on floats.  The dummy-TSV loop's own report keeps the same TSVs and
@@ -338,7 +289,7 @@ class TestFewRHSRecordTolerance:
         ],
     )
     def test_superlu_and_auto_records_agree(
-        self, monkeypatch, mode, topology, mitigation_mode, max_rounds
+        self, monkeypatch, pin_backend, mode, topology, mitigation_mode, max_rounds
     ):
         from repro.benchmarks import load
         from repro.core.config import FlowConfig
@@ -363,23 +314,18 @@ class TestFewRHSRecordTolerance:
         )
 
         def record(backend):
-            if backend is None:
-                monkeypatch.delenv("REPRO_THERMAL_BACKEND", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_THERMAL_BACKEND", backend)
+            factored = pin_backend(backend)
             # cold process caches, so neither run reuses the other's solvers
-            cache = SolverCache()
-            monkeypatch.setattr(steady_state, "_DEFAULT_CACHE", cache)
+            monkeypatch.setattr(steady_state, "_DEFAULT_CACHE", SolverCache())
             monkeypatch.setattr(objectives, "_CALIBRATED_MODELS", {})
             outcome = run_flow(circuit, stack, config)
             doc = outcome.metrics.to_dict()
             doc.pop("runtime_s")
             doc.pop("degradations", None)
-            backends = {s.backend_name for s in cache._entries.values()}
-            return doc, backends, outcome.mitigation
+            return doc, set(factored), outcome.mitigation
 
         auto, auto_backends, auto_mit = record(None)
-        direct, direct_backends, direct_mit = record("superlu")
+        direct, direct_backends, direct_mit = record(SUPERLU)
         assert "spectral" in auto_backends  # verification took spectral
         assert direct_backends == {"superlu"}
         assert auto.keys() == direct.keys()
@@ -413,12 +359,12 @@ class TestCompiledBackendOracle:
     def _oracle_pair(self, num_dies, **stack_kwargs):
         cfg, grid, stack = _stack(num_dies=num_dies, tsv=True, **stack_kwargs)
         oracle = SteadyStateSolver(stack, backend=_HistoricalSuperLU())
-        native = SteadyStateSolver(stack, backend="superlu")
+        native = SteadyStateSolver(stack, backend=SUPERLU)
         return grid, stack, oracle, native
 
     def test_fresh_factorization_matches_oracle(self, num_dies):
         grid, _, oracle, native = self._oracle_pair(num_dies)
-        assert native.factorization.backend_name == "superlu"
+        assert isinstance(native.factorization, NativeSuperLUFactorization)
         sets = _power_sets(grid, num_dies)
         want = oracle.solve(sets[0])
         got = native.solve(sets[0])
@@ -435,10 +381,10 @@ class TestCompiledBackendOracle:
         pert_stack = build_stack(cfg, grid, tsv_density={(0, 1): density})
         sets = _power_sets(grid, num_dies)
 
-        base = SteadyStateSolver(base_stack, backend="superlu")
+        base = SteadyStateSolver(base_stack, backend=SUPERLU)
         wood = WoodburySolver(base, pert_stack)
         assert wood.is_low_rank, wood.fallback_reason
-        oracle = SteadyStateSolver(pert_stack, backend="superlu")
+        oracle = SteadyStateSolver(pert_stack, backend=SUPERLU)
         for a, b in zip(wood.solve_many(sets), oracle.solve_many(sets)):
             np.testing.assert_allclose(a.nodal, b.nodal, rtol=1e-8)
 
@@ -446,8 +392,8 @@ class TestCompiledBackendOracle:
 class TestSpectralOracle:
     def test_small_size_matches_direct_to_stated_tolerance(self):
         cfg, grid, stack = _stack(grid_n=16, side=2000.0, tsv=True)
-        direct = SteadyStateSolver(stack, backend="superlu")
-        spectral = SteadyStateSolver(stack, backend="spectral")
+        direct = SteadyStateSolver(stack, backend=SUPERLU)
+        spectral = SteadyStateSolver(stack, backend=SPECTRAL)
         fact = spectral.factorization
         assert isinstance(fact, SpectralFactorization)
         assert not fact.supports_woodbury_base
@@ -474,8 +420,8 @@ class TestSpectralOracle:
             topology=TopologyConfig(topology),
         )
         network = assemble(stack)
-        direct = SteadyStateSolver(stack, network=network, backend="superlu")
-        spectral = SteadyStateSolver(stack, network=network, backend="spectral")
+        direct = SteadyStateSolver(stack, network=network, backend=SUPERLU)
+        spectral = SteadyStateSolver(stack, network=network, backend=SPECTRAL)
         assert spectral.factorization.homogenized.grid_shape == network.grid_shape
         sets = _power_sets(grid, 2, count=2, seed=ny)
         for a, b in zip(spectral.solve_many(sets), direct.solve_many(sets)):
@@ -496,7 +442,7 @@ class TestSpectralOracle:
             for pair in cfg.die_pairs()
         }
         stack = build_stack(cfg, grid, tsv_density=density)
-        solver = SteadyStateSolver(stack, backend="spectral")
+        solver = SteadyStateSolver(stack, backend=SPECTRAL)
         pm = [rng.random(grid.shape) * 0.01 for _ in range(3)]
         result = solver.solve(pm)
         fact = solver.factorization
@@ -542,7 +488,7 @@ class TestSpectralOracle:
         density = np.zeros(grid.shape)
         density[4:6, 5:8] = 0.5
         pert = build_stack(cfg, grid, tsv_density={(0, 1): density})
-        base = SteadyStateSolver(base_stack, backend="spectral")
+        base = SteadyStateSolver(base_stack, backend=SPECTRAL)
         before = faults.snapshot_degradations()
         wood = WoodburySolver(base, pert)
         assert wood.fallback_reason == "unsupported-base"
@@ -553,21 +499,20 @@ class TestSpectralOracle:
             == 1
         )
         pm = _power_sets(grid, 2)[0]
-        oracle = SteadyStateSolver(pert, backend="superlu")
+        oracle = SteadyStateSolver(pert, backend=SUPERLU)
         got = wood.solve(pm)
         # fallback factorizes fresh on the base's backend (spectral)
-        assert wood.rebase().backend_name == "spectral"
+        assert wood.rebase().backend is SPECTRAL
         np.testing.assert_allclose(
             got.nodal, oracle.solve(pm).nodal, rtol=1e-9
         )
 
     def test_factor_guards(self):
-        backend = get_backend("spectral")
         _, grid, stack = _stack(grid_n=8)
         solver = SteadyStateSolver(stack)  # just for the matrix
         G = solver.network.conductance
-        with pytest.raises(BackendUnavailable, match="grid_shape"):
-            backend.factor(G)
+        with pytest.raises(ValueError, match="grid_shape"):
+            SPECTRAL.factor(G)
 
 
 class TestWoodburyCrossoverHint:
@@ -586,15 +531,15 @@ class TestWoodburyCrossoverHint:
 
 
 class TestCacheBackendKeySpace:
-    def test_backend_in_key_separates_entries(self):
+    def test_backend_in_key_separates_entries(self, pin_backend):
         cfg, grid, _ = _stack(grid_n=8)
         cache = SolverCache(maxsize=4)
         a = cache.solver(cfg, grid)
-        cache.backend = "spectral"
+        pin_backend(SPECTRAL)
         b = cache.solver(cfg, grid)
-        assert a is not b
+        assert a is not b and b.backend is SPECTRAL
         assert cache.misses == 2 and len(cache) == 2
-        cache.backend = None
+        pin_backend(None)
         assert cache.solver(cfg, grid) is a
         assert cache.hits == 1
 
@@ -608,7 +553,7 @@ class TestTransientBackend:
             return pm
 
         ref = TransientSolver(stack).run(power_at, duration=0.2, dt=0.05)
-        alt = TransientSolver(stack, backend="spectral").run(
+        alt = TransientSolver(stack, backend=SPECTRAL).run(
             power_at, duration=0.2, dt=0.05
         )
         np.testing.assert_allclose(
@@ -618,5 +563,5 @@ class TestTransientBackend:
 
     def test_backend_attribute_resolves(self):
         _, grid, stack = _stack(grid_n=8)
-        solver = TransientSolver(stack, backend="spectral")
+        solver = TransientSolver(stack, backend=SPECTRAL)
         assert solver.backend.name == "spectral"

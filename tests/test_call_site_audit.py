@@ -23,11 +23,15 @@ a test failure, not a review comment.
 
 A second audit keeps ``src/`` to what a caller runs: every name in a
 ``src/repro`` ``__all__`` must be referenced from the package itself,
-the benchmarks, the examples, the tools or perfbench.  A name only tests
-use is an oracle or a dead end, and belongs in ``tests/`` or nowhere.
+the benchmarks, the examples, the tools, perfbench or the CI workflow's
+inline scripts, and so must every public method and property of a
+``src/repro`` class, by attribute.  A name only tests use is an oracle
+or a dead end, and belongs in ``tests/`` or nowhere.
 """
 
 import ast
+import re
+import textwrap
 from pathlib import Path
 from typing import Dict, Iterable, List
 
@@ -41,6 +45,13 @@ CALLER_TREES = ("src", "benchmarks", "examples", "tools", "perfbench")
 EXPORT_ALLOWLIST = {
     "core.faults.injected": "the chaos suite's entry point: tests scope "
     "fault plans to a block with it, the in-process twin of REPRO_FAULTS",
+}
+
+#: public methods and properties no caller references, each with why it
+#: stays
+METHOD_ALLOWLIST = {
+    "core.faults.FaultPlan.report": "the chaos suite's readout: tests "
+    "assert on a plan's per-site arrival and fire counts through it",
 }
 
 #: constructors only the owner modules may call: everything else must go
@@ -222,28 +233,44 @@ def _exports(path: Path, package: Path) -> Dict[str, str]:
     return {}
 
 
-def _references(paths: Iterable[Path]) -> set:
-    """Every name loaded (``f``, ``x.f``) in ``paths``, plus the attribute
-    names perfbench wraps by string, ``Target(owner, "f", ...)``."""
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+def _caller_code(root: Path, trees: Iterable[str] = CALLER_TREES) -> List[ast.Module]:
+    """The parsed code under ``root`` that counts as a caller: every file
+    of ``trees`` and the ``python -c "..."`` scripts of the CI workflow."""
+    code = [
+        ast.parse(path.read_text(), filename=str(path))
+        for tree in trees
+        for path in sorted((root / tree).rglob("*.py"))
+    ]
+    workflow = root / ".github" / "workflows" / "ci.yml"
+    if workflow.exists():
+        scripts = re.findall(r'python3? -c "(.*?)"', workflow.read_text(), re.S)
+        code.extend(ast.parse(textwrap.dedent(script)) for script in scripts)
+    return code
+
+
+def _references(code: Iterable[ast.Module], names: bool = True) -> set:
+    """Every attribute loaded (``x.f``) in ``code``, every name loaded
+    (``f``) unless ``names`` is false, and the attribute names perfbench
+    wraps by string, ``Target(owner, "f", ...)``."""
+    found = set()
+    for tree in code:
+        for node in ast.walk(tree):
+            if names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+                found.add(node.attr)
             elif isinstance(node, ast.Call) and _called_name(node) == "Target":
-                names.update(
+                found.update(
                     arg.value for arg in node.args
                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
                 )
-    return names
+    return found
 
 
-def _unreferenced_exports(package: Path, callers: Iterable[Path]) -> List[str]:
-    """Qualified names in ``package``'s ``__all__`` lists that no file
-    under ``callers`` references, minus :data:`EXPORT_ALLOWLIST`."""
-    refs = _references(p for root in callers for p in sorted(root.rglob("*.py")))
+def _unreferenced_exports(package: Path, callers: List[ast.Module]) -> List[str]:
+    """Qualified names in ``package``'s ``__all__`` lists that no caller
+    references, minus :data:`EXPORT_ALLOWLIST`."""
+    refs = _references(callers)
     found = set()
     for path in sorted(package.rglob("*.py")):
         for name, qualified in _exports(path, package).items():
@@ -253,7 +280,7 @@ def _unreferenced_exports(package: Path, callers: Iterable[Path]) -> List[str]:
 
 
 def test_every_export_has_a_caller():
-    unused = _unreferenced_exports(SRC, [ROOT / tree for tree in CALLER_TREES])
+    unused = _unreferenced_exports(SRC, _caller_code(ROOT))
     assert not unused, (
         "exported but referenced only by tests (move the oracle to tests/ "
         "or delete it): " + ", ".join(unused)
@@ -268,9 +295,7 @@ def test_export_allowlist_is_minimal():
         for path in SRC.rglob("*.py")
         for qualified in _exports(path, SRC).values()
     }
-    refs = _references(
-        p for tree in CALLER_TREES for p in (ROOT / tree).rglob("*.py")
-    )
+    refs = _references(_caller_code(ROOT))
     for qualified in EXPORT_ALLOWLIST:
         assert qualified in exported, f"{qualified} is not exported"
         assert qualified.rsplit(".", 1)[1] not in refs, (
@@ -300,5 +325,88 @@ def test_audit_catches_a_planted_unused_export(tmp_path):
     (tmp_path / "perfbench" / "layers.py").write_text(
         'from pkg import mod\nT = Target(mod, "traced", "pkg.traced")\n'
     )
-    callers = [tmp_path / tree for tree in ("src", "tools", "perfbench")]
+    callers = _caller_code(tmp_path, ("src", "tools", "perfbench"))
     assert _unreferenced_exports(package, callers) == ["mod.unused"]
+
+
+def _methods(package: Path) -> Dict[str, str]:
+    """``{qualified name: name}`` of every public method and property of
+    every class in ``package``, qualified as ``<module>.<Class>.<name>``."""
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not node.name.startswith("_"):
+                    found[f"{module}.{cls.name}.{node.name}"] = node.name
+    return found
+
+
+def _unreferenced_methods(package: Path, callers: List[ast.Module]) -> List[str]:
+    """Public methods and properties of ``package``'s classes that no
+    caller references by attribute, minus :data:`METHOD_ALLOWLIST`."""
+    refs = _references(callers, names=False)
+    return sorted(
+        qualified
+        for qualified, name in _methods(package).items()
+        if name not in refs and qualified not in METHOD_ALLOWLIST
+    )
+
+
+def test_every_method_has_a_caller():
+    """Every allowlisted method exists and still has no caller, and no
+    other public method or property lacks one."""
+    callers = _caller_code(ROOT)
+    refs = _references(callers, names=False)
+    methods = _methods(SRC)
+    for qualified in METHOD_ALLOWLIST:
+        assert qualified in methods, f"{qualified} is not a public method"
+        assert methods[qualified] not in refs, (
+            f"{qualified} has a caller now; drop it from the allowlist"
+        )
+    unused = _unreferenced_methods(SRC, callers)
+    assert not unused, (
+        "public methods referenced only by tests (move the oracle to "
+        "tests/ or delete it): " + ", ".join(unused)
+    )
+
+
+def test_audit_catches_a_planted_unused_method(tmp_path):
+    """A method or property only tests use is flagged; an attribute
+    reference, a perfbench ``Target`` string and a CI inline script count
+    as callers, a bare name of the same spelling does not."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class C:\n"
+        "    def called(self): pass\n"
+        "    def traced(self): pass\n"
+        "    def scripted(self): pass\n"
+        "    @property\n"
+        "    def named(self): pass\n"
+        "    def unused(self): pass\n"
+        "    def _helper(self): pass\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "from pkg.mod import C\nnamed = C().called()\nprint(named)\n"
+    )
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "layers.py").write_text(
+        'from pkg import mod\nT = Target(mod.C, "traced", "pkg.traced")\n'
+    )
+    workflow = tmp_path / ".github" / "workflows"
+    workflow.mkdir(parents=True)
+    (workflow / "ci.yml").write_text(
+        "      - run: |\n"
+        '          python -c "\n'
+        "          from pkg.mod import C\n"
+        "          C().scripted()\n"
+        '          "\n'
+    )
+    callers = _caller_code(tmp_path, ("src", "tools", "perfbench"))
+    assert _unreferenced_methods(package, callers) == ["mod.C.named", "mod.C.unused"]

@@ -111,11 +111,16 @@ class TestParser:
 
     @pytest.mark.parametrize("backend", ["cholmod", "compiled_triangular", "multigrid"])
     def test_removed_thermal_backends_rejected(self, backend, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["flow", "n100", "--thermal-backend", backend])
-        err = capsys.readouterr().err
-        assert "invalid choice" in err
-        assert "'superlu', 'spectral'" in err
+        """The size rule alone picks the thermal solver: the flag is an
+        unrecognized argument on every subcommand that once took it."""
+        for command in (
+            ["flow", "n100"], ["batch", "n100"], ["enqueue", "n100", "--queue-dir", "q"],
+            ["work", "--queue-dir", "q"], ["serve"], ["explore"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(command + ["--thermal-backend", backend])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --thermal-backend" in capsys.readouterr().err
 
     def test_old_jobspec_with_incremental_still_parses(self):
         from repro.api import JobSpec
@@ -258,6 +263,25 @@ class TestQueueCommands:
     def test_flow_rejects_runtime_mitigation_outside_tsc_mode(self):
         with pytest.raises(SystemExit, match="needs mode 'tsc_aware'"):
             main(["flow", "n100", "--mitigation-mode", "dvfs", "--iterations", "5"])
+
+    def test_sweep_status_lists_stored_degradations(self, tmp_path, capsys):
+        """A degradation counted in a stored record shows in the text
+        status report."""
+        import dataclasses
+
+        from test_store import _metrics
+
+        from repro.core.store import ResultsStore
+
+        qdir = tmp_path / "q"
+        metrics = dataclasses.replace(
+            _metrics(), degradations={"spectral.no_convergence": 1}
+        )
+        ResultsStore(qdir).append("n100|power_aware|seed0", metrics)
+        main(["sweep-status", "--queue-dir", str(qdir)])
+        out = capsys.readouterr().out
+        assert "degradations survived" in out
+        assert "spectral.no_convergence" in out
 
     def test_sweep_status_json_document(self, tmp_path, capsys):
         """--json prints the GET /v1/queue/status payload; a healthy —

@@ -3,7 +3,6 @@
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit

@@ -1,6 +1,5 @@
 """Tests for the thermal covert channel (Sec. 2.1 motivation)."""
 
-import numpy as np
 import pytest
 
 from repro.attacks.covert import (

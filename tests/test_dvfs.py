@@ -24,6 +24,8 @@ from repro.mitigation import MITIGATION_MODES, MitigationConfig, evaluate_dvfs
 from repro.mitigation.dvfs import SCALES, _report
 from repro.thermal import transient
 from repro.thermal.backends.base import FactorizationBackend
+from repro.thermal.backends.spectral import SpectralBackend
+from repro.thermal.backends.superlu import SuperLUBackend
 from repro.thermal.stack import TopologyConfig, stack_for_floorplan
 from repro.thermal.steady_state import SteadyStateSolver
 from repro.thermal.transient import TransientSolver
@@ -166,11 +168,18 @@ class TestDeterminism:
         assert results[0] == _evaluate_in_subprocess(kind)
 
 
+#: the backends a test pins by name (its parameter id)
+BACKENDS = {"superlu": SuperLUBackend(), "spectral": SpectralBackend()}
+
+
 def _transient_solver(num_dies, kind, n=12, backend=None):
     fp = _floorplan(num_dies, bg2_die=num_dies - 1)
     grid = GridSpec(fp.stack.outline, n, n)
     topo = TopologyConfig(kind=kind) if kind != "3d" else None
-    return TransientSolver(stack_for_floorplan(fp, grid, topo), backend=backend)
+    return TransientSolver(
+        stack_for_floorplan(fp, grid, topo),
+        backend=None if backend is None else BACKENDS[backend],
+    )
 
 
 class TestKernelThreads:
@@ -233,13 +242,13 @@ class TestKernelThreads:
         96 solves per die, and a longer horizon only a few more."""
         solver = _transient_solver(2, "3d")
         lu = solver._factorize(2e-3)
-        solves, original = [], lu.solve_many
+        solves, original = [], lu.solve
 
-        def solve_many(b):
+        def solve(b):
             solves.append(b.shape[1])
             return original(b)
 
-        monkeypatch.setattr(lu, "solve_many", solve_many)
+        monkeypatch.setattr(lu, "solve", solve)
         solver.die_mean_kernels(2e-3, 96)
         short = len(solves)
         solver.die_mean_kernels(2e-3, 384)
@@ -262,9 +271,9 @@ class TestKernelThreads:
         solver = _transient_solver(3, "3d")
         lu = solver._factorize(2e-3)
         widths, idents, pools = [], set(), []
-        original, executor = lu.solve_many, concurrent.futures.ThreadPoolExecutor
+        original, executor = lu.solve, concurrent.futures.ThreadPoolExecutor
 
-        def solve_many(b):
+        def solve(b):
             widths.append(b.shape[1])
             idents.add(threading.get_ident())
             return original(b)
@@ -273,7 +282,7 @@ class TestKernelThreads:
             pools.append(max_workers)
             return executor(max_workers=max_workers)
 
-        monkeypatch.setattr(lu, "solve_many", solve_many)
+        monkeypatch.setattr(lu, "solve", solve)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
         solver.die_mean_kernels(2e-3, 4)
         assert pools == [threads]
@@ -289,7 +298,7 @@ class TestKernelThreads:
         def broken(b):
             raise FloatingPointError("singular step")
 
-        monkeypatch.setattr(lu, "solve_many", broken)
+        monkeypatch.setattr(lu, "solve", broken)
         monkeypatch.setattr(transient, "fanout_cores", lambda: 2)
         with pytest.raises(FloatingPointError, match="singular step"):
             solver.die_mean_kernels(2e-3, 3)
@@ -344,7 +353,7 @@ class TestNoEquilibrium:
             )
 
     def test_wrapped_calls_stay_on_the_calling_thread(self, floorplan, monkeypatch):
-        """Only ``Factorization.solve_many`` runs on the kernel pool: every
+        """Only ``Factorization.solve`` runs on the kernel pool: every
         factorization, steady solve and transient run happens on the
         calling thread, where a single-threaded span stack can time it."""
         calls = []

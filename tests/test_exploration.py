@@ -7,7 +7,6 @@ from oracles.blur import gaussian_filter_nearest
 from repro.exploration import patterns
 from repro.exploration.patterns import (
     POWER_PATTERNS,
-    TSV_PATTERNS,
     pattern_names,
     power_pattern,
     tsv_pattern,

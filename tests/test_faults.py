@@ -29,7 +29,6 @@ from repro.core.faults import (
     CRASH_EXIT_CODE,
     FaultPlan,
     InjectedFault,
-    TornWriteFault,
     injected,
     retry_io,
 )

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.layout.die import StackConfig
@@ -10,7 +9,7 @@ from repro.layout.floorplan import Floorplan3D
 from repro.layout.geometry import Rect
 from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
-from repro.layout.net import Net, Terminal
+from repro.layout.net import Net
 from repro.layout.tsv import TSV, TSVKind
 
 
@@ -40,7 +39,6 @@ class TestStackConfig:
     def test_helpers(self):
         s = StackConfig.square(100.0, num_dies=3)
         assert s.die_pairs() == [(0, 1), (1, 2)]
-        assert s.total_area == pytest.approx(3 * 100 * 100)
         assert s.tsv_pitch == 10.0
         assert len(s.dies) == 3
         assert s.dies[1].name == "die2"
@@ -76,13 +74,6 @@ class TestMetrics:
         assert fp2.total_power() == pytest.approx(1.0 * 0.817 + 0.75)
         # original untouched
         assert fp.total_power() == pytest.approx(1.75)
-
-    def test_packing_bbox(self):
-        fp = _fp()
-        bbox = fp.packing_bbox(0)
-        assert bbox == Rect(0, 0, 300, 300)
-        empty_fp = Floorplan3D(fp.stack, {})
-        assert empty_fp.packing_bbox(0) is None
 
 
 class TestSignalTSVs:

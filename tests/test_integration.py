@@ -116,7 +116,12 @@ class TestPipelineInvariants:
         patterns = [tuple(int(b) for b in rng.integers(0, 2, 12)) for _ in range(8)]
         # whole-stack traces: die-0 temperatures mix in die-1 power, so the
         # oracle must cover both dies for the similarity structures to align
-        oracle = [np.concatenate([m.ravel() for m in device.power_maps(p)])
+        def power_maps(pattern):
+            activity = model.activity(pattern)
+            return [fp.power_map(d, grid, activity=activity)
+                    for d in range(fp.stack.num_dies)]
+
+        oracle = [np.concatenate([m.ravel() for m in power_maps(p)])
                   for p in patterns]
         side = [np.concatenate([m.ravel() for m in device.respond(p)])
                 for p in patterns]

@@ -209,7 +209,6 @@ class TestFactorizationCount:
         from repro.thermal.backends.spectral import SpectralBackend
         from repro.thermal.backends.superlu import SuperLUBackend
 
-        monkeypatch.delenv("REPRO_THERMAL_BACKEND", raising=False)
         counts = {"superlu": 0, "spectral": 0}
         for cls in (SuperLUBackend, SpectralBackend):
 

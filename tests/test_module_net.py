@@ -5,7 +5,7 @@ import pytest
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.module import Module, Placement
-from repro.layout.net import Net, Terminal
+from repro.layout.net import CompiledNetlist, Net, Terminal
 
 
 class TestModule:
@@ -44,10 +44,12 @@ class TestPlacement:
 
 class TestNet:
     def test_degree_and_driver(self):
+        """The first module pin drives; every other pin, terminals
+        included, is a sink of the compiled net."""
         n = Net("n", ("a", "b"), ("t",))
-        assert n.degree == 3
-        assert n.driver == "a"
-        assert n.sinks == ("b",)
+        compiled = CompiledNetlist(["b", "a"], [n], {"t": Terminal("t", 0.0, 0.0)})
+        assert compiled.pin_idx[compiled.ptr[0]:compiled.ptr[1]].tolist() == [1, 0]
+        assert compiled.sink_counts.tolist() == [2]
 
     def test_too_few_pins_rejected(self):
         with pytest.raises(ValueError):
@@ -55,7 +57,8 @@ class TestNet:
 
     def test_terminal_only_net_allowed(self):
         n = Net("n", (), ("t1", "t2"))
-        assert n.driver is None
+        # no module pin drives it, so the compiled netlist drops it
+        assert CompiledNetlist(["a"], [n], {}).num_nets == 0
 
 
 class TestHPWL:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec

@@ -1,6 +1,5 @@
 """Tests for TSV records, islands, density maps, and the analysis grid."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +16,8 @@ from repro.layout.tsv import (
     tsv_density_map,
 )
 
+from oracles.tsv import footprint
+
 
 class TestTSV:
     def test_validation(self):
@@ -32,7 +33,7 @@ class TestTSV:
     def test_footprint_and_pitch(self):
         t = TSV(100, 100, 0, 1, diameter=5, keepout=2.5)
         assert t.pitch == 10.0
-        fp = t.footprint
+        fp = footprint(t)
         assert fp.w == 10 and fp.center == Point(100, 100)
 
 

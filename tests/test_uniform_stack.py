@@ -11,8 +11,8 @@ from repro.benchmarks.suite import benchmark_names, spec_for
 from repro.floorplan import objectives
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
-from repro.thermal.backends import SuperLUBackend, get_backend
-from repro.thermal.backends.spectral import SpectralFactorization
+from repro.thermal.backends import SuperLUBackend
+from repro.thermal.backends.spectral import SpectralBackend, SpectralFactorization
 from repro.thermal.stack import AMBIENT, build_stack
 from repro.thermal.steady_state import SteadyStateSolver
 
@@ -24,9 +24,9 @@ def _stack_config(num_dies: int) -> StackConfig:
 
 
 def _spectral_solver(cfg: StackConfig, grid: GridSpec) -> SteadyStateSolver:
-    """The TSV-free stack on the spectral backend instance, which neither
-    the environment nor the auto rule moves."""
-    return SteadyStateSolver(build_stack(cfg, grid), backend=get_backend("spectral"))
+    """The TSV-free stack on a spectral backend instance, which the
+    automatic rule does not move."""
+    return SteadyStateSolver(build_stack(cfg, grid), backend=SpectralBackend())
 
 
 class TestAgainstSuperLU:
@@ -43,7 +43,7 @@ class TestAgainstSuperLU:
             [np.zeros(grid.shape)] * (num_dies - 1) + [np.full(grid.shape, 1e-3)],
             [rng.random(grid.shape) * 1e-3] + [None] * (num_dies - 1),
         ]
-        want = SteadyStateSolver(stack, backend="superlu").solve_many(sets)
+        want = SteadyStateSolver(stack, backend=SuperLUBackend()).solve_many(sets)
         got = solver.solve_many(sets)
         # the homogenized stack is the stack: the preconditioner is exact
         assert solver.factorization.last_iterations <= 2
@@ -74,7 +74,7 @@ class TestRefusals:
     def test_mismatched_grid_shape_refused(self):
         cfg = _stack_config(2)
         stack = build_stack(cfg, GridSpec(cfg.outline, 8, 8))
-        matrix = SteadyStateSolver(stack, backend="superlu").network.conductance
+        matrix = SteadyStateSolver(stack, backend=SuperLUBackend()).network.conductance
         with pytest.raises(ValueError, match="does not match"):
             SpectralFactorization(matrix, (stack.num_layers, 8, 9))
 
@@ -93,7 +93,7 @@ class TestRefusals:
         an ``UnboundLocalError``; the constructor now refuses it."""
         cfg = _stack_config(2)
         stack = build_stack(cfg, GridSpec(cfg.outline, 8, 8))
-        matrix = SteadyStateSolver(stack, backend="superlu").network.conductance
+        matrix = SteadyStateSolver(stack, backend=SuperLUBackend()).network.conductance
         with pytest.raises(ValueError, match=message):
             SpectralFactorization(matrix, (stack.num_layers, 8, 8), **kwargs)
         fact = SpectralFactorization(matrix, (stack.num_layers, 8, 8), maxiter=1)
@@ -133,7 +133,7 @@ class TestCalibration:
         rise, die by die."""
         grid = GridSpec(cfg.outline, nx, ny)
         model = objectives.calibrated_thermal_model(cfg, grid)
-        want = SteadyStateSolver(build_stack(cfg, grid), backend="superlu")
+        want = SteadyStateSolver(build_stack(cfg, grid), backend=SuperLUBackend())
         rng = np.random.default_rng(nx * 100 + ny)
         sets = [
             [rng.random(grid.shape) * 4.0 / grid.nx / grid.ny for _ in range(cfg.num_dies)],
