@@ -64,7 +64,6 @@ def execute_spec(spec: JobSpec, config=None, progress: Progress = None):
 def run_flow_job(
     spec: JobSpec,
     store: Union[ResultsStore, str, Path, None] = None,
-    solver_cache=None,
     progress: Progress = None,
     reuse_store: bool = True,
 ) -> JobResult:
@@ -79,9 +78,8 @@ def run_flow_job(
     job was in flight: they re-execute and hit the warm cache instead of
     racing the store).
 
-    ``solver_cache`` defaults to the process-wide
-    :class:`~repro.thermal.steady_state.SolverCache`; its counter deltas
-    over this call land in :attr:`JobResult.solver_cache`.
+    The process-wide :class:`~repro.thermal.steady_state.SolverCache`'s
+    counter deltas over this call land in :attr:`JobResult.solver_cache`.
     """
     from ..thermal.steady_state import default_solver_cache
 
@@ -96,7 +94,7 @@ def run_flow_job(
                 job_id=job_id, key=key, status="completed",
                 reused=True, metrics=recorded,
             )
-    cache = solver_cache if solver_cache is not None else default_solver_cache()
+    cache = default_solver_cache()
     before = cache.counters()
     outcome = execute_spec(spec, progress=progress)
     after = cache.counters()

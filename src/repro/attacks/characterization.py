@@ -23,6 +23,9 @@ from .device import ThermalDevice
 
 __all__ = ["CharacterizationResult", "characterize"]
 
+#: ridge penalty of the attacker's per-bin regression
+RIDGE = 1e-3
+
 
 @dataclass
 class CharacterizationResult:
@@ -47,7 +50,6 @@ def characterize(
     die: int = 0,
     train_patterns: int = 48,
     test_patterns: int = 16,
-    ridge: float = 1e-3,
     seed: int = 0,
 ) -> CharacterizationResult:
     """Run the characterization attack against one die of the device.
@@ -71,7 +73,7 @@ def characterize(
     x_test = design(test)
 
     # ridge regression, one weight vector per thermal bin (shared solve)
-    gram = x_train.T @ x_train + ridge * np.eye(bits + 1)
+    gram = x_train.T @ x_train + RIDGE * np.eye(bits + 1)
     weights = np.linalg.solve(gram, x_train.T @ y_train)
     pred = x_test @ weights
 

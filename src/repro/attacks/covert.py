@@ -5,7 +5,8 @@ processes can build a thermal covert channel (up to 12.5 bit/s on Xeon
 multicores).  This module reproduces that experiment on the simulated 3D
 IC: a *transmitter* module modulates its activity with an on-off-keyed
 bit stream; a *receiver* (any thermal sensor, possibly on the other die)
-thresholds the temperature trace to recover the bits.
+removes the linear trend of its temperature trace and thresholds the rest
+at 0 to recover the bits.
 
 Because the thermal RC network is a low-pass filter (Fig. 1), the bit
 error rate rises with the symbol rate; :func:`channel_capacity_sweep`
@@ -26,6 +27,12 @@ from ..thermal.stack import stack_for_floorplan
 from ..thermal.transient import TransientSolver
 
 __all__ = ["CovertChannelResult", "run_covert_channel", "channel_capacity_sweep"]
+
+#: transmitter activity factor for a 1-bit and for a 0-bit
+ACTIVE_ACTIVITY = 2.0
+IDLE_ACTIVITY = 0.2
+#: backward-Euler steps per bit period; the receiver samples after the last
+STEPS_PER_BIT = 4
 
 
 @dataclass
@@ -63,17 +70,16 @@ def run_covert_channel(
     receiver_die: int,
     bits: Sequence[int],
     bit_period_s: float = 0.05,
-    steps_per_bit: int = 4,
     grid_n: int = 16,
-    idle_activity: float = 0.2,
-    active_activity: float = 2.0,
 ) -> CovertChannelResult:
     """Transmit ``bits`` thermally from one module to a sensor location.
 
-    The transmitter runs at ``active_activity`` for 1-bits and
-    ``idle_activity`` for 0-bits, one bit per ``bit_period_s``; all other
-    modules idle at nominal activity.  The receiver samples its sensor at
-    the end of each bit period and thresholds against the trace median.
+    The transmitter runs at :data:`ACTIVE_ACTIVITY` for 1-bits and
+    :data:`IDLE_ACTIVITY` for 0-bits, one bit per ``bit_period_s`` of
+    :data:`STEPS_PER_BIT` implicit steps; all other modules idle at
+    nominal activity.  The receiver samples its sensor at the end of each
+    bit period, removes the payload readings' linear trend (the warm-up
+    ramp) and reads a 1 wherever the detrended reading is above 0.
     """
     if transmitter not in floorplan.placements:
         raise KeyError(f"unknown module {transmitter!r}")
@@ -103,12 +109,12 @@ def run_covert_channel(
         if symbol is None:
             act = 1.0
         else:
-            act = active_activity if symbol else idle_activity
+            act = ACTIVE_ACTIVITY if symbol else IDLE_ACTIVITY
         maps = [m.copy() for m in base_maps]
         maps[tx_die] = maps[tx_die] + (act - 1.0) * tx_only
         return maps
 
-    dt = bit_period_s / steps_per_bit
+    dt = bit_period_s / STEPS_PER_BIT
     duration = bit_period_s * len(symbols)
     i, j = grid.cell_of(*receiver_xy)
 
@@ -126,7 +132,7 @@ def run_covert_channel(
         q = net.power_vector(list(power_at(t_mid)))
         rhs = c_over_dt * temp + q + net.boundary * solver.stack.ambient
         temp = lu.solve(rhs)
-        if (step + 1) % steps_per_bit == 0:
+        if (step + 1) % STEPS_PER_BIT == 0:
             block = temp[layer_idx * npl : (layer_idx + 1) * npl].reshape(grid.shape)
             readings.append(float(block[j, i]))
 

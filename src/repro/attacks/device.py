@@ -17,7 +17,7 @@ import numpy as np
 
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from ..thermal.steady_state import SolverCache, default_solver_cache
+from ..thermal.steady_state import default_solver_cache
 from .sensors import SensorGrid
 
 __all__ = ["InputActivityModel", "ThermalDevice"]
@@ -86,15 +86,13 @@ class ThermalDevice:
         grid: GridSpec | None = None,
         activity_model: InputActivityModel | None = None,
         sensors: SensorGrid | None = None,
-        solver_cache: SolverCache | None = None,
     ) -> None:
         self.floorplan = floorplan
         self.grid = grid or GridSpec(floorplan.stack.outline, 32, 32)
         # the shared density plumbing keys the stack by *every* adjacent
         # interface's TSVs — building from the (0, 1) density alone would
         # silently drop upper interfaces on num_dies > 2 device models
-        cache = solver_cache if solver_cache is not None else default_solver_cache()
-        self.solver = cache.solver_for_floorplan(floorplan, self.grid)
+        self.solver = default_solver_cache().solver_for_floorplan(floorplan, self.grid)
         self.activity_model = activity_model or InputActivityModel(
             sorted(floorplan.placements)
         )

@@ -9,9 +9,10 @@ modules by monitoring them during runtime."
 
 Localization: the attacker toggles one input bit (which drives the target
 module, among others) and averages differential thermal maps; the
-estimated location is the intensity centroid of the strongest response
-region.  Monitoring: with the location fixed, the attacker correlates a
-random activity sequence of the target with the thermal reading at the
+estimated location is the intensity centroid of the strongest
+:data:`TOP_FRACTION` of bins.  Monitoring: with the location fixed and
+every other input held constant, the attacker correlates a random
+activity sequence of the target with the thermal reading at the
 estimated spot — the Pearson r *is* the covert observation quality.
 """
 
@@ -26,6 +27,10 @@ from ..leakage.pearson import pearson
 from .device import ThermalDevice
 
 __all__ = ["LocalizationResult", "localize_module", "monitor_module"]
+
+#: localization takes the intensity centroid of this fraction of bins,
+#: the strongest of the averaged differential map
+TOP_FRACTION = 0.05
 
 
 @dataclass
@@ -58,7 +63,6 @@ def localize_module(
     device: ThermalDevice,
     target: str,
     trials: int = 6,
-    top_fraction: float = 0.05,
     seed: int = 0,
 ) -> LocalizationResult:
     """Differential localization of ``target`` on its die.
@@ -66,7 +70,7 @@ def localize_module(
     Each trial draws a random base pattern and observes the device with
     the target's bit deasserted vs. asserted; the averaged |difference|
     map highlights the region heated by the extra activity.  The estimate
-    is the intensity centroid of the top ``top_fraction`` of bins.
+    is the intensity centroid of the top :data:`TOP_FRACTION` of bins.
     """
     placement = device.floorplan.placements.get(target)
     if placement is None:
@@ -88,7 +92,7 @@ def localize_module(
     acc /= trials
 
     flat = acc.ravel()
-    k = max(1, int(top_fraction * flat.size))
+    k = max(1, int(TOP_FRACTION * flat.size))
     top_idx = np.argsort(flat)[::-1][:k]
     weights = flat[top_idx]
     jj, ii = np.unravel_index(top_idx, acc.shape)
@@ -121,26 +125,19 @@ def monitor_module(
     location_xy: Tuple[float, float],
     steps: int = 24,
     seed: int = 0,
-    background: str = "fixed",
 ) -> float:
     """Monitoring fidelity: Pearson r between the target's activity
     sequence and the thermal reading at the attacker's chosen location.
 
     The target's activity toggles randomly per step (the secret
-    computation).  ``background`` selects the attacker strength:
-
-    * ``"fixed"`` — the paper's strong attacker, who "stabilizes the 3D
-      IC's activity with the help of specifically crafted, repetitive
-      input patterns" (Sec. 5): all other inputs are held constant, so
-      the readout varies only with the target.
-    * ``"random"`` — runtime monitoring against live background activity,
-      exercising the TSC's superposition-noise limitation (Sec. 2.1).
+    computation).  The attacker is the paper's strong one, who
+    "stabilizes the 3D IC's activity with the help of specifically
+    crafted, repetitive input patterns" (Sec. 5): all other inputs are
+    held constant, so the readout varies only with the target.
 
     Values near 1 mean the attacker reads the module's activity straight
     off the sensor; decorrelated designs push it toward 0.
     """
-    if background not in ("fixed", "random"):
-        raise ValueError(f"unknown background mode {background!r}")
     placement = device.floorplan.placements.get(target)
     if placement is None:
         raise KeyError(f"unknown module {target!r}")
@@ -155,10 +152,7 @@ def monitor_module(
     activities: List[float] = []
     readings: List[float] = []
     for _ in range(steps):
-        if background == "random":
-            pattern = list(int(b) for b in rng.integers(0, 2, size=device.num_bits))
-        else:
-            pattern = list(base)
+        pattern = list(base)
         pattern[bit] = int(rng.integers(0, 2))
         reading = device.observe(tuple(pattern), die=die)
         activities.append(float(pattern[bit]))

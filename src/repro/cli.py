@@ -226,11 +226,14 @@ def _cmd_work(args: argparse.Namespace) -> int:
         raise SystemExit("error: --workers must be >= 1")
     if args.max_attempts < 1:
         raise SystemExit("error: --max-attempts must be >= 1")
-    queue = WorkQueue(
-        args.queue_dir, lease_ttl=args.lease_ttl,
-        max_attempts=args.max_attempts, retry_backoff=args.backoff,
-        max_steals=args.max_attempts if args.max_attempts > 1 else None,
-    )
+    try:
+        queue = WorkQueue(
+            args.queue_dir, lease_ttl=args.lease_ttl,
+            max_attempts=args.max_attempts, retry_backoff=args.backoff,
+            max_steals=args.max_attempts if args.max_attempts > 1 else None,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     status = queue.status()
     if status.total == 0 and not args.watch:
         print(f"queue {args.queue_dir} is empty; enqueue jobs first "
@@ -342,7 +345,10 @@ def _print_degradations(store) -> None:
 def _cmd_queue_status(args: argparse.Namespace) -> int:
     from .core.queue import WorkQueue
 
-    queue = WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl)
+    try:
+        queue = WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     if args.merge:
         merged = queue.merge()
         if not args.json:

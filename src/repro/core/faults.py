@@ -17,8 +17,9 @@ call sites share:
   chaos tests assert against.
 
 * :func:`retry_io` — bounded exponential-backoff retry for transient
-  filesystem errors, used by the store/queue writers.  Successful
-  retries land in the degradation ledger.
+  filesystem errors, used by the store/queue writers; no wait exceeds
+  :data:`RETRY_MAX_DELAY_S`.  Successful retries land in the degradation
+  ledger.
 
 * the **degradation ledger** — a process-wide counter of every fallback
   the stack took to survive (``woodbury.fallback.rank``,
@@ -39,7 +40,7 @@ Actions: ``eio`` / ``enospc`` (raised as ``OSError`` with that errno),
 into a half-written line), ``raise`` (:class:`InjectedFault`), ``crash``
 (``os._exit(3)`` — a simulated SIGKILL, no cleanup), ``fail`` (no-op at
 :func:`fault_point`; queried via :func:`fault_fires`), ``skew:SECONDS``
-(added to :func:`now`, usually at site ``clock``).
+(added to :func:`now` when it fires at site ``clock``).
 
 Triggers: ``always`` (default), ``after:N`` (the Nth arrival, exactly
 once), ``every:N`` (every Nth arrival), ``prob:P[:SEED]`` (seeded
@@ -86,6 +87,9 @@ _T = TypeVar("_T")
 
 #: exit status of injected ``crash`` faults (distinguishable from real bugs)
 CRASH_EXIT_CODE = 3
+
+#: longest wait between two :func:`retry_io` attempts, in seconds
+RETRY_MAX_DELAY_S = 0.25
 
 _ACTIONS = ("eio", "enospc", "torn", "raise", "crash", "fail", "skew")
 _TRIGGERS = ("always", "after", "every", "prob")
@@ -239,9 +243,9 @@ class FaultPlan:
         """Whether any fault fires on this arrival (behavioural sites)."""
         return bool(self._fired(site))
 
-    def clock_skew(self, site: str = "clock") -> float:
-        """Seconds of injected skew firing at ``site`` on this arrival."""
-        return sum(spec.param or 0.0 for spec in self._fired(site) if spec.action == "skew")
+    def clock_skew(self) -> float:
+        """Seconds of injected skew firing at site ``clock`` on this arrival."""
+        return sum(spec.param or 0.0 for spec in self._fired("clock") if spec.action == "skew")
 
     def report(self) -> Dict[str, Dict[str, int]]:
         """Per-site arrival/fire counts — what chaos tests assert on."""
@@ -335,10 +339,10 @@ _DEGRADATIONS: "Counter[str]" = Counter()
 _DEG_LOCK = threading.Lock()
 
 
-def record_degradation(kind: str, count: int = 1) -> None:
+def record_degradation(kind: str) -> None:
     """Count one graceful fallback (process-wide, thread-safe)."""
     with _DEG_LOCK:
-        _DEGRADATIONS[kind] += count
+        _DEGRADATIONS[kind] += 1
 
 
 def snapshot_degradations() -> Dict[str, int]:
@@ -368,7 +372,6 @@ def retry_io(
     site: str = "io",
     attempts: int = 4,
     base_delay: float = 0.01,
-    max_delay: float = 0.25,
 ) -> _T:
     """Run ``fn`` with bounded exponential-backoff retry on ``OSError``.
 
@@ -388,5 +391,5 @@ def retry_io(
             if attempt == attempts - 1:
                 raise
             record_degradation(f"io_retry.{site}")
-            time.sleep(min(base_delay * (2.0**attempt), max_delay))
+            time.sleep(min(base_delay * (2.0**attempt), RETRY_MAX_DELAY_S))
     raise AssertionError("unreachable")  # pragma: no cover

@@ -856,11 +856,9 @@ def _heartbeat_loop(lease: Lease, stop: threading.Event, interval: float) -> Non
 
 
 def run_worker(
-    queue: WorkQueue | str | Path,
+    queue: WorkQueue,
     execute: Executor,
     worker_id: Optional[str] = None,
-    lease_ttl: Optional[float] = None,
-    heartbeat_interval: Optional[float] = None,
     max_jobs: Optional[int] = None,
     wait: bool = True,
     poll_interval: Optional[float] = None,
@@ -874,9 +872,10 @@ def run_worker(
     ``run_batch`` call sharing a persistent queue directory with other
     sweeps must neither execute nor block on their jobs.
 
-    Each claimed job runs under a daemon heartbeat thread so long flows
-    keep their lease fresh.  Per-job failures are recorded to the queue
-    with retry/backoff semantics (other jobs still run; callers decide
+    Each claimed job runs under a daemon heartbeat thread, beating every
+    quarter of the queue's lease TTL, so long flows keep their lease
+    fresh.  Per-job failures are recorded to the queue with
+    retry/backoff semantics (other jobs still run; callers decide
     whether missing results are fatal); ``KeyboardInterrupt`` /
     ``SystemExit`` release the claim un-failed and propagate, so an
     interrupted worker's job is simply picked up by a survivor.  When
@@ -896,14 +895,8 @@ def run_worker(
     producers enqueue them, until ``max_jobs`` or an interrupt/SIGTERM
     stops it.
     """
-    if not isinstance(queue, WorkQueue):
-        queue = WorkQueue(queue, lease_ttl=lease_ttl if lease_ttl else 300.0)
     worker = worker_id if worker_id is not None else worker_name()
-    interval = (
-        heartbeat_interval
-        if heartbeat_interval is not None
-        else max(queue.lease_ttl / 4.0, 0.05)
-    )
+    interval = max(queue.lease_ttl / 4.0, 0.05)
     poll = (
         poll_interval
         if poll_interval is not None

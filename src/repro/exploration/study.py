@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..api import JobSpec, execute_spec
-from ..core.parallel import IN_POOL_ENV
+from ..core.parallel import IN_POOL_ENV, usable_cores
 from ..core.queue import WorkQueue, run_worker
 from ..core.results import FlowMetrics, aggregate_metrics
 from ..core.store import ResultsStore
@@ -190,7 +190,6 @@ def execute_batch_payload(payload: dict) -> FlowMetrics:
 def batch_worker_main(
     queue_dir: str,
     lease_ttl: float = 300.0,
-    worker_id: Optional[str] = None,
     max_jobs: Optional[int] = None,
     only_keys: Optional[frozenset] = None,
     max_attempts: int = 1,
@@ -224,7 +223,6 @@ def batch_worker_main(
     return run_worker(
         queue,
         execute_batch_payload,
-        worker_id=worker_id,
         max_jobs=max_jobs,
         only_keys=only_keys,
         watch=watch,
@@ -237,15 +235,13 @@ def run_batch(
     store: Union[ResultsStore, str, Path, None] = None,
     queue_dir: Union[str, Path, None] = None,
     lease_ttl: float = 300.0,
-    max_attempts: int = 1,
-    retry_backoff: float = 1.0,
 ) -> List[FlowMetrics]:
     """Run many flow invocations through the distributed queue backend.
 
     ``processes=None`` sizes the local worker pool to
-    ``min(len(jobs), cpu_count)``; ``processes<=1`` drains the queue
-    serially in-process (useful under profilers and in tests).  Results
-    come back in job order.
+    ``min(len(jobs), usable cores)``, the CPUs this process may run on;
+    ``processes<=1`` drains the queue serially in-process (useful under
+    profilers and in tests).  Results come back in job order.
 
     ``store`` (a :class:`~repro.core.store.ResultsStore` or a directory
     path) makes the sweep durable and resumable: jobs whose key is
@@ -264,10 +260,9 @@ def run_batch(
     Each worker process builds the fast thermal model once per
     (stack, grid) it meets and reuses it for the rest of its jobs.
 
-    ``max_attempts``/``retry_backoff`` give every job a retry budget with
-    exponential backoff (default: failures are terminal, the historical
-    behaviour); a job that exhausts its budget is quarantined and
-    surfaces in the final :class:`RuntimeError` like any other failure.
+    Each job gets one attempt: a failing job is recorded in the queue,
+    its siblings run on, and the sweep ends in a :class:`RuntimeError`
+    naming it.
     """
     jobs = list(jobs)
     if not jobs:
@@ -288,13 +283,7 @@ def run_batch(
             own_tmp = tempfile.TemporaryDirectory(prefix="repro-queue-")
             queue_dir = own_tmp.name
     try:
-        queue = WorkQueue(
-            queue_dir,
-            lease_ttl=lease_ttl,
-            max_attempts=max_attempts,
-            retry_backoff=retry_backoff,
-            max_steals=max_attempts if max_attempts > 1 else None,
-        )
+        queue = WorkQueue(queue_dir, lease_ttl=lease_ttl)
         for i in pending:
             key = jobs[i].key()
             queue.enqueue(key, jobs[i].to_json())
@@ -306,7 +295,7 @@ def run_batch(
         pending_keys = frozenset(jobs[i].key() for i in pending)
 
         if processes is None:
-            processes = min(len(pending), os.cpu_count() or 1)
+            processes = min(len(pending), usable_cores())
         if processes <= 1 or len(pending) == 1:
             prev_in_pool = os.environ.get(IN_POOL_ENV)
             try:
@@ -323,12 +312,7 @@ def run_batch(
             with ProcessPoolExecutor(max_workers=processes) as pool:
                 futures = [
                     pool.submit(
-                        batch_worker_main,
-                        str(queue_dir),
-                        lease_ttl,
-                        only_keys=pending_keys,
-                        max_attempts=max_attempts,
-                        retry_backoff=retry_backoff,
+                        batch_worker_main, str(queue_dir), lease_ttl, only_keys=pending_keys
                     )
                     for _ in range(processes)
                 ]

@@ -36,7 +36,7 @@ from ..layout.module import Module
 from ..layout.net import CompiledNetlist, Net, Terminal
 from ..timing.delay_model import ensure_intrinsic_delays
 from .moves import apply_random_move
-from .objectives import CostBreakdown, CostEvaluator, FloorplanMode, ObjectiveWeights
+from .objectives import CostBreakdown, CostEvaluator, FloorplanMode
 from .seqpair import LayoutState
 
 __all__ = [
@@ -195,8 +195,6 @@ class AnnealChain:
         terminals: Mapping[str, Terminal] | None = None,
         mode: str = FloorplanMode.POWER_AWARE,
         config: AnnealConfig | None = None,
-        weights: ObjectiveWeights | None = None,
-        evaluator: CostEvaluator | None = None,
         rng: np.random.Generator | None = None,
         scales: Mapping[str, float] | None = None,
         temperature: float | None = None,
@@ -219,19 +217,17 @@ class AnnealChain:
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         t_start = time.perf_counter()
 
-        if evaluator is None:
-            evaluator = CostEvaluator(
-                stack,
-                nets,
-                terminals,
-                mode=mode,
-                weights=weights,
-                grid_nx=config.grid_nx,
-                grid_ny=config.grid_ny,
-                timing_every=config.timing_every,
-                thermal_every=config.thermal_every,
-                assignment_every=config.assignment_every,
-            )
+        evaluator = CostEvaluator(
+            stack,
+            nets,
+            terminals,
+            mode=mode,
+            grid_nx=config.grid_nx,
+            grid_ny=config.grid_ny,
+            timing_every=config.timing_every,
+            thermal_every=config.thermal_every,
+            assignment_every=config.assignment_every,
+        )
 
         state = LayoutState.initial(modules, stack, rng, power_biased=True)
         if scales is None:
@@ -329,10 +325,6 @@ class AnnealChain:
         return self
 
     # -- finishing -----------------------------------------------------------
-    def restore_weights(self) -> None:
-        """Put the evaluator's (possibly caller-supplied) weights back."""
-        self.evaluator.weights = self.original_weights
-
     def finalize(self) -> AnnealResult:
         """Score the best state under the *original* weights and report.
 
@@ -343,8 +335,8 @@ class AnnealChain:
         restored *before* the final full evaluation.
         """
         t0 = time.perf_counter()
-        self.restore_weights()
         evaluator = self.evaluator
+        evaluator.weights = self.original_weights
         final_bd = evaluator.evaluate(self.best_state, force_full=True)
         final_cost = evaluator.total_cost(final_bd)
         # the evaluator scored these nets over the same module order the
@@ -375,8 +367,6 @@ def anneal(
     terminals: Mapping[str, Terminal] | None = None,
     mode: str = FloorplanMode.POWER_AWARE,
     config: AnnealConfig | None = None,
-    weights: ObjectiveWeights | None = None,
-    evaluator: CostEvaluator | None = None,
 ) -> AnnealResult:
     """Floorplan ``modules`` onto ``stack`` in the given mode.
 
@@ -394,14 +384,6 @@ def anneal(
         terminals=terminals,
         mode=mode,
         config=config,
-        weights=weights,
-        evaluator=evaluator,
     )
-    # the compaction phase temporarily boosts the fixed-outline pressure;
-    # the caller's evaluator (and its weights) must come back unchanged
-    # even when the loop raises
-    try:
-        chain.run(config.iterations)
-        return chain.finalize()
-    finally:
-        chain.restore_weights()
+    chain.run(config.iterations)
+    return chain.finalize()

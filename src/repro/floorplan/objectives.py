@@ -229,7 +229,6 @@ class CostEvaluator:
         nets: Sequence[Net],
         terminals: Mapping[str, Terminal],
         mode: str = FloorplanMode.POWER_AWARE,
-        weights: ObjectiveWeights | None = None,
         grid_nx: int = 32,
         grid_ny: int = 32,
         timing_every: int = 10,
@@ -238,7 +237,7 @@ class CostEvaluator:
     ) -> None:
         self.stack = stack
         self.mode = mode
-        self.weights = weights or ObjectiveWeights.for_mode(mode)
+        self.weights = ObjectiveWeights.for_mode(mode)
         self.grid = GridSpec(stack.outline, grid_nx, grid_ny)
         self.thermal = calibrated_thermal_model(stack, self.grid)
         self.timing_every = max(1, timing_every)

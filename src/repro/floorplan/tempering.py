@@ -54,7 +54,7 @@ from ..layout.die import StackConfig
 from ..layout.module import Module
 from ..layout.net import Net, Terminal
 from .annealer import AnnealChain, AnnealConfig, AnnealResult, anneal
-from .objectives import FloorplanMode, ObjectiveWeights
+from .objectives import FloorplanMode
 
 __all__ = ["temper", "resolve_replica_processes"]
 
@@ -71,7 +71,7 @@ def resolve_replica_processes(replicas: int, processes: Optional[int] = None) ->
 
     Priority: explicit argument > ``REPRO_REPLICA_PROCESSES`` env > serial
     when running inside a batch-pool worker (``REPRO_IN_POOL_WORKER``) >
-    ``min(replicas, cpu_count)``.  A result of 1 means "advance chains
+    ``min(replicas, usable cores)``.  A result of 1 means "advance chains
     serially in-process" (no pool at all).
     """
     if processes is not None:
@@ -107,7 +107,6 @@ def temper(
     terminals: Mapping[str, Terminal] | None = None,
     mode: str = FloorplanMode.POWER_AWARE,
     config: AnnealConfig | None = None,
-    weights: ObjectiveWeights | None = None,
     replicas: int = 4,
     exchange_every: int = 50,
     ladder_ratio: float = DEFAULT_LADDER_RATIO,
@@ -132,7 +131,7 @@ def temper(
     if replicas == 1:
         return anneal(
             modules, stack, nets=nets, terminals=terminals,
-            mode=mode, config=config, weights=weights,
+            mode=mode, config=config,
         )
     per_replica = config.iterations // replicas
     if per_replica < 1:
@@ -154,8 +153,7 @@ def temper(
     chains: List[AnnealChain] = []
     base = AnnealChain.start(
         modules, stack, nets=nets, terminals=terminals, mode=mode,
-        config=chain_config, weights=weights,
-        rng=np.random.default_rng(streams[0]),
+        config=chain_config, rng=np.random.default_rng(streams[0]),
     )
     chains.append(base)
     shared_scales = base.evaluator.scales
@@ -163,8 +161,7 @@ def temper(
         chains.append(
             AnnealChain.start(
                 modules, stack, nets=nets, terminals=terminals, mode=mode,
-                config=chain_config, weights=weights,
-                rng=np.random.default_rng(streams[i]),
+                config=chain_config, rng=np.random.default_rng(streams[i]),
                 scales=shared_scales,
                 temperature=base.initial_temperature,
                 temperature_scale=ladder_ratio ** i,
@@ -215,15 +212,8 @@ def temper(
     finally:
         if pool is not None:
             pool.shutdown()
-        for chain in chains:
-            chain.restore_weights()
 
-    results = []
-    for chain in chains:
-        try:
-            results.append(chain.finalize())
-        finally:
-            chain.restore_weights()
+    results = [chain.finalize() for chain in chains]
 
     def rank(res: AnnealResult):
         # feasible beats infeasible; then cost; then outline violation

@@ -27,6 +27,10 @@ from .tsv import TSV, SignalSites, TSVKind, tsv_density_map
 
 __all__ = ["Floorplan3D"]
 
+#: :meth:`Floorplan3D.validate` forgives outline excursions up to this
+#: many um, and module overlap up to this fraction of the outline area
+LEGALITY_TOLERANCE = 1e-6
+
 
 @dataclass
 class Floorplan3D:
@@ -60,8 +64,9 @@ class Floorplan3D:
         return [t for t in self.tsvs if t.kind == TSVKind.THERMAL]
 
     # -- legality -------------------------------------------------------------
-    def validate(self, tolerance: float = 1e-6) -> List[str]:
+    def validate(self) -> List[str]:
         """Return a list of legality violations (empty = legal layout)."""
+        tolerance = LEGALITY_TOLERANCE
         problems: List[str] = []
         outline = self.stack.outline
         for die in range(self.stack.num_dies):

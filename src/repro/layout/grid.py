@@ -151,19 +151,16 @@ def _rect_power_cells(power, x, y, w, h, grid: GridSpec):
 
 
 def power_cells(
-    placements: Sequence[Placement],
-    grid: GridSpec,
-    activity: Mapping[str, float] | None = None,
+    placements: Sequence[Placement], grid: GridSpec
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(owner, cell, watts)``: each placement's power share per cell.
 
     A module spreads its *effective* power uniformly over its footprint:
-    the nominal power scaled by its supply voltage's power factor times
-    an optional per-module activity factor (the Gaussian activity
-    sampler's, Sec. 6.2).  ``owner`` indexes ``placements``; zero-power
-    modules contribute no entries.  Ordered as :func:`cell_overlaps`.
+    the nominal power scaled by its supply voltage's power factor.
+    ``owner`` indexes ``placements``; zero-power modules contribute no
+    entries.  Ordered as :func:`cell_overlaps`.
     """
-    return _rect_power_cells(*_placement_arrays(placements, activity), grid)
+    return _rect_power_cells(*_placement_arrays(placements, None), grid)
 
 
 def rasterize_rects(

@@ -114,19 +114,17 @@ def place_regular_grid(
     outline: Rect,
     count_x: int,
     count_y: int,
-    die_from: int = 0,
-    die_to: int = 1,
-    kind: str = TSVKind.SIGNAL,
     diameter: float = 5.0,
     keepout: float = 2.5,
 ) -> List[TSV]:
-    """Regularly arranged TSVs covering the outline in a count_x x count_y grid."""
+    """Regularly arranged signal TSVs between dies 0 and 1, covering the
+    outline in a count_x x count_y grid."""
     if count_x < 1 or count_y < 1:
         raise ValueError("grid counts must be >= 1")
     xs = outline.x + (np.arange(count_x) + 0.5) * outline.w / count_x
     ys = outline.y + (np.arange(count_y) + 0.5) * outline.h / count_y
     return [
-        TSV(float(x), float(y), die_from, die_to, kind=kind, diameter=diameter, keepout=keepout)
+        TSV(float(x), float(y), 0, 1, diameter=diameter, keepout=keepout)
         for x in xs
         for y in ys
     ]

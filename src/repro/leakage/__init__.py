@@ -5,12 +5,11 @@ stability across activity samples, and Eq. 3 nested-means spatial
 entropy.
 """
 
-from .entropy import SpatialEntropyBreakdown, nested_means_classes, spatial_entropy
+from .entropy import nested_means_classes, spatial_entropy
 from .pearson import die_correlation, local_correlation_map, pearson
 from .stability import most_stable_bins, stability_map
 
 __all__ = [
-    "SpatialEntropyBreakdown",
     "nested_means_classes",
     "spatial_entropy",
     "die_correlation",

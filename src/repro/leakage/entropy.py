@@ -20,7 +20,8 @@ The metric needs no thermal solve, which is why the floorplanner can
 afford it *every* iteration as a fast leakage proxy (Sec. 4.2).
 
 Classes come from nested-means partitioning (sort, split at the mean,
-recurse until the class standard deviation approaches zero).  Bin
+recurse until the class standard deviation approaches zero, at most
+:data:`NESTED_MEANS_MAX_DEPTH` levels deep).  Bin
 coordinates are integer grid indices, so every class's intra- and
 inter-class Manhattan sums follow exactly, in integer arithmetic, from
 per-class coordinate histograms — no pairwise enumeration and no per-class
@@ -29,33 +30,34 @@ sorting, so 64x64 grids classify in about a millisecond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["nested_means_classes", "spatial_entropy", "SpatialEntropyBreakdown"]
+__all__ = ["nested_means_classes", "spatial_entropy"]
+
+#: nested means stops splitting a class whose standard deviation is below
+#: this fraction of the global one, or at this many recursion levels
+NESTED_MEANS_RTOL = 0.05
+NESTED_MEANS_MAX_DEPTH = 4
 
 
-def nested_means_classes(
-    values: np.ndarray,
-    rtol: float = 0.05,
-    max_depth: int = 4,
-) -> np.ndarray:
+def nested_means_classes(values: np.ndarray) -> np.ndarray:
     """Nested-means classification of a value array.
 
     Returns an integer label array of ``values.shape``; labels are dense
     (0..k-1) in ascending order of class mean.  Splitting stops when a
-    class's standard deviation falls below ``rtol`` times the global
-    standard deviation, when it cannot be split further, or at
-    ``max_depth`` recursion levels.
+    class's standard deviation falls below :data:`NESTED_MEANS_RTOL`
+    times the global standard deviation, when it cannot be split further,
+    or at :data:`NESTED_MEANS_MAX_DEPTH` recursion levels.
     """
     flat = np.asarray(values, dtype=float).ravel()
     labels = np.zeros(flat.size, dtype=int)
     global_std = float(flat.std())
     if global_std == 0.0 or flat.size < 2:
         return labels.reshape(np.asarray(values).shape)
-    threshold = rtol * global_std
+    threshold = NESTED_MEANS_RTOL * global_std
+    max_depth = NESTED_MEANS_MAX_DEPTH
 
     # iterative splitting (explicit stack avoids recursion limits)
     next_label = 1
@@ -84,17 +86,6 @@ def nested_means_classes(
     return rank[labels].reshape(np.asarray(values).shape)
 
 
-@dataclass
-class SpatialEntropyBreakdown:
-    """Per-class contributions to the spatial entropy (diagnostics)."""
-
-    entropy: float
-    class_sizes: List[int]
-    inter_distances: List[float]
-    intra_distances: List[float]
-    contributions: List[float]
-
-
 def _manhattan_sums(hist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-class (intra, inter) sums of |a - b| along one axis, exactly.
 
@@ -109,28 +100,20 @@ def _manhattan_sums(hist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return intra, inter
 
 
-def spatial_entropy(
-    power_map: np.ndarray,
-    rtol: float = 0.05,
-    max_depth: int = 4,
-    breakdown: bool = False,
-    weight: str = "claramunt",
-) -> float | SpatialEntropyBreakdown:
+def spatial_entropy(power_map: np.ndarray, weight: str = "claramunt") -> float:
     """Eq. 3: spatial entropy S_d of one die's power map.
 
     Bin coordinates are grid indices (equidistant bins, Manhattan metric).
     ``weight`` selects the class weight: ``"claramunt"`` (default) uses
     d_intra/d_inter per Claramunt's principles; ``"as_printed"`` uses the
-    paper's literal d_inter/d_intra (see module docstring).  Returns the
-    scalar entropy, or a :class:`SpatialEntropyBreakdown` when
-    ``breakdown=True``.
+    paper's literal d_inter/d_intra (see module docstring).
     """
     if weight not in ("claramunt", "as_printed"):
         raise ValueError(f"unknown weight form {weight!r}")
     pm = np.asarray(power_map, dtype=float)
     if pm.ndim != 2:
         raise ValueError("power map must be 2D")
-    labels = nested_means_classes(pm, rtol=rtol, max_depth=max_depth)
+    labels = nested_means_classes(pm)
     ny, nx = pm.shape
     total = labels.size
     classes = int(labels.max()) + 1 if total else 0
@@ -143,10 +126,6 @@ def spatial_entropy(
     class_sizes = hist_x.sum(axis=1)
 
     entropy = 0.0
-    sizes: List[int] = []
-    inters: List[float] = []
-    intras: List[float] = []
-    contribs: List[float] = []
     for c in range(classes):
         size = int(class_sizes[c])
         others = total - size
@@ -165,19 +144,5 @@ def spatial_entropy(
             ratio = intra / inter if inter > 0 else 0.0
         else:
             ratio = inter / intra if intra > 0 else 0.0
-        contrib = -ratio * shannon
-        entropy += contrib
-        sizes.append(size)
-        inters.append(inter)
-        intras.append(intra)
-        contribs.append(contrib)
-
-    if breakdown:
-        return SpatialEntropyBreakdown(
-            entropy=float(entropy),
-            class_sizes=sizes,
-            inter_distances=inters,
-            intra_distances=intras,
-            contributions=contribs,
-        )
+        entropy += -ratio * shannon
     return float(entropy)

@@ -181,7 +181,6 @@ def evaluate_dvfs(
     floorplan: Floorplan3D,
     config: MitigationConfig | None = None,
     *,
-    grid: GridSpec | None = None,
     topology=None,
 ) -> DVFSReport:
     """Score the runtime DVFS governor against the no-governor baseline.
@@ -199,12 +198,12 @@ def evaluate_dvfs(
     fluctuations carry the activity signal, not the ambient-to-operating
     ramp that would swamp both arms.
 
-    ``topology`` selects the stack style (2.5D governors modulate the
-    same way; only the heat path differs).
+    The stack is analysed on the ``config.grid_nx`` x ``config.grid_ny``
+    grid; ``topology`` selects the stack style (2.5D governors modulate
+    the same way; only the heat path differs).
     """
     config = config or MitigationConfig(mode="dvfs")
-    if grid is None:
-        grid = GridSpec(floorplan.stack.outline, config.grid_nx, config.grid_ny)
+    grid = GridSpec(floorplan.stack.outline, config.grid_nx, config.grid_ny)
     names = sorted(floorplan.placements)
     num_dies = floorplan.stack.num_dies
     basis = module_power_basis(floorplan, grid, names)  # per die: (M, cells)

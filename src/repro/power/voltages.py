@@ -100,10 +100,9 @@ def total_power(power: Sequence[float], volts: Sequence[float]) -> float:
     return sum(scaled_power(power, volts).tolist())
 
 
-def feasible_voltages(
-    slack_ratio: float, levels: Sequence[VoltageLevel] = DEFAULT_LEVELS
-) -> List[VoltageLevel]:
-    """Voltage levels whose delay scaling fits within the available slack.
+def feasible_voltages(slack_ratio: float) -> List[VoltageLevel]:
+    """Levels of :data:`DEFAULT_LEVELS` whose delay scaling fits within
+    the available slack.
 
     ``slack_ratio`` is the maximum tolerable delay inflation for a module:
     a module whose path delay may grow by 40 % has ``slack_ratio = 1.4``
@@ -112,5 +111,5 @@ def feasible_voltages(
     supply), matching how the paper treats slack-less modules — they get a
     high voltage, not an infeasible design.
     """
-    out = [lv for lv in levels if lv.delay_scale <= slack_ratio + 1e-12 or lv.volts >= 1.0]
+    out = [lv for lv in DEFAULT_LEVELS if lv.delay_scale <= slack_ratio + 1e-12 or lv.volts >= 1.0]
     return sorted(out, key=lambda lv: lv.volts)

@@ -92,7 +92,10 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HttpError(400, f"malformed content-length: {raw_length!r}")
+    length = int(raw_length)
     if length > _MAX_BODY_BYTES:
         raise _HttpError(413, f"body exceeds {_MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
@@ -240,20 +243,20 @@ def run(
     state: ServiceState,
     host: str = "127.0.0.1",
     port: int = 8765,
-    announce=print,
 ) -> int:
-    """Blocking entry point for ``repro.cli serve``; Ctrl-C stops it."""
+    """Blocking entry point for ``repro.cli serve``; Ctrl-C stops it.
+    The bound address and the stop are printed to standard output."""
 
     async def main() -> None:
         server = await serve(state, host=host, port=port)
         bound_host, bound_port = server.sockets[0].getsockname()[:2]
-        announce(f"serving on http://{bound_host}:{bound_port}/{API_VERSION} "
-                 f"({state.workers} worker thread(s))")
+        print(f"serving on http://{bound_host}:{bound_port}/{API_VERSION} "
+              f"({state.workers} worker thread(s))")
         async with server:
             await server.serve_forever()
 
     try:
         asyncio.run(main())
     except KeyboardInterrupt:
-        announce("service stopped")
+        print("service stopped")
     return 0

@@ -84,7 +84,6 @@ class ServiceState:
         workers: int = 2,
         queue_threshold: Optional[int] = None,
         lease_ttl: float = 300.0,
-        solver_cache=None,
         poll_interval: float = 0.25,
     ) -> None:
         if workers < 1:
@@ -97,7 +96,6 @@ class ServiceState:
         self.lease_ttl = lease_ttl
         self.workers = workers
         self.poll_interval = poll_interval
-        self._solver_cache = solver_cache
         self.jobs: Dict[str, ServiceJob] = {}
         self.counters = {"submitted": 0, "completed": 0, "failed": 0, "reused": 0}
         self._seq = 0
@@ -181,7 +179,6 @@ class ServiceState:
                             lambda: run_flow_job(
                                 job.spec,
                                 store=self.store,
-                                solver_cache=self._solver_cache,
                                 progress=progress,
                                 # admission already decided this job runs:
                                 # never downgrade to a store replay mid-flight
@@ -267,11 +264,11 @@ class ServiceState:
         self.counters[status] += 1
         self._push_event(job, {"stage": "service", "status": status})
 
-    async def events(self, job: ServiceJob, start: int = 0) -> AsyncIterator[dict]:
-        """Yield ``job``'s events from index ``start``; live-follows the
-        job until it reaches a terminal state, then drains and stops."""
+    async def events(self, job: ServiceJob) -> AsyncIterator[dict]:
+        """Yield all of ``job``'s events; live-follows the job until it
+        reaches a terminal state, then drains and stops."""
         cond = self._conditions[job.id]
-        index = start
+        index = 0
         while True:
             while index < len(job.events):
                 yield job.events[index]
@@ -285,22 +282,15 @@ class ServiceState:
 
     # -- introspection -----------------------------------------------------------
 
-    def solver_cache(self):
-        from ..thermal.steady_state import default_solver_cache
-
-        return (
-            self._solver_cache
-            if self._solver_cache is not None
-            else default_solver_cache()
-        )
-
     def health_document(self) -> dict:
         """The ``GET /v1/healthz`` body: liveness plus warm-path visibility."""
+        from ..thermal.steady_state import default_solver_cache
+
         return {
             "status": "ok",
             "workers": self.workers,
             "jobs": dict(self.counters),
-            "solver_cache": self.solver_cache().counters(),
+            "solver_cache": default_solver_cache().counters(),
             "store": str(self.store.path) if self.store is not None else None,
             "queue_dir": self.queue_dir,
         }

@@ -29,6 +29,8 @@ __all__ = ["SPECTRAL_TOLERANCE", "HomogenizedStack", "SpectralBackend", "Spectra
 #: records drifted up to 8e-9 from superlu's
 SPECTRAL_TOLERANCE = 1e-12
 
+#: iteration cap of every PCG column; a column that stops here is a
+#: counted ``spectral.no_convergence`` degradation
 _PCG_MAXITER = 500
 
 
@@ -112,15 +114,7 @@ class SpectralFactorization(Factorization):
 
     supports_woodbury_base = False
 
-    def __init__(
-        self, matrix: sp.spmatrix, grid_shape, tolerance=SPECTRAL_TOLERANCE, maxiter=_PCG_MAXITER
-    ) -> None:
-        if maxiter < 1:
-            raise ValueError(f"maxiter must be >= 1, got {maxiter}")
-        if not tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        self.tolerance = tolerance
-        self.maxiter = maxiter
+    def __init__(self, matrix: sp.spmatrix, grid_shape) -> None:
         #: most PCG iterations any column of the last solve took; under
         #: concurrent solves on one factorization, of whichever ended last
         self.last_iterations = 0
@@ -137,13 +131,13 @@ class SpectralFactorization(Factorization):
         r = b.copy()
         p = z = self.homogenized.solve(r)
         rz = r @ z
-        for iteration in range(1, self.maxiter + 1):
+        for iteration in range(1, _PCG_MAXITER + 1):
             ap = self._matrix @ p
             alpha = rz / (p @ ap)
             x += alpha * p
             r -= alpha * ap
             residual = np.linalg.norm(r) / bnorm
-            if residual <= self.tolerance:
+            if residual <= SPECTRAL_TOLERANCE:
                 break
             z = self.homogenized.solve(r)
             rz, rz_old = r @ z, rz
@@ -161,11 +155,11 @@ class SpectralFactorization(Factorization):
             most = max(most, iterations)
             worst = max(worst, residual)
         self.last_iterations = most
-        if worst > self.tolerance:
+        if worst > SPECTRAL_TOLERANCE:
             warn_degraded(
                 "spectral.no_convergence",
-                f"spectral PCG stopped at {self.maxiter} iterations, "
-                f"{worst / self.tolerance:.1f}x above the {self.tolerance:.0e} "
+                f"spectral PCG stopped at {_PCG_MAXITER} iterations, "
+                f"{worst / SPECTRAL_TOLERANCE:.1f}x above the {SPECTRAL_TOLERANCE:.0e} "
                 "residual target; returning the last iterate",
             )
         return X.reshape(B.shape)

@@ -6,11 +6,13 @@ the step matrix is factorized once per time step size and factorizations
 are kept in a small LRU so alternating ``dt`` values (coarse scans
 interleaved with fine bursts) never re-factorize.
 
-:meth:`TransientSolver.run_many` pushes a whole batch of power traces
-through one factorized step matrix — every step back-substitutes all
-traces' right-hand sides in a single call, mirroring what
+:meth:`TransientSolver.run_many` pushes a whole batch of power traces,
+each starting from the ambient temperature, through one factorized step
+matrix — every step back-substitutes all traces' right-hand sides in a
+single call, mirroring what
 :meth:`~repro.thermal.steady_state.SteadyStateSolver.solve_many` does for
-steady-state activity sweeps.  Per-die reductions go through a
+steady-state activity sweeps; :meth:`TransientSolver.run` is a batch of
+one.  Per-die reductions go through a
 precomputed layer-slice index instead of a per-step per-die Python loop.
 
 :meth:`TransientSolver.die_mean_kernels` answers the question a readout
@@ -114,80 +116,30 @@ class TransientSolver:
             self._lus.popitem(last=False)
         return lu
 
-    def _initial(self, t0: np.ndarray | None, batch: int | None) -> np.ndarray:
-        n = self.network.num_nodes
-        if t0 is None:
-            shape = (n,) if batch is None else (n, batch)
-            return np.full(shape, self.stack.ambient)
-        t0 = np.asarray(t0, dtype=float)
-        if batch is None:
-            if t0.shape != (n,):
-                raise ValueError(f"t0 must have shape ({n},), got {t0.shape}")
-            return t0.copy()
-        if t0.shape == (n,):
-            return np.repeat(t0[:, None], batch, axis=1)
-        if t0.shape == (n, batch):
-            return t0.copy()
-        raise ValueError(
-            f"t0 must have shape ({n},) or ({n}, {batch}), got {t0.shape}"
-        )
-
-    def run(
-        self,
-        power_at: PowerAt,
-        duration: float,
-        dt: float,
-        t0: np.ndarray | None = None,
-    ) -> TransientTrace:
-        """Integrate for ``duration`` seconds with step ``dt``.
+    def run(self, power_at: PowerAt, duration: float, dt: float) -> TransientTrace:
+        """Integrate for ``duration`` seconds with step ``dt``, starting
+        from the ambient temperature.
 
         ``power_at(t)`` returns the per-die power maps (W/cell) applied
-        during the step ending at time t.  Starts from the ambient
-        temperature unless ``t0`` (a nodal vector) is given.
+        during the step ending at time t.  One trace is a batch of one
+        through :meth:`run_many`.
         """
-        if duration <= 0 or dt <= 0:
-            raise ValueError("duration and dt must be positive")
-        lu = self._factorize(dt)
-        net = self.network
-        n_steps = int(round(duration / dt))
-        temp = self._initial(t0, batch=None)
-        num_dies = len(self._power_layers)
-        times = np.empty(n_steps)
-        die_means = np.empty((n_steps, num_dies))
-        die_peaks = np.empty((n_steps, num_dies))
-        c_over_dt = net.capacitance / dt
-        ambient_q = net.boundary * self.stack.ambient
-        for step in range(n_steps):
-            t_now = (step + 1) * dt
-            q = net.power_vector(list(power_at(t_now)))
-            rhs = c_over_dt * temp + q + ambient_q
-            temp = lu.solve(rhs)
-            times[step] = t_now
-            block = temp[self._die_nodes]  # (dies, cells)
-            die_means[step] = block.mean(axis=1)
-            die_peaks[step] = block.max(axis=1)
-        return TransientTrace(times=times, die_means=die_means, die_peaks=die_peaks)
+        return self.run_many([power_at], duration, dt)[0]
 
     def run_many(
-        self,
-        power_ats: Sequence[PowerAt],
-        duration: float,
-        dt: float,
-        t0: np.ndarray | None = None,
+        self, power_ats: Sequence[PowerAt], duration: float, dt: float
     ) -> List[TransientTrace]:
-        """Integrate a batch of power traces against one factorization.
+        """Integrate a batch of power traces against one factorization,
+        every trace starting from the ambient temperature.
 
         All traces advance in lock-step: each time step assembles one
         (nodes, traces) right-hand-side matrix and back-substitutes it in
-        a single call — far cheaper than per-trace :meth:`run` loops, and
-        the per-die reductions vectorize over the whole batch.  Results
-        match per-trace :meth:`run` calls to machine precision, not
-        bitwise: SuperLU's blocked multi-RHS back-substitution rounds
-        differently from the single-vector path once the batch exceeds
-        its internal panel width (~4 columns).
-
-        ``t0`` is an optional starting nodal vector, either one shared
-        ``(nodes,)`` vector or a per-trace ``(nodes, traces)`` matrix.
+        a single call — far cheaper than one trace at a time, and the
+        per-die reductions vectorize over the whole batch.  Results match
+        running each trace alone to machine precision, not bitwise:
+        SuperLU's blocked multi-RHS back-substitution rounds differently
+        from a single column once the batch exceeds its internal panel
+        width (~4 columns).
         """
         fns = list(power_ats)
         if not fns:
@@ -198,7 +150,7 @@ class TransientSolver:
         net = self.network
         n_steps = int(round(duration / dt))
         batch = len(fns)
-        temp = self._initial(t0, batch=batch)
+        temp = np.full((net.num_nodes, batch), self.stack.ambient)
         num_dies = len(self._power_layers)
         times = np.empty(n_steps)
         die_means = np.empty((batch, n_steps, num_dies))
@@ -214,7 +166,7 @@ class TransientSolver:
             temp = lu.solve(rhs)
             times[step] = t_now
             # (traces, dies, cells), C-contiguous: each (trace, die) row is
-            # then the same contiguous cells vector :meth:`run` reduces
+            # one contiguous cells vector
             block = np.ascontiguousarray(np.moveaxis(temp[self._die_nodes], 2, 0))
             die_means[:, step, :] = block.mean(axis=2)
             die_peaks[:, step, :] = block.max(axis=2)

@@ -106,22 +106,19 @@ class TimingGraph:
             net_delays_ns=nd,
         )
 
-    def max_delay_inflation(
-        self, floorplan: Floorplan3D, target_ns: float | None = None
-    ) -> Dict[str, float]:
+    def max_delay_inflation(self, floorplan: Floorplan3D) -> Dict[str, float]:
         """Per-module maximum tolerable delay-scaling factor.
 
         A module whose worst path has slack s against the target can let
         its own (nominal) delay grow by s, i.e. scale by
-        ``1 + s / d_module``.  The target defaults to the nominal
-        (all-1.0 V) critical delay — voltage scaling must not degrade the
-        design beyond its nominal timing.
+        ``1 + s / d_module``.  The target is the nominal (all-1.0 V)
+        critical delay — voltage scaling must not degrade the design
+        beyond its nominal timing.
         """
         nominal = self.evaluate(
             floorplan, voltages={n: 1.0 for n in floorplan.placements}
         )
-        if target_ns is None:
-            target_ns = nominal.critical_delay_ns
+        target_ns = nominal.critical_delay_ns
         out: Dict[str, float] = {}
         for name, p in floorplan.placements.items():
             d_mod = p.module.intrinsic_delay

@@ -7,13 +7,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.leakage.entropy import SpatialEntropyBreakdown
+from repro.leakage.entropy import NESTED_MEANS_MAX_DEPTH, NESTED_MEANS_RTOL
 
 
 def nested_means_classes_loop(
     values: np.ndarray,
-    rtol: float = 0.05,
-    max_depth: int = 4,
+    rtol: float = NESTED_MEANS_RTOL,
+    max_depth: int = NESTED_MEANS_MAX_DEPTH,
 ) -> np.ndarray:
     """Nested-means classification with a per-cell dict remap of labels."""
     flat = np.asarray(values, dtype=float).ravel()
@@ -104,11 +104,10 @@ def class_distances(
 
 def spatial_entropy_loop(
     power_map: np.ndarray,
-    rtol: float = 0.05,
-    max_depth: int = 4,
-    breakdown: bool = False,
+    rtol: float = NESTED_MEANS_RTOL,
+    max_depth: int = NESTED_MEANS_MAX_DEPTH,
     weight: str = "claramunt",
-) -> float | SpatialEntropyBreakdown:
+) -> float:
     """``spatial_entropy`` with one sort + cumsum pass per class and axis."""
     pm = np.asarray(power_map, dtype=float)
     labels = nested_means_classes_loop(pm, rtol=rtol, max_depth=max_depth)
@@ -120,10 +119,6 @@ def spatial_entropy_loop(
     total = flat_labels.size
 
     entropy = 0.0
-    sizes: List[int] = []
-    inters: List[float] = []
-    intras: List[float] = []
-    contribs: List[float] = []
     for label in np.unique(flat_labels):
         member = flat_labels == label
         size = int(member.sum())
@@ -134,19 +129,5 @@ def spatial_entropy_loop(
             ratio = intra / inter if inter > 0 else 0.0
         else:
             ratio = inter / intra if intra > 0 else 0.0
-        contrib = -ratio * shannon
-        entropy += contrib
-        sizes.append(size)
-        inters.append(inter)
-        intras.append(intra)
-        contribs.append(contrib)
-
-    if breakdown:
-        return SpatialEntropyBreakdown(
-            entropy=float(entropy),
-            class_sizes=sizes,
-            inter_distances=inters,
-            intra_distances=intras,
-            contributions=contribs,
-        )
+        entropy += -ratio * shannon
     return float(entropy)

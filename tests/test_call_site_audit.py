@@ -27,6 +27,10 @@ the benchmarks, the examples, the tools, perfbench or the CI workflow's
 inline scripts, and so must every public method and property of a
 ``src/repro`` class, by attribute.  A name only tests use is an oracle
 or a dead end, and belongs in ``tests/`` or nowhere.
+
+A third audit does the same for defaulted parameters: every one of a
+``src/repro`` function or method must be set by some call in those
+trees.  A knob no caller turns is a module constant, not a parameter.
 """
 
 import ast
@@ -52,6 +56,44 @@ EXPORT_ALLOWLIST = {
 METHOD_ALLOWLIST = {
     "core.faults.FaultPlan.report": "the chaos suite's readout: tests "
     "assert on a plan's per-site arrival and fire counts through it",
+}
+
+#: defaulted parameters no caller sets, each with why it stays
+PARAMETER_ALLOWLIST = {
+    "thermal.transient.TransientSolver.__init__.backend": "test seam: "
+    "tests hand in a backend instance to pin the solver a case runs on",
+    "core.flow.verify_correlations.cache": "test seam: tests hand in a "
+    "private SolverCache to count its hits and misses",
+    "exploration.study.run_exploration.cache": "test seam: tests hand in "
+    "a private SolverCache to count its hits and misses",
+    "core.queue.run_worker.worker_id": "test seam: queue tests name "
+    "workers to assert which one holds, steals or fails a lease",
+    "core.queue.run_worker.wait": "queue timing tests shorten: wait=False "
+    "exits at the first moment nothing is claimable",
+    "core.queue.run_worker.poll_interval": "queue timing tests shorten "
+    "to keep the chaos suite fast",
+    "service.state.ServiceState.__init__.poll_interval": "queue timing "
+    "tests shorten to keep the fan-out tests fast",
+    "core.faults.retry_io.attempts": "chaos timing tests shorten to "
+    "exhaust the retry budget",
+    "core.faults.retry_io.base_delay": "chaos timing tests shorten to "
+    "keep retried writes fast",
+    "exploration.study.run_batch.queue_dir": "deployment setting: pins "
+    "the queue so workers on other hosts can join a sweep",
+    "exploration.study.run_batch.lease_ttl": "deployment setting: the "
+    "lease a sweep's queue grants, set by the deployment's job lengths",
+    "thermal.steady_state.WoodburySolver.__init__.network": "Woodbury "
+    "knob: goes with the low-rank update path",
+    "thermal.steady_state.WoodburySolver.__init__.update": "Woodbury "
+    "knob: goes with the low-rank update path",
+    "thermal.steady_state.WoodburySolver.__init__.residual_tol": "Woodbury "
+    "knob: goes with the low-rank update path",
+    "thermal.steady_state.WoodburySolver.__init__.probe": "Woodbury "
+    "knob: goes with the low-rank update path",
+    "exploration.study.run_exploration.incremental": "Woodbury knob: "
+    "goes with the low-rank update path",
+    "floorplan.tempering.temper.ladder_ratio": "tempering knob: goes "
+    "with the replica-exchange path",
 }
 
 #: constructors only the owner modules may call: everything else must go
@@ -80,11 +122,15 @@ ALLOWLIST = {
 
 
 def _called_name(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
+    return _expr_name(call.func)
+
+
+def _expr_name(node: ast.AST) -> str | None:
+    """``f`` of the expression ``f`` or ``x.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return None
 
 
@@ -233,19 +279,27 @@ def _exports(path: Path, package: Path) -> Dict[str, str]:
     return {}
 
 
-def _caller_code(root: Path, trees: Iterable[str] = CALLER_TREES) -> List[ast.Module]:
-    """The parsed code under ``root`` that counts as a caller: every file
-    of ``trees`` and the ``python -c "..."`` scripts of the CI workflow."""
-    code = [
-        ast.parse(path.read_text(), filename=str(path))
+def _caller_files(root: Path, trees: Iterable[str] = CALLER_TREES) -> Dict[str, ast.Module]:
+    """The parsed code under ``root`` that counts as a caller, by path
+    relative to ``root``: every file of ``trees`` and the ``python -c
+    "..."`` scripts of the CI workflow (``<workflow>#<index>``)."""
+    files = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text(), filename=str(path))
         for tree in trees
         for path in sorted((root / tree).rglob("*.py"))
-    ]
+    }
     workflow = root / ".github" / "workflows" / "ci.yml"
     if workflow.exists():
         scripts = re.findall(r'python3? -c "(.*?)"', workflow.read_text(), re.S)
-        code.extend(ast.parse(textwrap.dedent(script)) for script in scripts)
-    return code
+        name = workflow.relative_to(root).as_posix()
+        for index, script in enumerate(scripts):
+            files[f"{name}#{index}"] = ast.parse(textwrap.dedent(script))
+    return files
+
+
+def _caller_code(root: Path, trees: Iterable[str] = CALLER_TREES) -> List[ast.Module]:
+    """:func:`_caller_files` without the paths."""
+    return list(_caller_files(root, trees).values())
 
 
 def _references(code: Iterable[ast.Module], names: bool = True) -> set:
@@ -410,3 +464,247 @@ def test_audit_catches_a_planted_unused_method(tmp_path):
     )
     callers = _caller_code(tmp_path, ("src", "tools", "perfbench"))
     assert _unreferenced_methods(package, callers) == ["mod.C.named", "mod.C.unused"]
+
+
+def _defs(tree: ast.Module):
+    """``(qualified name, def, enclosing class)`` of every def in
+    ``tree``, nested ones included, outer defs before inner ones.  The
+    class is ``None`` for a def that is not directly in a class body."""
+    todo = [(tree, "", None)]
+    while todo:
+        node, prefix, cls = todo.pop(0)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                todo.append((child, f"{prefix}{child.name}.", child))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}{child.name}", child, cls
+                todo.append((child, f"{prefix}{child.name}.", None))
+            else:
+                todo.append((child, prefix, cls))
+
+
+class _Signature:
+    """What a call can set of one def: its positional names (``self``
+    or ``cls`` dropped for methods), its defaulted names and the name of
+    its ``**`` parameter."""
+
+    def __init__(self, node, cls) -> None:
+        args = node.args
+        static = any(_expr_name(d) == "staticmethod" for d in node.decorator_list)
+        names = [a.arg for a in args.posonlyargs + args.args]
+        self.cls = cls.name if cls is not None else None
+        self.positional = names[1:] if cls is not None and not static else names
+        self.defaults = names[len(names) - len(args.defaults):] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        self.varkw = args.kwarg.arg if args.kwarg else None
+
+
+def _launched(call: ast.Call):
+    """``(callee, positional args, keywords)`` of each call ``call``
+    makes: itself, and the function a pool's ``submit`` or a
+    ``Process``/``Thread`` ``target`` runs.  The keyword ``None`` holds a
+    ``**`` mapping."""
+    keywords = {k.arg: k.value for k in call.keywords}
+    yield call.func, call.args, keywords
+    name = _called_name(call)
+    if name == "submit" and call.args:
+        yield call.args[0], call.args[1:], keywords
+    if name in ("Process", "Thread") and "target" in keywords:
+        args, kwargs = keywords.get("args"), keywords.get("kwargs")
+        if isinstance(args, (ast.Tuple, ast.List)):
+            positional = list(args.elts)
+        else:
+            positional = [] if args is None else [ast.Starred(args, ast.Load())]
+        if kwargs is None:
+            named = {}
+        elif isinstance(kwargs, ast.Dict) and all(
+            isinstance(k, ast.Constant) for k in kwargs.keys
+        ):
+            named = {k.value: v for k, v in zip(kwargs.keys, kwargs.values)}
+        elif isinstance(kwargs, ast.Call) and _called_name(kwargs) == "dict" and not kwargs.args:
+            named = {k.arg: k.value for k in kwargs.keywords}
+        else:
+            named = {None: kwargs}
+        yield keywords["target"], positional, named
+
+
+def _unset_parameters(root: Path, package: Path, files: Dict[str, ast.Module]) -> List[str]:
+    """Defaulted parameters of ``package``'s defs that no call in
+    ``files`` sets, qualified as ``<module>.<def>.<param>``.
+
+    Callees match by name, conservatively: a call ``f(...)`` or
+    ``x.f(...)`` may reach every def named ``f``, ``C(...)`` and
+    ``cls(...)`` the ``__init__`` of a class ``C``, and
+    ``super().f(...)`` the ``f`` of a named base class.  A call sets a
+    parameter it passes by keyword or by position, whatever the value,
+    unless the value is the caller's own defaulted parameter: that
+    pass-through sets it only if the caller's parameter is set.  A
+    ``**`` mapping forwarded from the caller's ``**`` parameter passes
+    on the keywords the caller receives; any other ``**`` mapping or
+    ``*`` sequence sets every parameter of the callee.
+    """
+    prefix = package.relative_to(root).as_posix() + "/"
+    signatures = {}  # (file, qualified) -> _Signature
+    by_name: Dict[str, list] = {}  # name a call uses -> [(file, qualified)]
+    owner = {}  # id(node) -> ((file, qualified), class) of its innermost def
+    for rel, tree in files.items():
+        for qualified, node, cls in _defs(tree):
+            key = (rel, qualified)
+            signatures[key] = _Signature(node, cls)
+            for child in ast.walk(node):
+                owner[id(child)] = (key, cls)
+            if rel.startswith(prefix):
+                names = {node.name}
+                if cls is not None and node.name == "__init__":
+                    names.add(cls.name)
+                for name in names:
+                    by_name.setdefault(name, []).append(key)
+
+    found = set()  # (callee, param) set by some call; "**k" / "**" keywords
+    through: Dict[tuple, set] = {}  # (caller, own param) -> {(callee, param)}
+    forwards: Dict[tuple, set] = {}  # caller -> callees its ** mapping reaches
+    for tree in files.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            caller, cls = owner.get(id(call), (None, None))
+            own = signatures.get(caller)
+            for func, args, keywords in _launched(call):
+                name = _expr_name(func)
+                if name == "cls" and cls is not None:
+                    name = cls.name
+                callees = by_name.get(name, ())
+                value = getattr(func, "value", None)
+                if isinstance(value, ast.Call) and _called_name(value) == "super":
+                    bases = {_expr_name(b) for b in cls.bases} if cls else set()
+                    callees = [c for c in callees if signatures[c].cls in bases]
+                for callee in callees:
+                    sig = signatures[callee]
+                    if any(isinstance(a, ast.Starred) for a in args):
+                        found.update((callee, p) for p in sig.defaults)
+                    if None in keywords:
+                        mapping = keywords[None]
+                        if own and isinstance(mapping, ast.Name) and mapping.id == own.varkw:
+                            forwards.setdefault(caller, set()).add(callee)
+                        else:
+                            found.update((callee, p) for p in sig.defaults)
+                            found.add((callee, "**"))
+                    pairs = list(zip(sig.positional, args))
+                    pairs += [(k, v) for k, v in keywords.items() if k is not None]
+                    for param, value in pairs:
+                        if param not in sig.defaults:
+                            if not sig.varkw or param in sig.positional:
+                                continue
+                            param = f"**{param}"
+                        if own and isinstance(value, ast.Name) and value.id in own.defaults:
+                            through.setdefault((caller, value.id), set()).add((callee, param))
+                        else:
+                            found.add((callee, param))
+
+    todo = list(found)
+    while todo:
+        key, param = todo.pop()
+        reached = set(through.get((key, param), ()))
+        if param.startswith("**"):
+            keyword = param[2:]
+            for callee in forwards.get(key, ()):
+                sig = signatures[callee]
+                if not keyword:
+                    reached.update((callee, p) for p in sig.defaults)
+                    reached.add((callee, "**"))
+                elif keyword in sig.defaults:
+                    reached.add((callee, keyword))
+                elif sig.varkw:
+                    reached.add((callee, param))
+        for item in reached - found:
+            found.add(item)
+            todo.append(item)
+
+    unset = []
+    for (rel, qualified), sig in signatures.items():
+        if rel.startswith(prefix):
+            module = ".".join(Path(rel[len(prefix):]).with_suffix("").parts)
+            unset += [
+                f"{module}.{qualified}.{p}"
+                for p in sig.defaults
+                if ((rel, qualified), p) not in found
+            ]
+    return sorted(unset)
+
+
+def test_every_parameter_has_a_caller():
+    unset = [
+        qualified
+        for qualified in _unset_parameters(ROOT, SRC, _caller_files(ROOT))
+        if qualified not in PARAMETER_ALLOWLIST
+    ]
+    assert not unset, (
+        "defaulted parameters no caller sets outside tests (make each a "
+        "module constant, or delete the branch it selects): " + ", ".join(unset)
+    )
+
+
+def test_parameter_allowlist_is_minimal():
+    """Every allowlisted parameter exists and still has no caller, so a
+    stale entry cannot hide a regrown knob."""
+    unset = set(_unset_parameters(ROOT, SRC, _caller_files(ROOT)))
+    stale = sorted(set(PARAMETER_ALLOWLIST) - unset)
+    assert not stale, "allowlisted but set by a caller, or gone: " + ", ".join(stale)
+
+
+def test_audit_catches_a_planted_unused_parameter(tmp_path):
+    """A defaulted parameter only tests set is flagged, through a chain
+    of pass-throughs too; keywords, positions, pool and process launches,
+    ``**`` forwarding and ``cls(...)`` count as setting it."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def leaf(a, by_kw=1, by_pos=2, chained=3, unset=4):\n"
+        "    def inner(x=0): pass\n"
+        "    inner()\n"
+        "def middle(chained=3, forwarded=5):\n"
+        "    leaf(0, chained=chained)\n"
+        "def top(chained=3):\n"
+        "    middle(chained=chained)\n"
+        "def sweep(**kwargs):\n"
+        "    return target(**kwargs)\n"
+        "def target(kept=1, dropped=2): pass\n"
+        "def launched(q, pos=1, kw=2, never=3): pass\n"
+        "def spawned(q, pos=1, kw=2, never=3): pass\n"
+        "class C:\n"
+        "    def __init__(self, made=1, unmade=2): pass\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls(made=0)\n"
+        "    def method(self, first=1, second=2): pass\n"
+        "class E(Exception):\n"
+        "    def __init__(self, message, code=1):\n"
+        "        super().__init__(message, code)\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "from pkg import mod\n"
+        "mod.leaf(0, 1, by_pos=2)\n"
+        "mod.leaf(0, by_kw=1)\n"
+        "mod.top()\n"
+        "mod.middle(forwarded=None)\n"
+        "mod.sweep(kept=0)\n"
+        "mod.C.build().method(0)\n"
+        "pool.submit(mod.launched, 'q', 1, kw=2)\n"
+        "Process(target=mod.spawned, args=('q', 1), kwargs=dict(kw=2))\n"
+    )
+    unset = _unset_parameters(tmp_path, package, _caller_files(tmp_path, ("src", "tools")))
+    assert unset == [
+        "mod.C.__init__.unmade",
+        "mod.C.method.second",
+        "mod.E.__init__.code",
+        "mod.launched.never",
+        "mod.leaf.chained",
+        "mod.leaf.inner.x",
+        "mod.leaf.unset",
+        "mod.middle.chained",
+        "mod.spawned.never",
+        "mod.target.dropped",
+        "mod.top.chained",
+    ]

@@ -87,6 +87,21 @@ class TestParser:
         assert main(["serve", "--workers", str(workers)]) == 0
         assert seen == [1 if workers > 1 else before]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["work", "--lease-ttl", "0"], "lease_ttl must be positive"),
+            (["work", "--backoff", "-1"], "retry_backoff must be >= 0"),
+            (["sweep-status", "--lease-ttl", "-1"], "lease_ttl must be positive"),
+        ],
+    )
+    def test_invalid_queue_settings_print_an_error(self, tmp_path, argv, message):
+        """A queue setting WorkQueue refuses ends the command with an
+        ``error:`` line, not a ValueError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--queue-dir", str(tmp_path / "q")] + argv[1:])
+        assert exc.value.code == f"error: {message}"
+
     def test_serve_threshold_without_queue_dir_rejected(self):
         with pytest.raises(SystemExit):
             main(["serve", "--queue-threshold", "100"])

@@ -8,13 +8,13 @@ temperature trace from the secret activity sequence.
 """
 
 import json
-import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.parallel import IN_POOL_ENV, fanout_cores
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
@@ -259,7 +259,7 @@ class TestKernelThreads:
     def test_pool_worker_runs_one_thread(self, in_pool, threads, monkeypatch):
         """Every solve is one column.  Inside a batch-pool worker, whose
         siblings already occupy the cores, every die's process runs on one
-        thread; outside it the dies split into ``min(dies, cpu_count)``
+        thread; outside it the dies split into ``min(dies, usable cores)``
         chains."""
         import concurrent.futures
 
@@ -267,7 +267,7 @@ class TestKernelThreads:
             monkeypatch.setenv(IN_POOL_ENV, "1")
         else:
             monkeypatch.delenv(IN_POOL_ENV, raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+            monkeypatch.setattr(parallel, "usable_cores", lambda: 3)
         solver = _transient_solver(3, "3d")
         lu = solver._factorize(2e-3)
         widths, idents, pools = [], set(), []

@@ -188,6 +188,31 @@ class TestRunBatch:
             assert a.correlation_r1 == pytest.approx(b.correlation_r1)
             assert a.wirelength_m == pytest.approx(b.wirelength_m)
 
+    def test_default_pool_is_sized_by_usable_cores(self, monkeypatch):
+        """``processes=None`` counts the CPUs this process may run on: a
+        50-job batch pinned to 2 CPUs of a 64-CPU host starts 2 workers."""
+        import os
+
+        from repro.api import JobSpec
+        from repro.exploration import study
+
+        class Stop(Exception):
+            pass
+
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            raise Stop
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        jobs = [JobSpec(benchmark="n100", seed=s, iterations=10) for s in range(50)]
+        with pytest.raises(Stop):
+            study.run_batch(jobs)
+        assert sizes == [2]
+
     def test_empty_batch(self):
         from repro.exploration.study import run_batch
 

@@ -252,7 +252,7 @@ class TestAnnealer:
         assert res.breakdown.correlation != 0.0 or res.best_leakage is not None
 
     def test_reported_cost_uses_original_weights(self, tiny_circuit):
-        """Regression: the final cost must be scored under the caller's
+        """Regression: the final cost must be scored under the mode's
         weights, not the 6x-boosted compaction weights.
 
         A run too short to reach feasibility ends with outline > 0, where
@@ -260,52 +260,27 @@ class TestAnnealer:
         boosted outline contribution.
         """
         circ, stack = tiny_circuit
-        ev = CostEvaluator(
-            stack, circ.nets, circ.terminals, grid_nx=16, grid_ny=16,
-        )
-        original = ev.weights
+        original = ObjectiveWeights.for_mode(FloorplanMode.POWER_AWARE)
         cfg = AnnealConfig(iterations=20, seed=11, calibration_samples=4,
                            grid_nx=16, grid_ny=16)
-        res = anneal(circ.modules, stack, circ.nets, circ.terminals,
-                     config=cfg, evaluator=ev)
-        # caller's evaluator must come back with its weights intact ...
+        chain = AnnealChain.start(circ.modules, stack, nets=circ.nets,
+                                  terminals=circ.terminals, config=cfg)
+        chain.run(cfg.iterations)
+        res = chain.finalize()
+        ev = chain.evaluator
+        # the evaluator is back on the mode's weights ...
         assert ev.weights == original
-        # ... and the reported cost must be the original-weight total of
-        # the reported breakdown (fails with the boost applied whenever
-        # the run ends infeasible)
+        # ... and the reported cost is the original-weight total of the
+        # reported breakdown (fails with the boost applied whenever the
+        # run ends infeasible)
         assert res.cost == pytest.approx(ev.total_cost(res.breakdown))
         if not res.feasible:
             boosted = ev.total_cost(res.breakdown) + (
                 original.outline * 5.0 * res.breakdown.outline
             )
             assert res.cost < boosted
-
-    def test_anneal_restores_evaluator_weights(self):
-        """Regression: the compaction phase used to multiply the outline
-        weight 6x *permanently*, compounding on every anneal() call that
-        reused an evaluator."""
-        spec = BenchmarkSpec("tiny", 0, 8, 1, 40, 8, 0.25, 1.2, seed=3)
-        circ = generate_circuit(spec)
-        stack = StackConfig(spec.outline)
-        evaluator = CostEvaluator(
-            stack,
-            circ.nets,
-            circ.terminals,
-            grid_nx=8,
-            grid_ny=8,
-        )
-        original = evaluator.weights
-        config = AnnealConfig(
-            iterations=30, calibration_samples=4, grid_nx=8, grid_ny=8
-        )
-        first = anneal(circ.modules, stack, circ.nets, circ.terminals,
-                       config=config, evaluator=evaluator)
-        assert evaluator.weights == original
-        second = anneal(circ.modules, stack, circ.nets, circ.terminals,
-                        config=config, evaluator=evaluator)
-        assert evaluator.weights == original
-        # identical seeds + restored weights => identical outcomes
-        assert second.cost == pytest.approx(first.cost)
+        assert res.cost == anneal(circ.modules, stack, circ.nets,
+                                  circ.terminals, config=cfg).cost
 
     def test_chain_matches_anneal_in_slices(self, tiny_circuit):
         """Advancing a chain in arbitrary slices equals one straight run."""
@@ -315,12 +290,9 @@ class TestAnnealer:
         ref = anneal(circ.modules, stack, circ.nets, circ.terminals, config=cfg)
         chain = AnnealChain.start(circ.modules, stack, nets=circ.nets,
                                   terminals=circ.terminals, config=cfg)
-        try:
-            for moves in (7, 13, 20, 20):
-                chain.run(moves)
-            res = chain.finalize()
-        finally:
-            chain.restore_weights()
+        for moves in (7, 13, 20, 20):
+            chain.run(moves)
+        res = chain.finalize()
         assert res.history == ref.history
         assert res.accepted == ref.accepted
         assert res.cost == ref.cost

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles.pearson import local_correlation_map_loop
 from oracles.svf import similarity_matrix, svf
+from repro.leakage import entropy as entropy_module
 from repro.leakage.entropy import nested_means_classes, spatial_entropy
 from repro.leakage.pearson import die_correlation, local_correlation_map, pearson
 from repro.leakage.stability import most_stable_bins, stability_map
@@ -156,22 +157,24 @@ class TestNestedMeans:
 
     def test_bimodal_splits_into_two(self):
         vals = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
-        labels = nested_means_classes(vals, rtol=0.05, max_depth=1)
+        labels = nested_means_classes(vals)
         assert len(np.unique(labels)) == 2
         # labels ordered by class mean
         assert labels[0] == 0 and labels[-1] == 1
 
-    def test_max_depth_caps_classes(self):
+    def test_max_depth_caps_classes(self, monkeypatch):
+        monkeypatch.setattr(entropy_module, "NESTED_MEANS_RTOL", 0.0)
+        monkeypatch.setattr(entropy_module, "NESTED_MEANS_MAX_DEPTH", 3)
         rng = np.random.default_rng(0)
         vals = rng.random(256)
-        labels = nested_means_classes(vals, rtol=0.0, max_depth=3)
+        labels = nested_means_classes(vals)
         assert len(np.unique(labels)) <= 8
 
     def test_labels_partition_by_value(self):
         """Nested means yields contiguous value ranges per class."""
         rng = np.random.default_rng(1)
         vals = rng.random(128)
-        labels = nested_means_classes(vals, max_depth=3)
+        labels = nested_means_classes(vals)
         order = np.argsort(vals)
         sorted_labels = labels[order]
         # ascending class mean => labels non-decreasing over sorted values
@@ -204,13 +207,6 @@ class TestSpatialEntropy:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             spatial_entropy(np.ones(16))
-
-    def test_breakdown_consistent(self):
-        rng = np.random.default_rng(2)
-        pm = rng.random((10, 10))
-        bd = spatial_entropy(pm, breakdown=True)
-        assert bd.entropy == pytest.approx(sum(bd.contributions))
-        assert sum(bd.class_sizes) == 100
 
     def test_entropy_nonnegative(self):
         rng = np.random.default_rng(3)

@@ -38,6 +38,7 @@ from repro.layout.tsv import (
     tsv_cell_occupancy,
     tsv_density_map,
 )
+from repro.leakage import entropy as entropy_module
 from repro.leakage.entropy import nested_means_classes, spatial_entropy
 from repro.mitigation.activity import module_power_basis
 from repro.timing.paths import TimingGraph
@@ -341,30 +342,23 @@ class TestEntropy:
         pm = np.random.default_rng(seed).lognormal(0, 0.8, size=shape)
         assert spatial_entropy(pm, weight=weight) == spatial_entropy_loop(pm, weight=weight)
 
-    @pytest.mark.parametrize("size", [16, 32, 64])
-    def test_breakdown_equals_loop(self, size):
-        pm = np.random.default_rng(size).lognormal(0, 0.8, size=(size, size))
-        got = spatial_entropy(pm, breakdown=True)
-        assert got == spatial_entropy_loop(pm, breakdown=True)
-        assert sum(got.class_sizes) == size * size
-
-    def test_constant_and_single_class_maps(self):
+    def test_constant_and_single_class_maps(self, monkeypatch):
         for pm in (np.full((12, 12), 3.0), np.zeros((5, 8)), np.ones((1, 1))):
-            got = spatial_entropy(pm, breakdown=True)
-            assert got == spatial_entropy_loop(pm, breakdown=True)
-            assert got.class_sizes == [pm.size]
-        # two values: max_depth=1 gives exactly two classes, one a singleton
+            assert spatial_entropy(pm) == spatial_entropy_loop(pm) == 0.0
+            assert not nested_means_classes(pm).any()
+        # two values: one split gives exactly two classes, one a singleton
+        monkeypatch.setattr(entropy_module, "NESTED_MEANS_MAX_DEPTH", 1)
         pm = np.zeros((9, 9))
         pm[4, 4] = 1.0
-        got = spatial_entropy(pm, max_depth=1, breakdown=True)
-        assert got == spatial_entropy_loop(pm, max_depth=1, breakdown=True)
-        assert sorted(got.class_sizes) == [1, 80]
+        assert spatial_entropy(pm) == spatial_entropy_loop(pm, max_depth=1)
+        assert sorted(np.bincount(nested_means_classes(pm).ravel())) == [1, 80]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_nested_means_labels_equal_loop(self, seed):
+    def test_nested_means_labels_equal_loop(self, seed, monkeypatch):
         vals = np.random.default_rng(seed).lognormal(0, 1.0, size=(24, 17))
         for depth in (1, 2, 4):
-            got = nested_means_classes(vals, max_depth=depth)
+            monkeypatch.setattr(entropy_module, "NESTED_MEANS_MAX_DEPTH", depth)
+            got = nested_means_classes(vals)
             expected = nested_means_classes_loop(vals, max_depth=depth)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)

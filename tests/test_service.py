@@ -16,6 +16,7 @@ import asyncio
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -290,6 +291,28 @@ class TestHttpErrors:
             )
             assert status == 200
             assert any("rococo" in w for w in doc["warnings"])
+
+        service_test(scenario)(dict(store_dir=tmp_path))
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "\u00b2"])
+    def test_malformed_content_length_is_400(self, tmp_path, length):
+        """A Content-Length that is not a decimal digit string is the
+        client's error: it used to reach ``int()``/``readexactly`` and
+        come back as a 500."""
+
+        async def scenario(state, client):
+            host, port = urllib.parse.urlsplit(client.base).netloc.split(":")
+            reader, writer = await asyncio.open_connection(host, int(port))
+            writer.write(
+                f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}".encode("latin-1")
+            )
+            await writer.drain()
+            status_line = await asyncio.wait_for(reader.readline(), 30)
+            writer.close()
+            await writer.wait_closed()
+            assert status_line.split()[1] == b"400", status_line
+            assert not state.jobs
 
         service_test(scenario)(dict(store_dir=tmp_path))
 

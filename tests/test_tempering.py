@@ -145,7 +145,27 @@ class TestNestedPoolGuard:
         monkeypatch.delenv(IN_POOL_ENV, raising=False)
         procs = resolve_replica_processes(4)
         assert 1 <= procs <= 4
-        assert procs <= (os.cpu_count() or 1)
+        assert procs <= len(os.sched_getaffinity(0))
+
+    def test_fanout_counts_the_affinity_mask(self, monkeypatch):
+        """Fan-out reads the CPUs this process may run on, not the host's."""
+        from repro.core.parallel import fanout_cores, usable_cores
+
+        monkeypatch.delenv(PROCESSES_ENV, raising=False)
+        monkeypatch.delenv(IN_POOL_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert usable_cores() == fanout_cores() == 2
+        assert resolve_replica_processes(8) == 2
+
+    def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch):
+        from repro.core.parallel import usable_cores
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert usable_cores() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
 
     def test_batch_worker_sets_guard(self, tmp_path):
         """batch_worker_main marks its process as a pool worker."""
