@@ -18,6 +18,7 @@ hand:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
@@ -146,19 +147,10 @@ def queue_status(
     """
     from ..core.queue import WorkQueue
 
-    queue = WorkQueue(queue_dir, lease_ttl=lease_ttl)
-    status = queue.status()
+    status = WorkQueue(queue_dir, lease_ttl=lease_ttl).status()
     return {
         "schema_version": 1,
         "queue_dir": str(queue_dir),
-        "total": status.total,
-        "completed": status.completed,
-        "failed": status.failed,
-        "claimed": status.claimed,
-        "pending": status.pending,
-        "active": list(status.active),
-        "stale": list(status.stale),
-        "failures": dict(status.failures),
-        "quarantined": dict(status.quarantined),
+        **asdict(status),
         "healthy": status.failed == 0,
     }

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional
 
 from ..core import schema
-from ..core.config import FlowConfig, check_mitigation_mode
+from ..core.config import FlowConfig
 from ..core.results import FlowMetrics
 from ..core.store import artifact_digest
 from ..floorplan.annealer import AnnealConfig
 from ..floorplan.objectives import FloorplanMode
-from ..mitigation.dummy_tsv import MITIGATION_MODES
-from ..thermal.stack import TOPOLOGY_KINDS, TopologyConfig
+from ..thermal.stack import TopologyConfig
 
 __all__ = ["JobSpec", "JobResult"]
 
@@ -70,32 +69,12 @@ class JobSpec:
                 f"unknown benchmark {self.benchmark!r} "
                 f"(choose from {', '.join(benchmark_names())})"
             )
-        if self.mode not in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
-            raise ValueError(
-                f"mode must be '{FloorplanMode.POWER_AWARE}' or "
-                f"'{FloorplanMode.TSC_AWARE}', got {self.mode!r}"
-            )
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         if self.grid < 2:
             raise ValueError("grid must be >= 2")
         if self.num_dies < 2:
             raise ValueError("num_dies must be >= 2")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.exchange_every < 1:
-            raise ValueError("exchange_every must be >= 1")
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ValueError(
-                f"unknown topology kind {self.topology!r}; expected one of "
-                + ", ".join(TOPOLOGY_KINDS)
-            )
-        if self.mitigation_mode not in MITIGATION_MODES:
-            raise ValueError(
-                f"unknown mitigation mode {self.mitigation_mode!r}; "
-                "expected one of " + ", ".join(MITIGATION_MODES)
-            )
-        check_mitigation_mode(self.mode, self.mitigation_mode)
+        # every other field is checked by the config it maps to
+        self.to_flow_config()
 
     def to_json(self) -> dict:
         """Versioned JSON document (see :mod:`repro.core.schema`)."""

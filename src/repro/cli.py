@@ -65,35 +65,21 @@ def _print_metrics(m) -> None:
           f"volumes={m.voltage_volumes}")
 
 
-def _spec_from_args(
-    args: argparse.Namespace,
-    benchmark: str,
-    mode: str,
-    seed: int,
-    topology: str | None = None,
-    mitigation_mode: str | None = None,
-):
-    """One validated JobSpec from CLI knobs (shared arg->spec path)."""
+def _spec_from_args(args: argparse.Namespace, **fields):
+    """One validated JobSpec from ``fields`` plus every spec field the
+    command has a flag for (shared arg->spec path); JobSpec defaults the
+    rest."""
+    from dataclasses import fields as spec_fields
+
     from .api import JobSpec
 
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in spec_fields(JobSpec)
+        if hasattr(args, f.name)
+    }
     try:
-        return JobSpec(
-            benchmark=benchmark,
-            mode=mode,
-            seed=seed,
-            iterations=args.iterations,
-            grid=args.grid,
-            replicas=getattr(args, "replicas", 1),
-            exchange_every=getattr(args, "exchange_every", 50),
-            topology=(
-                topology if topology is not None
-                else getattr(args, "topology", "3d")
-            ),
-            mitigation_mode=(
-                mitigation_mode if mitigation_mode is not None
-                else getattr(args, "mitigation_mode", "static")
-            ),
-        )
+        return JobSpec(**{**flags, **fields})
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
@@ -101,10 +87,10 @@ def _spec_from_args(
 def _cmd_flow(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .api import execute_spec
+    from .api import JobSpec, execute_spec
     from .mitigation.dvfs import WINDOWS as DVFS_WINDOWS
 
-    spec = _spec_from_args(args, args.benchmark, args.mode, args.seed)
+    spec = _spec_from_args(args)
     config = replace(
         spec.to_flow_config(), replica_processes=args.replica_processes
     )
@@ -114,7 +100,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         res = outcome.anneal_result
         print(f"  replicas={res.replicas}  exchange_every={config.exchange_every}  "
               f"swaps={res.exchange_accepts}/{res.exchange_attempts}")
-    if spec.topology != "3d" or spec.mitigation_mode != "static":
+    if (spec.topology, spec.mitigation_mode) != (JobSpec.topology, JobSpec.mitigation_mode):
         print(f"  topology={spec.topology}  mitigation={spec.mitigation_mode}")
     _print_metrics(outcome.metrics)
     if outcome.mitigation is not None:
@@ -134,27 +120,28 @@ def _build_jobs(args: argparse.Namespace) -> list:
     """The (benchmark, mode, seed, topology, mitigation) JobSpec grid
     shared by batch/enqueue.  Only the TSC flow runs mitigation, so a
     non-static mitigation mode pairs with ``tsc_aware`` alone."""
+    from .floorplan.objectives import FloorplanMode
+
     if args.seeds < 1:
         raise SystemExit("error: --seeds must be >= 1")
-    topologies = getattr(args, "topologies", None) or ["3d"]
-    mit_modes = getattr(args, "mitigation_modes", None) or ["static"]
-    runtime = [mit for mit in mit_modes if mit != "static"]
-    if runtime and any(mode != "tsc_aware" for mode in args.modes):
+    tsc = FloorplanMode.TSC_AWARE
+    runtime = [mit for mit in args.mitigation_modes if mit != "static"]
+    if runtime and any(mode != tsc for mode in args.modes):
         print(f"note: mitigation mode(s) {', '.join(runtime)} run only with "
-              "tsc_aware; other modes pair with static only")
+              f"{tsc}; other modes pair with static only")
     jobs = [
-        _spec_from_args(args, bench, mode, seed,
+        _spec_from_args(args, benchmark=bench, mode=mode, seed=seed,
                         topology=topology, mitigation_mode=mit)
-        for topology in topologies
-        for mit in mit_modes
+        for topology in args.topologies
+        for mit in args.mitigation_modes
         for mode in args.modes
-        if mit == "static" or mode == "tsc_aware"
+        if mit == "static" or mode == tsc
         for bench in args.benchmarks
         for seed in range(args.seeds)
     ]
     if not jobs:
         raise SystemExit(
-            f"error: mitigation mode(s) {', '.join(runtime)} need --modes tsc_aware"
+            f"error: mitigation mode(s) {', '.join(runtime)} need --modes {tsc}"
         )
     return jobs
 
@@ -216,10 +203,8 @@ def _cmd_enqueue(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
     from .core.queue import WorkQueue
-    from .exploration.study import batch_worker_main
+    from .exploration.study import run_workers
 
     workers = args.workers
     if workers < 1:
@@ -251,53 +236,11 @@ def _cmd_work(args: argparse.Namespace) -> int:
               f"{args.max_attempts} attempt(s)/job)")
     done = 0
     try:
-        if workers == 1:
-            done = batch_worker_main(
-                str(args.queue_dir), args.lease_ttl,
-                max_jobs=args.max_jobs,
-                max_attempts=args.max_attempts, retry_backoff=args.backoff,
-                watch=args.watch,
-            )
-        elif args.watch:
-            # daemon pool: plain processes, terminated on Ctrl-C — a
-            # ProcessPoolExecutor would wait forever on workers that
-            # never drain by design
-            import multiprocessing as mp
-
-            procs = [
-                mp.Process(
-                    target=batch_worker_main,
-                    args=(str(args.queue_dir), args.lease_ttl),
-                    kwargs=dict(max_jobs=args.max_jobs,
-                                max_attempts=args.max_attempts,
-                                retry_backoff=args.backoff, watch=True),
-                )
-                for _ in range(workers)
-            ]
-            for proc in procs:
-                proc.start()
-            try:
-                for proc in procs:
-                    proc.join()
-            finally:
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.terminate()
-                for proc in procs:
-                    proc.join()
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        batch_worker_main, str(args.queue_dir), args.lease_ttl,
-                        max_jobs=args.max_jobs,
-                        max_attempts=args.max_attempts,
-                        retry_backoff=args.backoff,
-                    )
-                    for _ in range(workers)
-                ]
-                for future in as_completed(futures):
-                    done += future.result()
+        done = run_workers(
+            workers, str(args.queue_dir), lease_ttl=args.lease_ttl,
+            max_jobs=args.max_jobs, max_attempts=args.max_attempts,
+            retry_backoff=args.backoff, watch=args.watch,
+        )
     except KeyboardInterrupt:
         # a watch daemon's normal exit: held leases were released by the
         # workers; fall through to merge what they finished
@@ -433,6 +376,11 @@ def _cmd_benchmarks(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .api import JobSpec
+    from .floorplan.objectives import FloorplanMode
+    from .mitigation import MITIGATION_MODES
+    from .thermal.stack import TOPOLOGY_KINDS, TopologyConfig
+
     parser = argparse.ArgumentParser(
         prog="repro", description="TSC-aware 3D-IC floorplanning (DAC'17 reproduction)"
     )
@@ -440,30 +388,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("flow", help="run one floorplanning flow")
     p_flow.add_argument("benchmark", choices=benchmark_names())
-    p_flow.add_argument("--mode", choices=["power_aware", "tsc_aware"],
-                        default="power_aware")
-    p_flow.add_argument("--iterations", type=int, default=1500)
-    p_flow.add_argument("--seed", type=int, default=0)
-    p_flow.add_argument("--grid", type=int, default=32)
-    p_flow.add_argument("--replicas", type=int, default=1,
+    p_flow.add_argument("--mode", choices=FloorplanMode.ALL, default=JobSpec.mode)
+    p_flow.add_argument("--iterations", type=int, default=JobSpec.iterations)
+    p_flow.add_argument("--seed", type=int, default=JobSpec.seed)
+    p_flow.add_argument("--grid", type=int, default=JobSpec.grid)
+    p_flow.add_argument("--replicas", type=int, default=JobSpec.replicas,
                         help="parallel-tempering replicas for the annealing "
                              "stage (1 = plain single-chain SA); the total "
                              "move budget (--iterations) is split across "
                              "replicas")
-    p_flow.add_argument("--exchange-every", type=int, default=50,
+    p_flow.add_argument("--exchange-every", type=int, default=JobSpec.exchange_every,
                         help="moves each replica advances between "
                              "replica-exchange attempts")
     p_flow.add_argument("--replica-processes", type=int, default=None,
                         help="worker processes for the replica pool "
                              "(default: min(replicas, cpu count))")
-    p_flow.add_argument("--topology", choices=["3d", "2.5d"], default="3d",
+    p_flow.add_argument("--topology", choices=TOPOLOGY_KINDS, default=JobSpec.topology,
                         help="integration style: '3d' stacks dies "
                              "vertically (the paper's setup); '2.5d' places "
                              "them side by side on a passive interposer "
                              "with micro-bump heat paths")
     p_flow.add_argument("--mitigation-mode", dest="mitigation_mode",
-                        choices=["static", "dvfs", "combined"],
-                        default="static",
+                        choices=MITIGATION_MODES,
+                        default=JobSpec.mitigation_mode,
                         help="leakage defense, in TSC mode only (dvfs and "
                              "combined need --mode tsc_aware): 'static' inserts "
                              "dummy thermal TSVs (Sec. 6.2), 'dvfs' runs the "
@@ -474,27 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_grid_args(p) -> None:
         p.add_argument("benchmarks", nargs="+", choices=benchmark_names())
-        p.add_argument("--modes", nargs="+",
-                       choices=["power_aware", "tsc_aware"],
-                       default=["power_aware", "tsc_aware"])
+        p.add_argument("--modes", nargs="+", choices=FloorplanMode.ALL,
+                       default=list(FloorplanMode.ALL))
         p.add_argument("--seeds", type=int, default=2,
                        help="runs per (benchmark, mode), seeded 0..N-1")
-        p.add_argument("--iterations", type=int, default=1500)
-        p.add_argument("--grid", type=int, default=32)
-        p.add_argument("--replicas", type=int, default=1,
+        p.add_argument("--iterations", type=int, default=JobSpec.iterations)
+        p.add_argument("--grid", type=int, default=JobSpec.grid)
+        p.add_argument("--replicas", type=int, default=JobSpec.replicas,
                        help="parallel-tempering replicas per flow (1 = "
                             "plain SA); inside pool workers the replica "
                             "chains advance serially so workers x replicas "
                             "never oversubscribes the host")
-        p.add_argument("--exchange-every", type=int, default=50,
+        p.add_argument("--exchange-every", type=int, default=JobSpec.exchange_every,
                        help="moves between replica-exchange attempts")
-        p.add_argument("--topologies", nargs="+", choices=["3d", "2.5d"],
-                       default=["3d"],
+        p.add_argument("--topologies", nargs="+", choices=TOPOLOGY_KINDS,
+                       default=[JobSpec.topology],
                        help="integration styles to sweep (grid axis)")
         p.add_argument("--mitigation-modes", nargs="+",
                        dest="mitigation_modes",
-                       choices=["static", "dvfs", "combined"],
-                       default=["static"],
+                       choices=MITIGATION_MODES,
+                       default=[JobSpec.mitigation_mode],
                        help="mitigation modes to sweep (grid axis); "
                             "dvfs and combined pair with tsc_aware only; "
                             "sweeping more than one topology/mode combo "
@@ -596,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("explore", help="Sec. 3 power x TSV study")
     p_exp.add_argument("--grid", type=int, default=24)
     p_exp.add_argument("--seed", type=int, default=2)
-    p_exp.add_argument("--topology", choices=["3d", "2.5d"], default="3d",
+    p_exp.add_argument("--topology", choices=TOPOLOGY_KINDS, default=TopologyConfig.kind,
                        help="run the study on a vertical 3D stack (default) "
                             "or on a 2.5D interposer layout")
     p_exp.set_defaults(func=_cmd_explore)

@@ -10,7 +10,7 @@ from ..floorplan.objectives import FloorplanMode
 from ..mitigation.dummy_tsv import MitigationConfig
 from ..thermal.stack import TopologyConfig
 
-__all__ = ["FlowConfig", "check_mitigation_mode", "env_int"]
+__all__ = ["FlowConfig", "env_int"]
 
 
 def env_int(name: str, default: int) -> int:
@@ -27,20 +27,6 @@ def env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def check_mitigation_mode(mode: str, mitigation_mode: str) -> None:
-    """Reject a runtime (``dvfs``) or ``combined`` mitigation outside TSC
-    mode: only the TSC flow runs mitigation, so such a job would run no
-    governor yet record the mode.  Every :class:`FlowConfig` and
-    :class:`~repro.api.jobs.JobSpec` (the latter built directly or from
-    JSON) passes through here."""
-    if mitigation_mode != "static" and mode != FloorplanMode.TSC_AWARE:
-        raise ValueError(
-            f"mitigation mode {mitigation_mode!r} needs mode "
-            f"'{FloorplanMode.TSC_AWARE}' (got {mode!r}): only the TSC flow "
-            "runs mitigation"
-        )
 
 
 @dataclass(frozen=True)
@@ -79,9 +65,19 @@ class FlowConfig:
             raise ValueError("replicas must be >= 1")
         if self.exchange_every < 1:
             raise ValueError("exchange_every must be >= 1")
-        if self.mode not in (FloorplanMode.POWER_AWARE, FloorplanMode.TSC_AWARE):
-            raise ValueError(f"unknown floorplanning mode {self.mode!r}")
-        check_mitigation_mode(self.mode, self.mitigation.mode)
+        if self.mode not in FloorplanMode.ALL:
+            raise ValueError(
+                f"mode must be '{FloorplanMode.POWER_AWARE}' or "
+                f"'{FloorplanMode.TSC_AWARE}', got {self.mode!r}"
+            )
+        # only the TSC flow runs mitigation: a runtime or combined mode
+        # elsewhere would run no governor yet record the mode
+        if self.mitigation.mode != "static" and self.mode != FloorplanMode.TSC_AWARE:
+            raise ValueError(
+                f"mitigation mode {self.mitigation.mode!r} needs mode "
+                f"'{FloorplanMode.TSC_AWARE}' (got {self.mode!r}): only the "
+                "TSC flow runs mitigation"
+            )
 
     @property
     def run_mitigation(self) -> bool:

@@ -119,6 +119,27 @@ def _truncate_error(error: str) -> str:
     return f"{head}\n... [{len(error)} chars truncated] ...\n{tail}"
 
 
+def _write_record(path: Path, record: dict, site: str) -> None:
+    """Atomically replace ``path`` with the JSON ``record``: a temp file
+    renamed over it, retried and fault-injected at ``site``.  The temp
+    file never outlives the call, whether the rename landed or not."""
+    data = json.dumps(record, sort_keys=True)
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+
+    def write() -> None:
+        fault_point(site)
+        tmp.write_text(data, encoding="utf-8")
+        os.replace(tmp, path)
+
+    try:
+        retry_io(write, site=site)
+    finally:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+
+
 @dataclass
 class Lease:
     """An exclusive, heartbeat-kept claim on one queued job."""
@@ -258,22 +279,8 @@ class WorkQueue:
         path = self.jobs_dir / f"{self._digest(key)}.json"
         if path.exists():
             return False
-        record = {"schema": _SCHEMA, "key": key, "payload": payload}
-        data = json.dumps(record, sort_keys=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-
-        def write() -> None:
-            fault_point("queue.job")
-            tmp.write_text(data, encoding="utf-8")
-            os.replace(tmp, path)  # racing enqueuers of one key tolerated
-
-        try:
-            retry_io(write, site="queue.job")
-        finally:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        # racing enqueuers of one key tolerated
+        _write_record(path, {"schema": _SCHEMA, "key": key, "payload": payload}, "queue.job")
         return True
 
     def _job_digests(self) -> List[str]:
@@ -320,21 +327,7 @@ class WorkQueue:
             "schema": _SCHEMA, "key": key,
             "epoch": int(epoch), "steals": int(steals),
         }
-        path = self._fence_path(key)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-
-        def write() -> None:
-            fault_point("queue.fence")
-            tmp.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
-            os.replace(tmp, path)
-
-        try:
-            retry_io(write, site="queue.fence")
-        finally:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        _write_record(self._fence_path(key), record, "queue.fence")
 
     def fence_epochs(self) -> Dict[str, int]:
         """Current fencing epoch per job key (memoized by dir mtime).
@@ -348,11 +341,10 @@ class WorkQueue:
             return {}
         if self._fence_cache is not None and self._fence_cache[0] == stamp:
             return self._fence_cache[1]
-        out: Dict[str, int] = {}
-        for path in self.fences_dir.glob("*.json"):
-            record = self._read_json(path)
-            if record and "key" in record:
-                out[str(record["key"])] = int(record.get("epoch", 0))
+        out = {
+            key: int(record.get("epoch", 0))
+            for key, record in self._records(self.fences_dir).items()
+        }
         self._fence_cache = (stamp, out)
         return out
 
@@ -485,16 +477,9 @@ class WorkQueue:
             record["next_retry_at"] = ts + delay * (
                 1.0 + 0.25 * self._retry_jitter(lease.key, attempt)
             )
-        path = self._failure_path(lease.key)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-
-        def write() -> None:
-            fault_point("queue.failure")
-            tmp.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
-            os.replace(tmp, path)  # last failure wins
-
         try:
-            retry_io(write, site="queue.failure")
+            # last failure wins
+            _write_record(self._failure_path(lease.key), record, "queue.failure")
         except OSError:
             faults.record_degradation("queue.failure_record_lost")
         if attempt >= self.max_attempts:
@@ -559,23 +544,23 @@ class WorkQueue:
             # forget the crash history so the job gets a fresh budget
             self._write_fence(key, fence["epoch"], 0)
 
-    def failures(self) -> Dict[str, Dict[str, object]]:
-        """Recorded failures keyed by job key."""
+    def _records(self, directory: Path) -> Dict[str, Dict[str, object]]:
+        """The keyed records of one directory (failures, quarantine,
+        fences) by job key, in filename order; torn files are skipped."""
         out: Dict[str, Dict[str, object]] = {}
-        for path in sorted(self.failures_dir.glob("*.json")):
+        for path in sorted(directory.glob("*.json")):
             record = self._read_json(path)
             if record and "key" in record:
                 out[str(record["key"])] = record
         return out
 
+    def failures(self) -> Dict[str, Dict[str, object]]:
+        """Recorded failures keyed by job key."""
+        return self._records(self.failures_dir)
+
     def quarantined(self) -> Dict[str, Dict[str, object]]:
         """Quarantined (poison) jobs keyed by job key."""
-        out: Dict[str, Dict[str, object]] = {}
-        for path in sorted(self.quarantine_dir.glob("*.json")):
-            record = self._read_json(path)
-            if record and "key" in record:
-                out[str(record["key"])] = record
-        return out
+        return self._records(self.quarantine_dir)
 
     def _classify(
         self, only_keys: Optional[Set[str]] = None

@@ -24,9 +24,10 @@ sharing the filesystem.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -54,6 +55,7 @@ __all__ = [
     "format_mitigation_matrix",
     "execute_batch_payload",
     "batch_worker_main",
+    "run_workers",
 ]
 
 
@@ -229,6 +231,77 @@ def batch_worker_main(
     )
 
 
+def _worker_process(conn, queue_dir: str, worker_args: dict) -> None:
+    """A child process of :func:`run_workers`: one worker, whose job
+    count (or the exception that ended it) goes back over ``conn``."""
+    try:
+        outcome = batch_worker_main(queue_dir, **worker_args)
+    except Exception as exc:
+        traceback.print_exc()  # the exception re-raises in the parent without it
+        outcome = exc
+    conn.send(outcome)
+    conn.close()
+
+
+def run_workers(workers: int, queue_dir: str, **worker_args) -> int:
+    """Run ``workers`` copies of :func:`batch_worker_main` (which takes
+    ``worker_args``) on ``queue_dir`` and return the jobs they completed.
+
+    The one place queue workers start, for ``run_batch`` and ``repro.cli
+    work`` alike.  One worker runs in this process, which counts as a
+    pool worker for the duration of the call only.  More start as child
+    processes; an interrupt of this process (Ctrl-C ends a ``watch``
+    pool) terminates them, and a child that raised re-raises its
+    exception here once every sibling has finished.  A child that died
+    without reporting raises :class:`RuntimeError`.
+    """
+    if workers <= 1:
+        before = os.environ.get(IN_POOL_ENV)
+        try:
+            return batch_worker_main(queue_dir, **worker_args)
+        finally:
+            if before is None:
+                os.environ.pop(IN_POOL_ENV, None)
+            else:
+                os.environ[IN_POOL_ENV] = before
+
+    ctx = multiprocessing.get_context("spawn")
+    children = []
+    try:
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_worker_process, args=(writer, queue_dir, worker_args)
+            )
+            proc.start()
+            writer.close()  # the child holds the only writer: EOF = it died
+            children.append((proc, reader))
+        done, error = 0, None
+        for proc, reader in children:
+            try:
+                outcome = reader.recv()
+            except EOFError:
+                proc.join()
+                outcome = RuntimeError(
+                    f"queue worker {proc.pid} exited with code {proc.exitcode} "
+                    "without reporting"
+                )
+            if isinstance(outcome, BaseException):
+                error = error or outcome
+            else:
+                done += outcome
+        if error is not None:
+            raise error
+        return done
+    finally:
+        for proc, _ in children:
+            if proc.is_alive():
+                proc.terminate()
+        for proc, reader in children:
+            proc.join()
+            reader.close()
+
+
 def run_batch(
     jobs: Iterable[JobSpec],
     processes: Optional[int] = None,
@@ -295,32 +368,14 @@ def run_batch(
         pending_keys = frozenset(jobs[i].key() for i in pending)
 
         if processes is None:
-            processes = min(len(pending), usable_cores())
-        if processes <= 1 or len(pending) == 1:
-            prev_in_pool = os.environ.get(IN_POOL_ENV)
-            try:
-                # the serial drain is still batch context: don't let a
-                # tempered job fan out a replica pool mid-profile/test
-                os.environ[IN_POOL_ENV] = "1"
-                run_worker(queue, execute_batch_payload, only_keys=pending_keys)
-            finally:
-                if prev_in_pool is None:
-                    os.environ.pop(IN_POOL_ENV, None)
-                else:
-                    os.environ[IN_POOL_ENV] = prev_in_pool
-        else:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                futures = [
-                    pool.submit(
-                        batch_worker_main, str(queue_dir), lease_ttl, only_keys=pending_keys
-                    )
-                    for _ in range(processes)
-                ]
-                # only worker *infrastructure* errors surface here; a
-                # failing flow is recorded per-job in the queue and the
-                # sibling jobs keep running to durable completion
-                for future in as_completed(futures):
-                    future.result()
+            processes = usable_cores()
+        # only worker *infrastructure* errors surface here; a failing flow
+        # is recorded per-job in the queue and the sibling jobs keep
+        # running to durable completion
+        run_workers(
+            max(1, min(processes, len(pending))), str(queue_dir),
+            lease_ttl=lease_ttl, only_keys=pending_keys,
+        )
 
         merged = queue.merge(store).completed()
         failures = queue.failures()

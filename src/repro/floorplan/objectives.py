@@ -87,6 +87,8 @@ class FloorplanMode:
 
     POWER_AWARE = "power_aware"
     TSC_AWARE = "tsc_aware"
+    #: both setups, in Table 2 order
+    ALL = (POWER_AWARE, TSC_AWARE)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,13 @@ __all__ = ["serve", "run"]
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADER_BYTES = 65536
 _MAX_BODY_BYTES = 1 << 20
+#: seconds a client has to send its whole request (line, headers and
+#: body): a client that stalls mid-request must not hold its handler
+_READ_TIMEOUT_S = 30.0
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 408: "Request Timeout", 413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
@@ -127,7 +130,14 @@ async def _handle(
 ) -> None:
     try:
         try:
-            method, target, _headers, body = await _read_request(reader)
+            try:
+                method, target, _headers, body = await asyncio.wait_for(
+                    _read_request(reader), _READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                raise _HttpError(
+                    408, f"request not received within {_READ_TIMEOUT_S:g} s"
+                )
             url = urlsplit(target)
             query = parse_qs(url.query)
             segments = [s for s in url.path.split("/") if s]

@@ -204,7 +204,7 @@ class ServiceState:
         human does with ``sweep-status``, just with a result at the end.
         """
         from ..api import submit as api_submit
-        from ..core.queue import _FAILED, _QUARANTINED, WorkQueue
+        from ..core.queue import WorkQueue
 
         spec = job.spec
         loop = asyncio.get_running_loop()
@@ -215,9 +215,21 @@ class ServiceState:
                                "enqueued": bool(sub["enqueued"])})
         queue = WorkQueue(self.queue_dir, lease_ttl=self.lease_ttl)
         key = spec.key()
+
+        def poll():
+            """``(metrics, None)`` once the key completed, ``(None,
+            record)`` once it failed for good, else ``(None, None)``."""
+            metrics = queue.completed().get(key)
+            if metrics is None and queue.drained({key}):
+                # quarantined, out of retries, or completed since the read
+                metrics = queue.completed().get(key)
+                if metrics is None:
+                    record = queue.quarantined().get(key) or queue.failures().get(key)
+                    return None, record
+            return metrics, None
+
         while True:
-            completed = await loop.run_in_executor(self._executor, queue.completed)
-            metrics = completed.get(key)
+            metrics, failure = await loop.run_in_executor(self._executor, poll)
             if metrics is not None:
                 if self.store is not None:
                     await loop.run_in_executor(
@@ -228,15 +240,10 @@ class ServiceState:
                     job_id=spec.job_id(), key=key,
                     status="completed", reused=False, metrics=metrics,
                 )
-            states, failures, quarantined = await loop.run_in_executor(
-                self._executor, lambda: queue._classify({key})
-            )
-            digest = queue._digest(key)
-            if states.get(digest) in (_QUARANTINED, _FAILED):
-                record = quarantined.get(digest) or failures[digest]
+            if failure is not None:
                 raise RuntimeError(
                     f"queued job {key} failed on the worker pool: "
-                    f"{record.get('error', record.get('reason', 'unknown'))}"
+                    f"{failure.get('error', failure.get('reason', 'unknown'))}"
                 )
             await asyncio.sleep(self.poll_interval)
 

@@ -27,6 +27,7 @@ from repro.core.store import ResultsStore
 from repro.floorplan.annealer import AnnealConfig
 from repro.floorplan.objectives import FloorplanMode
 from repro.mitigation.dummy_tsv import MitigationConfig
+from repro.thermal.stack import TopologyConfig
 
 SPEC = dict(benchmark="n100", iterations=25, grid=12)
 
@@ -75,6 +76,30 @@ class TestSchemaRoundTrip:
             JobSpec.from_json(dict(base, iterations="many"))
         with pytest.raises(ValueError, match="grid must be >= 2"):
             JobSpec.from_json(dict(base, grid=1))
+
+    @pytest.mark.parametrize("field, value, config", [
+        ("mode", "bogus", lambda: FlowConfig(mode="bogus")),
+        ("iterations", 0, lambda: FlowConfig(anneal=AnnealConfig(iterations=0))),
+        ("replicas", 0, lambda: FlowConfig(replicas=0)),
+        ("exchange_every", 0, lambda: FlowConfig(exchange_every=0)),
+        ("topology", "4d", lambda: FlowConfig(topology=TopologyConfig(kind="4d"))),
+        ("mitigation_mode", "bogus",
+         lambda: FlowConfig(mitigation=MitigationConfig(mode="bogus"))),
+        ("mitigation_mode", "dvfs",
+         lambda: FlowConfig(mitigation=MitigationConfig(mode="dvfs"))),
+    ])
+    def test_spec_and_config_reject_a_field_alike(self, field, value, config):
+        """One invalid field reads the same from the spec, over the wire
+        and from the flow config the spec maps to."""
+        with pytest.raises(ValueError) as from_config:
+            config()
+        message = str(from_config.value)
+        with pytest.raises(ValueError) as from_spec:
+            JobSpec(**dict(SPEC, **{field: value}))
+        assert str(from_spec.value) == message
+        with pytest.raises(ValueError) as from_wire:
+            JobSpec.from_json(dict(JobSpec(**SPEC).to_json(), **{field: value}))
+        assert str(from_wire.value) == message
 
     def test_scalar_coercion_over_the_wire(self):
         doc = dict(JobSpec(**SPEC).to_json(), iterations="1500", seed=2.0)

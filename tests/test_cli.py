@@ -1,8 +1,41 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _workers_of(pid: int) -> list:
+    """The pids of ``pid``'s worker processes (its children but the
+    multiprocessing resource tracker), read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid and b"resource_tracker" not in cmdline:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestParser:
@@ -198,8 +231,13 @@ class TestCommands:
 
 
 class TestQueueCommands:
-    def test_enqueue_work_status_round_trip(self, tmp_path, capsys):
-        """The multi-host verbs end-to-end on one tiny sweep."""
+    def test_enqueue_work_status_round_trip(self, tmp_path, capsys, monkeypatch):
+        """The multi-host verbs end-to-end on one tiny sweep.  The
+        in-process worker counts as a pool worker only while it runs: the
+        environment it returns to is the one it was called from."""
+        from repro.core.parallel import IN_POOL_ENV
+
+        monkeypatch.delenv(IN_POOL_ENV, raising=False)
         qdir = str(tmp_path / "q")
         argv = ["enqueue", "n100", "--modes", "power_aware", "--seeds", "1",
                 "--iterations", "25", "--grid", "12", "--queue-dir", qdir]
@@ -214,7 +252,9 @@ class TestQueueCommands:
         out = capsys.readouterr().out
         assert "1 jobs" in out and "pending 1" in out
 
+        before = dict(os.environ)
         assert main(["work", "--queue-dir", qdir]) == 0
+        assert dict(os.environ) == before
         out = capsys.readouterr().out
         assert "completed 1 job(s)" in out
 
@@ -228,6 +268,50 @@ class TestQueueCommands:
         assert len(merged) == 1
         (metrics,) = merged.values()
         assert metrics.benchmark == "n100"
+
+    def test_watch_pool_stops_at_max_jobs(self, tmp_path, capsys):
+        """Two watch workers capped at one job each drain a two-job queue
+        in child processes and then exit."""
+        qdir = str(tmp_path / "q")
+        assert main(["enqueue", "n100", "--modes", "power_aware", "--seeds", "2",
+                     "--iterations", "25", "--grid", "12", "--queue-dir", qdir]) == 0
+        assert main(["work", "--queue-dir", qdir, "--workers", "2", "--watch",
+                     "--max-jobs", "1"]) == 0
+        assert "watched queue now: 2/2 completed" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists children via /proc")
+    def test_interrupting_the_watch_parent_alone_stops_its_workers(self, tmp_path):
+        """SIGINT to the parent of a two-worker watch pool, and to no
+        worker, still leaves no worker running once the parent exits."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "work", "--queue-dir",
+             str(tmp_path / "q"), "--workers", "2", "--watch"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            # a shell starts background jobs with SIGINT ignored; restore
+            # the default a terminal's Ctrl-C meets
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            # a process group of its own, so a failing run is cleaned up
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers := _workers_of(proc.pid)) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.1)
+            time.sleep(2.0)  # let the workers reach their polling loop
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=60)
+            survivors = [pid for pid in workers if _running(pid)]
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # nothing left to clean up
+            proc.wait()
+        assert proc.returncode == 0, out
+        assert b"stopping workers" in out
+        assert not survivors
 
     def test_work_on_empty_queue_errors(self, tmp_path, capsys):
         assert main(["work", "--queue-dir", str(tmp_path / "empty")]) == 1

@@ -201,17 +201,32 @@ class TestRunBatch:
 
         sizes = []
 
-        def pool(max_workers):
-            sizes.append(max_workers)
+        def launcher(workers, queue_dir, **worker_args):
+            sizes.append(workers)
             raise Stop
 
-        monkeypatch.setattr(study, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(study, "run_workers", launcher)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         jobs = [JobSpec(benchmark="n100", seed=s, iterations=10) for s in range(50)]
         with pytest.raises(Stop):
             study.run_batch(jobs)
         assert sizes == [2]
+
+    def test_pool_worker_failures_reach_the_caller(self, tmp_path, monkeypatch):
+        """A child worker that raises re-raises its exception in the
+        caller; one that dies without reporting raises RuntimeError."""
+        from repro.core.queue import WorkQueue
+        from repro.exploration.study import run_workers
+
+        with pytest.raises(ValueError, match="lease_ttl must be positive"):
+            run_workers(2, str(tmp_path), lease_ttl=0)
+        queue = WorkQueue(tmp_path)
+        for key in ("a", "b"):  # one per worker: each dies on its claim
+            queue.enqueue(key, {})
+        monkeypatch.setenv("REPRO_FAULTS", "worker.after_claim=crash")
+        with pytest.raises(RuntimeError, match="exited with code 3 without reporting"):
+            run_workers(2, str(tmp_path))
 
     def test_empty_batch(self):
         from repro.exploration.study import run_batch

@@ -306,6 +306,26 @@ class TestRunWorker:
         assert run_worker(queue, flaky, worker_id="w1") == 0
         assert sum(1 for p in calls if p == {}) == 1
 
+    def test_lost_failure_record_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A failure record whose rename keeps failing is lost (and
+        counted), and its temp file is removed with it."""
+        from repro.core import faults
+
+        queue = WorkQueue(tmp_path)
+        queue.enqueue("bad", {})
+        lease = queue.claim("w0")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        before = faults.snapshot_degradations()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refuse)
+            queue.record_failure(lease, "boom", "w0")
+        assert faults.degradations_since(before)["queue.failure_record_lost"] == 1
+        assert queue.failures() == {}
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_only_keys_scopes_claims_and_drain(self, tmp_path):
         """A worker scoped to its own keys neither executes nor blocks on
         unrelated jobs sharing the queue directory."""

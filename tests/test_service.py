@@ -316,6 +316,32 @@ class TestHttpErrors:
 
         service_test(scenario)(dict(store_dir=tmp_path))
 
+    def test_stalled_request_times_out_with_408(self, tmp_path, monkeypatch):
+        """A client that announces a 5-byte body and sends 2 gets a 408
+        once the read deadline passes, and the connection closes: the
+        handler is not held until the client gives up."""
+        import repro.service.http as service_http
+
+        monkeypatch.setattr(service_http, "_READ_TIMEOUT_S", 0.2)
+
+        async def scenario(state, client):
+            host, port = urllib.parse.urlsplit(client.base).netloc.split(":")
+            reader, writer = await asyncio.open_connection(host, int(port))
+            writer.write(
+                f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                "Content-Length: 5\r\n\r\n{}".encode("latin-1")
+            )
+            await writer.drain()
+            # read() returns at EOF: the server answered and closed
+            response = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            assert response.split()[1] == b"408", response
+            assert b"Connection: close" in response
+            assert not state.jobs
+
+        service_test(scenario)(dict(store_dir=tmp_path))
+
     def test_runtime_mitigation_outside_tsc_mode_is_400(self, tmp_path):
         async def scenario(state, client):
             for mitigation_mode in ("dvfs", "combined"):
