@@ -3,8 +3,8 @@
 Batch pool workers (:func:`repro.exploration.study.batch_worker_main`)
 set ``REPRO_IN_POOL_WORKER=1``: their sibling processes already keep
 every core busy with one job each, so parallelism nested inside a job
-(tempering's replica pool, the DVFS kernels' per-die Lanczos chains)
-stays serial there instead of oversubscribing the host.
+(tempering's replica pool) stays serial there instead of
+oversubscribing the host.
 
 Cores are the CPUs this process may run on (its affinity mask, which
 ``taskset`` and cpusets narrow), not every CPU of the host.

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import tempfile
+import threading
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -253,7 +255,10 @@ def run_workers(workers: int, queue_dir: str, **worker_args) -> int:
     processes; an interrupt of this process (Ctrl-C ends a ``watch``
     pool) terminates them, and a child that raised re-raises its
     exception here once every sibling has finished.  A child that died
-    without reporting raises :class:`RuntimeError`.
+    without reporting raises :class:`RuntimeError`.  While they run,
+    SIGTERM to this process takes the Ctrl-C path: it raises
+    :class:`KeyboardInterrupt` here, and the caller's handler is back in
+    place when this returns.
     """
     if workers <= 1:
         before = os.environ.get(IN_POOL_ENV)
@@ -267,6 +272,9 @@ def run_workers(workers: int, queue_dir: str, **worker_args) -> int:
 
     ctx = multiprocessing.get_context("spawn")
     children = []
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:  # Python installs signal handlers there only
+        caller_sigterm = signal.signal(signal.SIGTERM, _interrupt)
     try:
         for _ in range(workers):
             reader, writer = ctx.Pipe(duplex=False)
@@ -300,6 +308,13 @@ def run_workers(workers: int, queue_dir: str, **worker_args) -> int:
         for proc, reader in children:
             proc.join()
             reader.close()
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, caller_sigterm)
+
+
+def _interrupt(signum, frame) -> None:
+    """SIGTERM handler of :func:`run_workers`: the Ctrl-C exit path."""
+    raise KeyboardInterrupt(f"signal {signum}")
 
 
 def run_batch(

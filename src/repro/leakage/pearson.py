@@ -23,7 +23,8 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     Returns 0.0 when either input is constant (zero variance) — a fully
     flat power or thermal map leaks nothing, and this convention keeps the
     metric well defined for artificial uniform scenarios (Sec. 3 probes
-    exactly those).
+    exactly those).  Rounding can carry the quotient of a perfectly
+    linear pair past 1 in magnitude; the result is clipped to [-1, 1].
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -37,7 +38,7 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     nb = float(np.sqrt((db * db).sum()))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float((da * db).sum() / (na * nb))
+    return float(np.clip((da * db).sum() / (na * nb), -1.0, 1.0))
 
 
 def die_correlation(power_map: np.ndarray, thermal_map: np.ndarray) -> float:

@@ -21,7 +21,8 @@ activity samples and stability map are shared by all candidates).
 
 A candidate's one nominal solve comes from a one-right-hand-side solver
 (``rhs_budget=1``), which the automatic backend rule sets up as spectral
-PCG past 16x16 instead of factorizing with SuperLU.  Only a round's activity
+PCG past 16x16 (smoothed along z, since a candidate carries TSVs)
+instead of a band factorization.  Only a round's activity
 sweep needs direct factors, so a TSV pattern is factorized only when a
 round sweeps it, and the last accepted pattern never is.
 ``incremental=True`` instead solves candidates through the round's base
@@ -258,6 +259,11 @@ def insert_dummy_tsvs(
         if not config.incremental:
             solver = make_solver(fp)
         t_samples = [r.die_maps[die] for r in solver.solve_many(power_sets)]
+        if not config.incremental:
+            # no later solve reads this pattern's factors: drop them
+            # before the candidates' solvers pile up beside them
+            solver_cache.clear()
+            base_solver = solver = None
         stability = stability_map(p_samples, t_samples)
         last_stability = stability
 

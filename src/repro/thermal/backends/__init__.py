@@ -1,9 +1,10 @@
 """Factorization backends and the size rule that picks one.
 
-Two backends: ``superlu`` (direct symmetric-mode SuperLU) and
-``spectral`` (CG preconditioned by an exact cosine-basis solve of the
-homogenized stack, for one- and few-RHS solves and for grids too large
-to factor directly).
+Two backends: ``band`` (direct: LAPACK band Cholesky of the system
+renumbered into a narrow band) and ``spectral`` (CG preconditioned by an
+exact cosine-basis solve of the homogenized stack, smoothed along z on
+stacks with TSVs, for one- and few-RHS solves and for grids too large to
+factor directly).  Both need ``FactorHints.grid_shape``.
 
 :func:`resolve_backend` returns a backend instance its caller passes
 unchanged (the seam tests use to substitute an oracle); otherwise it
@@ -12,17 +13,17 @@ when the grid has more than :data:`SPECTRAL_THRESHOLD` cells per layer
 (direct factorization cost explodes past 64x64), or when the caller's
 ``FactorHints.rhs_budget`` is at or below the measured few-RHS
 crossover on a grid larger than 16x16 (a spectral setup is far cheaper
-than a SuperLU factorization, and a handful of PCG solves does not eat
-the difference); otherwise superlu.
+than a band factorization, and a handful of PCG solves does not eat the
+difference); otherwise band.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from .band import BandCholeskyBackend
 from .base import FactorHints, Factorization, FactorizationBackend
 from .spectral import SpectralBackend
-from .superlu import SuperLUBackend
 
 __all__ = [
     "FEW_RHS_CROSSOVER",
@@ -38,7 +39,7 @@ __all__ = [
 SPECTRAL_THRESHOLD = 4096
 
 #: largest ``FactorHints.rhs_budget`` for which the rule prefers a
-#: spectral setup plus that many PCG solves over a fresh SuperLU
+#: spectral setup plus that many PCG solves over a fresh band
 #: factorization plus back-substitutions (measured; see resolve_backend)
 FEW_RHS_CROSSOVER = 4
 
@@ -46,7 +47,7 @@ FEW_RHS_CROSSOVER = 4
 #: a spectral setup cost milliseconds; the rule keeps the direct solve
 _FEW_RHS_MIN_CELLS = 256
 
-_SUPERLU = SuperLUBackend()
+_BAND = BandCholeskyBackend()
 _SPECTRAL = SpectralBackend()
 
 
@@ -63,7 +64,7 @@ def _auto_backend(
         )
     ):
         return _SPECTRAL
-    return _SUPERLU
+    return _BAND
 
 
 def resolve_backend(
@@ -79,12 +80,13 @@ def resolve_backend(
 
     The few-RHS rule rests on measured setup + 1 solve costs
     (``docs/ARCHITECTURE.md``, "Factorization backends"): a spectral
-    setup is 2-20x cheaper than a SuperLU factorization past 16x16, but
-    each further right-hand side costs a PCG solve, 2.5-7x a SuperLU
-    back-substitution in 3D and 10-23x in 2.5D.  The break-even at 24x24
-    sits near 15 RHS in 3D and 4 in 2.5D; :data:`FEW_RHS_CROSSOVER` takes
-    the 2.5D end.  At 16x16 and below either costs a few tens of
-    milliseconds, and the floor keeps those systems on the direct path.
+    setup is 20-110x cheaper than a band factorization, but each further
+    right-hand side costs a PCG solve, 3-4x a band back-substitution
+    past 16x16 (7-9x at 16x16).  The break-even sits at 8-11 RHS in 3D
+    and 3-8 in 2.5D (16x16 to 32x32); :data:`FEW_RHS_CROSSOVER` stays at
+    or below every one of them.  At 16x16 and below a band factorization
+    costs under 20 ms, and the floor keeps those systems on the direct
+    path.
     Each dummy-TSV candidate states a budget of 1 (its one nominal
     solve); a round's activity sweep states none, so only a swept TSV
     pattern is factorized.

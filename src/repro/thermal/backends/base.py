@@ -34,7 +34,13 @@ class FactorHints:
     layer-major node numbering of an assembled
     :class:`~repro.thermal.rc_network.ThermalNetwork` — the spectral
     backend needs it to homogenize each layer's couplings and build its
-    cosine-basis preconditioner; direct backends ignore it.
+    cosine-basis preconditioner, the band backend to renumber the nodes
+    into a narrow band.
+
+    ``has_tsvs`` says whether the stack carries TSV or dummy-TSV
+    density; the spectral backend then smooths its preconditioner along
+    z.  The assembled network derives it from its stack
+    (:meth:`~repro.thermal.rc_network.ThermalNetwork.factor_hints`).
 
     ``rhs_budget`` is how many right-hand sides the caller will solve
     against this one system (verification and each dummy-TSV candidate
@@ -46,6 +52,7 @@ class FactorHints:
 
     grid_shape: Optional[Tuple[int, int, int]] = None
     rhs_budget: Optional[int] = None
+    has_tsvs: bool = False
 
     @property
     def cells_per_layer(self) -> Optional[int]:

@@ -49,8 +49,8 @@ class ThermalNetwork:
         """Layer-major ``(layers, ny, nx)`` node-numbering shape.
 
         Node ``(layer, row, col)`` is the raveled index into this box;
-        structured backends rely on it (the spectral backend homogenizes
-        each layer of it and transforms it in a cosine basis).
+        both backends rely on it (spectral homogenizes each layer of it
+        and transforms it in a cosine basis, band renumbers it).
         """
         grid = self.stack.grid
         return (self.stack.num_layers, grid.ny, grid.nx)
@@ -59,7 +59,7 @@ class ThermalNetwork:
         """Structural hints for the factorization-backend layer."""
         from .backends.base import FactorHints
 
-        return FactorHints(grid_shape=self.grid_shape)
+        return FactorHints(grid_shape=self.grid_shape, has_tsvs=self.stack.has_tsvs)
 
     def power_vector(self, power_maps: List[np.ndarray]) -> np.ndarray:
         """Assemble the nodal power vector from per-die power maps (W/cell).

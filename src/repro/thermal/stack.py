@@ -155,6 +155,9 @@ class ThermalStack:
     #: 2.5D: the ``(ny, nx)`` shape of each die site — the shape callers'
     #: per-die power/thermal maps keep across both topologies
     site_shape: Optional[Tuple[int, int]] = None
+    #: whether any TSV or dummy-TSV density pierces the stack (the
+    #: spectral backend smooths such systems along z)
+    has_tsvs: bool = False
     #: every stack sits at :data:`AMBIENT`
     ambient: ClassVar[float] = AMBIENT
 
@@ -260,6 +263,10 @@ def normalize_tsv_densities(
     )
 
 
+def _any_tsvs(densities: Dict[Tuple[int, int], np.ndarray]) -> bool:
+    return any(bool(np.any(arr > 0.0)) for arr in densities.values())
+
+
 def layer_shape(stack_cfg: StackConfig, grid: GridSpec, topology=None) -> Tuple[int, int]:
     """``(ny, nx)`` of one layer of :func:`build_stack`'s system: the die
     grid in 3D, the shared grid of all die sites and gaps in 2.5D."""
@@ -357,6 +364,7 @@ def build_stack(
         grid=grid,
         layers=layers,
         r_bottom_map=_bottom_resistance(densities.get((0, 1), zeros), r_bottom_tsv_area),
+        has_tsvs=_any_tsvs(densities),
     )
 
 
@@ -454,6 +462,7 @@ def _build_interposer_stack(
         r_bottom_map=_bottom_resistance(bump, r_bottom_tsv_area),
         die_sites=sites,
         site_shape=site_shape,
+        has_tsvs=_any_tsvs(densities),
     )
 
 

@@ -20,10 +20,10 @@ symmetric-mode factorizations, refactorizing each candidate measured
 faster end to end.
 
 *How* a system is factored lives one layer down, behind the
-:mod:`~repro.thermal.backends` protocol (direct ``superlu``, or
+:mod:`~repro.thermal.backends` protocol (direct ``band`` Cholesky, or
 iterative ``spectral`` for few right-hand sides and large grids, picked
-by that package's size rule): this module never calls ``splu`` itself,
-and the Woodbury-base decision reads the factorization's
+by that package's size rule): this module never factors a matrix
+itself, and the Woodbury-base decision reads the factorization's
 ``supports_woodbury_base`` capability field.
 """
 
@@ -122,6 +122,11 @@ def _results_from_columns(stack: ThermalStack, t: np.ndarray) -> List[ThermalRes
     ]
 
 
+#: power-map sets :meth:`SteadyStateSolver.solve_many` solves per call
+#: of the factorization
+_BATCH_COLUMNS = 8
+
+
 class SteadyStateSolver:
     """Factorized steady-state solver bound to one thermal stack.
 
@@ -163,25 +168,28 @@ class SteadyStateSolver:
     ) -> List[ThermalResult]:
         """Solve a batch of power-map sets against one factorization.
 
-        All right-hand sides are assembled into one (N, k) matrix and
-        back-substituted in a single call — for the 100-sample activity
-        sweeps this is far cheaper than 100 independent solves, and
-        incomparably cheaper than 100 re-factorizations.
+        The right-hand sides are assembled :data:`_BATCH_COLUMNS` at a
+        time into one (N, k) matrix each and back-substituted in one
+        call — for the 100-sample activity sweeps this is far cheaper
+        than 100 independent solves, and incomparably cheaper than 100
+        re-factorizations — so the batch never holds more than one block
+        of right-hand sides and solutions beside its results.
         """
         sets = list(power_map_sets)
-        if not sets:
-            return []
-        q = _rhs_matrix(self.network, self.stack.ambient, sets)
-        t = self._fact.solve(q)
-        return _results_from_columns(self.stack, t)
+        results: List[ThermalResult] = []
+        for lo in range(0, len(sets), _BATCH_COLUMNS):
+            block = _rhs_matrix(self.network, self.stack.ambient, sets[lo : lo + _BATCH_COLUMNS])
+            results += _results_from_columns(self.stack, self._fact.solve(block))
+        return results
 
 
 # Woodbury-vs-refactorize crossover, measured on the reference container
 # over the real assembled networks (16x16 .. 64x64 grids) against
-# equilibrated-COLAMD SuperLU: the rank at which the batched Z = G⁻¹·U
-# back-substitution costs as much as a fresh factorization follows the
-# power law below.  REPRO_WOODBURY_CROSSOVER overrides the whole model
-# with a fixed rank.
+# equilibrated-COLAMD SuperLU (not re-measured against the band
+# factorization; the path is opt-in): the rank at which the batched
+# Z = G⁻¹·U back-substitution costs as much as a fresh factorization
+# follows the power law below.  REPRO_WOODBURY_CROSSOVER overrides the
+# whole model with a fixed rank.
 _CROSSOVER_COEFFICIENT = 3.39
 _CROSSOVER_EXPONENT = 0.421
 #: fraction of the measured break-even rank at which we still prefer the
@@ -408,7 +416,7 @@ class SolverCache:
     factorized exactly once per backend; the density digest makes reuse
     safe even when callers rebuild density maps from scratch each time,
     ``topology=None`` and ``TopologyConfig("3d")`` share one key, and the
-    backend component keeps the superlu solver a sweep factorizes and the
+    backend component keeps the band solver a sweep factorizes and the
     spectral solver its few-RHS candidates set up on the same network
     from shadowing each other.
     """

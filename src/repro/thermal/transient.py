@@ -21,14 +21,12 @@ the system is linear and time-invariant, so every die mean is a
 convolution of the power deviations with an impulse response.  A
 Lanczos model of the step operator gives every step of that response
 from a few dozen one-column solves per die, whatever the number of
-steps and traces.  One factorization serves every die; the dies'
-processes never interact, so on an idle host each runs as its own chain
-on a small thread pool.  The DVFS leakage evaluator
-(:mod:`repro.mitigation.dvfs`) scores through it; it is deterministic,
-byte-identical however the dies are split, equals the step-by-step
-adjoint recursion within 1e-10 of the kernels' largest entry, and its
-scores equal forward integration (``tests/oracles/transient.py``)
-within 1e-10.
+steps and traces.  One factorization serves every die, whose processes
+run one after another on the calling thread.  The DVFS leakage
+evaluator (:mod:`repro.mitigation.dvfs`) scores through it; it is
+deterministic, equals the step-by-step adjoint recursion within 1e-10
+of the kernels' largest entry, and its scores equal forward integration
+(``tests/oracles/transient.py``) within 1e-10.
 
 This solver backs the Figure 1 reproduction: module activity toggles on a
 nanosecond-to-microsecond scale while the thermal response follows on a
@@ -45,7 +43,6 @@ from typing import Callable, List, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.parallel import fanout_cores
 from .backends import resolve_backend
 from .rc_network import ThermalNetwork, assemble
 from .stack import ThermalStack
@@ -77,10 +74,10 @@ class TransientSolver:
         self.stack = stack
         self.network: ThermalNetwork = assemble(stack)
         #: the step matrix C/dt + G is SPD with the same 7-point stencil
-        #: as G itself, so every thermal backend (superlu, spectral)
-        #: applies (spectral homogenizes the C/dt diagonal with the
-        #: boundary); the same automatic rule as steady state decides,
-        #: unless ``backend`` passes an instance
+        #: as G itself, so every thermal backend (band, spectral) applies
+        #: (spectral homogenizes the C/dt diagonal with the boundary);
+        #: the same automatic rule as steady state decides, unless
+        #: ``backend`` passes an instance
         self._hints = self.network.factor_hints()
         self.backend = resolve_backend(backend, hints=self._hints)
         #: LRU of step-matrix factorizations keyed by dt
@@ -136,10 +133,9 @@ class TransientSolver:
         (nodes, traces) right-hand-side matrix and back-substitutes it in
         a single call — far cheaper than one trace at a time, and the
         per-die reductions vectorize over the whole batch.  Results match
-        running each trace alone to machine precision, not bitwise:
-        SuperLU's blocked multi-RHS back-substitution rounds differently
-        from a single column once the batch exceeds its internal panel
-        width (~4 columns).
+        running each trace alone to machine precision; on the band
+        backend, whose substitution takes one column at a time, bit for
+        bit.
         """
         fns = list(power_ats)
         if not fns:
@@ -202,41 +198,22 @@ class TransientSolver:
         to ``1e-10 · ‖w_0‖_M``, typically 10-45 solves per die instead
         of ``steps``, and never more than ``steps``.
 
-        The step matrix is factorized here, on the calling thread.  The
-        dies' processes never interact, so they split into one chain per
-        core the job may use (:func:`repro.core.parallel.fanout_cores`),
-        each running a contiguous block of dies one after another on its
-        own thread: one chain per die on an idle host, a single chain
-        inside a batch-pool worker or on one CPU.  Chains call no BLAS,
-        whose own threads would contend with them; SuperLU releases the
-        GIL inside ``Factorization.solve``.  The kernels are
-        assembled on the calling thread once the chains join, so their
-        bytes do not depend on how the dies are split.
+        The step matrix is factorized once, and the dies' processes run
+        one after another, all on the calling thread: the band solve
+        holds the GIL, so threads would buy no parallelism.
         """
         if dt <= 0 or steps < 1:
             raise ValueError("dt must be positive and steps >= 1")
         lu = self._factorize(dt)
         num_dies, cells = self._die_nodes.shape
         c_over_dt = self.network.capacitance / dt
-        models: list = [None] * num_dies
-
-        def chain(lo: int, hi: int) -> None:
-            """The Lanczos processes of dies ``lo..hi-1``, in turn."""
-            for d in range(lo, hi):
-                readout = np.zeros(self.network.num_nodes)
-                readout[self._die_nodes[d]] = 1.0 / cells
-                models[d] = _lanczos(lu, c_over_dt, readout, self._die_nodes, steps)
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        chains = max(1, min(num_dies, fanout_cores()))
-        edges = [num_dies * i // chains for i in range(chains + 1)]
-        with ThreadPoolExecutor(max_workers=chains) as pool:
-            # list() re-raises the first chain's exception, if any
-            list(pool.map(chain, edges[:-1], edges[1:]))
-
         kernels = np.empty((steps, num_dies, cells, num_dies))
-        for d, (scale, alpha, beta, basis) in enumerate(models):
+        for d in range(num_dies):
+            readout = np.zeros(self.network.num_nodes)
+            readout[self._die_nodes[d]] = 1.0 / cells
+            scale, alpha, beta, basis = _lanczos(
+                lu, c_over_dt, readout, self._die_nodes, steps
+            )
             coeffs = scale * _tridiagonal_powers(alpha, beta, steps)
             kernels[:, :, :, d] = (coeffs @ basis.reshape(len(alpha), -1)).reshape(
                 steps, num_dies, cells
@@ -255,7 +232,7 @@ _LANCZOS_CHECK = 4
 def _tridiagonal_powers(alpha: np.ndarray, beta: np.ndarray, steps: int) -> np.ndarray:
     """``(steps, k)``: row ``j`` is ``T^j e_1`` for the symmetric
     tridiagonal ``T`` with diagonal ``alpha`` and off-diagonal ``beta``,
-    by repeated elementwise products (no BLAS)."""
+    by repeated elementwise products."""
     out = np.empty((steps, len(alpha)))
     y = np.zeros(len(alpha))
     y[0] = 1.0
@@ -280,8 +257,7 @@ def _lanczos(lu, m: np.ndarray, readout: np.ndarray, nodes: np.ndarray, steps: i
     ``β_k Σ_{j<steps} |e_kᵀ T_k^j e_1| ≤ _LANCZOS_TOL``, at ``k = steps``
     (where the model is exact and needs no further solve) or when the
     Krylov space is exhausted (``β_k = 0``).  Only one-column
-    ``solve`` calls and elementwise numpy, so it may run on a chain
-    thread.
+    ``solve`` calls and elementwise numpy.
     """
     w = lu.solve(readout[:, None])[:, 0]
     scale = np.sqrt(np.einsum("i,i,i->", w, m, w))

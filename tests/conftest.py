@@ -3,8 +3,10 @@
 import pytest
 
 from repro.thermal import backends
+from repro.thermal.backends.band import BandCholeskyBackend
 from repro.thermal.backends.spectral import SpectralBackend
-from repro.thermal.backends.superlu import SuperLUBackend
+
+from oracles.superlu import SuperLUBackend
 
 
 @pytest.fixture
@@ -16,7 +18,7 @@ def pin_backend(monkeypatch):
     on, so the test can assert that the pinned backend actually ran.
     ``pin_backend(None)`` restores the rule."""
     factored: set = set()
-    for cls in (SuperLUBackend, SpectralBackend):
+    for cls in (BandCholeskyBackend, SpectralBackend, SuperLUBackend):
 
         def factor(self, *args, _original=cls.factor, **kwargs):
             factored.add(self.name)

@@ -150,7 +150,7 @@ _PRE_MERGE_PAYLOAD = {
 }
 
 
-#: per-field relative tolerance between superlu and spectral records of
+#: per-field relative tolerance between band and spectral records of
 #: one spec: the verified temperatures and correlations come from the
 #: backend's solves (PCG to a 1e-12 residual; measured <=5.7e-11 on flow
 #: records); the annealed layout, its voltages, wirelength, timing and
@@ -305,8 +305,8 @@ class TestJobSpec:
         from repro.core.parallel import IN_POOL_ENV
         from repro.core.queue import WorkQueue
         from repro.exploration.study import batch_worker_main, run_batch
+        from repro.thermal.backends.band import BandCholeskyBackend
         from repro.thermal.backends.spectral import SpectralBackend
-        from repro.thermal.backends.superlu import SuperLUBackend
         from repro.thermal.steady_state import SteadyStateSolver
 
         swept = []
@@ -342,12 +342,11 @@ class TestJobSpec:
             )
         )
         records = {}
-        for backend in (SuperLUBackend(), SpectralBackend()):
+        for backend in (BandCholeskyBackend(), SpectralBackend()):
             factored = pin_backend(backend)
             for i, spec in enumerate(specs):
-                # in-process, each die's DVFS kernels run on a chain of their
-                # own; the worker marks this process as a pool worker, where
-                # every die runs on one chain (undone after the test)
+                # the worker marks this process as a pool worker (undone
+                # after the test); the in-process leg runs outside one
                 monkeypatch.delenv(IN_POOL_ENV, raising=False)
                 in_process = run_flow_job(spec).metrics
                 with monkeypatch.context() as patch:
@@ -373,7 +372,7 @@ class TestJobSpec:
         # the TSC spec's dummy-TSV rounds ran their activity sweeps serially
         assert swept
         for i, spec in enumerate(specs):
-            direct, spectral = records["superlu", i], records["spectral", i]
+            direct, spectral = records["band", i], records["spectral", i]
             assert direct.keys() == spectral.keys()
             for key, value in direct.items():
                 if isinstance(value, float):

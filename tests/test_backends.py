@@ -2,15 +2,15 @@
 oracles, and the capability queries that replaced type sniffing in the
 solver layer.
 
-Two backends remain: superlu (direct) and spectral (iterative).  The
-superlu default (symmetric-mode ``splu``) is validated against the
-historical equilibrated-COLAMD ``splu``, which survives here only as an
-oracle.  Spectral is held to its stated iterative tolerance.
+Two backends remain: band (direct band Cholesky) and spectral
+(iterative).  The band backend is validated against dense
+``numpy.linalg.solve`` and against the historical equilibrated-COLAMD
+``splu`` (``oracles.superlu``), which survives only as an oracle.
+Spectral is held to its stated iterative tolerance.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from repro.core import faults
 from repro.core.faults import DegradationWarning
@@ -23,15 +23,14 @@ from repro.thermal.backends import (
     resolve_backend,
 )
 from repro.thermal.backends import spectral as spectral_module
+from repro.thermal.backends.band import (
+    BandCholeskyBackend,
+    BandCholeskyFactorization,
+)
 from repro.thermal.backends.spectral import (
     SPECTRAL_TOLERANCE,
     SpectralBackend,
     SpectralFactorization,
-)
-from repro.thermal.backends.superlu import (
-    SYMMETRIC_SPLU_KWARGS,
-    NativeSuperLUFactorization,
-    SuperLUBackend,
 )
 from repro.thermal.rc_network import assemble
 from repro.thermal.stack import TopologyConfig, build_stack
@@ -43,11 +42,14 @@ from repro.thermal.steady_state import (
 )
 from repro.thermal.transient import TransientSolver
 
+from oracles.superlu import SuperLUBackend, SuperLUFactorization
+
 #: direct backends must match the superlu oracle to this relative error
 ORACLE_RTOL = 1e-10
 
-SUPERLU = SuperLUBackend()
+BAND = BandCholeskyBackend()
 SPECTRAL = SpectralBackend()
+SUPERLU = SuperLUBackend()
 
 
 def _stack(num_dies=2, grid_n=10, side=1500.0, tsv=False):
@@ -74,8 +76,9 @@ class TestRegistryAndSelection:
         """Backends have no string names to select them by."""
         with pytest.raises(TypeError, match="FactorizationBackend instance"):
             resolve_backend("pardiso")
-        with pytest.raises(TypeError, match="FactorizationBackend instance"):
-            resolve_backend("superlu")
+        for name in ("superlu", "band"):
+            with pytest.raises(TypeError, match="FactorizationBackend instance"):
+                resolve_backend(name)
 
     @pytest.mark.parametrize("name", ["cholmod", "compiled_triangular", "multigrid"])
     def test_removed_backends_are_unknown(self, name, monkeypatch):
@@ -85,7 +88,7 @@ class TestRegistryAndSelection:
             resolve_backend(name)
         for token in (name, "spectral"):
             monkeypatch.setenv("REPRO_THERMAL_BACKEND", token)
-            assert resolve_backend().name == "superlu"
+            assert resolve_backend().name == "band"
             big = resolve_backend(cells_per_layer=SPECTRAL_THRESHOLD + 1)
             assert big.name == "spectral"
 
@@ -94,13 +97,13 @@ class TestRegistryAndSelection:
 
     def test_auto_prefers_spectral_above_threshold(self):
         for cells in (64, SPECTRAL_THRESHOLD):
-            assert resolve_backend(cells_per_layer=cells).name == "superlu"
+            assert resolve_backend(cells_per_layer=cells).name == "band"
         big = resolve_backend(cells_per_layer=SPECTRAL_THRESHOLD + 1)
         assert big.name == "spectral"
 
     def test_threshold_is_a_fixed_64x64_layer(self):
         assert SPECTRAL_THRESHOLD == 64 * 64
-        assert resolve_backend(cells_per_layer=101).name == "superlu"
+        assert resolve_backend(cells_per_layer=101).name == "band"
 
 
 class TestFewRHSSelection:
@@ -116,26 +119,26 @@ class TestFewRHSSelection:
 
     def test_no_budget_keeps_the_size_rule(self):
         for n in (12, 16, 32, 64):
-            assert self._auto(n, None) == "superlu"
+            assert self._auto(n, None) == "band"
         assert self._auto(65, None) == "spectral"
 
     @pytest.mark.parametrize("budget", [1, 2])
     def test_few_rhs_take_spectral_past_16x16(self, budget):
         for n in (12, 16):
-            assert self._auto(n, budget) == "superlu"
+            assert self._auto(n, budget) == "band"
         for n in (17, 20, 24, 32, 48, 64, 65):
             assert self._auto(n, budget) == "spectral"
 
-    def test_budget_above_crossover_keeps_superlu(self):
+    def test_budget_above_crossover_keeps_band(self):
         assert self._auto(32, FEW_RHS_CROSSOVER) == "spectral"
-        assert self._auto(32, FEW_RHS_CROSSOVER + 1) == "superlu"
-        assert self._auto(32, 40) == "superlu"  # a mitigation candidate sweep
+        assert self._auto(32, FEW_RHS_CROSSOVER + 1) == "band"
+        assert self._auto(32, 40) == "band"  # a mitigation candidate sweep
         assert self._auto(65, 40) == "spectral"  # the size rule still rules
 
     def test_explicit_request_wins(self):
         hints = FactorHints(grid_shape=(4, 32, 32), rhs_budget=1)
         assert resolve_backend(hints=hints).name == "spectral"
-        assert resolve_backend(SUPERLU, hints=hints) is SUPERLU
+        assert resolve_backend(BAND, hints=hints) is BAND
 
     @pytest.mark.parametrize("n, rhs_budget", [(16, 1), (48, None)])
     def test_interposer_cache_and_direct_agree(self, n, rhs_budget):
@@ -166,42 +169,88 @@ class TestFewRHSSelection:
         assert few.backend.name == "spectral"
         assert cache.solver(cfg, grid, rhs_budget=2) is few
         many = cache.solver(cfg, grid)
-        assert many.backend.name == "superlu"
+        assert many.backend.name == "band"
         assert cache.misses == 2 and cache.hits == 1
 
 
-class TestSuperLUBitCompatibility:
-    def test_default_backend_is_the_old_solver_exactly(self):
-        """The superlu backend is symmetric-mode ``splu``, bit for bit."""
-        cfg, grid, stack = _stack()
-        solver = SteadyStateSolver(stack, backend=SUPERLU)
-        lu = spla.splu(
-            solver.network.conductance.tocsc(), **SYMMETRIC_SPLU_KWARGS
+def _dense_solve(network, b):
+    """``numpy.linalg.solve`` of the dense conductance matrix."""
+    return np.linalg.solve(network.conductance.toarray(), b)
+
+
+class TestBandBackend:
+    """The band-Cholesky backend against a dense solve, on every grid
+    orientation it renumbers differently."""
+
+    @pytest.mark.parametrize("topology", ["3d", "2.5d"])
+    def test_matches_dense_solve_with_tsvs(self, topology):
+        cfg = StackConfig.square(1500.0, num_dies=2)
+        grid = GridSpec(cfg.outline, 9, 7)
+        density = np.zeros(grid.shape)
+        density[2:5, 1:6] = 0.5
+        stack = build_stack(
+            cfg, grid, tsv_density={(0, 1): density}, topology=TopologyConfig(topology)
         )
-        sets = _power_sets(grid, 2)
-        got = solver.solve(sets[0])
-        q = solver.network.power_vector(list(sets[0])) + (
-            solver.network.boundary * stack.ambient
+        assert stack.has_tsvs
+        solver = SteadyStateSolver(stack, backend=BAND)
+        assert isinstance(solver.factorization, BandCholeskyFactorization)
+        rhs = np.random.default_rng(1).random((solver.network.num_nodes, 3))
+        want = _dense_solve(solver.network, rhs)
+        got = solver.factorization.solve(rhs)
+        np.testing.assert_allclose(got, want, rtol=ORACLE_RTOL)
+
+    @pytest.mark.parametrize(
+        "num_dies, ny, nx",
+        [(2, 5, 11), (2, 11, 5), (1, 6, 6), (3, 4, 9)],
+        ids=["nx>ny", "ny>nx", "1-die", "3-die"],
+    )
+    def test_grid_orientations(self, num_dies, ny, nx):
+        """The longer lateral axis goes slowest, so the half-bandwidth
+        is layers x the shorter axis either way round."""
+        cfg = StackConfig.square(1500.0, num_dies=num_dies)
+        grid = GridSpec(cfg.outline, nx, ny)
+        stack = build_stack(cfg, grid)
+        network = assemble(stack)
+        fact = BAND.factor(network.conductance, hints=network.factor_hints())
+        assert fact._factor.shape == (stack.num_layers * min(ny, nx) + 1, network.num_nodes)
+        q = _power_sets(grid, num_dies, count=1)[0]
+        rhs = network.power_vector(q) + network.boundary * stack.ambient
+        np.testing.assert_allclose(
+            fact.solve(rhs), _dense_solve(network, rhs), rtol=ORACLE_RTOL
         )
-        assert np.array_equal(got.nodal, lu.solve(q))
 
+    def test_batched_solve_equals_column_loop_bitwise(self):
+        """``dpbtrs`` substitutes one column at a time: a block, and
+        ``solve_many`` over several blocks, equal solving each column
+        alone."""
+        _, grid, stack = _stack(num_dies=3, grid_n=12, tsv=True)
+        solver = SteadyStateSolver(stack, backend=BAND)
+        sets = _power_sets(grid, 3, count=21)
+        block = np.random.default_rng(2).random((solver.network.num_nodes, 21))
+        solved = solver.factorization.solve(block)
+        for j in range(block.shape[1]):
+            alone = solver.factorization.solve(block[:, j])
+            assert solved[:, j].tobytes() == alone.tobytes()
+        for result, maps in zip(solver.solve_many(sets), sets):
+            assert result.nodal.tobytes() == solver.solve(maps).nodal.tobytes()
 
-class _HistoricalSuperLU(SuperLUBackend):
-    """The historical default: equilibrated-COLAMD ``splu``."""
-
-    def factor(self, matrix, *, hints=None):
-        return NativeSuperLUFactorization(spla.splu(matrix.tocsc()))
+    def test_needs_grid_shape(self):
+        _, _, stack = _stack(grid_n=6)
+        network = assemble(stack)
+        for hints in (None, FactorHints(rhs_budget=3)):
+            with pytest.raises(ValueError, match="grid_shape"):
+                BAND.factor(network.conductance, hints=hints)
 
 
 class TestHistoricalSuperLUOracle:
-    """The symmetric-mode default against the equilibrated-COLAMD
-    factorization it replaced."""
+    """The band-Cholesky default against the equilibrated-COLAMD SuperLU
+    factorization the package once solved with."""
 
     @pytest.mark.parametrize("num_dies", [2, 3])
     def test_steady_solve_matches(self, num_dies):
         _, grid, stack = _stack(num_dies=num_dies, tsv=True)
-        new = SteadyStateSolver(stack, backend=SUPERLU)
-        old = SteadyStateSolver(stack, backend=_HistoricalSuperLU())
+        new = SteadyStateSolver(stack, backend=BAND)
+        old = SteadyStateSolver(stack, backend=SUPERLU)
         for a, b in zip(
             new.solve_many(_power_sets(grid, num_dies)),
             old.solve_many(_power_sets(grid, num_dies)),
@@ -215,10 +264,10 @@ class TestHistoricalSuperLUOracle:
         def power_at(_t):
             return pm
 
-        new = TransientSolver(stack, backend=SUPERLU).run(
+        new = TransientSolver(stack, backend=BAND).run(
             power_at, duration=0.2, dt=0.05
         )
-        old = TransientSolver(stack, backend=_HistoricalSuperLU()).run(
+        old = TransientSolver(stack, backend=SUPERLU).run(
             power_at, duration=0.2, dt=0.05
         )
         np.testing.assert_allclose(new.die_means, old.die_means, rtol=ORACLE_RTOL)
@@ -254,7 +303,7 @@ class TestHistoricalSuperLUOracle:
             return doc
 
         new = record()
-        monkeypatch.setattr(SuperLUBackend, "factor", _HistoricalSuperLU.factor)
+        monkeypatch.setattr(BandCholeskyBackend, "factor", SuperLUBackend.factor)
         old = record()
         assert new.keys() == old.keys()
         for key, value in new.items():
@@ -266,8 +315,9 @@ class TestHistoricalSuperLUOracle:
 
 class TestFewRHSRecordTolerance:
     """The stated tolerance of the few-RHS rule: a flow record with the
-    rule pinned to superlu and under the rule (verification, the
-    DVFS equilibrium and the dummy-TSV candidates through spectral)
+    rule pinned to the SuperLU oracle and under the rule (verification
+    and the dummy-TSV candidates through spectral, the sweeps and the
+    DVFS step matrix through band)
     agree exactly on integer and boolean fields and within 1e-9 relative
     on floats.  The dummy-TSV loop's own report keeps the same TSVs and
     rounds, and its correlations stay within 1e-9 relative, so no
@@ -328,6 +378,7 @@ class TestFewRHSRecordTolerance:
         auto, auto_backends, auto_mit = record(None)
         direct, direct_backends, direct_mit = record(SUPERLU)
         assert "spectral" in auto_backends  # verification took spectral
+        assert "superlu" not in auto_backends
         assert direct_backends == {"superlu"}
         assert auto.keys() == direct.keys()
         for key, value in auto.items():
@@ -354,18 +405,19 @@ class TestFewRHSRecordTolerance:
 
 @pytest.mark.parametrize("num_dies", [2, 3])
 class TestCompiledBackendOracle:
-    """The superlu backend's factorization, solved directly and as a
+    """The band backend's factorization, solved directly and as a
     Woodbury base, against the oracles."""
 
     def _oracle_pair(self, num_dies, **stack_kwargs):
         cfg, grid, stack = _stack(num_dies=num_dies, tsv=True, **stack_kwargs)
-        oracle = SteadyStateSolver(stack, backend=_HistoricalSuperLU())
-        native = SteadyStateSolver(stack, backend=SUPERLU)
+        oracle = SteadyStateSolver(stack, backend=SUPERLU)
+        native = SteadyStateSolver(stack, backend=BAND)
+        assert isinstance(oracle.factorization, SuperLUFactorization)
         return grid, stack, oracle, native
 
     def test_fresh_factorization_matches_oracle(self, num_dies):
         grid, _, oracle, native = self._oracle_pair(num_dies)
-        assert isinstance(native.factorization, NativeSuperLUFactorization)
+        assert isinstance(native.factorization, BandCholeskyFactorization)
         sets = _power_sets(grid, num_dies)
         want = oracle.solve(sets[0])
         got = native.solve(sets[0])
@@ -382,7 +434,7 @@ class TestCompiledBackendOracle:
         pert_stack = build_stack(cfg, grid, tsv_density={(0, 1): density})
         sets = _power_sets(grid, num_dies)
 
-        base = SteadyStateSolver(base_stack, backend=SUPERLU)
+        base = SteadyStateSolver(base_stack, backend=BAND)
         wood = WoodburySolver(base, pert_stack)
         assert wood.is_low_rank, wood.fallback_reason
         oracle = SteadyStateSolver(pert_stack, backend=SUPERLU)
@@ -513,6 +565,56 @@ class TestSpectralOracle:
         G = solver.network.conductance
         with pytest.raises(ValueError, match="grid_shape"):
             SPECTRAL.factor(G)
+
+
+class TestZLineSmoother:
+    """The spectral preconditioner smooths along z exactly on stacks
+    with TSVs, and leaves TSV-free systems as they were."""
+
+    @staticmethod
+    def _tsv_stack(topology, n=32):
+        cfg = StackConfig.square(2000.0, num_dies=2)
+        grid = GridSpec(cfg.outline, n, n)
+        rng = np.random.default_rng(5)
+        density = np.where(rng.random(grid.shape) < 0.1, 0.5, 0.0)
+        return grid, build_stack(
+            cfg, grid, tsv_density={(0, 1): density}, topology=TopologyConfig(topology)
+        )
+
+    @pytest.mark.parametrize(
+        "topology, n, plain_floor", [("3d", 32, 30), ("2.5d", 24, 100)]
+    )
+    def test_iteration_ceiling_on_tsv_stacks(self, topology, n, plain_floor):
+        grid, stack = self._tsv_stack(topology, n)
+        network = assemble(stack)
+        hints = network.factor_hints()
+        assert hints.has_tsvs
+        smoothed = SPECTRAL.factor(network.conductance, hints=hints)
+        plain = SpectralFactorization(network.conductance, network.grid_shape)
+        pm = _power_sets(grid, 2, count=1)[0]
+        q = network.power_vector(pm) + network.boundary * stack.ambient
+        got, want = smoothed.solve(q), plain.solve(q)
+        assert smoothed.last_iterations <= 20
+        assert plain.last_iterations > plain_floor
+        rise = want - stack.ambient
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(rise).max()
+
+    @pytest.mark.parametrize("topology", ["3d", "2.5d"])
+    def test_tsv_free_systems_keep_their_bytes(self, topology):
+        """No density, or an all-zero one, is TSV-free: the spectral
+        backend then solves exactly as the plain preconditioner does."""
+        cfg = StackConfig.square(2000.0, num_dies=2)
+        grid = GridSpec(cfg.outline, 16, 16)
+        for density in (None, {(0, 1): np.zeros(grid.shape)}):
+            stack = build_stack(
+                cfg, grid, tsv_density=density, topology=TopologyConfig(topology)
+            )
+            network = assemble(stack)
+            assert not network.factor_hints().has_tsvs
+            fact = SPECTRAL.factor(network.conductance, hints=network.factor_hints())
+            plain = SpectralFactorization(network.conductance, network.grid_shape)
+            q = network.power_vector(_power_sets(grid, 2, count=1)[0])
+            assert fact.solve(q).tobytes() == plain.solve(q).tobytes()
 
 
 class TestWoodburyCrossoverHint:

@@ -31,6 +31,10 @@ or a dead end, and belongs in ``tests/`` or nowhere.
 A third audit does the same for defaulted parameters: every one of a
 ``src/repro`` function or method must be set by some call in those
 trees.  A knob no caller turns is a module constant, not a parameter.
+
+A fourth keeps one direct solver: no ``splu`` call and no
+``scipy.sparse.linalg`` import anywhere under ``src/repro``, so a second
+direct path cannot grow back beside the band-Cholesky backend.
 """
 
 import ast
@@ -250,6 +254,55 @@ def _audit_file_at(path: Path) -> list:
         if _passes_expanded_keywords(node):
             offenders.append(f"{path.name}:{node.lineno}: {name}(**...)")
     return offenders
+
+
+def _second_direct_paths(path: Path) -> list:
+    """``splu`` calls and ``scipy.sparse.linalg`` imports in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            modules = []
+        if any(m == "scipy.sparse.linalg" or m.startswith("scipy.sparse.linalg.")
+               for m in modules):
+            offenders.append(f"{path.name}:{node.lineno}: imports scipy.sparse.linalg")
+        if isinstance(node, ast.Call) and _called_name(node) == "splu":
+            offenders.append(f"{path.name}:{node.lineno}: calls splu")
+    return offenders
+
+
+def test_one_direct_solver():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        offenders.extend(
+            f"{path.relative_to(SRC).as_posix()}: {o}" for o in _second_direct_paths(path)
+        )
+    assert not offenders, (
+        "a second direct solver path (the band-Cholesky backend is the one): "
+        + "; ".join(offenders)
+    )
+
+
+def test_audit_catches_a_planted_direct_solver(tmp_path):
+    """Every import form of ``scipy.sparse.linalg`` and a ``splu`` call
+    are flagged; ``scipy.linalg`` and ``scipy.sparse`` are not."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import scipy.linalg\n"
+        "import scipy.sparse as sp\n"
+        "import scipy.sparse.linalg as spla\n"
+        "from scipy.sparse import linalg\n"
+        "from scipy.sparse.linalg import spsolve\n"
+        "def f(a):\n"
+        "    return spla.splu(a), scipy.linalg.cholesky_banded(a), sp.csc_matrix(a)\n"
+    )
+    offenders = _second_direct_paths(bad)
+    assert [o.split(":")[1] for o in offenders] == ["3", "4", "5", "7"]
+    assert "calls splu" in offenders[-1]
 
 
 def _exports(path: Path, package: Path) -> Dict[str, str]:

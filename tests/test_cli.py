@@ -12,10 +12,10 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def _workers_of(pid: int) -> list:
-    """The pids of ``pid``'s worker processes (its children but the
-    multiprocessing resource tracker), read from /proc."""
-    found = []
+def _children_of(pid: int) -> dict:
+    """``{pid: command line}`` of ``pid``'s child processes, read from
+    /proc."""
+    found = {}
     for entry in os.listdir("/proc"):
         try:
             with open(f"/proc/{entry}/stat") as fh:
@@ -24,9 +24,18 @@ def _workers_of(pid: int) -> list:
                 cmdline = fh.read()
         except (OSError, ValueError, IndexError):
             continue
-        if ppid == pid and b"resource_tracker" not in cmdline:
-            found.append(int(entry))
+        if ppid == pid:
+            found[int(entry)] = cmdline
     return found
+
+
+def _workers_of(pid: int) -> list:
+    """The pids of ``pid``'s worker processes (its children but the
+    multiprocessing resource tracker)."""
+    return [
+        child for child, cmdline in _children_of(pid).items()
+        if b"resource_tracker" not in cmdline
+    ]
 
 
 def _running(pid: int) -> bool:
@@ -312,6 +321,43 @@ class TestQueueCommands:
         assert proc.returncode == 0, out
         assert b"stopping workers" in out
         assert not survivors
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists children via /proc")
+    def test_terminating_the_watch_parent_stops_its_workers(self, tmp_path):
+        """SIGTERM to the parent of a two-worker watch pool, and to no
+        worker, takes the Ctrl-C path: within seconds neither worker nor
+        the resource tracker is left running."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "work", "--queue-dir",
+             str(tmp_path / "q"), "--workers", "2", "--watch"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(_workers_of(proc.pid)) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.1)
+            time.sleep(2.0)  # let the workers reach their polling loop
+            children = list(_children_of(proc.pid))
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 10
+            while (survivors := [pid for pid in children if _running(pid)]):
+                if time.monotonic() > deadline:
+                    os.killpg(proc.pid, signal.SIGKILL)  # they hold its stdout
+                    break
+                time.sleep(0.1)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # nothing left to clean up
+            proc.wait()
+        assert not survivors, out
+        assert proc.returncode == 0, out
+        assert b"stopping workers" in out
 
     def test_work_on_empty_queue_errors(self, tmp_path, capsys):
         assert main(["work", "--queue-dir", str(tmp_path / "empty")]) == 1

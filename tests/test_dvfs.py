@@ -9,27 +9,26 @@ temperature trace from the secret activity sequence.
 
 import json
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core import parallel
-from repro.core.parallel import IN_POOL_ENV, fanout_cores
+from repro.core.parallel import usable_cores
 from repro.layout.die import StackConfig
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.mitigation import MITIGATION_MODES, MitigationConfig, evaluate_dvfs
 from repro.mitigation.dvfs import SCALES, _report
-from repro.thermal import transient
+from repro.thermal.backends.band import BandCholeskyBackend
 from repro.thermal.backends.base import FactorizationBackend
 from repro.thermal.backends.spectral import SpectralBackend
-from repro.thermal.backends.superlu import SuperLUBackend
 from repro.thermal.stack import TopologyConfig, stack_for_floorplan
 from repro.thermal.steady_state import SteadyStateSolver
 from repro.thermal.transient import TransientSolver
 
+from oracles.superlu import SuperLUBackend
 from oracles.transient import die_mean_kernels_serial, evaluate_dvfs_forward
 
 
@@ -168,8 +167,13 @@ class TestDeterminism:
         assert results[0] == _evaluate_in_subprocess(kind)
 
 
-#: the backends a test pins by name (its parameter id)
-BACKENDS = {"superlu": SuperLUBackend(), "spectral": SpectralBackend()}
+#: the backends a test pins by name (its parameter id): both of the
+#: package's, and the SuperLU oracle as an independent direct solve
+BACKENDS = {
+    "band": BandCholeskyBackend(),
+    "spectral": SpectralBackend(),
+    "superlu": SuperLUBackend(),
+}
 
 
 def _transient_solver(num_dies, kind, n=12, backend=None):
@@ -183,32 +187,30 @@ def _transient_solver(num_dies, kind, n=12, backend=None):
 
 
 class TestKernelThreads:
-    """``die_mean_kernels`` splits the dies into one chain per core the
-    job may use, each running its dies' Lanczos processes on a thread;
-    the processes never interact and the kernels are assembled after the
-    chains join, so the split cannot move a byte."""
+    """``die_mean_kernels`` runs every die's Lanczos process in turn on
+    the calling thread; calls on one solver from several threads at
+    once (a service's thread pool) each give the bytes of a lone call."""
 
     @pytest.mark.parametrize("num_dies", [2, 3])
     @pytest.mark.parametrize("kind", ["3d", "2.5d"])
     @pytest.mark.parametrize("cores", [None, 1, 2, 3])
-    @pytest.mark.parametrize("backend", ["superlu", "spectral"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     def test_threaded_equals_serial_recursion_bytewise(
-        self, kind, num_dies, cores, backend, monkeypatch
+        self, kind, num_dies, cores, backend
     ):
-        """``cores`` pins the split: one chain of every die, two chains
-        (of 1 and 2 dies when there are 3), one per die, or this host's
-        own count; each gives the bytes of the single chain that runs
-        every die's recursion in turn, on both backends."""
+        """``cores`` threads (this host's usable cores for ``None``)
+        compute the kernels at once from one solver and its shared
+        factorization; each result equals the serial call's bytes."""
         solver = _transient_solver(num_dies, kind, backend=backend)
         assert solver.backend.name == backend
-        monkeypatch.setattr(transient, "fanout_cores", lambda: 1)
         want = solver.die_mean_kernels(2e-3, 9)
-        monkeypatch.setattr(
-            transient, "fanout_cores", (lambda: cores) if cores else fanout_cores
-        )
-        got = solver.die_mean_kernels(2e-3, 9)
-        assert got.shape == (9, num_dies, solver._die_nodes.shape[1], num_dies)
-        assert got.tobytes() == want.tobytes()
+        threads = cores or usable_cores()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = [pool.submit(solver.die_mean_kernels, 2e-3, 9) for _ in range(threads)]
+            got = [run.result() for run in runs]
+        for kernels in got:
+            assert kernels.shape == (9, num_dies, solver._die_nodes.shape[1], num_dies)
+            assert kernels.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "kind, n, dt, steps",
@@ -226,7 +228,7 @@ class TestKernelThreads:
             ("2.5d", 2, 2e-3, 128),
         ],
     )
-    @pytest.mark.parametrize("backend", ["superlu", "spectral"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     def test_matches_exact_recursion(self, kind, n, dt, steps, backend):
         """The Lanczos model reproduces every step of the one-solve-per-step
         adjoint recursion within 1e-10 of the kernels' largest entry, the
@@ -255,41 +257,26 @@ class TestKernelThreads:
         assert short < 2 * 48
         assert len(solves) - short < 2 * short
 
-    @pytest.mark.parametrize("in_pool, threads", [(True, 1), (False, 3)])
-    def test_pool_worker_runs_one_thread(self, in_pool, threads, monkeypatch):
-        """Every solve is one column.  Inside a batch-pool worker, whose
-        siblings already occupy the cores, every die's process runs on one
-        thread; outside it the dies split into ``min(dies, usable cores)``
-        chains."""
-        import concurrent.futures
-
-        if in_pool:
-            monkeypatch.setenv(IN_POOL_ENV, "1")
-        else:
-            monkeypatch.delenv(IN_POOL_ENV, raising=False)
-            monkeypatch.setattr(parallel, "usable_cores", lambda: 3)
+    def test_dies_run_in_turn_on_the_calling_thread(self):
+        """Every solve is one column, made on the calling thread: each
+        die's process runs to its end before the next die's starts."""
         solver = _transient_solver(3, "3d")
         lu = solver._factorize(2e-3)
-        widths, idents, pools = [], set(), []
-        original, executor = lu.solve, concurrent.futures.ThreadPoolExecutor
+        widths, idents, readouts = [], set(), []
+        original = lu.solve
 
         def solve(b):
             widths.append(b.shape[1])
             idents.add(threading.get_ident())
+            readouts.append(np.count_nonzero(b) == solver._die_nodes.shape[1])
             return original(b)
 
-        def pool(max_workers):
-            pools.append(max_workers)
-            return executor(max_workers=max_workers)
-
-        monkeypatch.setattr(lu, "solve", solve)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+        lu.solve = solve
         solver.die_mean_kernels(2e-3, 4)
-        assert pools == [threads]
         assert set(widths) == {1} and len(widths) == 3 * 4
-        assert threading.get_ident() not in idents
-        if in_pool:
-            assert len(idents) == 1
+        assert idents == {threading.get_ident()}
+        # each die starts from its readout column, then 3 Lanczos solves
+        assert [i for i, start in enumerate(readouts) if start] == [0, 4, 8]
 
     def test_chain_error_reaches_the_caller(self, monkeypatch):
         solver = _transient_solver(2, "3d")
@@ -299,7 +286,6 @@ class TestKernelThreads:
             raise FloatingPointError("singular step")
 
         monkeypatch.setattr(lu, "solve", broken)
-        monkeypatch.setattr(transient, "fanout_cores", lambda: 2)
         with pytest.raises(FloatingPointError, match="singular step"):
             solver.die_mean_kernels(2e-3, 3)
 
@@ -353,9 +339,9 @@ class TestNoEquilibrium:
             )
 
     def test_wrapped_calls_stay_on_the_calling_thread(self, floorplan, monkeypatch):
-        """Only ``Factorization.solve`` runs on the kernel pool: every
-        factorization, steady solve and transient run happens on the
-        calling thread, where a single-threaded span stack can time it."""
+        """Every factorization, steady solve, transient run and kernel
+        happens on the calling thread, where a single-threaded span
+        stack can time it."""
         calls = []
         caller = threading.get_ident()
 

@@ -201,16 +201,16 @@ class TestSpeculativeRounds:
 
 class TestFactorizationCount:
     """A candidate is one nominal solve, so only the patterns a round
-    sweeps pay a SuperLU factorization; past 16x16 the candidates take a
+    sweeps pay a band factorization; past 16x16 the candidates take a
     spectral setup instead."""
 
     @staticmethod
     def _count_factorizations(monkeypatch):
+        from repro.thermal.backends.band import BandCholeskyBackend
         from repro.thermal.backends.spectral import SpectralBackend
-        from repro.thermal.backends.superlu import SuperLUBackend
 
-        counts = {"superlu": 0, "spectral": 0}
-        for cls in (SuperLUBackend, SpectralBackend):
+        counts = {"band": 0, "spectral": 0}
+        for cls in (BandCholeskyBackend, SpectralBackend):
 
             def counted(self, matrix, *, hints=None, _factor=cls.factor):
                 counts[self.name] += 1
@@ -225,14 +225,14 @@ class TestFactorizationCount:
                                grid_nx=20, grid_ny=20, seed=1)
         report = insert_dummy_tsvs(_hotspot_floorplan(), cfg)
         assert report.rounds >= 2  # an accepted pattern was swept
-        assert counts["superlu"] == report.rounds
+        assert counts["band"] == report.rounds
         assert counts["spectral"] == report.refactorized_candidates > 0
 
-    def test_small_grids_keep_superlu(self, monkeypatch):
+    def test_small_grids_keep_band(self, monkeypatch):
         counts = self._count_factorizations(monkeypatch)
         cfg = MitigationConfig(samples=15, tsvs_per_round=6, max_rounds=3,
                                grid_nx=12, grid_ny=12, seed=1)
         report = insert_dummy_tsvs(_hotspot_floorplan(), cfg)
         assert counts["spectral"] == 0
         # the accepted candidate's factors serve the next round's sweep
-        assert counts["superlu"] == 1 + report.refactorized_candidates
+        assert counts["band"] == 1 + report.refactorized_candidates

@@ -133,7 +133,7 @@ class TestInterposerStack:
         assert q.sum() == pytest.approx(pm0.sum())
 
     def test_steady_state_matches_dense_oracle(self, small):
-        """SuperLU through the 2.5D network == dense numpy.linalg.solve."""
+        """The direct solve of the 2.5D network == dense numpy.linalg.solve."""
         cfg, grid, density = small
         stack = build_stack(
             cfg, grid, tsv_density=density, topology=TopologyConfig(kind="2.5d")

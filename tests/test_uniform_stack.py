@@ -11,11 +11,13 @@ from repro.benchmarks.suite import benchmark_names, spec_for
 from repro.floorplan import objectives
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
-from repro.thermal.backends import SuperLUBackend
 from repro.thermal.backends import spectral as spectral_module
+from repro.thermal.backends.band import BandCholeskyBackend
 from repro.thermal.backends.spectral import SpectralBackend, SpectralFactorization
 from repro.thermal.stack import AMBIENT, build_stack
 from repro.thermal.steady_state import SteadyStateSolver
+
+from oracles.superlu import SuperLUBackend
 
 GRIDS = [(5, 5), (8, 8), (16, 16), (32, 32), (24, 40), (17, 33)]
 
@@ -75,7 +77,7 @@ class TestRefusals:
     def test_mismatched_grid_shape_refused(self):
         cfg = _stack_config(2)
         stack = build_stack(cfg, GridSpec(cfg.outline, 8, 8))
-        matrix = SteadyStateSolver(stack, backend=SuperLUBackend()).network.conductance
+        matrix = SteadyStateSolver(stack, backend=SpectralBackend()).network.conductance
         with pytest.raises(ValueError, match="does not match"):
             SpectralFactorization(matrix, (stack.num_layers, 8, 9))
 
@@ -84,7 +86,7 @@ class TestRefusals:
         monkeypatch.setattr(spectral_module, "_PCG_MAXITER", 1)
         cfg = _stack_config(2)
         stack = build_stack(cfg, GridSpec(cfg.outline, 8, 8))
-        matrix = SteadyStateSolver(stack, backend=SuperLUBackend()).network.conductance
+        matrix = SteadyStateSolver(stack, backend=SpectralBackend()).network.conductance
         fact = SpectralFactorization(matrix, (stack.num_layers, 8, 8))
         assert np.all(np.isfinite(fact.solve(np.ones(matrix.shape[0]))))
         assert fact.last_iterations == 1
@@ -118,12 +120,12 @@ class TestCalibration:
         ids=["n100-32", "3die-16", "2die-5", "1die-12", "2die-24x40", "3die-17x9"],
     )
     def test_estimate_matches_factorized_solve(self, cold, cfg, nx, ny):
-        """``estimate`` (one homogenized solve, no CG) equals a SuperLU
+        """``estimate`` (one homogenized solve, no CG) equals a band
         solve of ``build_stack(stack, grid)`` within 1e-9 of the largest
         rise, die by die."""
         grid = GridSpec(cfg.outline, nx, ny)
         model = objectives.calibrated_thermal_model(cfg, grid)
-        want = SteadyStateSolver(build_stack(cfg, grid), backend=SuperLUBackend())
+        want = SteadyStateSolver(build_stack(cfg, grid), backend=BandCholeskyBackend())
         rng = np.random.default_rng(nx * 100 + ny)
         sets = [
             [rng.random(grid.shape) * 4.0 / grid.nx / grid.ny for _ in range(cfg.num_dies)],
@@ -142,7 +144,7 @@ class TestCalibration:
         def refuse(*args, **kwargs):
             raise AssertionError("calibration factorized a sparse system")
 
-        monkeypatch.setattr(SuperLUBackend, "factor", refuse)
+        monkeypatch.setattr(BandCholeskyBackend, "factor", refuse)
         cfg = _stack_config(2)
         model = objectives.calibrated_thermal_model(cfg, GridSpec(cfg.outline, 12, 12))
         assert model.num_dies == 2
