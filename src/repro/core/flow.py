@@ -40,6 +40,7 @@ from ..power.assignment import AssignmentObjective, assign_voltages
 from ..thermal.stack import TopologyConfig
 from ..thermal.steady_state import SolverCache, default_solver_cache
 from ..timing.paths import TimingGraph
+from .blas import one_blas_thread
 from .config import FlowConfig
 from .faults import degradations_since, snapshot_degradations
 from .results import FlowMetrics
@@ -108,10 +109,23 @@ def run_flow(
     verification stages.  This is the hook the service layer
     (:mod:`repro.service`) streams to HTTP clients as NDJSON; library
     callers can ignore it entirely.
+
+    The flow runs at one BLAS thread (:func:`~repro.core.blas.one_blas_thread`),
+    so its record does not depend on the host's thread count.
     """
-    config = config or FlowConfig()
-    t_start = time.perf_counter()
     deg_mark = snapshot_degradations()
+    with one_blas_thread():
+        return _run_flow(circuit, stack, config or FlowConfig(), progress, deg_mark)
+
+
+def _run_flow(
+    circuit: BenchmarkCircuit,
+    stack: StackConfig,
+    config: FlowConfig,
+    progress,
+    deg_mark,
+) -> FlowOutcome:
+    t_start = time.perf_counter()
 
     def emit(**event: object) -> None:
         if progress is not None:

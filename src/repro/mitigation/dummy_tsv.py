@@ -203,11 +203,13 @@ def insert_dummy_tsvs(
         fp.power_map(d, grid) for d in range(fp.stack.num_dies)
     ]
 
-    def correlations_for(solver: SteadyStateSolver) -> List[float]:
-        result = solver.solve(nominal_maps)
+    def correlations_of(result) -> List[float]:
         return [
             die_correlation(p, t) for p, t in zip(nominal_maps, result.die_maps)
         ]
+
+    def correlations_for(solver: SteadyStateSolver) -> List[float]:
+        return correlations_of(solver.solve(nominal_maps))
 
     # the incoming pattern's factors serve round 0's activity sweep; with
     # incremental=True, base_solver is also the LU candidate stacks ride via
@@ -232,8 +234,10 @@ def insert_dummy_tsvs(
             crossover_rank=config.rebase_rank, topology=topology,
         )
 
-    correlations = correlations_for(solver)
-    trace = [_score(correlations, config.target_die)]
+    # the incoming pattern's nominal solve rides round 0's sweep block (a
+    # lone column costs several times its share of a block)
+    correlations: Optional[List[float]] = None
+    trace: List[float] = []
     inserted = 0
     rounds = 0
     last_stability: Optional[np.ndarray] = None
@@ -258,7 +262,13 @@ def insert_dummy_tsvs(
         # is factorized once per swept TSV pattern, not once per sample
         if not config.incremental:
             solver = make_solver(fp)
-        t_samples = [r.die_maps[die] for r in solver.solve_many(power_sets)]
+        swept = solver.solve_many(
+            power_sets if trace else [*power_sets, nominal_maps]
+        )
+        if not trace:
+            correlations = correlations_of(swept.pop())
+            trace.append(_score(correlations, config.target_die))
+        t_samples = [r.die_maps[die] for r in swept]
         if not config.incremental:
             # no later solve reads this pattern's factors: drop them
             # before the candidates' solvers pile up beside them
@@ -372,6 +382,9 @@ def insert_dummy_tsvs(
                 "accepted": True, "inserted_total": inserted,
             })
 
+    if not trace:  # max_rounds == 0
+        correlations = correlations_for(solver)
+        trace.append(_score(correlations, config.target_die))
     return MitigationReport(
         floorplan=fp,
         inserted=inserted,

@@ -81,15 +81,25 @@ def resolve_backend(
     The few-RHS rule rests on measured setup + 1 solve costs
     (``docs/ARCHITECTURE.md``, "Factorization backends"): a spectral
     setup is 20-110x cheaper than a band factorization, but each further
-    right-hand side costs a PCG solve, 3-4x a band back-substitution
+    right-hand side costs a PCG solve, 3-4x a ``dpbtrs`` substitution
     past 16x16 (7-9x at 16x16).  The break-even sits at 8-11 RHS in 3D
     and 3-8 in 2.5D (16x16 to 32x32); :data:`FEW_RHS_CROSSOVER` stays at
-    or below every one of them.  At 16x16 and below a band factorization
+    or below every one of them.  A column of a tiled block costs about
+    a third of a ``dpbtrs`` substitution, which moves the 3D break-even
+    for a batch down to an estimated 6-7 RHS at 24x24-32x32, still above
+    the crossover.  At 16x16 and below a band factorization
     costs under 20 ms, and the floor keeps those systems on the direct
     path.
     Each dummy-TSV candidate states a budget of 1 (its one nominal
     solve); a round's activity sweep states none, so only a swept TSV
     pattern is factorized.
+
+    Past 32x32 the many-RHS direct path still pays: with the tiled
+    substitution (:mod:`.band`), a factor plus 40 right-hand sides takes
+    0.29 s at 3D 48x48, against ~0.5 s for 40 smoothed PCG solves, and
+    0.69 s at 64x64 (one BLAS thread, n100 with TSVs).
+    :data:`SPECTRAL_THRESHOLD` stays at 64x64; moving it would change
+    records at those grids.
     """
     if backend is not None:
         if not isinstance(backend, FactorizationBackend):

@@ -9,9 +9,27 @@ that band: ``dpbtrf`` through :func:`scipy.linalg.cholesky_banded`,
 ``dpbtrs`` through :func:`scipy.linalg.cho_solve_banded`.  The factor
 needs ``FactorHints.grid_shape`` to renumber the nodes.
 
-``dpbtrs`` substitutes one right-hand side at a time, so a column's
-solution does not depend on the other columns of its batch: a batched
-solve equals a loop of one-column solves bit for bit.
+Two substitution kernels share the factor.  ``solve`` runs ``dpbtrs``,
+one column at a time through ``dtbsv``: the cheapest kernel for one
+vector, which the transient recurrences step with.  ``solve_block``
+substitutes in BLAS-3 tiles.  With half-bandwidth ``w``, factor entry
+``(i, j)`` sits at flat offset ``i + j*w`` of the column-major band
+array, so the ``w x w`` tile at block ``(r, c)`` is a zero-copy,
+column-major view with leading dimension ``w``.  As ``n = w * max(ny,
+nx)`` the tiles leave no ragged edge, and ``L`` is block lower
+bidiagonal: diagonal tiles are lower-triangular, sub-diagonal tiles
+upper-triangular, and ``dtrsm``/``dtrmm`` told the matching triangle
+never read the out-of-band entries the views alias.  The forward pass is
+``B_i -= L[i, i-1] B_{i-1}``, ``B_i = L[i, i]^-1 B_i``; the backward
+pass the same with transposed tiles.  The tiles stream the factor twice
+per block, ``dpbtrs`` twice per column: at 10x32x32 and one BLAS thread
+41 columns take about half of ``dpbtrs``'s time, one column 3-4x.
+
+Each kernel solves a column without reference to the other columns of
+its batch: a ``solve`` block equals a loop of one-column ``solve``
+calls bit for bit, and ``solve_block`` gives a column the same bits at
+every block width (OpenBLAS 0.3.31; ``tests/test_backends.py`` pins
+it).  The two kernels differ by a few ulps.
 """
 
 from __future__ import annotations
@@ -21,6 +39,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrmm, dtrsm
 
 from .base import FactorHints, Factorization, FactorizationBackend
 
@@ -47,6 +66,8 @@ class BandCholeskyFactorization(Factorization):
         order, bandwidth = _band_order(grid_shape)
         if order.size != n:
             raise ValueError(f"grid_shape {grid_shape} does not match {n} nodes")
+        # the tiles of solve_block cover the matrix with no ragged edge
+        assert n % bandwidth == 0
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n)
         coo = matrix.tocoo()
@@ -60,6 +81,9 @@ class BandCholeskyFactorization(Factorization):
         self._factor = scipy.linalg.cholesky_banded(
             band, overwrite_ab=True, lower=True, check_finite=False
         )
+        # the factor's column-major storage: entry (i, j) at i + j * bandwidth
+        self._flat = self._factor.reshape(-1, order="F")
+        self._width = bandwidth
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         B = np.asarray(b, dtype=np.float64)
@@ -71,6 +95,38 @@ class BandCholeskyFactorization(Factorization):
         X[self._order] = scipy.linalg.cho_solve_banded(
             (self._factor, True), block.T, overwrite_b=True, check_finite=False
         )
+        return X.reshape(B.shape)
+
+    def _tile(self, r: int, c: int) -> np.ndarray:
+        """The factor's ``w x w`` tile at block ``(r, c)``, a column-major
+        view (only its in-band triangle holds factor entries)."""
+        w = self._width
+        offset = r * w + c * w * w
+        return self._flat[offset : offset + w * w].reshape((w, w), order="F")
+
+    def solve_block(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` for one ``(N,)`` vector or an ``(N, k)``
+        block by tiled BLAS-3 substitution (see the module doc)."""
+        B = np.asarray(b, dtype=np.float64)
+        columns = B.reshape(B.shape[0], -1)
+        n, k = columns.shape
+        w = self._width
+        blocks = n // w
+        rows = self._order.reshape(blocks, w)
+        # tiles[i] is block row i, k x w C-ordered: its transpose is the
+        # column-major w x k operand trsm substitutes in place
+        tiles = np.ascontiguousarray(columns.T[:, rows].transpose(1, 0, 2))
+        # sub-diagonal tiles are upper-triangular (dtrmm's default triangle)
+        for i in range(blocks):
+            if i:
+                tiles[i] -= dtrmm(1.0, self._tile(i, i - 1), tiles[i - 1].T).T
+            dtrsm(1.0, self._tile(i, i), tiles[i].T, lower=1, overwrite_b=1)
+        for i in range(blocks - 1, -1, -1):
+            if i < blocks - 1:
+                tiles[i] -= dtrmm(1.0, self._tile(i + 1, i), tiles[i + 1].T, trans_a=1).T
+            dtrsm(1.0, self._tile(i, i), tiles[i].T, lower=1, trans_a=1, overwrite_b=1)
+        X = np.empty_like(columns)
+        X[rows] = tiles.transpose(0, 2, 1)
         return X.reshape(B.shape)
 
 

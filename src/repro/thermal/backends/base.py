@@ -3,8 +3,10 @@
 Everything in the thermal stack that factors the conductance system
 goes through a :class:`FactorizationBackend`:
 ``backend.factor(G) -> Factorization``, where the returned object knows
-how to solve against the factored system and *describes itself* —
-whether it can serve as the base of a Woodbury low-rank solver.
+how to solve against the factored system — ``solve`` for the one-vector
+recurrences, ``solve_block`` for the steady-state solves, which may be
+a different kernel (the band backend's BLAS-3 tiles) — and *describes
+itself*: whether it can serve as the base of a Woodbury low-rank solver.
 Callers make that policy decision from the capability field instead of
 sniffing concrete types.
 """
@@ -75,6 +77,16 @@ class Factorization(abc.ABC):
     @abc.abstractmethod
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one ``(N,)`` vector or an ``(N, k)`` block."""
+
+    def solve_block(self, b: np.ndarray) -> np.ndarray:
+        """:meth:`solve` through the backend's many-column kernel.
+
+        The steady-state solvers solve every power-map set through this
+        method, so a set's solution has the same bits alone and in any
+        batch; one-vector recurrences (the transient's) call
+        :meth:`solve`.  A backend with one kernel inherits this default.
+        """
+        return self.solve(b)
 
 
 class FactorizationBackend(abc.ABC):

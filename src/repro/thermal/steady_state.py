@@ -6,7 +6,8 @@ RC network.  Two levels of reuse keep repeated analyses cheap:
 * :class:`SteadyStateSolver` caches the factorization of one stack, and
   :meth:`SteadyStateSolver.solve_many` pushes a whole batch of power-map
   sets through that single factorization (the Gaussian activity sampling
-  of Sec. 6.2 runs 100 solves — one back-substitution each);
+  of Sec. 6.2 runs 100 solves — substituted in blocks of up to 40
+  columns by the backend's ``solve_block``);
 * :class:`SolverCache` memoizes whole solvers keyed by (grid shape, stack
   configuration, TSV-density digest, factorization backend), so flow
   runs, verification, exploration studies, and the mitigation loop stop
@@ -122,9 +123,12 @@ def _results_from_columns(stack: ThermalStack, t: np.ndarray) -> List[ThermalRes
     ]
 
 
-#: power-map sets :meth:`SteadyStateSolver.solve_many` solves per call
-#: of the factorization
-_BATCH_COLUMNS = 8
+#: most power-map sets :meth:`SteadyStateSolver.solve_many` substitutes
+#: per tiled block.  A 41-set sweep at 10x32x32 took 48-49 ms in blocks
+#: of at most 40 (21 + 20), 50-58 ms of at most 20 and 75-85 ms of at
+#: most 8; 40 added 2.6 MiB to the TSC benchmark flow's peak RSS, 20
+#: added 1.3 MiB
+_BATCH_COLUMNS = 40
 
 
 class SteadyStateSolver:
@@ -160,7 +164,7 @@ class SteadyStateSolver:
     def solve(self, power_maps: Sequence[np.ndarray]) -> ThermalResult:
         """Solve for the given per-die power maps (W per cell)."""
         q = _rhs_vector(self.network, self.stack.ambient, power_maps)
-        t = self._fact.solve(q)
+        t = self._fact.solve_block(q)
         return ThermalResult(die_maps=self._split(t), nodal=t)
 
     def solve_many(
@@ -168,18 +172,26 @@ class SteadyStateSolver:
     ) -> List[ThermalResult]:
         """Solve a batch of power-map sets against one factorization.
 
-        The right-hand sides are assembled :data:`_BATCH_COLUMNS` at a
-        time into one (N, k) matrix each and back-substituted in one
-        call — for the 100-sample activity sweeps this is far cheaper
-        than 100 independent solves, and incomparably cheaper than 100
-        re-factorizations — so the batch never holds more than one block
-        of right-hand sides and solutions beside its results.
+        The right-hand sides are assembled into (N, k) matrices of at
+        most :data:`_BATCH_COLUMNS` columns, split evenly (41 sets go as
+        21 + 20, not 40 + 1), and each is substituted in one
+        :meth:`~repro.thermal.backends.base.Factorization.solve_block`
+        call — for the activity sweeps this is far cheaper than one
+        solve per sample, and incomparably cheaper than one
+        re-factorization per sample — so the batch never holds more than
+        one block of right-hand sides and solutions beside its results.
+        A set's solution has the same bits in any block.
         """
         sets = list(power_map_sets)
         results: List[ThermalResult] = []
-        for lo in range(0, len(sets), _BATCH_COLUMNS):
-            block = _rhs_matrix(self.network, self.stack.ambient, sets[lo : lo + _BATCH_COLUMNS])
-            results += _results_from_columns(self.stack, self._fact.solve(block))
+        blocks = -(-len(sets) // _BATCH_COLUMNS)
+        for b in range(blocks):
+            block = _rhs_matrix(
+                self.network,
+                self.stack.ambient,
+                sets[b * len(sets) // blocks : (b + 1) * len(sets) // blocks],
+            )
+            results += _results_from_columns(self.stack, self._fact.solve_block(block))
         return results
 
 
@@ -371,7 +383,7 @@ class WoodburySolver:
 
     def _apply(self, q: np.ndarray) -> np.ndarray:
         """Woodbury-corrected ``G'⁻¹ q`` for an (N, k) RHS block."""
-        x0 = self.base.factorization.solve(q)
+        x0 = self.base.factorization.solve_block(q)
         if self._z is None:
             return x0  # rank-0 update
         y = scipy.linalg.lu_solve(

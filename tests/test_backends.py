@@ -234,6 +234,41 @@ class TestBandBackend:
         for result, maps in zip(solver.solve_many(sets), sets):
             assert result.nodal.tobytes() == solver.solve(maps).nodal.tobytes()
 
+    @pytest.mark.parametrize(
+        "num_dies, ny, nx",
+        [(2, 5, 11), (2, 11, 5), (1, 6, 6), (3, 4, 9)],
+        ids=["nx>ny", "ny>nx", "1-die", "3-die"],
+    )
+    def test_solve_many_matches_dense_solve(self, num_dies, ny, nx):
+        """The tiled kernel on every orientation: ``max(ny, nx)`` block
+        rows of ``layers x min(ny, nx)`` nodes each."""
+        cfg = StackConfig.square(1500.0, num_dies=num_dies)
+        grid = GridSpec(cfg.outline, nx, ny)
+        solver = SteadyStateSolver(build_stack(cfg, grid), backend=BAND)
+        network = solver.network
+        sets = _power_sets(grid, num_dies, count=5)
+        rhs = np.stack(
+            [network.power_vector(s) + network.boundary * solver.stack.ambient for s in sets],
+            axis=1,
+        )
+        want = _dense_solve(network, rhs)
+        for j, result in enumerate(solver.solve_many(sets)):
+            np.testing.assert_allclose(result.nodal, want[:, j], rtol=ORACLE_RTOL)
+
+    def test_tiled_column_bits_independent_of_block_width(self):
+        """``solve_block`` gives a column the same bits at every block
+        width, alone as a vector too."""
+        _, _, stack = _stack(num_dies=3, grid_n=12, tsv=True)
+        fact = SteadyStateSolver(stack, backend=BAND).factorization
+        block = np.random.default_rng(3).random((fact._order.size, 40))
+        full = fact.solve_block(block)
+        for width in (1, 2, 7, 8, 21, 40):
+            for lo in range(0, 40, width):
+                part = fact.solve_block(block[:, lo : lo + width])
+                assert part.tobytes() == full[:, lo : lo + width].tobytes(), width
+        assert fact.solve_block(block[:, 5]).tobytes() == full[:, 5].tobytes()
+        np.testing.assert_allclose(full, fact.solve(block), rtol=ORACLE_RTOL)
+
     def test_needs_grid_shape(self):
         _, _, stack = _stack(grid_n=6)
         network = assemble(stack)
