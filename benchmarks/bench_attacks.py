@@ -79,4 +79,4 @@ def test_attacks_report(benchmark, floorplans):
 def test_characterization_speed(benchmark, floorplans):
     fp = floorplans[FloorplanMode.POWER_AWARE]
     device = _device_for(fp)
-    benchmark(characterize, device, 0, 10, 4, 1e-3, 0)
+    benchmark(characterize, device, die=0, train_patterns=10, test_patterns=4, seed=0)

@@ -67,8 +67,8 @@ def characterize(
         x = np.asarray(patterns, dtype=float)
         return np.hstack([np.ones((x.shape[0], 1)), x])
 
-    y_train = np.stack([device.observe(p, die=die).ravel() for p in train])
-    y_test = np.stack([device.observe(p, die=die).ravel() for p in test])
+    y_train = device.observe_many(train, die=die).reshape(train_patterns, -1)
+    y_test = device.observe_many(test, die=die).reshape(test_patterns, -1)
     x_train = design(train)
     x_test = design(test)
 

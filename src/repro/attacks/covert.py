@@ -101,11 +101,11 @@ def run_covert_channel(
 
     warmup = 2  # idle periods before the payload (receiver discards them)
     symbols = [None] * warmup + list(bits)
+    dt = bit_period_s / STEPS_PER_BIT
 
     def power_at(t: float):
-        # sample mid-step so each implicit step integrates its own symbol
-        idx = min(int(t / bit_period_s), len(symbols) - 1)
-        symbol = symbols[idx]
+        # the step ending at t is step round(t / dt) - 1 of the run
+        symbol = symbols[(round(t / dt) - 1) // STEPS_PER_BIT]
         if symbol is None:
             act = 1.0
         else:
@@ -114,29 +114,12 @@ def run_covert_channel(
         maps[tx_die] = maps[tx_die] + (act - 1.0) * tx_only
         return maps
 
-    dt = bit_period_s / STEPS_PER_BIT
-    duration = bit_period_s * len(symbols)
+    trace = solver.run(power_at, bit_period_s * len(symbols), dt)
+    # the receiver samples its cell at the end of each bit period
     i, j = grid.cell_of(*receiver_xy)
-
-    # sample the receiver cell over time: re-run with a recording wrapper
-    readings: List[float] = []
-    net = solver.network
-    lu = solver._factorize(dt)
-    temp = np.full(net.num_nodes, solver.stack.ambient)
-    layer_idx = [li for li, d in solver.stack.power_layers() if d == receiver_die][0]
-    npl = grid.nx * grid.ny
-    c_over_dt = net.capacitance / dt
-    n_steps = int(round(duration / dt))
-    for step in range(n_steps):
-        t_mid = (step + 0.5) * dt
-        q = net.power_vector(list(power_at(t_mid)))
-        rhs = c_over_dt * temp + q + net.boundary * solver.stack.ambient
-        temp = lu.solve(rhs)
-        if (step + 1) % STEPS_PER_BIT == 0:
-            block = temp[layer_idx * npl : (layer_idx + 1) * npl].reshape(grid.shape)
-            readings.append(float(block[j, i]))
-
-    payload = np.asarray(readings[warmup:])
+    cell = j * grid.nx + i
+    readings = trace.die_temps[STEPS_PER_BIT - 1 :: STEPS_PER_BIT, receiver_die, cell]
+    payload = readings[warmup:]
     # detrend: the global warm-up ramp would otherwise bias the threshold
     x = np.arange(payload.size, dtype=float)
     if payload.size > 1:

@@ -1,8 +1,8 @@
 """The attacked device: a floorplanned 3D IC with observable thermals.
 
 Wraps a floorplan plus a detailed thermal solver into the interface an
-attacker interacts with (Sec. 5): apply an input pattern, await the
-steady-state response, read the sensors.  Input patterns map to module
+attacker interacts with (Sec. 5): apply input patterns, await the
+steady-state responses, read the sensors.  Input patterns map to module
 activities through a hidden :class:`InputActivityModel` — the attacker
 knows the *inputs* (datasheet-level understanding) but not the
 input-to-activity mapping, which is exactly the paper's threat model.
@@ -76,8 +76,9 @@ class ThermalDevice:
     """A 3D IC under thermal observation.
 
     The steady-state solver is factorized once (the TSV arrangement is
-    fixed at attack time); each input pattern costs one back-substitution,
-    matching the attacker's "await the steady state" capability.
+    fixed at attack time); a batch of input patterns costs one batched
+    back-substitution, matching the attacker's "await the steady state"
+    capability.
     """
 
     def __init__(
@@ -102,17 +103,21 @@ class ThermalDevice:
     def num_bits(self) -> int:
         return self.activity_model.num_bits
 
-    def respond(self, pattern: Sequence[int]) -> List[np.ndarray]:
-        """True steady-state thermal maps for one input pattern."""
-        activity = self.activity_model.activity(pattern)
-        power_maps = [
-            self.floorplan.power_map(d, self.grid, activity=activity)
-            for d in range(self.floorplan.stack.num_dies)
+    def respond_many(self, patterns: Sequence[Sequence[int]]) -> List[List[np.ndarray]]:
+        """True steady-state die maps for each input pattern, all from one
+        :meth:`~repro.thermal.steady_state.SteadyStateSolver.solve_many`."""
+        dies = range(self.floorplan.stack.num_dies)
+        power_map_sets = [
+            [self.floorplan.power_map(d, self.grid, activity=activity) for d in dies]
+            for activity in map(self.activity_model.activity, patterns)
         ]
-        return self.solver.solve(power_maps).die_maps
+        return [result.die_maps for result in self.solver.solve_many(power_map_sets)]
 
-    def observe(self, pattern: Sequence[int], die: int = 0) -> np.ndarray:
-        """What the attacker sees: sensor-read (and interpolated) map."""
-        maps = self.respond(pattern)
-        return self.sensors.estimate_map(maps[die])
+    def observe_many(self, patterns: Sequence[Sequence[int]], die: int = 0) -> np.ndarray:
+        """What the attacker sees: the sensor-read (and interpolated) map
+        of ``die`` for each pattern, shape (patterns, ny, nx).  Sensors
+        are read in pattern order."""
+        return np.stack(
+            [self.sensors.estimate_map(maps[die]) for maps in self.respond_many(patterns)]
+        )
 

@@ -19,7 +19,7 @@ estimated spot — the Pearson r *is* the covert observation quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -81,13 +81,16 @@ def localize_module(
     die = placement.die
     rng = np.random.default_rng(seed)
 
-    acc = np.zeros(device.grid.shape)
+    patterns = []
     for _ in range(trials):
         base = list(int(b) for b in rng.integers(0, 2, size=device.num_bits))
         base[bit] = 0
-        off = device.observe(tuple(base), die=die)
+        patterns.append(tuple(base))
         base[bit] = 1
-        on = device.observe(tuple(base), die=die)
+        patterns.append(tuple(base))
+    maps = device.observe_many(patterns, die=die)
+    acc = np.zeros(device.grid.shape)
+    for off, on in zip(maps[0::2], maps[1::2]):
         acc += np.abs(on - off)
     acc /= trials
 
@@ -149,14 +152,13 @@ def monitor_module(
     i, j = device.grid.cell_of(*location_xy)
 
     base = list(int(b) for b in rng.integers(0, 2, size=device.num_bits))
-    activities: List[float] = []
-    readings: List[float] = []
+    patterns = []
     for _ in range(steps):
         pattern = list(base)
         pattern[bit] = int(rng.integers(0, 2))
-        reading = device.observe(tuple(pattern), die=die)
-        activities.append(float(pattern[bit]))
-        readings.append(float(reading[j, i]))
+        patterns.append(tuple(pattern))
+    readings = device.observe_many(patterns, die=die)[:, j, i]
+    activities = np.array([pattern[bit] for pattern in patterns], dtype=float)
     if np.std(activities) == 0:
         return 0.0
-    return abs(pearson(np.asarray(activities), np.asarray(readings)))
+    return abs(pearson(activities, readings))

@@ -23,7 +23,7 @@ The attacker reads only end-of-window die means, a linear functional of
 the LTI backward-Euler response, so no trace is integrated: one
 factorization and one Lanczos model of the step operator per die
 (:meth:`~repro.thermal.transient.TransientSolver.die_mean_kernels`,
-a few dozen one-column solves each, the dies' chains on threads) give
+a few dozen one-column solves each, the dies' chains one after another) give
 the die-mean impulse response, projected here onto the modules and summed
 per window, and each trace is then a small dense convolution of its
 per-module power deviations.  A trace's observed temperature is that

@@ -12,8 +12,10 @@ matrix — every step back-substitutes all traces' right-hand sides in a
 single call, mirroring what
 :meth:`~repro.thermal.steady_state.SteadyStateSolver.solve_many` does for
 steady-state activity sweeps; :meth:`TransientSolver.run` is a batch of
-one.  Per-die reductions go through a
-precomputed layer-slice index instead of a per-step per-die Python loop.
+one, and the only stepping loop in the package (the covert channel of
+:mod:`repro.attacks.covert` reads its receiver off the trace).  Each
+step's die temperatures are kept, gathered through a precomputed
+layer-slice index; the per-die means reduce them on demand.
 
 :meth:`TransientSolver.die_mean_kernels` answers the question a readout
 of die-mean temperatures actually asks, without integrating any trace:
@@ -61,10 +63,14 @@ class TransientTrace:
     """Sampled transient response."""
 
     times: np.ndarray  # (steps,) seconds
-    #: per-die active-layer mean temperature over time, shape (steps, dies)
-    die_means: np.ndarray
-    #: per-die active-layer peak temperature over time, shape (steps, dies)
-    die_peaks: np.ndarray
+    #: per-die active-layer temperatures over time, shape (steps, dies,
+    #: cells); cells in :meth:`TransientSolver.run`'s power-map order
+    die_temps: np.ndarray
+
+    @property
+    def die_means(self) -> np.ndarray:
+        """Per-die active-layer mean temperature, shape (steps, dies)."""
+        return self.die_temps.mean(axis=2)
 
 
 class TransientSolver:
@@ -131,8 +137,8 @@ class TransientSolver:
 
         All traces advance in lock-step: each time step assembles one
         (nodes, traces) right-hand-side matrix and back-substitutes it in
-        a single call — far cheaper than one trace at a time, and the
-        per-die reductions vectorize over the whole batch.  Results match
+        a single call — far cheaper than one trace at a time — and one
+        gather stores every trace's die temperatures.  Results match
         running each trace alone to machine precision; on the band
         backend, whose substitution takes one column at a time, bit for
         bit.
@@ -147,10 +153,8 @@ class TransientSolver:
         n_steps = int(round(duration / dt))
         batch = len(fns)
         temp = np.full((net.num_nodes, batch), self.stack.ambient)
-        num_dies = len(self._power_layers)
         times = np.empty(n_steps)
-        die_means = np.empty((batch, n_steps, num_dies))
-        die_peaks = np.empty((batch, n_steps, num_dies))
+        die_temps = np.empty((batch, n_steps, *self._die_nodes.shape))
         c_over_dt = net.capacitance / dt
         ambient_q = net.boundary * self.stack.ambient
         q = np.empty((net.num_nodes, batch))
@@ -161,15 +165,9 @@ class TransientSolver:
             rhs = c_over_dt[:, None] * temp + q + ambient_q[:, None]
             temp = lu.solve(rhs)
             times[step] = t_now
-            # (traces, dies, cells), C-contiguous: each (trace, die) row is
-            # one contiguous cells vector
-            block = np.ascontiguousarray(np.moveaxis(temp[self._die_nodes], 2, 0))
-            die_means[:, step, :] = block.mean(axis=2)
-            die_peaks[:, step, :] = block.max(axis=2)
+            die_temps[:, step] = np.moveaxis(temp[self._die_nodes], 2, 0)
         return [
-            TransientTrace(
-                times=times.copy(), die_means=die_means[b], die_peaks=die_peaks[b]
-            )
+            TransientTrace(times=times.copy(), die_temps=die_temps[b])
             for b in range(batch)
         ]
 

@@ -64,8 +64,8 @@ class TestDeviceSharedTsvPlumbing:
             )
         )
         pattern = [1, 1, 1]
-        maps_bare = ThermalDevice(bare, grid, activity_model=model).respond(pattern)
-        maps_piped = ThermalDevice(piped, grid, activity_model=model).respond(pattern)
+        (maps_bare,) = ThermalDevice(bare, grid, activity_model=model).respond_many([pattern])
+        (maps_piped,) = ThermalDevice(piped, grid, activity_model=model).respond_many([pattern])
         # the (1, 2) heat pipes must change the upper dies' temperatures
         assert not np.allclose(maps_bare[1], maps_piped[1])
         assert not np.allclose(maps_bare[2], maps_piped[2])
@@ -122,20 +122,33 @@ class TestActivityModel:
 class TestDevice:
     def test_respond_shapes(self):
         dev = _device()
-        maps = dev.respond([0] * dev.num_bits)
+        (maps,) = dev.respond_many([[0] * dev.num_bits])
         assert len(maps) == 2
         assert maps[0].shape == dev.grid.shape
 
     def test_more_activity_more_heat(self):
         dev = _device()
-        cold = dev.respond([0] * dev.num_bits)[0]
-        hot = dev.respond([1] * dev.num_bits)[0]
+        cold, hot = (maps[0] for maps in dev.respond_many([[0] * dev.num_bits, [1] * dev.num_bits]))
         assert hot.mean() > cold.mean()
 
     def test_observe_uses_sensors(self):
         dev = _device(sensors=SensorGrid(rows=4, cols=4, noise_sigma=0.0, seed=0))
-        obs = dev.observe([1] * dev.num_bits, die=0)
-        assert obs.shape == dev.grid.shape
+        obs = dev.observe_many([[1] * dev.num_bits], die=0)
+        assert obs.shape == (1, *dev.grid.shape)
+
+    def test_observe_many_matches_batches_of_one(self):
+        """One batched observation reads the noisy sensors in pattern
+        order and solves every column to the same bits as a batch of
+        one, so it equals observing the patterns one at a time through a
+        device whose sensors have the same seed."""
+        rng = np.random.default_rng(4)
+        patterns = [tuple(int(b) for b in rng.integers(0, 2, 9)) for _ in range(7)]
+        batched = _device(sensors=SensorGrid(rows=6, cols=6, noise_sigma=0.3, seed=2))
+        single = _device(sensors=SensorGrid(rows=6, cols=6, noise_sigma=0.3, seed=2))
+        for die in (0, 1):
+            many = batched.observe_many(patterns, die=die)
+            ones = np.concatenate([single.observe_many([p], die=die) for p in patterns])
+            assert many.tobytes() == ones.tobytes()
 
 
 class TestCharacterization:

@@ -306,7 +306,7 @@ class TestHistoricalSuperLUOracle:
             power_at, duration=0.2, dt=0.05
         )
         np.testing.assert_allclose(new.die_means, old.die_means, rtol=ORACLE_RTOL)
-        np.testing.assert_allclose(new.die_peaks, old.die_peaks, rtol=ORACLE_RTOL)
+        np.testing.assert_allclose(new.die_temps, old.die_temps, rtol=ORACLE_RTOL)
 
     def test_n100_flow_record_matches(self, monkeypatch):
         from repro.benchmarks import load
@@ -696,7 +696,7 @@ class TestTransientBackend:
         np.testing.assert_allclose(
             alt.die_means, ref.die_means, rtol=1e-9
         )
-        np.testing.assert_allclose(alt.die_peaks, ref.die_peaks, rtol=1e-9)
+        np.testing.assert_allclose(alt.die_temps, ref.die_temps, rtol=1e-9)
 
     def test_backend_attribute_resolves(self):
         _, grid, stack = _stack(grid_n=8)

@@ -35,6 +35,11 @@ trees.  A knob no caller turns is a module constant, not a parameter.
 A fourth keeps one direct solver: no ``splu`` call and no
 ``scipy.sparse.linalg`` import anywhere under ``src/repro``, so a second
 direct path cannot grow back beside the band-Cholesky backend.
+
+A fifth keeps one transient stepping loop: no ``src/repro`` module but
+``thermal/transient.py`` touches ``TransientSolver._factorize``, so a
+caller that wants a trace integrates it through ``run``/``run_many``
+instead of growing its own backward-Euler loop on the step factor.
 """
 
 import ast
@@ -303,6 +308,44 @@ def test_audit_catches_a_planted_direct_solver(tmp_path):
     offenders = _second_direct_paths(bad)
     assert [o.split(":")[1] for o in offenders] == ["3", "4", "5", "7"]
     assert "calls splu" in offenders[-1]
+
+
+def _step_factor_reach_ins(path: Path) -> list:
+    """Reads of ``_factorize`` in ``path``, as an attribute or by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}: reads _factorize"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "_factorize")
+        or (isinstance(node, ast.Constant) and node.value == "_factorize")
+    ]
+
+
+def test_one_transient_stepping_loop():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel != "thermal/transient.py":
+            offenders.extend(f"{rel}: {o}" for o in _step_factor_reach_ins(path))
+    assert not offenders, (
+        "a second transient stepping loop (TransientSolver.run/run_many is "
+        "the one): " + "; ".join(offenders)
+    )
+
+
+def test_audit_catches_a_planted_step_factor_reach_in(tmp_path):
+    """An attribute read of ``_factorize`` and a ``getattr`` by name are
+    flagged; the public stepping calls and look-alike names are not."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(solver, power_at, dt):\n"
+        "    lu = solver._factorize(dt)\n"
+        "    step = getattr(solver, '_factorize')\n"
+        "    trace = solver.run(power_at, 1.0, dt)\n"
+        "    return lu, step, trace, solver._factorize_cache, solver.run_many\n"
+    )
+    offenders = _step_factor_reach_ins(bad)
+    assert [o.split(":")[1] for o in offenders] == ["2", "3"]
 
 
 def _exports(path: Path, package: Path) -> Dict[str, str]:

@@ -123,8 +123,8 @@ class TestPipelineInvariants:
 
         oracle = [np.concatenate([m.ravel() for m in power_maps(p)])
                   for p in patterns]
-        side = [np.concatenate([m.ravel() for m in device.respond(p)])
-                for p in patterns]
+        side = [np.concatenate([m.ravel() for m in maps])
+                for maps in device.respond_many(patterns)]
         leak = svf(oracle, side)
         # control: breaking the pattern correspondence must kill the SVF
         shuffled = [side[(i + 3) % len(side)] for i in range(len(side))]

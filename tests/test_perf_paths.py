@@ -62,7 +62,7 @@ class TestRunManyOracle:
         for fn, got in zip(fns, batched):
             want = solver.run(fn, duration=0.06, dt=0.005)
             np.testing.assert_allclose(got.die_means, want.die_means, atol=1e-12)
-            np.testing.assert_allclose(got.die_peaks, want.die_peaks, atol=1e-12)
+            np.testing.assert_allclose(got.die_temps, want.die_temps, atol=1e-12)
             np.testing.assert_array_equal(got.times, want.times)
 
     def test_zero_power_stays_at_ambient(self):
@@ -72,7 +72,7 @@ class TestRunManyOracle:
         for trace in solver.run_many([lambda t: zero] * 2, duration=0.02, dt=0.005):
             # one LU solve per step rounds at the 1e-14 relative level
             np.testing.assert_allclose(trace.die_means, solver.stack.ambient, atol=1e-9)
-            np.testing.assert_allclose(trace.die_peaks, solver.stack.ambient, atol=1e-9)
+            np.testing.assert_allclose(trace.die_temps, solver.stack.ambient, atol=1e-9)
 
     def test_empty_batch_and_validation(self):
         grid, solver = self._solver()

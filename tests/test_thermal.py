@@ -266,10 +266,7 @@ class TestTransient:
         times = np.arange(1, 8) * 0.01
         # rises past the target (0.632), overshoots, rings back down
         means = np.array([0.0, 0.3, 0.7, 1.3, 0.9, 1.1, 1.0])
-        trace = TransientTrace(
-            times=times,
-            die_means=means[:, None],
-            die_peaks=means[:, None],
-        )
+        # one die of one cell: its mean is the cell itself
+        trace = TransientTrace(times=times, die_temps=means[:, None, None])
         tau = thermal_time_constant(trace, die=0)
         assert tau == pytest.approx(times[2])  # first sample >= 0.632
