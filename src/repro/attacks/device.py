@@ -22,24 +22,27 @@ from .sensors import SensorGrid
 
 __all__ = ["InputActivityModel", "ThermalDevice"]
 
+#: activity factor of a module no asserted bit drives, and the activity
+#: each asserted bit that drives it adds
+IDLE_ACTIVITY = 0.35
+BIT_SWING = 1.0
+
 
 @dataclass
 class InputActivityModel:
     """Hidden mapping from input-pattern bits to module activity factors.
 
     Each input bit drives a random subset of modules: asserting bit k
-    raises the activity of its fan-in modules by ``swing``; deasserted
-    bits leave modules at idle activity.  Modules not driven by any bit
-    idle at ``idle``.  This realizes "purposefully crafting input
-    patterns to trigger certain activities" in a controlled, simulatable
-    way.
+    raises the activity of its fan-in modules by :data:`BIT_SWING`;
+    deasserted bits leave modules at idle activity.  Modules not driven
+    by any bit idle at :data:`IDLE_ACTIVITY`.  This realizes
+    "purposefully crafting input patterns to trigger certain activities"
+    in a controlled, simulatable way.
     """
 
     module_names: Sequence[str]
     num_bits: int = 16
     fanin: int = 4
-    idle: float = 0.35
-    swing: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,11 +67,11 @@ class InputActivityModel:
         """
         if len(pattern) != self.num_bits:
             raise ValueError(f"pattern must have {self.num_bits} bits")
-        act = {name: self.idle for name in self.module_names}
+        act = {name: IDLE_ACTIVITY for name in self.module_names}
         for bit, value in enumerate(pattern):
             if value:
                 for name in self._drives[bit]:
-                    act[name] += self.swing
+                    act[name] += BIT_SWING
         return act
 
 

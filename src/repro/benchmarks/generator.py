@@ -36,6 +36,11 @@ from ..layout.net import Net, Terminal
 
 __all__ = ["BenchmarkCircuit", "BenchmarkSpec", "generate_circuit"]
 
+#: target silicon utilization of the stack's module area
+UTILIZATION = 0.55
+#: generator seed mixed into every instance's digest with its name
+SEED = 0
+
 
 @dataclass
 class BenchmarkCircuit:
@@ -72,9 +77,6 @@ class BenchmarkSpec:
     num_terminals: int
     outline_mm2: float
     total_power_w: float
-    #: target silicon utilization of the two-die stack
-    utilization: float = 0.55
-    seed: int = 0
 
     @property
     def num_modules(self) -> int:
@@ -91,7 +93,7 @@ def _module_areas(spec: BenchmarkSpec, rng: np.random.Generator, num_dies: int) 
     """Lognormal module areas normalized so the stack hits the target
     utilization after footprint scaling."""
     raw = rng.lognormal(mean=0.0, sigma=0.7, size=spec.num_modules)
-    target_total = spec.utilization * spec.outline.area * num_dies
+    target_total = UTILIZATION * spec.outline.area * num_dies
     areas = raw / raw.sum() * target_total
     # No module may exceed a third of the die, or fixed-outline packing
     # becomes infeasible; clip and renormalize the remainder.
@@ -120,7 +122,7 @@ def generate_circuit(spec: BenchmarkSpec, num_dies: int = 2) -> BenchmarkCircuit
     outline; the factor itself is recorded in the suite registry).
     """
     # stable across processes (Python's hash() is salted per interpreter)
-    digest = hashlib.md5(f"repro-bench:{spec.name}:{spec.seed}".encode()).digest()
+    digest = hashlib.md5(f"repro-bench:{spec.name}:{SEED}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     areas = _module_areas(spec, rng, num_dies)
 

@@ -118,16 +118,20 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 def _build_jobs(args: argparse.Namespace) -> list:
     """The (benchmark, mode, seed, topology, mitigation) JobSpec grid
-    shared by batch/enqueue.  Only the TSC flow runs mitigation, so a
-    non-static mitigation mode pairs with ``tsc_aware`` alone."""
+    shared by batch/enqueue: the (mode, mitigation mode) pairs a flow
+    accepts (:func:`~repro.core.config.pairs_with_mitigation`)."""
+    from .core.config import pairs_with_mitigation
     from .floorplan.objectives import FloorplanMode
 
     if args.seeds < 1:
         raise SystemExit("error: --seeds must be >= 1")
     tsc = FloorplanMode.TSC_AWARE
-    runtime = [mit for mit in args.mitigation_modes if mit != "static"]
-    if runtime and any(mode != tsc for mode in args.modes):
-        print(f"note: mitigation mode(s) {', '.join(runtime)} run only with "
+    unpaired = [
+        mit for mit in args.mitigation_modes
+        if not all(pairs_with_mitigation(mode, mit) for mode in args.modes)
+    ]
+    if unpaired:
+        print(f"note: mitigation mode(s) {', '.join(unpaired)} run only with "
               f"{tsc}; other modes pair with static only")
     jobs = [
         _spec_from_args(args, benchmark=bench, mode=mode, seed=seed,
@@ -135,13 +139,13 @@ def _build_jobs(args: argparse.Namespace) -> list:
         for topology in args.topologies
         for mit in args.mitigation_modes
         for mode in args.modes
-        if mit == "static" or mode == tsc
+        if pairs_with_mitigation(mode, mit)
         for bench in args.benchmarks
         for seed in range(args.seeds)
     ]
     if not jobs:
         raise SystemExit(
-            f"error: mitigation mode(s) {', '.join(runtime)} need --modes {tsc}"
+            f"error: mitigation mode(s) {', '.join(unpaired)} need --modes {tsc}"
         )
     return jobs
 
@@ -212,10 +216,11 @@ def _cmd_work(args: argparse.Namespace) -> int:
     if args.max_attempts < 1:
         raise SystemExit("error: --max-attempts must be >= 1")
     try:
+        # this handle only reads status and merges; the workers hold
+        # their own queues with the steal budget
         queue = WorkQueue(
             args.queue_dir, lease_ttl=args.lease_ttl,
             max_attempts=args.max_attempts, retry_backoff=args.backoff,
-            max_steals=args.max_attempts if args.max_attempts > 1 else None,
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -342,9 +347,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .core.parallel import IN_POOL_ENV
 
         # inline jobs run on that many threads of this one process: like
-        # batch-pool workers, each runs its dies' DVFS kernel processes
-        # on one chain and its tempered replicas serially instead of
-        # fanning out to every core
+        # batch-pool workers, each runs its tempered replicas serially
+        # instead of fanning out to every core
         os.environ[IN_POOL_ENV] = "1"
     return run(state, host=args.host, port=args.port)
 

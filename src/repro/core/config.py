@@ -10,7 +10,15 @@ from ..floorplan.objectives import FloorplanMode
 from ..mitigation.dummy_tsv import MitigationConfig
 from ..thermal.stack import TopologyConfig
 
-__all__ = ["FlowConfig", "env_int"]
+__all__ = ["FlowConfig", "env_int", "pairs_with_mitigation"]
+
+
+def pairs_with_mitigation(mode: str, mitigation_mode: str) -> bool:
+    """Whether a flow of ``mode`` may run ``mitigation_mode``.  Only the
+    TSC flow runs mitigation, so a runtime or combined mode pairs with
+    ``tsc_aware`` alone: elsewhere it would run no governor yet record
+    the mode."""
+    return mitigation_mode == "static" or mode == FloorplanMode.TSC_AWARE
 
 
 def env_int(name: str, default: int) -> int:
@@ -70,9 +78,7 @@ class FlowConfig:
                 f"mode must be '{FloorplanMode.POWER_AWARE}' or "
                 f"'{FloorplanMode.TSC_AWARE}', got {self.mode!r}"
             )
-        # only the TSC flow runs mitigation: a runtime or combined mode
-        # elsewhere would run no governor yet record the mode
-        if self.mitigation.mode != "static" and self.mode != FloorplanMode.TSC_AWARE:
+        if not pairs_with_mitigation(self.mode, self.mitigation.mode):
             raise ValueError(
                 f"mitigation mode {self.mitigation.mode!r} needs mode "
                 f"'{FloorplanMode.TSC_AWARE}' (got {self.mode!r}): only the "

@@ -41,7 +41,14 @@ import numpy as np
 from ..layout.die import StackConfig
 from ..layout.geometry import Rect
 from ..layout.grid import GridSpec
-from ..layout.tsv import TSV, place_island, place_regular_grid, tsv_density_map
+from ..layout.tsv import (
+    TSV,
+    TSV_DIAMETER,
+    TSV_KEEPOUT,
+    place_island,
+    place_regular_grid,
+    tsv_density_map,
+)
 
 __all__ = [
     "POWER_PATTERNS",
@@ -189,14 +196,14 @@ def _tsvs_irregular(stack: StackConfig, rng: np.random.Generator) -> List[TSV]:
     xs = rng.uniform(outline.x + margin, outline.x2 - margin, count)
     ys = rng.uniform(outline.y + margin, outline.y2 - margin, count)
     return [
-        TSV(float(x), float(y), 0, 1, diameter=stack.tsv_diameter, keepout=stack.tsv_keepout)
+        TSV(float(x), float(y), 0, 1, diameter=TSV_DIAMETER, keepout=TSV_KEEPOUT)
         for x, y in zip(xs, ys)
     ]
 
 
 def _tsvs_regular(stack: StackConfig, rng: np.random.Generator) -> List[TSV]:
     return place_regular_grid(
-        stack.outline, 16, 16, diameter=stack.tsv_diameter, keepout=stack.tsv_keepout
+        stack.outline, 16, 16, diameter=TSV_DIAMETER, keepout=TSV_KEEPOUT
     )
 
 
@@ -214,8 +221,8 @@ def _tsvs_islands(stack: StackConfig, rng: np.random.Generator) -> List[TSV]:
         out.extend(
             place_island(
                 Rect(x, y, island_side, island_side),
-                diameter=stack.tsv_diameter,
-                keepout=stack.tsv_keepout,
+                diameter=TSV_DIAMETER,
+                keepout=TSV_KEEPOUT,
             )
         )
     return out

@@ -214,8 +214,8 @@ def batch_worker_main(
     work --watch``), serving jobs the evaluation service fans out as
     they arrive.  Returns the number of jobs this worker completed.
     """
-    # mark this process as a pool worker: tempered flows and DVFS kernels
-    # inside it stay serial instead of nesting a second pool
+    # mark this process as a pool worker: tempered flows inside it run
+    # their replicas serially instead of nesting a second pool
     os.environ[IN_POOL_ENV] = "1"
     queue = WorkQueue(
         queue_dir,

@@ -61,7 +61,7 @@ INITIAL_ACCEPTANCE = 0.5
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing budget and evaluation cadence.
+    """Annealing budget, in-loop grid and scale calibration.
 
     Defaults are sized for the Python engine; the paper's C++ Corblivar
     runs far more iterations.  All experiment harnesses expose
@@ -72,9 +72,6 @@ class AnnealConfig:
     seed: int = 0
     grid_nx: int = 32
     grid_ny: int = 32
-    timing_every: int = 10
-    thermal_every: int = 5
-    assignment_every: int = 50
     calibration_samples: int = 24
 
     def __post_init__(self) -> None:
@@ -224,9 +221,6 @@ class AnnealChain:
             mode=mode,
             grid_nx=config.grid_nx,
             grid_ny=config.grid_ny,
-            timing_every=config.timing_every,
-            thermal_every=config.thermal_every,
-            assignment_every=config.assignment_every,
         )
 
         state = LayoutState.initial(modules, stack, rng, power_biased=True)

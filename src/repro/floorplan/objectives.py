@@ -12,16 +12,17 @@ Reproduces the paper's two setups (Sec. 7):
 Cost terms are normalized by scales sampled from random perturbations of
 the initial solution, then combined as a weighted sum — the standard
 multi-objective annealing recipe Corblivar uses.  Expensive terms
-(timing, thermal, leakage, voltage assignment) refresh on a configurable
-cadence; the cheap terms (outline fit, wirelength) are exact every
-iteration via a fully vectorized netlist evaluation.  One
-:class:`~repro.layout.net.CompiledNetlist`, compiled once per evaluator,
-serves the wirelength and the timing graph's Elmore delays.  The slow
-terms read the snapshot's geometry arrays and per-module constants
-compiled once per evaluator: each thermal refresh rasterizes every die's
-power map afresh and solves the TSV-free stack exactly
-(:class:`~repro.thermal.fast.FastThermalModel`), timing runs on the same
-centres, and only a voltage-assignment refresh realizes a
+(timing, thermal, leakage, voltage assignment) refresh on a fixed
+cadence (:data:`TIMING_EVERY`, :data:`THERMAL_EVERY` and
+:data:`ASSIGNMENT_EVERY` evaluations); the cheap terms (outline fit,
+wirelength) are exact every iteration via a fully vectorized netlist
+evaluation.  One :class:`~repro.layout.net.CompiledNetlist`, compiled
+once per evaluator, serves the wirelength and the timing graph's Elmore
+delays.  The slow terms read the snapshot's geometry arrays and
+per-module constants compiled once per evaluator: each thermal refresh
+rasterizes every die's power map afresh and solves the TSV-free stack
+exactly (:class:`~repro.thermal.fast.FastThermalModel`), timing runs on
+the same centres, and only a voltage-assignment refresh realizes a
 :class:`~repro.layout.floorplan.Floorplan3D`.
 """
 
@@ -55,6 +56,14 @@ __all__ = [
 #: voltage-volume growth bound of the in-loop assignment refreshes (the
 #: final full-size assignment grows to ``FINAL_VOLUME_SIZE`` in the flow)
 INLOOP_VOLUME_SIZE = 16
+
+#: evaluations between refreshes of the slow terms: timing, thermal and
+#: leakage (the exact TSV-free solve, entropy and correlation), and the
+#: in-loop voltage assignment; a forced full evaluation refreshes all
+#: three at once
+TIMING_EVERY = 10
+THERMAL_EVERY = 5
+ASSIGNMENT_EVERY = 50
 
 
 #: fast-thermal models, memoized per (stack, grid) — repeated flow runs
@@ -233,18 +242,12 @@ class CostEvaluator:
         mode: str = FloorplanMode.POWER_AWARE,
         grid_nx: int = 32,
         grid_ny: int = 32,
-        timing_every: int = 10,
-        thermal_every: int = 5,
-        assignment_every: int = 50,
     ) -> None:
         self.stack = stack
         self.mode = mode
         self.weights = ObjectiveWeights.for_mode(mode)
         self.grid = GridSpec(stack.outline, grid_nx, grid_ny)
         self.thermal = calibrated_thermal_model(stack, self.grid)
-        self.timing_every = max(1, timing_every)
-        self.thermal_every = max(1, thermal_every)
-        self.assignment_every = max(1, assignment_every)
         self.terminals = dict(terminals)
         self.nets = tuple(nets)
         self._netlist: Optional[CompiledNetlist] = None
@@ -409,9 +412,9 @@ class CostEvaluator:
         """
         self._iteration += 1
         it = self._iteration
-        refresh_timing = force_full or (it % self.timing_every == 0)
-        refresh_thermal = force_full or (it % self.thermal_every == 0)
-        refresh_assignment = force_full or (it % self.assignment_every == 0)
+        refresh_timing = force_full or (it % TIMING_EVERY == 0)
+        refresh_thermal = force_full or (it % THERMAL_EVERY == 0)
+        refresh_assignment = force_full or (it % ASSIGNMENT_EVERY == 0)
         snap = self._full_snapshot(state)
         bd = CostBreakdown(
             area=snap.area,

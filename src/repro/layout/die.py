@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .geometry import Rect
+from .tsv import TSV_DIAMETER, TSV_KEEPOUT
 
 __all__ = ["Die", "StackConfig"]
 
@@ -35,7 +36,10 @@ class Die:
 
 @dataclass(frozen=True)
 class StackConfig:
-    """Configuration of the 3D stack: outline, die count, stacking style.
+    """Configuration of the 3D stack: outline and die count.  Dies stack
+    face-to-back (the paper's assumption and the only style the thermal
+    stack builder models), and signal TSVs take the geometry of
+    :data:`~repro.layout.tsv.TSV_DIAMETER` / ``TSV_KEEPOUT``.
 
     Parameters
     ----------
@@ -44,18 +48,10 @@ class StackConfig:
         floorplanning per Sec. 7).
     num_dies:
         Number of stacked dies (the paper evaluates two).
-    face_to_back:
-        Stacking style flag; face-to-back is the paper's assumption and
-        the only style modelled by the thermal stack builder.
-    tsv_diameter, tsv_keepout:
-        Default TSV geometry in um.
     """
 
     outline: Rect
     num_dies: int = 2
-    face_to_back: bool = True
-    tsv_diameter: float = 5.0
-    tsv_keepout: float = 2.5
 
     def __post_init__(self) -> None:
         if self.num_dies < 1:
@@ -69,13 +65,13 @@ class StackConfig:
 
     @property
     def tsv_pitch(self) -> float:
-        return self.tsv_diameter + 2.0 * self.tsv_keepout
+        return TSV_DIAMETER + 2.0 * TSV_KEEPOUT
 
     def die_pairs(self) -> List[Tuple[int, int]]:
         """Adjacent die pairs that TSVs may span."""
         return [(i, i + 1) for i in range(self.num_dies - 1)]
 
     @staticmethod
-    def square(side: float, num_dies: int = 2, **kwargs) -> "StackConfig":
+    def square(side: float, num_dies: int = 2) -> "StackConfig":
         """Convenience constructor for a square outline of ``side`` um."""
-        return StackConfig(Rect(0.0, 0.0, side, side), num_dies=num_dies, **kwargs)
+        return StackConfig(Rect(0.0, 0.0, side, side), num_dies=num_dies)

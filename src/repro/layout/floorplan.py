@@ -141,18 +141,7 @@ class Floorplan3D:
         for x, y, lo, hi in zip(
             sites.x.tolist(), sites.y.tolist(), sites.lo.tolist(), sites.hi.tolist()
         ):
-            new_tsvs.extend(
-                TSV(
-                    x,
-                    y,
-                    d,
-                    d + 1,
-                    kind=TSVKind.SIGNAL,
-                    diameter=self.stack.tsv_diameter,
-                    keepout=self.stack.tsv_keepout,
-                )
-                for d in range(lo, hi)
-            )
+            new_tsvs.extend(TSV(x, y, d, d + 1, kind=TSVKind.SIGNAL) for d in range(lo, hi))
         self.tsvs = new_tsvs
 
     # -- maps -------------------------------------------------------------------

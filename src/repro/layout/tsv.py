@@ -31,6 +31,11 @@ __all__ = [
     "place_island",
 ]
 
+#: signal TSV geometry (um): via diameter and keep-out margin, so a via
+#: occupies a square of side ``TSV_DIAMETER + 2 * TSV_KEEPOUT``
+TSV_DIAMETER = 5.0
+TSV_KEEPOUT = 2.5
+
 
 class TSVKind:
     """Signal TSVs route inter-die nets; dummy thermal TSVs only move heat."""
@@ -53,8 +58,8 @@ class TSV:
     die_from: int
     die_to: int
     kind: str = TSVKind.SIGNAL
-    diameter: float = 5.0
-    keepout: float = 2.5
+    diameter: float = TSV_DIAMETER
+    keepout: float = TSV_KEEPOUT
 
     def __post_init__(self) -> None:
         if self.diameter <= 0:
@@ -85,8 +90,8 @@ class TSVIsland:
     die_from: int
     die_to: int
     kind: str = TSVKind.SIGNAL
-    diameter: float = 5.0
-    keepout: float = 2.5
+    diameter: float = TSV_DIAMETER
+    keepout: float = TSV_KEEPOUT
 
     def vias(self) -> List[TSV]:
         """Materialize the individual TSVs packed at minimum pitch."""
@@ -114,8 +119,8 @@ def place_regular_grid(
     outline: Rect,
     count_x: int,
     count_y: int,
-    diameter: float = 5.0,
-    keepout: float = 2.5,
+    diameter: float = TSV_DIAMETER,
+    keepout: float = TSV_KEEPOUT,
 ) -> List[TSV]:
     """Regularly arranged signal TSVs between dies 0 and 1, covering the
     outline in a count_x x count_y grid."""
@@ -135,8 +140,8 @@ def place_island(
     die_from: int = 0,
     die_to: int = 1,
     kind: str = TSVKind.SIGNAL,
-    diameter: float = 5.0,
-    keepout: float = 2.5,
+    diameter: float = TSV_DIAMETER,
+    keepout: float = TSV_KEEPOUT,
 ) -> List[TSV]:
     """All TSVs of a densely packed island in ``region``."""
     island = TSVIsland(region, die_from, die_to, kind=kind, diameter=diameter, keepout=keepout)

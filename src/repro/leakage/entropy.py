@@ -16,8 +16,11 @@ lower the spatial entropy, the lower the power-temperature correlation");
 we treat that as a typo, default to the principled ``claramunt`` weight,
 and keep the printed form available via ``weight="as_printed"``.
 
-The metric needs no thermal solve, which is why the floorplanner can
-afford it *every* iteration as a fast leakage proxy (Sec. 4.2).
+The metric needs no thermal solve, which is why the paper's floorplanner
+can afford it as a fast leakage proxy (Sec. 4.2).  Here the cost
+evaluator scores it on every thermal refresh, every
+:data:`~repro.floorplan.objectives.THERMAL_EVERY` moves, beside the
+exact TSV-free solve.
 
 Classes come from nested-means partitioning (sort, split at the mean,
 recurse until the class standard deviation approaches zero, at most

@@ -11,7 +11,7 @@ The post-processing stage of the flow:
    the stop criterion is the "sweet spot where further TSV insertion
    would increase the overall correlation again" (Sec. 6.2, 7.1).
 
-Each round evaluates the ``candidates_per_round`` most stable *disjoint*
+Each round evaluates the :data:`CANDIDATES_PER_ROUND` most stable *disjoint*
 bin groups speculatively: every candidate stack is solved once, against
 the same nominal power maps, and the best-scoring group is accepted.  The
 greedy top-group choice can hit the sweet-spot test one round early when
@@ -70,6 +70,13 @@ MITIGATION_MODES = ("static", "dvfs", "combined")
 DUMMY_DIAMETER = 20.0
 DUMMY_KEEPOUT = 5.0
 
+#: relative standard deviation of the Gaussian activity samples (Sec.
+#: 6.2); the DVFS traces draw their activity with it too
+ACTIVITY_SIGMA = 0.10
+#: disjoint candidate bin groups evaluated speculatively per round; 1
+#: would reproduce the purely greedy loop
+CANDIDATES_PER_ROUND = 3
+
 
 @dataclass(frozen=True)
 class MitigationConfig:
@@ -77,13 +84,9 @@ class MitigationConfig:
 
     #: activity samples per round (the paper uses 100)
     samples: int = 100
-    sigma: float = 0.10
     #: grid bins receiving a dummy-TSV group per round
     tsvs_per_round: int = 8
     max_rounds: int = 12
-    #: disjoint candidate bin groups evaluated speculatively per round;
-    #: 1 reproduces the purely greedy loop
-    candidates_per_round: int = 3
     #: evaluation grid (detailed solves happen once per activity sample)
     grid_nx: int = 32
     grid_ny: int = 32
@@ -114,8 +117,6 @@ class MitigationConfig:
             raise ValueError("max_rounds must be >= 0")
         if self.tsvs_per_round < 1:
             raise ValueError("tsvs_per_round must be >= 1")
-        if self.candidates_per_round < 1:
-            raise ValueError("candidates_per_round must be >= 1")
         if self.mode not in MITIGATION_MODES:
             raise ValueError(
                 f"unknown mitigation mode {self.mode!r}; expected one of "
@@ -191,7 +192,7 @@ def insert_dummy_tsvs(
     # density digest and resolved backend; the local cache holds a round's
     # sweep solver and every speculative candidate, and keeps rejected
     # candidates from evicting anything globally useful
-    solver_cache = SolverCache(maxsize=max(4, config.candidates_per_round + 2))
+    solver_cache = SolverCache(maxsize=max(4, CANDIDATES_PER_ROUND + 2))
 
     def make_solver(current: Floorplan3D) -> SteadyStateSolver:
         return solver_cache.solver_for_floorplan(current, grid, topology=topology)
@@ -253,7 +254,7 @@ def insert_dummy_tsvs(
     for round_idx in range(config.max_rounds):
         # Eq. 2 stability from Gaussian activity sampling on this stack
         power_sets = sample_power_maps(
-            fp, grid, count=config.samples, sigma=config.sigma,
+            fp, grid, count=config.samples, sigma=ACTIVITY_SIGMA,
             seed=config.seed + round_idx,
         )
         die = config.target_die if config.target_die is not None else 0
@@ -280,13 +281,13 @@ def insert_dummy_tsvs(
         ranked = [
             b
             for b in most_stable_bins(
-                stability, group * config.candidates_per_round, exclude=exclude
+                stability, group * CANDIDATES_PER_ROUND, exclude=exclude
             )
             if not exclude[b]  # ranking pads with excluded bins when few remain
         ]
         candidate_bins = [
             ranked[k * group : (k + 1) * group]
-            for k in range(config.candidates_per_round)
+            for k in range(CANDIDATES_PER_ROUND)
         ]
         candidate_bins = [bins for bins in candidate_bins if bins]
 

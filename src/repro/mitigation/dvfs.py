@@ -52,7 +52,7 @@ from ..leakage.pearson import die_correlation, local_correlation_map, pearson
 from ..thermal.stack import stack_for_floorplan
 from ..thermal.transient import TransientSolver
 from .activity import module_power_basis
-from .dummy_tsv import MitigationConfig
+from .dummy_tsv import ACTIVITY_SIGMA, MitigationConfig
 
 __all__ = ["DVFSReport", "evaluate_dvfs"]
 
@@ -128,7 +128,7 @@ def _activity(config: MitigationConfig, num_modules: int) -> tuple:
     governed = np.empty_like(nominal)
     for tr in range(config.dvfs_traces):
         act_rng, gov_rng = _trace_streams(config.seed, tr)
-        nominal[tr] = np.maximum(act_rng.normal(1.0, config.sigma, size=shape), 0.0)
+        nominal[tr] = np.maximum(act_rng.normal(1.0, ACTIVITY_SIGMA, size=shape), 0.0)
         level_idx = gov_rng.integers(0, LEVELS, size=shape)
         governed[tr] = nominal[tr] * SCALES[level_idx] ** 3
     return nominal, governed

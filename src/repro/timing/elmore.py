@@ -17,45 +17,25 @@ byte-identical to a per-net loop of scalar calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["WireTechnology", "DEFAULT_TECH", "net_delay_ns"]
+__all__ = ["net_delay_ns"]
 
-
-@dataclass(frozen=True)
-class WireTechnology:
-    """Per-unit parasitics of the routing stack and TSVs (90 nm-like)."""
-
-    r_wire_ohm_per_um: float = 0.10
-    c_wire_ff_per_um: float = 0.20
-    r_driver_ohm: float = 200.0
-    c_sink_ff: float = 5.0
-    r_tsv_ohm: float = 0.05
-    c_tsv_ff: float = 50.0
-
-    def __post_init__(self) -> None:
-        for field_name in (
-            "r_wire_ohm_per_um",
-            "c_wire_ff_per_um",
-            "r_driver_ohm",
-            "c_sink_ff",
-            "r_tsv_ohm",
-            "c_tsv_ff",
-        ):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be non-negative")
-
-
-DEFAULT_TECH = WireTechnology()
+#: per-unit parasitics of the routing stack and TSVs (90 nm-like): wire
+#: resistance (ohm/um) and capacitance (fF/um), driver resistance (ohm),
+#: sink load (fF), and one TSV's resistance (ohm) and capacitance (fF)
+R_WIRE_OHM_PER_UM = 0.10
+C_WIRE_FF_PER_UM = 0.20
+R_DRIVER_OHM = 200.0
+C_SINK_FF = 5.0
+R_TSV_OHM = 0.05
+C_TSV_FF = 50.0
 
 
 def net_delay_ns(
     hpwl_um: float | np.ndarray,
     num_sinks: int | np.ndarray,
     tsv_crossings: int | np.ndarray = 0,
-    tech: WireTechnology = DEFAULT_TECH,
 ) -> float | np.ndarray:
     """Elmore delay in ns of one net, or of every net when given arrays.
 
@@ -67,15 +47,15 @@ def net_delay_ns(
     """
     if any(np.any(np.asarray(v) < 0) for v in (hpwl_um, num_sinks, tsv_crossings)):
         raise ValueError("net parameters must be non-negative")
-    r_wire = tech.r_wire_ohm_per_um * hpwl_um
-    c_wire = tech.c_wire_ff_per_um * hpwl_um
-    c_sinks = tech.c_sink_ff * np.maximum(1, num_sinks)
-    c_tsv = tech.c_tsv_ff * tsv_crossings
-    r_tsv = tech.r_tsv_ohm * tsv_crossings
+    r_wire = R_WIRE_OHM_PER_UM * hpwl_um
+    c_wire = C_WIRE_FF_PER_UM * hpwl_um
+    c_sinks = C_SINK_FF * np.maximum(1, num_sinks)
+    c_tsv = C_TSV_FF * tsv_crossings
+    r_tsv = R_TSV_OHM * tsv_crossings
     c_total = c_wire + c_sinks + c_tsv
     # ohm * fF = 1e-15 s = 1e-6 ns
     delay_fs = (
-        tech.r_driver_ohm * c_total
+        R_DRIVER_OHM * c_total
         + 0.5 * r_wire * (c_wire + c_tsv)
         + r_wire * c_sinks
         + r_tsv * (c_sinks + 0.5 * c_tsv)

@@ -32,7 +32,7 @@ import numpy as np
 from ..layout.floorplan import Floorplan3D
 from ..layout.net import CompiledNetlist
 from ..power.voltages import scaled_delay
-from .elmore import DEFAULT_TECH, net_delay_ns
+from .elmore import net_delay_ns
 
 __all__ = ["TimingGraph", "TimingReport"]
 
@@ -67,7 +67,7 @@ class TimingGraph:
         """Elmore delay per net from module-center arrays."""
         nl = self.netlist
         hpwl, crossings = nl.net_hpwl(centers_x, centers_y, dies, terminals=False)
-        return net_delay_ns(hpwl, nl.sink_counts, crossings, DEFAULT_TECH)
+        return net_delay_ns(hpwl, nl.sink_counts, crossings)
 
     # -- evaluation ----------------------------------------------------------------
     def through_times(

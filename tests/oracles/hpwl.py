@@ -11,7 +11,7 @@ from typing import Iterable, List, Mapping, Tuple
 
 from repro.layout.module import Placement
 from repro.layout.net import Net, Terminal
-from repro.timing.elmore import DEFAULT_TECH, WireTechnology, net_delay_ns
+from repro.timing.elmore import net_delay_ns
 
 
 def net_hpwl_3d(
@@ -66,7 +66,6 @@ def net_delays_loop(
     nets: Iterable[Net],
     placements: Mapping[str, Placement],
     tsv_length: float,
-    tech: WireTechnology = DEFAULT_TECH,
 ) -> List[float]:
     """Scalar Elmore delay of every net with a module pin, in net order:
     the module pins' HPWL (terminals widen no box but count as sinks)."""
@@ -81,5 +80,5 @@ def net_delays_loop(
         crossings = max(dies) - min(dies)
         hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys)) + crossings * tsv_length
         sinks = max(1, len(mods) - 1 + len(net.terminals))
-        out.append(net_delay_ns(hpwl, sinks, crossings, tech))
+        out.append(net_delay_ns(hpwl, sinks, crossings))
     return out

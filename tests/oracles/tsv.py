@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.layout.floorplan import Floorplan3D
 from repro.layout.geometry import Rect
-from repro.layout.tsv import TSV, TSVKind
+from repro.layout.tsv import TSV, TSV_DIAMETER, TSV_KEEPOUT, TSVKind
 
 
 def footprint(tsv: TSV) -> Rect:
@@ -49,8 +49,8 @@ def place_signal_tsvs_loop(fp: Floorplan3D) -> List[TSV]:
                     d,
                     d + 1,
                     kind=TSVKind.SIGNAL,
-                    diameter=fp.stack.tsv_diameter,
-                    keepout=fp.stack.tsv_keepout,
+                    diameter=TSV_DIAMETER,
+                    keepout=TSV_KEEPOUT,
                 )
             )
     return new_tsvs

@@ -462,11 +462,14 @@ class TestFacade:
 
 class TestMitigationProgress:
     def test_per_round_events(self):
+        from repro.benchmarks import generator
         from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
         from repro.layout.die import StackConfig
 
-        spec = BenchmarkSpec("apiprog", 0, 14, 1, 36, 8, 0.16, 1.0, seed=9)
-        circ = generate_circuit(spec)
+        spec = BenchmarkSpec("apiprog", 0, 14, 1, 36, 8, 0.16, 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generator, "SEED", 9)
+            circ = generate_circuit(spec)
         stack = StackConfig(spec.outline)
         config = FlowConfig(
             mode=FloorplanMode.TSC_AWARE,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.characterization import characterize
+from repro.attacks import device
 from repro.attacks.device import InputActivityModel, ThermalDevice
 from repro.attacks.localization import localize_module, monitor_module
 from repro.attacks.sensors import SensorGrid
@@ -106,8 +107,10 @@ class TestActivityModel:
         with pytest.raises(ValueError):
             m.activity([1, 0])
 
-    def test_idle_vs_active(self):
-        m = InputActivityModel(["a", "b", "c"], num_bits=2, fanin=1, idle=0.3, swing=1.0, seed=0)
+    def test_idle_vs_active(self, monkeypatch):
+        monkeypatch.setattr(device, "IDLE_ACTIVITY", 0.3)
+        monkeypatch.setattr(device, "BIT_SWING", 1.0)
+        m = InputActivityModel(["a", "b", "c"], num_bits=2, fanin=1, seed=0)
         act_off = m.activity([0, 0])
         assert all(v == 0.3 for v in act_off.values())
         act_on = m.activity([1, 1])

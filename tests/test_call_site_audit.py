@@ -29,8 +29,11 @@ inline scripts, and so must every public method and property of a
 or a dead end, and belongs in ``tests/`` or nowhere.
 
 A third audit does the same for defaulted parameters: every one of a
-``src/repro`` function or method must be set by some call in those
-trees.  A knob no caller turns is a module constant, not a parameter.
+``src/repro`` function or method, and every defaulted init field of a
+``src/repro`` dataclass without its own ``__init__`` (dataclass fields
+are parameters too), must be set by some call in those trees, or, for a
+field, by a ``replace`` keyword or an attribute store.  A knob no caller
+turns is a module constant, not a parameter.
 
 A fourth keeps one direct solver: no ``splu`` call and no
 ``scipy.sparse.linalg`` import anywhere under ``src/repro``, so a second
@@ -67,7 +70,8 @@ METHOD_ALLOWLIST = {
     "assert on a plan's per-site arrival and fire counts through it",
 }
 
-#: defaulted parameters no caller sets, each with why it stays
+#: defaulted parameters and dataclass fields no caller sets, each with
+#: why it stays
 PARAMETER_ALLOWLIST = {
     "thermal.transient.TransientSolver.__init__.backend": "test seam: "
     "tests hand in a backend instance to pin the solver a case runs on",
@@ -103,6 +107,18 @@ PARAMETER_ALLOWLIST = {
     "goes with the low-rank update path",
     "floorplan.tempering.temper.ladder_ratio": "tempering knob: goes "
     "with the replica-exchange path",
+    "mitigation.dummy_tsv.MitigationConfig.incremental": "Woodbury knob: "
+    "goes with the low-rank update path",
+    "mitigation.dummy_tsv.MitigationConfig.rebase_rank": "Woodbury knob: "
+    "goes with the low-rank update path",
+    "floorplan.objectives.ObjectiveWeights.area": "no API takes an "
+    "ObjectiveWeights: for_mode builds the two setups' weight tables",
+    "floorplan.objectives.ObjectiveWeights.wirelength": "no API takes an "
+    "ObjectiveWeights: for_mode builds the two setups' weight tables",
+    "floorplan.objectives.ObjectiveWeights.die_assignment": "no API takes "
+    "an ObjectiveWeights: for_mode builds the two setups' weight tables",
+    "service.state.ServiceJob.events": "state, not a knob: the job's "
+    "progress log, which the service appends to as events arrive",
 }
 
 #: constructors only the owner modules may call: everything else must go
@@ -563,14 +579,16 @@ def test_audit_catches_a_planted_unused_method(tmp_path):
 
 
 def _defs(tree: ast.Module):
-    """``(qualified name, def, enclosing class)`` of every def in
-    ``tree``, nested ones included, outer defs before inner ones.  The
-    class is ``None`` for a def that is not directly in a class body."""
+    """``(qualified name, node, enclosing class)`` of every def and class
+    in ``tree``, nested ones included, outer nodes before inner ones.
+    The class is ``None`` for a node that is not directly in a class
+    body."""
     todo = [(tree, "", None)]
     while todo:
         node, prefix, cls = todo.pop(0)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                yield f"{prefix}{child.name}", child, cls
                 todo.append((child, f"{prefix}{child.name}.", child))
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield f"{prefix}{child.name}", child, cls
@@ -579,21 +597,103 @@ def _defs(tree: ast.Module):
                 todo.append((child, prefix, cls))
 
 
+def _generates_init(cls: ast.ClassDef) -> bool:
+    """A ``@dataclass`` whose ``__init__`` the decorator writes: not
+    ``init=False``, and no ``__init__`` of its own in the body."""
+    for decorator in cls.decorator_list:
+        call = decorator if isinstance(decorator, ast.Call) else None
+        if _expr_name(call.func if call else decorator) != "dataclass":
+            continue
+        options = {k.arg: k.value for k in call.keywords} if call else {}
+        init = options.get("init")
+        return not (isinstance(init, ast.Constant) and init.value is False) and not any(
+            isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "__init__"
+            for n in cls.body
+        )
+    return False
+
+
 class _Signature:
     """What a call can set of one def: its positional names (``self``
-    or ``cls`` dropped for methods), its defaulted names and the name of
-    its ``**`` parameter."""
+    or ``cls`` dropped for methods), its defaulted names, the name of
+    its ``**`` parameter, and the class it is a method of."""
 
-    def __init__(self, node, cls) -> None:
+    def __init__(self, positional, defaults, varkw=None, cls=None) -> None:
+        self.positional = positional
+        self.defaults = defaults
+        self.varkw = varkw
+        self.cls = cls
+
+    @classmethod
+    def of_def(cls, node, owner) -> "_Signature":
         args = node.args
         static = any(_expr_name(d) == "staticmethod" for d in node.decorator_list)
         names = [a.arg for a in args.posonlyargs + args.args]
-        self.cls = cls.name if cls is not None else None
-        self.positional = names[1:] if cls is not None and not static else names
-        self.defaults = names[len(names) - len(args.defaults):] + [
-            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-        ]
-        self.varkw = args.kwarg.arg if args.kwarg else None
+        return cls(
+            names[1:] if owner is not None and not static else names,
+            names[len(names) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ],
+            args.kwarg.arg if args.kwarg else None,
+            owner.name if owner is not None else None,
+        )
+
+    @classmethod
+    def of_fields(cls, node: ast.ClassDef) -> "_Signature":
+        """A dataclass's generated ``__init__``: its init fields in
+        order.  ``ClassVar`` and ``field(init=False)`` fields are not
+        parameters; a field defaults through a value, ``default=`` or
+        ``default_factory=``."""
+        positional, defaults = [], []
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            if "ClassVar" in ast.unparse(stmt.annotation):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call) and _called_name(value) == "field":
+                options = {k.arg: k.value for k in value.keywords}
+                init = options.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                defaulted = "default" in options or "default_factory" in options
+            else:
+                defaulted = value is not None
+            positional.append(stmt.target.id)
+            if defaulted:
+                defaults.append(stmt.target.id)
+        return cls(positional, defaults, cls=node.name)
+
+
+def _literal_mappings(tree: ast.Module) -> Dict[str, Dict[str, ast.AST]]:
+    """``{NAME: {key: value}}`` of a module's top-level ``NAME =
+    dict(k=...)`` and ``NAME = {"k": ...}`` literals: a ``**NAME`` call
+    passes exactly those keywords."""
+    found = {}
+    for stmt in tree.body:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)):
+            continue
+        value = stmt.value
+        if (isinstance(value, ast.Call) and _called_name(value) == "dict" and not value.args
+                and all(k.arg is not None for k in value.keywords)):
+            found[stmt.targets[0].id] = {k.arg: k.value for k in value.keywords}
+        elif isinstance(value, ast.Dict) and all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str) for k in value.keys
+        ):
+            found[stmt.targets[0].id] = {k.value: v for k, v in zip(value.keys, value.values)}
+    return found
+
+
+def _stored_attributes(tree: ast.Module) -> set:
+    """The attribute names ``tree`` assigns on an object other than
+    ``self`` (``cfg.f = ...``, ``cfg.f += ...``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.add(node.attr)
+    return found
 
 
 def _launched(call: ast.Call):
@@ -626,41 +726,57 @@ def _launched(call: ast.Call):
 
 
 def _unset_parameters(root: Path, package: Path, files: Dict[str, ast.Module]) -> List[str]:
-    """Defaulted parameters of ``package``'s defs that no call in
-    ``files`` sets, qualified as ``<module>.<def>.<param>``.
+    """Defaulted parameters of ``package``'s defs, and defaulted init
+    fields of its dataclasses, that no call in ``files`` sets, qualified
+    as ``<module>.<def>.<param>`` and ``<module>.<class>.<field>``.
 
-    Callees match by name, conservatively: a call ``f(...)`` or
-    ``x.f(...)`` may reach every def named ``f``, ``C(...)`` and
-    ``cls(...)`` the ``__init__`` of a class ``C``, and
-    ``super().f(...)`` the ``f`` of a named base class.  A call sets a
-    parameter it passes by keyword or by position, whatever the value,
+    Callees match by name, conservatively, among the defs and
+    dataclasses of every file: a call ``f(...)`` or ``x.f(...)`` may
+    reach every def named ``f``, ``C(...)`` and ``cls(...)`` the
+    ``__init__`` of a class ``C`` (the generated one of a dataclass),
+    and ``super().f(...)`` the ``f`` of a named base class.  A call sets
+    a parameter it passes by keyword or by position, whatever the value,
     unless the value is the caller's own defaulted parameter: that
     pass-through sets it only if the caller's parameter is set.  A
     ``**`` mapping forwarded from the caller's ``**`` parameter passes
-    on the keywords the caller receives; any other ``**`` mapping or
-    ``*`` sequence sets every parameter of the callee.
+    on the keywords the caller receives, and a ``**NAME`` of a
+    module-level ``dict(...)``/``{...}`` literal passes its keys; any
+    other ``**`` mapping or ``*`` sequence sets every parameter of the
+    callee.  A dataclass field is also set by a ``replace(obj, f=...)``
+    keyword and by an attribute store ``obj.f = ...`` on an object other
+    than ``self``, both matched by field name.
     """
     prefix = package.relative_to(root).as_posix() + "/"
     signatures = {}  # (file, qualified) -> _Signature
     by_name: Dict[str, list] = {}  # name a call uses -> [(file, qualified)]
     owner = {}  # id(node) -> ((file, qualified), class) of its innermost def
+    fielded = []  # the dataclasses' keys: what replace(obj, f=...) reaches
     for rel, tree in files.items():
         for qualified, node, cls in _defs(tree):
             key = (rel, qualified)
-            signatures[key] = _Signature(node, cls)
+            if isinstance(node, ast.ClassDef):
+                if _generates_init(node):
+                    signatures[key] = _Signature.of_fields(node)
+                    fielded.append(key)
+                    for name in ("__init__", node.name):
+                        by_name.setdefault(name, []).append(key)
+                continue
+            signatures[key] = _Signature.of_def(node, cls)
             for child in ast.walk(node):
                 owner[id(child)] = (key, cls)
-            if rel.startswith(prefix):
-                names = {node.name}
-                if cls is not None and node.name == "__init__":
-                    names.add(cls.name)
-                for name in names:
-                    by_name.setdefault(name, []).append(key)
+            names = {node.name}
+            if cls is not None and node.name == "__init__":
+                names.add(cls.name)
+            for name in names:
+                by_name.setdefault(name, []).append(key)
 
-    found = set()  # (callee, param) set by some call; "**k" / "**" keywords
+    stored = set().union(*(_stored_attributes(tree) for tree in files.values()))
+    # (callee, param) set by some call or store; "**k" / "**" keywords
+    found = {(key, f) for key in fielded for f in signatures[key].defaults if f in stored}
     through: Dict[tuple, set] = {}  # (caller, own param) -> {(callee, param)}
     forwards: Dict[tuple, set] = {}  # caller -> callees its ** mapping reaches
     for tree in files.values():
+        literals = _literal_mappings(tree)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
@@ -671,10 +787,16 @@ def _unset_parameters(root: Path, package: Path, files: Dict[str, ast.Module]) -
                 if name == "cls" and cls is not None:
                     name = cls.name
                 callees = by_name.get(name, ())
+                if name == "replace":
+                    callees, args = fielded, ()
                 value = getattr(func, "value", None)
                 if isinstance(value, ast.Call) and _called_name(value) == "super":
                     bases = {_expr_name(b) for b in cls.bases} if cls else set()
                     callees = [c for c in callees if signatures[c].cls in bases]
+                mapping = keywords.get(None)
+                if isinstance(mapping, ast.Name) and mapping.id in literals:
+                    keywords = {**literals[mapping.id], **keywords}
+                    del keywords[None]
                 for callee in callees:
                     sig = signatures[callee]
                     if any(isinstance(a, ast.Starred) for a in args):
@@ -804,3 +926,63 @@ def test_audit_catches_a_planted_unused_parameter(tmp_path):
         "mod.target.dropped",
         "mod.top.chained",
     ]
+
+
+def test_audit_catches_a_planted_unused_field(tmp_path):
+    """A dataclass's defaulted init fields are parameters too: fields set
+    by keyword, by position, through ``replace``, through a module-level
+    ``**`` literal or by an attribute store are not flagged; an unset
+    one is, and ``ClassVar`` and ``init=False`` fields are no
+    parameters."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar, List\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    name: str\n"
+        "    by_pos: int = 1\n"
+        "    by_kw: int = 2\n"
+        "    replaced: int = 3\n"
+        "    literal: int = 4\n"
+        "    stored: List[int] = field(default_factory=list)\n"
+        "    unset: float = 0.5\n"
+        "    limit: ClassVar[int] = 9\n"
+        "    cache: dict = field(init=False, default_factory=dict)\n"
+        "@dataclass\n"
+        "class Own:\n"
+        "    hidden: int = 1\n"
+        "    def __init__(self, made=1, unmade=2): pass\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "from dataclasses import replace\n"
+        "from pkg import mod\n"
+        "_CFG = dict(literal=0)\n"
+        "cfg = mod.Config('a', 0, by_kw=0)\n"
+        "cfg = replace(cfg, replaced=0)\n"
+        "cfg = mod.Config('b', **_CFG)\n"
+        "cfg.stored = [1]\n"
+        "mod.Own(made=0)\n"
+    )
+    unset = _unset_parameters(tmp_path, package, _caller_files(tmp_path, ("src", "tools")))
+    assert unset == ["mod.Config.unset", "mod.Own.__init__.unmade"]
+
+
+def test_audit_follows_pass_throughs_of_caller_helpers(tmp_path):
+    """A helper outside ``src/`` that forwards its own defaulted
+    parameter sets the callee's parameter when a call sets the helper's;
+    the helper's own parameters are not reported."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text("def leaf(a, unset=4): pass\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "from pkg import mod\n"
+        "def helper(seed=0):\n"
+        "    mod.leaf(0, unset=seed)\n"
+        "def idle(never=0): pass\n"
+        "helper(seed=3)\n"
+    )
+    assert _unset_parameters(tmp_path, package, _caller_files(tmp_path, ("src", "tools"))) == []

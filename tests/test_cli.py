@@ -405,6 +405,30 @@ class TestQueueCommands:
         with pytest.raises(SystemExit, match="need --modes tsc_aware"):
             _build_jobs(args)
 
+    @pytest.mark.parametrize("mode", ["power_aware", "tsc_aware"])
+    @pytest.mark.parametrize("mitigation_mode", ["static", "dvfs", "combined"])
+    def test_grid_keeps_exactly_the_pairs_a_flow_accepts(self, mode, mitigation_mode):
+        """``_build_jobs`` keeps a (mode, mitigation mode) pair exactly
+        when ``FlowConfig`` accepts it."""
+        from repro.cli import _build_jobs
+        from repro.core.config import FlowConfig
+        from repro.mitigation.dummy_tsv import MitigationConfig
+
+        try:
+            FlowConfig(mode=mode, mitigation=MitigationConfig(mode=mitigation_mode))
+            accepted = True
+        except ValueError:
+            accepted = False
+        args = build_parser().parse_args(
+            ["batch", "n100", "--seeds", "1", "--modes", mode,
+             "--mitigation-modes", mitigation_mode]
+        )
+        try:
+            kept = [(job.mode, job.mitigation_mode) for job in _build_jobs(args)]
+        except SystemExit:
+            kept = []
+        assert kept == ([(mode, mitigation_mode)] if accepted else [])
+
     def test_flow_rejects_runtime_mitigation_outside_tsc_mode(self):
         with pytest.raises(SystemExit, match="needs mode 'tsc_aware'"):
             main(["flow", "n100", "--mitigation-mode", "dvfs", "--iterations", "5"])

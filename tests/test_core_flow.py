@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.benchmarks import generator
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.core.config import FlowConfig, env_int
 from repro.core.flow import run_flow, verify_correlations
@@ -20,8 +21,10 @@ from repro.thermal.stack import TopologyConfig
 
 @pytest.fixture(scope="module")
 def tiny():
-    spec = BenchmarkSpec("tinyflow", 0, 14, 1, 36, 8, 0.16, 1.0, seed=9)
-    circ = generate_circuit(spec)
+    spec = BenchmarkSpec("tinyflow", 0, 14, 1, 36, 8, 0.16, 1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "SEED", 9)
+        circ = generate_circuit(spec)
     stack = StackConfig(spec.outline)
     return circ, stack
 

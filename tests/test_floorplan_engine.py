@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles.hpwl import total_hpwl
-from repro.benchmarks import load
+from repro.benchmarks import generator, load
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan.annealer import (
     TEMPERATURE_FLOOR,
@@ -15,6 +15,7 @@ from repro.floorplan.annealer import (
     anneal,
 )
 from repro.floorplan.moves import apply_random_move
+from repro.floorplan import objectives
 from repro.floorplan.objectives import (
     CostBreakdown,
     CostEvaluator,
@@ -28,8 +29,10 @@ from repro.layout.net import TSV_LENGTH_UM, CompiledNetlist
 
 @pytest.fixture(scope="module")
 def tiny_circuit():
-    spec = BenchmarkSpec("tiny", 0, 16, 1, 40, 8, 0.25, 1.2, seed=5)
-    circ = generate_circuit(spec)
+    spec = BenchmarkSpec("tiny", 0, 16, 1, 40, 8, 0.25, 1.2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "SEED", 5)
+        circ = generate_circuit(spec)
     stack = StackConfig(spec.outline)
     return circ, stack
 
@@ -137,23 +140,27 @@ class TestCostEvaluator:
         assert bd_flipped.die_assignment > bd_biased.die_assignment
 
     @pytest.mark.parametrize("num_dies", [2, 3])
-    def test_random_walk_matches_realized_floorplan(self, num_dies):
+    def test_random_walk_matches_realized_floorplan(self, num_dies, monkeypatch):
         """Over a few hundred moves with a mixed accept/reject lineage,
         every candidate's cheap terms equal its realized floorplan's, and
         its whole breakdown equals a fresh evaluator's: a score depends on
         the state alone, not on what the evaluator scored before."""
-        spec = BenchmarkSpec("tiny", 0, 14, 1, 40, 8, 0.25, 1.2, seed=5)
-        circ = generate_circuit(spec)
+        spec = BenchmarkSpec("tiny", 0, 14, 1, 40, 8, 0.25, 1.2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generator, "SEED", 5)
+            circ = generate_circuit(spec)
         stack = StackConfig(spec.outline, num_dies=num_dies)
         outline = stack.outline
 
+        # every slow term refreshes on every call, so a fresh evaluator
+        # scores exactly what a long-lived one does
+        for cadence in ("TIMING_EVERY", "THERMAL_EVERY", "ASSIGNMENT_EVERY"):
+            monkeypatch.setattr(objectives, cadence, 1)
+
         def evaluator():
-            # every slow term refreshes on every call, so a fresh
-            # evaluator scores exactly what a long-lived one does
             return CostEvaluator(
                 stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
-                grid_nx=8, grid_ny=8, timing_every=1, thermal_every=1,
-                assignment_every=1,
+                grid_nx=8, grid_ny=8,
             )
 
         ev = evaluator()
@@ -243,10 +250,11 @@ class TestAnnealer:
             n: p.rect for n, p in r2.floorplan.placements.items()
         }
 
-    def test_tsc_mode_tracks_leakage_snapshot(self, tiny_circuit):
+    def test_tsc_mode_tracks_leakage_snapshot(self, tiny_circuit, monkeypatch):
         circ, stack = tiny_circuit
+        monkeypatch.setattr(objectives, "THERMAL_EVERY", 2)
         cfg = AnnealConfig(iterations=300, seed=6, calibration_samples=6,
-                           grid_nx=16, grid_ny=16, thermal_every=2)
+                           grid_nx=16, grid_ny=16)
         res = anneal(circ.modules, stack, circ.nets, circ.terminals,
                      mode=FloorplanMode.TSC_AWARE, config=cfg)
         assert res.breakdown.correlation != 0.0 or res.best_leakage is not None

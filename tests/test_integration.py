@@ -11,6 +11,7 @@ import pytest
 
 from oracles.svf import svf
 from repro.attacks import InputActivityModel, ThermalDevice, characterize
+from repro.benchmarks import generator
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan import AnnealConfig, FloorplanMode, anneal
 from repro.layout.die import StackConfig
@@ -25,8 +26,10 @@ from repro.power import AssignmentObjective, assign_voltages
 
 @pytest.fixture(scope="module")
 def annealed():
-    spec = BenchmarkSpec("integ", 2, 16, 1, 50, 10, 0.36, 1.5, seed=21)
-    circ = generate_circuit(spec)
+    spec = BenchmarkSpec("integ", 2, 16, 1, 50, 10, 0.36, 1.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "SEED", 21)
+        circ = generate_circuit(spec)
     stack = StackConfig(spec.outline)
     result = anneal(
         circ.modules, stack, circ.nets, circ.terminals,

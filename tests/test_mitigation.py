@@ -9,6 +9,7 @@ from repro.layout.grid import GridSpec
 from repro.layout.module import Module, Placement
 from repro.layout.tsv import TSVKind
 from repro.mitigation.activity import sample_power_maps
+from repro.mitigation import dummy_tsv
 from repro.mitigation.dummy_tsv import MitigationConfig, insert_dummy_tsvs
 
 
@@ -148,21 +149,19 @@ class TestDummyTSVInsertion:
 
 
 class TestSpeculativeRounds:
-    def test_greedy_single_candidate_still_works(self):
+    def test_greedy_single_candidate_still_works(self, monkeypatch):
+        monkeypatch.setattr(dummy_tsv, "CANDIDATES_PER_ROUND", 1)
         fp = _hotspot_floorplan()
         cfg = MitigationConfig(samples=15, tsvs_per_round=6, max_rounds=4,
-                               grid_nx=12, grid_ny=12, seed=1,
-                               candidates_per_round=1)
+                               grid_nx=12, grid_ny=12, seed=1)
         report = insert_dummy_tsvs(fp, cfg)
         assert report.final_correlation <= report.initial_correlation + 1e-9
         diffs = np.diff(report.correlation_trace)
         assert np.all(diffs < 0) or len(report.correlation_trace) == 1
 
-    def test_candidate_count_validation(self):
-        # validation now happens at construction (the config round-trips
-        # over the wire; a bad document must fail before a flow starts)
-        with pytest.raises(ValueError):
-            MitigationConfig(candidates_per_round=0)
+    def test_sample_count_validation(self):
+        # validation happens at construction (the config round-trips over
+        # the wire; a bad document must fail before a flow starts)
         with pytest.raises(ValueError):
             MitigationConfig(samples=0)
 
@@ -173,8 +172,7 @@ class TestSpeculativeRounds:
 
         fp = _hotspot_floorplan()
         cfg = MitigationConfig(samples=15, tsvs_per_round=4, max_rounds=6,
-                               grid_nx=12, grid_ny=12, seed=3,
-                               candidates_per_round=3)
+                               grid_nx=12, grid_ny=12, seed=3)
         report = insert_dummy_tsvs(fp, cfg)
         grid = _GridSpec(fp.stack.outline, cfg.grid_nx, cfg.grid_ny)
         per_cell = {}
@@ -184,15 +182,17 @@ class TestSpeculativeRounds:
         # every occupied cell holds exactly one island's worth of vias
         assert len(set(per_cell.values())) <= 1
 
-    def test_first_round_speculation_at_least_matches_greedy(self):
+    def test_first_round_speculation_at_least_matches_greedy(self, monkeypatch):
         """Round 1 sees identical samples and incumbent in both setups, so
         the best-of-3 pick can only match or beat the greedy top group.
         (Later rounds diverge — different accepted stacks.)"""
         fp = _hotspot_floorplan()
         base = dict(samples=15, tsvs_per_round=6, max_rounds=1,
                     grid_nx=12, grid_ny=12, seed=1)
-        greedy = insert_dummy_tsvs(fp, MitigationConfig(**base, candidates_per_round=1))
-        spec = insert_dummy_tsvs(fp, MitigationConfig(**base, candidates_per_round=3))
+        monkeypatch.setattr(dummy_tsv, "CANDIDATES_PER_ROUND", 1)
+        greedy = insert_dummy_tsvs(fp, MitigationConfig(**base))
+        monkeypatch.setattr(dummy_tsv, "CANDIDATES_PER_ROUND", 3)
+        spec = insert_dummy_tsvs(fp, MitigationConfig(**base))
         assert spec.correlation_trace[0] == pytest.approx(greedy.correlation_trace[0])
         if len(greedy.correlation_trace) > 1:
             assert len(spec.correlation_trace) > 1

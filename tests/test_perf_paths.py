@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles.activity import sample_power_maps_loop
+from repro.benchmarks import generator
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
@@ -24,8 +25,10 @@ from repro.thermal.transient import TransientSolver
 
 
 def _circuit(num_modules=14, seed=5):
-    spec = BenchmarkSpec("tiny", 0, num_modules, 1, 40, 8, 0.25, 1.2, seed=seed)
-    circ = generate_circuit(spec)
+    spec = BenchmarkSpec("tiny", 0, num_modules, 1, 40, 8, 0.25, 1.2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "SEED", seed)
+        circ = generate_circuit(spec)
     return circ, spec.outline
 
 

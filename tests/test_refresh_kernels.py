@@ -24,6 +24,7 @@ from oracles.tsv import (
 )
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
+from repro.floorplan import objectives
 from repro.floorplan.objectives import CostEvaluator, FloorplanMode
 from repro.floorplan.seqpair import LayoutState
 from repro.layout.die import StackConfig
@@ -285,9 +286,11 @@ class TestRefreshFromSnapshot:
         stack = dataclasses.replace(stack, num_dies=num_dies)
         rng = np.random.default_rng(1)
         state = LayoutState.initial(circ.modules, stack, rng)
+        monkeypatch.setattr(objectives, "THERMAL_EVERY", 1)
+        monkeypatch.setattr(objectives, "TIMING_EVERY", 1)
+        monkeypatch.setattr(objectives, "ASSIGNMENT_EVERY", 6)
         evaluator = CostEvaluator(
             stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE,
-            thermal_every=1, timing_every=1, assignment_every=6,
         )
         recorder = _RecordingModel(evaluator.thermal)
         evaluator.thermal = recorder

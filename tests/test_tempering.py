@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.api import JobSpec
-from repro.benchmarks import load
+from repro.benchmarks import generator, load
 from repro.benchmarks.generator import BenchmarkSpec, generate_circuit
 from repro.core.config import FlowConfig
 from repro.core.flow import run_flow
@@ -22,8 +22,10 @@ from repro.layout.die import StackConfig
 
 @pytest.fixture(scope="module")
 def tiny_circuit():
-    spec = BenchmarkSpec("tiny", 0, 16, 1, 40, 8, 0.25, 1.2, seed=5)
-    circ = generate_circuit(spec)
+    spec = BenchmarkSpec("tiny", 0, 16, 1, 40, 8, 0.25, 1.2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "SEED", 5)
+        circ = generate_circuit(spec)
     stack = StackConfig(spec.outline)
     return circ, stack
 

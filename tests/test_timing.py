@@ -15,7 +15,8 @@ from repro.layout.module import Module, Placement
 from repro.layout.net import CompiledNetlist, Net
 from repro.power.voltages import scaled_delay
 from repro.timing.delay_model import K_DELAY_NS_PER_UM, ensure_intrinsic_delays
-from repro.timing.elmore import WireTechnology, net_delay_ns
+from repro.timing import elmore
+from repro.timing.elmore import net_delay_ns
 from repro.timing.paths import TimingGraph
 
 
@@ -47,24 +48,21 @@ class TestElmore:
         with pytest.raises(ValueError):
             net_delay_ns(np.array([10.0, 20.0]), np.array([1, -1]))
 
-    def test_tech_validation(self):
-        with pytest.raises(ValueError):
-            WireTechnology(r_wire_ohm_per_um=-0.1)
-
     @given(st.floats(min_value=0, max_value=1e5), st.integers(min_value=1, max_value=30))
     @settings(max_examples=40)
     def test_nonnegative(self, length, sinks):
         assert net_delay_ns(length, sinks) >= 0
 
-    def test_arrays_equal_scalar_calls(self):
+    def test_arrays_equal_scalar_calls(self, monkeypatch):
         rng = np.random.default_rng(0)
         hpwl = rng.uniform(0, 1e4, 50)
         sinks = rng.integers(0, 20, 50)
         crossings = rng.integers(0, 3, 50)
-        tech = WireTechnology(r_tsv_ohm=0.3, c_tsv_ff=20.0)
-        got = net_delay_ns(hpwl, sinks, crossings, tech)
+        monkeypatch.setattr(elmore, "R_TSV_OHM", 0.3)
+        monkeypatch.setattr(elmore, "C_TSV_FF", 20.0)
+        got = net_delay_ns(hpwl, sinks, crossings)
         want = [
-            net_delay_ns(h, int(n), int(c), tech)
+            net_delay_ns(h, int(n), int(c))
             for h, n, c in zip(hpwl.tolist(), sinks, crossings)
         ]
         assert got.tolist() == want

@@ -294,16 +294,18 @@ class TestSolverCacheIntegration:
 
 
 class TestLoopEquivalence:
-    def test_mitigation_incremental_matches_oracle(self):
+    def test_mitigation_incremental_matches_oracle(self, monkeypatch):
         """The Woodbury-path loop must pick the same insertions and report
         the same trace as the refactorize-per-candidate oracle."""
         from tests.test_mitigation import _hotspot_floorplan
 
+        from repro.mitigation import dummy_tsv
         from repro.mitigation.dummy_tsv import MitigationConfig, insert_dummy_tsvs
 
+        monkeypatch.setattr(dummy_tsv, "CANDIDATES_PER_ROUND", 2)
         fp = _hotspot_floorplan()
         knobs = dict(samples=12, tsvs_per_round=4, max_rounds=3,
-                     grid_nx=16, grid_ny=16, seed=1, candidates_per_round=2)
+                     grid_nx=16, grid_ny=16, seed=1)
         inc = insert_dummy_tsvs(fp, MitigationConfig(**knobs, incremental=True))
         full = insert_dummy_tsvs(fp, MitigationConfig(**knobs, incremental=False))
         assert inc.inserted == full.inserted
@@ -317,18 +319,20 @@ class TestLoopEquivalence:
         assert full.woodbury_candidates == 0
         assert full.refactorized_candidates >= full.rounds
 
-    def test_proactive_rebaseline_keeps_candidates_low_rank(self):
+    def test_proactive_rebaseline_keeps_candidates_low_rank(self, monkeypatch):
         """Once committed insertions approach the threshold, the loop must
         pay ONE re-baseline factorization — not let every candidate of
         the next round fall back and factorize independently."""
         from tests.test_mitigation import _hotspot_floorplan
 
+        from repro.mitigation import dummy_tsv
         from repro.mitigation.dummy_tsv import MitigationConfig, insert_dummy_tsvs
 
+        monkeypatch.setattr(dummy_tsv, "CANDIDATES_PER_ROUND", 2)
         fp = _hotspot_floorplan()
         report = insert_dummy_tsvs(fp, MitigationConfig(
             samples=12, tsvs_per_round=4, max_rounds=4, grid_nx=16, grid_ny=16,
-            seed=1, candidates_per_round=2, incremental=True, rebase_rank=80,
+            seed=1, incremental=True, rebase_rank=80,
         ))
         assert report.woodbury_candidates > 0
         if report.rounds >= 2 and report.inserted > 0:
