@@ -49,7 +49,7 @@ def test_attacks_report(benchmark, floorplans):
     scores = {}
     for mode, fp in floorplans.items():
         device = _device_for(fp)
-        char = characterize(device, die=0, train_patterns=40,
+        char = characterize(device, train_patterns=40,
                             test_patterns=12, seed=5)
 
         driven = {m for bit in range(device.num_bits)
@@ -79,4 +79,4 @@ def test_attacks_report(benchmark, floorplans):
 def test_characterization_speed(benchmark, floorplans):
     fp = floorplans[FloorplanMode.POWER_AWARE]
     device = _device_for(fp)
-    benchmark(characterize, device, die=0, train_patterns=10, test_patterns=4, seed=0)
+    benchmark(characterize, device, train_patterns=10, test_patterns=4, seed=0)

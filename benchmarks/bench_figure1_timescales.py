@@ -27,7 +27,7 @@ def test_figure1_report(benchmark, solver):
     low = 0.1 * high
 
     step = ts.run(lambda t: [high, high], duration=0.4, dt=0.002)
-    tau = thermal_time_constant(step, die=0)
+    tau = thermal_time_constant(step)
 
     print("\nFigure 1 — separation of time scales")
     print(f"thermal time constant (63.2% step response): {1e3 * tau:.1f} ms")
@@ -53,7 +53,7 @@ def test_figure1_report(benchmark, solver):
     assert ripples[0] < ripples[-1]
     # and the time constant must sit well above the fastest burst period
     assert tau > 1e-3
-    benchmark(thermal_time_constant, step, 0)
+    benchmark(thermal_time_constant, step)
 
 
 def test_transient_step_speed(benchmark, solver):

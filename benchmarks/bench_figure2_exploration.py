@@ -21,7 +21,7 @@ from repro.exploration import pattern_names, run_exploration, summarize_findings
 @pytest.fixture(scope="module")
 def cells():
     grid_n = env_int("REPRO_GRID", 32)
-    return run_exploration(die_side_um=4000.0, grid_n=grid_n, total_power_w=8.0, seed=2)
+    return run_exploration(grid_n=grid_n, seed=2)
 
 
 def test_figure2_report(benchmark, cells):
@@ -73,4 +73,4 @@ def test_figure2_report(benchmark, cells):
 
 
 def test_exploration_speed(benchmark):
-    benchmark(run_exploration, 2000.0, 12, 4.0, 1)
+    benchmark(run_exploration, 12, 1)

@@ -55,17 +55,8 @@ def test_pack_ibm03(benchmark, ibm03_state):
 def test_wirelength_ibm03(benchmark, ibm03_state):
     circ, stack, state = ibm03_state
     nl = CompiledNetlist(list(circ.modules), circ.nets, circ.terminals)
-    positions, _ = state.pack()
-    cx = np.empty(nl.num_modules)
-    cy = np.empty(nl.num_modules)
-    dd = np.empty(nl.num_modules, dtype=np.int64)
-    for name, idx in nl.module_index.items():
-        x, y = positions[name]
-        w, h = state.effective_size(name)
-        cx[idx] = x + w / 2
-        cy[idx] = y + h / 2
-        dd[idx] = state.die_of[name]
-    benchmark(nl.wirelength, cx, cy, dd)
+    x, y, _ = state.pack()
+    benchmark(nl.wirelength, x + state.w / 2, y + state.h / 2, state.die)
 
 
 def test_spatial_entropy_64(benchmark):

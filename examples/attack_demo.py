@@ -32,7 +32,7 @@ def attack_scores(floorplan, seed=0):
     device = ThermalDevice(floorplan, grid, activity_model=model,
                            sensors=sensors)
 
-    char = characterize(device, die=0, train_patterns=40, test_patterns=12, seed=seed)
+    char = characterize(device, train_patterns=40, test_patterns=12, seed=seed)
 
     # target: the hottest module on the bottom die that an input drives
     driven = {m for bit in range(device.num_bits)
@@ -59,7 +59,7 @@ def noise_floor_sweep(floorplan, seed=0):
         sensors = SensorGrid(rows=12, cols=12, noise_sigma=noise, seed=seed)
         device = ThermalDevice(floorplan, grid, activity_model=model,
                                sensors=sensors)
-        r2 = characterize(device, die=0, train_patterns=32,
+        r2 = characterize(device, train_patterns=32,
                           test_patterns=10, seed=seed).r2
         out.append((noise, r2))
     return out

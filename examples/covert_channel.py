@@ -29,7 +29,7 @@ def main() -> None:
 
     sweep = channel_capacity_sweep(
         floorplan, tx.name, tx.center, receiver_die=0,
-        bit_periods_s=(0.8, 0.2, 0.05), bits=16, grid_n=12, seed=4,
+        bit_periods_s=(0.8, 0.2, 0.05), grid_n=12, seed=4,
     )
     print(f"{'bit period':>12}{'raw bit/s':>12}{'BER':>8}{'effective bit/s':>17}")
     for r in sweep:

@@ -15,7 +15,7 @@ from repro.exploration import pattern_names, run_exploration, summarize_findings
 
 def main() -> None:
     grid_n = env_int("REPRO_GRID", 32)
-    cells = run_exploration(die_side_um=4000.0, grid_n=grid_n, total_power_w=8.0, seed=2)
+    cells = run_exploration(grid_n=grid_n, seed=2)
 
     matrix = defaultdict(dict)
     for cell in cells:

@@ -37,7 +37,7 @@ def main() -> None:
 
     # step response time constant for reference
     step = solver.run(lambda t: [high, high], duration=0.4, dt=0.002)
-    tau = thermal_time_constant(step, die=0)
+    tau = thermal_time_constant(step)
     print(f"\nthermal time constant: {1e3 * tau:.1f} ms — orders of magnitude "
           f"slower than the {1e3 * burst_period:.0f} ms activity bursts, "
           f"matching Fig. 1's separation of time scales")

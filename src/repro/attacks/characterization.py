@@ -47,12 +47,12 @@ def _random_patterns(
 
 def characterize(
     device: ThermalDevice,
-    die: int = 0,
     train_patterns: int = 48,
     test_patterns: int = 16,
     seed: int = 0,
 ) -> CharacterizationResult:
-    """Run the characterization attack against one die of the device.
+    """Run the characterization attack against the device's bottom die
+    (die 0).
 
     The attacker observes ``train_patterns`` random input patterns, fits
     the linear thermal model T(bin) = w0 + sum_k w_k * bit_k, and is
@@ -67,8 +67,8 @@ def characterize(
         x = np.asarray(patterns, dtype=float)
         return np.hstack([np.ones((x.shape[0], 1)), x])
 
-    y_train = device.observe_many(train, die=die).reshape(train_patterns, -1)
-    y_test = device.observe_many(test, die=die).reshape(test_patterns, -1)
+    y_train = device.observe_many(train).reshape(train_patterns, -1)
+    y_test = device.observe_many(test).reshape(test_patterns, -1)
     x_train = design(train)
     x_test = design(test)
 

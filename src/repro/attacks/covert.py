@@ -33,6 +33,8 @@ ACTIVE_ACTIVITY = 2.0
 IDLE_ACTIVITY = 0.2
 #: backward-Euler steps per bit period; the receiver samples after the last
 STEPS_PER_BIT = 4
+#: random payload bits sent at each symbol rate of a capacity sweep
+SWEEP_BITS = 16
 
 
 @dataclass
@@ -141,13 +143,12 @@ def channel_capacity_sweep(
     receiver_xy: Tuple[float, float],
     receiver_die: int,
     bit_periods_s: Sequence[float] = (0.2, 0.05, 0.0125),
-    bits: int = 16,
     seed: int = 0,
     **kwargs,
 ) -> List[CovertChannelResult]:
     """BER/capacity across symbol rates — the TSC's low-pass bandwidth."""
     rng = np.random.default_rng(seed)
-    payload = [int(b) for b in rng.integers(0, 2, size=bits)]
+    payload = [int(b) for b in rng.integers(0, 2, size=SWEEP_BITS)]
     return [
         run_covert_channel(
             floorplan, transmitter, receiver_xy, receiver_die, payload,

@@ -60,6 +60,11 @@ __all__ = [
     "run_workers",
 ]
 
+#: the Sec. 3 study's two-die stack: die side (um) and total power (W),
+#: split evenly between the dies
+DIE_SIDE_UM = 4000.0
+TOTAL_POWER_W = 8.0
+
 
 @dataclass(frozen=True)
 class ExplorationCell:
@@ -77,15 +82,14 @@ class ExplorationCell:
 
 
 def run_exploration(
-    die_side_um: float = 4000.0,
     grid_n: int = 32,
-    total_power_w: float = 8.0,
     seed: int = 0,
     cache: SolverCache | None = None,
     incremental: bool = False,
     topology=None,
 ) -> List[ExplorationCell]:
-    """Evaluate all 30 power x TSV combinations on a two-die stack.
+    """Evaluate all 30 power x TSV combinations on a two-die stack of
+    side :data:`DIE_SIDE_UM` dissipating :data:`TOTAL_POWER_W`.
 
     Solvers come from ``cache`` (default: the process-wide cache), so
     repeated studies — parameter scans over power or seeds on the same
@@ -102,7 +106,7 @@ def run_exploration(
     the same 30-cell study on a 2.5D interposer layout; ``None`` is the
     3D stack.
     """
-    stack_cfg = StackConfig.square(die_side_um)
+    stack_cfg = StackConfig.square(DIE_SIDE_UM)
     grid = GridSpec(stack_cfg.outline, grid_n, grid_n)
     power_names, tsv_names = pattern_names()
     cache = cache if cache is not None else default_solver_cache()
@@ -122,8 +126,8 @@ def run_exploration(
         # all five power patterns ride one factorization per TSV pattern
         pm_pairs = [
             (
-                power_pattern(name, grid, total_power_w / 2.0, seed=seed),
-                power_pattern(name, grid, total_power_w / 2.0, seed=seed + 1),
+                power_pattern(name, grid, TOTAL_POWER_W / 2.0, seed=seed),
+                power_pattern(name, grid, TOTAL_POWER_W / 2.0, seed=seed + 1),
             )
             for name in power_names
         ]

@@ -4,9 +4,8 @@ The loop is the classical adaptive SA over the layout representation:
 calibrate cost scales from random perturbations, pick an initial
 temperature from the observed uphill deltas, then cool geometrically while
 accepting worse solutions with Metropolis probability.  The best
-*feasible* (fixed-outline-respecting) solution is memorized; the paper's
-flow additionally memorizes low-leakage floorplans, which we track as
-``best_leakage`` for the TSC setup.
+*feasible* (fixed-outline-respecting) solution is memorized and becomes
+the result; in the TSC setup its cost already carries the leakage terms.
 
 The loop itself lives in :class:`AnnealChain`, a resumable step API: one
 chain object carries the complete Metropolis state (layout, evaluator
@@ -26,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
@@ -96,8 +95,6 @@ class AnnealResult:
     cost: float
     breakdown: CostBreakdown
     feasible: bool
-    #: lowest-leakage feasible snapshot (TSC mode), if any
-    best_leakage: Optional[LayoutState]
     iterations: int
     accepted: int
     runtime_s: float
@@ -172,8 +169,6 @@ class AnnealChain:
         self.best_bd = current_bd
         self.best_feasible = current_bd.outline <= 1e-9
         self.best_violation = current_bd.outline
-        self.best_leak_state: Optional[LayoutState] = None
-        self.best_leak_score = math.inf
 
         self.accepted = 0
         self.history: List[float] = []
@@ -223,7 +218,7 @@ class AnnealChain:
             grid_ny=config.grid_ny,
         )
 
-        state = LayoutState.initial(modules, stack, rng, power_biased=True)
+        state = LayoutState.initial(modules, stack, rng)
         if scales is None:
             evaluator.calibrate_scales(state, rng, samples=config.calibration_samples)
         else:
@@ -298,11 +293,6 @@ class AnnealChain:
                 self.best_bd = bd
                 self.best_feasible = feasible
                 self.best_violation = bd.outline
-            if feasible and (bd.correlation + bd.entropy) > 0:
-                leak = bd.correlation + 0.1 * bd.entropy
-                if leak < self.best_leak_score:
-                    self.best_leak_score = leak
-                    self.best_leak_state = self.state.copy()
         self.history.append(self.current_cost)
         self.iteration += 1
         self.moves_at_t += 1
@@ -346,7 +336,6 @@ class AnnealChain:
             cost=final_cost,
             breakdown=final_bd,
             feasible=final_bd.outline <= 1e-9,
-            best_leakage=self.best_leak_state,
             iterations=self.iteration,
             accepted=self.accepted,
             runtime_s=self.elapsed_s,

@@ -5,6 +5,10 @@ intra-die reordering, hard-block rotation, soft-block reshaping, and the
 3D-specific moves — migrating a block to the other die and swapping blocks
 across dies.  Every move mutates the state in place and returns whether it
 applied; :func:`apply_random_move` returns the applied move's name.
+Moves pick modules by index into ``state.modules`` and sequence
+positions by index into a die's sequence pair; rotation and reshaping go
+through :meth:`LayoutState.rotate`/:meth:`LayoutState.reshape`, which
+keep the state's size arrays current.
 """
 
 from __future__ import annotations
@@ -56,21 +60,20 @@ def move_swap_in_both(state: LayoutState, rng: np.random.Generator) -> bool:
 
 def move_rotate(state: LayoutState, rng: np.random.Generator) -> bool:
     """Rotate one block by 90 degrees."""
-    names = list(state.modules)
-    name = names[int(rng.integers(0, len(names)))]
-    state.rotated[name] = not state.rotated.get(name, False)
+    state.rotate(int(rng.integers(0, len(state.modules))))
     return True
 
 
 def move_reshape_soft(state: LayoutState, rng: np.random.Generator) -> bool:
     """Re-aspect one soft block within its allowed range."""
-    soft = [n for n, m in state.modules.items() if m.kind == ModuleKind.SOFT]
+    soft = [
+        (k, m) for k, m in enumerate(state.modules.values()) if m.kind == ModuleKind.SOFT
+    ]
     if not soft:
         return False
-    name = soft[int(rng.integers(0, len(soft)))]
-    m = state.modules[name]
+    k, m = soft[int(rng.integers(0, len(soft)))]
     lo, hi = np.log(m.min_aspect), np.log(m.max_aspect)
-    state.aspect[name] = float(np.exp(rng.uniform(lo, hi)))
+    state.reshape(k, float(np.exp(rng.uniform(lo, hi))))
     return True
 
 
@@ -78,14 +81,13 @@ def move_to_other_die(state: LayoutState, rng: np.random.Generator) -> bool:
     """Migrate one block to a different die (3D move)."""
     if state.stack.num_dies < 2:
         return False
-    names = list(state.modules)
-    name = names[int(rng.integers(0, len(names)))]
-    src = state.die_of[name]
+    k = int(rng.integers(0, len(state.modules)))
+    src = int(state.die[k])
     choices = [d for d in range(state.stack.num_dies) if d != src]
     dst = choices[int(rng.integers(0, len(choices)))]
-    state.pairs[src].remove(name)
-    state.pairs[dst].insert_random(name, rng)
-    state.die_of[name] = dst
+    state.pairs[src].remove(k)
+    state.pairs[dst].insert_random(k, rng)
+    state.die[k] = dst
     return True
 
 
@@ -103,7 +105,7 @@ def move_swap_across_dies(state: LayoutState, rng: np.random.Generator) -> bool:
     for seq_a, seq_b in ((pa.s1, pb.s1), (pa.s2, pb.s2)):
         ia, ib = seq_a.index(a), seq_b.index(b)
         seq_a[ia], seq_b[ib] = b, a
-    state.die_of[a], state.die_of[b] = int(db), int(da)
+    state.die[a], state.die[b] = db, da
     return True
 
 
@@ -113,9 +115,9 @@ def move_shift_in_sequence(state: LayoutState, rng: np.random.Generator) -> bool
     if die is None:
         return False
     pair = state.pairs[die]
-    name = pair.s1[int(rng.integers(0, len(pair.s1)))]
-    pair.remove(name)
-    pair.insert_random(name, rng)
+    k = pair.s1[int(rng.integers(0, len(pair.s1)))]
+    pair.remove(k)
+    pair.insert_random(k, rng)
     return True
 
 

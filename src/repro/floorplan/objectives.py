@@ -18,7 +18,9 @@ cadence (:data:`TIMING_EVERY`, :data:`THERMAL_EVERY` and
 wirelength) are exact every iteration via a fully vectorized netlist
 evaluation.  One :class:`~repro.layout.net.CompiledNetlist`, compiled
 once per evaluator, serves the wirelength and the timing graph's Elmore
-delays.  The slow terms read the snapshot's geometry arrays and
+delays; its module order is the state's module index.  Every evaluation
+packs through :meth:`LayoutState.pack`, and every term reads its corner
+arrays beside the state's own die and size arrays.  The slow terms add
 per-module constants compiled once per evaluator: each thermal refresh
 rasterizes every die's power map afresh and solves the TSV-free stack
 exactly (:class:`~repro.thermal.fast.FastThermalModel`), timing runs on
@@ -43,7 +45,7 @@ from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_vo
 from ..power.voltages import scaled_delay, scaled_power, total_power
 from ..thermal.fast import FastThermalModel
 from ..timing.paths import TimingGraph
-from .seqpair import LayoutState, keeps_nominal_size, pack_die
+from .seqpair import LayoutState, keeps_nominal_size
 
 __all__ = [
     "ObjectiveWeights",
@@ -209,21 +211,16 @@ class _ModuleArrays:
 
 @dataclass
 class _Snapshot:
-    """Packed geometry and cheap cost terms of one evaluated layout.
+    """Packed corners and cheap cost terms of one evaluated layout.
 
     Built from scratch for every evaluation, so a score depends only on
     the state it was given, never on what was evaluated before it.
-    ``x``/``y`` (lower-left corners), ``w``/``h`` (packed sizes) and
-    ``dies`` hold the same geometry as arrays in module-index order.
+    ``x``/``y`` are the lower-left corners :meth:`LayoutState.pack`
+    wrote; the sizes and dies are the state's own arrays.
     """
 
-    positions: Dict[str, Tuple[float, float]]
-    sizes: Dict[str, Tuple[float, float]]
     x: np.ndarray
     y: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
-    dies: np.ndarray
     wirelength: float
     tsv_crossings: int
     outline: float
@@ -298,23 +295,10 @@ class CostEvaluator:
     # -- snapshot construction ------------------------------------------------------
     def _full_snapshot(self, state: LayoutState) -> "_Snapshot":
         """Pack every die and derive the cheap cost terms from scratch."""
-        nl = self.compiled_netlist(state)
-        sizes = {n: state.effective_size(n) for n in state.modules}
-        positions: Dict[str, Tuple[float, float]] = {}
-        extents: List[Tuple[float, float]] = []
-        die_power: List[float] = []
-        for pair in state.pairs:
-            pos, w, h = pack_die(pair, sizes)
-            positions.update(pos)
-            extents.append((w, h))
-            die_power.append(sum(state.modules[n].power for n in pair.s1))
-        xs, ys, ws, hs = np.empty((4, nl.num_modules))
-        dd = np.empty(nl.num_modules, dtype=np.int64)
-        for name, idx in nl.module_index.items():
-            xs[idx], ys[idx] = positions[name]
-            ws[idx], hs[idx] = sizes[name]
-            dd[idx] = state.die_of[name]
-        wirelength, tsv_crossings = nl.wirelength(xs + ws / 2.0, ys + hs / 2.0, dd)
+        x, y, extents = state.pack()
+        wirelength, tsv_crossings = self.compiled_netlist(state).wirelength(
+            x + state.w / 2.0, y + state.h / 2.0, state.die
+        )
         outline = self.stack.outline
         over = 0.0
         fill = 0.0
@@ -322,20 +306,17 @@ class CostEvaluator:
             over += max(0.0, w / outline.w - 1.0) + max(0.0, h / outline.h - 1.0)
             fill += (min(w, outline.w) / outline.w) * (min(h, outline.h) / outline.h)
         # thermal design rule: pull power toward the heatsink-adjacent die
-        top = self.stack.num_dies - 1
+        power = self._module_arrays(state).power
+        top = state.pairs[self.stack.num_dies - 1]
+        top_power = float(sum(power[k] for k in top.s1))
         return _Snapshot(
-            positions=positions,
-            sizes=sizes,
-            x=xs,
-            y=ys,
-            w=ws,
-            h=hs,
-            dies=dd,
+            x=x,
+            y=y,
             wirelength=wirelength,
             tsv_crossings=tsv_crossings,
             outline=over,
             area=fill / max(1, len(extents)),
-            die_assignment=1.0 - die_power[top] / self._total_power(state),
+            die_assignment=1.0 - top_power / self._total_power(state),
         )
 
     # -- term computation ---------------------------------------------------------
@@ -346,10 +327,10 @@ class CostEvaluator:
         mods = self._module_arrays(state)
         if refresh_assignment:
             # voltage assignment reads a realized floorplan (without TSV
-            # objects); every other slow term reads the snapshot's arrays
+            # objects); every other slow term reads the packed corners and
+            # the state's arrays
             fp = state.realize_with_positions(
-                snap.positions, snap.sizes, self.nets, self.terminals,
-                place_tsvs=False,
+                snap.x, snap.y, self.nets, self.terminals, place_tsvs=False
             )
             timing = self._timing_graph(state)
             inflation = timing.max_delay_inflation(fp)
@@ -370,15 +351,15 @@ class CostEvaluator:
             cache.delays = scaled_delay(mods.delay, volts)
             cache.power = total_power(mods.power, volts)
         # the realized floorplan's geometry, to the ulp
-        w, h = mods.realized_sizes(snap.w, snap.h)
+        w, h = mods.realized_sizes(state.w, state.h)
         if refresh_timing:
             timing = self._timing_graph(state)
-            net_delays = timing.net_delays(snap.x + w / 2.0, snap.y + h / 2.0, snap.dies)
+            net_delays = timing.net_delays(snap.x + w / 2.0, snap.y + h / 2.0, state.die)
             cache.delay = float(timing.through_times(net_delays, cache.delays).max())
         if refresh_thermal:
             maps = []
             for d in range(self.stack.num_dies):
-                on = snap.dies == d
+                on = state.die == d
                 maps.append(
                     rasterize_rects(
                         cache.watts[on], snap.x[on], snap.y[on], w[on], h[on], self.grid

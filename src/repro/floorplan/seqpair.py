@@ -12,6 +12,13 @@ Packing to coordinates is the weighted longest-common-subsequence
 computation, implemented here with a prefix-max binary indexed tree in
 O(n log n) per die — fast enough to sit inside the simulated-annealing
 loop even for the ~1300-module IBM-HB+ instances.
+
+:class:`LayoutState` holds one layout in one form: module ``k`` is the
+``k``-th entry of ``state.modules`` (the order the cost evaluator's
+compiled netlist uses), the sequence pairs hold module indices, and the
+die assignment, rotation flags and effective sizes are arrays over
+``k``.  :meth:`LayoutState.pack` is the one packing loop: the cost
+evaluator and :meth:`LayoutState.realize` both read its corner arrays.
 """
 
 from __future__ import annotations
@@ -57,10 +64,10 @@ class _PrefixMaxBIT:
 
 @dataclass
 class DieSequencePair:
-    """Sequence pair for the blocks assigned to one die."""
+    """Sequence pair over the module indices assigned to one die."""
 
-    s1: List[str] = field(default_factory=list)
-    s2: List[str] = field(default_factory=list)
+    s1: List[int] = field(default_factory=list)
+    s2: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if sorted(self.s1) != sorted(self.s2):
@@ -72,13 +79,13 @@ class DieSequencePair:
     def copy(self) -> "DieSequencePair":
         return DieSequencePair(list(self.s1), list(self.s2))
 
-    def remove(self, name: str) -> None:
-        self.s1.remove(name)
-        self.s2.remove(name)
+    def remove(self, k: int) -> None:
+        self.s1.remove(k)
+        self.s2.remove(k)
 
-    def insert_random(self, name: str, rng: np.random.Generator) -> None:
-        self.s1.insert(int(rng.integers(0, len(self.s1) + 1)), name)
-        self.s2.insert(int(rng.integers(0, len(self.s2) + 1)), name)
+    def insert_random(self, k: int, rng: np.random.Generator) -> None:
+        self.s1.insert(int(rng.integers(0, len(self.s1) + 1)), k)
+        self.s2.insert(int(rng.integers(0, len(self.s2) + 1)), k)
 
 
 def keeps_nominal_size(w, h, width, height):
@@ -88,65 +95,76 @@ def keeps_nominal_size(w, h, width, height):
     return (abs(w - width) <= 1e-9) & (abs(h - height) <= 1e-9)
 
 
+def _soft_size(module: Module, aspect: float) -> Tuple[float, float]:
+    """(width, height) of a soft module reshaped to ``aspect`` (w/h),
+    area preserved."""
+    h = (module.area / aspect) ** 0.5
+    return module.area / h, h
+
+
 def pack_die(
     seq: DieSequencePair,
-    sizes: Mapping[str, Tuple[float, float]],
-) -> Tuple[Dict[str, Tuple[float, float]], float, float]:
-    """Pack one die's sequence pair into coordinates.
+    w: Sequence[float],
+    h: Sequence[float],
+    x: np.ndarray,
+    y: np.ndarray,
+) -> Tuple[float, float]:
+    """Pack one die's sequence pair toward the lower-left corner.
 
-    ``sizes`` maps block name -> (effective width, effective height), i.e.
-    rotation and soft reshaping already applied.  Returns
-    ``(positions, packing_width, packing_height)`` with positions keyed by
-    block name, packed toward the lower-left corner.
+    ``w[k]``/``h[k]`` are module ``k``'s effective sizes (rotation and
+    soft reshaping applied).  Writes each block's lower-left corner to
+    ``x[k]``/``y[k]`` and returns ``(packing_width, packing_height)``.
+    The arithmetic stays in the element type of ``w``/``h``: Python
+    floats keep numpy scalars out of the extents.
     """
     n = len(seq.s1)
     if n == 0:
-        return {}, 0.0, 0.0
-    pos2 = {name: i for i, name in enumerate(seq.s2)}
+        return 0.0, 0.0
+    pos2 = {k: i for i, k in enumerate(seq.s2)}
 
-    xs: Dict[str, float] = {}
     width = 0.0
     bit = _PrefixMaxBIT(n)
-    for name in seq.s1:
-        p = pos2[name]
-        x = bit.query(p - 1)
-        xs[name] = x
-        reach = x + sizes[name][0]
+    for k in seq.s1:
+        p = pos2[k]
+        corner = bit.query(p - 1)
+        x[k] = corner
+        reach = corner + w[k]
         bit.update(p, reach)
         if reach > width:
             width = reach
 
-    ys: Dict[str, float] = {}
     height = 0.0
     bit = _PrefixMaxBIT(n)
-    for name in reversed(seq.s1):
-        p = pos2[name]
-        y = bit.query(p - 1)
-        ys[name] = y
-        reach = y + sizes[name][1]
+    for k in reversed(seq.s1):
+        p = pos2[k]
+        corner = bit.query(p - 1)
+        y[k] = corner
+        reach = corner + h[k]
         bit.update(p, reach)
         if reach > height:
             height = reach
-
-    positions = {name: (xs[name], ys[name]) for name in seq.s1}
-    return positions, width, height
+    return width, height
 
 
 @dataclass
 class LayoutState:
     """Complete mutable state explored by the annealer.
 
-    Holds the die assignment, per-die sequence pairs, rotation flags, and
-    soft-block aspect ratios.  :meth:`realize` packs every die and builds
-    the :class:`~repro.layout.floorplan.Floorplan3D`.
+    Module ``k`` is the ``k``-th entry of ``modules``.  ``pairs`` holds
+    each die's sequence pair of module indices; ``die``, ``rotated`` and
+    the effective sizes ``w``/``h`` (rotation and soft reshaping
+    applied) are arrays over ``k``, kept current by :meth:`rotate` and
+    :meth:`reshape`.  :meth:`pack` places every die and :meth:`realize`
+    builds the :class:`~repro.layout.floorplan.Floorplan3D`.
     """
 
     stack: StackConfig
     modules: Dict[str, Module]
-    die_of: Dict[str, int]
     pairs: List[DieSequencePair]
-    rotated: Dict[str, bool] = field(default_factory=dict)
-    aspect: Dict[str, float] = field(default_factory=dict)
+    die: np.ndarray
+    rotated: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
 
     # -- construction ---------------------------------------------------------
     @staticmethod
@@ -154,87 +172,77 @@ class LayoutState:
         modules: Mapping[str, Module],
         stack: StackConfig,
         rng: np.random.Generator,
-        power_biased: bool = True,
     ) -> "LayoutState":
-        """A random initial state.
+        """A random initial state under Corblivar's thermal design rule.
 
-        With ``power_biased`` (Corblivar's thermal design rule), modules
-        are sorted by power and the high-power half is assigned to the top
-        die (adjacent to the heatsink); the annealer may revisit this but
-        the die-assignment cost term keeps pulling the same way.
-        Area balance between dies is maintained greedily.
+        Modules are sorted by power and the hottest fill the top die
+        (adjacent to the heatsink) first, falling back to the
+        least-filled die once it is full; the annealer may revisit this
+        but the die-assignment cost term keeps pulling the same way.
+        Each die's sequence pair is a random pair of permutations.
         """
-        names = list(modules)
-        if power_biased:
-            names.sort(key=lambda n: modules[n].power, reverse=True)
-        else:
-            names = [names[i] for i in rng.permutation(len(names))]
-        die_of: Dict[str, int] = {}
+        mods = list(modules.values())
+        die = np.empty(len(mods), dtype=np.int64)
         die_area = [0.0] * stack.num_dies
         top = stack.num_dies - 1
-        for name in names:
-            if power_biased:
-                # fill the heatsink-adjacent die with hot modules first,
-                # falling back to the least-filled die when it is full
-                preferred = top if die_area[top] <= stack.outline.area * 0.55 else None
-                die = preferred if preferred is not None else int(np.argmin(die_area))
-            else:
-                die = int(np.argmin(die_area))
-            die_of[name] = die
-            die_area[die] += modules[name].area
+        for k in sorted(range(len(mods)), key=lambda k: mods[k].power, reverse=True):
+            d = top if die_area[top] <= stack.outline.area * 0.55 else int(np.argmin(die_area))
+            die[k] = d
+            die_area[d] += mods[k].area
         pairs = []
         for d in range(stack.num_dies):
-            members = [n for n in modules if die_of[n] == d]
+            members = np.flatnonzero(die == d).tolist()
             s1 = [members[i] for i in rng.permutation(len(members))]
             s2 = [members[i] for i in rng.permutation(len(members))]
             pairs.append(DieSequencePair(s1, s2))
+        sizes = [
+            _soft_size(m, m.width / m.height) if m.kind == ModuleKind.SOFT
+            else (m.width, m.height)
+            for m in mods
+        ]
+        size = np.array(sizes, dtype=float).reshape(-1, 2)
         return LayoutState(
             stack=stack,
             modules=dict(modules),
-            die_of=die_of,
             pairs=pairs,
-            rotated={n: False for n in modules},
-            aspect={
-                n: m.width / m.height
-                for n, m in modules.items()
-                if m.kind == ModuleKind.SOFT
-            },
+            die=die,
+            rotated=np.zeros(len(mods), dtype=bool),
+            w=size[:, 0].copy(),
+            h=size[:, 1].copy(),
         )
 
     def copy(self) -> "LayoutState":
         return LayoutState(
             stack=self.stack,
             modules=self.modules,  # immutable records, safe to share
-            die_of=dict(self.die_of),
             pairs=[p.copy() for p in self.pairs],
-            rotated=dict(self.rotated),
-            aspect=dict(self.aspect),
+            die=self.die.copy(),
+            rotated=self.rotated.copy(),
+            w=self.w.copy(),
+            h=self.h.copy(),
         )
 
     # -- geometry -------------------------------------------------------------
-    def effective_size(self, name: str) -> Tuple[float, float]:
-        """(width, height) with soft reshaping and rotation applied."""
-        m = self.modules[name]
-        if m.kind == ModuleKind.SOFT:
-            ar = self.aspect.get(name, m.width / m.height)
-            h = (m.area / ar) ** 0.5
-            w = m.area / h
-        else:
-            w, h = m.width, m.height
-        if self.rotated.get(name, False):
-            w, h = h, w
-        return w, h
+    def rotate(self, k: int) -> None:
+        """Turn module ``k`` by 90 degrees."""
+        self.rotated[k] = not self.rotated[k]
+        self.w[k], self.h[k] = self.h[k], self.w[k]
 
-    def pack(self) -> Tuple[Dict[str, Tuple[float, float]], List[Tuple[float, float]]]:
-        """Pack all dies.  Returns (positions, per-die packing extents)."""
-        sizes = {n: self.effective_size(n) for n in self.modules}
-        positions: Dict[str, Tuple[float, float]] = {}
-        extents: List[Tuple[float, float]] = []
-        for pair in self.pairs:
-            pos, w, h = pack_die(pair, sizes)
-            positions.update(pos)
-            extents.append((w, h))
-        return positions, extents
+    def reshape(self, k: int, aspect: float) -> None:
+        """Re-aspect soft module ``k`` to ``aspect`` (w/h, before its
+        rotation)."""
+        w, h = _soft_size(list(self.modules.values())[k], aspect)
+        if self.rotated[k]:
+            w, h = h, w
+        self.w[k], self.h[k] = w, h
+
+    def pack(self) -> Tuple[np.ndarray, np.ndarray, List[Tuple[float, float]]]:
+        """Pack all dies: ``(x, y, extents)`` with lower-left corners
+        ``x[k]``/``y[k]`` and each die's ``(width, height)``."""
+        x, y = np.empty((2, len(self.w)))
+        w, h = self.w.tolist(), self.h.tolist()
+        extents = [pack_die(pair, w, h, x, y) for pair in self.pairs]
+        return x, y, extents
 
     def realize(
         self,
@@ -243,55 +251,42 @@ class LayoutState:
         place_tsvs: bool = True,
     ) -> Floorplan3D:
         """Build the :class:`Floorplan3D` for the current state."""
-        positions, _ = self.pack()
+        x, y, _ = self.pack()
         return self.realize_with_positions(
-            positions, nets=nets, terminals=terminals, place_tsvs=place_tsvs
+            x, y, nets=nets, terminals=terminals, place_tsvs=place_tsvs
         )
 
     def realize_with_positions(
         self,
-        positions: Mapping[str, Tuple[float, float]],
-        sizes: Mapping[str, Tuple[float, float]] | None = None,
+        x: np.ndarray,
+        y: np.ndarray,
         nets: Sequence[Net] = (),
         terminals: Mapping[str, Terminal] | None = None,
         place_tsvs: bool = True,
     ) -> Floorplan3D:
-        """Build the :class:`Floorplan3D` from already packed positions.
+        """Build the :class:`Floorplan3D` from already packed corners.
 
-        ``positions`` (and optionally precomputed effective ``sizes``) come
-        from a previous packing — the cost evaluator's slow-term refresh
-        calls this with the positions it already packed for the cheap
-        terms, so no die is packed twice.
+        ``x``/``y`` come from :meth:`pack` — the cost evaluator's
+        slow-term refresh passes the corners it already packed for the
+        cheap terms, so no die is packed twice.
         """
         placements = {}
-        for name, module in self.modules.items():
-            x, y = positions[name]
-            if sizes is not None:
-                w, h = sizes[name]
-            else:
-                w, h = self.effective_size(name)
+        for (name, module), cx, cy, w, h, die, rotated in zip(
+            self.modules.items(), x.tolist(), y.tolist(), self.w.tolist(),
+            self.h.tolist(), self.die.tolist(), self.rotated.tolist(),
+        ):
             # Soft reshaping (and its rotation) is realized by substituting
             # a module with the final effective dimensions, so
             # Placement.rect matches the geometry the packer used.
             if module.kind == ModuleKind.SOFT:
-                eff_module = module
                 if not keeps_nominal_size(w, h, module.width, module.height):
-                    eff_module = Module(
+                    module = Module(
                         module.name, w, h, kind=module.kind, power=module.power,
                         intrinsic_delay=module.intrinsic_delay,
                         min_aspect=module.min_aspect, max_aspect=module.max_aspect,
                     )
                 rotated = False
-            else:
-                eff_module = module
-                rotated = self.rotated.get(name, False)
-            placements[name] = Placement(
-                module=eff_module,
-                x=x,
-                y=y,
-                die=self.die_of[name],
-                rotated=rotated,
-            )
+            placements[name] = Placement(module=module, x=cx, y=cy, die=die, rotated=rotated)
         fp = Floorplan3D(
             stack=self.stack,
             placements=placements,

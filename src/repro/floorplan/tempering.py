@@ -118,8 +118,8 @@ def temper(
     ``config.iterations`` is the total budget: each of the ``replicas``
     chains runs ``iterations // replicas`` moves, so ``replicas=1``
     degenerates to (and is bit-identical with) plain :func:`anneal`.
-    Returns the best finalized replica, with ``best_leakage`` taken
-    across *all* replicas and the exchange statistics attached.
+    Returns the best finalized replica with the exchange statistics
+    attached.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -221,17 +221,6 @@ def temper(
 
     winner_idx = min(range(replicas), key=lambda i: rank(results[i]))
     winner = results[winner_idx]
-
-    # lowest-leakage feasible snapshot across ALL replicas, not just the
-    # winner — a hot replica may have brushed a low-leakage basin
-    best_leak_idx = min(
-        range(replicas), key=lambda i: chains[i].best_leak_score
-    )
-    best_leakage = winner.best_leakage
-    if math.isfinite(chains[best_leak_idx].best_leak_score):
-        best_leakage = chains[best_leak_idx].best_leak_state
-
-    winner.best_leakage = best_leakage
     winner.iterations = sum(r.iterations for r in results)
     winner.accepted = sum(r.accepted for r in results)
     winner.runtime_s = time.perf_counter() - t_wall

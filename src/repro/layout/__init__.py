@@ -8,7 +8,7 @@ delays all read its per-net pin extents.  Floorplans live in memory
 only; what a run stores is its `FlowMetrics` record.
 """
 
-from .die import Die, StackConfig
+from .die import StackConfig
 from .floorplan import Floorplan3D
 from .geometry import Point, Rect, total_overlap_area
 from .grid import GridSpec, rasterize_power
@@ -17,7 +17,6 @@ from .net import CompiledNetlist, Net, Terminal
 from .tsv import TSV, TSVIsland, TSVKind, place_island, place_regular_grid, tsv_density_map
 
 __all__ = [
-    "Die",
     "StackConfig",
     "Floorplan3D",
     "Point",

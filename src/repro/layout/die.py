@@ -1,4 +1,4 @@
-"""Die and 3D stack descriptions.
+"""3D stack description.
 
 The paper floorplans two dies stacked face-to-back with the heatsink atop
 the upper die and a secondary heat path through the package below the
@@ -14,24 +14,7 @@ from typing import List, Tuple
 from .geometry import Rect
 from .tsv import TSV_DIAMETER, TSV_KEEPOUT
 
-__all__ = ["Die", "StackConfig"]
-
-
-@dataclass(frozen=True)
-class Die:
-    """One die of the stack.  ``index`` 0 is the bottom die (die 1 in the
-    paper's d = 1 notation); the top die is adjacent to the heatsink."""
-
-    index: int
-    outline: Rect
-
-    @property
-    def area(self) -> float:
-        return self.outline.area
-
-    @property
-    def name(self) -> str:
-        return f"die{self.index + 1}"
+__all__ = ["StackConfig"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +30,9 @@ class StackConfig:
         Fixed die outline in um (same for every die; fixed-outline
         floorplanning per Sec. 7).
     num_dies:
-        Number of stacked dies (the paper evaluates two).
+        Number of stacked dies (the paper evaluates two).  Die 0 is the
+        bottom die (die 1 in the paper's d = 1 notation); the top die is
+        adjacent to the heatsink.
     """
 
     outline: Rect
@@ -58,10 +43,6 @@ class StackConfig:
             raise ValueError("a stack needs at least one die")
         if self.outline.area <= 0:
             raise ValueError("die outline must have positive area")
-
-    @property
-    def dies(self) -> List[Die]:
-        return [Die(i, self.outline) for i in range(self.num_dies)]
 
     @property
     def tsv_pitch(self) -> float:

@@ -137,14 +137,13 @@ def place_regular_grid(
 
 def place_island(
     region: Rect,
-    die_from: int = 0,
-    die_to: int = 1,
     kind: str = TSVKind.SIGNAL,
     diameter: float = TSV_DIAMETER,
     keepout: float = TSV_KEEPOUT,
 ) -> List[TSV]:
-    """All TSVs of a densely packed island in ``region``."""
-    island = TSVIsland(region, die_from, die_to, kind=kind, diameter=diameter, keepout=keepout)
+    """All TSVs of a densely packed island in ``region``, between dies 0
+    and 1."""
+    island = TSVIsland(region, 0, 1, kind=kind, diameter=diameter, keepout=keepout)
     return island.vias()
 
 

@@ -314,8 +314,6 @@ def insert_dummy_tsvs(
                 candidate.tsvs.extend(
                     place_island(
                         cell,
-                        die_from=0,
-                        die_to=1,
                         kind=TSVKind.THERMAL,
                         diameter=DUMMY_DIAMETER,
                         keepout=DUMMY_KEEPOUT,

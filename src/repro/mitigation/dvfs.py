@@ -11,13 +11,9 @@ The attack model mirrors the paper's Eq. 1 metric *in time*: the victim
 executes a secret per-window activity sequence (the Gaussian activity
 model of :mod:`repro.mitigation.activity`), the attacker records per-die
 temperatures at the end of every governor window, and leakage is the
-Pearson correlation between the nominal per-window die power (the
-attacker's hypothesis) and the observed temperature sequence — the same
-:func:`~repro.leakage.pearson.pearson` /
-:func:`~repro.leakage.pearson.die_correlation` /
-:func:`~repro.leakage.pearson.local_correlation_map` machinery the
-steady-state metrics use, fed with (traces, windows) matrices instead of
-(ny, nx) maps.
+per-trace Pearson correlation (:func:`~repro.leakage.pearson.pearson`)
+between the nominal per-window die power (the attacker's hypothesis)
+and the observed temperature sequence.
 
 The attacker reads only end-of-window die means, a linear functional of
 the LTI backward-Euler response, so no trace is integrated: one
@@ -28,9 +24,8 @@ the die-mean impulse response, projected here onto the modules and summed
 per window, and each trace is then a small dense convolution of its
 per-module power deviations.  A trace's observed temperature is that
 convolution plus a constant per (arm, die) operating point; the per-trace
-Pearson r, Eq. 1 over the (traces, windows) matrix and the local
-correlation map all centre their inputs first, so the operating point
-cancels out of every score and no steady state is solved.
+Pearson r centres its inputs first, so the operating point cancels out
+of every score and no steady state is solved.
 
 Everything is deterministic in the seed: per-trace RNG
 streams spawn from one :class:`numpy.random.SeedSequence`, and each
@@ -42,24 +37,17 @@ every trace (``tests/oracles/transient.py``) within 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
 import numpy as np
 
 from ..layout.floorplan import Floorplan3D
 from ..layout.grid import GridSpec
-from ..leakage.pearson import die_correlation, local_correlation_map, pearson
+from ..leakage.pearson import pearson
 from ..thermal.stack import stack_for_floorplan
 from ..thermal.transient import TransientSolver
 from .activity import module_power_basis
 from .dummy_tsv import ACTIVITY_SIGMA, MitigationConfig
 
 __all__ = ["DVFSReport", "evaluate_dvfs"]
-
-#: local (windowed) correlation support along the time axis — the
-#: short-exposure attacker who correlates over a few adjacent windows
-_LOCAL_WINDOW = 5
-
 
 #: the governor's deterministic operating-point schedule: discrete
 #: frequency/voltage operating points, the lowest frequency scale (power
@@ -84,13 +72,6 @@ class DVFSReport:
     #: shape (traces, dies) — nominal power vs. observed temperature
     baseline_correlations: np.ndarray
     mitigated_correlations: np.ndarray
-    #: per-die Eq. 1 correlation over the full (traces, windows) matrix
-    baseline_die_correlation: List[float]
-    mitigated_die_correlation: List[float]
-    #: per-die peak |local correlation| along the window axis — the
-    #: short-exposure attacker's best window
-    baseline_local: List[float]
-    mitigated_local: List[float]
     traces: int = 0
 
     @property
@@ -142,37 +123,18 @@ def _report(
     """Score both arms: ``window_power`` is the attacker's nominal
     per-window die power and the temps are the end-of-window die means,
     all ``(traces, windows, dies)``."""
-    traces, windows, num_dies = window_power.shape
+    traces, _, num_dies = window_power.shape
 
-    def score(temps: np.ndarray):
+    def score(temps: np.ndarray) -> np.ndarray:
         per_trace = np.empty((traces, num_dies))
-        per_die_global: List[float] = []
-        per_die_local: List[float] = []
         for d in range(num_dies):
             for tr in range(traces):
                 per_trace[tr, d] = pearson(window_power[tr, :, d], temps[tr, :, d])
-            # Eq. 1 over the full (traces, windows) matrix, and the
-            # windowed local variant along the time axis — literally the
-            # spatial metrics applied to temporal matrices
-            per_die_global.append(
-                die_correlation(window_power[:, :, d], temps[:, :, d])
-            )
-            local = local_correlation_map(
-                window_power[:, :, d], temps[:, :, d],
-                window=min(_LOCAL_WINDOW, windows),
-            )
-            per_die_local.append(float(np.max(np.abs(local))))
-        return per_trace, per_die_global, per_die_local
+        return per_trace
 
-    base_r, base_global, base_local = score(base_temps)
-    gov_r, gov_global, gov_local = score(governed_temps)
     return DVFSReport(
-        baseline_correlations=base_r,
-        mitigated_correlations=gov_r,
-        baseline_die_correlation=base_global,
-        mitigated_die_correlation=gov_global,
-        baseline_local=base_local,
-        mitigated_local=gov_local,
+        baseline_correlations=score(base_temps),
+        mitigated_correlations=score(governed_temps),
         traces=traces,
     )
 

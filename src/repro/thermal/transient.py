@@ -285,15 +285,15 @@ def _lanczos(lu, m: np.ndarray, readout: np.ndarray, nodes: np.ndarray, steps: i
     return scale, np.array(alpha), np.array(beta), np.stack(basis)
 
 
-def thermal_time_constant(trace: TransientTrace, die: int = 0) -> float:
+def thermal_time_constant(trace: TransientTrace) -> float:
     """Estimate the dominant time constant (s) from a step-response trace.
 
     Returns the time of the *first* crossing of 63.2 % of the final rise
-    of the die-mean temperature.  Requires a trace driven by a constant
+    of the bottom die's (die 0) mean temperature.  Requires a trace driven by a constant
     power step; noisy or overshooting responses still return the first
     crossing (a sorted-search would silently assume monotonicity).
     """
-    temps = trace.die_means[:, die]
+    temps = trace.die_means[:, 0]
     final = temps[-1]
     start = temps[0]
     if final <= start:

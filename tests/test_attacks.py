@@ -41,7 +41,7 @@ class TestDeviceSharedTsvPlumbing:
         building from the (0, 1) density alone silently dropped the
         (1, 2) heat pipes (ROADMAP follow-up from PR 2)."""
         from repro.layout.geometry import Rect
-        from repro.layout.tsv import TSVKind, place_island
+        from repro.layout.tsv import TSVIsland, TSVKind
 
         mods = {
             "hot": Module("hot", 400, 400, power=2.0),
@@ -58,12 +58,10 @@ class TestDeviceSharedTsvPlumbing:
         model = InputActivityModel(sorted(placements), num_bits=3, fanin=1, seed=0)
         bare = Floorplan3D(stack, dict(placements))
         piped = Floorplan3D(stack, dict(placements))
-        piped.tsvs = list(
-            place_island(
-                Rect(250, 250, 500, 500), die_from=1, die_to=2,
-                kind=TSVKind.THERMAL, diameter=20.0, keepout=5.0,
-            )
-        )
+        piped.tsvs = TSVIsland(
+            Rect(250, 250, 500, 500), 1, 2,
+            kind=TSVKind.THERMAL, diameter=20.0, keepout=5.0,
+        ).vias()
         pattern = [1, 1, 1]
         (maps_bare,) = ThermalDevice(bare, grid, activity_model=model).respond_many([pattern])
         (maps_piped,) = ThermalDevice(piped, grid, activity_model=model).respond_many([pattern])
@@ -159,18 +157,18 @@ class TestCharacterization:
         """With ideal sensors the linear thermal model must predict well —
         the device IS linear in the activity factors."""
         dev = _device()
-        result = characterize(dev, die=0, train_patterns=40, test_patterns=12, seed=1)
+        result = characterize(dev, train_patterns=40, test_patterns=12, seed=1)
         assert result.r2 > 0.75
 
     def test_noisy_sensors_degrade_model(self):
-        ideal = characterize(_device(), die=0, train_patterns=30, test_patterns=10, seed=2)
+        ideal = characterize(_device(), train_patterns=30, test_patterns=10, seed=2)
         noisy_dev = _device(sensors=SensorGrid(rows=16, cols=16, noise_sigma=2.0, seed=3))
-        noisy = characterize(noisy_dev, die=0, train_patterns=30, test_patterns=10, seed=2)
+        noisy = characterize(noisy_dev, train_patterns=30, test_patterns=10, seed=2)
         assert noisy.r2 < ideal.r2
 
     def test_r2_map_shape(self):
         dev = _device()
-        result = characterize(dev, die=0, train_patterns=20, test_patterns=8)
+        result = characterize(dev, train_patterns=20, test_patterns=8)
         assert result.r2_map.shape == dev.grid.shape
 
 

@@ -32,8 +32,9 @@ A third audit does the same for defaulted parameters: every one of a
 ``src/repro`` function or method, and every defaulted init field of a
 ``src/repro`` dataclass without its own ``__init__`` (dataclass fields
 are parameters too), must be set by some call in those trees, or, for a
-field, by a ``replace`` keyword or an attribute store.  A knob no caller
-turns is a module constant, not a parameter.
+field, by a ``replace`` keyword or an attribute store.  Passing a
+literal equal to the literal default, of the same type, sets nothing.
+A knob no caller turns is a module constant, not a parameter.
 
 A fourth keeps one direct solver: no ``splu`` call and no
 ``scipy.sparse.linalg`` import anywhere under ``src/repro``, so a second
@@ -613,29 +614,58 @@ def _generates_init(cls: ast.ClassDef) -> bool:
     return False
 
 
+#: what :func:`_literal` returns for an expression that is no literal
+_NOT_LITERAL = object()
+
+
+def _literal(node: ast.AST):
+    """The value of a literal expression (``True``, ``-1``, ``4000.0``,
+    ``(0, 1)``), else :data:`_NOT_LITERAL`."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return _NOT_LITERAL
+
+
 class _Signature:
     """What a call can set of one def: its positional names (``self``
     or ``cls`` dropped for methods), its defaulted names, the name of
-    its ``**`` parameter, and the class it is a method of."""
+    its ``**`` parameter, the class it is a method of, and each default
+    value's expression."""
 
-    def __init__(self, positional, defaults, varkw=None, cls=None) -> None:
+    def __init__(self, positional, defaults, varkw=None, cls=None, values=None) -> None:
         self.positional = positional
         self.defaults = defaults
         self.varkw = varkw
         self.cls = cls
+        self.values = values or {}
+
+    def passes_default(self, param: str, value: ast.AST) -> bool:
+        """Whether ``value`` is a literal equal to ``param``'s literal
+        default, of the same type: passing it sets nothing."""
+        default = _literal(self.values[param]) if param in self.values else _NOT_LITERAL
+        given = _literal(value)
+        return (
+            default is not _NOT_LITERAL
+            and type(given) is type(default)
+            and given == default
+        )
 
     @classmethod
     def of_def(cls, node, owner) -> "_Signature":
         args = node.args
         static = any(_expr_name(d) == "staticmethod" for d in node.decorator_list)
         names = [a.arg for a in args.posonlyargs + args.args]
+        values = dict(zip(names[len(names) - len(args.defaults):], args.defaults))
+        values.update(
+            (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        )
         return cls(
             names[1:] if owner is not None and not static else names,
-            names[len(names) - len(args.defaults):] + [
-                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-            ],
+            list(values),
             args.kwarg.arg if args.kwarg else None,
             owner.name if owner is not None else None,
+            values,
         )
 
     @classmethod
@@ -644,7 +674,7 @@ class _Signature:
         order.  ``ClassVar`` and ``field(init=False)`` fields are not
         parameters; a field defaults through a value, ``default=`` or
         ``default_factory=``."""
-        positional, defaults = [], []
+        positional, values = [], {}
         for stmt in node.body:
             if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
                 continue
@@ -656,13 +686,11 @@ class _Signature:
                 init = options.get("init")
                 if isinstance(init, ast.Constant) and init.value is False:
                     continue
-                defaulted = "default" in options or "default_factory" in options
-            else:
-                defaulted = value is not None
+                value = options.get("default", options.get("default_factory"))
             positional.append(stmt.target.id)
-            if defaulted:
-                defaults.append(stmt.target.id)
-        return cls(positional, defaults, cls=node.name)
+            if value is not None:
+                values[stmt.target.id] = value
+        return cls(positional, list(values), cls=node.name, values=values)
 
 
 def _literal_mappings(tree: ast.Module) -> Dict[str, Dict[str, ast.AST]]:
@@ -698,13 +726,14 @@ def _stored_attributes(tree: ast.Module) -> set:
 
 def _launched(call: ast.Call):
     """``(callee, positional args, keywords)`` of each call ``call``
-    makes: itself, and the function a pool's ``submit`` or a
-    ``Process``/``Thread`` ``target`` runs.  The keyword ``None`` holds a
+    makes: itself, and the function a pool's ``submit``, a
+    pytest-benchmark ``benchmark`` fixture or a ``Process``/``Thread``
+    ``target`` runs.  The keyword ``None`` holds a
     ``**`` mapping."""
     keywords = {k.arg: k.value for k in call.keywords}
     yield call.func, call.args, keywords
     name = _called_name(call)
-    if name == "submit" and call.args:
+    if name in ("submit", "benchmark") and call.args:
         yield call.args[0], call.args[1:], keywords
     if name in ("Process", "Thread") and "target" in keywords:
         args, kwargs = keywords.get("args"), keywords.get("kwargs")
@@ -735,9 +764,10 @@ def _unset_parameters(root: Path, package: Path, files: Dict[str, ast.Module]) -
     reach every def named ``f``, ``C(...)`` and ``cls(...)`` the
     ``__init__`` of a class ``C`` (the generated one of a dataclass),
     and ``super().f(...)`` the ``f`` of a named base class.  A call sets
-    a parameter it passes by keyword or by position, whatever the value,
-    unless the value is the caller's own defaulted parameter: that
-    pass-through sets it only if the caller's parameter is set.  A
+    a parameter it passes by keyword or by position, unless the value is
+    a literal equal to the parameter's literal default, of the same
+    type, or the caller's own defaulted parameter: that pass-through
+    sets it only if the caller's parameter is set.  A
     ``**`` mapping forwarded from the caller's ``**`` parameter passes
     on the keywords the caller receives, and a ``**NAME`` of a
     module-level ``dict(...)``/``{...}`` literal passes its keys; any
@@ -811,6 +841,8 @@ def _unset_parameters(root: Path, package: Path, files: Dict[str, ast.Module]) -
                     pairs = list(zip(sig.positional, args))
                     pairs += [(k, v) for k, v in keywords.items() if k is not None]
                     for param, value in pairs:
+                        if sig.passes_default(param, value):
+                            continue
                         if param not in sig.defaults:
                             if not sig.varkw or param in sig.positional:
                                 continue
@@ -873,8 +905,9 @@ def test_parameter_allowlist_is_minimal():
 
 def test_audit_catches_a_planted_unused_parameter(tmp_path):
     """A defaulted parameter only tests set is flagged, through a chain
-    of pass-throughs too; keywords, positions, pool and process launches,
-    ``**`` forwarding and ``cls(...)`` count as setting it."""
+    of pass-throughs too; keywords, positions, pool, benchmark-fixture
+    and process launches, ``**`` forwarding and ``cls(...)`` count as
+    setting it."""
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(
@@ -890,6 +923,7 @@ def test_audit_catches_a_planted_unused_parameter(tmp_path):
         "def target(kept=1, dropped=2): pass\n"
         "def launched(q, pos=1, kw=2, never=3): pass\n"
         "def spawned(q, pos=1, kw=2, never=3): pass\n"
+        "def timed(q, pos=1, kw=2, never=3): pass\n"
         "class C:\n"
         "    def __init__(self, made=1, unmade=2): pass\n"
         "    @classmethod\n"
@@ -903,14 +937,15 @@ def test_audit_catches_a_planted_unused_parameter(tmp_path):
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "run.py").write_text(
         "from pkg import mod\n"
-        "mod.leaf(0, 1, by_pos=2)\n"
-        "mod.leaf(0, by_kw=1)\n"
+        "mod.leaf(0, 10, by_pos=20)\n"
+        "mod.leaf(0, by_kw=10)\n"
         "mod.top()\n"
         "mod.middle(forwarded=None)\n"
         "mod.sweep(kept=0)\n"
         "mod.C.build().method(0)\n"
-        "pool.submit(mod.launched, 'q', 1, kw=2)\n"
-        "Process(target=mod.spawned, args=('q', 1), kwargs=dict(kw=2))\n"
+        "pool.submit(mod.launched, 'q', 10, kw=20)\n"
+        "Process(target=mod.spawned, args=('q', 10), kwargs=dict(kw=20))\n"
+        "benchmark(mod.timed, 'q', 10, kw=20)\n"
     )
     unset = _unset_parameters(tmp_path, package, _caller_files(tmp_path, ("src", "tools")))
     assert unset == [
@@ -924,6 +959,7 @@ def test_audit_catches_a_planted_unused_parameter(tmp_path):
         "mod.middle.chained",
         "mod.spawned.never",
         "mod.target.dropped",
+        "mod.timed.never",
         "mod.top.chained",
     ]
 
@@ -968,6 +1004,36 @@ def test_audit_catches_a_planted_unused_field(tmp_path):
     )
     unset = _unset_parameters(tmp_path, package, _caller_files(tmp_path, ("src", "tools")))
     assert unset == ["mod.Config.unset", "mod.Own.__init__.unmade"]
+
+
+def test_audit_ignores_arguments_equal_to_the_default(tmp_path):
+    """Passing a literal equal to the literal default, of the same type,
+    by keyword or by position, sets nothing; another value, a name or a
+    literal of another type does."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "def leaf(flag=True): pass\n"
+        "def flipped(flag=True): pass\n"
+        "def named(flag=True): pass\n"
+        "def positional(a, flag=True, size=4.0): pass\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    bits: int = 16\n"
+        "    seed: int = 0\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "from pkg import mod\n"
+        "mod.leaf(flag=True)\n"
+        "mod.flipped(flag=False)\n"
+        "mod.named(flag=x)\n"
+        "mod.positional(0, True, 4)\n"
+        "mod.Config(16, seed=1)\n"
+    )
+    unset = _unset_parameters(tmp_path, package, _caller_files(tmp_path, ("src", "tools")))
+    assert unset == ["mod.Config.bits", "mod.leaf.flag", "mod.positional.flag"]
 
 
 def test_audit_follows_pass_throughs_of_caller_helpers(tmp_path):

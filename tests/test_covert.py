@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks import covert
 from repro.attacks.covert import (
     CovertChannelResult,
     channel_capacity_sweep,
@@ -52,13 +53,14 @@ class TestCovertChannel:
         )
         assert result.bit_error_rate <= 0.35
 
-    def test_fast_bits_degrade(self, floorplan):
+    def test_fast_bits_degrade(self, floorplan, monkeypatch):
         """The low-pass limitation (Sec. 2.1): raising the symbol rate
         past the thermal cutoff raises the error rate."""
         tx = floorplan.placements["tx"]
+        monkeypatch.setattr(covert, "SWEEP_BITS", 12)
         results = channel_capacity_sweep(
             floorplan, "tx", tx.center, receiver_die=0,
-            bit_periods_s=(0.4, 0.01), bits=12, grid_n=12, seed=1,
+            bit_periods_s=(0.4, 0.01), grid_n=12, seed=1,
         )
         slow, fast = results
         assert fast.bit_error_rate >= slow.bit_error_rate

@@ -11,6 +11,7 @@ from repro.exploration.patterns import (
     power_pattern,
     tsv_pattern,
 )
+from repro.exploration import study
 from repro.exploration.study import run_exploration, summarize_findings
 from repro.layout.die import StackConfig
 from repro.layout.grid import GridSpec
@@ -118,7 +119,10 @@ class TestTSVPatterns:
 class TestStudy:
     @pytest.fixture(scope="class")
     def cells(self):
-        return run_exploration(die_side_um=2000.0, grid_n=16, total_power_w=4.0, seed=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(study, "DIE_SIDE_UM", 2000.0)
+            patch.setattr(study, "TOTAL_POWER_W", 4.0)
+            return run_exploration(grid_n=16, seed=2)
 
     def test_thirty_cells(self, cells):
         assert len(cells) == 30

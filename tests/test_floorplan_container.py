@@ -40,8 +40,6 @@ class TestStackConfig:
         s = StackConfig.square(100.0, num_dies=3)
         assert s.die_pairs() == [(0, 1), (1, 2)]
         assert s.tsv_pitch == 10.0
-        assert len(s.dies) == 3
-        assert s.dies[1].name == "die2"
 
 
 class TestLegality:

@@ -126,14 +126,13 @@ class TestCostEvaluator:
             stack, circ.nets, circ.terminals, grid_nx=16, grid_ny=16,
         )
         rng = np.random.default_rng(3)
-        state = LayoutState.initial(circ.modules, stack, rng, power_biased=True)
+        state = LayoutState.initial(circ.modules, stack, rng)
         bd_biased = ev.evaluate(state, force_full=True)
         # flip all modules to the bottom die -> worse die-assignment term
         flipped = state.copy()
-        for name in flipped.die_of:
-            flipped.die_of[name] = 0
-        flipped.pairs[0].s1 = list(flipped.modules)
-        flipped.pairs[0].s2 = list(flipped.modules)
+        flipped.die[:] = 0
+        flipped.pairs[0].s1 = list(range(len(flipped.modules)))
+        flipped.pairs[0].s2 = list(range(len(flipped.modules)))
         flipped.pairs[1].s1 = []
         flipped.pairs[1].s2 = []
         bd_flipped = ev.evaluate(flipped, force_full=True)
@@ -176,7 +175,7 @@ class TestCostEvaluator:
             wl, crossings = fp.wirelength()
             assert bd.wirelength == pytest.approx(wl, rel=1e-9), step
             assert bd.tsv_crossings == crossings, step
-            _, extents = candidate.pack()
+            _, _, extents = candidate.pack()
             over = sum(
                 max(0.0, w / outline.w - 1.0) + max(0.0, h / outline.h - 1.0)
                 for w, h in extents
@@ -251,13 +250,15 @@ class TestAnnealer:
         }
 
     def test_tsc_mode_tracks_leakage_snapshot(self, tiny_circuit, monkeypatch):
+        """A TSC-mode anneal scores leakage: the result's breakdown
+        carries a nonzero power-temperature correlation."""
         circ, stack = tiny_circuit
         monkeypatch.setattr(objectives, "THERMAL_EVERY", 2)
         cfg = AnnealConfig(iterations=300, seed=6, calibration_samples=6,
                            grid_nx=16, grid_ny=16)
         res = anneal(circ.modules, stack, circ.nets, circ.terminals,
                      mode=FloorplanMode.TSC_AWARE, config=cfg)
-        assert res.breakdown.correlation != 0.0 or res.best_leakage is not None
+        assert res.breakdown.correlation != 0.0
 
     def test_reported_cost_uses_original_weights(self, tiny_circuit):
         """Regression: the final cost must be scored under the mode's

@@ -132,7 +132,7 @@ class TestPipelineInvariants:
         # control: breaking the pattern correspondence must kill the SVF
         shuffled = [side[(i + 3) % len(side)] for i in range(len(side))]
         leak_control = svf(oracle, shuffled)
-        char = characterize(device, die=0, train_patterns=24, test_patterns=8, seed=3)
+        char = characterize(device, train_patterns=24, test_patterns=8, seed=3)
         assert leak > 0.05
         assert leak > leak_control
         assert char.r2 > 0.3

@@ -1,10 +1,14 @@
 """Tests for the sequence-pair representation, packing, and moves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.layout_state import NamedLayoutState, apply_random_named_move
+from repro.benchmarks import load
 from repro.layout.die import StackConfig
 from repro.layout.geometry import total_overlap_area
 from repro.layout.module import Module, ModuleKind
@@ -26,51 +30,54 @@ def make_modules(n, rng=None, soft=False):
     return out
 
 
+def _pack(s1, s2, sizes):
+    """Pack one die of blocks ``0..len(sizes)-1``: (x, y, width, height)."""
+    x, y = np.zeros((2, len(sizes)))
+    w, h = pack_die(DieSequencePair(s1, s2), [s[0] for s in sizes], [s[1] for s in sizes], x, y)
+    return x, y, w, h
+
+
 class TestPackDie:
     def test_empty(self):
-        pos, w, h = pack_die(DieSequencePair([], []), {})
-        assert pos == {} and w == 0 and h == 0
+        x, y, w, h = _pack([], [], [])
+        assert x.size == 0 and w == 0 and h == 0
 
     def test_single_block(self):
-        seq = DieSequencePair(["a"], ["a"])
-        pos, w, h = pack_die(seq, {"a": (10, 20)})
-        assert pos["a"] == (0.0, 0.0)
+        x, y, w, h = _pack([0], [0], [(10, 20)])
+        assert (x[0], y[0]) == (0.0, 0.0)
         assert (w, h) == (10, 20)
 
     def test_two_blocks_left_right(self):
         # a before b in both sequences -> a left of b
-        seq = DieSequencePair(["a", "b"], ["a", "b"])
-        pos, w, h = pack_die(seq, {"a": (10, 10), "b": (5, 5)})
-        assert pos["a"] == (0, 0)
-        assert pos["b"][0] == pytest.approx(10.0)
+        x, y, w, h = _pack([0, 1], [0, 1], [(10, 10), (5, 5)])
+        assert (x[0], y[0]) == (0, 0)
+        assert x[1] == pytest.approx(10.0)
         assert w == pytest.approx(15.0)
 
     def test_two_blocks_stacked(self):
         # a after b in s1, before b in s2 -> a below b
-        seq = DieSequencePair(["b", "a"], ["a", "b"])
-        pos, w, h = pack_die(seq, {"a": (10, 10), "b": (5, 5)})
-        assert pos["a"] == (0, 0)
-        assert pos["b"][1] == pytest.approx(10.0)
+        x, y, w, h = _pack([1, 0], [0, 1], [(10, 10), (5, 5)])
+        assert (x[0], y[0]) == (0, 0)
+        assert y[1] == pytest.approx(10.0)
         assert h == pytest.approx(15.0)
         assert w == pytest.approx(10.0)
 
     def test_mismatched_halves_rejected(self):
         with pytest.raises(ValueError):
-            DieSequencePair(["a"], ["b"])
+            DieSequencePair([0], [1])
 
     @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_packing_never_overlaps(self, n, seed):
         """Fundamental sequence-pair invariant: any encoding packs legally."""
         rng = np.random.default_rng(seed)
-        sizes = {f"b{i}": (float(rng.uniform(1, 20)), float(rng.uniform(1, 20))) for i in range(n)}
-        names = list(sizes)
-        s1 = [names[i] for i in rng.permutation(n)]
-        s2 = [names[i] for i in rng.permutation(n)]
-        pos, w, h = pack_die(DieSequencePair(s1, s2), sizes)
+        sizes = [(float(rng.uniform(1, 20)), float(rng.uniform(1, 20))) for _ in range(n)]
+        s1 = rng.permutation(n).tolist()
+        s2 = rng.permutation(n).tolist()
+        x, y, w, h = _pack(s1, s2, sizes)
         from repro.layout.geometry import Rect
 
-        rects = [Rect(pos[m][0], pos[m][1], sizes[m][0], sizes[m][1]) for m in names]
+        rects = [Rect(x[k], y[k], sizes[k][0], sizes[k][1]) for k in range(n)]
         assert total_overlap_area(rects) == pytest.approx(0.0, abs=1e-9)
         # packing extents are tight bounds
         assert max(r.x2 for r in rects) == pytest.approx(w)
@@ -80,12 +87,11 @@ class TestPackDie:
     @settings(max_examples=20, deadline=None)
     def test_area_lower_bound(self, n):
         rng = np.random.default_rng(n)
-        sizes = {f"b{i}": (float(rng.uniform(1, 10)), float(rng.uniform(1, 10))) for i in range(n)}
-        names = list(sizes)
-        s1 = [names[i] for i in rng.permutation(n)]
-        s2 = [names[i] for i in rng.permutation(n)]
-        _, w, h = pack_die(DieSequencePair(s1, s2), sizes)
-        total_area = sum(a * b for a, b in sizes.values())
+        sizes = [(float(rng.uniform(1, 10)), float(rng.uniform(1, 10))) for _ in range(n)]
+        s1 = rng.permutation(n).tolist()
+        s2 = rng.permutation(n).tolist()
+        _, _, w, h = _pack(s1, s2, sizes)
+        total_area = sum(a * b for a, b in sizes)
         assert w * h >= total_area - 1e-9
 
 
@@ -94,15 +100,15 @@ class TestLayoutState:
         mods = make_modules(20)
         stack = StackConfig.square(200.0)
         state = LayoutState.initial(mods, stack, np.random.default_rng(0))
-        assert set(state.die_of) == set(mods)
-        assert sum(len(p) for p in state.pairs) == 20
+        assert state.die.shape == (20,)
+        assert sorted(k for p in state.pairs for k in p.s1) == list(range(20))
 
     def test_power_bias_puts_hot_modules_on_top(self):
         mods = make_modules(30)
         stack = StackConfig.square(500.0)
-        state = LayoutState.initial(mods, stack, np.random.default_rng(0), power_biased=True)
+        state = LayoutState.initial(mods, stack, np.random.default_rng(0))
         top = stack.num_dies - 1
-        top_power = sum(mods[n].power for n, d in state.die_of.items() if d == top)
+        top_power = sum(m.power for m, d in zip(mods.values(), state.die) if d == top)
         total = sum(m.power for m in mods.values())
         assert top_power > total / 2
 
@@ -119,27 +125,26 @@ class TestLayoutState:
         mods = make_modules(4, soft=True)
         stack = StackConfig.square(100.0)
         state = LayoutState.initial(mods, stack, np.random.default_rng(0))
-        name = next(iter(mods))
-        state.aspect[name] = 2.0
-        w, h = state.effective_size(name)
+        state.reshape(0, 2.0)
+        w, h = state.w[0], state.h[0]
         assert w / h == pytest.approx(2.0, rel=1e-9)
-        assert w * h == pytest.approx(mods[name].area, rel=1e-9)
+        assert w * h == pytest.approx(mods["m0"].area, rel=1e-9)
 
     def test_effective_size_rotation(self):
         mods = {"a": Module("a", 10, 20)}
         stack = StackConfig.square(100.0, num_dies=1)
         state = LayoutState.initial(mods, stack, np.random.default_rng(0))
-        state.rotated["a"] = True
-        assert state.effective_size("a") == (20, 10)
+        state.rotate(0)
+        assert (state.w[0], state.h[0]) == (20, 10)
 
     def test_copy_is_independent(self):
         mods = make_modules(6)
         stack = StackConfig.square(100.0)
         state = LayoutState.initial(mods, stack, np.random.default_rng(0))
         clone = state.copy()
-        clone.die_of[next(iter(mods))] = 1 - clone.die_of[next(iter(mods))]
+        clone.die[0] = 1 - clone.die[0]
         clone.pairs[0].s1.reverse()
-        assert state.die_of != clone.die_of or state.pairs[0].s1 != clone.pairs[0].s1
+        assert state.die[0] != clone.die[0] or state.pairs[0].s1 != clone.pairs[0].s1
 
 
 class TestMoves:
@@ -157,14 +162,12 @@ class TestMoves:
                 "swap_s1", "swap_both", "rotate", "reshape",
                 "to_other_die", "swap_across", "shift",
             }
-            all_names = sorted(
-                name for pair in state.pairs for name in pair.s1
-            )
-            assert all_names == sorted(state.modules)
+            all_blocks = sorted(k for pair in state.pairs for k in pair.s1)
+            assert all_blocks == list(range(len(state.modules)))
             for die, pair in enumerate(state.pairs):
                 assert sorted(pair.s1) == sorted(pair.s2)
-                for name in pair.s1:
-                    assert state.die_of[name] == die
+                for k in pair.s1:
+                    assert state.die[k] == die
 
     def test_moves_keep_packing_legal(self):
         state = self._state()
@@ -173,14 +176,12 @@ class TestMoves:
 
         for _ in range(60):
             apply_random_move(state, rng)
-            positions, _ = state.pack()
+            x, y, _ = state.pack()
             for die in range(state.stack.num_dies):
                 rects = []
                 for pair in [state.pairs[die]]:
-                    for name in pair.s1:
-                        x, y = positions[name]
-                        w, h = state.effective_size(name)
-                        rects.append(Rect(x, y, w, h))
+                    for k in pair.s1:
+                        rects.append(Rect(x[k], y[k], state.w[k], state.h[k]))
                 assert total_overlap_area(rects) == pytest.approx(0.0, abs=1e-8)
 
     def test_single_module_stack_moves_dont_crash(self):
@@ -190,4 +191,32 @@ class TestMoves:
         rng = np.random.default_rng(0)
         for _ in range(20):
             apply_random_move(state, rng)
-        assert sorted(n for p in state.pairs for n in p.s1) == ["only"]
+        assert sorted(k for p in state.pairs for k in p.s1) == [0]
+
+
+@pytest.mark.parametrize("name, num_dies", [("n100", 2), ("ibm03", 2), ("n100", 3)])
+def test_random_walk_matches_name_keyed_state(name, num_dies):
+    """The index state and the name-keyed oracle, walked from one seed,
+    agree bit for bit after every move: sequence pairs, dies, rotation
+    flags, effective sizes, packed corners and per-die extents."""
+    circ, stack = load(name)
+    stack = replace(stack, num_dies=num_dies)
+    names = list(circ.modules)
+    named_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    named = NamedLayoutState.initial(circ.modules, stack, named_rng)
+    state = LayoutState.initial(circ.modules, stack, rng)
+    for step in range(2000):
+        assert apply_random_named_move(named, named_rng) == apply_random_move(state, rng), step
+        for pair, named_pair in zip(state.pairs, named.pairs):
+            assert [names[k] for k in pair.s1] == named_pair.s1, step
+            assert [names[k] for k in pair.s2] == named_pair.s2, step
+        assert state.die.tolist() == [named.die_of[n] for n in names], step
+        assert state.rotated.tolist() == [named.rotated[n] for n in names], step
+        sizes = [named.effective_size(n) for n in names]
+        assert state.w.tolist() == [w for w, _ in sizes], step
+        assert state.h.tolist() == [h for _, h in sizes], step
+        x, y, extents = state.pack()
+        positions, named_extents = named.pack()
+        assert x.tolist() == [positions[n][0] for n in names], step
+        assert y.tolist() == [positions[n][1] for n in names], step
+        assert extents == named_extents, step

@@ -238,7 +238,7 @@ class TestTransient:
         solver = TransientSolver(stack)
         pm = np.full(grid.shape, 2.0 / 64)
         trace = solver.run(lambda t: [pm, pm], duration=0.5, dt=0.005)
-        tau = thermal_time_constant(trace, die=0)
+        tau = thermal_time_constant(trace)
         assert 1e-4 < tau < 0.5
 
     def test_invalid_duration(self):
@@ -268,5 +268,5 @@ class TestTransient:
         means = np.array([0.0, 0.3, 0.7, 1.3, 0.9, 1.1, 1.0])
         # one die of one cell: its mean is the cell itself
         trace = TransientTrace(times=times, die_temps=means[:, None, None])
-        tau = thermal_time_constant(trace, die=0)
+        tau = thermal_time_constant(trace)
         assert tau == pytest.approx(times[2])  # first sample >= 0.632

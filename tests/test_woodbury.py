@@ -280,8 +280,8 @@ class TestSolverCacheIntegration:
         base = cache.solver_for_floorplan(fp, grid)
         candidate = fp.copy()
         candidate.tsvs.extend(
-            place_island(grid.cell_rect(5, 5), die_from=0, die_to=1,
-                         kind=TSVKind.THERMAL, diameter=20.0, keepout=5.0)
+            place_island(grid.cell_rect(5, 5), kind=TSVKind.THERMAL,
+                         diameter=20.0, keepout=5.0)
         )
         woodbury = cache.incremental_solver_for_floorplan(
             candidate, grid, base=base
