@@ -20,8 +20,9 @@ from repro.layout.net import CompiledNetlist
 from repro.leakage.entropy import spatial_entropy
 from repro.leakage.pearson import die_correlation, local_correlation_map
 from repro.leakage.stability import stability_map
-from repro.power.assignment import AssignmentObjective, assign_voltages
 from repro.mitigation.activity import sample_power_maps
+from repro.power.assignment import AssignmentObjective, assign_voltages
+from repro.power.volumes import sorted_rank
 from repro.thermal.stack import build_stack
 from repro.thermal.steady_state import SteadyStateSolver
 from repro.thermal.transient import TransientSolver
@@ -100,8 +101,14 @@ def test_detailed_solve_32(benchmark, n100_state):
 def test_voltage_assignment_n100(benchmark, n100_state):
     circ, stack, state = n100_state
     fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-    inflation = {n: 1.6 for n in fp.placements}
-    benchmark(assign_voltages, fp, inflation, AssignmentObjective.TSC_AWARE)
+    names = list(fp.placements)
+    x, y, w, h, die, power, _ = fp.module_arrays(names)
+    rank = sorted_rank(names)
+    slack = np.full(len(names), 1.6)
+    benchmark(
+        assign_voltages, x[rank], y[rank], w[rank], h[rank], die[rank], rank,
+        power[rank], slack, AssignmentObjective.TSC_AWARE,
+    )
 
 
 # -- annealing-iteration throughput ---------------------------------------------

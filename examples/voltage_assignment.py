@@ -8,22 +8,17 @@ assignment flattens power densities (at the cost of more volumes and a
 little extra power) — the paper's Table 2 contrast.
 """
 
-import numpy as np
-
 from repro import FloorplanMode, load_benchmark
 from repro.core.config import env_int
 from repro.floorplan import AnnealConfig, anneal
 from repro.power import AssignmentObjective, assign_voltages
-from repro.power.voltages import power_scale_for
+from repro.power.voltages import scaled_power, total_power
+from repro.power.volumes import sorted_rank
 from repro.timing import TimingGraph
 
 
-def density_spread(floorplan, voltages):
-    dens = []
-    for name, p in floorplan.placements.items():
-        area = p.width * p.height
-        dens.append(p.module.power * power_scale_for(voltages[name]) / area)
-    dens = np.asarray(dens)
+def density_spread(power, area, volts):
+    dens = scaled_power(power, volts) / area
     return float(dens.std() / dens.mean())
 
 
@@ -37,24 +32,28 @@ def main() -> None:
     floorplan = result.floorplan
     print(f"floorplanned n100: feasible={result.feasible}")
 
+    # per-module arrays in placement order, gathered into the sorted-name
+    # order voltage assignment works in
+    names = list(floorplan.placements)
+    x, y, w, h, die, power, delay = floorplan.module_arrays(names)
     timing = TimingGraph(floorplan.compiled_netlist())
-    inflation = timing.max_delay_inflation(floorplan)
-    slack_rich = sum(1 for v in inflation.values() if v >= 1.56)
-    print(f"timing: {slack_rich}/{len(inflation)} modules have enough slack "
+    slack = timing.max_delay_inflation(x + w / 2.0, y + h / 2.0, die, delay)
+    slack_rich = int((slack >= 1.56).sum())
+    print(f"timing: {slack_rich}/{len(slack)} modules have enough slack "
           f"for the 0.8 V option (needs 1.56x delay headroom)\n")
 
+    rank = sorted_rank(names)
+    x, y, w, h, die, power, slack = (a[rank] for a in (x, y, w, h, die, power, slack))
     for objective in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
-        res = assign_voltages(floorplan, inflation, objective=objective)
-        counts = {v: 0 for v in (0.8, 1.0, 1.2)}
-        for v in res.voltages.values():
-            counts[v] = counts.get(v, 0) + 1
+        res = assign_voltages(x, y, w, h, die, rank, power, slack, objective=objective)
+        counts = {v: int((res.voltages == v).sum()) for v in (0.8, 1.0, 1.2)}
         print(f"[{objective}]")
         print(f"  voltage volumes: {res.num_volumes}")
-        print(f"  modules at 0.8/1.0/1.2 V: {counts.get(0.8, 0)}/"
-              f"{counts.get(1.0, 0)}/{counts.get(1.2, 0)}")
-        print(f"  total power: {res.power_w(floorplan):.2f} W "
+        print(f"  modules at 0.8/1.0/1.2 V: {counts[0.8]}/{counts[1.0]}/{counts[1.2]}")
+        print(f"  total power: {total_power(power, res.voltages):.2f} W "
               f"(nominal {floorplan.total_power():.2f} W)")
-        print(f"  power-density spread (cv): {density_spread(floorplan, res.voltages):.3f}\n")
+        print(f"  power-density spread (cv): "
+              f"{density_spread(power, w * h, res.voltages):.3f}\n")
 
     print("expected shape (paper Table 2): the TSC-aware assignment uses "
           "notably more volumes (+87% avg) and slightly more power (+5.4% "

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..benchmarks.generator import BenchmarkCircuit
 from ..floorplan.annealer import AnnealResult, anneal
-from ..floorplan.objectives import FloorplanMode
 from ..floorplan.tempering import temper
 from ..layout.die import StackConfig
 from ..layout.floorplan import Floorplan3D
@@ -36,7 +35,8 @@ from ..leakage.pearson import die_correlation
 from ..mitigation.dummy_tsv import MitigationReport, insert_dummy_tsvs
 from ..mitigation.dvfs import WINDOWS as DVFS_WINDOWS
 from ..mitigation.dvfs import DVFSReport, evaluate_dvfs
-from ..power.assignment import AssignmentObjective, assign_voltages
+from ..power.assignment import assign_voltages
+from ..power.volumes import sorted_rank
 from ..thermal.stack import TopologyConfig
 from ..thermal.steady_state import SolverCache, default_solver_cache
 from ..timing.paths import TimingGraph
@@ -164,19 +164,20 @@ def _run_flow(
         accepted=int(result.accepted),
     )
 
-    # final full-size voltage assignment on the chosen layout
+    # final full-size voltage assignment on the chosen layout's arrays in
+    # placement order, which ``result.netlist`` is compiled in
     timing = TimingGraph(result.netlist)
-    inflation = timing.max_delay_inflation(floorplan)
-    objective = (
-        AssignmentObjective.TSC_AWARE
-        if config.mode == FloorplanMode.TSC_AWARE
-        else AssignmentObjective.POWER_AWARE
-    )
+    names = timing.module_names
+    x, y, w, h, die, power, delay = floorplan.module_arrays(names)
+    slack = timing.max_delay_inflation(x + w / 2.0, y + h / 2.0, die, delay)
+    rank = sorted_rank(names)
     assignment = assign_voltages(
-        floorplan, inflation, objective=objective,
-        max_volume_size=FINAL_VOLUME_SIZE,
+        x[rank], y[rank], w[rank], h[rank], die[rank], rank, power[rank], slack[rank],
+        objective=config.mode, max_volume_size=FINAL_VOLUME_SIZE,
     )
-    floorplan = floorplan.with_voltages(assignment.voltages)
+    floorplan = floorplan.with_voltages(
+        dict(zip((names[k] for k in rank), assignment.voltages.tolist()))
+    )
     timing_report = timing.evaluate(floorplan)
     emit(
         stage="assignment", status="done",

@@ -24,7 +24,8 @@ arrays beside the state's own die and size arrays.  The slow terms add
 per-module constants compiled once per evaluator: each thermal refresh
 rasterizes every die's power map afresh and solves the TSV-free stack
 exactly (:class:`~repro.thermal.fast.FastThermalModel`), timing runs on
-the same centres, and only a voltage-assignment refresh realizes a
+the same centres, and a voltage-assignment refresh gathers the same
+arrays into sorted-name order; no refresh realizes a
 :class:`~repro.layout.floorplan.Floorplan3D`.
 """
 
@@ -43,6 +44,7 @@ from ..leakage.entropy import spatial_entropy
 from ..leakage.pearson import die_correlation
 from ..power.assignment import AssignmentObjective, VoltageAssignment, assign_voltages
 from ..power.voltages import scaled_delay, scaled_power, total_power
+from ..power.volumes import sorted_rank
 from ..thermal.fast import FastThermalModel
 from ..timing.paths import TimingGraph
 from .seqpair import LayoutState, keeps_nominal_size
@@ -96,8 +98,9 @@ def calibrated_thermal_model(stack: StackConfig, grid: GridSpec) -> FastThermalM
 class FloorplanMode:
     """The two experimental setups of Sec. 7."""
 
-    POWER_AWARE = "power_aware"
-    TSC_AWARE = "tsc_aware"
+    #: each setup assigns voltages by the objective of the same tag
+    POWER_AWARE = AssignmentObjective.POWER_AWARE
+    TSC_AWARE = AssignmentObjective.TSC_AWARE
     #: both setups, in Table 2 order
     ALL = (POWER_AWARE, TSC_AWARE)
 
@@ -200,6 +203,9 @@ class _ModuleArrays:
     soft: np.ndarray
     width: np.ndarray
     height: np.ndarray
+    #: module indices in sorted-name order, the index space of voltage
+    #: assignment (:mod:`repro.power.volumes`)
+    rank: np.ndarray
 
     def realized_sizes(self, w: np.ndarray, h: np.ndarray):
         """The footprint ``realize_with_positions`` gives packed sizes
@@ -264,7 +270,8 @@ class CostEvaluator:
 
     def _module_arrays(self, state: LayoutState) -> _ModuleArrays:
         if self._modules is None:
-            mods = [state.modules[n] for n in self.compiled_netlist(state).module_names]
+            names = self.compiled_netlist(state).module_names
+            mods = [state.modules[n] for n in names]
 
             def array(values, dtype=float):
                 out = np.array(values, dtype=dtype)
@@ -277,6 +284,7 @@ class CostEvaluator:
                 soft=array([m.is_soft for m in mods], dtype=bool),
                 width=array([m.width for m in mods]),
                 height=array([m.height for m in mods]),
+                rank=array(sorted_rank(names), dtype=np.int64),
             )
         return self._modules
 
@@ -325,36 +333,33 @@ class CostEvaluator:
                            refresh_thermal: bool) -> None:
         cache = self._cache
         mods = self._module_arrays(state)
+        # the realized floorplan's geometry, to the ulp
+        w, h = mods.realized_sizes(state.w, state.h)
+        cx, cy = snap.x + w / 2.0, snap.y + h / 2.0
         if refresh_assignment:
-            # voltage assignment reads a realized floorplan (without TSV
-            # objects); every other slow term reads the packed corners and
-            # the state's arrays
-            fp = state.realize_with_positions(
-                snap.x, snap.y, self.nets, self.terminals, place_tsvs=False
-            )
-            timing = self._timing_graph(state)
-            inflation = timing.max_delay_inflation(fp)
-            objective = (
-                AssignmentObjective.TSC_AWARE
-                if self.mode == FloorplanMode.TSC_AWARE
-                else AssignmentObjective.POWER_AWARE
+            # ``rank`` gathers the arrays into sorted-name order; it is also
+            # each module's position in the state's (placement) order
+            rank = mods.rank
+            slack = self._timing_graph(state).max_delay_inflation(
+                cx, cy, state.die, mods.delay
             )
             cache.assignment = assign_voltages(
-                fp, inflation, objective=objective,
+                snap.x[rank], snap.y[rank], w[rank], h[rank], state.die[rank], rank,
+                mods.power[rank], slack[rank], objective=self.mode,
                 max_volume_size=INLOOP_VOLUME_SIZE,
             )
             cache.watts = None
         if cache.watts is None:
-            voltages = cache.assignment.voltages if cache.assignment else {}
-            volts = [voltages.get(n, 1.0) for n in self.compiled_netlist(state).module_names]
+            volts = np.ones(len(mods.power))
+            if cache.assignment is not None:
+                volts[mods.rank] = cache.assignment.voltages
+            volts = volts.tolist()
             cache.watts = scaled_power(mods.power, volts)
             cache.delays = scaled_delay(mods.delay, volts)
             cache.power = total_power(mods.power, volts)
-        # the realized floorplan's geometry, to the ulp
-        w, h = mods.realized_sizes(state.w, state.h)
         if refresh_timing:
             timing = self._timing_graph(state)
-            net_delays = timing.net_delays(snap.x + w / 2.0, snap.y + h / 2.0, state.die)
+            net_delays = timing.net_delays(cx, cy, state.die)
             cache.delay = float(timing.through_times(net_delays, cache.delays).max())
         if refresh_thermal:
             maps = []

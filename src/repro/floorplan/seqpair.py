@@ -77,7 +77,10 @@ class DieSequencePair:
         return len(self.s1)
 
     def copy(self) -> "DieSequencePair":
-        return DieSequencePair(list(self.s1), list(self.s2))
+        # a copy of a valid pair is valid: skip __post_init__'s sorts
+        twin = object.__new__(DieSequencePair)
+        twin.s1, twin.s2 = list(self.s1), list(self.s2)
+        return twin
 
     def remove(self, k: int) -> None:
         self.s1.remove(k)

@@ -94,10 +94,21 @@ class Floorplan3D:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Centres ``(cx, cy)`` and dies of the modules ``names``, in that
         order — the per-module arrays a compiled netlist reads."""
-        placements = [self.placements[n] for n in names]
-        centers = np.array([p.center for p in placements], dtype=float).reshape(-1, 2)
-        dies = np.array([p.die for p in placements], dtype=np.int64)
-        return centers[:, 0], centers[:, 1], dies
+        x, y, w, h, dies, _, _ = self.module_arrays(names)
+        return x + w / 2.0, y + h / 2.0, dies
+
+    def module_arrays(self, names: Sequence[str]) -> Tuple[np.ndarray, ...]:
+        """Per-module arrays of the modules ``names``, in that order:
+        corners ``x``/``y``, sizes ``w``/``h``, dies, nominal power and
+        intrinsic delay."""
+        placed = [self.placements[n] for n in names]
+        x, y, w, h, power, delay = np.array(
+            [(p.x, p.y, p.width, p.height, p.module.power, p.module.intrinsic_delay)
+             for p in placed],
+            dtype=float,
+        ).reshape(-1, 6).T
+        dies = np.array([p.die for p in placed], dtype=np.int64)
+        return x, y, w, h, dies, power, delay
 
     def compiled_netlist(self) -> CompiledNetlist:
         """This floorplan's nets compiled over its module names."""

@@ -53,40 +53,34 @@ def nested_means_classes(values: np.ndarray) -> np.ndarray:
     class's standard deviation falls below :data:`NESTED_MEANS_RTOL`
     times the global standard deviation, when it cannot be split further,
     or at :data:`NESTED_MEANS_MAX_DEPTH` recursion levels.
+
+    A split at mean m sends values below m left and the rest right, so
+    every class is an interval of values and a value's label is the
+    number of split means at or below it.
     """
     flat = np.asarray(values, dtype=float).ravel()
-    labels = np.zeros(flat.size, dtype=int)
-    global_std = float(flat.std())
-    if global_std == 0.0 or flat.size < 2:
-        return labels.reshape(np.asarray(values).shape)
-    threshold = NESTED_MEANS_RTOL * global_std
+    if flat.size < 2:
+        return np.zeros(np.asarray(values).shape, dtype=int)
+    threshold = NESTED_MEANS_RTOL * float(flat.std())
     max_depth = NESTED_MEANS_MAX_DEPTH
 
     # iterative splitting (explicit stack avoids recursion limits)
-    next_label = 1
-    stack: List[Tuple[np.ndarray, int]] = [(np.arange(flat.size), 0)]
+    splits: List[float] = []
+    stack: List[Tuple[np.ndarray, int]] = [(flat, 0)]
     while stack:
-        idx, depth = stack.pop()
-        vals = flat[idx]
-        if idx.size < 2 or depth >= max_depth or vals.std() <= threshold:
+        vals, depth = stack.pop()
+        if vals.size < 2 or depth >= max_depth or vals.std() <= threshold:
             continue
         mean = vals.mean()
-        left = idx[vals < mean]
-        right = idx[vals >= mean]
+        left = vals[vals < mean]
+        right = vals[vals >= mean]
         if left.size == 0 or right.size == 0:
             continue
-        labels[right] = next_label
-        next_label += 1
+        splits.append(mean)
         stack.append((left, depth + 1))
         stack.append((right, depth + 1))
-
-    # densify labels in ascending order of class mean
-    unique = np.unique(labels)
-    means = np.array([flat[labels == u].mean() for u in unique])
-    order = np.argsort(means)
-    rank = np.empty(int(unique[-1]) + 1, dtype=int)
-    rank[unique[order]] = np.arange(order.size)
-    return rank[labels].reshape(np.asarray(values).shape)
+    labels = np.searchsorted(np.sort(splits), flat, side="right")
+    return labels.reshape(np.asarray(values).shape)
 
 
 def _manhattan_sums(hist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

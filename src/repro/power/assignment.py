@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..layout.floorplan import Floorplan3D
 from .voltages import VoltageLevel
 from .volumes import VoltageVolume, grow_volumes, mask_levels
 
@@ -42,9 +41,11 @@ class AssignmentObjective:
 
 @dataclass
 class VoltageAssignment:
-    """Result of the assignment stage."""
+    """Result of the assignment stage, in the module index space of
+    :mod:`repro.power.volumes`."""
 
-    voltages: Dict[str, float]
+    #: supply volts per module
+    voltages: np.ndarray
     volumes: List[VoltageVolume]
     #: chosen level per selected volume (parallel to ``volumes``)
     chosen: List[VoltageLevel]
@@ -53,23 +54,19 @@ class VoltageAssignment:
     def num_volumes(self) -> int:
         return len(self.volumes)
 
-    def power_w(self, floorplan: Floorplan3D) -> float:
-        """Total power under this assignment."""
-        from .voltages import power_scale_for
-
-        return sum(
-            p.module.power * power_scale_for(self.voltages.get(name, 1.0))
-            for name, p in floorplan.placements.items()
-        )
-
 
 def assign_voltages(
-    floorplan: Floorplan3D,
-    max_inflation: Mapping[str, float],
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray,
+    die: np.ndarray, pos: np.ndarray, power: np.ndarray, slack: np.ndarray,
     objective: str = AssignmentObjective.POWER_AWARE,
     max_volume_size: int = 40,
 ) -> VoltageAssignment:
     """Grow candidate volumes and select a disjoint cover of all modules.
+
+    The arrays are per module, in the index space of
+    :mod:`repro.power.volumes`: geometry and ``pos`` as for
+    :func:`~repro.power.volumes.grow_volumes`, nominal ``power`` in W
+    and ``slack``, the maximum tolerable delay-scaling factor.
 
     Returns the per-module voltages, the selected volumes, and the chosen
     level per volume.  Every module is always covered: each module's
@@ -84,16 +81,11 @@ def assign_voltages(
     if objective not in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
         raise ValueError(f"unknown objective {objective!r}")
     tsc = objective == AssignmentObjective.TSC_AWARE
-    names = sorted(floorplan.placements)
-    placed = [floorplan.placements[name] for name in names]
-    power = np.array([p.module.power for p in placed], dtype=float)
-    density = np.array(
-        [p.module.power / a if (a := p.width * p.height) > 0 else 0.0 for p in placed],
-        dtype=float,
-    )
+    area = w * h
+    density = np.divide(power, area, out=np.zeros(len(power)), where=area > 0)
     target_density = float(np.median(density)) if density.size else 0.0
-    candidates = grow_volumes(floorplan, max_inflation, max_volume_size)
-    remaining = np.ones(len(names), dtype=bool)
+    candidates = grow_volumes(x, y, w, h, die, pos, slack, max_volume_size)
+    remaining = np.ones(len(power), dtype=bool)
 
     def score_of(live: np.ndarray, feas: int) -> float:
         """Higher is better; scores only shrink as ``remaining`` does."""
@@ -116,8 +108,8 @@ def assign_voltages(
     scored_live = [len(members) for members, _ in candidates]
     selected: List[VoltageVolume] = []
     chosen: List[VoltageLevel] = []
-    voltages: Dict[str, float] = {}
-    uncovered = len(names)
+    voltages = np.ones(len(power))
+    uncovered = len(power)
     while uncovered:
         while True:
             neg_score, k = heapq.heappop(heap)
@@ -141,9 +133,9 @@ def assign_voltages(
             level = feasible[0]
         remaining[live] = False
         uncovered -= live.size
-        selected.append(VoltageVolume(frozenset(names[i] for i in live), feasible))
+        selected.append(VoltageVolume(frozenset(live.tolist()), feasible))
         chosen.append(level)
-        voltages.update((names[i], level.volts) for i in live)
+        voltages[live] = level.volts
 
     return VoltageAssignment(voltages=voltages, volumes=selected, chosen=chosen)
 

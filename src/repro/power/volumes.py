@@ -11,32 +11,38 @@ Adjacency is geometric: modules touching laterally on the same die, or
 overlapping in footprint on vertically adjacent dies (a volume may span
 dies — that is what makes it a *volume* rather than an island).  The
 feasible voltage set of a volume is the intersection of its members'
-feasible sets; growth stops when the intersection would become empty.
+feasible sets.  That intersection is never empty —
+:func:`~repro.power.voltages.feasible_voltages` always keeps the 1.0 V
+and 1.2 V levels — so growth is a plain breadth-first search.
 
-Everything here runs in one index space: module ``k`` is the ``k``-th
-name in sorted order, and a feasible set is a bitmask over
-:data:`~repro.power.voltages.DEFAULT_LEVELS` (bit ``k`` is level ``k``).
+Everything here runs in one index space: per-module arrays hold module
+``k``, the ``k``-th name in sorted order, at ``k``, and a feasible set
+is a bitmask over :data:`~repro.power.voltages.DEFAULT_LEVELS` (bit
+``k`` is level ``k``).  Geometry is lower-left corners ``x``/``y``,
+sizes ``w``/``h``, dies and ``pos``, each module's position in placement
+order (it breaks ties in x and orders the growth roots).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Mapping, Tuple
+from itertools import accumulate
+from operator import and_
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from ..layout.floorplan import Floorplan3D
 from .voltages import DEFAULT_LEVELS, VoltageLevel, feasible_voltages
 
-__all__ = ["VoltageVolume", "module_adjacency", "grow_volumes"]
+__all__ = ["VoltageVolume", "sorted_rank", "module_adjacency", "grow_volumes"]
 
 
 @dataclass(frozen=True)
 class VoltageVolume:
-    """A selected voltage domain: member modules + common feasible set."""
+    """A selected voltage domain: member module indices + common
+    feasible set."""
 
-    members: FrozenSet[str]
+    members: FrozenSet[int]
     feasible: Tuple[VoltageLevel, ...]
 
     def __post_init__(self) -> None:
@@ -61,29 +67,30 @@ def mask_levels(mask: int) -> Tuple[VoltageLevel, ...]:
     return tuple(lv for k, lv in enumerate(DEFAULT_LEVELS) if mask >> k & 1)
 
 
-def module_adjacency(floorplan: Floorplan3D) -> np.ndarray:
+def sorted_rank(names: Sequence[str]) -> np.ndarray:
+    """The positions of ``names`` in sorted-name order: ``a[rank]``
+    gathers a per-module array in ``names`` order into this module's
+    index space, and ``rank`` is then each module's ``pos`` when
+    ``names`` is the placement order."""
+    return np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int64)
+
+
+def module_adjacency(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray,
+    die: np.ndarray, pos: np.ndarray,
+) -> np.ndarray:
     """Geometric adjacency of placed modules, as an ``(n, n)`` boolean
-    matrix over the module names in sorted order.
+    matrix over module indices.
 
     Two modules are adjacent when (a) they share a die and their rects
     touch within :data:`_TOUCH_MARGIN` um, or (b) they sit on vertically
     neighbouring dies and their footprints' open interiors overlap.
 
     (a) is the predicate of an x-sweep: of a same-die pair ordered by
-    ``(x, placement order)``, the later module, grown by the margin on
-    every side, must touch the earlier one as closed rects, and the
-    earlier one's right edge plus the margin must lie past the later
-    one's left edge.
+    ``(x, pos)``, the later module, grown by the margin on every side,
+    must touch the earlier one as closed rects, and the earlier one's
+    right edge plus the margin must lie past the later one's left edge.
     """
-    names = sorted(floorplan.placements)
-    order = {name: k for k, name in enumerate(floorplan.placements)}
-    placed = [floorplan.placements[name] for name in names]
-    x = np.array([p.x for p in placed], dtype=float)
-    y = np.array([p.y for p in placed], dtype=float)
-    w = np.array([p.width for p in placed], dtype=float)
-    h = np.array([p.height for p in placed], dtype=float)
-    die = np.array([p.die for p in placed], dtype=np.int64)
-    pos = np.array([order[name] for name in names], dtype=np.int64)
     x2, y2 = x + w, y + h
     m = _TOUCH_MARGIN
     # rows: the later module p (grown by m); columns: the earlier module q
@@ -110,19 +117,18 @@ def module_adjacency(floorplan: Floorplan3D) -> np.ndarray:
 
 
 def grow_volumes(
-    floorplan: Floorplan3D,
-    max_inflation: Mapping[str, float],
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray,
+    die: np.ndarray, pos: np.ndarray, slack: np.ndarray,
     max_volume_size: int = 40,
 ) -> List[Tuple[np.ndarray, int]]:
     """Grow candidate voltage volumes from every module (BFS trees).
 
-    ``max_inflation[m]`` is module m's maximum tolerable delay-scaling
-    factor from the timing analysis.  BFS prefixes with a non-empty
-    feasible intersection become candidate volumes (the tree-node
-    semantics of Sec. 6.1: "each node comprises a volume").  Roots are
-    taken in placement order and neighbours in index order.  Growth from
-    one root stops when adding the next neighbour would empty the feasible
-    set, or at ``max_volume_size`` members.
+    ``slack[k]`` is module k's maximum tolerable delay-scaling factor
+    from the timing analysis.  Each root's breadth-first prefixes become
+    candidate volumes (the tree-node semantics of Sec. 6.1: "each node
+    comprises a volume").  Roots are taken in placement order and
+    neighbours in index order; growth from one root stops when its
+    connected component is exhausted or at ``max_volume_size`` members.
 
     Only prefixes at power-of-two sizes plus the maximal prefix are
     recorded, which keeps the candidate pool linear in the module count
@@ -131,42 +137,25 @@ def grow_volumes(
     Returns ``(members, feasible)`` per candidate, deduplicated by member
     set: the sorted member indices and the feasible-level bitmask.
     """
-    names = sorted(floorplan.placements)
-    index = {name: k for k, name in enumerate(names)}
-    neighbours = [np.flatnonzero(row).tolist() for row in module_adjacency(floorplan)]
-    masks = [level_mask(max_inflation.get(name, 1.0)) for name in names]
-
+    neighbours = [np.flatnonzero(row).tolist() for row in module_adjacency(x, y, w, h, die, pos)]
+    masks = [level_mask(s) for s in slack.tolist()]
     seen = set()
     volumes: List[Tuple[np.ndarray, int]] = []
-
-    def record(members: List[int], key: int, feas: int) -> None:
-        if key not in seen:
-            seen.add(key)
-            volumes.append((np.array(sorted(members), dtype=np.int64), feas))
-
-    for root in (index[name] for name in floorplan.placements):
-        feas = masks[root]
+    for root in np.argsort(pos).tolist():
+        # a growing list is its own BFS queue: members in visiting order
         members = [root]
-        key = 1 << root
-        frontier = deque(neighbours[root])
-        queued = {root, *frontier}
-        record(members, key, feas)
-        while len(members) < max_volume_size:
-            # feasible sets only shrink, so a neighbour that no longer fits
-            # never will: drop non-fitting heads and expand the first one
-            # that still fits (the order of the others is untouched)
-            while frontier and not feas & masks[frontier[0]]:
-                frontier.popleft()
-            if not frontier:
-                break
-            nxt = frontier.popleft()
-            feas &= masks[nxt]
-            members.append(nxt)
-            key |= 1 << nxt
-            fresh = [k for k in neighbours[nxt] if k not in queued]
+        queued = {root}
+        for k in members:
+            fresh = [q for q in neighbours[k] if q not in queued]
             queued.update(fresh)
-            frontier.extend(fresh)
-            if len(members) & (len(members) - 1) == 0:
-                record(members, key, feas)
-        record(members, key, feas)  # the maximal prefix is always a candidate
+            members.extend(fresh[: max_volume_size - len(members)])
+            if len(members) == max_volume_size:
+                break
+        feasible = list(accumulate((masks[k] for k in members), and_))
+        size = len(members)
+        for prefix in [1 << b for b in range(size.bit_length()) if 1 << b < size] + [size]:
+            key = tuple(sorted(members[:prefix]))
+            if key not in seen:
+                seen.add(key)
+                volumes.append((np.array(key, dtype=np.int64), feasible[prefix - 1]))
     return volumes

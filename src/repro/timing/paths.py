@@ -25,7 +25,7 @@ wire extent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict
 
 import numpy as np
 
@@ -83,20 +83,15 @@ class TimingGraph:
             )
         return module_delays + worst_net
 
-    def evaluate(
-        self,
-        floorplan: Floorplan3D,
-        voltages: Mapping[str, float] | None = None,
-    ) -> TimingReport:
-        """Through times and critical delay for one placement."""
+    def evaluate(self, floorplan: Floorplan3D) -> TimingReport:
+        """Through times and critical delay for one placement, at its
+        modules' supply voltages."""
         cx, cy, dd = floorplan.module_centers(self.module_names)
         nd = self.net_delays(cx, cy, dd)
         placements = [floorplan.placements[name] for name in self.module_names]
-        volts = [
-            float(voltages[name]) if voltages and name in voltages else p.voltage
-            for name, p in zip(self.module_names, placements)
-        ]
-        mod_delays = scaled_delay([p.module.intrinsic_delay for p in placements], volts)
+        mod_delays = scaled_delay(
+            [p.module.intrinsic_delay for p in placements], [p.voltage for p in placements]
+        )
         through = self.through_times(nd, mod_delays)
         report_through = dict(zip(self.module_names, through.tolist()))
         critical = float(through.max()) if through.size else 0.0
@@ -106,25 +101,25 @@ class TimingGraph:
             net_delays_ns=nd,
         )
 
-    def max_delay_inflation(self, floorplan: Floorplan3D) -> Dict[str, float]:
-        """Per-module maximum tolerable delay-scaling factor.
+    def max_delay_inflation(
+        self,
+        centers_x: np.ndarray,
+        centers_y: np.ndarray,
+        dies: np.ndarray,
+        delays: np.ndarray,
+    ) -> np.ndarray:
+        """Per-module maximum tolerable delay-scaling factor, per module
+        index, from module-centre arrays and nominal module ``delays``.
 
         A module whose worst path has slack s against the target can let
         its own (nominal) delay grow by s, i.e. scale by
         ``1 + s / d_module``.  The target is the nominal (all-1.0 V)
         critical delay — voltage scaling must not degrade the design
-        beyond its nominal timing.
+        beyond its nominal timing.  A module without delay can scale
+        without bound.
         """
-        nominal = self.evaluate(
-            floorplan, voltages={n: 1.0 for n in floorplan.placements}
-        )
-        target_ns = nominal.critical_delay_ns
-        out: Dict[str, float] = {}
-        for name, p in floorplan.placements.items():
-            d_mod = p.module.intrinsic_delay
-            slack = target_ns - nominal.through_ns.get(name, 0.0)
-            if d_mod <= 0:
-                out[name] = float("inf")
-            else:
-                out[name] = max(1.0, 1.0 + slack / d_mod)
-        return out
+        through = self.through_times(self.net_delays(centers_x, centers_y, dies), delays)
+        # the slack is never negative, so no factor falls below 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inflation = 1.0 + (through.max() - through) / delays
+        return np.where(delays > 0, inflation, np.inf)

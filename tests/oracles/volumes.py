@@ -1,9 +1,12 @@
 """Object-level oracle for voltage-volume assignment (paper Sec. 6.1).
 
 The name-keyed implementation the index-based ``repro.power`` pipeline
-must reproduce with ``==``: x-sweep adjacency over ``Rect`` objects, BFS
-volume growth over ``frozenset``s of names and sets of levels, and the
-lazy-heap greedy cover scored from name-keyed lists.
+must reproduce with ``==``: the per-module slack dict read from a timing
+report, x-sweep adjacency over ``Rect`` objects, BFS volume growth over
+``frozenset``s of names and sets of levels, and the lazy-heap greedy
+cover scored from name-keyed lists.  :func:`geometry`,
+:func:`assignment_args` and :func:`by_name` translate between a
+floorplan's names and the pipeline's sorted-name index space.
 """
 
 from __future__ import annotations
@@ -17,9 +20,62 @@ from repro.layout.floorplan import Floorplan3D
 from repro.layout.geometry import Rect
 from repro.power.assignment import AssignmentObjective, VoltageAssignment
 from repro.power.voltages import VoltageLevel, feasible_voltages
-from repro.power.volumes import VoltageVolume
+from repro.power.volumes import VoltageVolume, sorted_rank
+from repro.timing.paths import TimingGraph
 
 _TOUCH_MARGIN = 1.0
+
+
+def geometry(floorplan: Floorplan3D) -> Tuple[np.ndarray, ...]:
+    """``(x, y, w, h, die, pos)`` of a floorplan's modules in sorted-name
+    order, ``pos`` their positions in placement order."""
+    names = list(floorplan.placements)
+    x, y, w, h, die, _, _ = floorplan.module_arrays(names)
+    rank = sorted_rank(names)
+    return x[rank], y[rank], w[rank], h[rank], die[rank], rank
+
+
+def assignment_args(
+    floorplan: Floorplan3D, max_inflation: Mapping[str, float]
+) -> Tuple[np.ndarray, ...]:
+    """``assign_voltages``' array arguments for a floorplan and a
+    name-keyed slack (1.0 for a module it does not name)."""
+    names = sorted(floorplan.placements)
+    power = np.array([floorplan.placements[n].module.power for n in names])
+    slack = np.array([max_inflation.get(n, 1.0) for n in names], dtype=float)
+    return (*geometry(floorplan), power, slack)
+
+
+def by_name(floorplan: Floorplan3D, got: VoltageAssignment) -> VoltageAssignment:
+    """An index-space assignment keyed by the floorplan's module names,
+    as :func:`assign_voltages_loop` returns it."""
+    names = sorted(floorplan.placements)
+    return VoltageAssignment(
+        voltages=dict(zip(names, got.voltages.tolist())),
+        volumes=[
+            VoltageVolume(frozenset(names[k] for k in v.members), v.feasible)
+            for v in got.volumes
+        ],
+        chosen=got.chosen,
+    )
+
+
+def max_delay_inflation_loop(
+    timing: TimingGraph, floorplan: Floorplan3D
+) -> Dict[str, float]:
+    """Per-module slack from the nominal (all-1.0 V) timing report, one
+    module at a time."""
+    nominal = timing.evaluate(floorplan.with_voltages({n: 1.0 for n in floorplan.placements}))
+    target_ns = nominal.critical_delay_ns
+    out: Dict[str, float] = {}
+    for name, p in floorplan.placements.items():
+        d_mod = p.module.intrinsic_delay
+        slack = target_ns - nominal.through_ns.get(name, 0.0)
+        if d_mod <= 0:
+            out[name] = float("inf")
+        else:
+            out[name] = max(1.0, 1.0 + slack / d_mod)
+    return out
 
 
 def _inflated(r: Rect, margin: float) -> Rect:

@@ -22,6 +22,7 @@ from repro.mitigation import sample_power_maps
 from repro.thermal import SteadyStateSolver, build_stack
 from repro.timing import TimingGraph
 from repro.power import AssignmentObjective, assign_voltages
+from repro.power.volumes import sorted_rank
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +73,16 @@ class TestPipelineInvariants:
         circ, stack, result = annealed
         fp = result.floorplan
         tg = TimingGraph(fp.compiled_netlist())
-        nominal = tg.evaluate(fp, voltages={n: 1.0 for n in fp.placements})
-        inflation = tg.max_delay_inflation(fp)
-        res = assign_voltages(fp, inflation, objective=AssignmentObjective.POWER_AWARE)
-        assigned = tg.evaluate(fp, voltages=res.voltages)
+        nominal = tg.evaluate(fp.with_voltages({n: 1.0 for n in fp.placements}))
+        x, y, w, h, die, power, delay = fp.module_arrays(tg.module_names)
+        slack = tg.max_delay_inflation(x + w / 2.0, y + h / 2.0, die, delay)
+        rank = sorted_rank(tg.module_names)
+        res = assign_voltages(
+            x[rank], y[rank], w[rank], h[rank], die[rank], rank, power[rank], slack[rank],
+            objective=AssignmentObjective.POWER_AWARE,
+        )
+        names = [tg.module_names[k] for k in rank]
+        assigned = tg.evaluate(fp.with_voltages(dict(zip(names, res.voltages.tolist()))))
         # individual-module bounds compose optimistically, so allow a
         # small engineering margin over the nominal target
         assert assigned.critical_delay_ns <= nominal.critical_delay_ns * 1.10

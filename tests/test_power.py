@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.volumes import assign_voltages_loop, module_adjacency_loop
+from oracles.volumes import (
+    assign_voltages_loop,
+    assignment_args,
+    by_name,
+    geometry,
+    max_delay_inflation_loop,
+    module_adjacency_loop,
+)
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
 from repro.floorplan.seqpair import LayoutState
@@ -22,6 +29,7 @@ from repro.power.voltages import (
     delay_scale_for,
     feasible_voltages,
     power_scale_for,
+    total_power,
 )
 from repro.power.volumes import grow_volumes, mask_levels, module_adjacency
 from repro.timing.paths import TimingGraph
@@ -93,6 +101,18 @@ def _as_names(fp, adj):
     return {names[i]: {names[j] for j in np.flatnonzero(row)} for i, row in enumerate(adj)}
 
 
+def _grow(fp, inflation, **kwargs):
+    """``grow_volumes`` on a floorplan and a name-keyed slack."""
+    *geom, _, slack = assignment_args(fp, inflation)
+    return grow_volumes(*geom, slack, **kwargs)
+
+
+def _assign(fp, inflation, objective, **kwargs):
+    """``assign_voltages`` on a floorplan and a name-keyed slack, keyed by
+    module name as the oracle's result is."""
+    return by_name(fp, assign_voltages(*assignment_args(fp, inflation), objective, **kwargs))
+
+
 def _pair_floorplan(a, b):
     """Two 100x100 modules on a 2-die stack: ``a``/``b`` are (x, y, die)."""
     placements = {}
@@ -104,7 +124,7 @@ def _pair_floorplan(a, b):
 class TestAdjacency:
     def test_touching_modules_adjacent(self):
         fp = _grid_floorplan()
-        adj, ix = module_adjacency(fp), _index(fp)
+        adj, ix = module_adjacency(*geometry(fp)), _index(fp)
         assert adj[ix["m00"], ix["m01"]]
         assert adj[ix["m00"], ix["m10"]]
         assert adj[ix["m00"], ix["m11"]]  # diagonal neighbours share a corner
@@ -113,12 +133,12 @@ class TestAdjacency:
 
     def test_separated_modules_not_adjacent(self):
         fp = _grid_floorplan(sep=50.0)
-        adj, ix = module_adjacency(fp), _index(fp)
+        adj, ix = module_adjacency(*geometry(fp)), _index(fp)
         assert not adj[ix["m00"], ix["m01"]]
 
     def test_cross_die_overlap_adjacent(self):
         fp = _grid_floorplan()
-        adj, ix = module_adjacency(fp), _index(fp)
+        adj, ix = module_adjacency(*geometry(fp)), _index(fp)
         # "top" overlaps m00's footprint on the adjacent die
         assert adj[ix["top"], ix["m00"]]
         assert adj[ix["m00"], ix["top"]]
@@ -150,7 +170,7 @@ class TestAdjacencyBoundaries:
     def test_pair(self, b, adjacent):
         for first, second in (((0.0, 0.0, 0), b), (b, (0.0, 0.0, 0))):
             fp = _pair_floorplan(first, second)
-            adj = module_adjacency(fp)
+            adj = module_adjacency(*geometry(fp))
             assert _as_names(fp, adj) == module_adjacency_loop(fp)
             assert bool(adj[0, 1]) is adjacent
 
@@ -162,7 +182,7 @@ class TestAdjacencyBoundaries:
             for name, x, die in (("bottom", 0.0, 0), ("middle", 50.0, 1), ("top", 0.0, 2))
         }
         fp = Floorplan3D(StackConfig.square(1000.0, num_dies=3), placements)
-        adj = _as_names(fp, module_adjacency(fp))
+        adj = _as_names(fp, module_adjacency(*geometry(fp)))
         assert adj == module_adjacency_loop(fp)
         assert adj == {"bottom": {"middle"}, "middle": {"bottom", "top"}, "top": {"middle"}}
 
@@ -188,21 +208,21 @@ class TestAdjacencyBoundaries:
         fp = Floorplan3D(
             StackConfig.square(100.0, num_dies=num_dies), {n: placements[n] for n in order}
         )
-        assert _as_names(fp, module_adjacency(fp)) == module_adjacency_loop(fp)
+        assert _as_names(fp, module_adjacency(*geometry(fp))) == module_adjacency_loop(fp)
 
 
 class TestGrowVolumes:
     def test_singletons_always_present(self):
         fp = _grid_floorplan()
         inflation = {n: 1.0 for n in fp.placements}
-        vols = grow_volumes(fp, inflation)
+        vols = _grow(fp, inflation)
         singles = [members for members, _ in vols if len(members) == 1]
         assert len(singles) == len(fp.placements)
 
     def test_growth_with_slack(self):
         fp = _grid_floorplan()
         inflation = {n: 2.0 for n in fp.placements}
-        vols = grow_volumes(fp, inflation)
+        vols = _grow(fp, inflation)
         assert any(len(members) > 4 for members, _ in vols)
         # with generous slack all three levels stay feasible
         _, feasible = max(vols, key=lambda v: len(v[0]))
@@ -211,7 +231,7 @@ class TestGrowVolumes:
     def test_feasible_intersection_shrinks(self):
         fp = _grid_floorplan()
         inflation = {n: (2.0 if n != "m11" else 1.0) for n in fp.placements}
-        vols = grow_volumes(fp, inflation)
+        vols = _grow(fp, inflation)
         m11 = _index(fp)["m11"]
         assert any(m11 in members and len(members) > 1 for members, _ in vols)
         for members, feasible in vols:
@@ -221,12 +241,12 @@ class TestGrowVolumes:
     def test_max_size_respected(self):
         fp = _grid_floorplan()
         inflation = {n: 2.0 for n in fp.placements}
-        vols = grow_volumes(fp, inflation, max_volume_size=3)
+        vols = _grow(fp, inflation, max_volume_size=3)
         assert max(len(members) for members, _ in vols) <= 3
 
     def test_members_sorted_and_unique(self):
         fp = _grid_floorplan()
-        vols = grow_volumes(fp, {n: 2.0 for n in fp.placements})
+        vols = _grow(fp, {n: 2.0 for n in fp.placements})
         keys = [tuple(members) for members, _ in vols]
         assert all(list(k) == sorted(set(k)) for k in keys)
         assert len(set(keys)) == len(keys)
@@ -237,7 +257,7 @@ class TestAssignment:
         fp = _grid_floorplan()
         inflation = {n: 1.6 for n in fp.placements}
         for objective in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
-            res = assign_voltages(fp, inflation, objective=objective)
+            res = _assign(fp, inflation, objective)
             assert set(res.voltages) == set(fp.placements)
             covered = set()
             for v in res.volumes:
@@ -248,14 +268,17 @@ class TestAssignment:
     def test_power_aware_reduces_power(self):
         fp = _grid_floorplan()
         inflation = {n: 1.6 for n in fp.placements}
-        res = assign_voltages(fp, inflation, objective=AssignmentObjective.POWER_AWARE)
-        assert res.power_w(fp) < fp.total_power() + 1e-12
+        res = _assign(fp, inflation, AssignmentObjective.POWER_AWARE)
+        placed = fp.placements.values()
+        volts = [res.voltages[p.name] for p in placed]
+        assigned = total_power([p.module.power for p in placed], volts)
+        assert assigned < fp.total_power() + 1e-12
         assert any(v == 0.8 for v in res.voltages.values())
 
     def test_no_slack_no_undervolting(self):
         fp = _grid_floorplan()
         inflation = {n: 1.0 for n in fp.placements}
-        res = assign_voltages(fp, inflation, objective=AssignmentObjective.POWER_AWARE)
+        res = _assign(fp, inflation, AssignmentObjective.POWER_AWARE)
         assert all(v >= 1.0 for v in res.voltages.values())
 
     def test_tsc_aware_flattens_density(self):
@@ -271,7 +294,7 @@ class TestAssignment:
         stack = StackConfig.square(1000.0)
         fp = Floorplan3D(stack, placements)
         inflation = {n: 1.6 for n in placements}
-        res = assign_voltages(fp, inflation, objective=AssignmentObjective.TSC_AWARE)
+        res = _assign(fp, inflation, AssignmentObjective.TSC_AWARE)
         from repro.power.voltages import power_scale_for as ps
 
         before = np.array([m.power / m.area for m in mods.values()])
@@ -284,14 +307,14 @@ class TestAssignment:
         """The paper's Table 2: TSC needs notably more voltage volumes."""
         fp = _grid_floorplan(nx=4, ny=4)
         inflation = {n: 1.6 for n in fp.placements}
-        pa = assign_voltages(fp, inflation, objective=AssignmentObjective.POWER_AWARE)
-        tsc = assign_voltages(fp, inflation, objective=AssignmentObjective.TSC_AWARE)
+        pa = _assign(fp, inflation, AssignmentObjective.POWER_AWARE)
+        tsc = _assign(fp, inflation, AssignmentObjective.TSC_AWARE)
         assert tsc.num_volumes >= pa.num_volumes
 
     def test_unknown_objective_rejected(self):
         fp = _grid_floorplan()
         with pytest.raises(ValueError):
-            assign_voltages(fp, {}, objective="fastest")
+            _assign(fp, {}, "fastest")
 
 
 class TestAgainstOracle:
@@ -310,18 +333,21 @@ class TestAgainstOracle:
                 apply_random_move(state, rng)
             fp = state.realize(circ.nets, circ.terminals)
             names = sorted(fp.placements)
-            assert _as_names(fp, module_adjacency(fp)) == module_adjacency_loop(fp)
+            assert _as_names(fp, module_adjacency(*geometry(fp))) == module_adjacency_loop(fp)
             timing = TimingGraph(
                 CompiledNetlist(names, circ.nets, circ.terminals)
             )
             inflations = (
-                timing.max_delay_inflation(fp),
+                max_delay_inflation_loop(timing, fp),
                 dict(zip(names, rng.uniform(0.9, 2.0, len(names)).tolist())),
             )
+            x, y, w, h, die, _, delay = fp.module_arrays(names)
+            slack = timing.max_delay_inflation(x + w / 2.0, y + h / 2.0, die, delay)
+            assert slack.tolist() == [inflations[0][n] for n in names]
             for inflation in inflations:
                 for objective in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
                     for size in (16, 40):
-                        got = assign_voltages(fp, inflation, objective, max_volume_size=size)
+                        got = _assign(fp, inflation, objective, max_volume_size=size)
                         want = assign_voltages_loop(fp, inflation, objective, size)
                         assert got.voltages == want.voltages
                         assert got.volumes == want.volumes
@@ -361,7 +387,7 @@ class TestAgainstOracle:
         inflation = dict(zip(names, rng.uniform(0.9, 2.0, len(names)).tolist()))
         for objective in (AssignmentObjective.POWER_AWARE, AssignmentObjective.TSC_AWARE):
             for size in (16, 40):
-                got = assign_voltages(fp, inflation, objective, max_volume_size=size)
+                got = _assign(fp, inflation, objective, max_volume_size=size)
                 want = assign_voltages_loop(fp, inflation, objective, size)
                 assert got.voltages == want.voltages
                 assert got.volumes == want.volumes

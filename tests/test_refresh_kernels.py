@@ -1,7 +1,8 @@
 """Bit-identity of the array-native anneal-refresh kernels against their
 loop oracles (``tests/oracles``): power maps, signal-TSV sites, TSV
-density maps and spatial entropy must be exactly equal (``==``), not
-merely close."""
+density maps, spatial entropy and its nested-means classes, and the
+voltage-assignment refresh must be exactly equal (``==``), not merely
+close."""
 
 import dataclasses
 
@@ -22,6 +23,7 @@ from oracles.tsv import (
     tsv_cell_occupancy_loop,
     tsv_density_map_loop,
 )
+from oracles.volumes import assign_voltages_loop, by_name, max_delay_inflation_loop
 from repro.benchmarks import load
 from repro.floorplan.moves import apply_random_move
 from repro.floorplan import objectives
@@ -42,6 +44,7 @@ from repro.layout.tsv import (
 from repro.leakage import entropy as entropy_module
 from repro.leakage.entropy import nested_means_classes, spatial_entropy
 from repro.mitigation.activity import module_power_basis
+from repro.power.assignment import AssignmentObjective, assign_voltages
 from repro.timing.paths import TimingGraph
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -274,11 +277,11 @@ class _RecordingModel:
 
 
 class TestRefreshFromSnapshot:
-    """Between voltage-assignment refreshes, the slow terms read the
-    snapshot's arrays, not a realized ``Floorplan3D``, and no refresh
-    reads a signal TSV; every map, the critical delay and the power total
-    still equal (``==``) what the realized floorplan with the
-    assignment's voltages gives."""
+    """Every slow term, the voltage assignment included, reads the
+    snapshot's arrays: no refresh realizes a ``Floorplan3D`` or reads a
+    signal TSV.  Every map, the critical delay and the power total still
+    equal (``==``) what the realized floorplan with the assignment's
+    voltages gives."""
 
     @pytest.mark.parametrize("num_dies,moves", [(2, 40), (3, 15)])
     def test_random_walk_matches_realized_floorplan(self, num_dies, moves, monkeypatch):
@@ -308,16 +311,15 @@ class TestRefreshFromSnapshot:
                 m.setattr(CompiledNetlist, "sites", _forbidden("sites"))
                 for name in ("place_signal_tsvs", "tsv_density"):
                     m.setattr(Floorplan3D, name, _forbidden(name))
-                if move and (move + 1) % 6:
-                    # evaluation move + 1 refreshes no voltage
-                    # assignment, so it realizes no floorplan
-                    m.setattr(LayoutState, "realize_with_positions",
-                              _forbidden("realize_with_positions"))
+                # nor builds a floorplan, the assignment refresh included
+                m.setattr(Floorplan3D, "__init__", _forbidden("Floorplan3D"))
+                m.setattr(LayoutState, "realize_with_positions",
+                          _forbidden("realize_with_positions"))
                 evaluator.evaluate(candidate, force_full=not move)
             state = candidate
             fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
-            voltages = evaluator._cache.assignment.voltages
-            realized.append(fp.with_voltages(voltages) if voltages else fp)
+            voltages = evaluator._cache.assignment.voltages.tolist()
+            realized.append(fp.with_voltages(dict(zip(sorted(fp.placements), voltages))))
             got = evaluator._cache
             assert got.delay == timing.evaluate(realized[-1]).critical_delay_ns
             assert got.power == realized[-1].total_power()
@@ -328,6 +330,62 @@ class TestRefreshFromSnapshot:
         for maps, fp in zip(recorder.maps, realized):
             for d in range(num_dies):
                 assert np.array_equal(maps[d], fp.power_map(d, evaluator.grid))
+
+
+class TestAssignmentRefresh:
+    """Every in-loop assignment refresh, on the snapshot's arrays, gives
+    the slack, voltages and volumes the name-keyed oracles give on the
+    realized floorplan."""
+
+    @pytest.mark.parametrize("num_dies", [2, 3])
+    @pytest.mark.parametrize("mode", FloorplanMode.ALL)
+    def test_random_walk_matches_oracle_on_realized_floorplan(
+        self, num_dies, mode, monkeypatch
+    ):
+        circ, stack = load("n100")
+        stack = dataclasses.replace(stack, num_dies=num_dies)
+        rng = np.random.default_rng(5 + num_dies)
+        state = LayoutState.initial(circ.modules, stack, rng)
+        monkeypatch.setattr(objectives, "ASSIGNMENT_EVERY", 3)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, assign_voltages(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(objectives, "assign_voltages", recording)
+        evaluator = CostEvaluator(stack, circ.nets, circ.terminals, mode=mode)
+        timing = TimingGraph(CompiledNetlist(list(state.modules), circ.nets, circ.terminals))
+        names = sorted(state.modules)
+        objective = (
+            AssignmentObjective.TSC_AWARE
+            if mode == FloorplanMode.TSC_AWARE
+            else AssignmentObjective.POWER_AWARE
+        )
+        checked = 0
+        for move in range(31):
+            if move:
+                apply_random_move(state, rng)
+            before = len(calls)
+            evaluator.evaluate(state, force_full=not move)
+            if len(calls) == before:
+                continue
+            args, kwargs, got = calls[-1]
+            fp = state.realize(circ.nets, circ.terminals, place_tsvs=False)
+            slack = max_delay_inflation_loop(timing, fp)
+            assert args[7].tolist() == [slack[n] for n in names]
+            want = assign_voltages_loop(
+                fp, slack, objective, objectives.INLOOP_VOLUME_SIZE
+            )
+            got = by_name(fp, got)
+            assert kwargs["objective"] == objective
+            assert got.voltages == want.voltages
+            assert got.num_volumes == want.num_volumes
+            assert got.volumes == want.volumes
+            assert got.chosen == want.chosen
+            checked += 1
+        assert checked == 11
+        assert any(v != 1.0 for v in got.voltages.values())
 
 
 def _forbidden(name):
@@ -355,6 +413,37 @@ class TestEntropy:
         pm[4, 4] = 1.0
         assert spatial_entropy(pm) == spatial_entropy_loop(pm, max_depth=1)
         assert sorted(np.bincount(nested_means_classes(pm).ravel())) == [1, 80]
+
+    def test_nested_means_labels_on_a_split_mean(self):
+        """A value equal to a split mean sorts right of it, at the top
+        split ({0, 1, 1, 2}: mean 1) and below it (means 3, then 1 and 5)."""
+        planted = np.array([[0.0, 1.0], [1.0, 2.0]])
+        assert nested_means_classes(planted).tolist() == [[0, 1], [1, 2]]
+        nested = np.array([0.0, 1.0, 1.0, 2.0, 4.0, 5.0, 5.0, 6.0, 3.0])
+        for vals in (planted, nested, nested[::-1], nested.reshape(3, 3)):
+            assert np.array_equal(nested_means_classes(vals), nested_means_classes_loop(vals))
+
+    def test_nested_means_labels_equal_loop_on_refresh_maps(self, monkeypatch):
+        """The power maps an anneal walk's thermal refreshes rasterize."""
+        circ, stack = load("n100")
+        rng = np.random.default_rng(3)
+        state = LayoutState.initial(circ.modules, stack, rng)
+        monkeypatch.setattr(objectives, "THERMAL_EVERY", 1)
+        evaluator = CostEvaluator(
+            stack, circ.nets, circ.terminals, mode=FloorplanMode.TSC_AWARE
+        )
+        recorder = _RecordingModel(evaluator.thermal)
+        evaluator.thermal = recorder
+        for move in range(20):
+            if move:
+                apply_random_move(state, rng)
+            evaluator.evaluate(state, force_full=not move)
+        maps = [m for refresh in recorder.maps for m in refresh]
+        assert len(maps) == 40
+        for pm in maps:
+            labels = nested_means_classes(pm)
+            assert labels.max() > 1
+            assert np.array_equal(labels, nested_means_classes_loop(pm))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nested_means_labels_equal_loop(self, seed, monkeypatch):

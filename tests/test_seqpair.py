@@ -63,8 +63,19 @@ class TestPackDie:
         assert w == pytest.approx(10.0)
 
     def test_mismatched_halves_rejected(self):
-        with pytest.raises(ValueError):
-            DieSequencePair([0], [1])
+        for s1, s2 in (([0], [1]), ([0, 1], [0]), ([0, 0], [0, 1])):
+            with pytest.raises(ValueError):
+                DieSequencePair(s1, s2)
+
+    def test_pair_copy_is_independent(self):
+        pair = DieSequencePair([2, 0, 1], [1, 2, 0])
+        twin = pair.copy()
+        assert twin == pair
+        assert twin.s1 is not pair.s1 and twin.s2 is not pair.s2
+        twin.remove(0)
+        twin.insert_random(5, np.random.default_rng(0))
+        assert pair == DieSequencePair([2, 0, 1], [1, 2, 0])
+        assert sorted(twin.s1) == sorted(twin.s2) == [1, 2, 5]
 
     @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
